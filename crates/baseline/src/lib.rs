@@ -314,6 +314,52 @@ pub fn probe_row_table_with(
     out
 }
 
+/// Semi/anti probe of a table built over the **left** rows (the scalar
+/// analog of a `HashProbe` with `build_left`): every right row looks up its
+/// key and marks the left rows it matches; the marked (semi) or unmarked
+/// (anti) left rows come out in left order — exactly what
+/// [`probe_row_table_with`] returns from a right-built table.
+pub fn probe_row_table_marking(
+    table: &RowJoinTable,
+    lrows: &[Row],
+    rrows: &[Row],
+    join_type: JoinType,
+    on: &[(usize, usize)],
+    mut residual: Option<&mut dyn FnMut(&Row) -> bool>,
+) -> Vec<Row> {
+    assert!(
+        matches!(join_type, JoinType::Semi | JoinType::Anti),
+        "only semi/anti joins build on the left (plan bug)"
+    );
+    let rkeys: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
+    let mut matched = vec![false; lrows.len()];
+    for rrow in rrows {
+        let Some(candidates) = key_of(rrow, &rkeys).and_then(|k| table.map.get(&k)) else {
+            continue;
+        };
+        for &li in candidates {
+            if matched[li] {
+                continue;
+            }
+            matched[li] = match residual.as_mut() {
+                None => true,
+                Some(pass) => {
+                    let mut combined = lrows[li].clone();
+                    combined.extend(rrow.iter().cloned());
+                    pass(&combined)
+                }
+            };
+        }
+    }
+    let keep = join_type == JoinType::Semi;
+    lrows
+        .iter()
+        .zip(matched)
+        .filter(|(_, m)| *m == keep)
+        .map(|(row, _)| row.clone())
+        .collect()
+}
+
 fn input_arity_of(plan: &PhysicalPlan) -> usize {
     plan.arity()
 }

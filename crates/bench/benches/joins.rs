@@ -56,8 +56,8 @@ fn bench_join_queries(c: &mut Criterion) {
                 .compile(
                     sql,
                     QueryConfig::default().physical(PhysicalOptions {
-                        join: strat,
-                        agg: AggStrategy::Sort,
+                        join: Some(strat),
+                        agg: Some(AggStrategy::Sort),
                     }),
                 )
                 .unwrap();

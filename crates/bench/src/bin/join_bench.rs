@@ -119,6 +119,7 @@ fn main() {
                 None,
                 &models,
                 w,
+                false,
             )
         };
         assert_eq!(

@@ -35,6 +35,7 @@ use std::sync::Arc;
 
 use tqp_baseline::RowEngine;
 use tqp_data::DataFrame;
+use tqp_exec::program::{ProgOp, TensorProgram};
 use tqp_exec::{Backend, Device, ExecConfig, Executor, GpuStrategy, Storage, TableSource};
 use tqp_ir::physical::PhysicalPlan;
 use tqp_ir::{compile_query, compile_sql, Catalog, CompileError, PhysicalOptions};
@@ -49,6 +50,9 @@ pub use tqp_exec::sched::{CancelReason, CancelToken};
 /// Per-query configuration: physical strategies + backend + device.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryConfig {
+    /// Join/aggregation strategies: chosen per operator by the planner by
+    /// default; a `Some(_)` forces that strategy on every operator (the
+    /// paper's ablation axis).
     pub physical: PhysicalOptions,
     pub backend: Backend,
     pub device: Device,
@@ -586,6 +590,7 @@ fn run_with_obs(
             ops: Vec::new(),
         };
         trace.build_ops();
+        observe_qerror(executor, &session.catalog, &trace);
         (frame, stats, Some(trace))
     } else {
         let (frame, stats) = executor.run(&session.storage, &session.models, &session.profiler);
@@ -630,14 +635,19 @@ fn observe_slow(
 pub struct ExplainRow {
     /// Tree depth (root = 0); rendering indents two spaces per level.
     pub depth: usize,
-    /// Operator label, e.g. `Scan(lineitem)`, `HashJoin(Inner)`.
+    /// Operator label with the planner's choices, e.g. `Scan(lineitem)`,
+    /// `HashJoin(Semi, build=left)`, `SortAggregate`.
     pub op: String,
     /// Optimizer cardinality estimate (stats-driven where available).
     pub est_rows: f64,
     /// Measured output rows, summed over this node's program op.
     pub actual_rows: Option<u64>,
-    /// Measured wall time attributed to this node's program op.
+    /// Measured wall time attributed to this node's program op (a hash
+    /// join's probe; its build is `build`).
     pub wall_us: Option<u64>,
+    /// Hash joins: `(input rows, wall time)` of the `HashBuild` op that
+    /// feeds this node's probe.
+    pub build: Option<(u64, u64)>,
 }
 
 impl ExplainRow {
@@ -653,8 +663,12 @@ impl ExplainRow {
                 .wall_us
                 .map(|u| format!("{u} us"))
                 .unwrap_or_else(|| "? us".into());
+            let build = self
+                .build
+                .map(|(rows, us)| format!(", build={us} us, build_rows={rows}"))
+                .unwrap_or_default();
             s.push_str(&format!(
-                "  (est={} rows, actual={actual} rows, {us})",
+                "  (est={} rows, actual={actual} rows, {us}{build})",
                 fmt_est(self.est_rows)
             ));
         } else {
@@ -672,54 +686,108 @@ fn fmt_est(est: f64) -> String {
     }
 }
 
+/// Per-operator actuals of one run, addressed by plan node.
+struct Actuals<'a> {
+    /// Plan node (post-order) → the program op producing its output.
+    node_map: &'a [Option<usize>],
+    program: &'a TensorProgram,
+    /// Program op → `(rows, total_us)` from the run's trace.
+    ops: HashMap<u64, (u64, u64)>,
+}
+
+impl<'a> Actuals<'a> {
+    /// `None` when `executor` carries no node→op map (parameter-patched
+    /// programs): its operators cannot be attributed to plan nodes.
+    fn new(executor: &'a Executor, trace: &QueryTrace) -> Option<Actuals<'a>> {
+        Some(Actuals {
+            node_map: executor.node_map()?,
+            program: executor.program(),
+            ops: trace
+                .ops
+                .iter()
+                .map(|o| (o.op_index, (o.rows, o.total_us)))
+                .collect(),
+        })
+    }
+
+    fn op(&self, node: usize) -> Option<usize> {
+        self.node_map.get(node).copied().flatten()
+    }
+
+    /// `(rows, total_us)` of the op behind plan node `node`.
+    fn of(&self, node: usize) -> Option<(u64, u64)> {
+        self.ops.get(&(self.op(node)? as u64)).copied()
+    }
+
+    /// `(rows, total_us)` of the build op whose table plan node `node`'s
+    /// hash probe reads.
+    fn build_of(&self, node: usize) -> Option<(u64, u64)> {
+        let ProgOp::HashProbe { table, .. } = &self.program.ops[self.op(node)?] else {
+            return None;
+        };
+        let build = self.program.ops.iter().position(|o| o.dst() == *table)?;
+        self.ops.get(&(build as u64)).copied()
+    }
+}
+
 /// Walk a physical plan and produce [`ExplainRow`]s in display (pre-)
 /// order. The walk simultaneously assigns each node its **post-order
-/// index** — the order `tqp_exec::program::lower_with_map` visits nodes —
-/// so per-op actuals from a trace can be joined back onto the tree.
+/// index** — the order `tqp_exec::program::lower_with_map` visits nodes and
+/// `tqp_ir::estimate_each` reports estimates — so estimates and per-op
+/// actuals from a trace can be joined back onto the tree.
 fn explain_rows(
     plan: &PhysicalPlan,
     catalog: &Catalog,
-    node_map: Option<&[Option<usize>]>,
-    op_stats: Option<&HashMap<u64, (u64, u64)>>,
+    actuals: Option<&Actuals>,
 ) -> Vec<ExplainRow> {
     fn go(
         p: &PhysicalPlan,
         depth: usize,
         post: &mut usize,
-        catalog: &Catalog,
-        node_map: Option<&[Option<usize>]>,
-        op_stats: Option<&HashMap<u64, (u64, u64)>>,
+        est: &[f64],
+        actuals: Option<&Actuals>,
     ) -> Vec<ExplainRow> {
         let mut child_rows = Vec::new();
         for c in p.children() {
-            child_rows.extend(go(c, depth + 1, post, catalog, node_map, op_stats));
+            child_rows.extend(go(c, depth + 1, post, est, actuals));
         }
         let my_post = *post;
         *post += 1;
-        let actual = node_map
-            .and_then(|m| m.get(my_post).copied().flatten())
-            .and_then(|op| op_stats.and_then(|s| s.get(&(op as u64)).copied()));
+        let actual = actuals.and_then(|a| a.of(my_post));
+        let build = actuals.and_then(|a| a.build_of(my_post));
         let mut rows = vec![ExplainRow {
             depth,
             op: p.op_name(),
-            est_rows: tqp_ir::estimate_physical(p, catalog),
+            est_rows: est[my_post],
             actual_rows: actual.map(|(r, _)| r),
             wall_us: actual.map(|(_, us)| us),
+            build,
         }];
         rows.extend(child_rows);
         rows
     }
-    let mut post = 0;
-    go(plan, 0, &mut post, catalog, node_map, op_stats)
+    let mut est = Vec::new();
+    tqp_ir::estimate_each(plan, catalog, &mut |rows| est.push(rows));
+    go(plan, 0, &mut 0, &est, actuals)
 }
 
-/// Fold a trace's per-op attribution into `op index → (rows, total_us)`.
-fn op_stats_of(trace: &QueryTrace) -> HashMap<u64, (u64, u64)> {
-    trace
-        .ops
-        .iter()
-        .map(|o| (o.op_index, (o.rows, o.total_us)))
-        .collect()
+/// Record every attributed plan node's q-error, `max(est/actual,
+/// actual/est)` with both floored at one row, into the `opt.qerror`
+/// histogram: optimizer quality as a tracked metric.
+fn observe_qerror(executor: &Executor, catalog: &Catalog, trace: &QueryTrace) {
+    static QERROR: std::sync::OnceLock<tqp_obs::Histogram> = std::sync::OnceLock::new();
+    let Some(actuals) = Actuals::new(executor, trace) else {
+        return;
+    };
+    let histogram = QERROR.get_or_init(|| tqp_obs::registry().histogram("opt.qerror"));
+    let mut node = 0;
+    tqp_ir::estimate_each(executor.plan(), catalog, &mut |est| {
+        if let Some((rows, _)) = actuals.of(node) {
+            let (est, rows) = (est.max(1.0), (rows as f64).max(1.0));
+            histogram.observe((est / rows).max(rows / est).ceil() as u64);
+        }
+        node += 1;
+    });
 }
 
 /// Render explain rows as the single-column `plan` result frame.
@@ -930,7 +998,7 @@ impl PreparedQuery {
         if inner.kind == QueryKind::Explain {
             // Plan rendering only — no execution, no parameter values
             // needed (placeholder slots stay unbound).
-            let rows = explain_rows(inner.executor.plan(), &session.catalog, None, None);
+            let rows = explain_rows(inner.executor.plan(), &session.catalog, None);
             let (frame, stats) = explain_frame(&rows, false);
             return Ok((frame, stats, None));
         }
@@ -945,9 +1013,8 @@ impl PreparedQuery {
         let analyze = inner.kind == QueryKind::ExplainAnalyze;
         let trace_on = analyze || opts.trace || inner.cfg.trace;
         let slow_ms = opts.slow_query_ms.or(inner.cfg.slow_query_ms);
-        let (frame, stats, trace, node_map) = if inner.pre.n_params == 0 {
-            let (f, s, t) = run_with_obs(&inner.executor, session, &inner.sql, trace_on, slow_ms);
-            (f, s, t, inner.executor.node_map().map(|m| m.to_vec()))
+        let (frame, stats, trace) = if inner.pre.n_params == 0 {
+            run_with_obs(&inner.executor, session, &inner.sql, trace_on, slow_ms)
         } else {
             let bound = inner
                 .executor
@@ -956,19 +1023,16 @@ impl PreparedQuery {
                 .map_err(TqpError::Execution)?;
             let ex =
                 Executor::from_parts(inner.executor.plan().clone(), bound, exec_config(inner.cfg));
-            let (f, s, t) = run_with_obs(&ex, session, &inner.sql, trace_on, slow_ms);
-            // `from_parts` re-lowers without the node→op map: EXPLAIN
-            // ANALYZE of a parameterized statement renders `actual=?`.
-            (f, s, t, None)
+            // `from_parts` carries no node→op map: EXPLAIN ANALYZE of a
+            // parameterized statement renders `actual=?`.
+            run_with_obs(&ex, session, &inner.sql, trace_on, slow_ms)
         };
         if analyze {
-            let op_stats = trace.as_ref().map(op_stats_of);
-            let rows = explain_rows(
-                inner.executor.plan(),
-                &session.catalog,
-                node_map.as_deref(),
-                op_stats.as_ref(),
-            );
+            let actuals = trace
+                .as_ref()
+                .filter(|_| inner.pre.n_params == 0)
+                .and_then(|t| Actuals::new(&inner.executor, t));
+            let rows = explain_rows(inner.executor.plan(), &session.catalog, actuals.as_ref());
             let (frame, mut estats) = explain_frame(&rows, true);
             estats.wall_us = stats.wall_us;
             return Ok((frame, estats, trace));
@@ -1019,7 +1083,7 @@ impl CompiledQuery {
         session: &Session,
     ) -> Result<(DataFrame, tqp_exec::ExecStats, Option<QueryTrace>), TqpError> {
         if self.kind == QueryKind::Explain {
-            let rows = explain_rows(self.executor.plan(), &session.catalog, None, None);
+            let rows = explain_rows(self.executor.plan(), &session.catalog, None);
             let (frame, stats) = explain_frame(&rows, false);
             return Ok((frame, stats, None));
         }
@@ -1072,13 +1136,8 @@ impl CompiledQuery {
             true,
             self.cfg.slow_query_ms,
         );
-        let op_stats = trace.as_ref().map(op_stats_of);
-        let rows = explain_rows(
-            self.executor.plan(),
-            &session.catalog,
-            self.executor.node_map(),
-            op_stats.as_ref(),
-        );
+        let actuals = trace.as_ref().and_then(|t| Actuals::new(&self.executor, t));
+        let rows = explain_rows(self.executor.plan(), &session.catalog, actuals.as_ref());
         (rows, stats, trace)
     }
 

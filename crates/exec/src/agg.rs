@@ -1,4 +1,4 @@
-//! Tensor aggregation: sort-based (default) and hash-based strategies,
+//! Tensor aggregation: sort-based and hash-based strategies,
 //! plus a **partitioned parallel** execution mode.
 //!
 //! Sort strategy (the tensor-native formulation, paper §2.2): multi-key

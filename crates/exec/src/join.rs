@@ -1,7 +1,7 @@
 //! Tensor join algorithms (the paper's "novel algorithms mapping relational
 //! operators into tensor programs").
 //!
-//! * **Sort-merge** (default, tensor-native): stable-argsort the build side,
+//! * **Sort-merge** (tensor-native): stable-argsort the build side,
 //!   probe with two `searchsorted` calls to get each probe key's match run
 //!   `[lo, hi)`, expand runs into aligned index tensors with
 //!   `repeat_interleave`/`cumsum`/`arange` arithmetic, then gather. No data-
@@ -22,7 +22,16 @@
 //! combined row hash and verifying true key equality on the expanded pairs
 //! (collision-safe). Inner/left/semi/anti all derive from the pair lists;
 //! residual predicates (Q13's `NOT LIKE`, Q21's `<>` correlations) are
-//! evaluated over the gathered pair batch.
+//! evaluated over the gathered pair batch, and a pair either of whose keys
+//! is NULL (an outer join's padding) is dropped.
+//!
+//! Joins build on their right input. A hash **semi/anti** join may
+//! instead build on its *left* input (`build_left`, chosen by the planner
+//! when the left side is the smaller one): the right side's keys probe the
+//! table and mark the left rows they match. The pair list comes out in
+//! another order, but a semi/anti join only reads *which* left rows
+//! matched and emits them in left order, so the output is the same
+//! whichever side was built — and the same at every worker count.
 
 use std::collections::HashMap;
 
@@ -58,7 +67,9 @@ pub fn join(
         JoinStrategy::Hash => {
             let keys: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
             let table = build_table(right, &keys);
-            probe_table(&table, left, right, join_type, on, residual, models, 1)
+            probe_table(
+                &table, left, right, join_type, on, residual, models, 1, false,
+            )
         }
     }
 }
@@ -85,8 +96,7 @@ pub fn sort_merge_join(
         left_idx,
         right_idx,
         need_verify,
-        &lkeys,
-        &rkeys,
+        on,
         residual,
         models,
     )
@@ -340,11 +350,15 @@ fn build_flat(rkeys: &[&Tensor], hashed: bool, workers: usize, distinct: Option<
     }
 }
 
-/// Probe a [`JoinTable`] with the left side's keys and assemble the join
+/// Probe a [`JoinTable`] with the other side's keys and assemble the join
 /// output (the program's `HashProbe` op). With `workers > 1` the probe
 /// loop runs partition-parallel over contiguous chunks of the probe side;
 /// chunk results are concatenated in order, so the output is identical to
 /// the single-threaded probe.
+///
+/// `table` was built over `right` and `left` probes it, unless
+/// `build_left` (semi/anti only, see the module docs): then it was built
+/// over `left` and `right` probes.
 #[allow(clippy::too_many_arguments)]
 pub fn probe_table(
     table: &JoinTable,
@@ -355,30 +369,41 @@ pub fn probe_table(
     residual: Option<&ExprProgram>,
     models: &ModelRegistry,
     workers: usize,
+    build_left: bool,
 ) -> Batch {
     assert!(!on.is_empty(), "tensor joins require at least one equi key");
+    assert!(
+        !build_left || matches!(join_type, JoinType::Semi | JoinType::Anti),
+        "only semi/anti joins build on the left (plan bug)"
+    );
     let lkeys: Vec<&Tensor> = on.iter().map(|&(l, _)| &left.columns[l]).collect();
     let rkeys: Vec<&Tensor> = on.iter().map(|&(_, r)| &right.columns[r]).collect();
+    let pkeys = if build_left { &rkeys } else { &lkeys };
     if !table.hashed {
         assert!(
-            lkeys.len() == 1 && lkeys[0].dtype() == DType::I64,
+            pkeys.len() == 1 && pkeys[0].dtype() == DType::I64,
             "probe keys must match build keys (plan bug)"
         );
     }
-    let (left_idx, right_idx) = match &table.parts {
+    let (probe_idx, build_idx) = match &table.parts {
         Parts::Map(maps) => {
-            let lkey = if table.hashed {
-                hash_rows(&lkeys)
+            let pkey = if table.hashed {
+                hash_rows(pkeys)
             } else {
-                lkeys[0].clone()
+                pkeys[0].clone()
             };
-            probe_pairs_map(maps, table.bits, lkey.as_i64(), workers)
+            probe_pairs_map(maps, table.bits, pkey.as_i64(), workers)
         }
         Parts::Flat(parts) => {
             // Hash the probe side exactly once, blockwise.
-            let (lk, lh) = flat_keys(&lkeys, table.hashed);
-            probe_pairs_flat(parts, table.bits, &lk, &lh, workers)
+            let (pk, ph) = flat_keys(pkeys, table.hashed);
+            probe_pairs_flat(parts, table.bits, &pk, &ph, workers)
         }
+    };
+    let (left_idx, right_idx) = if build_left {
+        (build_idx, probe_idx)
+    } else {
+        (probe_idx, build_idx)
     };
     finish_join(
         left,
@@ -387,8 +412,7 @@ pub fn probe_table(
         left_idx,
         right_idx,
         table.hashed,
-        &lkeys,
-        &rkeys,
+        on,
         residual,
         models,
     )
@@ -404,25 +428,44 @@ fn finish_join(
     mut left_idx: Tensor,
     mut right_idx: Tensor,
     need_verify: bool,
-    lkeys: &[&Tensor],
-    rkeys: &[&Tensor],
+    on: &[(usize, usize)],
     residual: Option<&ExprProgram>,
     models: &ModelRegistry,
 ) -> Batch {
     // Verification + residual masking over the expanded pairs.
     let mut mask: Option<Tensor> = None;
+    let mut and_mask = |m: Tensor| {
+        mask = Some(match mask.take() {
+            Some(prev) => ops::and(&prev, &m),
+            None => m,
+        })
+    };
     if need_verify {
-        let lg: Vec<Tensor> = lkeys.iter().map(|k| take(k, &left_idx)).collect();
-        let rg: Vec<Tensor> = rkeys.iter().map(|k| take(k, &right_idx)).collect();
-        mask = Some(keys_equal(&lg, &rg));
+        let lg: Vec<Tensor> = on
+            .iter()
+            .map(|&(l, _)| take(&left.columns[l], &left_idx))
+            .collect();
+        let rg: Vec<Tensor> = on
+            .iter()
+            .map(|&(_, r)| take(&right.columns[r], &right_idx))
+            .collect();
+        and_mask(keys_equal(&lg, &rg));
+    }
+    // A NULL key (an outer join's padding) matches nothing, whatever value
+    // its slot happens to hold.
+    for &(l, r) in on {
+        for (validity, idx) in [
+            (&left.validity[l], &left_idx),
+            (&right.validity[r], &right_idx),
+        ] {
+            if let Some(valid) = validity {
+                and_mask(take(valid, idx));
+            }
+        }
     }
     if let Some(res) = residual {
         let pair_batch = left.take(&left_idx).hcat(right.take(&right_idx));
-        let m = exprprog::eval_mask(res, &pair_batch, models);
-        mask = Some(match mask {
-            Some(prev) => ops::and(&prev, &m),
-            None => m,
-        });
+        and_mask(exprprog::eval_mask(res, &pair_batch, models));
     }
     if let Some(m) = mask {
         let keep = mask_to_indices(&m);
@@ -866,6 +909,7 @@ mod tests {
             None,
             &models,
             1,
+            false,
         );
         // Every representation × worker count must reproduce it bitwise.
         for flat in [false, true] {
@@ -883,6 +927,7 @@ mod tests {
                     None,
                     &models,
                     workers,
+                    false,
                 );
                 assert_eq!(seq.nrows(), par.nrows(), "flat={flat} workers={workers}");
                 for c in 0..seq.ncols() {
@@ -918,6 +963,7 @@ mod tests {
             None,
             &models,
             1,
+            false,
         );
         for flat in [false, true] {
             let par = probe_table(
@@ -929,6 +975,7 @@ mod tests {
                 None,
                 &models,
                 4,
+                false,
             );
             assert_eq!(seq.nrows(), par.nrows(), "flat={flat}");
             for c in 0..seq.ncols() {
@@ -956,6 +1003,7 @@ mod tests {
             None,
             &models,
             1,
+            false,
         );
         for hint in [Some(1u64), Some(37), Some(1 << 40)] {
             let t = build_table_par(&build, &[0], 1, true, hint);
@@ -969,11 +1017,103 @@ mod tests {
                 None,
                 &models,
                 1,
+                false,
             );
             assert_eq!(out.nrows(), golden.nrows(), "hint={hint:?}");
             assert_eq!(out.columns[0].as_i64(), golden.columns[0].as_i64());
             assert_eq!(out.columns[1].as_i64(), golden.columns[1].as_i64());
             assert_eq!(out.columns[2].as_f64(), golden.columns[2].as_f64());
+        }
+    }
+
+    /// A left-built semi/anti join emits exactly what the right-built one
+    /// does: duplicate-heavy keys on both sides, with and without a
+    /// residual, at every worker count (both sides are large enough for
+    /// the partitioned build and the chunked probe).
+    #[test]
+    fn left_build_semi_anti_match_right_build() {
+        use tqp_data::LogicalType;
+        use tqp_ir::expr::{BinOp, BoundExpr as E};
+        let n = PAR_BUILD_MIN_ROWS + 777;
+        let m = 4 * PAR_PROBE_THRESHOLD + 333;
+        let left = b(vec![
+            Tensor::from_i64((0..n as i64).map(|i| i % 5000).collect()),
+            Tensor::from_f64((0..n).map(|i| (i % 97) as f64).collect()),
+        ]);
+        let right = b(vec![
+            Tensor::from_i64((0..m as i64).map(|i| i * 7 % 3000).collect()),
+            Tensor::from_f64((0..m).map(|i| (i % 89) as f64).collect()),
+        ]);
+        // left.v < right.v over the combined (left ++ right) row.
+        let residual = crate::exprprog::compile_expr(&E::Binary {
+            op: BinOp::Lt,
+            left: Box::new(E::col(1, LogicalType::Float64)),
+            right: Box::new(E::col(3, LogicalType::Float64)),
+            ty: LogicalType::Bool,
+        });
+        let models = ModelRegistry::new();
+        let on = [(0usize, 0usize)];
+        for join_type in [JoinType::Semi, JoinType::Anti] {
+            for residual in [None, Some(&residual)] {
+                let golden = probe_table(
+                    &build_table(&right, &[0]),
+                    &left,
+                    &right,
+                    join_type,
+                    &on,
+                    residual,
+                    &models,
+                    1,
+                    false,
+                );
+                assert!(golden.nrows() > 0 && golden.nrows() < n);
+                for workers in [1, 2, 4, 8] {
+                    let out = probe_table(
+                        &build_table_par(&left, &[0], workers, true, None),
+                        &left,
+                        &right,
+                        join_type,
+                        &on,
+                        residual,
+                        &models,
+                        workers,
+                        true,
+                    );
+                    assert_eq!(out.columns[0].as_i64(), golden.columns[0].as_i64());
+                    assert_eq!(out.columns[1].as_f64(), golden.columns[1].as_f64());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn null_keys_match_nothing() {
+        // Left row 1 holds a NULL key whose slot reads 3, a real right key.
+        let l = Batch::with_validity(
+            vec![Tensor::from_i64(vec![2, 3, 9])],
+            vec![Some(Tensor::from_bool(vec![true, false, true]))],
+        );
+        for (strat, build_left) in [
+            (JoinStrategy::SortMerge, false),
+            (JoinStrategy::Hash, false),
+            (JoinStrategy::Hash, true),
+        ] {
+            let run = |join_type| {
+                if build_left {
+                    let table = build_table(&l, &[0]);
+                    let (r, models) = (right(), ModelRegistry::new());
+                    probe_table(&table, &l, &r, join_type, &[(0, 0)], None, &models, 1, true)
+                } else {
+                    let models = ModelRegistry::new();
+                    join(&l, &right(), join_type, strat, &[(0, 0)], None, &models)
+                }
+            };
+            assert_eq!(run(JoinType::Semi).columns[0].as_i64(), &[2, 9]);
+            assert_eq!(run(JoinType::Anti).columns[0].as_i64(), &[3]);
+            if !build_left {
+                assert_eq!(run(JoinType::Inner).nrows(), 2, "{strat:?}");
+                assert_eq!(run(JoinType::Left).nrows(), 3, "{strat:?}");
+            }
         }
     }
 

@@ -135,7 +135,8 @@ pub enum ProgOp {
         src: Reg,
         exprs: ExprProgram,
     },
-    /// Build the hash table over the right (build) side's key columns.
+    /// Build the hash table over the build side's key columns (the join's
+    /// right input, or its left when the probe says `build_left`).
     /// `distinct` is the optimizer's distinct-key estimate for the build
     /// side (from the catalog's KMV sketch), used to size the flat hash
     /// directory; `None` sizes for all-distinct keys.
@@ -146,7 +147,10 @@ pub enum ProgOp {
         distinct: Option<u64>,
     },
     /// Probe a [`ProgOp::HashBuild`] table with the left side's keys,
-    /// verify/filter pairs, and assemble the join output.
+    /// verify/filter pairs, and assemble the join output. With
+    /// `build_left` (semi/anti joins only) the table holds the *left*
+    /// side and the right side's keys probe it, marking the left rows
+    /// they match; the output is the same left rows in left order.
     HashProbe {
         dst: Reg,
         table: Reg,
@@ -155,6 +159,7 @@ pub enum ProgOp {
         join_type: JoinType,
         on: Vec<(usize, usize)>,
         residual: Option<ExprProgram>,
+        build_left: bool,
     },
     /// The tensor-native sort-merge join (argsort + double searchsorted +
     /// pair expansion) as one fused op.
@@ -521,6 +526,7 @@ impl Builder {
                 strategy,
                 on,
                 residual,
+                build_left,
                 build_distinct,
             } => {
                 let l = self.lower_node(left);
@@ -531,8 +537,11 @@ impl Builder {
                         let table = self.fresh();
                         self.ops.push(ProgOp::HashBuild {
                             dst: table,
-                            src: r,
-                            keys: on.iter().map(|&(_, rk)| rk).collect(),
+                            src: if *build_left { l } else { r },
+                            keys: on
+                                .iter()
+                                .map(|&(lk, rk)| if *build_left { lk } else { rk })
+                                .collect(),
                             distinct: *build_distinct,
                         });
                         let dst = self.fresh();
@@ -544,6 +553,7 @@ impl Builder {
                             join_type: *join_type,
                             on: on.clone(),
                             residual,
+                            build_left: *build_left,
                         });
                         dst
                     }
@@ -967,16 +977,25 @@ fn op_to_json(op: &ProgOp) -> Json {
             join_type,
             on,
             residual,
-        } => Json::obj(vec![
-            ("op", Json::str("hash_probe")),
-            ("dst", reg(*dst)),
-            ("table", reg(*table)),
-            ("left", reg(*left)),
-            ("right", reg(*right)),
-            ("join_type", irjson::join_type_to_json(*join_type)),
-            ("on", on_json(on)),
-            ("residual", residual_json(residual)),
-        ]),
+            build_left,
+        } => {
+            let mut fields = vec![
+                ("op", Json::str("hash_probe")),
+                ("dst", reg(*dst)),
+                ("table", reg(*table)),
+                ("left", reg(*left)),
+                ("right", reg(*right)),
+                ("join_type", irjson::join_type_to_json(*join_type)),
+                ("on", on_json(on)),
+                ("residual", residual_json(residual)),
+            ];
+            // Emitted only when set: right-build probes re-encode
+            // byte-identically to artifacts that predate the field.
+            if *build_left {
+                fields.push(("build_left", Json::Bool(true)));
+            }
+            Json::obj(fields)
+        }
         ProgOp::SortMergeJoin {
             dst,
             left,
@@ -1105,15 +1124,25 @@ fn op_from_json(j: &Json) -> Result<ProgOp, ProgramError> {
             // all pre-estimate artifacts).
             distinct: j.get("distinct").and_then(|v| v.as_i64()).map(|d| d as u64),
         }),
-        "hash_probe" => Ok(ProgOp::HashProbe {
-            dst,
-            table: reg_field(j, "table")?,
-            left: reg_field(j, "left")?,
-            right: reg_field(j, "right")?,
-            join_type: irjson::join_type_from_json(j.field("join_type")?)?,
-            on: on_from(j.field("on")?)?,
-            residual: residual_from(j.field("residual")?)?,
-        }),
+        "hash_probe" => {
+            let join_type = irjson::join_type_from_json(j.field("join_type")?)?;
+            let build_left = j.get("build_left").and_then(Json::as_bool).unwrap_or(false);
+            // The marking probe emits left rows only; on an inner or left
+            // outer join it would panic mid-query, so reject it at load.
+            if build_left && !matches!(join_type, JoinType::Semi | JoinType::Anti) {
+                return invalid("build_left is only valid on semi/anti probes");
+            }
+            Ok(ProgOp::HashProbe {
+                dst,
+                table: reg_field(j, "table")?,
+                left: reg_field(j, "left")?,
+                right: reg_field(j, "right")?,
+                join_type,
+                on: on_from(j.field("on")?)?,
+                residual: residual_from(j.field("residual")?)?,
+                build_left,
+            })
+        }
         "sort_merge_join" => Ok(ProgOp::SortMergeJoin {
             dst,
             left: reg_field(j, "left")?,
@@ -1317,8 +1346,8 @@ mod tests {
     #[test]
     fn hash_joins_lower_to_build_plus_probe() {
         let opts = PhysicalOptions {
-            join: tqp_ir::JoinStrategy::Hash,
-            agg: tqp_ir::AggStrategy::Hash,
+            join: Some(tqp_ir::JoinStrategy::Hash),
+            agg: Some(tqp_ir::AggStrategy::Hash),
         };
         let p = program("select t.a from t, u where t.a = u.a", opts);
         let builds = p
@@ -1348,12 +1377,61 @@ mod tests {
     }
 
     #[test]
+    fn left_build_probe_roundtrips_and_is_validated() {
+        // `u` (50 rows) is estimated smaller than the IN-list over `t`
+        // (100 rows): the semi join builds on its left input.
+        let p = program(
+            "select a from u where a in (select a from t)",
+            PhysicalOptions::default(),
+        );
+        let (build_src, probe_left) = p
+            .ops
+            .iter()
+            .find_map(|o| match o {
+                ProgOp::HashProbe {
+                    table,
+                    left,
+                    build_left: true,
+                    ..
+                } => p.ops.iter().find_map(|b| match b {
+                    ProgOp::HashBuild { dst, src, .. } if dst == table => Some((*src, *left)),
+                    _ => None,
+                }),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("no left-build probe:\n{}", p.display()));
+        assert_eq!(build_src, probe_left, "{}", p.display());
+        let text = String::from_utf8(serialize_program(&p).to_vec()).unwrap();
+        assert_eq!(deserialize_program(&Bytes::from(text.clone())).unwrap(), p);
+        // Artifacts that predate the field load as right-build probes.
+        let old = text.replace(",\"build_left\":true", "");
+        assert_ne!(old, text, "field not found");
+        let loaded = deserialize_program(&Bytes::from(old)).unwrap();
+        assert!(loaded.ops.iter().all(|o| !matches!(
+            o,
+            ProgOp::HashProbe {
+                build_left: true,
+                ..
+            }
+        )));
+        // A marking probe emits left rows only: not a valid inner join.
+        let inner = text.replace("\"join_type\":\"semi\"", "\"join_type\":\"inner\"");
+        assert_ne!(inner, text, "tamper point not found");
+        let err = deserialize_program(&Bytes::from(inner)).unwrap_err();
+        assert!(err.to_string().contains("build_left"), "{err}");
+    }
+
+    #[test]
     fn artifact_roundtrips_exactly() {
         for opts in [
             PhysicalOptions::default(),
             PhysicalOptions {
-                join: tqp_ir::JoinStrategy::Hash,
-                agg: tqp_ir::AggStrategy::Hash,
+                join: Some(tqp_ir::JoinStrategy::SortMerge),
+                agg: Some(tqp_ir::AggStrategy::Sort),
+            },
+            PhysicalOptions {
+                join: Some(tqp_ir::JoinStrategy::Hash),
+                agg: Some(tqp_ir::AggStrategy::Hash),
             },
         ] {
             let p = program(

@@ -20,8 +20,8 @@
 use std::collections::HashMap;
 
 use tqp_baseline::{
-    agg as row_agg, build_row_table, probe_row_table_with, rows_to_frame_with_schema, Row,
-    RowJoinTable,
+    agg as row_agg, build_row_table, probe_row_table_marking, probe_row_table_with,
+    rows_to_frame_with_schema, Row, RowJoinTable,
 };
 use tqp_data::DataFrame;
 use tqp_ir::expr::{AggCall, BoundExpr};
@@ -199,6 +199,7 @@ fn exec_op(
             join_type,
             on,
             residual,
+            build_left,
             ..
         } => {
             let t = match regs[*table].as_ref().expect("table register live") {
@@ -210,16 +211,13 @@ fn exec_op(
             let larity = regs[*left].as_ref().expect("register live").arity();
             let rarity = regs[*right].as_ref().expect("register live").arity();
             let mut pass = residual.as_ref().map(residual_pass);
+            let pass = pass.as_mut().map(|f| f as &mut dyn FnMut(&Row) -> bool);
             RowValue::Rows {
-                rows: probe_row_table_with(
-                    t,
-                    lrows,
-                    rrows,
-                    rarity,
-                    *join_type,
-                    on,
-                    pass.as_mut().map(|f| f as &mut dyn FnMut(&Row) -> bool),
-                ),
+                rows: if *build_left {
+                    probe_row_table_marking(t, lrows, rrows, *join_type, on, pass)
+                } else {
+                    probe_row_table_with(t, lrows, rrows, rarity, *join_type, on, pass)
+                },
                 arity: join_output_arity(*join_type, larity, rarity),
             }
         }
@@ -426,7 +424,7 @@ mod tests {
                    group by t.id order by t.id";
         for join in [JoinStrategy::SortMerge, JoinStrategy::Hash] {
             let opts = PhysicalOptions {
-                join,
+                join: Some(join),
                 ..Default::default()
             };
             let plan = compile_sql(sql, &catalog, &opts).unwrap();
@@ -454,7 +452,7 @@ mod tests {
             let out = run(
                 "select t.id, u.w from t, u where t.id = u.id order by t.id, u.w",
                 PhysicalOptions {
-                    join,
+                    join: Some(join),
                     ..Default::default()
                 },
             );

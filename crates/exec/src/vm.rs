@@ -723,6 +723,7 @@ impl Vm<'_> {
                 join_type,
                 on,
                 residual,
+                build_left,
             } => {
                 let t = regs[*table].as_ref().expect("table register live").table();
                 let l = regs[*left].as_ref().expect("left register live").batch();
@@ -739,6 +740,7 @@ impl Vm<'_> {
                     residual.as_ref(),
                     self.models,
                     if meter.is_enabled() { 1 } else { self.workers },
+                    *build_left,
                 );
                 meter.op(kernel_count("HashProbe", on.len()), in_bytes, out.nbytes());
                 self.span(&op_key(&op.name(), idx), start, t0, &out);

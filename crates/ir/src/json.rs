@@ -617,6 +617,7 @@ pub fn plan_to_json(p: &PhysicalPlan) -> Json {
             strategy,
             on,
             residual,
+            build_left,
             build_distinct,
         } => {
             let mut fields = vec![
@@ -641,8 +642,11 @@ pub fn plan_to_json(p: &PhysicalPlan) -> Json {
                     },
                 ),
             ];
-            // Emitted only when present so plans without stats round-trip
+            // Both emitted only when set, so plans without them round-trip
             // byte-identically with older encodings.
+            if *build_left {
+                fields.push(("build_left", Json::Bool(true)));
+            }
             if let Some(d) = build_distinct {
                 fields.push(("build_distinct", Json::I64(*d as i64)));
             }
@@ -723,36 +727,48 @@ pub fn plan_from_json(j: &Json) -> R<PhysicalPlan> {
             exprs: exprs_from_json(j.field("exprs")?)?,
             schema: schema_from_json(j.field("schema")?)?,
         }),
-        "join" => Ok(PhysicalPlan::Join {
-            left: input("left")?,
-            right: input("right")?,
-            join_type: join_type_from_json(j.field("join_type")?)?,
-            strategy: join_strategy_from_json(j.field("strategy")?)?,
-            on: j
-                .field("on")?
-                .as_arr()
-                .ok_or(PlanJsonError {
-                    message: "join on must be an array".into(),
-                })?
-                .iter()
-                .map(|pair| {
-                    let l = pair.at(0).and_then(Json::as_i64);
-                    let r = pair.at(1).and_then(Json::as_i64);
-                    match (l, r) {
-                        (Some(l), Some(r)) if l >= 0 && r >= 0 => Ok((l as usize, r as usize)),
-                        _ => bad("join key pair invalid"),
-                    }
-                })
-                .collect::<R<Vec<_>>>()?,
-            residual: match j.field("residual")? {
-                Json::Null => None,
-                e => Some(expr_from_json(e)?),
-            },
-            build_distinct: j
-                .get("build_distinct")
-                .and_then(Json::as_i64)
-                .map(|d| d as u64),
-        }),
+        "join" => {
+            let join_type = join_type_from_json(j.field("join_type")?)?;
+            let strategy = join_strategy_from_json(j.field("strategy")?)?;
+            let build_left = j.get("build_left").and_then(Json::as_bool).unwrap_or(false);
+            if build_left
+                && !(strategy == JoinStrategy::Hash
+                    && matches!(join_type, JoinType::Semi | JoinType::Anti))
+            {
+                return bad("build_left is only valid on hash semi/anti joins");
+            }
+            Ok(PhysicalPlan::Join {
+                left: input("left")?,
+                right: input("right")?,
+                join_type,
+                strategy,
+                on: j
+                    .field("on")?
+                    .as_arr()
+                    .ok_or(PlanJsonError {
+                        message: "join on must be an array".into(),
+                    })?
+                    .iter()
+                    .map(|pair| {
+                        let l = pair.at(0).and_then(Json::as_i64);
+                        let r = pair.at(1).and_then(Json::as_i64);
+                        match (l, r) {
+                            (Some(l), Some(r)) if l >= 0 && r >= 0 => Ok((l as usize, r as usize)),
+                            _ => bad("join key pair invalid"),
+                        }
+                    })
+                    .collect::<R<Vec<_>>>()?,
+                residual: match j.field("residual")? {
+                    Json::Null => None,
+                    e => Some(expr_from_json(e)?),
+                },
+                build_left,
+                build_distinct: j
+                    .get("build_distinct")
+                    .and_then(Json::as_i64)
+                    .map(|d| d as u64),
+            })
+        }
         "cross_join" => Ok(PhysicalPlan::CrossJoin {
             left: input("left")?,
             right: input("right")?,

@@ -8,11 +8,13 @@
 //!    ([`plan::LogicalPlan`] + [`expr::BoundExpr`]);
 //! 2. **optimization layer**: rule-based IR-to-IR transformations
 //!    ([`optimize`]): constant folding, subquery decorrelation,
-//!    cross-join → equi-join extraction with greedy ordering, filter
-//!    pushdown, and column pruning;
+//!    cross-join → equi-join extraction with estimate-driven greedy
+//!    ordering, filter pushdown, and column pruning;
 //! 3. hand-off to the **planning layer**: a [`physical::PhysicalPlan`]
-//!    annotated with algorithm choices (sort-merge vs hash join, sort vs
-//!    hash aggregation) that both execution substrates consume — the tensor
+//!    annotated with algorithm choices (sort-merge vs hash join and its
+//!    build side, sort vs hash aggregation), made per operator from the
+//!    same estimates unless forced, that both execution substrates
+//!    consume — the tensor
 //!    compiler in `tqp-exec` and the row-Volcano baseline in `tqp-baseline`.
 //!
 //! Plans serialize to JSON ([`json`]): the plan frontend demonstrates the
@@ -32,7 +34,7 @@ pub mod plan;
 pub use bind::{bind_query, BindError};
 pub use catalog::{Catalog, TableMeta};
 pub use expr::{AggCall, AggFunc, BinOp, BoundExpr, ScalarFunc};
-pub use optimize::joins::estimate_physical;
+pub use optimize::estimate::{estimate, estimate_each};
 pub use physical::{plan_physical, AggStrategy, JoinStrategy, PhysicalOptions, PhysicalPlan};
 pub use plan::{ColMeta, JoinType, LogicalPlan, PlanSchema};
 
@@ -59,9 +61,7 @@ pub fn compile_query(
 ) -> Result<PhysicalPlan, CompileError> {
     let logical = bind_query(ast, catalog).map_err(CompileError::Bind)?;
     let optimized = optimize::optimize(logical, catalog);
-    let mut plan = plan_physical(&optimized, opts);
-    physical::annotate_build_stats(&mut plan, catalog);
-    Ok(plan)
+    Ok(plan_physical(&optimized, opts, catalog))
 }
 
 /// Errors from the full compilation pipeline.

@@ -1,29 +1,30 @@
 //! Cross-join elimination: turn `FROM a, b, c WHERE a.x = b.y AND ...`
-//! (the TPC-H style) into an equi-join tree with greedy, statistics-driven
+//! (the TPC-H style) into an equi-join tree with greedy, estimate-driven
 //! ordering, and extract equi-keys from explicit `JOIN ... ON` conditions.
 //!
 //! The pass also hoists conjuncts common to every branch of an `OR` —
 //! essential for Q19, whose entire WHERE clause is a disjunction that
 //! repeats `p_partkey = l_partkey` in every branch; without hoisting the
-//! only plan is a Cartesian product.
+//! only plan is a Cartesian product — and derives the single-relation
+//! filters a cross-relation `OR` implies (Q7's nation pair).
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::catalog::Catalog;
 use crate::expr::{BinOp, BoundExpr};
+use crate::optimize::estimate::{column_source, estimate, join_rows, key_distinct};
 use crate::optimize::{conjoin, map_children, split_conjuncts};
 use crate::plan::{ColMeta, JoinType, LogicalPlan};
-use tqp_tensor::Scalar;
 
 /// Run the pass bottom-up over the whole plan.
 pub fn extract_joins(plan: LogicalPlan, catalog: &Catalog) -> LogicalPlan {
+    if is_filtered_chain(&plan) {
+        let mut semis = Vec::new();
+        let (cross, predicate) = peel_semis(plan, &mut semis);
+        return rebuild_cross_chain(cross, predicate, semis, catalog);
+    }
     let plan = map_children(plan, &mut |p| extract_joins(p, catalog));
     match plan {
-        LogicalPlan::Filter { input, predicate } => match *input {
-            LogicalPlan::CrossJoin { .. } => rebuild_cross_chain(*input, predicate, catalog),
-            other => LogicalPlan::Filter {
-                input: Box::new(other),
-                predicate,
-            },
-        },
         LogicalPlan::Join {
             left,
             right,
@@ -32,6 +33,55 @@ pub fn extract_joins(plan: LogicalPlan, catalog: &Catalog) -> LogicalPlan {
             residual,
         } if on.is_empty() => extract_on_condition(*left, *right, join_type, residual),
         other => other,
+    }
+}
+
+/// A semi/anti join waiting to be placed by [`rebuild_cross_chain`]: its
+/// left keys and the left half of its residual index the chain's columns.
+struct SemiJoin {
+    join_type: JoinType,
+    on: Vec<(usize, usize)>,
+    residual: Option<BoundExpr>,
+    right: LogicalPlan,
+}
+
+/// A filtered comma-join, possibly under the semi/anti joins decorrelation
+/// stacked on it for the `EXISTS`/`IN` conjuncts of the same WHERE clause.
+fn is_filtered_chain(plan: &LogicalPlan) -> bool {
+    match plan {
+        LogicalPlan::Join {
+            left,
+            join_type: JoinType::Semi | JoinType::Anti,
+            on,
+            ..
+        } => !on.is_empty() && is_filtered_chain(left),
+        LogicalPlan::Filter { input, .. } => matches!(**input, LogicalPlan::CrossJoin { .. }),
+        _ => false,
+    }
+}
+
+/// Split what [`is_filtered_chain`] matched into the comma-join, its
+/// predicate, and the semi/anti joins above it, innermost first.
+fn peel_semis(plan: LogicalPlan, semis: &mut Vec<SemiJoin>) -> (LogicalPlan, BoundExpr) {
+    match plan {
+        LogicalPlan::Join {
+            left,
+            right,
+            join_type,
+            on,
+            residual,
+        } => {
+            let chain = peel_semis(*left, semis);
+            semis.push(SemiJoin {
+                join_type,
+                on,
+                residual,
+                right: *right,
+            });
+            chain
+        }
+        LogicalPlan::Filter { input, predicate } => (*input, predicate),
+        _ => unreachable!("is_filtered_chain matched"),
     }
 }
 
@@ -151,10 +201,19 @@ fn as_equi_key(c: &BoundExpr, la: usize) -> Option<(usize, usize)> {
 // Comma-join chains
 // ---------------------------------------------------------------------
 
-fn rebuild_cross_chain(cross: LogicalPlan, predicate: BoundExpr, catalog: &Catalog) -> LogicalPlan {
+fn rebuild_cross_chain(
+    cross: LogicalPlan,
+    predicate: BoundExpr,
+    semis: Vec<SemiJoin>,
+    catalog: &Catalog,
+) -> LogicalPlan {
     // Flatten the cross-join tree into relations with global column offsets.
     let mut rels: Vec<LogicalPlan> = Vec::new();
     flatten_cross(cross, &mut rels);
+    let rels: Vec<LogicalPlan> = rels
+        .into_iter()
+        .map(|r| extract_joins(r, catalog))
+        .collect();
     let arities: Vec<usize> = rels.iter().map(|r| r.arity()).collect();
     let offsets: Vec<usize> = arities
         .iter()
@@ -182,13 +241,18 @@ fn rebuild_cross_chain(cross: LogicalPlan, predicate: BoundExpr, catalog: &Catal
             .rposition(|&o| o <= col)
             .expect("column offset")
     };
+    // The chain's relations an expression reads (a semi join's residual
+    // also reads its right side, past `total`).
+    let rels_of = |e: &BoundExpr| -> BTreeSet<usize> {
+        let mut refs = BTreeSet::new();
+        e.referenced_columns(&mut refs);
+        refs.range(..total).map(|&i| rel_of(i)).collect()
+    };
     let mut local: Vec<Vec<BoundExpr>> = vec![Vec::new(); rels.len()];
     let mut keys: Vec<(usize, usize, usize, usize)> = Vec::new(); // (rel_i, col_i, rel_j, col_j) local cols
     let mut residual: Vec<BoundExpr> = Vec::new();
     for c in conjuncts {
-        let mut refs = std::collections::BTreeSet::new();
-        c.referenced_columns(&mut refs);
-        let rel_set: std::collections::BTreeSet<usize> = refs.iter().map(|&i| rel_of(i)).collect();
+        let rel_set = rels_of(&c);
         if rel_set.len() <= 1 {
             let rel = rel_set.into_iter().next().unwrap_or(0);
             local[rel].push(c.shift_to_local(offsets[rel]));
@@ -211,10 +275,13 @@ fn rebuild_cross_chain(cross: LogicalPlan, predicate: BoundExpr, catalog: &Catal
                 }
             }
         }
+        for (rel, implied) in implied_local_filters(&c, &rels_of) {
+            local[rel].push(implied.shift_to_local(offsets[rel]));
+        }
         residual.push(c);
     }
 
-    // Apply local filters and estimate sizes.
+    // Apply local filters.
     let rels: Vec<LogicalPlan> = rels
         .into_iter()
         .zip(local)
@@ -229,45 +296,167 @@ fn rebuild_cross_chain(cross: LogicalPlan, predicate: BoundExpr, catalog: &Catal
             }
         })
         .collect();
-    let sizes: Vec<f64> = rels.iter().map(|r| estimate(r, catalog)).collect();
 
-    // Greedy left-deep join ordering.
+    // A semi/anti join that reads one relation only, against a key set
+    // estimated smaller than that relation, goes onto the relation: like a
+    // local filter, it shrinks the relation before any join sees it
+    // (Q18's `o_orderkey in (...)` keeps 14 of 300 000 orders). The others
+    // stay above the chain: probing a larger set costs more than the joins
+    // it would spare (Q21's `exists` over all of lineitem takes 834 ms at
+    // SF 0.2 below its joins and 54 ms above them).
+    let mut pushed: Vec<Vec<SemiJoin>> = rels.iter().map(|_| Vec::new()).collect();
+    let mut above: Vec<SemiJoin> = Vec::new();
+    for mut semi in semis {
+        semi.right = extract_joins(semi.right, catalog);
+        let mut touched: BTreeSet<usize> = semi.on.iter().map(|&(l, _)| rel_of(l)).collect();
+        if let Some(res) = &semi.residual {
+            touched.extend(rels_of(res));
+        }
+        let rel = match touched.first() {
+            Some(&rel)
+                if touched.len() == 1
+                    && estimate(&semi.right, catalog) < estimate(&rels[rel], catalog) =>
+            {
+                rel
+            }
+            _ => {
+                above.push(semi);
+                continue;
+            }
+        };
+        // Into the relation's own columns; the right side follows them.
+        let (offset, arity) = (offsets[rel], arities[rel]);
+        for key in &mut semi.on {
+            key.0 -= offset;
+        }
+        semi.residual = semi.residual.map(|res| {
+            res.transform(&|e| match e {
+                BoundExpr::Column { index, ty } => BoundExpr::Column {
+                    index: if index < total {
+                        index - offset
+                    } else {
+                        index - total + arity
+                    },
+                    ty,
+                },
+                other => other,
+            })
+        });
+        pushed[rel].push(semi);
+    }
+    let rels: Vec<LogicalPlan> = rels
+        .into_iter()
+        .zip(pushed)
+        .map(|(rel, semis)| semis.into_iter().fold(rel, semi_join))
+        .collect();
+
+    // Estimated rows of every relation, and the base-table column behind
+    // each side of every key.
+    let sizes: Vec<f64> = rels.iter().map(|r| estimate(r, catalog)).collect();
+    let key_sources: Vec<_> = keys
+        .iter()
+        .map(|&(a, ca, b, cb)| {
+            (
+                column_source(&rels[a], ca, catalog),
+                column_source(&rels[b], cb, catalog),
+            )
+        })
+        .collect();
+
+    // Join order: left-deep and greedy from each possible first relation,
+    // keeping the order whose intermediate results sum to the fewest
+    // estimated rows. (Greedy from the smallest relation alone is blind to
+    // what that start forces next: Q9's `nation, supplier` must then take
+    // all of lineitem, while starting at its 2 000 filtered parts never
+    // holds more than a few thousand rows.)
     let n = rels.len();
+    // Estimated rows of joining relation `i` to the `rows`-row join of the
+    // relations in `in_set`; `None` when no key connects them.
+    let joined_rows = |i: usize, in_set: &[bool], rows: f64| -> Option<f64> {
+        let (of_set, of_i): (Vec<_>, Vec<_>) = keys
+            .iter()
+            .zip(&key_sources)
+            .filter_map(|(&(a, _, b, _), &(sa, sb))| {
+                if a == i && in_set[b] {
+                    Some((sb, sa))
+                } else if b == i && in_set[a] {
+                    Some((sa, sb))
+                } else {
+                    None
+                }
+            })
+            .unzip();
+        let composite = of_i.len() > 1;
+        (!of_i.is_empty()).then(|| {
+            join_rows(
+                JoinType::Inner,
+                rows,
+                sizes[i],
+                key_distinct(of_set),
+                key_distinct(of_i),
+                composite,
+            )
+        })
+    };
+    // The order greedy takes from `start` as `(relation, rows after joining
+    // it)`, and the sum of those rows: at each step the key-connected
+    // relation with the smallest estimated join output (ties: the smaller
+    // relation), otherwise a cross join with the smallest remaining one.
+    // A join estimated to outgrow both its inputs waits until nothing else
+    // connects: every later join would pay for the rows it multiplies
+    // (Q5's supplier x customer on `nationkey` alone).
+    let greedy_from = |start: usize| -> (Vec<(usize, f64)>, f64) {
+        let mut in_set = vec![false; n];
+        in_set[start] = true;
+        let mut order = vec![(start, sizes[start])];
+        let (mut rows, mut cost) = (sizes[start], 0.0);
+        for _ in 1..n {
+            let (next, out) = (0..n)
+                .filter(|&i| !in_set[i])
+                .filter_map(|i| Some((i, joined_rows(i, &in_set, rows)?)))
+                .min_by(|a, b| {
+                    let grows = |&(i, out): &(usize, f64)| out > rows.max(sizes[i]);
+                    (grows(a).cmp(&grows(b)))
+                        .then(a.1.total_cmp(&b.1))
+                        .then(sizes[a.0].total_cmp(&sizes[b.0]))
+                })
+                .unwrap_or_else(|| {
+                    let i = (0..n)
+                        .filter(|&i| !in_set[i])
+                        .min_by(|&a, &b| sizes[a].total_cmp(&sizes[b]))
+                        .unwrap();
+                    (i, rows * sizes[i])
+                });
+            in_set[next] = true;
+            order.push((next, out));
+            rows = out;
+            cost += out;
+        }
+        (order, cost)
+    };
+    // First relations: those under a key (all of them when no keys exist),
+    // smallest first so that equal costs keep the smallest start.
+    let mut starts: Vec<usize> = (0..n)
+        .filter(|&i| keys.is_empty() || keys.iter().any(|&(a, _, b, _)| a == i || b == i))
+        .collect();
+    starts.sort_by(|&a, &b| sizes[a].total_cmp(&sizes[b]));
+    let (order, _) = starts
+        .into_iter()
+        .map(greedy_from)
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("a chain has relations");
+
     let mut in_set = vec![false; n];
     let mut colmap: Vec<usize> = vec![usize::MAX; total];
-    let has_edge = |i: usize, in_set: &[bool]| {
-        keys.iter()
-            .any(|&(a, _, b, _)| (a == i && in_set[b]) || (b == i && in_set[a]))
-    };
-    // Start with the smallest relation that participates in any key (or the
-    // smallest overall when no keys exist).
-    let start = (0..n)
-        .filter(|&i| keys.iter().any(|&(a, _, b, _)| a == i || b == i))
-        .min_by(|&a, &b| sizes[a].total_cmp(&sizes[b]))
-        .unwrap_or_else(|| {
-            (0..n)
-                .min_by(|&a, &b| sizes[a].total_cmp(&sizes[b]))
-                .unwrap()
-        });
     let mut rels_opt: Vec<Option<LogicalPlan>> = rels.into_iter().map(Some).collect();
+    let (start, mut rows) = order[0];
     let mut plan = rels_opt[start].take().unwrap();
     in_set[start] = true;
     for c in 0..arities[start] {
         colmap[offsets[start] + c] = c;
     }
     let mut cur_arity = arities[start];
-    for _ in 1..n {
-        // Prefer a key-connected relation; otherwise fall back to a cross
-        // join with the smallest remaining one.
-        let next = (0..n)
-            .filter(|&i| !in_set[i] && has_edge(i, &in_set))
-            .min_by(|&a, &b| sizes[a].total_cmp(&sizes[b]))
-            .or_else(|| {
-                (0..n)
-                    .filter(|&i| !in_set[i])
-                    .min_by(|&a, &b| sizes[a].total_cmp(&sizes[b]))
-            })
-            .unwrap();
+    for &(next, out) in &order[1..] {
         let rel = rels_opt[next].take().unwrap();
         let mut on: Vec<(usize, usize)> = Vec::new();
         for &(a, ca, b, cb) in &keys {
@@ -277,25 +466,44 @@ fn rebuild_cross_chain(cross: LogicalPlan, predicate: BoundExpr, catalog: &Catal
                 on.push((colmap[offsets[a] + ca], cb));
             }
         }
-        plan = if on.is_empty() {
-            LogicalPlan::CrossJoin {
-                left: Box::new(plan),
-                right: Box::new(rel),
+        // Joins build on their right input, so the side estimated larger
+        // goes left and probes.
+        if !on.is_empty() && sizes[next] > rows {
+            for c in colmap.iter_mut().filter(|c| **c != usize::MAX) {
+                *c += arities[next];
             }
-        } else {
-            LogicalPlan::Join {
-                left: Box::new(plan),
-                right: Box::new(rel),
+            for c in 0..arities[next] {
+                colmap[offsets[next] + c] = c;
+            }
+            plan = LogicalPlan::Join {
+                left: Box::new(rel),
+                right: Box::new(plan),
                 join_type: JoinType::Inner,
-                on,
+                on: on.into_iter().map(|(set, rel)| (rel, set)).collect(),
                 residual: None,
+            };
+        } else {
+            for c in 0..arities[next] {
+                colmap[offsets[next] + c] = cur_arity + c;
             }
-        };
-        in_set[next] = true;
-        for c in 0..arities[next] {
-            colmap[offsets[next] + c] = cur_arity + c;
+            plan = if on.is_empty() {
+                LogicalPlan::CrossJoin {
+                    left: Box::new(plan),
+                    right: Box::new(rel),
+                }
+            } else {
+                LogicalPlan::Join {
+                    left: Box::new(plan),
+                    right: Box::new(rel),
+                    join_type: JoinType::Inner,
+                    on,
+                    residual: None,
+                }
+            };
         }
+        in_set[next] = true;
         cur_arity += arities[next];
+        rows = out;
     }
 
     // Residual predicates over the new layout.
@@ -333,7 +541,17 @@ fn rebuild_cross_chain(cross: LogicalPlan, predicate: BoundExpr, catalog: &Catal
             schema: original_schema,
         };
     }
-    plan
+    above.into_iter().fold(plan, semi_join)
+}
+
+fn semi_join(left: LogicalPlan, semi: SemiJoin) -> LogicalPlan {
+    LogicalPlan::Join {
+        left: Box::new(left),
+        right: Box::new(semi.right),
+        join_type: semi.join_type,
+        on: semi.on,
+        residual: semi.residual,
+    }
 }
 
 impl BoundExpr {
@@ -346,6 +564,47 @@ impl BoundExpr {
             other => other,
         })
     }
+}
+
+/// The single-relation filters a cross-relation `OR` implies: when every
+/// branch constrains relation `r` by conjuncts over `r` alone, a row of
+/// `r` that passes none of them can satisfy no branch, so their
+/// disjunction may filter `r` before any join. Q7's `(n1 = 'FRANCE' and
+/// n2 = 'GERMANY') or (n1 = 'GERMANY' and n2 = 'FRANCE')` yields one
+/// two-name filter per nation scan. The `OR` itself stays where it was.
+fn implied_local_filters(
+    c: &BoundExpr,
+    rels_of: &impl Fn(&BoundExpr) -> BTreeSet<usize>,
+) -> Vec<(usize, BoundExpr)> {
+    if !matches!(c, BoundExpr::Binary { op: BinOp::Or, .. }) {
+        return Vec::new();
+    }
+    let mut branches = Vec::new();
+    split_disjuncts(c.clone(), &mut branches);
+    // Per branch: relation → the branch's conjuncts over it alone.
+    let per_branch: Vec<BTreeMap<usize, Vec<BoundExpr>>> = branches
+        .into_iter()
+        .map(|branch| {
+            let mut conjuncts = Vec::new();
+            split_conjuncts(branch, &mut conjuncts);
+            let mut by_rel: BTreeMap<usize, Vec<BoundExpr>> = BTreeMap::new();
+            for c in conjuncts {
+                let rels = rels_of(&c);
+                if let (Some(&rel), 1) = (rels.first(), rels.len()) {
+                    by_rel.entry(rel).or_default().push(c);
+                }
+            }
+            by_rel
+        })
+        .collect();
+    per_branch[0]
+        .keys()
+        .filter(|rel| per_branch.iter().all(|b| b.contains_key(rel)))
+        .map(|&rel| {
+            let per_branch = per_branch.iter().map(|b| b[&rel].clone()).collect();
+            (rel, rejoin_or(per_branch))
+        })
+        .collect()
 }
 
 fn flatten_cross(plan: LogicalPlan, out: &mut Vec<LogicalPlan>) {
@@ -426,323 +685,6 @@ fn rejoin_or(branch_sets: Vec<Vec<BoundExpr>>) -> BoundExpr {
         left: Box::new(acc),
         right: Box::new(b),
         ty: tqp_data::LogicalType::Bool,
-    })
-}
-
-/// Cardinality estimate used for greedy ordering.
-pub(crate) fn estimate(plan: &LogicalPlan, catalog: &Catalog) -> f64 {
-    match plan {
-        LogicalPlan::Scan { table, .. } => {
-            catalog.get(table).map(|m| m.rows as f64).unwrap_or(1000.0)
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            estimate(input, catalog) * filter_selectivity(predicate, input, catalog)
-        }
-        LogicalPlan::Project { input, .. } => estimate(input, catalog),
-        LogicalPlan::Join {
-            left,
-            right,
-            join_type,
-            ..
-        } => match join_type {
-            JoinType::Semi | JoinType::Anti => estimate(left, catalog) * 0.5,
-            _ => estimate(left, catalog).max(estimate(right, catalog)),
-        },
-        LogicalPlan::CrossJoin { left, right } => {
-            estimate(left, catalog) * estimate(right, catalog)
-        }
-        LogicalPlan::Aggregate {
-            input, group_by, ..
-        } => {
-            if group_by.is_empty() {
-                1.0
-            } else {
-                estimate(input, catalog) * 0.1
-            }
-        }
-        LogicalPlan::Sort { input, .. } => estimate(input, catalog),
-        LogicalPlan::Limit { input, n } => estimate(input, catalog).min(*n as f64),
-    }
-}
-
-/// Cardinality estimate for a **physical** plan node — the same
-/// System-R style arithmetic [`estimate`] applies during greedy join
-/// ordering, re-applied post-planning so `EXPLAIN` can annotate every
-/// operator with its estimated rows next to the measured actuals.
-pub fn estimate_physical(plan: &crate::physical::PhysicalPlan, catalog: &Catalog) -> f64 {
-    use crate::physical::PhysicalPlan as P;
-    match plan {
-        P::Scan { table, .. } => catalog.get(table).map(|m| m.rows as f64).unwrap_or(1000.0),
-        P::Filter { input, predicate } => {
-            let sel = match physical_scan_stats(input, catalog) {
-                Some((stats, projection)) => {
-                    let mut conjuncts = Vec::new();
-                    split_conjuncts(predicate.clone(), &mut conjuncts);
-                    let mut s = 1.0;
-                    for c in &conjuncts {
-                        s *= conjunct_selectivity(c, stats, projection);
-                    }
-                    s.clamp(1e-4, 1.0)
-                }
-                None => DEFAULT_FILTER_SELECTIVITY,
-            };
-            estimate_physical(input, catalog) * sel
-        }
-        P::Project { input, .. } => estimate_physical(input, catalog),
-        P::Join {
-            left,
-            right,
-            join_type,
-            ..
-        } => match join_type {
-            JoinType::Semi | JoinType::Anti => estimate_physical(left, catalog) * 0.5,
-            _ => estimate_physical(left, catalog).max(estimate_physical(right, catalog)),
-        },
-        P::CrossJoin { left, right } => {
-            estimate_physical(left, catalog) * estimate_physical(right, catalog)
-        }
-        P::Aggregate {
-            input, group_by, ..
-        } => {
-            if group_by.is_empty() {
-                1.0
-            } else {
-                estimate_physical(input, catalog) * 0.1
-            }
-        }
-        P::Sort { input, .. } => estimate_physical(input, catalog),
-        P::Limit { input, n } => estimate_physical(input, catalog).min(*n as f64),
-    }
-}
-
-/// Stats + projection mapping when a physical filter sits directly on a
-/// scan (mirror of [`scan_stats`]).
-fn physical_scan_stats<'a>(
-    input: &'a crate::physical::PhysicalPlan,
-    catalog: &'a Catalog,
-) -> Option<(&'a tqp_data::TableStats, Option<&'a [usize]>)> {
-    if let crate::physical::PhysicalPlan::Scan {
-        table, projection, ..
-    } = input
-    {
-        let stats = catalog.get(table)?.stats.as_ref()?;
-        return Some((stats, projection.as_deref()));
-    }
-    None
-}
-
-// ---------------------------------------------------------------------
-// Stats-driven filter selectivity
-// ---------------------------------------------------------------------
-
-/// Fallback selectivity for a filter (or a conjunct) the statistics can't
-/// estimate — the pre-stats constant, kept so schema-only catalogs plan
-/// exactly as before.
-const DEFAULT_FILTER_SELECTIVITY: f64 = 0.2;
-
-/// Selectivity of a filter predicate over `input`. When `input` is a
-/// scan whose catalog entry carries full [`tqp_data::TableStats`]
-/// (in-memory ingestion and `tqp-store` footers both produce them), each
-/// conjunct is estimated from real min/max ranges, distinct counts, and
-/// NULL fractions; otherwise the historic `0.2` constant applies to the
-/// whole filter.
-fn filter_selectivity(predicate: &BoundExpr, input: &LogicalPlan, catalog: &Catalog) -> f64 {
-    let Some((stats, projection)) = scan_stats(input, catalog) else {
-        return DEFAULT_FILTER_SELECTIVITY;
-    };
-    let mut conjuncts = Vec::new();
-    split_conjuncts(predicate.clone(), &mut conjuncts);
-    let mut s = 1.0;
-    for c in &conjuncts {
-        s *= conjunct_selectivity(c, stats, projection);
-    }
-    // Never estimate a truly empty (or full) input: keep ordering stable
-    // under small estimation errors.
-    s.clamp(1e-4, 1.0)
-}
-
-/// Stats + projection mapping when the filter sits directly on a scan.
-fn scan_stats<'a>(
-    input: &'a LogicalPlan,
-    catalog: &'a Catalog,
-) -> Option<(&'a tqp_data::TableStats, Option<&'a [usize]>)> {
-    if let LogicalPlan::Scan {
-        table, projection, ..
-    } = input
-    {
-        let stats = catalog.get(table)?.stats.as_ref()?;
-        return Some((stats, projection.as_deref()));
-    }
-    None
-}
-
-/// Column stats for a scan-output column index (through the projection).
-fn col_stats<'a>(
-    index: usize,
-    stats: &'a tqp_data::TableStats,
-    projection: Option<&[usize]>,
-) -> Option<&'a tqp_data::ColumnStats> {
-    let table_col = match projection {
-        Some(p) => *p.get(index)?,
-        None => index,
-    };
-    stats.columns.get(table_col)
-}
-
-fn numeric_f64(s: &Scalar) -> Option<f64> {
-    match s {
-        Scalar::I64(x) => Some(*x as f64),
-        Scalar::F64(x) if !x.is_nan() => Some(*x),
-        _ => None,
-    }
-}
-
-/// Selectivity of one conjunct (System-R style estimates).
-fn conjunct_selectivity(
-    e: &BoundExpr,
-    stats: &tqp_data::TableStats,
-    projection: Option<&[usize]>,
-) -> f64 {
-    let rows = stats.rows.max(1) as f64;
-    match e {
-        BoundExpr::Binary {
-            op: BinOp::Or,
-            left,
-            right,
-            ..
-        } => {
-            let a = conjunct_selectivity(left, stats, projection);
-            let b = conjunct_selectivity(right, stats, projection);
-            (a + b - a * b).clamp(0.0, 1.0)
-        }
-        BoundExpr::Binary {
-            op: BinOp::And,
-            left,
-            right,
-            ..
-        } => {
-            let a = conjunct_selectivity(left, stats, projection);
-            let b = conjunct_selectivity(right, stats, projection);
-            (a * b).clamp(0.0, 1.0)
-        }
-        BoundExpr::Binary {
-            op, left, right, ..
-        } => {
-            // Normalize to column-op-literal.
-            let (col, value, op) = match (left.as_ref(), right.as_ref()) {
-                (BoundExpr::Column { index, .. }, BoundExpr::Literal { value, .. }) => {
-                    (*index, value, *op)
-                }
-                (BoundExpr::Literal { value, .. }, BoundExpr::Column { index, .. }) => {
-                    let flipped = match op {
-                        BinOp::Lt => BinOp::Gt,
-                        BinOp::LtEq => BinOp::GtEq,
-                        BinOp::Gt => BinOp::Lt,
-                        BinOp::GtEq => BinOp::LtEq,
-                        other => *other,
-                    };
-                    (*index, value, flipped)
-                }
-                _ => return DEFAULT_FILTER_SELECTIVITY,
-            };
-            let Some(cs) = col_stats(col, stats, projection) else {
-                return DEFAULT_FILTER_SELECTIVITY;
-            };
-            let valid = 1.0 - (cs.null_count as f64 / rows).clamp(0.0, 1.0);
-            let distinct = cs.distinct.max(1) as f64;
-            match op {
-                BinOp::Eq => {
-                    if out_of_range(cs, value) {
-                        0.0
-                    } else {
-                        valid / distinct
-                    }
-                }
-                BinOp::NotEq => valid * (1.0 - 1.0 / distinct),
-                BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
-                    let frac = range_fraction(cs, value, op).unwrap_or(1.0 / 3.0);
-                    valid * frac
-                }
-                _ => DEFAULT_FILTER_SELECTIVITY,
-            }
-        }
-        BoundExpr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let BoundExpr::Column { index, .. } = expr.as_ref() else {
-                return DEFAULT_FILTER_SELECTIVITY;
-            };
-            let Some(cs) = col_stats(*index, stats, projection) else {
-                return DEFAULT_FILTER_SELECTIVITY;
-            };
-            let valid = 1.0 - (cs.null_count as f64 / rows).clamp(0.0, 1.0);
-            let hit = (list.len() as f64 / cs.distinct.max(1) as f64).clamp(0.0, 1.0);
-            if *negated {
-                valid * (1.0 - hit)
-            } else {
-                valid * hit
-            }
-        }
-        BoundExpr::IsNull { expr, negated } => {
-            let BoundExpr::Column { index, .. } = expr.as_ref() else {
-                return 0.5;
-            };
-            let Some(cs) = col_stats(*index, stats, projection) else {
-                return 0.5;
-            };
-            let null_frac = (cs.null_count as f64 / rows).clamp(0.0, 1.0);
-            if *negated {
-                1.0 - null_frac
-            } else {
-                null_frac
-            }
-        }
-        BoundExpr::Not(inner) => {
-            (1.0 - conjunct_selectivity(inner, stats, projection)).clamp(0.0, 1.0)
-        }
-        BoundExpr::Like { negated, .. } => {
-            if *negated {
-                0.75
-            } else {
-                0.25
-            }
-        }
-        _ => DEFAULT_FILTER_SELECTIVITY,
-    }
-}
-
-/// True when an equality constant provably falls outside the column's
-/// min/max (zone-style reasoning lifted to table level).
-fn out_of_range(cs: &tqp_data::ColumnStats, value: &Scalar) -> bool {
-    let (Some(min), Some(max), Some(v)) = (
-        cs.min.as_ref().and_then(numeric_f64),
-        cs.max.as_ref().and_then(numeric_f64),
-        numeric_f64(value),
-    ) else {
-        return false;
-    };
-    v < min || v > max
-}
-
-/// Fraction of the column's [min, max] range a one-sided comparison
-/// keeps (`None` when the bounds or the constant aren't numeric).
-fn range_fraction(cs: &tqp_data::ColumnStats, value: &Scalar, op: BinOp) -> Option<f64> {
-    let min = cs.min.as_ref().and_then(numeric_f64)?;
-    let max = cs.max.as_ref().and_then(numeric_f64)?;
-    let v = numeric_f64(value)?;
-    let below = if max > min {
-        ((v - min) / (max - min)).clamp(0.0, 1.0)
-    } else if v > min || (v == min && op == BinOp::LtEq) {
-        1.0
-    } else {
-        0.0
-    };
-    Some(match op {
-        BinOp::Lt | BinOp::LtEq => below,
-        BinOp::Gt | BinOp::GtEq => 1.0 - below,
-        _ => return None,
     })
 }
 
@@ -986,7 +928,7 @@ mod tests {
         // Both relations have 10k rows; `wide.k = 1` keeps almost all of
         // `wide` (2 distinct values) while `narrow.k = 1` keeps ~0.1%
         // (1000 distinct values). Without stats both filters estimate
-        // identically; with stats the narrow side must drive the build.
+        // identically; with stats the narrow side must be the build side.
         use tqp_data::frame::df;
         use tqp_data::Column;
         let n = 10_000i64;
@@ -1013,15 +955,148 @@ mod tests {
                    where wide.j = narrow.j and wide.k = 1 and narrow.k = 1";
         let bound = bind_query(&tqp_sql::parse(sql).unwrap(), &c).unwrap();
         let p = extract_joins(bound, &c);
-        // The greedy order starts from the smallest estimated relation:
-        // the narrow-filtered scan must be the join's left (first) input.
-        fn first_scan_table(p: &LogicalPlan) -> Option<&str> {
-            match p {
-                LogicalPlan::Scan { table, .. } => Some(table),
-                LogicalPlan::Join { left, .. } => first_scan_table(left),
-                _ => p.children().into_iter().find_map(first_scan_table),
+        // Joins build on their right input: the narrow-filtered scan.
+        let (left, right) = join_inputs(&p).expect("one join");
+        assert_eq!(
+            (tables(left), tables(right)),
+            (vec!["wide"], vec!["narrow"])
+        );
+    }
+
+    /// Base tables under `p`, in plan order.
+    fn tables(p: &LogicalPlan) -> Vec<&str> {
+        match p {
+            LogicalPlan::Scan { table, .. } => vec![table],
+            _ => p.children().into_iter().flat_map(tables).collect(),
+        }
+    }
+
+    /// Inputs of the first join found walking down from `p`.
+    fn join_inputs(p: &LogicalPlan) -> Option<(&LogicalPlan, &LogicalPlan)> {
+        match p {
+            LogicalPlan::Join { left, right, .. } => Some((left, right)),
+            _ => p.children().into_iter().find_map(join_inputs),
+        }
+    }
+
+    /// `hub` (100 rows) joins `fan` on a 2-value key (100 x 1000 / 2 rows
+    /// out) and `wide` on a unique one (100 rows out).
+    fn fanout_catalog() -> Catalog {
+        use tqp_data::frame::df;
+        use tqp_data::Column;
+        let table = |n: i64, modulus: i64| {
+            df(vec![
+                ("id", Column::from_i64((0..n).collect())),
+                ("k", Column::from_i64((0..n).map(|i| i % modulus).collect())),
+            ])
+        };
+        let mut c = Catalog::new();
+        for (name, frame) in [
+            ("hub", table(100, 2)),
+            ("fan", table(1_000, 2)),
+            ("wide", table(10_000, 10_000)),
+        ] {
+            c.register_with_stats(
+                name,
+                frame.schema().clone(),
+                tqp_data::stats::frame_stats(&frame),
+            );
+        }
+        c
+    }
+
+    #[test]
+    fn estimated_join_output_not_table_size_picks_the_next_relation() {
+        let c = fanout_catalog();
+        let sql = "select hub.id from hub, fan, wide where hub.k = fan.k and hub.id = wide.id";
+        let p = extract_joins(bind_query(&tqp_sql::parse(sql).unwrap(), &c).unwrap(), &c);
+        // `fan` is the smaller table, but joining it first makes 50 000
+        // rows; `wide` keeps 100. The innermost join is hub with wide.
+        fn innermost(p: &LogicalPlan) -> Option<&LogicalPlan> {
+            let below = p.children().into_iter().find_map(innermost);
+            below.or(matches!(p, LogicalPlan::Join { .. }).then_some(p))
+        }
+        let mut first = tables(innermost(&p).expect("joins"));
+        first.sort_unstable();
+        assert_eq!(first, vec!["hub", "wide"]);
+    }
+
+    #[test]
+    fn larger_input_probes_and_smaller_builds() {
+        let p = plan("select big.v from big, small where big.small_id = small.id");
+        let (left, right) = join_inputs(&p).expect("one join");
+        assert_eq!((tables(left), tables(right)), (vec!["big"], vec!["small"]));
+    }
+
+    fn semi_left_tables(p: &LogicalPlan) -> Option<Vec<&str>> {
+        match p {
+            LogicalPlan::Join {
+                left,
+                join_type: JoinType::Semi,
+                ..
+            } => Some(tables(left)),
+            _ => p.children().into_iter().find_map(semi_left_tables),
+        }
+    }
+
+    fn decorrelated(sql: &str) -> LogicalPlan {
+        let cat = catalog();
+        let bound = bind_query(&tqp_sql::parse(sql).unwrap(), &cat).unwrap();
+        extract_joins(crate::optimize::decorrelate::decorrelate(bound), &cat)
+    }
+
+    #[test]
+    fn reducing_semi_join_goes_onto_its_relation() {
+        // Q18 shape: the IN-list (1 000 mids) is smaller than `big`.
+        let p = decorrelated(
+            "select big.v from big, small where big.small_id = small.id \
+             and big.id in (select big_id from mid)",
+        );
+        assert_eq!(semi_left_tables(&p), Some(vec!["big"]));
+        assert_eq!(
+            count_nodes(&p, &|n| matches!(n, LogicalPlan::CrossJoin { .. })),
+            0
+        );
+    }
+
+    #[test]
+    fn semi_join_against_a_larger_set_stays_above_the_chain() {
+        // Q21 shape: probing all of `big` to filter ten `small` rows.
+        let p = decorrelated(
+            "select big.v from big, small where big.small_id = small.id \
+             and exists (select * from big b2 where b2.small_id = small.id and b2.v <> big.v)",
+        );
+        let mut left = semi_left_tables(&p).expect("semi join");
+        left.sort_unstable();
+        assert_eq!(left, vec!["big", "small"]);
+    }
+
+    #[test]
+    fn or_across_relations_implies_a_filter_on_each() {
+        // Q7 shape.
+        let p = plan(
+            "select big.v from big, small, mid \
+             where big.small_id = small.id and mid.big_id = big.id \
+             and ((small.name = 'a' and mid.id = 1) or (small.name = 'b' and mid.id = 2))",
+        );
+        fn filtered_scans<'a>(p: &'a LogicalPlan, out: &mut Vec<&'a str>) {
+            if let LogicalPlan::Filter { input, .. } = p {
+                if let LogicalPlan::Scan { table, .. } = &**input {
+                    out.push(table);
+                }
+            }
+            for c in p.children() {
+                filtered_scans(c, out);
             }
         }
-        assert_eq!(first_scan_table(&p), Some("narrow"));
+        let mut filtered = Vec::new();
+        filtered_scans(&p, &mut filtered);
+        filtered.sort_unstable();
+        assert_eq!(filtered, vec!["mid", "small"]);
+        // The OR itself still runs over the joined rows.
+        assert!(matches!(
+            &p,
+            LogicalPlan::Project { input, .. } if matches!(**input, LogicalPlan::Filter { .. })
+        ));
     }
 }

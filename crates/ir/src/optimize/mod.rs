@@ -7,9 +7,10 @@
 //!    (the transformation that makes TPC-H Q2/Q4/Q11/Q15/Q16/Q17/Q18/
 //!    Q20/Q21/Q22 executable on both engines);
 //! 3. [`joins`] — cross-join chains + filter conjuncts → equi-join trees
-//!    with greedy, statistics-driven ordering (TPC-H queries are written in
-//!    comma-join style, so this pass builds essentially every join in the
-//!    benchmark);
+//!    with greedy ordering by estimated join output (TPC-H queries are
+//!    written in comma-join style, so this pass builds essentially every
+//!    join in the benchmark); the estimates are [`estimate`]'s, which the
+//!    physical planner and `EXPLAIN` share;
 //! 4. [`pushdown`] — remaining filters as close to scans as possible;
 //! 5. [`prune`] — column pruning: scans read only what the query touches
 //!    (on a 16-column `lineitem`, this is the difference between moving
@@ -17,6 +18,7 @@
 //! 6. [`fold`] again to clean up rewrites.
 
 pub mod decorrelate;
+pub mod estimate;
 pub mod fold;
 pub mod joins;
 pub mod prune;

@@ -2,25 +2,32 @@
 //!
 //! TQP's planning layer (paper §2.2) maps each IR operator to a tensor
 //! program; which program depends on the physical operator chosen here.
-//! Two strategy axes are exposed — they are the ablation knobs of the
-//! benchmark suite:
+//! Two strategy axes exist — they are the ablation knobs of the benchmark
+//! suite:
 //!
 //! * joins: **sort-merge** (the tensor-native formulation built on argsort +
 //!   `searchsorted`) vs **hash** (row-hash tables);
 //! * aggregation: **sort-based** (sort + run detection + segmented reduce)
 //!   vs **hash-based** (group table + scatter).
 //!
+//! Left alone ([`PhysicalOptions::default`]) the planner decides per
+//! operator ([`plan_physical`]); a `Some(_)` option forces one strategy on
+//! every operator, which is how the paper's ablation binaries and the
+//! parity grid pin an axis.
+//!
 //! The same physical plan drives the row-Volcano baseline, which is exactly
 //! the paper's experimental setup: identical plans, different execution
 //! substrates.
 
+use crate::catalog::Catalog;
 use crate::expr::{AggCall, BoundExpr};
+use crate::optimize::estimate::{column_source, estimate, key_distinct};
 use crate::plan::{ColMeta, JoinType, LogicalPlan, PlanSchema, SortKey};
 
 /// Join algorithm choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinStrategy {
-    /// Argsort + `searchsorted` probe (tensor-native; the paper's default).
+    /// Argsort + `searchsorted` probe (tensor-native).
     SortMerge,
     /// Row-hash build + probe.
     Hash,
@@ -35,20 +42,12 @@ pub enum AggStrategy {
     Hash,
 }
 
-/// Physical planning options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Physical planning options: `None` (the default) lets the planner
+/// choose per operator, `Some(_)` forces that strategy everywhere.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhysicalOptions {
-    pub join: JoinStrategy,
-    pub agg: AggStrategy,
-}
-
-impl Default for PhysicalOptions {
-    fn default() -> Self {
-        PhysicalOptions {
-            join: JoinStrategy::SortMerge,
-            agg: AggStrategy::Sort,
-        }
-    }
+    pub join: Option<JoinStrategy>,
+    pub agg: Option<AggStrategy>,
 }
 
 /// The physical plan: structurally the logical plan plus algorithm tags.
@@ -75,10 +74,15 @@ pub enum PhysicalPlan {
         strategy: JoinStrategy,
         on: Vec<(usize, usize)>,
         residual: Option<BoundExpr>,
-        /// Distinct-key estimate for the build (right) side, from the
-        /// catalog's KMV column sketches ([`annotate_build_stats`]); sizes
-        /// the executor's flat hash directory. `None` when stats are
-        /// absent or the key columns cannot be traced to a base table.
+        /// Hash semi/anti joins only: the table is built over the *left*
+        /// input and the right input probes it, marking the left rows it
+        /// matches; the output is still left rows in left order. Every
+        /// other join builds on its right input.
+        build_left: bool,
+        /// Distinct-key estimate for the build side, from the catalog's
+        /// KMV column sketches; sizes the executor's flat hash directory.
+        /// `None` when stats are absent or the key columns cannot be
+        /// traced to a base table.
         build_distinct: Option<u64>,
     },
     CrossJoin {
@@ -167,10 +171,15 @@ impl PhysicalPlan {
             PhysicalPlan::Join {
                 strategy,
                 join_type,
+                build_left,
                 ..
-            } => {
-                format!("{strategy:?}Join({join_type:?})")
-            }
+            } => match strategy {
+                JoinStrategy::Hash => {
+                    let side = if *build_left { "left" } else { "right" };
+                    format!("HashJoin({join_type:?}, build={side})")
+                }
+                JoinStrategy::SortMerge => format!("SortMergeJoin({join_type:?})"),
+            },
             PhysicalPlan::CrossJoin { .. } => "CrossJoin".into(),
             PhysicalPlan::Aggregate { strategy, .. } => format!("{strategy:?}Aggregate"),
             PhysicalPlan::Sort { .. } => "Sort".into(),
@@ -206,8 +215,24 @@ impl PhysicalPlan {
     }
 }
 
-/// Convert an optimized logical plan into a physical plan.
-pub fn plan_physical(plan: &LogicalPlan, opts: &PhysicalOptions) -> PhysicalPlan {
+/// Convert an optimized logical plan into a physical plan, choosing each
+/// operator's algorithm where `opts` leaves it open.
+///
+/// The choice is a rule, not a cost model, because on every join and
+/// aggregation site of the repo's four benchmark workloads one answer won:
+/// **hash, built on the side estimated smaller**. Inner joins already
+/// arrive with the smaller side on the right (join ordering puts it
+/// there); a semi/anti join whose left input is estimated smaller than its
+/// right builds on the left ([`PhysicalPlan::Join::build_left`]); left
+/// outer joins always build right. Hash joins also get the catalog's
+/// distinct-key estimate for their build side, which sizes the hash
+/// directory. Everything here reads SQL and catalog statistics only, so a
+/// plan never depends on workers, backend or host.
+pub fn plan_physical(
+    plan: &LogicalPlan,
+    opts: &PhysicalOptions,
+    catalog: &Catalog,
+) -> PhysicalPlan {
     match plan {
         LogicalPlan::Scan {
             table,
@@ -219,7 +244,7 @@ pub fn plan_physical(plan: &LogicalPlan, opts: &PhysicalOptions) -> PhysicalPlan
             projection: projection.clone(),
         },
         LogicalPlan::Filter { input, predicate } => PhysicalPlan::Filter {
-            input: Box::new(plan_physical(input, opts)),
+            input: Box::new(plan_physical(input, opts, catalog)),
             predicate: predicate.clone(),
         },
         LogicalPlan::Project {
@@ -227,7 +252,7 @@ pub fn plan_physical(plan: &LogicalPlan, opts: &PhysicalOptions) -> PhysicalPlan
             exprs,
             schema,
         } => PhysicalPlan::Project {
-            input: Box::new(plan_physical(input, opts)),
+            input: Box::new(plan_physical(input, opts, catalog)),
             exprs: exprs.clone(),
             schema: schema.clone(),
         },
@@ -237,18 +262,33 @@ pub fn plan_physical(plan: &LogicalPlan, opts: &PhysicalOptions) -> PhysicalPlan
             join_type,
             on,
             residual,
-        } => PhysicalPlan::Join {
-            left: Box::new(plan_physical(left, opts)),
-            right: Box::new(plan_physical(right, opts)),
-            join_type: *join_type,
-            strategy: opts.join,
-            on: on.clone(),
-            residual: residual.clone(),
-            build_distinct: None,
-        },
+        } => {
+            let strategy = opts.join.unwrap_or(JoinStrategy::Hash);
+            let hash = strategy == JoinStrategy::Hash;
+            let build_left = hash
+                && matches!(join_type, JoinType::Semi | JoinType::Anti)
+                && estimate(&**left, catalog) < estimate(&**right, catalog);
+            let build_distinct = if !hash {
+                None
+            } else if build_left {
+                key_distinct(on.iter().map(|k| column_source(&**left, k.0, catalog)))
+            } else {
+                key_distinct(on.iter().map(|k| column_source(&**right, k.1, catalog)))
+            };
+            PhysicalPlan::Join {
+                left: Box::new(plan_physical(left, opts, catalog)),
+                right: Box::new(plan_physical(right, opts, catalog)),
+                join_type: *join_type,
+                strategy,
+                on: on.clone(),
+                residual: residual.clone(),
+                build_left,
+                build_distinct: build_distinct.map(|d| d as u64),
+            }
+        }
         LogicalPlan::CrossJoin { left, right } => PhysicalPlan::CrossJoin {
-            left: Box::new(plan_physical(left, opts)),
-            right: Box::new(plan_physical(right, opts)),
+            left: Box::new(plan_physical(left, opts, catalog)),
+            right: Box::new(plan_physical(right, opts, catalog)),
         },
         LogicalPlan::Aggregate {
             input,
@@ -256,97 +296,20 @@ pub fn plan_physical(plan: &LogicalPlan, opts: &PhysicalOptions) -> PhysicalPlan
             aggs,
             schema,
         } => PhysicalPlan::Aggregate {
-            input: Box::new(plan_physical(input, opts)),
-            strategy: opts.agg,
+            input: Box::new(plan_physical(input, opts, catalog)),
+            strategy: opts.agg.unwrap_or(AggStrategy::Hash),
             group_by: group_by.clone(),
             aggs: aggs.clone(),
             schema: schema.clone(),
         },
         LogicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
-            input: Box::new(plan_physical(input, opts)),
+            input: Box::new(plan_physical(input, opts, catalog)),
             keys: keys.clone(),
         },
         LogicalPlan::Limit { input, n } => PhysicalPlan::Limit {
-            input: Box::new(plan_physical(input, opts)),
+            input: Box::new(plan_physical(input, opts, catalog)),
             n: *n,
         },
-    }
-}
-
-/// Annotate every hash join with a build-side distinct-key estimate from
-/// the catalog's KMV column sketches: each right key column is traced
-/// through schema-preserving operators down to a base-table column, the
-/// per-column distinct estimates multiply (saturating) for multi-key
-/// joins, and the result lands in [`PhysicalPlan::Join::build_distinct`].
-///
-/// The table-level per-column estimate is an *upper bound* on the
-/// post-filter build side's distinct keys, which is the right direction
-/// for directory sizing — the executor clamps the directory to the actual
-/// entry count, so an over-estimate never over-allocates and an
-/// under-estimate (KMV error, ~10%) only lengthens buckets slightly. A key
-/// that cannot be traced (computed key, join output, aggregate) leaves the
-/// estimate `None`.
-pub fn annotate_build_stats(plan: &mut PhysicalPlan, catalog: &crate::catalog::Catalog) {
-    // Distinct estimate of output column `col` of `plan`, when it is a
-    // base-table column reached through schema-preserving operators.
-    fn column_distinct(
-        plan: &PhysicalPlan,
-        col: usize,
-        catalog: &crate::catalog::Catalog,
-    ) -> Option<u64> {
-        match plan {
-            PhysicalPlan::Scan {
-                table, projection, ..
-            } => {
-                let meta = catalog.get(table)?;
-                let stats = meta.stats.as_ref()?;
-                let orig = match projection {
-                    Some(p) => *p.get(col)?,
-                    None => col,
-                };
-                let d = stats.columns.get(orig)?.distinct;
-                (d > 0).then_some(d as u64)
-            }
-            // Filters/sorts/limits only remove or reorder rows: the
-            // table-level distinct stays an upper bound for the column.
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Limit { input, .. } => column_distinct(input, col, catalog),
-            PhysicalPlan::Project { input, exprs, .. } => match exprs.get(col)? {
-                BoundExpr::Column { index, .. } => column_distinct(input, *index, catalog),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-
-    match plan {
-        PhysicalPlan::Join {
-            left,
-            right,
-            strategy,
-            on,
-            build_distinct,
-            ..
-        } => {
-            annotate_build_stats(left, catalog);
-            annotate_build_stats(right, catalog);
-            if *strategy == JoinStrategy::Hash {
-                *build_distinct = on.iter().try_fold(1u64, |acc, &(_, rk)| {
-                    column_distinct(right, rk, catalog).map(|d| acc.saturating_mul(d))
-                });
-            }
-        }
-        PhysicalPlan::CrossJoin { left, right } => {
-            annotate_build_stats(left, catalog);
-            annotate_build_stats(right, catalog);
-        }
-        PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::Aggregate { input, .. }
-        | PhysicalPlan::Sort { input, .. }
-        | PhysicalPlan::Limit { input, .. } => annotate_build_stats(input, catalog),
-        PhysicalPlan::Scan { .. } => {}
     }
 }
 
@@ -414,7 +377,7 @@ mod tests {
         let cat = catalog();
         let p = bind_query(&tqp_sql::parse(sql).unwrap(), &cat).unwrap();
         let p = crate::optimize::optimize(p, &cat);
-        plan_physical(&p, &opts)
+        plan_physical(&p, &opts, &cat)
     }
 
     #[test]
@@ -422,8 +385,8 @@ mod tests {
         let p = physical(
             "select t.a, sum(t.b) from t, u where t.a = u.a group by t.a",
             PhysicalOptions {
-                join: JoinStrategy::Hash,
-                agg: AggStrategy::Hash,
+                join: Some(JoinStrategy::Hash),
+                agg: Some(AggStrategy::Hash),
             },
         );
         fn check(p: &PhysicalPlan) -> (bool, bool) {

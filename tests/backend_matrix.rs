@@ -55,7 +55,10 @@ fn all_32_configurations_agree() {
                             .backend(backend)
                             .device(device)
                             .gpu_strategy(GpuStrategy::Resident)
-                            .physical(PhysicalOptions { join, agg });
+                            .physical(PhysicalOptions {
+                                join: Some(join),
+                                agg: Some(agg),
+                            });
                         let q = session.compile(sql, cfg).unwrap();
                         let (out, stats) = q.run(&session).unwrap();
                         assert_eq!(

@@ -441,37 +441,39 @@ fn frames_match(got: &DataFrame, expect: &DataFrame) -> Result<(), String> {
     Ok(())
 }
 
-const BACKENDS: &[(Backend, JoinStrategy, AggStrategy, &str)] = &[
+/// `None` leaves the choice to the planner.
+const BACKENDS: &[(Backend, Option<JoinStrategy>, Option<AggStrategy>, &str)] = &[
     (
         Backend::Eager,
-        JoinStrategy::SortMerge,
-        AggStrategy::Sort,
+        Some(JoinStrategy::SortMerge),
+        Some(AggStrategy::Sort),
         "eager/smj/sort",
     ),
     (
         Backend::Eager,
-        JoinStrategy::Hash,
-        AggStrategy::Hash,
+        Some(JoinStrategy::Hash),
+        Some(AggStrategy::Hash),
         "eager/hash/hash",
     ),
     (
         Backend::Fused,
-        JoinStrategy::SortMerge,
-        AggStrategy::Sort,
+        Some(JoinStrategy::SortMerge),
+        Some(AggStrategy::Sort),
         "fused/smj/sort",
     ),
     (
         Backend::Graph,
-        JoinStrategy::Hash,
-        AggStrategy::Sort,
+        Some(JoinStrategy::Hash),
+        Some(AggStrategy::Sort),
         "graph/hash/sort",
     ),
     (
         Backend::Wasm,
-        JoinStrategy::SortMerge,
-        AggStrategy::Sort,
+        Some(JoinStrategy::SortMerge),
+        Some(AggStrategy::Sort),
         "wasm/smj/sort",
     ),
+    (Backend::Fused, None, None, "fused/chosen"),
 ];
 
 /// The differential pair: the classic in-memory session plus a session
@@ -530,7 +532,7 @@ fn check(sessions: &Sessions, sql: &str) -> Result<(), String> {
         // Flat hash engine off: the legacy HashMap build/probe/group-by
         // must be bitwise the flat-arena path (hash-strategy plans only —
         // sort-merge/sort-agg configs build no hash tables).
-        if join == JoinStrategy::Hash || agg == AggStrategy::Hash {
+        if join != Some(JoinStrategy::SortMerge) || agg != Some(AggStrategy::Sort) {
             let fq = sessions
                 .mem
                 .compile(sql, cfg.flat_hash(false))

@@ -97,8 +97,8 @@ fn eager_sortmerge_sortagg_worker_parity() {
     run_parity(
         Backend::Eager,
         PhysicalOptions {
-            join: JoinStrategy::SortMerge,
-            agg: AggStrategy::Sort,
+            join: Some(JoinStrategy::SortMerge),
+            agg: Some(AggStrategy::Sort),
         },
         &[true],
         "eager/smj/sort",
@@ -110,8 +110,8 @@ fn eager_hash_strategies_worker_parity() {
     run_parity(
         Backend::Eager,
         PhysicalOptions {
-            join: JoinStrategy::Hash,
-            agg: AggStrategy::Hash,
+            join: Some(JoinStrategy::Hash),
+            agg: Some(AggStrategy::Hash),
         },
         &[true, false],
         "eager/hash/hash",
@@ -123,8 +123,8 @@ fn fused_sortmerge_sortagg_worker_parity() {
     run_parity(
         Backend::Fused,
         PhysicalOptions {
-            join: JoinStrategy::SortMerge,
-            agg: AggStrategy::Sort,
+            join: Some(JoinStrategy::SortMerge),
+            agg: Some(AggStrategy::Sort),
         },
         &[true],
         "fused/smj/sort",
@@ -136,11 +136,21 @@ fn fused_hash_strategies_worker_parity() {
     run_parity(
         Backend::Fused,
         PhysicalOptions {
-            join: JoinStrategy::Hash,
-            agg: AggStrategy::Hash,
+            join: Some(JoinStrategy::Hash),
+            agg: Some(AggStrategy::Hash),
         },
         &[true, false],
         "fused/hash/hash",
+    );
+}
+
+#[test]
+fn fused_planner_chosen_worker_parity() {
+    run_parity(
+        Backend::Fused,
+        PhysicalOptions::default(),
+        &[true, false],
+        "fused/chosen",
     );
 }
 
@@ -149,8 +159,8 @@ fn graph_sortmerge_sortagg_worker_parity() {
     run_parity(
         Backend::Graph,
         PhysicalOptions {
-            join: JoinStrategy::SortMerge,
-            agg: AggStrategy::Sort,
+            join: Some(JoinStrategy::SortMerge),
+            agg: Some(AggStrategy::Sort),
         },
         &[true],
         "graph/smj/sort",
@@ -162,8 +172,8 @@ fn graph_hash_strategies_worker_parity() {
     run_parity(
         Backend::Graph,
         PhysicalOptions {
-            join: JoinStrategy::Hash,
-            agg: AggStrategy::Hash,
+            join: Some(JoinStrategy::Hash),
+            agg: Some(AggStrategy::Hash),
         },
         &[true, false],
         "graph/hash/hash",

@@ -42,8 +42,8 @@ fn roundtripped_artifact_is_byte_identical_on_all_backends() {
     for opts in [
         PhysicalOptions::default(),
         PhysicalOptions {
-            join: JoinStrategy::Hash,
-            agg: AggStrategy::Hash,
+            join: Some(JoinStrategy::Hash),
+            agg: Some(AggStrategy::Hash),
         },
     ] {
         for (n, sql) in queries::all() {

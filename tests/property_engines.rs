@@ -3,11 +3,15 @@
 //! the operator space beyond what the 22 fixed TPC-H queries exercise.
 
 use proptest::prelude::*;
+use tqp_repro::baseline::RowEngine;
 use tqp_repro::core::{QueryConfig, Session};
 use tqp_repro::data::frame::df;
+use tqp_repro::data::LogicalType;
 use tqp_repro::data::{Column, DataFrame};
 use tqp_repro::exec::Backend;
-use tqp_repro::ir::{AggStrategy, JoinStrategy, PhysicalOptions};
+use tqp_repro::ir::physical::PhysicalPlan;
+use tqp_repro::ir::plan::{ColMeta, JoinType, SortKey};
+use tqp_repro::ir::{AggStrategy, BinOp, BoundExpr, JoinStrategy, PhysicalOptions};
 use tqp_tensor::Scalar;
 
 fn canon(frame: &DataFrame) -> Vec<Vec<String>> {
@@ -39,7 +43,10 @@ fn check_all_configs(session: &Session, sql: &str) -> Result<(), TestCaseError> 
         for backend in [Backend::Eager, Backend::Fused] {
             let cfg = QueryConfig::default()
                 .backend(backend)
-                .physical(PhysicalOptions { join, agg });
+                .physical(PhysicalOptions {
+                    join: Some(join),
+                    agg: Some(agg),
+                });
             let q = session
                 .compile(sql, cfg)
                 .map_err(|e| TestCaseError::fail(format!("compile {sql}: {e}")))?;
@@ -58,6 +65,72 @@ fn check_all_configs(session: &Session, sql: &str) -> Result<(), TestCaseError> 
         }
     }
     Ok(())
+}
+
+/// Run a hand-built plan on the tensor engine (both VM modes, 1 and 4
+/// workers) and require the row engine's result **bitwise, in order**.
+fn check_plan_bitwise(
+    session: &Session,
+    plan: &PhysicalPlan,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    let oracle = RowEngine::new(session.frames(), session.models()).execute(plan);
+    for backend in [Backend::Eager, Backend::Fused] {
+        for workers in [1, 4] {
+            let cfg = QueryConfig::default().backend(backend).workers(workers);
+            let (out, _) = session
+                .compile_plan(plan, cfg)
+                .run(session)
+                .map_err(|e| TestCaseError::fail(format!("run {what}: {e}")))?;
+            prop_assert_eq!(
+                out.nrows(),
+                oracle.nrows(),
+                "{} {:?}/{}",
+                what,
+                backend,
+                workers
+            );
+            for i in 0..out.nrows() {
+                prop_assert_eq!(
+                    out.row(i),
+                    oracle.row(i),
+                    "{} {:?}/{} row {}",
+                    what,
+                    backend,
+                    workers,
+                    i
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+fn scan(session: &Session, table: &str) -> PhysicalPlan {
+    let schema = &session.catalog().get(table).expect("registered").schema;
+    PhysicalPlan::Scan {
+        table: table.to_string(),
+        schema: schema
+            .fields
+            .iter()
+            .map(|f| ColMeta::qualified(table, f.name.clone(), f.ty))
+            .collect(),
+        projection: None,
+    }
+}
+
+/// Keep output columns `cols` of `input` (drops the NULL-able ones a left
+/// outer join below may have made).
+fn project(input: PhysicalPlan, cols: &[usize]) -> PhysicalPlan {
+    let schema = input.schema();
+    PhysicalPlan::Project {
+        exprs: cols
+            .iter()
+            .map(|&c| BoundExpr::col(c, schema[c].ty))
+            .collect(),
+        schema: cols.iter().map(|&c| schema[c].clone()).collect(),
+        input: Box::new(input),
+    }
 }
 
 fn table_t(rows: &[(i64, i64, f64, u8)]) -> DataFrame {
@@ -133,6 +206,118 @@ proptest! {
         let sql = "select t.id, count(u.k) as c from t left outer join u on t.k = u.k \
                    group by t.id order by t.id";
         check_all_configs(&session, sql)?;
+    }
+
+    // Hash joins on either build side against the row engine: semi/anti
+    // joins built on the left and on the right, and inner joins with the
+    // inputs in both orders (what join ordering's build-side swap emits),
+    // over duplicate-heavy keys, NULL keys (a left outer join below the
+    // join pads them), an empty input on either side, and a residual.
+    #[test]
+    fn hash_joins_on_either_build_side_match_the_row_engine(
+        t_rows in prop::collection::vec((0i64..12, 0i64..5, -50f64..50.0, any::<u8>()), 0..50),
+        u_rows in prop::collection::vec((0i64..7, -50f64..50.0), 0..40),
+    ) {
+        let mut session = Session::new();
+        session.register_table("t", table_t(&t_rows));
+        session.register_table("u", table_u(&u_rows));
+        // t(id, k, v, tag) left-joined to u on `id = k`: columns 4 (u.k) and
+        // 5 (u.w) are NULL for unmatched t rows. The engines emit a left
+        // join's unmatched rows at different positions, so sort on t's
+        // columns (the rows of one t row stay in their common order).
+        let padded = PhysicalPlan::Join {
+            left: Box::new(scan(&session, "t")),
+            right: Box::new(scan(&session, "u")),
+            join_type: JoinType::Left,
+            strategy: JoinStrategy::Hash,
+            on: vec![(0, 0)],
+            residual: None,
+            build_left: false,
+            build_distinct: None,
+        };
+        let padded = PhysicalPlan::Sort {
+            keys: (0..4)
+                .map(|c| SortKey {
+                    expr: BoundExpr::col(c, padded.schema()[c].ty),
+                    desc: false,
+                })
+                .collect(),
+            input: Box::new(padded),
+        };
+        // (left input, its key column, the columns to keep of it).
+        let lefts = [(scan(&session, "t"), 1, [0, 2]), (padded, 4, [0, 2])];
+        for (left, key, keep) in &lefts {
+            let arity = left.schema().len();
+            // `left.v < u.w` over the combined (left ++ u) row.
+            let residual = BoundExpr::Binary {
+                op: BinOp::Lt,
+                left: Box::new(BoundExpr::col(2, LogicalType::Float64)),
+                right: Box::new(BoundExpr::col(arity + 1, LogicalType::Float64)),
+                ty: LogicalType::Bool,
+            };
+            for residual in [None, Some(residual)] {
+                for join_type in [JoinType::Semi, JoinType::Anti] {
+                    for build_left in [false, true] {
+                        let join = PhysicalPlan::Join {
+                            left: Box::new(left.clone()),
+                            right: Box::new(scan(&session, "u")),
+                            join_type,
+                            strategy: JoinStrategy::Hash,
+                            on: vec![(*key, 0)],
+                            residual: residual.clone(),
+                            build_left,
+                            build_distinct: None,
+                        };
+                        let what = format!(
+                            "{join_type:?} build_left={build_left} key={key} residual={}",
+                            residual.is_some()
+                        );
+                        check_plan_bitwise(&session, &project(join, keep), &what)?;
+                    }
+                }
+                // Inner, with `left` probing and with `left` as the build
+                // side (inputs swapped; the residual sees u's columns first).
+                let probing = PhysicalPlan::Join {
+                    left: Box::new(left.clone()),
+                    right: Box::new(scan(&session, "u")),
+                    join_type: JoinType::Inner,
+                    strategy: JoinStrategy::Hash,
+                    on: vec![(*key, 0)],
+                    residual: residual.clone(),
+                    build_left: false,
+                    build_distinct: None,
+                };
+                let what = format!("Inner key={key} residual={}", residual.is_some());
+                check_plan_bitwise(
+                    &session,
+                    &project(probing, &[keep[0], keep[1], arity + 1]),
+                    &what,
+                )?;
+                let built = PhysicalPlan::Join {
+                    left: Box::new(scan(&session, "u")),
+                    right: Box::new(left.clone()),
+                    join_type: JoinType::Inner,
+                    strategy: JoinStrategy::Hash,
+                    on: vec![(0, *key)],
+                    residual: residual.clone().map(|r| {
+                        r.transform(&|e| match e {
+                            BoundExpr::Column { index, ty } => BoundExpr::Column {
+                                index: if index < arity { index + 2 } else { index - arity },
+                                ty,
+                            },
+                            other => other,
+                        })
+                    }),
+                    build_left: false,
+                    build_distinct: None,
+                };
+                check_plan_bitwise(
+                    &session,
+                    &project(built, &[keep[0] + 2, keep[1] + 2, 1]),
+                    &format!("swapped {what}"),
+                )?;
+            }
+        }
     }
 
     #[test]

@@ -88,8 +88,8 @@ fn eager_sortmerge_sortagg_matches_oracle() {
     run_suite(
         Backend::Eager,
         PhysicalOptions {
-            join: JoinStrategy::SortMerge,
-            agg: AggStrategy::Sort,
+            join: Some(JoinStrategy::SortMerge),
+            agg: Some(AggStrategy::Sort),
         },
         "eager/smj/sort",
     );
@@ -100,8 +100,8 @@ fn eager_hash_strategies_match_oracle() {
     run_suite(
         Backend::Eager,
         PhysicalOptions {
-            join: JoinStrategy::Hash,
-            agg: AggStrategy::Hash,
+            join: Some(JoinStrategy::Hash),
+            agg: Some(AggStrategy::Hash),
         },
         "eager/hash/hash",
     );
@@ -112,8 +112,8 @@ fn fused_backend_matches_oracle() {
     run_suite(
         Backend::Fused,
         PhysicalOptions {
-            join: JoinStrategy::SortMerge,
-            agg: AggStrategy::Sort,
+            join: Some(JoinStrategy::SortMerge),
+            agg: Some(AggStrategy::Sort),
         },
         "fused/smj/sort",
     );
@@ -124,8 +124,8 @@ fn graph_backend_matches_oracle() {
     run_suite(
         Backend::Graph,
         PhysicalOptions {
-            join: JoinStrategy::SortMerge,
-            agg: AggStrategy::Sort,
+            join: Some(JoinStrategy::SortMerge),
+            agg: Some(AggStrategy::Sort),
         },
         "graph/smj/sort",
     );
@@ -136,8 +136,8 @@ fn wasm_backend_matches_oracle() {
     run_suite(
         Backend::Wasm,
         PhysicalOptions {
-            join: JoinStrategy::SortMerge,
-            agg: AggStrategy::Sort,
+            join: Some(JoinStrategy::SortMerge),
+            agg: Some(AggStrategy::Sort),
         },
         "wasm/smj/sort",
     );
@@ -148,8 +148,8 @@ fn mixed_strategies_match_oracle() {
     run_suite(
         Backend::Eager,
         PhysicalOptions {
-            join: JoinStrategy::Hash,
-            agg: AggStrategy::Sort,
+            join: Some(JoinStrategy::Hash),
+            agg: Some(AggStrategy::Sort),
         },
         "eager/hash/sort",
     );

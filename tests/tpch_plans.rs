@@ -272,3 +272,274 @@ fn no_query_retains_subqueries_or_outer_refs() {
         assert!(exprs_clean(&p), "Q{n} has undecorrelated expressions");
     }
 }
+
+// ---------------------------------------------------------------------
+// Cost-based planning: plan quality on real statistics
+// ---------------------------------------------------------------------
+
+/// Inner-join order under the schema-only catalog, per query: for every
+/// inner join in post-order, the base tables beneath it (a semi/anti
+/// join counts for its left input only). Pinned from the commit before
+/// cost-based planning: without column statistics every join estimate is
+/// still `max(left, right)`, so the order must not move. The signature
+/// does not see which side builds or where a semi join sits — both changed.
+const SCHEMA_ONLY_JOIN_ORDER: [&str; 22] = [
+    "",
+    "nation+region | nation+region+supplier | nation+partsupp+region+supplier | \
+     nation+part+partsupp+region+supplier | nation+region | nation+region+supplier | \
+     nation+partsupp+region+supplier | \
+     nation+nation+part+partsupp+partsupp+region+region+supplier+supplier",
+    "customer+orders | customer+lineitem+orders",
+    "",
+    "nation+region | nation+region+supplier | customer+nation+region+supplier | \
+     customer+nation+orders+region+supplier | customer+lineitem+nation+orders+region+supplier",
+    "",
+    "nation+supplier | lineitem+nation+supplier | lineitem+nation+orders+supplier | \
+     customer+lineitem+nation+orders+supplier | customer+lineitem+nation+nation+orders+supplier",
+    "nation+region | customer+nation+region | customer+nation+orders+region | \
+     customer+lineitem+nation+orders+region | customer+lineitem+nation+orders+region+supplier | \
+     customer+lineitem+nation+nation+orders+region+supplier | \
+     customer+lineitem+nation+nation+orders+part+region+supplier",
+    "nation+supplier | lineitem+nation+supplier | lineitem+nation+part+supplier | \
+     lineitem+nation+part+partsupp+supplier | lineitem+nation+orders+part+partsupp+supplier",
+    "customer+nation | customer+nation+orders | customer+lineitem+nation+orders",
+    "nation+supplier | nation+partsupp+supplier | nation+supplier | nation+partsupp+supplier",
+    "lineitem+orders",
+    "",
+    "lineitem+part",
+    "lineitem+supplier | lineitem+lineitem+supplier",
+    "part+partsupp",
+    "lineitem+part | lineitem+lineitem+part",
+    "customer+orders | customer+lineitem+orders",
+    "lineitem+part",
+    "nation+supplier | lineitem+partsupp",
+    "nation+supplier | lineitem+nation+supplier | lineitem+nation+orders+supplier",
+    "",
+];
+
+/// Base tables beneath `p`, not descending into what a semi/anti join
+/// merely probes.
+fn tables_under(p: &PhysicalPlan) -> Vec<String> {
+    match p {
+        PhysicalPlan::Scan { table, .. } => vec![table.clone()],
+        PhysicalPlan::Join {
+            left,
+            join_type: JoinType::Semi | JoinType::Anti,
+            ..
+        } => tables_under(left),
+        _ => p.children().into_iter().flat_map(tables_under).collect(),
+    }
+}
+
+#[test]
+fn schema_only_catalog_keeps_its_join_order() {
+    fn signature(p: &PhysicalPlan, out: &mut Vec<String>) {
+        for c in p.children() {
+            signature(c, out);
+        }
+        if let PhysicalPlan::Join {
+            join_type: JoinType::Inner,
+            ..
+        } = p
+        {
+            let mut tables = tables_under(p);
+            tables.sort();
+            out.push(tables.join("+"));
+        }
+    }
+    for n in 1..=22 {
+        let mut joins = Vec::new();
+        signature(&plan(n), &mut joins);
+        let pinned: String = SCHEMA_ONLY_JOIN_ORDER[n - 1]
+            .split_whitespace()
+            .collect::<Vec<_>>()
+            .join(" ");
+        assert_eq!(joins.join(" | "), pinned, "Q{n}: join order moved");
+    }
+}
+
+mod with_statistics {
+    use super::*;
+    use std::sync::OnceLock;
+    use tqp_repro::core::{CompiledQuery, ExplainRow, QueryConfig, Session};
+    use tqp_repro::data::tpch::{TpchConfig, TpchData};
+
+    /// The 22 queries compiled and run once (`EXPLAIN ANALYZE` rows) on a
+    /// session whose catalog carries real column statistics, at SF 0.05.
+    fn analyzed() -> &'static Vec<(CompiledQuery, Vec<ExplainRow>)> {
+        static RUN: OnceLock<Vec<(CompiledQuery, Vec<ExplainRow>)>> = OnceLock::new();
+        RUN.get_or_init(|| {
+            let data = TpchData::generate(&TpchConfig {
+                scale_factor: 0.05,
+                seed: 20_220_901,
+            });
+            let mut session = Session::new();
+            session.register_tpch(&data);
+            queries::all()
+                .into_iter()
+                .map(|(n, sql)| {
+                    let q = session
+                        .compile(sql, QueryConfig::default())
+                        .unwrap_or_else(|e| panic!("Q{n}: {e}"));
+                    let rows = q.explain_analyze_rows(&session).unwrap();
+                    (q, rows)
+                })
+                .collect()
+        })
+    }
+
+    fn is_join(row: &ExplainRow) -> bool {
+        row.op.contains("Join(")
+    }
+
+    /// Actual rows of the direct inputs of `rows[i]` (pre-order rows, so
+    /// the inputs are the following rows one level deeper).
+    fn input_rows(rows: &[ExplainRow], i: usize) -> Vec<u64> {
+        rows[i + 1..]
+            .iter()
+            .take_while(|r| r.depth > rows[i].depth)
+            .filter(|r| r.depth == rows[i].depth + 1)
+            .map(|r| r.actual_rows.expect("actuals"))
+            .collect()
+    }
+
+    #[test]
+    fn no_intermediate_join_outgrows_its_inputs() {
+        for (n, (_, rows)) in analyzed().iter().enumerate() {
+            for (i, row) in rows.iter().enumerate().filter(|(_, r)| is_join(r)) {
+                // The last join to run has no join above it.
+                let last = !rows[..i].iter().any(is_join);
+                let larger = input_rows(rows, i).into_iter().max().expect("two inputs");
+                let out = row.actual_rows.expect("actuals");
+                assert!(
+                    last || out as f64 <= 1.5 * larger as f64,
+                    "Q{}: {} makes {out} rows from at most {larger}",
+                    n + 1,
+                    row.op
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn q5_never_joins_on_nationkey_alone() {
+        // supplier x customer on `nationkey` alone made 446 207 rows.
+        fn check(p: &PhysicalPlan) {
+            if let PhysicalPlan::Join {
+                left, right, on, ..
+            } = p
+            {
+                let (ls, rs) = (left.schema(), right.schema());
+                let keys: Vec<[&str; 2]> = on
+                    .iter()
+                    .map(|&(l, r)| [ls[l].name.as_str(), rs[r].name.as_str()])
+                    .collect();
+                let nationkeys_only = keys
+                    .iter()
+                    .all(|k| k.contains(&"s_nationkey") && k.contains(&"c_nationkey"));
+                assert!(!nationkeys_only, "join keyed on {keys:?}");
+            }
+            p.children().into_iter().for_each(check);
+        }
+        check(analyzed()[4].0.plan());
+    }
+
+    #[test]
+    fn q18_semi_join_runs_below_the_lineitem_join() {
+        fn semi_left(p: &PhysicalPlan) -> Option<Vec<String>> {
+            match p {
+                PhysicalPlan::Join {
+                    left,
+                    join_type: JoinType::Semi,
+                    ..
+                } => Some(tables_under(left)),
+                _ => p.children().into_iter().find_map(semi_left),
+            }
+        }
+        let plan = analyzed()[17].0.plan();
+        assert_eq!(semi_left(plan), Some(vec!["orders".to_string()]));
+        // ... and lineitem joins what is left of orders.
+        let (_, rows) = &analyzed()[17];
+        let semi = rows
+            .iter()
+            .position(|r| r.op.contains("Join(Semi"))
+            .unwrap();
+        assert!(
+            rows[..semi].iter().any(is_join),
+            "semi join is the last join"
+        );
+    }
+
+    #[test]
+    fn q4_and_q8_build_on_the_smaller_side() {
+        for n in [4, 8] {
+            let (_, rows) = &analyzed()[n - 1];
+            for (i, row) in rows.iter().enumerate().filter(|(_, r)| is_join(r)) {
+                let (build_rows, _) = row.build.expect("hash joins report their build");
+                let smaller = input_rows(rows, i).into_iter().min().expect("two inputs");
+                assert_eq!(
+                    build_rows, smaller,
+                    "Q{n}: {} built the larger side",
+                    row.op
+                );
+            }
+        }
+        // Q4's semi join probes 37 897 lineitems into 2 868 orders.
+        let (_, rows) = &analyzed()[3];
+        assert!(rows.iter().any(|r| r.op == "HashJoin(Semi, build=left)"));
+    }
+
+    #[test]
+    fn join_estimates_are_closer_than_before_cost_based_planning() {
+        // q-error of a join: max(est/actual, actual/est), both floored at 1.
+        let worst_per_query: Vec<f64> = analyzed()
+            .iter()
+            .map(|(_, rows)| {
+                rows.iter()
+                    .filter(|r| is_join(r))
+                    .map(|r| {
+                        let est = r.est_rows.max(1.0);
+                        let actual = (r.actual_rows.expect("actuals") as f64).max(1.0);
+                        (est / actual).max(actual / est)
+                    })
+                    .fold(0.0, f64::max)
+            })
+            .collect();
+        // The commit before: worst 21 361.6 (Q18's semi join), and 8 of the
+        // 22 queries with every join within 10x (Q5's nationkey join alone
+        // was 14.9x, Q2 1 904x, Q8 2 492x).
+        let worst = worst_per_query.iter().copied().fold(0.0, f64::max);
+        assert!(worst < 21_361.6, "worst join q-error {worst}");
+        let within_10x = worst_per_query.iter().filter(|&&q| q <= 10.0).count();
+        assert!(
+            within_10x >= 14,
+            "{within_10x} queries within 10x: {worst_per_query:?}"
+        );
+    }
+
+    #[test]
+    fn traced_runs_feed_the_qerror_histogram() {
+        let before = tqp_repro::obs::registry()
+            .snapshot()
+            .histogram("opt.qerror")
+            .map_or(0, |h| h.count);
+        let data = TpchData::generate(&TpchConfig {
+            scale_factor: 0.01,
+            seed: 7,
+        });
+        let mut session = Session::new();
+        session.register_tpch(&data);
+        let q = session
+            .compile(queries::query(6), QueryConfig::default().trace(true))
+            .unwrap();
+        q.run(&session).unwrap();
+        let plan_nodes = count(q.plan(), &|_| true) as u64;
+        let after = tqp_repro::obs::registry()
+            .snapshot()
+            .histogram("opt.qerror")
+            .expect("opt.qerror registered")
+            .count;
+        // One observation per plan node of Q6 (other tests may add more).
+        assert!(after >= before + plan_nodes, "{before} -> {after}");
+    }
+}
