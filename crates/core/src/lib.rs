@@ -636,7 +636,9 @@ pub struct ExplainRow {
     /// Tree depth (root = 0); rendering indents two spaces per level.
     pub depth: usize,
     /// Operator label with the planner's choices, e.g. `Scan(lineitem)`,
-    /// `HashJoin(Semi, build=left)`, `SortAggregate`.
+    /// `HashJoin(Semi, build=left)`, `SortAggregate`,
+    /// `HashAggregate(partitioned, est_groups=40243)` (`ANALYZE` appends
+    /// `actual_groups=…`).
     pub op: String,
     /// Optimizer cardinality estimate (stats-driven where available).
     pub est_rows: f64,
@@ -755,9 +757,21 @@ fn explain_rows(
         *post += 1;
         let actual = actuals.and_then(|a| a.of(my_post));
         let build = actuals.and_then(|a| a.build_of(my_post));
+        let op = match p {
+            // A grouped aggregate with an estimate names the shape the
+            // executor derives from it, and what the estimate met.
+            PhysicalPlan::Aggregate {
+                groups: Some(est), ..
+            } => {
+                let shape = tqp_exec::agg::Shape::for_groups(Some(*est)).name();
+                let met = actual.map_or(String::new(), |(g, _)| format!(", actual_groups={g}"));
+                format!("{}({shape}, est_groups={est}{met})", p.op_name())
+            }
+            _ => p.op_name(),
+        };
         let mut rows = vec![ExplainRow {
             depth,
-            op: p.op_name(),
+            op,
             est_rows: est[my_post],
             actual_rows: actual.map(|(r, _)| r),
             wall_us: actual.map(|(_, us)| us),

@@ -15,26 +15,46 @@
 //! aggregates (Q1's `l_extendedprice * (1 - l_discount)`) is computed
 //! once — there is no per-call expression-tree walk anymore.
 //!
-//! ## Partitioned parallel aggregation
+//! ## Morsel-parallel aggregation: two shapes, chosen by the plan
 //!
-//! [`aggregate_par`] splits the input into **fixed-size morsels**
-//! ([`par_morsel_rows`], *independent of the worker count*), computes a
-//! hash-grouped partial state per morsel ([`partial_aggregate`]), and folds
-//! the partials in ascending morsel order ([`merge_partials`]).
+//! [`aggregate_morsels`] is the one driver: the caller hands it a closure
+//! producing the aggregate's input one **fixed-geometry morsel** at a time
+//! ([`par_morsel_rows`] rows of the source, *independent of the worker
+//! count* — a slice of a batch, or a scan morsel pushed through a fused
+//! filter/project chain), and the [`Shape`] the plan's group-count
+//! estimate selects ([`morsel_shape`]):
 //!
-//! **Determinism contract**: the partial-merge tree — and therefore every
-//! float rounding decision in SUM/AVG — is a pure function of the input
-//! rows and the (fixed) morsel geometry. Worker threads only *schedule*
-//! morsels; they never change which partials exist or the order they merge
-//! in. Consequently SUM/AVG/COUNT/MIN/MAX results are **bit-identical at
-//! every worker count**, which the differential suites assert at
-//! `workers ∈ {1, 4}`. (`COUNT(DISTINCT)` keeps the sequential path: its
-//! state is a value *set*, not a mergeable scalar.)
+//! * [`Shape::Partial`] — groups ≪ rows (Q1: 4 groups). Every morsel
+//!   hash-groups into a partial state (`partial_aggregate`); the partials
+//!   fold in ascending morsel order (`merge_partials`). Group order is
+//!   first appearance over the concatenated partials; float SUM/AVG
+//!   association is *per morsel, then across morsels* — a pure function of
+//!   the input rows and the morsel geometry.
+//! * [`Shape::Partitioned`] — groups ≈ rows (Q17/Q18/Q20: a morsel cannot
+//!   reduce, so partials only re-group later). Every morsel evaluates the
+//!   reduce bundle, hashes the keys and clusters its rows by the hash's
+//!   **top bits** (the group table probes with the low bits, so the two
+//!   stay independent); then one task per partition concatenates its
+//!   slice of every morsel — its rows in ascending input order — and
+//!   hash-aggregates them once. A group lives in exactly one partition and
+//!   its rows fold in ascending row order, so the result is **bit-for-bit
+//!   the sequential aggregate** — keys, order (groups are emitted by
+//!   ascending first-row index) and float association — whatever the
+//!   morsel geometry, the partition count or the worker count. That is why
+//!   the partition count is free, why pruned, unpruned and in-memory scans
+//!   agree, and why `COUNT(DISTINCT)` may ride this shape although it has
+//!   no mergeable partial.
+//!
+//! **Determinism contract**: worker threads only *schedule* morsels and
+//! partitions; they never change which partials exist, the order they
+//! merge in, or the rows of a partition. Results are bit-identical at
+//! every worker count on both shapes.
 //!
 //! Empty-input semantics (shared with the row oracle): a global aggregate
 //! yields one row of zeros; a grouped aggregate yields no rows.
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use tqp_data::LogicalType;
 use tqp_ir::expr::AggFunc;
@@ -54,12 +74,8 @@ use crate::exprfuse;
 use crate::join::FxBuild;
 use crate::program::{CompiledAgg, ReduceExprs};
 
-/// Aggregation strategy selector (mirrors `tqp_ir::AggStrategy`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    Sort,
-    Hash,
-}
+/// Aggregation strategy selector (the plan's).
+pub use tqp_ir::physical::AggStrategy as Strategy;
 
 /// Rows per aggregation morsel on the partitioned parallel path. Fixed —
 /// **never derived from the worker count** — so the partial-merge tree (and
@@ -82,22 +98,53 @@ pub fn par_min_rows() -> usize {
     2 * par_morsel_rows()
 }
 
-/// True when every aggregate has a mergeable partial state.
-/// `COUNT(DISTINCT)` does not (its state is a value set), so it pins the
-/// whole `GroupedReduce` to the sequential path.
-pub fn parallel_eligible(aggs: &[CompiledAgg]) -> bool {
-    !aggs.iter().any(|a| a.func == AggFunc::CountDistinct)
+/// How a morsel-driven `GroupedReduce` executes (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// Per-morsel partial states, folded in morsel order.
+    Partial,
+    /// Rows radix-partitioned by key hash, each partition aggregated once.
+    Partitioned,
 }
 
-/// Evaluate the reduce bundle over a batch: key columns (validity
-/// asserted absent) and per-call argument columns.
-fn eval_reduce(
-    input: &Batch,
-    reduce: &ReduceExprs,
-    models: &ModelRegistry,
-    fuse: bool,
-) -> (Vec<Tensor>, Vec<Option<Evaled>>) {
-    let outs = exprfuse::eval_all(&reduce.exprs, input, models, fuse);
+impl Shape {
+    /// The shape the planner's group-count estimate selects for a grouped
+    /// reduction: partitioned when a morsel could not reduce (more than
+    /// half a morsel of estimated groups), per-morsel partials otherwise
+    /// and without an estimate.
+    pub fn for_groups(est_groups: Option<u64>) -> Shape {
+        match est_groups {
+            Some(g) if g > (par_morsel_rows() / 2) as u64 => Shape::Partitioned,
+            _ => Shape::Partial,
+        }
+    }
+
+    /// Lower-case name, as `EXPLAIN` prints it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Shape::Partial => "partial",
+            Shape::Partitioned => "partitioned",
+        }
+    }
+}
+
+/// The shape `reduce` takes over morsels ([`Shape::for_groups`]; a global
+/// reduction has nothing to partition by), or `None` when it must run
+/// sequentially: `COUNT(DISTINCT)`'s state is a value set, not a mergeable
+/// partial, so it rides the partitioned shape only.
+pub fn morsel_shape(reduce: &ReduceExprs, est_groups: Option<u64>) -> Option<Shape> {
+    let shape = if reduce.n_keys > 0 {
+        Shape::for_groups(est_groups)
+    } else {
+        Shape::Partial
+    };
+    let distinct = reduce.aggs.iter().any(|a| a.func == AggFunc::CountDistinct);
+    (shape == Shape::Partitioned || !distinct).then_some(shape)
+}
+
+/// Split evaluated reduce outputs into key columns (validity asserted
+/// absent) and per-call argument columns.
+fn split_outs(outs: &[Evaled], reduce: &ReduceExprs) -> (Vec<Tensor>, Vec<Option<Evaled>>) {
     let keys: Vec<Tensor> = outs[..reduce.n_keys]
         .iter()
         .map(|(v, validity)| {
@@ -116,90 +163,25 @@ fn eval_reduce(
     (keys, args)
 }
 
-/// Execute an aggregation over a batch, sequentially (the metered/GpuSim
-/// path, where modeled time must not depend on host threads).
-pub fn aggregate(
+/// Evaluate the reduce bundle over a batch: key and argument columns.
+fn eval_reduce(
     input: &Batch,
     reduce: &ReduceExprs,
-    strategy: Strategy,
     models: &ModelRegistry,
     fuse: bool,
-    flat: bool,
-) -> Batch {
-    aggregate_seq(input, reduce, strategy, models, 1, fuse, flat)
-}
-
-/// Execute an aggregation with the partitioned parallel path when eligible
-/// (input ≥ [`par_min_rows`], no `COUNT(DISTINCT)`); otherwise sequential
-/// with `workers` threading only the internal argsort.
-///
-/// Path selection depends on the input and program alone — never on
-/// `workers` — so results are bit-identical at every worker count.
-pub fn aggregate_par(
-    input: &Batch,
-    reduce: &ReduceExprs,
-    strategy: Strategy,
-    models: &ModelRegistry,
-    workers: usize,
-    fuse: bool,
-    flat: bool,
-) -> Batch {
-    let workers = workers.max(1);
-    let n = input.nrows();
-    if !parallel_eligible(&reduce.aggs) || n < par_min_rows() {
-        return aggregate_seq(input, reduce, strategy, models, workers, fuse, flat);
-    }
-    let morsel_rows = par_morsel_rows();
-    let n_morsels = n.div_ceil(morsel_rows);
-    let partials = map_morsels(n_morsels, workers, |m| {
-        // Morsel boundary: deadline/cancellation check per partial.
-        crate::sched::check_cancelled();
-        let lo = m * morsel_rows;
-        let hi = ((m + 1) * morsel_rows).min(n);
-        partial_aggregate(&input.slice_rows(lo, hi), reduce, models, fuse, flat)
-    });
-    merge_partials(
-        partials,
-        reduce.n_keys,
-        &reduce.aggs,
-        strategy,
-        workers,
-        flat,
+) -> (Vec<Tensor>, Vec<Option<Evaled>>) {
+    split_outs(
+        &exprfuse::eval_all(&reduce.exprs, input, models, fuse),
+        reduce,
     )
 }
 
-/// Run `f(m)` for every morsel index in `0..n_morsels`, scheduling
-/// contiguous blocks of morsels across up to `workers` threads. Results
-/// return in morsel order. This is *scheduling only*: the set of calls and
-/// the result order never depend on `workers` (the determinism contract's
-/// scheduling half, shared by [`aggregate_par`] and the VM's fused
-/// segment+aggregation route).
-pub fn map_morsels<T: Send>(
-    n_morsels: usize,
-    workers: usize,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let threads = workers.min(n_morsels).max(1);
-    if threads <= 1 {
-        return (0..n_morsels).map(f).collect();
-    }
-    // Same contiguous block geometry as the scoped-thread era, but the
-    // blocks are tasks on the shared pool scheduler (the process-wide
-    // morsel scheduler concurrent queries submit to) instead of freshly
-    // spawned threads. Block shape depends only on (n_morsels, workers),
-    // never on pool occupancy, so result order — and thus the partial
-    // merge order — is unchanged.
-    let per_thread = n_morsels.div_ceil(threads);
-    let n_blocks = n_morsels.div_ceil(per_thread);
-    let blocks: Vec<Vec<T>> = crate::sched::map_tasks(n_blocks, workers, |b| {
-        let lo = b * per_thread;
-        let hi = ((b + 1) * per_thread).min(n_morsels);
-        (lo..hi).map(&f).collect()
-    });
-    blocks.into_iter().flatten().collect()
-}
-
-fn aggregate_seq(
+/// Execute an aggregation over a whole batch on the calling thread:
+/// metered/GpuSim runs (modeled time must not depend on host threads, so
+/// they pass `workers = 1`), inputs under [`par_min_rows`], and reductions
+/// [`morsel_shape`] refuses. `workers` threads only the sort strategy's
+/// argsort, whose permutation is unique.
+pub fn aggregate(
     input: &Batch,
     reduce: &ReduceExprs,
     strategy: Strategy,
@@ -214,8 +196,113 @@ fn aggregate_seq(
     }
     match strategy {
         Strategy::Sort => sort_aggregate(&keys, &reduce.aggs, &args, input.nrows(), workers),
-        Strategy::Hash => hash_aggregate(&keys, &reduce.aggs, &args, input.nrows(), flat),
+        Strategy::Hash => hash_aggregate(&keys, &reduce.aggs, &args, input.nrows(), flat).0,
     }
+}
+
+/// The morsel driver behind every parallel `GroupedReduce`: `morsel(m)`
+/// yields the aggregate's input rows of morsel `m` (plus whatever the
+/// caller wants back per morsel, e.g. its chain's op samples), `shape`
+/// says what to do with them. Returns the aggregate, the per-morsel extras
+/// in morsel order, and the **worker time** spent aggregating in µs
+/// (summed over tasks, excluding the time inside `morsel`).
+///
+/// Callers fix the morsel geometry from the data alone ([`par_morsel_rows`]
+/// over the source's original row space) and pick `shape` from the plan
+/// ([`morsel_shape`]) — never from `workers` — so results are bit-identical
+/// at every worker count.
+#[allow(clippy::too_many_arguments)]
+pub fn aggregate_morsels<S: Send>(
+    n_morsels: usize,
+    morsel: impl Fn(usize) -> (Batch, S) + Sync,
+    shape: Shape,
+    reduce: &ReduceExprs,
+    strategy: Strategy,
+    models: &ModelRegistry,
+    workers: usize,
+    fuse: bool,
+    flat: bool,
+) -> (Batch, Vec<S>, u64) {
+    let workers = workers.max(1);
+    match shape {
+        Shape::Partial => {
+            let (partials, extras, busy_us) = each_morsel(n_morsels, workers, morsel, |rows| {
+                partial_aggregate(rows, reduce, models, fuse, flat)
+            });
+            // The merge runs on this thread.
+            let t0 = Instant::now();
+            let out = merge_partials(
+                partials,
+                reduce.n_keys,
+                &reduce.aggs,
+                strategy,
+                workers,
+                flat,
+            );
+            (out, extras, busy_us + t0.elapsed().as_micros() as u64)
+        }
+        Shape::Partitioned => {
+            let bits = partition_bits(n_morsels);
+            let (binned, extras, busy_us) = each_morsel(n_morsels, workers, morsel, |rows| {
+                bin_morsel(rows, reduce, models, fuse, bits)
+            });
+            let (out, tasks_us) =
+                aggregate_partitions(&binned, bits, reduce, strategy, workers, flat);
+            (out, extras, busy_us + tasks_us)
+        }
+    }
+}
+
+/// Phase 1 of either shape, one task per morsel: `work` over the rows
+/// `morsel(m)` yields. Returns the per-morsel results and extras in morsel
+/// order and the time spent inside `work`, summed, µs.
+fn each_morsel<S: Send, T: Send>(
+    n_morsels: usize,
+    workers: usize,
+    morsel: impl Fn(usize) -> (Batch, S) + Sync,
+    work: impl Fn(&Batch) -> T + Sync,
+) -> (Vec<T>, Vec<S>, u64) {
+    let done = map_morsels(n_morsels, workers, |m| {
+        // Morsel boundary: deadline/cancellation check.
+        crate::sched::check_cancelled();
+        let (rows, extra) = morsel(m);
+        let t0 = Instant::now();
+        (work(&rows), extra, t0.elapsed().as_micros() as u64)
+    });
+    let mut results = Vec::with_capacity(n_morsels);
+    let mut extras = Vec::with_capacity(n_morsels);
+    let mut busy_us = 0u64;
+    for (result, extra, us) in done {
+        results.push(result);
+        extras.push(extra);
+        busy_us += us;
+    }
+    (results, extras, busy_us)
+}
+
+/// Run `f(m)` for every morsel index in `0..n_morsels`, scheduling
+/// contiguous blocks of morsels across up to `workers` threads. Results
+/// return in morsel order. This is *scheduling only*: the set of calls and
+/// the result order never depend on `workers` (the determinism contract's
+/// scheduling half).
+fn map_morsels<T: Send>(n_morsels: usize, workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let threads = workers.min(n_morsels).max(1);
+    if threads <= 1 {
+        return (0..n_morsels).map(f).collect();
+    }
+    // Contiguous blocks of morsels are tasks on the shared pool scheduler
+    // (the process-wide morsel scheduler concurrent queries submit to).
+    // Block shape depends only on (n_morsels, workers), never on pool
+    // occupancy, so result order — and thus the partial merge order — is
+    // fixed.
+    let per_thread = n_morsels.div_ceil(threads);
+    let n_blocks = n_morsels.div_ceil(per_thread);
+    let blocks: Vec<Vec<T>> = crate::sched::map_tasks(n_blocks, workers, |b| {
+        let lo = b * per_thread;
+        let hi = ((b + 1) * per_thread).min(n_morsels);
+        (lo..hi).map(&f).collect()
+    });
+    blocks.into_iter().flatten().collect()
 }
 
 fn global_aggregate(n_rows: usize, aggs: &[CompiledAgg], args: &[Option<Evaled>]) -> Batch {
@@ -324,13 +411,13 @@ fn apply_validity(vals: Tensor, validity: Option<Tensor>) -> (Tensor, usize) {
 }
 
 // ---------------------------------------------------------------------
-// Partitioned parallel path: per-morsel partials + ordered merge
+// Partial shape: per-morsel partials + ordered merge
 // ---------------------------------------------------------------------
 
 /// Mergeable partial aggregation state for one morsel: the morsel's group
 /// keys (one row per local group, first-appearance order) and one
 /// accumulator column per aggregate call.
-pub struct AggPartial {
+struct AggPartial {
     /// Group-key columns materialized at local group firsts.
     keys: Vec<Tensor>,
     /// One partial per aggregate call, aligned with `keys` rows.
@@ -352,7 +439,7 @@ struct Partial {
 /// Compute the partial aggregation state of one morsel. The compiled
 /// reduce program (group keys, aggregate arguments) evaluates on the
 /// morsel slice, so this step parallelizes the expression work too.
-pub fn partial_aggregate(
+fn partial_aggregate(
     morsel: &Batch,
     reduce: &ReduceExprs,
     models: &ModelRegistry,
@@ -443,7 +530,7 @@ fn one_partial(call: &CompiledAgg, arg: &Option<Evaled>, ids: &Tensor, g: usize)
 ///
 /// Output group order matches the sequential strategies: `Hash` keeps
 /// global first-appearance order, `Sort` sorts groups by their keys.
-pub fn merge_partials(
+fn merge_partials(
     partials: Vec<AggPartial>,
     n_group_cols: usize,
     aggs: &[CompiledAgg],
@@ -490,12 +577,7 @@ pub fn merge_partials(
     }
     let out = Batch::new(columns);
     if strategy == Strategy::Sort && n_group_cols > 0 {
-        let sort_keys: Vec<SortKey> = out.columns[..n_group_cols]
-            .iter()
-            .map(|k| SortKey::asc(k.clone()))
-            .collect();
-        let perm = argsort_multi_par(&sort_keys, workers);
-        return out.take(&perm);
+        return sort_groups_by_key(out, n_group_cols, workers);
     }
     out
 }
@@ -577,6 +659,180 @@ fn merge_one(
     }
 }
 
+// ---------------------------------------------------------------------
+// Partitioned shape: bin rows by key hash, aggregate each partition once
+// ---------------------------------------------------------------------
+
+/// Cap on the partition count (`2^6`): a 16 Ki-row morsel still bins a
+/// few hundred rows per partition.
+const MAX_PARTITION_BITS: u32 = 6;
+
+/// log2 of the partition count: about one partition per morsel, so a
+/// partition's rows and group table stay cache-sized at any input size
+/// the cap covers. The count is free — every value produces the same
+/// result — so it follows the data alone.
+fn partition_bits(n_morsels: usize) -> u32 {
+    n_morsels
+        .next_power_of_two()
+        .trailing_zeros()
+        .clamp(1, MAX_PARTITION_BITS)
+}
+
+/// One morsel's input on the partitioned shape, clustered by partition.
+struct BinnedMorsel {
+    /// The evaluated reduce outputs (key columns, then argument columns
+    /// with their validity), rows reordered partition by partition and
+    /// ascending within each.
+    rows: Batch,
+    /// The morsel-local row each clustered row came from.
+    order: Tensor,
+    /// Partition `p` owns clustered rows `starts[p]..starts[p + 1]`.
+    starts: Vec<usize>,
+}
+
+/// Phase 1 of the partitioned shape: evaluate the reduce bundle over the
+/// morsel, hash the keys once, and cluster the rows by the hash's top
+/// `bits` bits — a counting sort, so rows keep their order inside a
+/// partition. Gathering here, while the morsel is cache-resident, leaves
+/// phase 2 contiguous slices to read instead of one row per cache line.
+fn bin_morsel(
+    morsel: &Batch,
+    reduce: &ReduceExprs,
+    models: &ModelRegistry,
+    fuse: bool,
+    bits: u32,
+) -> BinnedMorsel {
+    let (columns, validity): (Vec<Tensor>, Vec<Option<Tensor>>) =
+        exprfuse::eval_all(&reduce.exprs, morsel, models, fuse)
+            .into_iter()
+            .unzip();
+    let key_refs: Vec<&Tensor> = columns[..reduce.n_keys].iter().collect();
+    let hashes = tqp_tensor::hash::hash_columns(&key_refs);
+    let partition = |h: u64| (h >> (64 - bits)) as usize;
+    let mut starts = vec![0usize; (1 << bits) + 1];
+    for &h in &hashes {
+        starts[partition(h) + 1] += 1;
+    }
+    for p in 0..1 << bits {
+        starts[p + 1] += starts[p];
+    }
+    let mut next = starts.clone();
+    let mut order = vec![0i64; hashes.len()];
+    for (i, &h) in hashes.iter().enumerate() {
+        let slot = &mut next[partition(h)];
+        order[*slot] = i as i64;
+        *slot += 1;
+    }
+    let order = Tensor::from_i64(order);
+    BinnedMorsel {
+        rows: Batch::with_validity(columns, validity).take(&order),
+        order,
+        starts,
+    }
+}
+
+/// Phase 2 of the partitioned shape: one task per partition concatenates
+/// its slice of every morsel — its rows in ascending input order — and
+/// hash-aggregates them once; the partitions' groups are then emitted in
+/// ascending first-row order (`Hash`) or key order (`Sort`) — exactly the
+/// order of the sequential strategies. Returns the aggregate and the
+/// worker time spent, µs.
+fn aggregate_partitions(
+    morsels: &[BinnedMorsel],
+    bits: u32,
+    reduce: &ReduceExprs,
+    strategy: Strategy,
+    workers: usize,
+    flat: bool,
+) -> (Batch, u64) {
+    // Input-order position of each morsel's first row.
+    let mut base = Vec::with_capacity(morsels.len());
+    let mut n_rows = 0usize;
+    for m in morsels {
+        base.push(n_rows);
+        n_rows += m.rows.nrows();
+    }
+    let parts = crate::sched::map_tasks(1usize << bits, workers, |pi| {
+        // Partition boundary: deadline/cancellation check.
+        crate::sched::check_cancelled();
+        let t0 = Instant::now();
+        let slices: Vec<_> = morsels
+            .iter()
+            .map(|m| (&m.rows, m.starts[pi]..m.starts[pi + 1]))
+            .collect();
+        let rows = Batch::vcat_ranges(&slices);
+        let n = rows.nrows();
+        let outs: Vec<Evaled> = rows.columns.into_iter().zip(rows.validity).collect();
+        let (keys, args) = split_outs(&outs, reduce);
+        let (groups, firsts) = hash_aggregate(&keys, &reduce.aggs, &args, n, flat);
+        // Each group's first row as an input-order position: `firsts`
+        // ascends over the partition's rows, which list morsel after
+        // morsel, so one forward walk over the morsels resolves them all.
+        let mut first_rows = Vec::with_capacity(firsts.nrows());
+        let (mut m, mut before) = (0usize, 0usize);
+        for &f in firsts.as_i64() {
+            let f = f as usize;
+            while f >= before + morsels[m].starts[pi + 1] - morsels[m].starts[pi] {
+                before += morsels[m].starts[pi + 1] - morsels[m].starts[pi];
+                m += 1;
+            }
+            let local = morsels[m].order.as_i64()[morsels[m].starts[pi] + f - before];
+            first_rows.push(base[m] + local as usize);
+        }
+        (groups, first_rows, t0.elapsed().as_micros() as u64)
+    });
+    let t0 = Instant::now();
+    let mut groups = Vec::with_capacity(parts.len());
+    let mut first_rows = Vec::with_capacity(parts.len());
+    let mut busy_us = 0u64;
+    for (g, f, us) in parts {
+        groups.push(g);
+        first_rows.push(f);
+        busy_us += us;
+    }
+    let out = Batch::vcat_all(groups);
+    let out = match strategy {
+        Strategy::Sort => sort_groups_by_key(out, reduce.n_keys, workers),
+        Strategy::Hash => out.take(&first_row_order(&first_rows, n_rows)),
+    };
+    (out, busy_us + t0.elapsed().as_micros() as u64)
+}
+
+/// The permutation that lists the partitions' concatenated groups by
+/// ascending first row. First rows are distinct positions in `0..n_rows`,
+/// so a bitmap of them ranks each in O(1): O(n_rows / 64 + groups) overall,
+/// no comparison sort.
+fn first_row_order(first_rows: &[Vec<usize>], n_rows: usize) -> Tensor {
+    let mut bits = vec![0u64; n_rows.div_ceil(64)];
+    for &f in first_rows.iter().flatten() {
+        bits[f / 64] |= 1 << (f % 64);
+    }
+    // Set bits before each word.
+    let mut rank = Vec::with_capacity(bits.len());
+    let mut seen = 0usize;
+    for w in &bits {
+        rank.push(seen);
+        seen += w.count_ones() as usize;
+    }
+    let mut perm = vec![0i64; seen];
+    for (g, &f) in first_rows.iter().flatten().enumerate() {
+        let below = bits[f / 64] & ((1u64 << (f % 64)) - 1);
+        perm[rank[f / 64] + below.count_ones() as usize] = g as i64;
+    }
+    Tensor::from_i64(perm)
+}
+
+/// Order an aggregate's groups by their key columns (the sort strategy's
+/// output order).
+fn sort_groups_by_key(out: Batch, n_keys: usize, workers: usize) -> Batch {
+    let sort_keys: Vec<SortKey> = out.columns[..n_keys]
+        .iter()
+        .map(|k| SortKey::asc(k.clone()))
+        .collect();
+    let perm = argsort_multi_par(&sort_keys, workers);
+    out.take(&perm)
+}
+
 /// Hash-group rows by key equality (collision-verified). Returns dense
 /// group ids in first-appearance order plus one representative row per
 /// group. Zero key columns means a single global group (the ungrouped
@@ -600,8 +856,15 @@ fn hash_group_rows(keys: &[Tensor], n: usize, flat: bool) -> (Tensor, Tensor) {
     let key_refs: Vec<&Tensor> = keys.iter().collect();
     if flat {
         let hashes = tqp_tensor::hash::hash_columns(&key_refs);
-        let (gids, firsts) =
-            tqp_tensor::hash::group_rows_by_hash(&hashes, |i, j| rows_equal(keys, i, j));
+        // A single bare-I64 key (the test `join::flat_keys` makes) compares
+        // through one slice instead of the per-dtype dispatch per probe.
+        let (gids, firsts) = match keys {
+            [k] if k.dtype() == DType::I64 && k.shape().len() == 1 => {
+                let v = k.as_i64();
+                tqp_tensor::hash::group_rows_by_hash(&hashes, |i, j| v[i] == v[j])
+            }
+            _ => tqp_tensor::hash::group_rows_by_hash(&hashes, |i, j| rows_equal(keys, i, j)),
+        };
         return (Tensor::from_i64(gids), Tensor::from_i64(firsts));
     }
     let hashes = hash_rows(&key_refs);
@@ -782,13 +1045,15 @@ fn distinct_per_group(
 // Hash strategy
 // ---------------------------------------------------------------------
 
+/// Returns the aggregate (groups in first-appearance order) and each
+/// group's first row.
 fn hash_aggregate(
     keys: &[Tensor],
     aggs: &[CompiledAgg],
     args: &[Option<Evaled>],
     n: usize,
     flat: bool,
-) -> Batch {
+) -> (Batch, Tensor) {
     let (ids, firsts) = hash_group_rows(keys, n, flat);
     let g = firsts.nrows();
 
@@ -828,7 +1093,7 @@ fn hash_aggregate(
         };
         columns.push(col);
     }
-    Batch::new(columns)
+    (Batch::new(columns), firsts)
 }
 
 fn rows_equal(keys: &[Tensor], i: usize, j: usize) -> bool {
@@ -880,6 +1145,33 @@ mod tests {
         ReduceExprs::compile(group_by, aggs)
     }
 
+    /// Morsel-driven aggregation of a batch in hand, the way the VM's
+    /// non-fused route slices it.
+    fn morsels(
+        b: &Batch,
+        reduce: &ReduceExprs,
+        strategy: Strategy,
+        shape: Shape,
+        workers: usize,
+        flat: bool,
+    ) -> Batch {
+        let (n, rows) = (b.nrows(), par_morsel_rows());
+        let morsel = |m: usize| (b.slice_rows(m * rows, ((m + 1) * rows).min(n)), ());
+        let models = ModelRegistry::new();
+        aggregate_morsels(
+            n.div_ceil(rows),
+            morsel,
+            shape,
+            reduce,
+            strategy,
+            &models,
+            workers,
+            true,
+            flat,
+        )
+        .0
+    }
+
     fn run(strategy: Strategy) -> Batch {
         aggregate(
             &batch(),
@@ -896,6 +1188,7 @@ mod tests {
             ),
             strategy,
             &ModelRegistry::new(),
+            1,
             true,
             true,
         )
@@ -963,6 +1256,7 @@ mod tests {
             &reduce,
             Strategy::Sort,
             &ModelRegistry::new(),
+            1,
             true,
             true,
         );
@@ -983,6 +1277,7 @@ mod tests {
             ),
             Strategy::Sort,
             &ModelRegistry::new(),
+            1,
             true,
             true,
         );
@@ -1012,6 +1307,7 @@ mod tests {
             ),
             Strategy::Sort,
             &ModelRegistry::new(),
+            1,
             true,
             true,
         );
@@ -1034,6 +1330,7 @@ mod tests {
             &reduce_of(&[E::col(0, LogicalType::Str)], &[star()]),
             Strategy::Sort,
             &ModelRegistry::new(),
+            1,
             true,
             true,
         );
@@ -1071,6 +1368,7 @@ mod tests {
                 ),
                 strat,
                 &ModelRegistry::new(),
+                1,
                 true,
                 true,
             );
@@ -1109,9 +1407,9 @@ mod tests {
         );
         let models = ModelRegistry::new();
         for strat in [Strategy::Sort, Strategy::Hash] {
-            let one = aggregate_par(&b, &reduce, strat, &models, 1, true, true);
+            let one = morsels(&b, &reduce, strat, Shape::Partial, 1, true);
             for workers in [2, 5, 8] {
-                let many = aggregate_par(&b, &reduce, strat, &models, workers, true, true);
+                let many = morsels(&b, &reduce, strat, Shape::Partial, workers, true);
                 assert_eq!(one.nrows(), many.nrows(), "{strat:?}");
                 for c in 0..one.ncols() {
                     match one.columns[c].dtype() {
@@ -1143,7 +1441,7 @@ mod tests {
             // order (that is what makes the input adversarial); their
             // seq-vs-par agreement is asserted on benign values in
             // `parallel_grouped_matches_sequential`.
-            let seq = aggregate(&b, &reduce, strat, &models, true, true);
+            let seq = aggregate(&b, &reduce, strat, &models, 1, true, true);
             assert_eq!(seq.nrows(), one.nrows(), "{strat:?}");
             assert_eq!(
                 seq.columns[0].as_i64(),
@@ -1205,8 +1503,8 @@ mod tests {
         );
         let models = ModelRegistry::new();
         for strat in [Strategy::Sort, Strategy::Hash] {
-            let seq = aggregate(&b, &reduce, strat, &models, true, true);
-            let par = aggregate_par(&b, &reduce, strat, &models, 4, true, true);
+            let seq = aggregate(&b, &reduce, strat, &models, 1, true, true);
+            let par = morsels(&b, &reduce, strat, Shape::Partial, 4, true);
             assert_eq!(seq.nrows(), par.nrows(), "{strat:?}");
             for c in 0..seq.ncols() {
                 assert_eq!(
@@ -1234,9 +1532,8 @@ mod tests {
                 star(),
             ],
         );
-        let models = ModelRegistry::new();
-        let one = aggregate_par(&b, &reduce, Strategy::Sort, &models, 1, true, true);
-        let many = aggregate_par(&b, &reduce, Strategy::Sort, &models, 6, true, true);
+        let one = morsels(&b, &reduce, Strategy::Sort, Shape::Partial, 1, true);
+        let many = morsels(&b, &reduce, Strategy::Sort, Shape::Partial, 6, true);
         assert_eq!(one.nrows(), 1);
         assert_eq!(
             one.columns[0].as_f64()[0].to_bits(),
@@ -1279,9 +1576,9 @@ mod tests {
             ],
         );
         let models = ModelRegistry::new();
-        let seq = aggregate(&b, &reduce, Strategy::Hash, &models, true, true);
+        let seq = aggregate(&b, &reduce, Strategy::Hash, &models, 1, true, true);
         for workers in [1usize, 4] {
-            let par = aggregate_par(&b, &reduce, Strategy::Hash, &models, workers, true, true);
+            let par = morsels(&b, &reduce, Strategy::Hash, Shape::Partial, workers, true);
             assert_eq!(seq.nrows(), par.nrows(), "workers {workers}");
             assert_eq!(seq.columns[0].str_at(0), par.columns[0].str_at(0));
             assert_eq!(seq.columns[1].str_at(0), par.columns[1].str_at(0));
@@ -1331,9 +1628,9 @@ mod tests {
         );
         let models = ModelRegistry::new();
         for strat in [Strategy::Sort, Strategy::Hash] {
-            let seq = aggregate(&b, &reduce, strat, &models, true, true);
+            let seq = aggregate(&b, &reduce, strat, &models, 1, true, true);
             for workers in [1usize, 4] {
-                let par = aggregate_par(&b, &reduce, strat, &models, workers, true, true);
+                let par = morsels(&b, &reduce, strat, Shape::Partial, workers, true);
                 assert_eq!(seq.nrows(), par.nrows(), "{strat:?}");
                 assert_eq!(seq.columns[1].as_i64(), par.columns[1].as_i64());
                 for r in 0..seq.nrows() {
@@ -1342,6 +1639,207 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Bitwise batch equality: dtypes, row counts, float bit patterns,
+    /// string rows (padding width aside).
+    fn assert_bitwise(a: &Batch, b: &Batch, what: &str) {
+        assert_eq!(a.ncols(), b.ncols(), "{what}: arity");
+        assert_eq!(a.nrows(), b.nrows(), "{what}: rows");
+        for c in 0..a.ncols() {
+            let (x, y) = (&a.columns[c], &b.columns[c]);
+            assert_eq!(x.dtype(), y.dtype(), "{what}: col {c} dtype");
+            match x.dtype() {
+                DType::F64 => {
+                    let bits = |t: &Tensor| -> Vec<u64> {
+                        t.as_f64().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(x), bits(y), "{what}: col {c} float bits");
+                }
+                DType::U8 => {
+                    for r in 0..a.nrows() {
+                        assert_eq!(x.str_at(r), y.str_at(r), "{what}: col {c} row {r}");
+                    }
+                }
+                _ => assert_eq!(x, y, "{what}: col {c}"),
+            }
+        }
+    }
+
+    /// Every aggregate function over NULL-bearing arguments, float, int and
+    /// string, keyed by `(k0: i64, k1: str)`.
+    fn everything(n_keys: usize) -> ReduceExprs {
+        let arg = |func, col, arg_ty, ty| AggCall {
+            func,
+            arg: Some(E::col(col, arg_ty)),
+            ty,
+        };
+        use LogicalType::{Float64 as F, Int64 as I, Str as S};
+        reduce_of(
+            &[E::col(0, I), E::col(1, S)][..n_keys],
+            &[
+                arg(AggFunc::Sum, 2, F, F),
+                arg(AggFunc::Avg, 2, F, F),
+                arg(AggFunc::Min, 2, F, F),
+                arg(AggFunc::Max, 2, F, F),
+                arg(AggFunc::Count, 2, F, I),
+                arg(AggFunc::Sum, 3, I, I),
+                arg(AggFunc::Min, 3, I, I),
+                arg(AggFunc::Max, 3, I, I),
+                arg(AggFunc::CountDistinct, 3, I, I),
+                arg(AggFunc::Min, 4, S, S),
+                arg(AggFunc::Max, 4, S, S),
+                star(),
+            ],
+        )
+    }
+
+    /// `n` rows for [`everything`]: key `key(i)`, adversarial float
+    /// magnitudes (the association-sensitive data of
+    /// `parallel_float_sum_bit_identical_across_worker_counts`) with NULLs,
+    /// ints with NULLs, strings.
+    fn everything_batch(n: usize, key: impl Fn(usize) -> i64) -> Batch {
+        let words = ["pear", "apple", "kiwi", "zed", "fig"];
+        let strs = |f: &dyn Fn(usize) -> usize| -> Tensor {
+            let v: Vec<&str> = (0..n).map(|i| words[f(i) % words.len()]).collect();
+            Tensor::from_strings(&v, 0)
+        };
+        let vals: Vec<f64> = (0..n)
+            .map(|i| match i % 4 {
+                0 => 1e18,
+                1 => 1.0,
+                2 => -1e18,
+                _ => 0.1 + (i % 997) as f64 * 1e-7,
+            })
+            .collect();
+        Batch::with_validity(
+            vec![
+                Tensor::from_i64((0..n).map(&key).collect()),
+                strs(&|i| key(i) as usize),
+                Tensor::from_f64(vals),
+                Tensor::from_i64((0..n).map(|i| (i % 13) as i64).collect()),
+                strs(&|i| i / 3),
+            ],
+            vec![
+                None,
+                None,
+                Some(Tensor::from_bool((0..n).map(|i| i % 11 != 0).collect())),
+                Some(Tensor::from_bool((0..n).map(|i| i % 7 != 3).collect())),
+                None,
+            ],
+        )
+    }
+
+    /// The partitioned shape is bit-for-bit the sequential aggregate — group
+    /// order, keys and every aggregate, float association included — at
+    /// every worker count, both strategies, both hash engines; for
+    /// duplicate-heavy keys, all-distinct keys and one giant group.
+    #[test]
+    fn partitioned_is_bitwise_the_sequential_aggregate() {
+        let n = par_min_rows() * 2 + 4321;
+        let models = ModelRegistry::new();
+        type Key = fn(usize) -> i64;
+        let shapes: [(&str, Key); 3] = [
+            ("duplicate-heavy", |i| ((i * 7919) % 2003) as i64),
+            ("all-distinct", |i| (i as i64 * 7919) % 1_000_003),
+            ("one-group", |_| 42),
+        ];
+        for (name, key) in shapes {
+            let b = everything_batch(n, key);
+            for n_keys in [1, 2] {
+                let reduce = everything(n_keys);
+                for strat in [Strategy::Hash, Strategy::Sort] {
+                    let seq = aggregate(&b, &reduce, strat, &models, 1, true, true);
+                    for (workers, flat) in [(1, true), (2, true), (4, true), (8, true), (4, false)]
+                    {
+                        let par = morsels(&b, &reduce, strat, Shape::Partitioned, workers, flat);
+                        let what =
+                            format!("{name} keys={n_keys} {strat:?} w={workers} flat={flat}");
+                        assert_bitwise(&seq, &par, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Morsels a fused filter emptied (some, or all of them) change nothing:
+    /// the partitioned result is the sequential aggregate of the surviving
+    /// rows; an empty input yields no groups.
+    #[test]
+    fn partitioned_over_empty_morsels_and_empty_input() {
+        let rows = par_morsel_rows();
+        let n = rows * 6 + 17;
+        let b = everything_batch(n, |i| ((i * 31) % 4001) as i64);
+        let reduce = everything(2);
+        let models = ModelRegistry::new();
+        let run = |alive: &(dyn Fn(usize) -> bool + Sync), workers: usize| -> Batch {
+            let morsel = |m: usize| {
+                let hi = if alive(m) {
+                    ((m + 1) * rows).min(n)
+                } else {
+                    m * rows
+                };
+                (b.slice_rows(m * rows, hi), ())
+            };
+            aggregate_morsels(
+                n.div_ceil(rows),
+                morsel,
+                Shape::Partitioned,
+                &reduce,
+                Strategy::Hash,
+                &models,
+                workers,
+                true,
+                true,
+            )
+            .0
+        };
+        // Morsels 1, 3, 5 survive: the sequential oracle sees those rows.
+        let kept: Vec<Batch> = [1, 3, 5]
+            .iter()
+            .map(|&m| b.slice_rows(m * rows, (m + 1) * rows))
+            .collect();
+        let seq = aggregate(
+            &Batch::vcat_all(kept),
+            &reduce,
+            Strategy::Hash,
+            &models,
+            1,
+            true,
+            true,
+        );
+        for workers in [1, 4] {
+            let par = run(&|m| m % 2 == 1, workers);
+            assert_bitwise(&seq, &par, &format!("odd morsels, w={workers}"));
+            let none = run(&|_| false, workers);
+            assert_eq!(none.nrows(), 0, "empty input, w={workers}");
+            assert_eq!(none.ncols(), seq.ncols());
+        }
+    }
+
+    /// The plan's estimate picks the shape: more than half a morsel of
+    /// groups partitions; `COUNT(DISTINCT)` is morsel-parallel only then.
+    #[test]
+    fn shape_follows_the_group_estimate() {
+        let half = (par_morsel_rows() / 2) as u64;
+        let grouped = reduce_of(&[E::col(0, LogicalType::Int64)], &[star()]);
+        assert_eq!(morsel_shape(&grouped, None), Some(Shape::Partial));
+        assert_eq!(morsel_shape(&grouped, Some(half)), Some(Shape::Partial));
+        assert_eq!(
+            morsel_shape(&grouped, Some(half + 1)),
+            Some(Shape::Partitioned)
+        );
+        let global = reduce_of(&[], &[star()]);
+        assert_eq!(morsel_shape(&global, Some(half + 1)), Some(Shape::Partial));
+        let distinct = reduce_of(
+            &[E::col(0, LogicalType::Int64)],
+            &[call(AggFunc::CountDistinct, 2, LogicalType::Int64)],
+        );
+        assert_eq!(morsel_shape(&distinct, None), None);
+        assert_eq!(
+            morsel_shape(&distinct, Some(half + 1)),
+            Some(Shape::Partitioned)
+        );
     }
 
     #[test]
@@ -1362,6 +1860,7 @@ mod tests {
             ),
             Strategy::Sort,
             &ModelRegistry::new(),
+            1,
             true,
             true,
         );

@@ -4,7 +4,9 @@
 //! optional validity mask per column — NULLs exist only downstream of
 //! left-outer joins in the TPC-H workload, so most columns carry `None`.
 
-use tqp_tensor::index::{concat, slice_rows, take};
+use std::ops::Range;
+
+use tqp_tensor::index::{concat, concat_ranges, slice_rows, take};
 use tqp_tensor::Tensor;
 
 /// A set of equal-length column tensors with optional validity.
@@ -119,44 +121,58 @@ impl Batch {
 
     /// Vertical concatenation of two batches (validity-aware).
     pub fn vcat(a: Batch, b: Batch) -> Batch {
-        assert_eq!(a.ncols(), b.ncols(), "vcat arity mismatch");
-        if a.nrows() == 0 {
-            return b;
+        Batch::vcat_all(vec![a, b])
+    }
+
+    /// Vertical concatenation of any number of batches, in order
+    /// (validity-aware), each column copied once. Zero-row parts
+    /// contribute nothing; when every part is empty the first is returned.
+    pub fn vcat_all(parts: Vec<Batch>) -> Batch {
+        let whole: Vec<(&Batch, Range<usize>)> = parts.iter().map(|p| (p, 0..p.nrows())).collect();
+        Batch::vcat_ranges(&whole)
+    }
+
+    /// [`Batch::vcat_all`] of a row range of each part, without
+    /// materializing the slices.
+    pub fn vcat_ranges(parts: &[(&Batch, Range<usize>)]) -> Batch {
+        assert!(!parts.is_empty(), "vcat of zero batches");
+        let ncols = parts[0].0.ncols();
+        assert!(
+            parts.iter().all(|(p, _)| p.ncols() == ncols),
+            "vcat arity mismatch"
+        );
+        let filled: Vec<&(&Batch, Range<usize>)> =
+            parts.iter().filter(|(_, r)| !r.is_empty()).collect();
+        match filled[..] {
+            [] => return parts[0].0.slice_rows(parts[0].1.start, parts[0].1.start),
+            [(p, r)] if r.len() == p.nrows() => return (*p).clone(),
+            _ => {}
         }
-        if b.nrows() == 0 {
-            return a;
-        }
-        let columns: Vec<Tensor> = a
-            .columns
-            .iter()
-            .zip(&b.columns)
-            .map(|(x, y)| concat(&[x, y]))
+        let columns: Vec<Tensor> = (0..ncols)
+            .map(|c| {
+                let cols: Vec<(&Tensor, Range<usize>)> = filled
+                    .iter()
+                    .map(|(p, r)| (&p.columns[c], r.clone()))
+                    .collect();
+                concat_ranges(&cols)
+            })
             .collect();
-        let validity: Vec<Option<Tensor>> = a
-            .validity
-            .iter()
-            .zip(&b.validity)
-            .map(|(va, vb)| match (va, vb) {
-                (None, None) => None,
-                _ => {
-                    let xa = va
-                        .clone()
-                        .unwrap_or_else(|| Tensor::from_bool(vec![true; a.nrows()]));
-                    let xb = vb
-                        .clone()
-                        .unwrap_or_else(|| Tensor::from_bool(vec![true; b.nrows()]));
-                    Some(concat(&[&xa, &xb]))
+        let validity: Vec<Option<Tensor>> = (0..ncols)
+            .map(|c| {
+                if filled.iter().all(|(p, _)| p.validity[c].is_none()) {
+                    return None;
                 }
+                let masks: Vec<Tensor> = filled
+                    .iter()
+                    .map(|(p, r)| match &p.validity[c] {
+                        Some(m) => slice_rows(m, r.start, r.end),
+                        None => Tensor::from_bool(vec![true; r.len()]),
+                    })
+                    .collect();
+                Some(concat(&masks.iter().collect::<Vec<_>>()))
             })
             .collect();
         Batch::with_validity(columns, validity)
-    }
-
-    /// Vertical concatenation of any number of batches, in order.
-    pub fn vcat_all(parts: Vec<Batch>) -> Batch {
-        let mut parts = parts.into_iter();
-        let first = parts.next().expect("vcat_all of zero batches");
-        parts.fold(first, Batch::vcat)
     }
 }
 

@@ -159,10 +159,7 @@ pub struct ExecConfig {
 /// Default CPU worker count: all cores, capped to keep scoped-thread spawn
 /// overhead negligible on very wide machines.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
+    tqp_tensor::pool::num_threads().min(8)
 }
 
 impl Default for ExecConfig {

@@ -122,11 +122,15 @@ pub enum ProgOp {
     /// once; Fused compacts adaptively between conjuncts (selection
     /// vectors), compacting the expression registers alongside. A
     /// constant-false conjunct (see [`lower`]) short-circuits to an empty
-    /// batch without evaluating anything.
+    /// batch without evaluating anything. `keep` lists the input columns
+    /// the output carries, in output order (`None` = all): a column-only
+    /// `Project` directly over the filter lowers into it, so columns only
+    /// the predicate reads are never gathered.
     Filter {
         dst: Reg,
         src: Reg,
         conjuncts: ExprProgram,
+        keep: Option<Vec<usize>>,
     },
     /// Evaluate compiled projection expressions over `src` (one program
     /// output per projected column).
@@ -175,12 +179,15 @@ pub enum ProgOp {
     CrossJoin { dst: Reg, left: Reg, right: Reg },
     /// Grouped/global reduction (sort- or hash-strategy segmented
     /// reduce — the paper's GroupedReduce) over a compiled key/argument
-    /// bundle.
+    /// bundle. `groups` is the planner's group-count estimate; the
+    /// executor derives the aggregation shape from it
+    /// ([`crate::agg::morsel_shape`]), `None` keeps per-morsel partials.
     GroupedReduce {
         dst: Reg,
         src: Reg,
         strategy: AggStrategy,
         reduce: ReduceExprs,
+        groups: Option<u64>,
     },
     /// Stable multi-key sort over compiled key expressions (`desc[k]`
     /// flips key `k`).
@@ -506,11 +513,23 @@ impl Builder {
                     dst,
                     src,
                     conjuncts: compile_exprs(&kept),
+                    keep: None,
                 });
                 dst
             }
             PhysicalPlan::Project { input, exprs, .. } => {
                 let src = self.lower_node(input);
+                // A column-only projection directly over a filter becomes
+                // the filter's keep-list (the node aliases the filter's op,
+                // as an elided filter aliases its child's).
+                if let (Some(ProgOp::Filter { dst, keep, .. }), Some(cols)) =
+                    (self.ops.last_mut(), column_only(exprs))
+                {
+                    if *dst == src && keep.is_none() {
+                        *keep = Some(cols);
+                        return src;
+                    }
+                }
                 let dst = self.fresh();
                 self.ops.push(ProgOp::Project {
                     dst,
@@ -587,6 +606,7 @@ impl Builder {
                 strategy,
                 group_by,
                 aggs,
+                groups,
                 ..
             } => {
                 let src = self.lower_node(input);
@@ -596,6 +616,7 @@ impl Builder {
                     src,
                     strategy: *strategy,
                     reduce: ReduceExprs::compile(group_by, aggs),
+                    groups: *groups,
                 });
                 dst
             }
@@ -619,6 +640,17 @@ impl Builder {
             }
         }
     }
+}
+
+/// The input column each expression selects, when all are bare columns.
+fn column_only(exprs: &[BoundExpr]) -> Option<Vec<usize>> {
+    exprs
+        .iter()
+        .map(|e| match e {
+            BoundExpr::Column { index, .. } => Some(*index),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Split a predicate tree on top-level ANDs.
@@ -798,6 +830,27 @@ fn on_from(j: &Json) -> Result<Vec<(usize, usize)>, ProgramError> {
         .collect()
 }
 
+fn index_list_json(idx: &[usize]) -> Json {
+    Json::Arr(idx.iter().map(|&i| Json::I64(i as i64)).collect())
+}
+
+fn index_list_from(j: &Json, what: &str) -> Result<Vec<usize>, ProgramError> {
+    j.as_arr()
+        .ok_or(ProgramError {
+            message: format!("{what} must be an array"),
+        })?
+        .iter()
+        .map(|v| {
+            v.as_i64()
+                .filter(|&i| i >= 0)
+                .map(|i| i as usize)
+                .ok_or(ProgramError {
+                    message: format!("{what} index invalid"),
+                })
+        })
+        .collect()
+}
+
 fn residual_json(residual: &Option<ExprProgram>) -> Json {
     match residual {
         Some(e) => exprprog_to_json(e),
@@ -925,7 +978,7 @@ fn op_to_json(op: &ProgOp) -> Json {
             (
                 "projection",
                 match projection {
-                    Some(idx) => Json::Arr(idx.iter().map(|&i| Json::I64(i as i64)).collect()),
+                    Some(idx) => index_list_json(idx),
                     None => Json::Null,
                 },
             ),
@@ -934,12 +987,22 @@ fn op_to_json(op: &ProgOp) -> Json {
             dst,
             src,
             conjuncts,
-        } => Json::obj(vec![
-            ("op", Json::str("filter")),
-            ("dst", reg(*dst)),
-            ("src", reg(*src)),
-            ("conjuncts", exprprog_to_json(conjuncts)),
-        ]),
+            keep,
+        } => {
+            let mut fields = vec![
+                ("op", Json::str("filter")),
+                ("dst", reg(*dst)),
+                ("src", reg(*src)),
+                ("conjuncts", exprprog_to_json(conjuncts)),
+            ];
+            // Emitted only when set (as every optional field below), so
+            // programs without it re-encode byte-identically to version-2
+            // artifacts that predate the field.
+            if let Some(cols) = keep {
+                fields.push(("keep", index_list_json(cols)));
+            }
+            Json::obj(fields)
+        }
         ProgOp::Project { dst, src, exprs } => Json::obj(vec![
             ("op", Json::str("project")),
             ("dst", reg(*dst)),
@@ -956,10 +1019,7 @@ fn op_to_json(op: &ProgOp) -> Json {
                 ("op", Json::str("hash_build")),
                 ("dst", reg(*dst)),
                 ("src", reg(*src)),
-                (
-                    "keys",
-                    Json::Arr(keys.iter().map(|&k| Json::I64(k as i64)).collect()),
-                ),
+                ("keys", index_list_json(keys)),
             ];
             // Emitted only when present, so artifacts without an estimate
             // re-encode byte-identically to version-2 artifacts that
@@ -1023,13 +1083,20 @@ fn op_to_json(op: &ProgOp) -> Json {
             src,
             strategy,
             reduce,
-        } => Json::obj(vec![
-            ("op", Json::str("grouped_reduce")),
-            ("dst", reg(*dst)),
-            ("src", reg(*src)),
-            ("strategy", irjson::agg_strategy_to_json(*strategy)),
-            ("reduce", reduce_json(reduce)),
-        ]),
+            groups,
+        } => {
+            let mut fields = vec![
+                ("op", Json::str("grouped_reduce")),
+                ("dst", reg(*dst)),
+                ("src", reg(*src)),
+                ("strategy", irjson::agg_strategy_to_json(*strategy)),
+                ("reduce", reduce_json(reduce)),
+            ];
+            if let Some(g) = groups {
+                fields.push(("groups", Json::I64(*g as i64)));
+            }
+            Json::obj(fields)
+        }
         ProgOp::Sort {
             dst,
             src,
@@ -1057,28 +1124,18 @@ fn op_to_json(op: &ProgOp) -> Json {
 fn op_from_json(j: &Json) -> Result<ProgOp, ProgramError> {
     let kind = j.field("op")?.as_str().unwrap_or_default().to_string();
     let dst = reg_field(j, "dst")?;
+    // The shape annotation means something on one op only; anywhere else
+    // it is a corrupt document, not a field to skip.
+    if kind != "grouped_reduce" && j.get("groups").is_some() {
+        return invalid(format!("op {kind:?} must not carry a groups estimate"));
+    }
     match kind.as_str() {
         "scan" => Ok(ProgOp::Scan {
             dst,
             table: j.field("table")?.as_str().unwrap_or_default().to_string(),
             projection: match j.field("projection")? {
                 Json::Null => None,
-                arr => Some(
-                    arr.as_arr()
-                        .ok_or(ProgramError {
-                            message: "projection must be an array".into(),
-                        })?
-                        .iter()
-                        .map(|v| {
-                            v.as_i64()
-                                .filter(|&i| i >= 0)
-                                .map(|i| i as usize)
-                                .ok_or(ProgramError {
-                                    message: "projection index invalid".into(),
-                                })
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                ),
+                arr => Some(index_list_from(arr, "projection")?),
             },
         }),
         "filter" => {
@@ -1094,6 +1151,10 @@ fn op_from_json(j: &Json) -> Result<ProgOp, ProgramError> {
                 dst,
                 src: reg_field(j, "src")?,
                 conjuncts,
+                keep: j
+                    .get("keep")
+                    .map(|k| index_list_from(k, "keep"))
+                    .transpose()?,
             })
         }
         "project" => Ok(ProgOp::Project {
@@ -1104,22 +1165,7 @@ fn op_from_json(j: &Json) -> Result<ProgOp, ProgramError> {
         "hash_build" => Ok(ProgOp::HashBuild {
             dst,
             src: reg_field(j, "src")?,
-            keys: j
-                .field("keys")?
-                .as_arr()
-                .ok_or(ProgramError {
-                    message: "keys must be an array".into(),
-                })?
-                .iter()
-                .map(|v| {
-                    v.as_i64()
-                        .filter(|&i| i >= 0)
-                        .map(|i| i as usize)
-                        .ok_or(ProgramError {
-                            message: "key index invalid".into(),
-                        })
-                })
-                .collect::<Result<Vec<_>, _>>()?,
+            keys: index_list_from(j.field("keys")?, "keys")?,
             // Optional: absent in artifacts lowered without stats (and in
             // all pre-estimate artifacts).
             distinct: j.get("distinct").and_then(|v| v.as_i64()).map(|d| d as u64),
@@ -1156,12 +1202,24 @@ fn op_from_json(j: &Json) -> Result<ProgOp, ProgramError> {
             left: reg_field(j, "left")?,
             right: reg_field(j, "right")?,
         }),
-        "grouped_reduce" => Ok(ProgOp::GroupedReduce {
-            dst,
-            src: reg_field(j, "src")?,
-            strategy: irjson::agg_strategy_from_json(j.field("strategy")?)?,
-            reduce: reduce_from(j.field("reduce")?)?,
-        }),
+        "grouped_reduce" => {
+            let reduce = reduce_from(j.field("reduce")?)?;
+            let groups = match j.get("groups") {
+                None => None,
+                Some(g) => match g.as_i64() {
+                    // Only a grouped reduction has groups to estimate.
+                    Some(g) if g >= 0 && reduce.n_keys > 0 => Some(g as u64),
+                    _ => return invalid("grouped_reduce groups estimate invalid"),
+                },
+            };
+            Ok(ProgOp::GroupedReduce {
+                dst,
+                src: reg_field(j, "src")?,
+                strategy: irjson::agg_strategy_from_json(j.field("strategy")?)?,
+                reduce,
+                groups,
+            })
+        }
         "sort" => {
             let keys = exprprog_from_json(j.field("keys")?)?;
             let desc: Vec<bool> = j
@@ -1320,6 +1378,37 @@ mod tests {
             "{}",
             p.display()
         );
+    }
+
+    #[test]
+    fn column_only_projection_over_a_filter_becomes_its_keep_list() {
+        // `s` is read by the predicate alone; pruning projects it away
+        // directly over the filter, and lowering folds that projection
+        // into the filter op.
+        let p = program(
+            "select a, sum(b) from t where s like 'x%' group by a",
+            PhysicalOptions::default(),
+        );
+        let kinds: Vec<String> = p.ops.iter().map(ProgOp::name).collect();
+        assert_eq!(
+            kinds,
+            ["Scan(t)", "Filter", "HashAggregate"],
+            "{}",
+            p.display()
+        );
+        let ProgOp::Filter { keep, .. } = &p.ops[1] else {
+            unreachable!()
+        };
+        assert_eq!(keep.as_deref(), Some(&[0, 1][..]));
+        let text = String::from_utf8(serialize_program(&p).to_vec()).unwrap();
+        assert_eq!(deserialize_program(&Bytes::from(text.clone())).unwrap(), p);
+        // A document without the field keeps every column.
+        let old = text.replace(",\"keep\":[0,1]", "");
+        assert_ne!(old, text, "field not found");
+        let loaded = deserialize_program(&Bytes::from(old)).unwrap();
+        assert!(matches!(&loaded.ops[1], ProgOp::Filter { keep: None, .. }));
+        let bad = text.replace("\"keep\":[0,1]", "\"keep\":[0,-1]");
+        assert!(deserialize_program(&Bytes::from(bad)).is_err());
     }
 
     #[test]

@@ -152,13 +152,19 @@ fn exec_op(
                 arity: cols.len(),
             }
         }
-        ProgOp::Filter { src, conjuncts, .. } => {
+        ProgOp::Filter {
+            src,
+            conjuncts,
+            keep,
+            ..
+        } => {
             let arity = regs[*src].as_ref().expect("register live").arity();
+            let out_arity = keep.as_ref().map_or(arity, |cols| cols.len());
             // Constant-false short-circuit: an empty scan, no evaluation.
             if conjuncts.has_const_false_output() {
                 return RowValue::Rows {
                     rows: Vec::new(),
-                    arity,
+                    arity: out_arity,
                 };
             }
             let rows = reg_rows(*src).clone();
@@ -169,12 +175,18 @@ fn exec_op(
             let kept: Vec<Row> = rows
                 .into_iter()
                 .filter(|r| eval_row_conjuncts(&conjuncts, &cuts, r, &mut scratch))
-                .map(|mut r| {
-                    r.truncate(arity);
-                    r
+                .map(|mut r| match keep {
+                    Some(cols) => cols.iter().map(|&c| r[c].clone()).collect(),
+                    None => {
+                        r.truncate(arity);
+                        r
+                    }
                 })
                 .collect();
-            RowValue::Rows { rows: kept, arity }
+            RowValue::Rows {
+                rows: kept,
+                arity: out_arity,
+            }
         }
         ProgOp::Project { src, exprs, .. } => {
             let rows = reg_rows(*src).clone();

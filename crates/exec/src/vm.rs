@@ -23,12 +23,13 @@
 //!
 //! The former barrier ops are now worker-parallel too:
 //!
-//! * **`GroupedReduce`** runs partitioned (fixed-geometry morsels → partial
-//!   hash-aggregates → ordered merge, see [`crate::agg`]). When it
-//!   directly consumes a pipeline segment it stops being a segment
-//!   boundary entirely: each worker pipelines its scan morsel through the
-//!   filter/project chain straight into a partial aggregate, and only the
-//!   partial merge is a barrier.
+//! * **`GroupedReduce`** runs over fixed-geometry morsels in the shape the
+//!   plan's group-count estimate selects — per-morsel partials folded in
+//!   order, or rows radix-partitioned by key and each partition aggregated
+//!   once (see [`crate::agg`]). When it directly consumes a pipeline
+//!   segment it stops being a segment boundary entirely: each worker
+//!   pipelines its scan morsel through the filter/project chain straight
+//!   into the aggregation's first phase, and only the second is a barrier.
 //! * **`HashBuild`** builds radix-partitioned, one disjoint partition per
 //!   worker ([`crate::join::build_table_par`]); the probe loop of
 //!   `HashProbe` chunks the probe side ([`crate::join::probe_table`]).
@@ -36,7 +37,8 @@
 //!   sorts and stable-merges ([`tqp_tensor::sort::argsort_multi_par`]).
 //!
 //! All three are **bit-identical at every worker count**: aggregation by
-//! the fixed-morsel merge-order contract, build/probe because partition
+//! the fixed-morsel merge order (partials) or because every group folds
+//! its rows in input order inside one partition, build/probe because partition
 //! buckets replicate the sequential row order, sort because a stable
 //! permutation is unique. `SortMergeJoin`/`CrossJoin` assembly and `Limit`
 //! remain sequential barriers.
@@ -49,7 +51,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use tqp_data::{DataFrame, LogicalType};
-use tqp_ir::physical::AggStrategy;
 use tqp_ir::plan::ColMeta;
 use tqp_ml::ModelRegistry;
 use tqp_profile::{op_key, op_key_par, Profiler};
@@ -63,7 +64,7 @@ use crate::device::{kernel_count, DeviceMeter};
 use crate::exprfuse;
 use crate::exprprog::{ExprProgram, FusedEval};
 use crate::join;
-use crate::program::{ProgOp, ReduceExprs, TensorProgram};
+use crate::program::{ProgOp, TensorProgram};
 use crate::stored::{self, ScanLayout, ScanSource};
 use crate::{Device, ExecConfig, ScanStats, Storage, TableSource};
 
@@ -170,18 +171,16 @@ impl Vm<'_> {
                 // A GroupedReduce fed directly by this segment fuses into
                 // it: the aggregation stops being a segment boundary, and
                 // each worker pipelines its morsel through the chain
-                // straight into a partial aggregate.
+                // straight into the aggregation's per-morsel phase.
                 let fused_agg = match prog.ops.get(seg_end) {
                     Some(ProgOp::GroupedReduce {
                         dst,
                         src,
-                        strategy,
                         reduce,
-                    }) if *src == prog.ops[seg_end - 1].dst()
-                        && uses[*src] == 1
-                        && agg::parallel_eligible(&reduce.aggs) =>
-                    {
-                        Some((*dst, *strategy, reduce))
+                        groups,
+                        ..
+                    }) if *src == prog.ops[seg_end - 1].dst() && uses[*src] == 1 => {
+                        agg::morsel_shape(reduce, *groups).map(|shape| (*dst, shape))
                     }
                     _ => None,
                 };
@@ -198,15 +197,13 @@ impl Vm<'_> {
                     None
                 };
                 let (scanned, layout) = self.exec_scan_op(i, &prog.ops[i], meter, prune_filter);
-                if let Some((dst, strategy, reduce)) = fused_agg {
+                if let Some((dst, shape)) = fused_agg {
                     // Gate on the *original* (pre-pruning) row count so a
                     // pruned stored scan takes the same aggregation route
                     // — and the same morsel geometry — as the in-memory
                     // path over the same table (bitwise parity contract).
                     if layout.original_rows >= agg::par_min_rows() {
-                        let out = self.exec_segment_agg_parallel(
-                            prog, i, seg_end, scanned, &layout, strategy, reduce,
-                        );
+                        let out = self.exec_segment_agg(prog, i, seg_end, scanned, &layout, shape);
                         regs[dst] = Some(Value::Batch(out));
                         for k in i..=seg_end {
                             self.release(&mut regs, &prog.ops[k], &last_use, k, prog.output);
@@ -353,27 +350,24 @@ impl Vm<'_> {
         out
     }
 
-    /// Fused segment + partitioned aggregation: each worker pipelines its
-    /// scan morsel through the element-wise chain `ops[start+1..chain_end]`
-    /// and immediately computes a partial aggregate from the chain output;
-    /// partials merge in fixed morsel order (the determinism contract —
-    /// see [`crate::agg`]). Morsel geometry comes from
-    /// [`agg::par_morsel_rows`] over the scan's **original** row space
-    /// (`layout` maps pruned stored scans back to it; chunks a pruned
-    /// scan skipped become empty partials — merge identities), never from
-    /// the worker count, so results are bit-identical at every `workers`
-    /// setting *and* bit-identical between pruned, unpruned, and
+    /// Fused segment + aggregation: each worker pipelines its scan morsel
+    /// through the element-wise chain `ops[start+1..chain_end]` straight
+    /// into the per-morsel phase of the `GroupedReduce` at `chain_end`
+    /// (see [`crate::agg`] for the two shapes and their determinism
+    /// contract). Morsel geometry comes from [`agg::par_morsel_rows`] over
+    /// the scan's **original** row space (`layout` maps pruned stored scans
+    /// back to it; chunks a pruned scan skipped become empty morsels),
+    /// never from the worker count, so results are bit-identical at every
+    /// `workers` setting *and* bit-identical between pruned, unpruned, and
     /// in-memory scans of the same table.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_segment_agg_parallel(
+    fn exec_segment_agg(
         &self,
         prog: &TensorProgram,
         start: usize,
         chain_end: usize,
         scanned: ScanSource,
         layout: &ScanLayout,
-        strategy: AggStrategy,
-        reduce: &ReduceExprs,
+        shape: agg::Shape,
     ) -> Batch {
         let n_orig = layout.original_rows;
         let morsel_rows = agg::par_morsel_rows();
@@ -381,31 +375,23 @@ impl Vm<'_> {
         let chain_len = chain_end - start - 1;
         let start_us = self.profiler.now_us();
 
-        // Per-morsel result: partial state, chain op samples, and the
-        // partial-agg CPU time (µs).
-        type MorselOut = (agg::AggPartial, Vec<Vec<OpSample>>, u64);
         let scanned = &scanned;
-        let slots: Vec<MorselOut> = agg::map_morsels(n_morsels, self.workers, |m| {
-            let lo = m * morsel_rows;
-            let hi = ((m + 1) * morsel_rows).min(n_orig);
-            let (lo, hi) = layout.project(lo, hi);
-            let morsel = scanned.slice_rows(lo, hi);
-            let mut samples: Vec<Vec<OpSample>> = vec![Vec::new(); chain_len];
-            let out = self.run_chain_morsel(prog, start, chain_end, morsel, &mut samples);
-            let t0 = Instant::now();
-            let part = agg::partial_aggregate(&out, reduce, self.models, self.fuse, self.flat);
-            (part, samples, t0.elapsed().as_micros() as u64)
-        });
+        let (out, samples) =
+            self.reduce_morsels(chain_end, &prog.ops[chain_end], shape, n_morsels, |m| {
+                let lo = m * morsel_rows;
+                let hi = ((m + 1) * morsel_rows).min(n_orig);
+                let (lo, hi) = layout.project(lo, hi);
+                let morsel = scanned.slice_rows(lo, hi);
+                let mut samples: Vec<Vec<OpSample>> = vec![Vec::new(); chain_len];
+                let out = self.run_chain_morsel(prog, start, chain_end, morsel, &mut samples);
+                (out, samples)
+            });
 
-        let mut partials = Vec::with_capacity(n_morsels);
         let mut merged: Vec<Vec<OpSample>> = vec![Vec::new(); chain_len];
-        let mut partial_us = 0u64;
-        for r in slots {
-            partials.push(r.0);
-            for (k, s) in r.1.into_iter().enumerate() {
+        for morsel in samples {
+            for (k, s) in morsel.into_iter().enumerate() {
                 merged[k].extend(s);
             }
-            partial_us += r.2;
         }
         for (k, op) in prog.ops[start + 1..chain_end].iter().enumerate() {
             let (dur, rows, bytes) = merged[k]
@@ -421,53 +407,75 @@ impl Vm<'_> {
                 n_morsels as u64,
             );
         }
+        out
+    }
 
-        let strat = match strategy {
-            AggStrategy::Sort => agg::Strategy::Sort,
-            AggStrategy::Hash => agg::Strategy::Hash,
+    /// Run the `GroupedReduce` `op` (program index `idx`) over morsels in
+    /// `shape` and record its span: duration = worker time spent
+    /// aggregating, summed over tasks; rows = aggregate OUTPUT rows,
+    /// matching the sequential path's span semantics so EXPLAIN ANALYZE
+    /// attribution is route-invariant (the aggregate-input total stays
+    /// readable as its producer's rows).
+    fn reduce_morsels<S: Send>(
+        &self,
+        idx: usize,
+        op: &ProgOp,
+        shape: agg::Shape,
+        n_morsels: usize,
+        morsel: impl Fn(usize) -> (Batch, S) + Sync,
+    ) -> (Batch, Vec<S>) {
+        let ProgOp::GroupedReduce {
+            strategy, reduce, ..
+        } = op
+        else {
+            panic!("op {} is not a reduction", op.name());
         };
-        let t0 = Instant::now();
-        let out = agg::merge_partials(
-            partials,
-            reduce.n_keys,
-            &reduce.aggs,
-            strat,
+        let start_us = self.profiler.now_us();
+        let (out, extras, busy_us) = agg::aggregate_morsels(
+            n_morsels,
+            morsel,
+            shape,
+            reduce,
+            *strategy,
+            self.models,
             self.workers,
+            self.fuse,
             self.flat,
         );
-        // Rows = aggregate OUTPUT rows, matching the sequential path's
-        // span semantics so EXPLAIN ANALYZE attribution is
-        // route-invariant; the aggregate-input total stays readable as
-        // the chain tail's rows.
         self.profiler.record_chunks(
-            &op_key_par(&prog.ops[chain_end].name(), chain_end),
+            &op_key_par(&op.name(), idx),
             "relational",
             start_us,
-            partial_us + t0.elapsed().as_micros() as u64,
+            busy_us,
             out.nrows() as u64,
             out.nbytes() as u64,
             n_morsels as u64,
         );
-        out
+        (out, extras)
     }
 
     /// Element-wise ops a morsel chain may contain.
     fn apply_elementwise(&self, op: &ProgOp, input: Batch) -> Batch {
         match op {
-            ProgOp::Filter { conjuncts, .. } => self.apply_filter(conjuncts, input),
+            ProgOp::Filter {
+                conjuncts, keep, ..
+            } => self.apply_filter(conjuncts, keep.as_deref(), input),
             ProgOp::Project { exprs, .. } => self.apply_project(exprs, &input),
             other => panic!("op {} is not element-wise", other.name()),
         }
     }
 
-    fn apply_filter(&self, conjuncts: &ExprProgram, input: Batch) -> Batch {
+    /// `keep` names the input columns the output carries (`None` = all):
+    /// surviving rows are gathered for those only, so a column only the
+    /// predicate reads is never materialized.
+    fn apply_filter(&self, conjuncts: &ExprProgram, keep: Option<&[usize]>, input: Batch) -> Batch {
         // A constant-false conjunct (folded at lowering) short-circuits to
         // an empty scan: no expression evaluation, no mask allocation.
         if conjuncts.has_const_false_output() {
-            return input.slice_rows(0, 0);
+            return narrow(input, keep).slice_rows(0, 0);
         }
         if self.fused {
-            return self.apply_filter_fused(conjuncts, input);
+            return self.apply_filter_fused(conjuncts, keep, input);
         }
         // Eager: the compiled program evaluates every conjunct over the
         // full input in one straight-line kernel pass (shared subterms
@@ -476,7 +484,7 @@ impl Vm<'_> {
         // specializes, `conjunct_mask` takes the fused kernel instead —
         // a single chunked pass with no intermediate mask tensors.
         let mask = exprfuse::conjunct_mask(conjuncts, &input, self.models, self.fuse);
-        input.take(&mask_to_indices(&mask))
+        narrow(input, keep).take(&mask_to_indices(&mask))
     }
 
     /// Adaptive fused filter: step the compiled conjuncts one at a time,
@@ -486,14 +494,19 @@ impl Vm<'_> {
     /// the dynamic fusion decision a JIT makes with runtime feedback. The
     /// expression registers compact alongside the batch, so subterms
     /// shared across conjuncts stay computed-once.
-    fn apply_filter_fused(&self, conjuncts: &ExprProgram, input: Batch) -> Batch {
+    fn apply_filter_fused(
+        &self,
+        conjuncts: &ExprProgram,
+        keep: Option<&[usize]>,
+        input: Batch,
+    ) -> Batch {
         // A specialized kernel already short-circuits per 1k-row chunk and
         // evaluates string predicates only on still-alive rows, which is
         // the benefit selection-vector compaction buys — without the
         // gather. Take it when the program fuses (bitwise-identical mask).
         if self.fuse {
             if let Some(mask) = exprfuse::try_conjunct_mask(conjuncts, &input, self.models) {
-                return input.take(&mask_to_indices(&mask));
+                return narrow(input, keep).take(&mask_to_indices(&mask));
             }
         }
         let mut ev = FusedEval::new(conjuncts);
@@ -502,7 +515,7 @@ impl Vm<'_> {
         let mut compacted = false;
         for _ in 0..conjuncts.outputs.len() {
             if current.nrows() == 0 {
-                return current;
+                return narrow(current, keep);
             }
             let mask = ev.step(&current, self.models);
             let mask = match acc.take() {
@@ -521,6 +534,9 @@ impl Vm<'_> {
                 acc = Some(mask);
             }
         }
+        // Later conjuncts read the predicate-only columns, so the batch
+        // narrows only now.
+        let current = narrow(current, keep);
         match acc {
             Some(mask) => current.take(&mask_to_indices(&mask)),
             None => current,
@@ -650,6 +666,7 @@ impl Vm<'_> {
                 dst,
                 src,
                 conjuncts,
+                keep,
             } => {
                 let child = regs[*src]
                     .as_ref()
@@ -659,7 +676,7 @@ impl Vm<'_> {
                 let start = self.profiler.now_us();
                 let t0 = Instant::now();
                 let in_bytes = child.nbytes();
-                let out = self.apply_filter(conjuncts, child);
+                let out = self.apply_filter(conjuncts, keep.as_deref(), child);
                 meter.op(
                     kernel_count("Filter", conjuncts.outputs.len()),
                     in_bytes,
@@ -781,37 +798,46 @@ impl Vm<'_> {
                 src,
                 strategy,
                 reduce,
+                groups,
             } => {
                 let child = regs[*src].as_ref().expect("src register live").batch();
-                let start = self.profiler.now_us();
-                let t0 = Instant::now();
                 let in_bytes = child.nbytes();
-                let strat = match strategy {
-                    AggStrategy::Sort => agg::Strategy::Sort,
-                    AggStrategy::Hash => agg::Strategy::Hash,
-                };
+                let n = child.nrows();
                 // Metered (GpuSim) runs stay sequential so modeled time is
-                // worker-independent; the CPU path takes the partitioned
-                // parallel route when the input is large enough.
-                let out = if meter.is_enabled() {
-                    agg::aggregate(child, reduce, strat, self.models, self.fuse, self.flat)
-                } else {
-                    agg::aggregate_par(
-                        child,
-                        reduce,
-                        strat,
-                        self.models,
-                        self.workers,
-                        self.fuse,
-                        self.flat,
-                    )
+                // worker-independent; the CPU path runs over morsels when
+                // the input is large enough.
+                let shape = agg::morsel_shape(reduce, *groups)
+                    .filter(|_| !meter.is_enabled() && n >= agg::par_min_rows());
+                let out = match shape {
+                    Some(shape) => {
+                        let rows = agg::par_morsel_rows();
+                        let morsel =
+                            |m: usize| (child.slice_rows(m * rows, ((m + 1) * rows).min(n)), ());
+                        self.reduce_morsels(idx, op, shape, n.div_ceil(rows), morsel)
+                            .0
+                    }
+                    None => {
+                        let start = self.profiler.now_us();
+                        let t0 = Instant::now();
+                        let workers = if meter.is_enabled() { 1 } else { self.workers };
+                        let out = agg::aggregate(
+                            child,
+                            reduce,
+                            *strategy,
+                            self.models,
+                            workers,
+                            self.fuse,
+                            self.flat,
+                        );
+                        self.span(&op_key(&op.name(), idx), start, t0, &out);
+                        out
+                    }
                 };
                 meter.op(
                     kernel_count("Aggregate", reduce.aggs.len()),
                     in_bytes,
                     out.nbytes(),
                 );
-                self.span(&op_key(&op.name(), idx), start, t0, &out);
                 regs[*dst] = Some(Value::Batch(out));
             }
             ProgOp::Sort {
@@ -875,6 +901,14 @@ impl Vm<'_> {
             out.nrows() as u64,
             out.nbytes() as u64,
         );
+    }
+}
+
+/// The columns of `batch` a filter's keep-list names (all without one).
+fn narrow(batch: Batch, keep: Option<&[usize]>) -> Batch {
+    match keep {
+        Some(cols) => batch.select(cols),
+        None => batch,
     }
 }
 
@@ -1018,6 +1052,27 @@ mod tests {
             );
             assert_eq!(out.nrows(), 2, "fused={fused}");
             assert_eq!(out.column(1).get(0).as_f64(), 40.0);
+        }
+    }
+
+    #[test]
+    fn filter_keeps_only_the_columns_read_above_it() {
+        // `grp` and `v` are read by the predicate alone: the filter op
+        // carries a keep-list and gathers `id` only, in both VM modes.
+        let (_, catalog) = setup();
+        let sql = "select id from t where grp = 'a' and v > 15.0";
+        let plan = compile_sql(sql, &catalog, &PhysicalOptions::default()).unwrap();
+        assert!(lower(&plan)
+            .ops
+            .iter()
+            .any(|op| matches!(op, ProgOp::Filter { keep: Some(k), .. } if k.len() == 1)));
+        for fused in [false, true] {
+            let out = run(sql, fused);
+            assert_eq!((out.nrows(), out.ncols()), (1, 1), "fused={fused}");
+            assert_eq!(out.column(0).get(0).as_i64(), 3);
+            // The constant-false short-circuit narrows too.
+            let out = run("select id from t where grp = 'a' and 1 = 2", fused);
+            assert_eq!((out.nrows(), out.ncols()), (0, 1), "fused={fused}");
         }
     }
 

@@ -663,17 +663,26 @@ pub fn plan_to_json(p: &PhysicalPlan) -> Json {
             group_by,
             aggs,
             schema,
-        } => Json::obj(vec![
-            ("op", Json::str("aggregate")),
-            ("input", plan_to_json(input)),
-            ("strategy", agg_strategy_to_json(*strategy)),
-            ("group_by", exprs_to_json(group_by)),
-            (
-                "aggs",
-                Json::Arr(aggs.iter().map(agg_call_to_json).collect()),
-            ),
-            ("schema", schema_to_json(schema)),
-        ]),
+            groups,
+        } => {
+            let mut fields = vec![
+                ("op", Json::str("aggregate")),
+                ("input", plan_to_json(input)),
+                ("strategy", agg_strategy_to_json(*strategy)),
+                ("group_by", exprs_to_json(group_by)),
+                (
+                    "aggs",
+                    Json::Arr(aggs.iter().map(agg_call_to_json).collect()),
+                ),
+                ("schema", schema_to_json(schema)),
+            ];
+            // Emitted only when set: plans without an estimate round-trip
+            // byte-identically with older encodings.
+            if let Some(g) = groups {
+                fields.push(("groups", Json::I64(*g as i64)));
+            }
+            Json::obj(fields)
+        }
         PhysicalPlan::Sort { input, keys } => Json::obj(vec![
             ("op", Json::str("sort")),
             ("input", plan_to_json(input)),
@@ -787,6 +796,7 @@ pub fn plan_from_json(j: &Json) -> R<PhysicalPlan> {
                 .map(agg_call_from_json)
                 .collect::<R<Vec<_>>>()?,
             schema: schema_from_json(j.field("schema")?)?,
+            groups: j.get("groups").and_then(Json::as_i64).map(|g| g as u64),
         }),
         "sort" => Ok(PhysicalPlan::Sort {
             input: input("input")?,

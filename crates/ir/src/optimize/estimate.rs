@@ -158,20 +158,30 @@ pub fn estimate_each<P: PlanNode>(plan: &P, catalog: &Catalog, visit: &mut impl 
             if group_by.is_empty() {
                 1.0
             } else {
-                let keys = group_by.iter().map(|g| match g {
-                    BoundExpr::Column { index, .. } => column_source(input, *index, catalog),
-                    _ => None,
-                });
-                match key_distinct(keys) {
-                    Some(groups) => rows.min(groups),
-                    None => rows * 0.1,
-                }
+                group_count(rows, input, group_by, catalog).unwrap_or(rows * 0.1)
             }
         }
         Node::Limit { input, n } => estimate_each(input, catalog, visit).min(n as f64),
     };
     visit(rows);
     rows
+}
+
+/// Groups a `GROUP BY group_by` over `input` (estimated at `rows` rows)
+/// produces: `min(rows, Π ndv)` of the key columns traced to their base
+/// tables. `None` without NDVs (schema-only catalogs, computed keys) — the
+/// physical planner then leaves the aggregate's execution shape alone.
+pub(crate) fn group_count<P: PlanNode>(
+    rows: f64,
+    input: &P,
+    group_by: &[BoundExpr],
+    catalog: &Catalog,
+) -> Option<f64> {
+    let keys = group_by.iter().map(|g| match g {
+        BoundExpr::Column { index, .. } => column_source(input, *index, catalog),
+        _ => None,
+    });
+    key_distinct(keys).map(|groups| rows.min(groups))
 }
 
 /// Output rows of an equi-join of `l` and `r` estimated rows whose keys

@@ -4,7 +4,9 @@
 //! asked for a set of needed output columns and returns a rewritten plan
 //! plus a map from old to new column positions. On TPC-H this shrinks the
 //! 16-column `lineitem` scans of Q1/Q6 down to the 4-7 columns actually
-//! referenced — the dominant data-volume saving for the tensor engine.
+//! referenced — the dominant data-volume saving for the tensor engine. A
+//! filter likewise passes on only what is read above it: the columns its
+//! predicate alone needs are projected away directly over it.
 
 use std::collections::BTreeSet;
 
@@ -57,12 +59,38 @@ fn prune(plan: LogicalPlan, needed: &BTreeSet<usize>) -> (LogicalPlan, Vec<Optio
             predicate.referenced_columns(&mut child_needed);
             let (child, map) = prune(*input, &child_needed);
             let predicate = remap(predicate, &map);
+            let filter = LogicalPlan::Filter {
+                input: Box::new(child),
+                predicate,
+            };
+            // Columns only the predicate reads stop here: a column-only
+            // projection over the filter (the executors gather surviving
+            // rows for its columns alone), instead of carrying Q13's
+            // `o_comment` through the filter and the join above it.
+            let extra = (0..map.len()).any(|i| map[i].is_some() && !needed.contains(&i));
+            if needed.is_empty() || !extra {
+                return (filter, map);
+            }
+            let schema = filter.schema();
+            let mut out_map = vec![None; map.len()];
+            let mut exprs = Vec::with_capacity(needed.len());
+            let mut out_schema = Vec::with_capacity(needed.len());
+            for (new, &old) in needed.iter().enumerate() {
+                let kept = map[old].expect("needed column retained");
+                exprs.push(BoundExpr::Column {
+                    index: kept,
+                    ty: schema[kept].ty,
+                });
+                out_schema.push(schema[kept].clone());
+                out_map[old] = Some(new);
+            }
             (
-                LogicalPlan::Filter {
-                    input: Box::new(child),
-                    predicate,
+                LogicalPlan::Project {
+                    input: Box::new(filter),
+                    exprs,
+                    schema: out_schema,
                 },
-                map,
+                out_map,
             )
         }
         LogicalPlan::Project {
@@ -330,6 +358,32 @@ mod tests {
         assert_eq!(scan_projection(&p), Some(vec![0, 1]));
         assert_eq!(p.schema().len(), 1);
         assert_eq!(p.schema()[0].name, "c1");
+    }
+
+    #[test]
+    fn filter_passes_on_only_what_is_read_above_it() {
+        // c2 is read by the predicate alone: a column-only projection sits
+        // directly over the filter and drops it.
+        let p = opt("select c0, sum(c1) from wide where c2 like 'x%' group by c0");
+        assert_eq!(scan_projection(&p), Some(vec![0, 1, 2]));
+        fn over_filter(p: &LogicalPlan) -> Option<usize> {
+            match p {
+                LogicalPlan::Project { input, exprs, .. }
+                    if matches!(**input, LogicalPlan::Filter { .. }) =>
+                {
+                    assert!(exprs.iter().all(|e| matches!(e, BoundExpr::Column { .. })));
+                    Some(exprs.len())
+                }
+                _ => p.children().into_iter().find_map(over_filter),
+            }
+        }
+        assert_eq!(over_filter(&p), Some(2));
+        // Nothing to drop, nothing inserted: the query's own projection.
+        fn projects(p: &LogicalPlan) -> usize {
+            usize::from(matches!(p, LogicalPlan::Project { .. }))
+                + p.children().into_iter().map(projects).sum::<usize>()
+        }
+        assert_eq!(projects(&opt("select c0 from wide where c0 > 3")), 1);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use crate::catalog::Catalog;
 use crate::expr::{AggCall, BoundExpr};
-use crate::optimize::estimate::{column_source, estimate, key_distinct};
+use crate::optimize::estimate::{column_source, estimate, group_count, key_distinct};
 use crate::plan::{ColMeta, JoinType, LogicalPlan, PlanSchema, SortKey};
 
 /// Join algorithm choice.
@@ -95,6 +95,12 @@ pub enum PhysicalPlan {
         group_by: Vec<BoundExpr>,
         aggs: Vec<AggCall>,
         schema: PlanSchema,
+        /// Estimated group count, `min(input rows, Π key NDV)` from the
+        /// catalog's KMV sketches: the executor partitions the input by
+        /// key instead of pre-aggregating per morsel when a morsel could
+        /// not reduce. `None` for global aggregates and when stats are
+        /// absent or a key cannot be traced to a base table.
+        groups: Option<u64>,
     },
     Sort {
         input: Box<PhysicalPlan>,
@@ -226,8 +232,10 @@ impl PhysicalPlan {
 /// right builds on the left ([`PhysicalPlan::Join::build_left`]); left
 /// outer joins always build right. Hash joins also get the catalog's
 /// distinct-key estimate for their build side, which sizes the hash
-/// directory. Everything here reads SQL and catalog statistics only, so a
-/// plan never depends on workers, backend or host.
+/// directory, and grouped aggregates get the estimated group count
+/// ([`PhysicalPlan::Aggregate`]'s `groups`), from which the executor picks
+/// its aggregation shape. Everything here reads SQL and catalog statistics
+/// only, so a plan never depends on workers, backend or host.
 pub fn plan_physical(
     plan: &LogicalPlan,
     opts: &PhysicalOptions,
@@ -301,6 +309,12 @@ pub fn plan_physical(
             group_by: group_by.clone(),
             aggs: aggs.clone(),
             schema: schema.clone(),
+            groups: if group_by.is_empty() {
+                None
+            } else {
+                group_count(estimate(&**input, catalog), &**input, group_by, catalog)
+                    .map(|g| g.ceil() as u64)
+            },
         },
         LogicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
             input: Box::new(plan_physical(input, opts, catalog)),

@@ -6,6 +6,8 @@
 //! with `repeat_interleave` + `arange` arithmetic and probes with
 //! `searchsorted` (paper §2.2, "novel algorithms" of the companion paper).
 
+use std::ops::Range;
+
 use crate::dtype::DType;
 use crate::pool::{par_chunks_mut, par_reduce, PAR_THRESHOLD};
 use crate::tensor::Tensor;
@@ -357,20 +359,29 @@ pub fn concat(parts: &[&Tensor]) -> Tensor {
         // padding is already zeros.
         return parts[0].clone();
     }
-    let dt = parts[0].dtype();
+    let whole: Vec<(&Tensor, Range<usize>)> = parts.iter().map(|p| (*p, 0..p.nrows())).collect();
+    concat_ranges(&whole)
+}
+
+/// [`concat`] of the row range taken from each part, each row copied once
+/// (no per-part slice is materialized).
+pub fn concat_ranges(parts: &[(&Tensor, Range<usize>)]) -> Tensor {
+    assert!(!parts.is_empty(), "concat of zero tensors");
+    let first = parts[0].0;
+    let dt = first.dtype();
     assert!(
-        parts.iter().all(|p| p.dtype() == dt),
+        parts.iter().all(|(p, _)| p.dtype() == dt),
         "concat dtype mismatch"
     );
-    if parts[0].shape().len() == 2 {
-        let m = parts.iter().map(|p| p.row_width()).max().unwrap();
-        let n: usize = parts.iter().map(|p| p.nrows()).sum();
+    let n: usize = parts.iter().map(|(_, r)| r.len()).sum();
+    if first.shape().len() == 2 {
+        let m = parts.iter().map(|(p, _)| p.row_width()).max().unwrap();
         match dt {
             DType::U8 => {
                 let mut out = vec![0u8; n * m];
                 let mut row = 0;
-                for p in parts {
-                    for i in 0..p.nrows() {
+                for (p, range) in parts {
+                    for i in range.clone() {
                         let src = p.str_row_trimmed(i);
                         out[row * m..row * m + src.len()].copy_from_slice(src);
                         row += 1;
@@ -380,12 +391,12 @@ pub fn concat(parts: &[&Tensor]) -> Tensor {
             }
             DType::F64 => {
                 assert!(
-                    parts.iter().all(|p| p.row_width() == m),
+                    parts.iter().all(|(p, _)| p.row_width() == m),
                     "f64 concat width mismatch"
                 );
                 let mut out = Vec::with_capacity(n * m);
-                for p in parts {
-                    out.extend_from_slice(p.as_f64());
+                for (p, range) in parts {
+                    out.extend_from_slice(&p.as_f64()[range.start * m..range.end * m]);
                 }
                 Tensor::from_f64_matrix(out, n, m)
             }
@@ -394,9 +405,9 @@ pub fn concat(parts: &[&Tensor]) -> Tensor {
     } else {
         macro_rules! cat {
             ($as:ident, $ctor:path) => {{
-                let mut out = Vec::with_capacity(parts.iter().map(|p| p.nrows()).sum());
-                for p in parts {
-                    out.extend_from_slice(p.$as());
+                let mut out = Vec::with_capacity(n);
+                for (p, range) in parts {
+                    out.extend_from_slice(&p.$as()[range.clone()]);
                 }
                 $ctor(out)
             }};

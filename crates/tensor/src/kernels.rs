@@ -478,13 +478,11 @@ impl RegFile {
     }
 }
 
-/// Trailing-zero-trimmed row `i` of a padded string matrix — must match
-/// `Tensor::str_row_trimmed` byte for byte.
+/// Trailing-zero-trimmed row `i` of a padded string matrix (the trim of
+/// `Tensor::str_row_trimmed`).
 #[inline]
 pub fn trimmed_row(data: &[u8], width: usize, i: usize) -> &[u8] {
-    let row = &data[i * width..(i + 1) * width];
-    let end = row.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1);
-    &row[..end]
+    crate::tensor::trim_padding(&data[i * width..(i + 1) * width])
 }
 
 // ---------------------------------------------------------------------

@@ -10,11 +10,16 @@
 /// threshold is high enough that spawn cost amortizes against a full pass.
 pub const PAR_THRESHOLD: usize = 1 << 20;
 
-/// Number of worker threads used for parallel kernels.
+/// Number of worker threads used for parallel kernels. Asked of the OS
+/// once: `available_parallelism` reads the affinity mask and cgroup files
+/// on every call, which costs more than a whole small kernel.
 pub fn num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Split `out` into near-equal chunks and invoke `f(start_index, chunk)` for

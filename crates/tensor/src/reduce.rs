@@ -6,6 +6,8 @@
 //! [`crate::index::scatter_add_f64`]). Full-column reductions implement
 //! ungrouped aggregates such as TPC-H Q6's single `SUM`.
 
+use std::borrow::Cow;
+
 use crate::dtype::DType;
 use crate::pool::par_reduce;
 use crate::tensor::Tensor;
@@ -123,6 +125,22 @@ pub fn mean(t: &Tensor) -> Option<f64> {
     }
 }
 
+/// `values` as `f64`s: borrowed when the column already is `F64`.
+fn f64_values(values: &Tensor) -> Cow<'_, [f64]> {
+    match values.dtype() {
+        DType::F64 => Cow::Borrowed(values.as_f64()),
+        _ => Cow::Owned(values.to_f64_vec()),
+    }
+}
+
+/// `values` as `i64`s: borrowed when the column already is `I64`.
+fn i64_values(values: &Tensor) -> Cow<'_, [i64]> {
+    match values.dtype() {
+        DType::I64 => Cow::Borrowed(values.as_i64()),
+        _ => Cow::Owned(values.to_i64_vec()),
+    }
+}
+
 /// Segmented reduction: reduce `values` within each contiguous group of
 /// `ids` (dense, sorted ascending, in `0..num_groups`). Returns one `F64`
 /// output row per group; empty groups cannot occur by construction (ids come
@@ -143,10 +161,10 @@ pub fn segmented_reduce(values: &Tensor, ids: &Tensor, num_groups: usize, f: Agg
             Tensor::from_f64(out)
         }
         AggFn::Sum | AggFn::Avg => {
-            let xs = values.to_f64_vec();
+            let xs = f64_values(values);
             let mut sums = vec![0f64; num_groups];
             let mut counts = vec![0i64; num_groups];
-            for (&g, &v) in gid.iter().zip(&xs) {
+            for (&g, &v) in gid.iter().zip(xs.iter()) {
                 sums[g as usize] += v;
                 counts[g as usize] += 1;
             }
@@ -160,9 +178,9 @@ pub fn segmented_reduce(values: &Tensor, ids: &Tensor, num_groups: usize, f: Agg
             Tensor::from_f64(sums)
         }
         AggFn::Min => {
-            let xs = values.to_f64_vec();
+            let xs = f64_values(values);
             let mut out = vec![f64::INFINITY; num_groups];
-            for (&g, &v) in gid.iter().zip(&xs) {
+            for (&g, &v) in gid.iter().zip(xs.iter()) {
                 let slot = &mut out[g as usize];
                 if v < *slot {
                     *slot = v;
@@ -171,9 +189,9 @@ pub fn segmented_reduce(values: &Tensor, ids: &Tensor, num_groups: usize, f: Agg
             Tensor::from_f64(out)
         }
         AggFn::Max => {
-            let xs = values.to_f64_vec();
+            let xs = f64_values(values);
             let mut out = vec![f64::NEG_INFINITY; num_groups];
-            for (&g, &v) in gid.iter().zip(&xs) {
+            for (&g, &v) in gid.iter().zip(xs.iter()) {
                 let slot = &mut out[g as usize];
                 if v > *slot {
                     *slot = v;
@@ -193,7 +211,7 @@ pub fn segmented_reduce_i64(values: &Tensor, ids: &Tensor, num_groups: usize, f:
         gid.len(),
         "segmented_reduce operand mismatch"
     );
-    let xs = values.to_i64_vec();
+    let xs = i64_values(values);
     match f {
         AggFn::Count => {
             let mut out = vec![0i64; num_groups];
@@ -204,14 +222,14 @@ pub fn segmented_reduce_i64(values: &Tensor, ids: &Tensor, num_groups: usize, f:
         }
         AggFn::Sum => {
             let mut out = vec![0i64; num_groups];
-            for (&g, &v) in gid.iter().zip(&xs) {
+            for (&g, &v) in gid.iter().zip(xs.iter()) {
                 out[g as usize] += v;
             }
             Tensor::from_i64(out)
         }
         AggFn::Min => {
             let mut out = vec![i64::MAX; num_groups];
-            for (&g, &v) in gid.iter().zip(&xs) {
+            for (&g, &v) in gid.iter().zip(xs.iter()) {
                 let slot = &mut out[g as usize];
                 if v < *slot {
                     *slot = v;
@@ -221,7 +239,7 @@ pub fn segmented_reduce_i64(values: &Tensor, ids: &Tensor, num_groups: usize, f:
         }
         AggFn::Max => {
             let mut out = vec![i64::MIN; num_groups];
-            for (&g, &v) in gid.iter().zip(&xs) {
+            for (&g, &v) in gid.iter().zip(xs.iter()) {
                 let slot = &mut out[g as usize];
                 if v > *slot {
                     *slot = v;

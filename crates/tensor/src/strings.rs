@@ -5,7 +5,10 @@
 //! column is then a vectorized row scan with fast paths for the four shapes
 //! that cover every TPC-H predicate (`exact`, `prefix%`, `%suffix`,
 //! `%contains%`) and a general wildcard matcher for the rest
-//! (e.g. Q13's `'%special%requests%'`).
+//! (e.g. Q13's `'%special%requests%'`). Whether a literal segment holds a
+//! `_` is decided at compile time: one without is *searched* — scan for its
+//! rarest byte eight bytes at a time, compare the slice at each hit —
+//! instead of tested at every start position.
 
 use crate::pool::par_chunks_mut;
 use crate::tensor::Tensor;
@@ -22,15 +25,115 @@ pub enum LikePattern {
     /// `%lit`.
     Suffix(Vec<u8>),
     /// `%lit%`.
-    Contains(Vec<u8>),
+    Contains(Segment),
     /// Anything else: literal segments separated by `%`; `_` only supported
     /// in the general form. `leading`/`trailing` indicate whether the
     /// pattern starts/ends with `%`.
     General {
-        segments: Vec<Vec<u8>>,
+        segments: Vec<Segment>,
         leading: bool,
         trailing: bool,
     },
+}
+
+/// One `%`-free stretch of a pattern, with how to search for it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Segment {
+    bytes: Vec<u8>,
+    /// Offset of the byte to scan for — the one rarest in text — or `None`
+    /// when the segment holds a `_` and every start must be tested.
+    probe: Option<usize>,
+}
+
+impl Segment {
+    fn new(bytes: &[u8]) -> Segment {
+        let probe = if bytes.contains(&b'_') {
+            None
+        } else {
+            (0..bytes.len()).min_by_key(|&i| commonness(bytes[i]))
+        };
+        Segment {
+            bytes: bytes.to_vec(),
+            probe,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Does the segment match `hay` at offset `at`?
+    fn matches_at(&self, hay: &[u8], at: usize) -> bool {
+        let Some(window) = hay.get(at..at + self.len()) else {
+            return false;
+        };
+        match self.probe {
+            Some(_) => window == self.bytes.as_slice(),
+            None => window
+                .iter()
+                .zip(&self.bytes)
+                .all(|(&h, &n)| n == b'_' || h == n),
+        }
+    }
+
+    /// First offset `>= from` at which the segment matches `hay`.
+    fn find_from(&self, hay: &[u8], from: usize) -> Option<usize> {
+        if self.bytes.is_empty() {
+            return Some(from.min(hay.len()));
+        }
+        if from + self.len() > hay.len() {
+            return None;
+        }
+        let last = hay.len() - self.len();
+        let Some(probe) = self.probe else {
+            return (from..=last).find(|&i| self.matches_at(hay, i));
+        };
+        // Candidate starts are where the probe byte sits `probe` bytes in.
+        let byte = self.bytes[probe];
+        let mut at = from;
+        while at <= last {
+            at += find_byte(&hay[at + probe..=last + probe], byte)?;
+            if self.matches_at(hay, at) {
+                return Some(at);
+            }
+            at += 1;
+        }
+        None
+    }
+}
+
+/// How common a byte is in English-like text (higher = more common): the
+/// search scans for a segment's least common byte, so `requests` is found
+/// by its `q`, not tried at every `r`.
+fn commonness(b: u8) -> u8 {
+    const BY_FREQUENCY: &[u8] = b" etaoinshrdlcumwfgypbvkjxqz";
+    match BY_FREQUENCY
+        .iter()
+        .position(|&c| c == b.to_ascii_lowercase())
+    {
+        Some(rank) => (BY_FREQUENCY.len() - rank) as u8,
+        None => 0,
+    }
+}
+
+/// Offset of the first `byte` in `hay`, eight bytes at a time (the
+/// zero-byte test of `word ^ splat(byte)`).
+fn find_byte(hay: &[u8], byte: u8) -> Option<usize> {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let splat = LO * byte as u64;
+    let mut chunks = hay.chunks_exact(8);
+    for (i, chunk) in chunks.by_ref().enumerate() {
+        let x = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")) ^ splat;
+        let zeros = x.wrapping_sub(LO) & !x & HI;
+        if zeros != 0 {
+            return Some(i * 8 + zeros.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = chunks.remainder();
+    tail.iter()
+        .position(|&b| b == byte)
+        .map(|p| hay.len() - tail.len() + p)
 }
 
 impl LikePattern {
@@ -50,17 +153,17 @@ impl LikePattern {
                 1 if pct[0] == p.len() - 1 => return LikePattern::Prefix(p[..pct[0]].to_vec()),
                 1 if pct[0] == 0 => return LikePattern::Suffix(p[1..].to_vec()),
                 2 if pct[0] == 0 && pct[1] == p.len() - 1 && p.len() >= 2 => {
-                    return LikePattern::Contains(p[1..p.len() - 1].to_vec())
+                    return LikePattern::Contains(Segment::new(&p[1..p.len() - 1]))
                 }
                 _ => {}
             }
         }
         let leading = p.first() == Some(&b'%');
         let trailing = p.last() == Some(&b'%');
-        let segments: Vec<Vec<u8>> = p
+        let segments: Vec<Segment> = p
             .split(|&b| b == b'%')
             .filter(|s| !s.is_empty())
-            .map(|s| s.to_vec())
+            .map(Segment::new)
             .collect();
         LikePattern::General {
             segments,
@@ -75,7 +178,7 @@ impl LikePattern {
             LikePattern::Exact(lit) => s == lit.as_slice(),
             LikePattern::Prefix(lit) => s.starts_with(lit),
             LikePattern::Suffix(lit) => s.ends_with(lit),
-            LikePattern::Contains(lit) => contains(s, lit),
+            LikePattern::Contains(lit) => lit.find_from(s, 0).is_some(),
             LikePattern::General {
                 segments,
                 leading,
@@ -85,36 +188,10 @@ impl LikePattern {
     }
 }
 
-/// Substring search (naive two-pointer; needles are short in practice).
-/// `_` inside the needle matches any byte.
-fn contains(hay: &[u8], needle: &[u8]) -> bool {
-    find_from(hay, needle, 0).is_some()
-}
-
-fn seg_match_at(hay: &[u8], needle: &[u8], at: usize) -> bool {
-    if at + needle.len() > hay.len() {
-        return false;
-    }
-    hay[at..at + needle.len()]
-        .iter()
-        .zip(needle)
-        .all(|(&h, &n)| n == b'_' || h == n)
-}
-
-fn find_from(hay: &[u8], needle: &[u8], from: usize) -> Option<usize> {
-    if needle.is_empty() {
-        return Some(from.min(hay.len()));
-    }
-    if from + needle.len() > hay.len() {
-        return None;
-    }
-    (from..=hay.len() - needle.len()).find(|&i| seg_match_at(hay, needle, i))
-}
-
 /// General `%`-separated segment matching: first segment anchored at start
 /// unless `leading`, last anchored at end unless `trailing`, middle segments
 /// greedy left-to-right (correct for `%`-separated literals).
-fn match_general(s: &[u8], segments: &[Vec<u8>], leading: bool, trailing: bool) -> bool {
+fn match_general(s: &[u8], segments: &[Segment], leading: bool, trailing: bool) -> bool {
     if segments.is_empty() {
         // Pattern was only '%'s: matches anything (or empty for no-%).
         return leading || trailing || s.is_empty();
@@ -124,7 +201,7 @@ fn match_general(s: &[u8], segments: &[Vec<u8>], leading: bool, trailing: bool) 
         let first = k == 0;
         let last = k == segments.len() - 1;
         if first && !leading {
-            if !seg_match_at(s, seg, 0) {
+            if !seg.matches_at(s, 0) {
                 return false;
             }
             pos = seg.len();
@@ -139,9 +216,9 @@ fn match_general(s: &[u8], segments: &[Vec<u8>], leading: bool, trailing: bool) 
                 return false;
             }
             let at = s.len() - seg.len();
-            return at >= pos && seg_match_at(s, seg, at);
+            return at >= pos && seg.matches_at(s, at);
         }
-        match find_from(s, seg, pos) {
+        match seg.find_from(s, pos) {
             Some(at) => pos = at + seg.len(),
             None => return false,
         }
@@ -218,7 +295,7 @@ mod tests {
         );
         assert_eq!(
             LikePattern::compile("%abc%"),
-            LikePattern::Contains(b"abc".to_vec())
+            LikePattern::Contains(Segment::new(b"abc"))
         );
         assert!(matches!(
             LikePattern::compile("%a%b%"),
@@ -256,6 +333,29 @@ mod tests {
         assert!(m("%gr_en%", "big green box"));
         assert!(m("a_c%", "abcdef"));
         assert!(!m("a_c%", "abdef"));
+    }
+
+    #[test]
+    fn literal_segments_search_by_their_rarest_byte() {
+        assert_eq!(Segment::new(b"requests").probe, Some(2)); // 'q'
+        assert_eq!(Segment::new(b"gr_en").probe, None);
+        // Hits in every position of the eight-byte words and in the tail.
+        for at in 0..40 {
+            let mut hay = vec![b'e'; 40 + 8];
+            hay[at..at + 8].copy_from_slice(b"requests");
+            assert_eq!(Segment::new(b"requests").find_from(&hay, 0), Some(at));
+            assert_eq!(Segment::new(b"requests").find_from(&hay, at + 1), None);
+            assert!(m("%requests%", std::str::from_utf8(&hay).unwrap()));
+        }
+        // A probe hit that is not a match moves on to the next one.
+        assert!(m(
+            "%special%requests%",
+            "quest for special request requests"
+        ));
+        assert!(!m("%special%requests%", "special request quests"));
+        assert_eq!(find_byte(b"", b'x'), None);
+        assert_eq!(find_byte(&[0x80; 9], 0x7f), None);
+        assert_eq!(find_byte(&[0xff, 0, 0x80, 1, 1, 1, 1, 1, 0], 0), Some(1));
     }
 
     #[test]

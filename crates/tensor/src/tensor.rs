@@ -311,9 +311,7 @@ impl Tensor {
 
     /// Byte row `i` with trailing zero padding removed.
     pub fn str_row_trimmed(&self, i: usize) -> &[u8] {
-        let row = self.str_row(i);
-        let end = row.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1);
-        &row[..end]
+        trim_padding(self.str_row(i))
     }
 
     /// Decode row `i` of a string matrix into `String`.
@@ -515,9 +513,46 @@ impl PartialEq for Tensor {
     }
 }
 
+/// `row` without its trailing zero padding. Padding goes a word at a time:
+/// read little-endian, a word's last bytes in memory are its leading zeros.
+pub(crate) fn trim_padding(row: &[u8]) -> &[u8] {
+    let mut end = row.len();
+    while end >= 8 {
+        let word = u64::from_le_bytes(row[end - 8..end].try_into().expect("8 bytes"));
+        if word != 0 {
+            return &row[..end - word.leading_zeros() as usize / 8];
+        }
+        end -= 8;
+    }
+    while end > 0 && row[end - 1] == 0 {
+        end -= 1;
+    }
+    &row[..end]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn trimmed_rows_drop_trailing_padding_only() {
+        // Every length in every width around the word size, with a NUL
+        // inside the text (only trailing padding goes).
+        for width in 0..20usize {
+            for len in 0..=width {
+                let mut row = vec![b'x'; len];
+                if len > 2 {
+                    row[len / 2] = 0;
+                }
+                row.resize(width, 0);
+                let t = Tensor::from_u8_matrix([row.clone(), row].concat(), 2, width);
+                for r in 0..2 {
+                    assert_eq!(t.str_row_trimmed(r).len(), len, "width {width}");
+                    assert_eq!(t.str_row_trimmed(r), &t.str_row(r)[..len]);
+                }
+            }
+        }
+    }
 
     #[test]
     fn construct_and_meta() {

@@ -4,9 +4,10 @@
 //! This locks in the determinism contracts of the parallel barrier ops
 //! (see `ARCHITECTURE.md` "Parallel chunked execution"):
 //!
-//! * partitioned aggregation — fixed morsel geometry, partials merged in
-//!   morsel order, so float SUM/AVG associate identically at any worker
-//!   count;
+//! * morsel-parallel aggregation — fixed morsel geometry with partials
+//!   merged in morsel order, or key-partitioned rows folded in input
+//!   order (the plan picks), so float SUM/AVG associate identically at
+//!   any worker count;
 //! * radix-partitioned join build — partition buckets replicate the
 //!   sequential per-key row order;
 //! * parallel sort — a stable permutation is unique.
@@ -28,9 +29,9 @@ fn session() -> Session {
     // SF 0.01 puts lineitem (~60K rows) above the default partitioned-
     // aggregation threshold (2 × 16 Ki-row morsels), so the fused and
     // standalone parallel aggregation routes genuinely engage here with
-    // production geometry. (Many-morsel merges with shrunken geometry are
-    // covered by the tqp-exec unit suites — mutating TQP_AGG_MORSEL_ROWS
-    // from inside this multi-threaded test binary would race getenv.)
+    // production geometry. (Many-morsel merges and many-morsel partitions
+    // are what CI's `TQP_AGG_MORSEL_ROWS=256` leg runs this suite for —
+    // the variable is read once per process, so it is set outside.)
     let data = TpchData::generate(&TpchConfig {
         scale_factor: 0.01,
         seed: 20_220_901,

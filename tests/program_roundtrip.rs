@@ -115,6 +115,65 @@ fn v1_artifact_rejected_with_error_naming_both_versions() {
     assert!(msg.to_lowercase().contains("recompile"), "{msg}");
 }
 
+/// The aggregation-shape estimate is an optional field of `grouped_reduce`
+/// alone: it survives the artifact, a document without it (every artifact
+/// written before the field existed) loads as the per-morsel-partials
+/// shape, and on any other op it is a corrupt document.
+#[test]
+fn groups_estimate_rides_grouped_reduce_only() {
+    use tqp_repro::exec::program::ProgOp;
+    let s = session();
+    let models = ModelRegistry::new();
+    let profiler = Profiler::disabled();
+    // Q18 groups lineitem by l_orderkey: 15 000 estimated groups.
+    let plan = compile_sql(queries::query(18), s.catalog(), &PhysicalOptions::default()).unwrap();
+    let prog = lower(&plan);
+    let estimates = |p: &tqp_repro::exec::program::TensorProgram| -> Vec<Option<u64>> {
+        p.ops
+            .iter()
+            .filter_map(|op| match op {
+                ProgOp::GroupedReduce { groups, .. } => Some(*groups),
+                _ => None,
+            })
+            .collect()
+    };
+    assert!(
+        estimates(&prog)
+            .iter()
+            .any(|g| g.is_some_and(|g| g > 10_000)),
+        "{:?}",
+        estimates(&prog)
+    );
+    let text = String::from_utf8(serialize_program(&prog).to_vec()).unwrap();
+    let load = |doc: String| deserialize_program(&bytes::Bytes::from(doc.into_bytes()));
+    assert_eq!(load(text.clone()).unwrap(), prog);
+
+    // Strip every estimate: the pre-field encoding of the same program.
+    let mut old = text.clone();
+    while let Some(at) = old.find(",\"groups\":") {
+        let end = at + 10 + old[at + 10..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        old.replace_range(at..end, "");
+    }
+    let loaded = load(old).unwrap();
+    assert!(estimates(&loaded).iter().all(Option::is_none));
+    // Q18 sums integral quantities, so both shapes give the same bytes.
+    let cfg = ExecConfig::default();
+    let (with, _, _) = vm::run_program(&prog, s.storage(), &models, &profiler, cfg, true);
+    let (without, _, _) = vm::run_program(&loaded, s.storage(), &models, &profiler, cfg, true);
+    assert_identical(18, "groups stripped", &with, &without);
+
+    // On any other op the field is rejected, not skipped.
+    let tampered = text.replacen("{\"op\":\"scan\",", "{\"op\":\"scan\",\"groups\":5,", 1);
+    assert_ne!(tampered, text, "tamper point not found");
+    let err = load(tampered).unwrap_err().to_string();
+    assert!(err.contains("groups"), "{err}");
+    // ... as is an estimate that is not a count.
+    let at = text.find(",\"groups\":").expect("an estimate");
+    let mut negative = text.clone();
+    negative.insert(at + 10, '-');
+    assert!(load(negative).is_err());
+}
+
 #[test]
 fn graph_backend_equals_eager_exactly() {
     // Graph = deserialize(artifact) + the same vectorized VM, so its

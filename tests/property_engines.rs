@@ -352,3 +352,110 @@ proptest! {
         check_all_configs(&session, sql)?;
     }
 }
+
+/// `n` rows of `t(id, k, v, tag)` derived from `seed`: `k` all-distinct or
+/// drawn from 37 values, `v` in `[-100, 100)`.
+fn big_table_t(n: usize, seed: u64, distinct: bool) -> DataFrame {
+    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let rows: Vec<(i64, i64, f64, u8)> = (0..n as i64)
+        .map(|i| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let k = if distinct {
+                (i * 7919 + seed as i64) % 1_000_003
+            } else {
+                (x % 37) as i64
+            };
+            let v = (x >> 11) as f64 / (1u64 << 53) as f64 * 200.0 - 100.0;
+            (i, k, v, (x >> 3) as u8)
+        })
+        .collect();
+    table_t(&rows)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    // Both aggregation shapes against the row engine, on duplicate-heavy
+    // and all-distinct keys, flat hash engine on and off, fed by a fused
+    // scan→filter chain and by a barrier (a sort). The partitioned shape
+    // folds every group in input order — the row engine's own order — so
+    // it must agree bitwise and in order; per-morsel partials associate
+    // float sums differently and agree to the printed precision.
+    #[test]
+    fn both_aggregation_shapes_match_the_row_engine(
+        seed in 0u64..10_000,
+        distinct in any::<bool>(),
+        thr in -90f64..60.0,
+    ) {
+        use tqp_repro::ir::{AggCall, AggFunc};
+        let n = 2 * tqp_repro::exec::agg::par_min_rows() + 1234;
+        let mut session = Session::new();
+        session.register_table("t", big_table_t(n, seed, distinct));
+        let t = scan(&session, "t");
+        let kept = PhysicalPlan::Filter {
+            predicate: BoundExpr::Binary {
+                op: BinOp::Gt,
+                left: Box::new(BoundExpr::col(2, LogicalType::Float64)),
+                right: Box::new(BoundExpr::lit_f64(thr)),
+                ty: LogicalType::Bool,
+            },
+            input: Box::new(t.clone()),
+        };
+        let sorted = PhysicalPlan::Sort {
+            keys: vec![SortKey { expr: BoundExpr::col(0, LogicalType::Int64), desc: false }],
+            input: Box::new(kept.clone()),
+        };
+        let call = |func, col: Option<usize>, ty| AggCall {
+            func,
+            arg: col.map(|c| BoundExpr::col(c, t.schema()[c].ty)),
+            ty,
+        };
+        let aggs = vec![
+            call(AggFunc::CountStar, None, LogicalType::Int64),
+            call(AggFunc::Sum, Some(2), LogicalType::Float64),
+            call(AggFunc::Avg, Some(2), LogicalType::Float64),
+            call(AggFunc::Min, Some(2), LogicalType::Float64),
+            call(AggFunc::Max, Some(3), LogicalType::Str),
+            call(AggFunc::Sum, Some(0), LogicalType::Int64),
+        ];
+        let mut with_distinct = aggs.clone();
+        with_distinct.push(call(AggFunc::CountDistinct, Some(3), LogicalType::Int64));
+        for (route, input) in [("fused", &kept), ("barrier", &sorted)] {
+            // (estimate, aggregates): none → partials, many → partitioned
+            // (where COUNT(DISTINCT) may ride along).
+            for (groups, aggs) in [(None, &aggs), (Some(n as u64), &with_distinct)] {
+                let mut schema = vec![t.schema()[1].clone()];
+                schema.extend(aggs.iter().enumerate().map(|(i, a)| ColMeta::new(format!("a{i}"), a.ty)));
+                let plan = PhysicalPlan::Aggregate {
+                    input: Box::new(input.clone()),
+                    strategy: AggStrategy::Hash,
+                    group_by: vec![BoundExpr::col(1, LogicalType::Int64)],
+                    aggs: aggs.clone(),
+                    schema,
+                    groups,
+                };
+                let oracle = RowEngine::new(session.frames(), session.models()).execute(&plan);
+                for backend in [Backend::Eager, Backend::Fused] {
+                    for (workers, flat) in [(1, true), (4, true), (4, false)] {
+                        let cfg = QueryConfig::default().backend(backend).workers(workers).flat_hash(flat);
+                        let (out, _) = session
+                            .compile_plan(&plan, cfg)
+                            .run(&session)
+                            .map_err(|e| TestCaseError::fail(format!("run: {e}")))?;
+                        let what = format!("{route} groups={groups:?} {backend:?}/{workers}/flat={flat}");
+                        if groups.is_some() {
+                            prop_assert_eq!(out.nrows(), oracle.nrows(), "{}", &what);
+                            for i in 0..out.nrows() {
+                                prop_assert_eq!(out.row(i), oracle.row(i), "{} row {}", &what, i);
+                            }
+                        } else {
+                            prop_assert_eq!(canon(&out), canon(&oracle), "{}", &what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

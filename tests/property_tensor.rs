@@ -137,6 +137,24 @@ proptest! {
             "pattern {:?} on {:?}", pat, s);
     }
 
+    // The searched matcher (rarest-byte scan for `_`-free segments) against
+    // a table-filling reference, on haystacks long enough to cross the
+    // eight-byte scan words many times: `%` runs (empty segments), `_`,
+    // anchors at either, both or neither end.
+    #[test]
+    fn like_search_matches_reference_on_long_haystacks(
+        s in "[a-cq ]{0,90}",
+        pat in "[a-cq%_]{0,10}",
+        head in "[a-cq]{0,3}",
+        tail in "[a-cq]{0,3}",
+    ) {
+        for pat in [pat.clone(), format!("{head}%{pat}"), format!("{pat}%{tail}"), format!("{head}%{pat}%{tail}")] {
+            let got = LikePattern::compile(&pat).matches(s.as_bytes());
+            prop_assert_eq!(got, dp_like(pat.as_bytes(), s.as_bytes()),
+                "pattern {:?} on {:?}", pat, s);
+        }
+    }
+
     #[test]
     fn take_concat_roundtrip(xs in prop::collection::vec(-100i64..100, 1..100), split in 0usize..100) {
         let t = Tensor::from_i64(xs.clone());
@@ -180,4 +198,22 @@ fn naive_like(pat: &[u8], s: &[u8]) -> bool {
         (Some(&p), Some(&c)) if p == c => naive_like(&pat[1..], &s[1..]),
         _ => false,
     }
+}
+
+/// Polynomial-time reference LIKE matcher: `ok[i][j]` = `pat[i..]` matches
+/// `s[j..]`, filled from the ends.
+fn dp_like(pat: &[u8], s: &[u8]) -> bool {
+    let (m, n) = (pat.len(), s.len());
+    let mut ok = vec![vec![false; n + 1]; m + 1];
+    ok[m][n] = true;
+    for i in (0..m).rev() {
+        for j in (0..=n).rev() {
+            ok[i][j] = match pat[i] {
+                b'%' => ok[i + 1][j] || (j < n && ok[i][j + 1]),
+                b'_' => j < n && ok[i + 1][j + 1],
+                c => j < n && s[j] == c && ok[i + 1][j + 1],
+            };
+        }
+    }
+    ok[0][0]
 }

@@ -22,8 +22,12 @@ use tqp_repro::store::{store_csv, StoredTable};
 
 const CHUNK_ROWS: usize = 512;
 
+/// A scratch directory of the caller's own: the tests of this binary run
+/// on parallel threads and write files of the same names.
 fn tmpdir() -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("tqp_store_diff_{}", std::process::id()));
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let d = std::env::temp_dir().join(format!("tqp_store_diff_{}_{call}", std::process::id()));
     std::fs::create_dir_all(&d).unwrap();
     d
 }
@@ -311,5 +315,58 @@ fn pruned_aggregation_is_bitwise_stable_on_adversarial_floats() {
             "expected heavy pruning: {stats:?}"
         );
         assert_bitwise(&want, &got, &format!("workers={workers}"));
+    }
+}
+
+/// A group-by whose groups outnumber half a morsel takes the partitioned
+/// shape (both catalogs carry the NDV that says so): every group folds its
+/// rows in input order inside one partition, so pruned, unpruned and
+/// in-memory scans agree bitwise at every worker count although the three
+/// cut the rows into different morsels.
+#[test]
+fn partitioned_aggregation_is_bitwise_pruned_unpruned_and_in_memory() {
+    let dir = tmpdir();
+    let n = 100_000i64;
+    let frame = tqp_repro::data::frame::df(vec![
+        ("k", tqp_repro::data::Column::from_i64((0..n).collect())),
+        (
+            "grp",
+            tqp_repro::data::Column::from_i64((0..n).map(|i| (i * 7919) % 20_011).collect()),
+        ),
+        (
+            "v",
+            tqp_repro::data::Column::from_f64(
+                (0..n).map(|i| ((i % 9973) as f64) * 1e12 - 5e15).collect(),
+            ),
+        ),
+    ]);
+    let path = dir.join("partitioned.tqps");
+    let stored = Arc::new(tqp_repro::store::store_frame(&frame, &path, 1000).unwrap());
+
+    let mut mem = Session::new();
+    mem.register_table("t", frame);
+    let mut st = Session::new();
+    st.register_stored_table("t", stored);
+
+    let sql = "select grp, sum(v) as s, avg(v) as a, count(*) as c, count(distinct k) as d \
+               from t where k >= 30000 and k < 91000 and grp <> 3 group by grp";
+    for session in [&mem, &st] {
+        let plan = session.sql(&format!("explain {sql}")).unwrap();
+        let text = format!("{:?}", plan.column(0));
+        assert!(text.contains("HashAggregate(partitioned"), "{text}");
+    }
+    for workers in [1usize, 2, 4, 7] {
+        let cfg = QueryConfig::default().workers(workers);
+        let (want, _) = mem.compile(sql, cfg).unwrap().run(&mem).unwrap();
+        let (pruned, stats) = st.compile(sql, cfg).unwrap().run(&st).unwrap();
+        assert!(stats.chunks_pruned > 30, "expected pruning: {stats:?}");
+        assert_bitwise(&want, &pruned, &format!("pruned, workers={workers}"));
+        let (unpruned, stats) = st
+            .compile(sql, cfg.prune_scans(false))
+            .unwrap()
+            .run(&st)
+            .unwrap();
+        assert_eq!(stats.chunks_pruned, 0);
+        assert_bitwise(&want, &unpruned, &format!("unpruned, workers={workers}"));
     }
 }

@@ -517,6 +517,65 @@ mod with_statistics {
         );
     }
 
+    /// Estimated group counts of the grouped aggregates in `p`, post-order.
+    fn group_estimates(p: &PhysicalPlan, out: &mut Vec<Option<u64>>) {
+        p.children()
+            .into_iter()
+            .for_each(|c| group_estimates(c, out));
+        if let PhysicalPlan::Aggregate {
+            group_by, groups, ..
+        } = p
+        {
+            if !group_by.is_empty() {
+                out.push(*groups);
+            }
+        }
+    }
+
+    #[test]
+    fn group_count_estimate_picks_the_aggregation_shape() {
+        use tqp_repro::exec::agg::Shape;
+        let partitioned = |n: usize| -> Vec<bool> {
+            let mut groups = Vec::new();
+            group_estimates(analyzed()[n - 1].0.plan(), &mut groups);
+            groups
+                .into_iter()
+                .map(|g| Shape::for_groups(g) == Shape::Partitioned)
+                .collect()
+        };
+        // Groups ≈ rows: per-partkey, per-orderkey, per-(part, supplier).
+        for n in [17, 18, 20] {
+            assert!(partitioned(n).contains(&true), "Q{n}: {:?}", partitioned(n));
+            let (_, rows) = &analyzed()[n - 1];
+            let named = rows
+                .iter()
+                .find(|r| r.op.starts_with("HashAggregate(partitioned, est_groups="))
+                .unwrap_or_else(|| panic!("Q{n}: {rows:?}"));
+            // ANALYZE puts the count the estimate met beside it.
+            let actual = named.actual_rows.expect("actuals");
+            assert!(
+                named.op.ends_with(&format!(", actual_groups={actual})")),
+                "{}",
+                named.op
+            );
+        }
+        // Groups ≪ rows (4 flag pairs, 2 ship modes) or no groups at all.
+        for n in [1, 6, 12] {
+            assert!(
+                !partitioned(n).contains(&true),
+                "Q{n}: {:?}",
+                partitioned(n)
+            );
+        }
+        // Without statistics nothing is estimated, so nothing moves.
+        for n in 1..=22 {
+            let mut groups = Vec::new();
+            group_estimates(&plan(n), &mut groups);
+            assert!(groups.iter().all(Option::is_none), "Q{n}: {groups:?}");
+            assert!(!plan(n).to_json().contains("\"groups\""), "Q{n}");
+        }
+    }
+
     #[test]
     fn traced_runs_feed_the_qerror_histogram() {
         let before = tqp_repro::obs::registry()
