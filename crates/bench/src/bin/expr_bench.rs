@@ -241,12 +241,12 @@ fn run_compiled(site: &Site, prog: &ExprProgram, models: &ModelRegistry) -> u64 
 /// to the compiled path when the program shape doesn't fuse).
 fn run_fused(site: &Site, prog: &ExprProgram, models: &ModelRegistry) -> u64 {
     if site.is_filter {
-        let mask = exprfuse::conjunct_mask(prog, &site.input, models, true);
+        let mask = exprfuse::conjunct_mask(prog, &site.input, models);
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         tensor_checksum(&mut h, &mask);
         h
     } else {
-        evaled_checksum(&exprfuse::eval_all(prog, &site.input, models, true))
+        evaled_checksum(&exprfuse::eval_all(prog, &site.input, models))
     }
 }
 

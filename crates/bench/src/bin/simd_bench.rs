@@ -15,7 +15,7 @@
 //!
 //! The process exits non-zero if the vector tier is slower than 1.25x
 //! the scalar tier on any micro site above 10k rows (same noise margin
-//! rationale as `expr_bench`/`join_bench`). When the host (or
+//! rationale as `expr_bench`). When the host (or
 //! `TQP_SIMD=off`) pins the level to `scalar`, both measurements run the
 //! same code, so the gate is skipped and the JSON records `level:
 //! "scalar"` for the reader.
@@ -502,7 +502,7 @@ fn record(
         fmt_ns(simd_ns),
         scalar_ns as f64 / simd_ns.max(1) as f64
     );
-    // 25% noise margin, same rationale as the expr/join gates. Sites at
+    // 25% noise margin, same rationale as the expr gate. Sites at
     // or below 10k rows and scalar-pinned hosts are reported, not gated
     // (on a scalar host both columns time the same code).
     if gate && level != simd::Level::Scalar && rows > 10_000 && simd_ns * 4 > scalar_ns * 5 {

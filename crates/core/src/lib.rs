@@ -62,14 +62,6 @@ pub struct QueryConfig {
     pub prune_scans: bool,
     /// Worker threads for morsel-parallel CPU execution (1 = sequential).
     pub workers: usize,
-    /// Fused kernel specialization of compiled expressions (default on;
-    /// results are bitwise-identical either way — the knob keeps the
-    /// unfused path alive as a differential oracle).
-    pub fuse_exprs: bool,
-    /// Vectorized flat-hash engine for joins and group-by (default on;
-    /// results are bitwise-identical either way — the knob keeps the
-    /// legacy `HashMap` path alive as a differential oracle).
-    pub flat_hash: bool,
     /// Explicit SIMD kernel layer (default on; vector and scalar tiers
     /// share the same lane-split fold order, so results are bitwise
     /// identical either way — the knob keeps the scalar oracle alive for
@@ -103,8 +95,6 @@ impl Default for QueryConfig {
             gpu_strategy: GpuStrategy::Resident,
             prune_scans: true,
             workers: tqp_exec::default_workers(),
-            fuse_exprs: true,
-            flat_hash: true,
             simd: true,
             deadline: None,
             trace: false,
@@ -147,18 +137,6 @@ impl QueryConfig {
     /// Builder-style zone-map pruning toggle for store-backed scans.
     pub fn prune_scans(mut self, on: bool) -> Self {
         self.prune_scans = on;
-        self
-    }
-
-    /// Builder-style expression-fusion toggle.
-    pub fn fuse_exprs(mut self, on: bool) -> Self {
-        self.fuse_exprs = on;
-        self
-    }
-
-    /// Builder-style flat-hash-engine toggle.
-    pub fn flat_hash(mut self, on: bool) -> Self {
-        self.flat_hash = on;
         self
     }
 
@@ -481,8 +459,6 @@ fn exec_config(cfg: QueryConfig) -> ExecConfig {
         gpu_strategy: cfg.gpu_strategy,
         prune_scans: cfg.prune_scans,
         workers: cfg.workers,
-        fuse_exprs: cfg.fuse_exprs,
-        flat_hash: cfg.flat_hash,
         simd: cfg.simd,
     }
 }

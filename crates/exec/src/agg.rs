@@ -1,11 +1,15 @@
-//! Tensor aggregation: sort-based and hash-based strategies,
-//! plus a **partitioned parallel** execution mode.
+//! Tensor aggregation: one grouping algorithm, two parallel shapes.
 //!
-//! Sort strategy (the tensor-native formulation, paper §2.2): multi-key
-//! stable argsort → run-boundary detection → dense group ids via prefix sum
-//! → segmented reductions. Hash strategy: FxHash group table with collision
-//! chains → scatter reductions. `COUNT(DISTINCT x)` sorts `(keys…, x)` and
-//! counts distinct runs per group.
+//! Grouping hashes the key columns once, blockwise, and assigns dense
+//! group ids in first-appearance order through the open-addressing table
+//! of [`tqp_tensor::hash::group_rows_by_hash`] (collisions verified by
+//! key equality); aggregates are segmented reductions by group id.
+//! `COUNT(DISTINCT x)` sorts `(group id, x)` and counts distinct runs per
+//! group. The plan's [`Strategy`] only picks the output order: `Hash`
+//! emits groups in first-appearance order, `Sort` in key order (the hash
+//! aggregate's groups, then a stable argsort by key — each group's rows
+//! still fold in ascending input order, so the two differ by a
+//! permutation of whole rows and nothing else).
 //!
 //! Group keys and aggregate arguments arrive as one **compiled
 //! [`ReduceExprs`] bundle** ([`crate::program`]): a shared
@@ -53,7 +57,6 @@
 //! Empty-input semantics (shared with the row oracle): a global aggregate
 //! yields one row of zeros; a grouped aggregate yields no rows.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use tqp_data::LogicalType;
@@ -65,13 +68,12 @@ use tqp_tensor::reduce::{
     sum_f64, sum_i64, AggFn,
 };
 use tqp_tensor::sort::{argsort_multi, argsort_multi_par, Order, SortKey};
-use tqp_tensor::unique::{group_ids, run_lengths, run_starts, Groups};
+use tqp_tensor::unique::run_starts;
 use tqp_tensor::{DType, Tensor};
 
 use crate::batch::Batch;
-use crate::expr::{hash_rows, Evaled};
+use crate::expr::Evaled;
 use crate::exprfuse;
-use crate::join::FxBuild;
 use crate::program::{CompiledAgg, ReduceExprs};
 
 /// Aggregation strategy selector (the plan's).
@@ -168,35 +170,30 @@ fn eval_reduce(
     input: &Batch,
     reduce: &ReduceExprs,
     models: &ModelRegistry,
-    fuse: bool,
 ) -> (Vec<Tensor>, Vec<Option<Evaled>>) {
-    split_outs(
-        &exprfuse::eval_all(&reduce.exprs, input, models, fuse),
-        reduce,
-    )
+    split_outs(&exprfuse::eval_all(&reduce.exprs, input, models), reduce)
 }
 
 /// Execute an aggregation over a whole batch on the calling thread:
 /// metered/GpuSim runs (modeled time must not depend on host threads, so
 /// they pass `workers = 1`), inputs under [`par_min_rows`], and reductions
-/// [`morsel_shape`] refuses. `workers` threads only the sort strategy's
-/// argsort, whose permutation is unique.
+/// [`morsel_shape`] refuses. `workers` threads only the `Sort` strategy's
+/// key-order argsort, whose permutation is unique.
 pub fn aggregate(
     input: &Batch,
     reduce: &ReduceExprs,
     strategy: Strategy,
     models: &ModelRegistry,
     workers: usize,
-    fuse: bool,
-    flat: bool,
 ) -> Batch {
-    let (keys, args) = eval_reduce(input, reduce, models, fuse);
+    let (keys, args) = eval_reduce(input, reduce, models);
     if reduce.n_keys == 0 {
         return global_aggregate(input.nrows(), &reduce.aggs, &args);
     }
+    let out = hash_aggregate(&keys, &reduce.aggs, &args, input.nrows()).0;
     match strategy {
-        Strategy::Sort => sort_aggregate(&keys, &reduce.aggs, &args, input.nrows(), workers),
-        Strategy::Hash => hash_aggregate(&keys, &reduce.aggs, &args, input.nrows(), flat).0,
+        Strategy::Sort => sort_groups_by_key(out, reduce.n_keys, workers),
+        Strategy::Hash => out,
     }
 }
 
@@ -220,34 +217,24 @@ pub fn aggregate_morsels<S: Send>(
     strategy: Strategy,
     models: &ModelRegistry,
     workers: usize,
-    fuse: bool,
-    flat: bool,
 ) -> (Batch, Vec<S>, u64) {
     let workers = workers.max(1);
     match shape {
         Shape::Partial => {
             let (partials, extras, busy_us) = each_morsel(n_morsels, workers, morsel, |rows| {
-                partial_aggregate(rows, reduce, models, fuse, flat)
+                partial_aggregate(rows, reduce, models)
             });
             // The merge runs on this thread.
             let t0 = Instant::now();
-            let out = merge_partials(
-                partials,
-                reduce.n_keys,
-                &reduce.aggs,
-                strategy,
-                workers,
-                flat,
-            );
+            let out = merge_partials(partials, reduce.n_keys, &reduce.aggs, strategy, workers);
             (out, extras, busy_us + t0.elapsed().as_micros() as u64)
         }
         Shape::Partitioned => {
             let bits = partition_bits(n_morsels);
             let (binned, extras, busy_us) = each_morsel(n_morsels, workers, morsel, |rows| {
-                bin_morsel(rows, reduce, models, fuse, bits)
+                bin_morsel(rows, reduce, models, bits)
             });
-            let (out, tasks_us) =
-                aggregate_partitions(&binned, bits, reduce, strategy, workers, flat);
+            let (out, tasks_us) = aggregate_partitions(&binned, bits, reduce, strategy, workers);
             (out, extras, busy_us + tasks_us)
         }
     }
@@ -439,16 +426,10 @@ struct Partial {
 /// Compute the partial aggregation state of one morsel. The compiled
 /// reduce program (group keys, aggregate arguments) evaluates on the
 /// morsel slice, so this step parallelizes the expression work too.
-fn partial_aggregate(
-    morsel: &Batch,
-    reduce: &ReduceExprs,
-    models: &ModelRegistry,
-    fuse: bool,
-    flat: bool,
-) -> AggPartial {
+fn partial_aggregate(morsel: &Batch, reduce: &ReduceExprs, models: &ModelRegistry) -> AggPartial {
     let n = morsel.nrows();
-    let (keys, args) = eval_reduce(morsel, reduce, models, fuse);
-    let (ids, firsts) = hash_group_rows(&keys, n, flat);
+    let (keys, args) = eval_reduce(morsel, reduce, models);
+    let (ids, firsts) = hash_group_rows(&keys, n);
     let g = firsts.nrows();
     let key_cols: Vec<Tensor> = keys.iter().map(|k| take(k, &firsts)).collect();
     let cols = reduce
@@ -528,7 +509,7 @@ fn one_partial(call: &CompiledAgg, arg: &Option<Evaled>, ids: &Tensor, g: usize)
 /// SUM/AVG results depend only on the morsel geometry, not on which worker
 /// computed which partial.
 ///
-/// Output group order matches the sequential strategies: `Hash` keeps
+/// Output group order matches the sequential aggregate: `Hash` keeps
 /// global first-appearance order, `Sort` sorts groups by their keys.
 fn merge_partials(
     partials: Vec<AggPartial>,
@@ -536,7 +517,6 @@ fn merge_partials(
     aggs: &[CompiledAgg],
     strategy: Strategy,
     workers: usize,
-    flat: bool,
 ) -> Batch {
     let total: usize = partials.iter().map(|p| p.groups).sum();
     // A global aggregate whose every morsel came up empty (e.g. a fused
@@ -551,7 +531,7 @@ fn merge_partials(
             concat(&parts)
         })
         .collect();
-    let (ids, firsts) = hash_group_rows(&merged_keys, total, flat);
+    let (ids, firsts) = hash_group_rows(&merged_keys, total);
     let g = firsts.nrows();
     let mut columns: Vec<Tensor> = merged_keys.iter().map(|k| take(k, &firsts)).collect();
     for (a, call) in aggs.iter().enumerate() {
@@ -566,14 +546,7 @@ fn merge_partials(
         } else {
             None
         };
-        columns.push(merge_one(
-            call,
-            &acc,
-            counts.as_ref(),
-            &ids,
-            g,
-            n_group_cols == 0,
-        ));
+        columns.push(merge_one(call, &acc, counts.as_ref(), &ids, g));
     }
     let out = Batch::new(columns);
     if strategy == Strategy::Sort && n_group_cols > 0 {
@@ -590,7 +563,6 @@ fn merge_one(
     counts: Option<&Tensor>,
     ids: &Tensor,
     g: usize,
-    global: bool,
 ) -> Tensor {
     match call.func {
         AggFunc::CountStar | AggFunc::Count => segmented_reduce_i64(acc, ids, g, AggFn::Sum),
@@ -614,21 +586,13 @@ fn merge_one(
             let min = call.func == AggFunc::Min;
             if acc.dtype() == DType::U8 {
                 // Exclude the filler rows of all-NULL local groups (their
-                // valid count is zero); a group with no survivors at all
-                // panics inside segmented_min_str — matching the
-                // sequential path's "empty group in string MIN/MAX".
+                // valid count is zero); a group with a zero *total* count
+                // gets the filler (empty-string) row, the sequential
+                // aggregate's default.
                 let cnts = counts.expect("MIN/MAX partial counts").as_i64();
                 let keep =
                     mask_to_indices(&Tensor::from_bool(cnts.iter().map(|&c| c > 0).collect()));
-                // A *global* aggregate over an entirely-NULL column keeps
-                // no accumulator rows at all; the sequential path
-                // ([`global_minmax`] on empty input) yields the shared
-                // default row, so match it instead of panicking. Grouped
-                // all-NULL groups still panic on both paths.
-                if global && keep.is_empty() {
-                    return default_minmax(call, 1);
-                }
-                return segmented_min_str(&take(acc, &keep), &take(ids, &keep), g, min);
+                return segmented_min_str_or_filler(&take(acc, &keep), &take(ids, &keep), g, min);
             }
             // Accumulators hold the reduction identity for all-NULL local
             // groups; a zero *total* count resets to the shared default.
@@ -699,11 +663,10 @@ fn bin_morsel(
     morsel: &Batch,
     reduce: &ReduceExprs,
     models: &ModelRegistry,
-    fuse: bool,
     bits: u32,
 ) -> BinnedMorsel {
     let (columns, validity): (Vec<Tensor>, Vec<Option<Tensor>>) =
-        exprfuse::eval_all(&reduce.exprs, morsel, models, fuse)
+        exprfuse::eval_all(&reduce.exprs, morsel, models)
             .into_iter()
             .unzip();
     let key_refs: Vec<&Tensor> = columns[..reduce.n_keys].iter().collect();
@@ -735,15 +698,14 @@ fn bin_morsel(
 /// its slice of every morsel — its rows in ascending input order — and
 /// hash-aggregates them once; the partitions' groups are then emitted in
 /// ascending first-row order (`Hash`) or key order (`Sort`) — exactly the
-/// order of the sequential strategies. Returns the aggregate and the
-/// worker time spent, µs.
+/// order of the sequential aggregate. Returns the aggregate and the worker
+/// time spent, µs.
 fn aggregate_partitions(
     morsels: &[BinnedMorsel],
     bits: u32,
     reduce: &ReduceExprs,
     strategy: Strategy,
     workers: usize,
-    flat: bool,
 ) -> (Batch, u64) {
     // Input-order position of each morsel's first row.
     let mut base = Vec::with_capacity(morsels.len());
@@ -764,7 +726,7 @@ fn aggregate_partitions(
         let n = rows.nrows();
         let outs: Vec<Evaled> = rows.columns.into_iter().zip(rows.validity).collect();
         let (keys, args) = split_outs(&outs, reduce);
-        let (groups, firsts) = hash_aggregate(&keys, &reduce.aggs, &args, n, flat);
+        let (groups, firsts) = hash_aggregate(&keys, &reduce.aggs, &args, n);
         // Each group's first row as an input-order position: `firsts`
         // ascends over the partition's rows, which list morsel after
         // morsel, so one forward walk over the morsels resolves them all.
@@ -822,8 +784,8 @@ fn first_row_order(first_rows: &[Vec<usize>], n_rows: usize) -> Tensor {
     Tensor::from_i64(perm)
 }
 
-/// Order an aggregate's groups by their key columns (the sort strategy's
-/// output order).
+/// Order an aggregate's groups by their key columns (the `Sort`
+/// strategy's output order).
 fn sort_groups_by_key(out: Batch, n_keys: usize, workers: usize) -> Batch {
     let sort_keys: Vec<SortKey> = out.columns[..n_keys]
         .iter()
@@ -838,126 +800,34 @@ fn sort_groups_by_key(out: Batch, n_keys: usize, workers: usize) -> Batch {
 /// group. Zero key columns means a single global group (the ungrouped
 /// aggregate case).
 ///
-/// Two interchangeable implementations behind `flat` (see
-/// [`crate::join`]'s module docs for the rollout story): the default
-/// hashes the key columns **once, blockwise**
-/// ([`tqp_tensor::hash::hash_columns`]) and groups through the flat
-/// open-addressing table of [`tqp_tensor::hash::group_rows_by_hash`];
-/// `flat = false` keeps the legacy `HashMap` collision-chain path as a
-/// differential oracle. Both assign gids in first-appearance order over a
-/// sequential row scan and verify collisions through [`rows_equal`], so
-/// group numbering — and therefore every aggregate output — is identical
-/// whichever path runs.
-fn hash_group_rows(keys: &[Tensor], n: usize, flat: bool) -> (Tensor, Tensor) {
+/// The key columns hash **once, blockwise**
+/// ([`tqp_tensor::hash::hash_columns`]) and group through the flat
+/// open-addressing table of [`tqp_tensor::hash::group_rows_by_hash`],
+/// which assigns gids in first-appearance order over a sequential row scan
+/// and verifies collisions through [`rows_equal`].
+fn hash_group_rows(keys: &[Tensor], n: usize) -> (Tensor, Tensor) {
     if keys.is_empty() {
         let firsts = if n == 0 { vec![] } else { vec![0] };
         return (Tensor::from_i64(vec![0; n]), Tensor::from_i64(firsts));
     }
     let key_refs: Vec<&Tensor> = keys.iter().collect();
-    if flat {
-        let hashes = tqp_tensor::hash::hash_columns(&key_refs);
-        // A single bare-I64 key (the test `join::flat_keys` makes) compares
-        // through one slice instead of the per-dtype dispatch per probe.
-        let (gids, firsts) = match keys {
-            [k] if k.dtype() == DType::I64 && k.shape().len() == 1 => {
-                let v = k.as_i64();
-                tqp_tensor::hash::group_rows_by_hash(&hashes, |i, j| v[i] == v[j])
-            }
-            _ => tqp_tensor::hash::group_rows_by_hash(&hashes, |i, j| rows_equal(keys, i, j)),
-        };
-        return (Tensor::from_i64(gids), Tensor::from_i64(firsts));
-    }
-    let hashes = hash_rows(&key_refs);
-    let hv = hashes.as_i64();
-    // hash → chain of (first_row, gid); verify on collision.
-    let mut table: HashMap<i64, Vec<(u32, u32)>, FxBuild> =
-        HashMap::with_capacity_and_hasher(n, FxBuild);
-    let mut gids = vec![0i64; n];
-    let mut firsts: Vec<i64> = Vec::new();
-    for i in 0..n {
-        let chain = table.entry(hv[i]).or_default();
-        let mut found = None;
-        for &(first, gid) in chain.iter() {
-            if rows_equal(keys, i, first as usize) {
-                found = Some(gid);
-                break;
-            }
+    let hashes = tqp_tensor::hash::hash_columns(&key_refs);
+    // A single bare-I64 key compares through one slice instead of the
+    // per-dtype dispatch per probe.
+    let (gids, firsts) = match keys {
+        [k] if k.dtype() == DType::I64 && k.shape().len() == 1 => {
+            let v = k.as_i64();
+            tqp_tensor::hash::group_rows_by_hash(&hashes, |i, j| v[i] == v[j])
         }
-        let gid = match found {
-            Some(g) => g,
-            None => {
-                let g = firsts.len() as u32;
-                chain.push((i as u32, g));
-                firsts.push(i as i64);
-                g
-            }
-        };
-        gids[i] = gid as i64;
-    }
+        _ => tqp_tensor::hash::group_rows_by_hash(&hashes, |i, j| rows_equal(keys, i, j)),
+    };
     (Tensor::from_i64(gids), Tensor::from_i64(firsts))
 }
 
-// ---------------------------------------------------------------------
-// Sort strategy
-// ---------------------------------------------------------------------
-
-fn sort_aggregate(
-    keys: &[Tensor],
-    aggs: &[CompiledAgg],
-    args: &[Option<Evaled>],
-    n: usize,
-    workers: usize,
-) -> Batch {
-    let sort_keys: Vec<SortKey> = keys.iter().map(|k| SortKey::asc(k.clone())).collect();
-    let perm = argsort_multi_par(&sort_keys, workers);
-    let sorted_keys: Vec<Tensor> = keys.iter().map(|k| take(k, &perm)).collect();
-    let key_refs: Vec<&Tensor> = sorted_keys.iter().collect();
-    let groups = group_ids(&key_refs);
-
-    let mut columns: Vec<Tensor> = sorted_keys
-        .iter()
-        .map(|k| take(k, &groups.firsts))
-        .collect();
-    for (call, arg) in aggs.iter().zip(args) {
-        columns.push(one_agg_sorted(call, arg, &perm, &groups, &sorted_keys, n));
-    }
-    Batch::new(columns)
-}
-
-fn one_agg_sorted(
-    call: &CompiledAgg,
-    arg: &Option<Evaled>,
-    perm: &Tensor,
-    groups: &Groups,
-    sorted_keys: &[Tensor],
-    n: usize,
-) -> Tensor {
-    let g = groups.num_groups;
-    match call.func {
-        AggFunc::CountStar => run_lengths(groups, n),
-        AggFunc::CountDistinct => {
-            let (vals, validity) = arg.clone().expect("agg arg");
-            let vals = take(&vals, perm);
-            let validity = validity.map(|m| take(&m, perm));
-            distinct_per_group(sorted_keys, &vals, validity, groups)
-        }
-        _ => {
-            let (vals, validity) = arg.clone().expect("agg arg");
-            let vals = take(&vals, perm);
-            let validity = validity.map(|m| take(&m, perm));
-            let (vals, ids) = match validity {
-                None => (vals, groups.ids.clone()),
-                Some(mask) => {
-                    let idx = mask_to_indices(&mask);
-                    (take(&vals, &idx), take(&groups.ids, &idx))
-                }
-            };
-            reduce_by_ids(&vals, &ids, g, call)
-        }
-    }
-}
-
-/// Segmented reduction dispatch with type- and emptiness-aware finalization.
+/// Segmented reduction dispatch with type- and emptiness-aware
+/// finalization: a group whose arguments were all NULL yields the shared
+/// default (0, 0.0, or the empty string), as a global aggregate over no
+/// rows does.
 fn reduce_by_ids(vals: &Tensor, ids: &Tensor, g: usize, call: &CompiledAgg) -> Tensor {
     match call.func {
         AggFunc::Sum if call.ty == LogicalType::Int64 => {
@@ -971,7 +841,7 @@ fn reduce_by_ids(vals: &Tensor, ids: &Tensor, g: usize, call: &CompiledAgg) -> T
         AggFunc::Min | AggFunc::Max => {
             let min = call.func == AggFunc::Min;
             if vals.dtype() == DType::U8 {
-                return minmax_str_with_defaults(vals, ids, g, min);
+                return segmented_min_str_or_filler(vals, ids, g, min);
             }
             // Fix groups whose members were all NULL to the shared default.
             let counts =
@@ -1001,48 +871,8 @@ fn reduce_by_ids(vals: &Tensor, ids: &Tensor, g: usize, call: &CompiledAgg) -> T
     }
 }
 
-fn minmax_str_with_defaults(vals: &Tensor, ids: &Tensor, g: usize, min: bool) -> Tensor {
-    // String min/max groups are never empty in practice (no validity on
-    // string aggregates in TPC-H); assert instead of patching.
-    let mut seen = vec![false; g];
-    for &i in ids.as_i64() {
-        seen[i as usize] = true;
-    }
-    assert!(seen.iter().all(|&s| s), "empty group in string MIN/MAX");
-    segmented_min_str(vals, ids, g, min)
-}
-
-/// Distinct `(keys, value)` runs per group — COUNT(DISTINCT x).
-fn distinct_per_group(
-    sorted_keys: &[Tensor],
-    vals_sorted_by_keys: &Tensor,
-    validity: Option<Tensor>,
-    groups: &Groups,
-) -> Tensor {
-    // Re-sort within the key order by value (stable, so key order holds).
-    let mut all_keys: Vec<SortKey> = sorted_keys
-        .iter()
-        .map(|k| SortKey::asc(k.clone()))
-        .collect();
-    all_keys.push(SortKey::asc(vals_sorted_by_keys.clone()));
-    // Sorting by (keys..., val) from scratch: keys are already grouped, so a
-    // stable multi-key sort reproduces group order with values ordered.
-    let perm2 = argsort_multi(&all_keys);
-    let vals2 = take(vals_sorted_by_keys, &perm2);
-    let ids2 = take(&groups.ids, &perm2);
-    let keep = validity.map(|m| mask_to_indices(&take(&m, &perm2)));
-    let (vals2, ids2) = match keep {
-        None => (vals2, ids2),
-        Some(idx) => (take(&vals2, &idx), take(&ids2, &idx)),
-    };
-    // Runs over (group id, value).
-    let starts = run_starts(&[&ids2, &vals2]);
-    let ones = starts.cast(DType::I64).expect("bool->i64");
-    tqp_tensor::index::scatter_add_i64(groups.num_groups, &ids2, &ones)
-}
-
 // ---------------------------------------------------------------------
-// Hash strategy
+// The sequential aggregate
 // ---------------------------------------------------------------------
 
 /// Returns the aggregate (groups in first-appearance order) and each
@@ -1052,9 +882,8 @@ fn hash_aggregate(
     aggs: &[CompiledAgg],
     args: &[Option<Evaled>],
     n: usize,
-    flat: bool,
 ) -> (Batch, Tensor) {
-    let (ids, firsts) = hash_group_rows(keys, n, flat);
+    let (ids, firsts) = hash_group_rows(keys, n);
     let g = firsts.nrows();
 
     let mut columns: Vec<Tensor> = keys.iter().map(|k| take(k, &firsts)).collect();
@@ -1153,7 +982,6 @@ mod tests {
         strategy: Strategy,
         shape: Shape,
         workers: usize,
-        flat: bool,
     ) -> Batch {
         let (n, rows) = (b.nrows(), par_morsel_rows());
         let morsel = |m: usize| (b.slice_rows(m * rows, ((m + 1) * rows).min(n)), ());
@@ -1166,8 +994,6 @@ mod tests {
             strategy,
             &models,
             workers,
-            true,
-            flat,
         )
         .0
     }
@@ -1189,8 +1015,6 @@ mod tests {
             strategy,
             &ModelRegistry::new(),
             1,
-            true,
-            true,
         )
     }
 
@@ -1209,8 +1033,14 @@ mod tests {
         panic!("group {key} missing");
     }
 
+    /// `Strategy::Sort` is `Strategy::Hash` with its groups listed in key
+    /// order — bitwise, float SUM/AVG association included — for float
+    /// keys with signed zeros and NaNs, string keys, two key columns,
+    /// COUNT(DISTINCT) and NULL-bearing arguments. The key order is
+    /// computed here (`total_cmp` on floats, bytes on strings), not by the
+    /// engine.
     #[test]
-    fn sort_and_hash_agree() {
+    fn sort_is_hash_ordered_by_key() {
         for strat in [Strategy::Sort, Strategy::Hash] {
             let out = run(strat);
             assert_eq!(out.nrows(), 2, "{strat:?}");
@@ -1218,6 +1048,55 @@ mod tests {
             assert_eq!(group_of(&out, "a"), vec![9.0, 3.0, 1.0, 5.0, 3.0, 2.0]);
             // b: vals 2,4; i64 7,8 → 2 distinct
             assert_eq!(group_of(&out, "b"), vec![6.0, 2.0, 2.0, 4.0, 3.0, 2.0]);
+        }
+
+        let n = 3000;
+        let floats = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            1.5,
+            -2.25,
+            f64::INFINITY,
+        ];
+        let mut b = everything_batch(n, |i| ((i * 7919) % 37) as i64);
+        b.columns.push(Tensor::from_f64(
+            (0..n)
+                .map(|i| floats[(i * 13 + i / 5) % floats.len()])
+                .collect(),
+        ));
+        b.validity.push(None);
+        use LogicalType::{Float64 as F, Int64 as I, Str as S};
+        let key_sets = [
+            vec![E::col(5, F)],
+            vec![E::col(1, S)],
+            vec![E::col(5, F), E::col(1, S)],
+            vec![E::col(0, I), E::col(5, F)],
+        ];
+        let models = ModelRegistry::new();
+        for keys in key_sets {
+            let reduce = everything_by(&keys);
+            let hash = aggregate(&b, &reduce, Strategy::Hash, &models, 1);
+            let cmp_rows = |x: usize, y: usize| {
+                hash.columns[..keys.len()]
+                    .iter()
+                    .map(|k| match k.dtype() {
+                        DType::F64 => k.as_f64()[x].total_cmp(&k.as_f64()[y]),
+                        DType::U8 => k.str_row(x).cmp(k.str_row(y)),
+                        _ => k.as_i64()[x].cmp(&k.as_i64()[y]),
+                    })
+                    .find(|o| o.is_ne())
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            };
+            let mut perm: Vec<usize> = (0..hash.nrows()).collect();
+            perm.sort_by(|&x, &y| cmp_rows(x, y));
+            let by_key = hash.take(&Tensor::from_i64(perm.iter().map(|&i| i as i64).collect()));
+            for workers in [1, 4] {
+                let sort = aggregate(&b, &reduce, Strategy::Sort, &models, workers);
+                assert_bitwise(&by_key, &sort, &format!("{} keys, w={workers}", keys.len()));
+            }
         }
     }
 
@@ -1251,15 +1130,7 @@ mod tests {
             reduce.exprs.outputs[reduce.aggs[0].arg.unwrap()],
             reduce.exprs.outputs[reduce.aggs[1].arg.unwrap()]
         );
-        let out = aggregate(
-            &batch(),
-            &reduce,
-            Strategy::Sort,
-            &ModelRegistry::new(),
-            1,
-            true,
-            true,
-        );
+        let out = aggregate(&batch(), &reduce, Strategy::Sort, &ModelRegistry::new(), 1);
         assert_eq!(group_of(&out, "a"), vec![18.0, 6.0]);
     }
 
@@ -1278,8 +1149,6 @@ mod tests {
             Strategy::Sort,
             &ModelRegistry::new(),
             1,
-            true,
-            true,
         );
         assert_eq!(out.nrows(), 1);
         assert_eq!(out.columns[0].as_f64(), &[15.0]);
@@ -1308,8 +1177,6 @@ mod tests {
             Strategy::Sort,
             &ModelRegistry::new(),
             1,
-            true,
-            true,
         );
         assert_eq!(out.nrows(), 1);
         assert_eq!(out.columns[0].as_f64(), &[0.0]);
@@ -1331,8 +1198,6 @@ mod tests {
             Strategy::Sort,
             &ModelRegistry::new(),
             1,
-            true,
-            true,
         );
         assert_eq!(out.nrows(), 0);
     }
@@ -1369,8 +1234,6 @@ mod tests {
                 strat,
                 &ModelRegistry::new(),
                 1,
-                true,
-                true,
             );
             assert_eq!(out.columns[1].as_i64(), &[2], "{strat:?}");
             assert_eq!(out.columns[2].as_f64(), &[30.0]);
@@ -1407,9 +1270,9 @@ mod tests {
         );
         let models = ModelRegistry::new();
         for strat in [Strategy::Sort, Strategy::Hash] {
-            let one = morsels(&b, &reduce, strat, Shape::Partial, 1, true);
+            let one = morsels(&b, &reduce, strat, Shape::Partial, 1);
             for workers in [2, 5, 8] {
-                let many = morsels(&b, &reduce, strat, Shape::Partial, workers, true);
+                let many = morsels(&b, &reduce, strat, Shape::Partial, workers);
                 assert_eq!(one.nrows(), many.nrows(), "{strat:?}");
                 for c in 0..one.ncols() {
                     match one.columns[c].dtype() {
@@ -1441,7 +1304,7 @@ mod tests {
             // order (that is what makes the input adversarial); their
             // seq-vs-par agreement is asserted on benign values in
             // `parallel_grouped_matches_sequential`.
-            let seq = aggregate(&b, &reduce, strat, &models, 1, true, true);
+            let seq = aggregate(&b, &reduce, strat, &models, 1);
             assert_eq!(seq.nrows(), one.nrows(), "{strat:?}");
             assert_eq!(
                 seq.columns[0].as_i64(),
@@ -1503,8 +1366,8 @@ mod tests {
         );
         let models = ModelRegistry::new();
         for strat in [Strategy::Sort, Strategy::Hash] {
-            let seq = aggregate(&b, &reduce, strat, &models, 1, true, true);
-            let par = morsels(&b, &reduce, strat, Shape::Partial, 4, true);
+            let seq = aggregate(&b, &reduce, strat, &models, 1);
+            let par = morsels(&b, &reduce, strat, Shape::Partial, 4);
             assert_eq!(seq.nrows(), par.nrows(), "{strat:?}");
             for c in 0..seq.ncols() {
                 assert_eq!(
@@ -1532,8 +1395,8 @@ mod tests {
                 star(),
             ],
         );
-        let one = morsels(&b, &reduce, Strategy::Sort, Shape::Partial, 1, true);
-        let many = morsels(&b, &reduce, Strategy::Sort, Shape::Partial, 6, true);
+        let one = morsels(&b, &reduce, Strategy::Sort, Shape::Partial, 1);
+        let many = morsels(&b, &reduce, Strategy::Sort, Shape::Partial, 6);
         assert_eq!(one.nrows(), 1);
         assert_eq!(
             one.columns[0].as_f64()[0].to_bits(),
@@ -1576,9 +1439,9 @@ mod tests {
             ],
         );
         let models = ModelRegistry::new();
-        let seq = aggregate(&b, &reduce, Strategy::Hash, &models, 1, true, true);
+        let seq = aggregate(&b, &reduce, Strategy::Hash, &models, 1);
         for workers in [1usize, 4] {
-            let par = morsels(&b, &reduce, Strategy::Hash, Shape::Partial, workers, true);
+            let par = morsels(&b, &reduce, Strategy::Hash, Shape::Partial, workers);
             assert_eq!(seq.nrows(), par.nrows(), "workers {workers}");
             assert_eq!(seq.columns[0].str_at(0), par.columns[0].str_at(0));
             assert_eq!(seq.columns[1].str_at(0), par.columns[1].str_at(0));
@@ -1587,55 +1450,63 @@ mod tests {
     }
 
     /// Nullable string aggregate arguments (the left-join NULL-padding
-    /// case) must work on the partitioned path exactly as they do
+    /// case) must work on both parallel shapes exactly as they do
     /// sequentially: COUNT skips NULLs, MIN/MAX reduce over the valid
-    /// subset — even when a whole *morsel*'s slice of a group is NULL.
+    /// subset — even when a whole *morsel*'s slice of a group is NULL, and
+    /// when a group is NULL everywhere (it yields the empty string).
     #[test]
     fn parallel_nullable_string_aggregates_match_sequential() {
         let n = par_min_rows() + 123;
         let words = ["pear", "apple", "kiwi", "zed"];
         let grp: Vec<i64> = (0..n).map(|i| (i % 3) as i64).collect();
         let strs: Vec<String> = (0..n).map(|i| words[i % 4].to_string()).collect();
+        let refs: Vec<&str> = strs.iter().map(|s| s.as_str()).collect();
+        let input = |valid: Vec<bool>| {
+            Batch::with_validity(
+                vec![
+                    Tensor::from_i64(grp.clone()),
+                    Tensor::from_strings(&refs, 0),
+                ],
+                vec![None, Some(Tensor::from_bool(valid))],
+            )
+        };
         // Group 2 is NULL everywhere except one early row, so entire
-        // morsels of it are all-NULL (the filler-row merge case).
-        let valid: Vec<bool> = (0..n).map(|i| i % 3 != 2 || i == 2).collect();
-        let b = Batch::with_validity(
-            vec![Tensor::from_i64(grp), {
-                let refs: Vec<&str> = strs.iter().map(|s| s.as_str()).collect();
-                Tensor::from_strings(&refs, 0)
-            }],
-            vec![None, Some(Tensor::from_bool(valid))],
-        );
+        // morsels of it are all-NULL (the filler-row merge case); in the
+        // second input it is NULL everywhere.
+        let inputs = [
+            input((0..n).map(|i| i % 3 != 2 || i == 2).collect()),
+            input((0..n).map(|i| i % 3 != 2).collect()),
+        ];
+        let str_arg = |func, ty| AggCall {
+            func,
+            arg: Some(E::col(1, LogicalType::Str)),
+            ty,
+        };
         let reduce = reduce_of(
             &[E::col(0, LogicalType::Int64)],
             &[
-                AggCall {
-                    func: AggFunc::Count,
-                    arg: Some(E::col(1, LogicalType::Str)),
-                    ty: LogicalType::Int64,
-                },
-                AggCall {
-                    func: AggFunc::Min,
-                    arg: Some(E::col(1, LogicalType::Str)),
-                    ty: LogicalType::Str,
-                },
-                AggCall {
-                    func: AggFunc::Max,
-                    arg: Some(E::col(1, LogicalType::Str)),
-                    ty: LogicalType::Str,
-                },
+                str_arg(AggFunc::Count, LogicalType::Int64),
+                str_arg(AggFunc::Min, LogicalType::Str),
+                str_arg(AggFunc::Max, LogicalType::Str),
             ],
         );
         let models = ModelRegistry::new();
-        for strat in [Strategy::Sort, Strategy::Hash] {
-            let seq = aggregate(&b, &reduce, strat, &models, 1, true, true);
-            for workers in [1usize, 4] {
-                let par = morsels(&b, &reduce, strat, Shape::Partial, workers, true);
-                assert_eq!(seq.nrows(), par.nrows(), "{strat:?}");
-                assert_eq!(seq.columns[1].as_i64(), par.columns[1].as_i64());
-                for r in 0..seq.nrows() {
-                    assert_eq!(seq.columns[2].str_at(r), par.columns[2].str_at(r));
-                    assert_eq!(seq.columns[3].str_at(r), par.columns[3].str_at(r));
+        for (k, b) in inputs.iter().enumerate() {
+            for strat in [Strategy::Sort, Strategy::Hash] {
+                let seq = aggregate(b, &reduce, strat, &models, 1);
+                assert_eq!(seq.nrows(), 3);
+                if k == 1 {
+                    let g2 = (0..3).find(|&r| seq.columns[0].as_i64()[r] == 2).unwrap();
+                    assert_eq!(seq.columns[1].as_i64()[g2], 0);
+                    assert_eq!(seq.columns[2].str_at(g2), "");
+                    assert_eq!(seq.columns[3].str_at(g2), "");
+                }
+                for shape in [Shape::Partial, Shape::Partitioned] {
+                    for workers in [1usize, 4] {
+                        let par = morsels(b, &reduce, strat, shape, workers);
+                        let what = format!("input {k} {strat:?} {shape:?} w={workers}");
+                        assert_bitwise(&seq, &par, &what);
+                    }
                 }
             }
         }
@@ -1669,6 +1540,12 @@ mod tests {
     /// Every aggregate function over NULL-bearing arguments, float, int and
     /// string, keyed by `(k0: i64, k1: str)`.
     fn everything(n_keys: usize) -> ReduceExprs {
+        use LogicalType::{Int64 as I, Str as S};
+        everything_by(&[E::col(0, I), E::col(1, S)][..n_keys])
+    }
+
+    /// [`everything`]'s aggregates, grouped by `keys`.
+    fn everything_by(keys: &[E]) -> ReduceExprs {
         let arg = |func, col, arg_ty, ty| AggCall {
             func,
             arg: Some(E::col(col, arg_ty)),
@@ -1676,7 +1553,7 @@ mod tests {
         };
         use LogicalType::{Float64 as F, Int64 as I, Str as S};
         reduce_of(
-            &[E::col(0, I), E::col(1, S)][..n_keys],
+            keys,
             &[
                 arg(AggFunc::Sum, 2, F, F),
                 arg(AggFunc::Avg, 2, F, F),
@@ -1732,7 +1609,7 @@ mod tests {
 
     /// The partitioned shape is bit-for-bit the sequential aggregate — group
     /// order, keys and every aggregate, float association included — at
-    /// every worker count, both strategies, both hash engines; for
+    /// every worker count, both strategies; for
     /// duplicate-heavy keys, all-distinct keys and one giant group.
     #[test]
     fn partitioned_is_bitwise_the_sequential_aggregate() {
@@ -1749,12 +1626,10 @@ mod tests {
             for n_keys in [1, 2] {
                 let reduce = everything(n_keys);
                 for strat in [Strategy::Hash, Strategy::Sort] {
-                    let seq = aggregate(&b, &reduce, strat, &models, 1, true, true);
-                    for (workers, flat) in [(1, true), (2, true), (4, true), (8, true), (4, false)]
-                    {
-                        let par = morsels(&b, &reduce, strat, Shape::Partitioned, workers, flat);
-                        let what =
-                            format!("{name} keys={n_keys} {strat:?} w={workers} flat={flat}");
+                    let seq = aggregate(&b, &reduce, strat, &models, 1);
+                    for workers in [1, 2, 4, 8] {
+                        let par = morsels(&b, &reduce, strat, Shape::Partitioned, workers);
+                        let what = format!("{name} keys={n_keys} {strat:?} w={workers}");
                         assert_bitwise(&seq, &par, &what);
                     }
                 }
@@ -1789,8 +1664,6 @@ mod tests {
                 Strategy::Hash,
                 &models,
                 workers,
-                true,
-                true,
             )
             .0
         };
@@ -1799,15 +1672,7 @@ mod tests {
             .iter()
             .map(|&m| b.slice_rows(m * rows, (m + 1) * rows))
             .collect();
-        let seq = aggregate(
-            &Batch::vcat_all(kept),
-            &reduce,
-            Strategy::Hash,
-            &models,
-            1,
-            true,
-            true,
-        );
+        let seq = aggregate(&Batch::vcat_all(kept), &reduce, Strategy::Hash, &models, 1);
         for workers in [1, 4] {
             let par = run(&|m| m % 2 == 1, workers);
             assert_bitwise(&seq, &par, &format!("odd morsels, w={workers}"));
@@ -1861,8 +1726,6 @@ mod tests {
             Strategy::Sort,
             &ModelRegistry::new(),
             1,
-            true,
-            true,
         );
         assert_eq!(out.columns[1].str_at(0), "apple");
         assert_eq!(out.columns[1].str_at(1), "kiwi");

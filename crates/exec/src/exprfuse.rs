@@ -24,12 +24,13 @@
 //! decision is also paid once. Collisions are handled exactly: entries
 //! store their canonical shape bytes and compare them on lookup.
 //!
-//! **Why the oracle paths stay.** The tree interpreter (`crate::expr`),
-//! the unfused compiled path (`fuse_exprs: false`), and the Wasm scalar
-//! walk survive unchanged as differential oracles: every fused inner loop
-//! must reproduce their results *bitwise* (the proptest suite and the
-//! differential fuzzer pin this), which is what makes an aggressive fused
-//! fast path safe to evolve.
+//! **Fallback and reference.** [`conjunct_mask`] and [`eval_all`] try
+//! the fused kernel first. The generic evaluator ([`exprprog::eval_all`],
+//! [`exprprog::eval_conjuncts_eager`]) stays as the fallback for programs
+//! that do not fuse, and it is the reference `tests/property_exprprog.rs`
+//! compares every fused inner loop against *bitwise* by calling it
+//! directly; the differential fuzzer checks whole queries against the
+//! `tqp-baseline` row engine.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,21 +80,11 @@ pub fn stats() -> ExprStats {
 
 /// Evaluate all conjuncts of a filter program into one AND-folded mask
 /// (validity folded in: NULL = drop). Takes the fused kernel when the
-/// program specializes and `fuse` is on; otherwise the generic
+/// program specializes; otherwise the generic
 /// [`exprprog::eval_conjuncts_eager`]. Results are bitwise identical
 /// either way.
-pub fn conjunct_mask(
-    prog: &ExprProgram,
-    batch: &Batch,
-    models: &ModelRegistry,
-    fuse: bool,
-) -> Tensor {
-    if fuse {
-        if let Some(mask) = fused_mask(prog, batch) {
-            return mask;
-        }
-    }
-    exprprog::eval_conjuncts_eager(prog, batch, models)
+pub fn conjunct_mask(prog: &ExprProgram, batch: &Batch, models: &ModelRegistry) -> Tensor {
+    fused_mask(prog, batch).unwrap_or_else(|| exprprog::eval_conjuncts_eager(prog, batch, models))
 }
 
 /// Fused-only variant of [`conjunct_mask`]: `Some` iff the program
@@ -110,18 +101,8 @@ pub fn try_conjunct_mask(
 
 /// Evaluate every output of a program (projections, aggregate inputs,
 /// sort keys). Fused when possible, identical results always.
-pub fn eval_all(
-    prog: &ExprProgram,
-    batch: &Batch,
-    models: &ModelRegistry,
-    fuse: bool,
-) -> Vec<Evaled> {
-    if fuse {
-        if let Some(outs) = fused_outputs(prog, batch) {
-            return outs;
-        }
-    }
-    exprprog::eval_all(prog, batch, models)
+pub fn eval_all(prog: &ExprProgram, batch: &Batch, models: &ModelRegistry) -> Vec<Evaled> {
+    fused_outputs(prog, batch).unwrap_or_else(|| exprprog::eval_all(prog, batch, models))
 }
 
 // ---------------------------------------------------------------------
@@ -1040,7 +1021,7 @@ mod tests {
         };
         let b = batch();
         let models = ModelRegistry::new();
-        let fused = conjunct_mask(&prog, &b, &models, true);
+        let fused = conjunct_mask(&prog, &b, &models);
         let eager = exprprog::eval_conjuncts_eager(&prog, &b, &models);
         assert_eq!(fused.as_bool(), eager.as_bool());
     }
@@ -1089,7 +1070,7 @@ mod tests {
         };
         let b = batch();
         let models = ModelRegistry::new();
-        let fused = eval_all(&prog, &b, &models, true);
+        let fused = eval_all(&prog, &b, &models);
         let generic = exprprog::eval_all(&prog, &b, &models);
         assert_eq!(fused.len(), generic.len());
         for (k, ((fv, fval), (gv, gval))) in fused.iter().zip(&generic).enumerate() {
@@ -1142,7 +1123,7 @@ mod tests {
         };
         let b = batch();
         let models = ModelRegistry::new();
-        let fused = eval_all(&prog, &b, &models, true);
+        let fused = eval_all(&prog, &b, &models);
         let generic = exprprog::eval_all(&prog, &b, &models);
         assert_eq!(fused[0].0.as_i64(), generic[0].0.as_i64());
     }
@@ -1186,9 +1167,9 @@ mod tests {
         };
         let b = batch();
         let models = ModelRegistry::new();
-        let m1 = conjunct_mask(&mk(24), &b, &models, true);
+        let m1 = conjunct_mask(&mk(24), &b, &models);
         let before = stats();
-        let m2 = conjunct_mask(&mk(40), &b, &models, true);
+        let m2 = conjunct_mask(&mk(40), &b, &models);
         let after = stats();
         assert_eq!(after.ops_fused, before.ops_fused, "no recompilation");
         assert!(after.kernels_hit > before.kernels_hit, "cache hit counted");

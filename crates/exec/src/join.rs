@@ -6,17 +6,12 @@
 //!   `[lo, hi)`, expand runs into aligned index tensors with
 //!   `repeat_interleave`/`cumsum`/`arange` arithmetic, then gather. No data-
 //!   dependent control flow — every step is a dense kernel.
-//! * **Hash**: two interchangeable build tables behind one probe contract.
-//!   The default **flat** path hashes each side exactly once with the
-//!   blockwise kernels in [`tqp_tensor::hash`] and builds a
-//!   [`FlatRowTable`] — a power-of-two directory over contiguous row/key
-//!   arenas, filled by a counting pass (no per-key `Vec` allocations, no
-//!   second hash on insert). The legacy **map** path
-//!   (`HashMap<i64, Vec<u32>>` collision chains, which re-hash the
-//!   combined key through FxHash on every insert and lookup) is kept as a
-//!   differential oracle behind `ExecConfig::flat_hash = false`. Both emit
-//!   probe pairs in (probe row asc, build row asc) order and verify true
-//!   key equality on hashed keys, so flat on/off is bitwise identical.
+//! * **Hash**: hash each side exactly once with the blockwise kernels in
+//!   [`tqp_tensor::hash`] and build a [`FlatRowTable`] — a power-of-two
+//!   directory over contiguous row/key arenas, filled by a counting pass
+//!   (no per-key `Vec` allocations, no second hash on insert). Probe pairs
+//!   come out in (probe row asc, build row asc) order, and hashed keys are
+//!   verified for true equality.
 //!
 //! Multi-column keys reduce to the single-key case by joining on a 64-bit
 //! combined row hash and verifying true key equality on the expanded pairs
@@ -32,8 +27,6 @@
 //! another order, but a semi/anti join only reads *which* left rows
 //! matched and emits them in left order, so the output is the same
 //! whichever side was built — and the same at every worker count.
-
-use std::collections::HashMap;
 
 use tqp_ir::physical::JoinStrategy;
 use tqp_ir::plan::JoinType;
@@ -108,64 +101,37 @@ pub fn sort_merge_join(
 /// verifies true key equality on the expanded pairs (collision-safe).
 ///
 /// Large builds construct **radix-partitioned**: `2^bits` disjoint tables,
-/// each owning the keys whose mixed high bits select it, built by
-/// independent workers. Each worker scans the key vector in row order and
-/// keeps only its own partition, so every key's row-index bucket is filled
-/// in ascending row order — **exactly** the bucket a sequential build
-/// produces. Probe output is therefore identical whatever the partition
-/// count, which is why it may follow the worker knob freely.
+/// each owning the keys whose hash's top bits select it, built by
+/// independent workers. Partitions fill from contiguous, ascending worker
+/// ranges, so every key's bucket holds its rows in ascending row order —
+/// **exactly** the bucket a sequential build produces. Probe output is
+/// therefore identical whatever the partition count, which is why it may
+/// follow the worker knob freely.
 pub struct JoinTable {
     /// One table when built sequentially, `2^bits` radix partitions
     /// otherwise.
-    parts: Parts,
+    parts: Vec<FlatRowTable>,
     /// log2 of the partition count (0 = unpartitioned).
     bits: u32,
     /// True when keys were hashed (probe must verify equality).
     hashed: bool,
 }
 
-/// The two interchangeable build-table representations (see module docs).
-enum Parts {
-    /// Legacy collision-chain maps — the differential oracle.
-    Map(Vec<HashMap<i64, Vec<u32>, FxBuild>>),
-    /// Flat arena tables over a precomputed blockwise hash column.
-    Flat(Vec<FlatRowTable>),
-}
-
-/// Fibonacci-mix the key and keep the top `bits` bits: cheap, and robust to
-/// the low-bit regularity of surrogate keys (sequential ints, strided ids).
-#[inline]
-fn radix_of(k: i64, bits: u32) -> usize {
-    (((k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> (64 - bits)) as usize
-}
-
 impl JoinTable {
     /// Number of distinct build keys.
     pub fn len(&self) -> usize {
-        match &self.parts {
-            Parts::Map(ms) => ms.iter().map(|m| m.len()).sum(),
-            Parts::Flat(ts) => ts.iter().map(|t| t.len()).sum(),
-        }
+        self.parts.iter().map(|t| t.len()).sum()
     }
 
     /// True when no build rows were inserted.
     pub fn is_empty(&self) -> bool {
-        match &self.parts {
-            Parts::Map(ms) => ms.iter().all(|m| m.is_empty()),
-            Parts::Flat(ts) => ts.iter().all(|t| t.is_empty()),
-        }
-    }
-
-    /// True when this table uses the flat arena representation.
-    pub fn is_flat(&self) -> bool {
-        matches!(self.parts, Parts::Flat(_))
+        self.parts.iter().all(|t| t.is_empty())
     }
 }
 
-/// Build the hash table over `keys` of the build-side batch, sequentially,
-/// on the default (flat) path.
+/// Build the hash table over `keys` of the build-side batch, sequentially.
 pub fn build_table(build: &Batch, keys: &[usize]) -> JoinTable {
-    build_table_par(build, keys, 1, true, None)
+    build_table_par(build, keys, 1, None)
 }
 
 /// Minimum build rows before the radix-partitioned parallel build pays for
@@ -176,102 +142,11 @@ const PAR_BUILD_MIN_ROWS: usize = 32 * 1024;
 /// per worker outweigh insert parallelism.
 const MAX_RADIX_BITS: u32 = 4;
 
-/// Build the hash table, radix-partitioned across up to `workers` threads
-/// when the build side is large enough. The table's *content* is identical
-/// to [`build_table`] at any worker count (see [`JoinTable`]).
-///
-/// `flat` selects the representation (flat arena vs legacy map oracle);
-/// `distinct` is an optional distinct-key estimate (the catalog's KMV
-/// sketch, threaded through the plan) used to size the flat directory —
-/// without it the directory assumes all-distinct keys, the same
-/// over-allocation the map path used to bake in as `rows * 2`.
-pub fn build_table_par(
-    build: &Batch,
-    keys: &[usize],
-    workers: usize,
-    flat: bool,
-    distinct: Option<u64>,
-) -> JoinTable {
-    assert!(
-        !keys.is_empty(),
-        "tensor joins require at least one equi key"
-    );
-    let rkeys: Vec<&Tensor> = keys.iter().map(|&k| &build.columns[k]).collect();
-    let hashed =
-        !(rkeys.len() == 1 && rkeys[0].dtype() == DType::I64 && rkeys[0].shape().len() == 1);
-    if flat {
-        return build_flat(&rkeys, hashed, workers, distinct);
-    }
-    let rkey = if hashed {
-        hash_rows(&rkeys)
-    } else {
-        rkeys[0].clone()
-    };
-    let rk = rkey.as_i64();
-
-    if workers <= 1 || rk.len() < PAR_BUILD_MIN_ROWS {
-        let mut map: HashMap<i64, Vec<u32>, FxBuild> =
-            HashMap::with_capacity_and_hasher(rk.len(), FxBuild);
-        for (i, &k) in rk.iter().enumerate() {
-            map.entry(k).or_default().push(i as u32);
-        }
-        return JoinTable {
-            parts: Parts::Map(vec![map]),
-            bits: 0,
-            hashed,
-        };
-    }
-
-    let bits = (workers.next_power_of_two().trailing_zeros()).clamp(1, MAX_RADIX_BITS);
-    let p = 1usize << bits;
-    let n = rk.len();
-
-    // Phase 1 — one scan total: each worker bins a contiguous row range
-    // into per-partition (key, row) vectors, in row order.
-    let threads = workers.min(n);
-    let chunk = n.div_ceil(threads);
-    /// One (key, row) vector per radix partition, per phase-1 worker.
-    type RadixBins = Vec<Vec<(i64, u32)>>;
-    let rk_ref = &rk;
-    let bins: Vec<RadixBins> = crate::sched::map_tasks(threads, workers, |t| {
-        // Partition boundary: deadline/cancellation check per build task.
-        crate::sched::check_cancelled();
-        let lo = t * chunk;
-        let hi = ((t + 1) * chunk).min(n);
-        let mut local: Vec<Vec<(i64, u32)>> = vec![Vec::new(); p];
-        for (i, &k) in rk_ref[lo..hi].iter().enumerate() {
-            local[radix_of(k, bits)].push((k, (lo + i) as u32));
-        }
-        local
-    });
-
-    // Phase 2 — one map per partition, draining the workers' bins in
-    // worker order. Worker ranges are contiguous and ascending, so each
-    // key's bucket fills in exactly the sequential build's row order.
-    let bins_ref = &bins;
-    let parts: Vec<HashMap<i64, Vec<u32>, FxBuild>> = crate::sched::map_tasks(p, workers, |pi| {
-        let cap: usize = bins_ref.iter().map(|b| b[pi].len()).sum();
-        let mut map: HashMap<i64, Vec<u32>, FxBuild> =
-            HashMap::with_capacity_and_hasher(cap, FxBuild);
-        for b in bins_ref {
-            for &(k, i) in &b[pi] {
-                map.entry(k).or_default().push(i);
-            }
-        }
-        map
-    });
-    JoinTable {
-        parts: Parts::Map(parts),
-        bits,
-        hashed,
-    }
-}
-
-/// Reduce key columns to one `(keys, hashes)` pair for the flat path,
-/// hashing the side exactly once, blockwise. Single bare-I64 keys stay raw
-/// (probe compares true values); everything else joins on the combined row
-/// hash and verifies equality on the expanded pairs.
-fn flat_keys(cols: &[&Tensor], hashed: bool) -> (Vec<i64>, Vec<u64>) {
+/// Reduce key columns to one `(keys, hashes)` pair, hashing the side
+/// exactly once, blockwise. Single bare-I64 keys stay raw (probe compares
+/// true values); everything else joins on the combined row hash and
+/// verifies equality on the expanded pairs.
+fn hash_keys(cols: &[&Tensor], hashed: bool) -> (Vec<i64>, Vec<u64>) {
     if hashed {
         let h = hash::hash_columns(cols);
         let k = h.iter().map(|&x| x as i64).collect();
@@ -283,17 +158,34 @@ fn flat_keys(cols: &[&Tensor], hashed: bool) -> (Vec<i64>, Vec<u64>) {
     }
 }
 
-/// The flat-arena build: hash once, then counting-pass table construction
-/// (sequential, or radix-partitioned on the hash's top bits — the same
-/// partition a mixed single-I64 key selects under [`radix_of`], since
-/// `mix64` leaves the top 32 bits of the Fibonacci product unchanged).
-fn build_flat(rkeys: &[&Tensor], hashed: bool, workers: usize, distinct: Option<u64>) -> JoinTable {
-    let (kvec, hvec) = flat_keys(rkeys, hashed);
+/// Build the hash table, radix-partitioned across up to `workers` threads
+/// when the build side is large enough: hash once, then counting-pass
+/// table construction, sequential or partitioned on the hash's top bits.
+/// The table's *content* is identical to [`build_table`] at any worker
+/// count (see [`JoinTable`]).
+///
+/// `distinct` is an optional distinct-key estimate (the catalog's KMV
+/// sketch, threaded through the plan) used to size the directory —
+/// without it the directory assumes all-distinct keys.
+pub fn build_table_par(
+    build: &Batch,
+    keys: &[usize],
+    workers: usize,
+    distinct: Option<u64>,
+) -> JoinTable {
+    assert!(
+        !keys.is_empty(),
+        "tensor joins require at least one equi key"
+    );
+    let rkeys: Vec<&Tensor> = keys.iter().map(|&k| &build.columns[k]).collect();
+    let hashed =
+        !(rkeys.len() == 1 && rkeys[0].dtype() == DType::I64 && rkeys[0].shape().len() == 1);
+    let (kvec, hvec) = hash_keys(&rkeys, hashed);
     let n = kvec.len();
 
     if workers <= 1 || n < PAR_BUILD_MIN_ROWS {
         return JoinTable {
-            parts: Parts::Flat(vec![FlatRowTable::build(&kvec, &hvec, distinct)]),
+            parts: vec![FlatRowTable::build(&kvec, &hvec, distinct)],
             bits: 0,
             hashed,
         };
@@ -303,8 +195,8 @@ fn build_flat(rkeys: &[&Tensor], hashed: bool, workers: usize, distinct: Option<
     let p = 1usize << bits;
 
     // Phase 1 — contiguous worker ranges bin (key, row, hash) triples per
-    // partition, in row order (same shape as the map path's phase 1, plus
-    // the hash so partitions never re-hash).
+    // partition, in row order (the hash rides along so partitions never
+    // re-hash).
     let threads = workers.min(n);
     let chunk = n.div_ceil(threads);
     /// Per-partition (keys, rows, hashes) columns, per phase-1 worker.
@@ -344,7 +236,7 @@ fn build_flat(rkeys: &[&Tensor], hashed: bool, workers: usize, distinct: Option<
         FlatRowTable::build_with_rows(&ks, &rs, &hs, part_hint)
     });
     JoinTable {
-        parts: Parts::Flat(parts),
+        parts,
         bits,
         hashed,
     }
@@ -385,21 +277,9 @@ pub fn probe_table(
             "probe keys must match build keys (plan bug)"
         );
     }
-    let (probe_idx, build_idx) = match &table.parts {
-        Parts::Map(maps) => {
-            let pkey = if table.hashed {
-                hash_rows(pkeys)
-            } else {
-                pkeys[0].clone()
-            };
-            probe_pairs_map(maps, table.bits, pkey.as_i64(), workers)
-        }
-        Parts::Flat(parts) => {
-            // Hash the probe side exactly once, blockwise.
-            let (pk, ph) = flat_keys(pkeys, table.hashed);
-            probe_pairs_flat(parts, table.bits, &pk, &ph, workers)
-        }
-    };
+    // Hash the probe side exactly once, blockwise.
+    let (pk, ph) = hash_keys(pkeys, table.hashed);
+    let (probe_idx, build_idx) = probe_pairs(&table.parts, table.bits, &pk, &ph, workers);
     let (left_idx, right_idx) = if build_left {
         (build_idx, probe_idx)
     } else {
@@ -579,37 +459,6 @@ fn collect_pairs(
     (Tensor::from_i64(li), Tensor::from_i64(ri))
 }
 
-/// Probe-side pair expansion over a legacy map table.
-fn probe_pairs_map(
-    maps: &[HashMap<i64, Vec<u32>, FxBuild>],
-    bits: u32,
-    lk: &[i64],
-    workers: usize,
-) -> (Tensor, Tensor) {
-    let get = |k: i64| -> Option<&Vec<u32>> {
-        let p = if bits == 0 { 0 } else { radix_of(k, bits) };
-        maps[p].get(&k)
-    };
-    collect_pairs(lk.len(), workers, &|lo, hi| {
-        // Pre-size from build-bucket cardinality: one counting pass over
-        // the buckets, then exact-capacity fills — no growth reallocations
-        // in the inner expansion loop.
-        let chunk = &lk[lo..hi];
-        let total: usize = chunk.iter().map(|&k| get(k).map_or(0, |m| m.len())).sum();
-        let mut li = Vec::with_capacity(total);
-        let mut ri = Vec::with_capacity(total);
-        for (i, &k) in chunk.iter().enumerate() {
-            if let Some(matches) = get(k) {
-                for &j in matches {
-                    li.push((lo + i) as i64);
-                    ri.push(j as i64);
-                }
-            }
-        }
-        (li, ri)
-    })
-}
-
 /// Probe rows per two-phase block. The range pass is a tight loop of
 /// independent directory lookups, so its cache misses overlap instead of
 /// serializing behind the key-compare chain; the scan pass then walks
@@ -619,12 +468,12 @@ fn probe_pairs_map(
 /// per row.)
 const PROBE_BLOCK_ROWS: usize = 1024;
 
-/// Probe-side pair expansion over flat arena tables: partition by the
+/// Probe-side pair expansion: partition by the
 /// hash's top bits, bucket by its masked low bits, then per
 /// [`PROBE_BLOCK_ROWS`] block gather every row's bucket `[start, end)`
 /// range into a stack array before scanning the contiguous key runs and
 /// emitting pairs.
-fn probe_pairs_flat(
+fn probe_pairs(
     parts: &[FlatRowTable],
     bits: u32,
     lk: &[i64],
@@ -698,40 +547,6 @@ fn null_batch(proto: &Batch, n: usize) -> Batch {
 /// Vertical concatenation of two batches (validity-aware).
 fn vcat(a: Batch, b: Batch) -> Batch {
     Batch::vcat(a, b)
-}
-
-/// FxHash (the rustc hasher): tiny and fast for integer keys.
-#[derive(Clone, Copy, Default)]
-pub struct FxBuild;
-
-impl std::hash::BuildHasher for FxBuild {
-    type Hasher = FxHasher;
-    fn build_hasher(&self) -> FxHasher {
-        FxHasher(0)
-    }
-}
-
-/// See [`FxBuild`].
-pub struct FxHasher(u64);
-
-impl std::hash::Hasher for FxHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-    fn write_i64(&mut self, v: i64) {
-        self.write_u64(v as u64);
-    }
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
 }
 
 #[cfg(test)]
@@ -898,43 +713,31 @@ mod tests {
             (0..8192i64).map(|i| i * 3 % 5000).collect(),
         )]);
         let models = ModelRegistry::new();
-        // Golden output: sequential legacy-map build.
-        let seq_table = build_table_par(&build, &[0], 1, false, None);
-        let seq = probe_table(
-            &seq_table,
-            &probe,
-            &build,
-            JoinType::Inner,
-            &[(0, 0)],
-            None,
-            &models,
-            1,
-            false,
-        );
-        // Every representation × worker count must reproduce it bitwise.
-        for flat in [false, true] {
-            for workers in [1, 2, 4, 8] {
-                let par_table = build_table_par(&build, &[0], workers, flat, None);
-                assert_eq!(par_table.len(), seq_table.len());
-                assert_eq!(par_table.is_empty(), seq_table.is_empty());
-                assert_eq!(par_table.is_flat(), flat);
-                let par = probe_table(
-                    &par_table,
-                    &probe,
-                    &build,
-                    JoinType::Inner,
-                    &[(0, 0)],
-                    None,
-                    &models,
-                    workers,
-                    false,
-                );
-                assert_eq!(seq.nrows(), par.nrows(), "flat={flat} workers={workers}");
-                for c in 0..seq.ncols() {
-                    match seq.columns[c].dtype() {
-                        DType::F64 => assert_eq!(seq.columns[c].as_f64(), par.columns[c].as_f64()),
-                        _ => assert_eq!(seq.columns[c].as_i64(), par.columns[c].as_i64()),
-                    }
+        // Golden output: the sort-merge join, which emits the same
+        // (probe row asc, build row asc) pair order.
+        let seq = sort_merge_join(&probe, &build, JoinType::Inner, &[(0, 0)], None, &models);
+        let seq_table = build_table(&build, &[0]);
+        // Every worker count must reproduce it bitwise.
+        for workers in [1, 2, 4, 8] {
+            let par_table = build_table_par(&build, &[0], workers, None);
+            assert_eq!(par_table.len(), seq_table.len());
+            assert_eq!(par_table.is_empty(), seq_table.is_empty());
+            let par = probe_table(
+                &par_table,
+                &probe,
+                &build,
+                JoinType::Inner,
+                &[(0, 0)],
+                None,
+                &models,
+                workers,
+                false,
+            );
+            assert_eq!(seq.nrows(), par.nrows(), "workers={workers}");
+            for c in 0..seq.ncols() {
+                match seq.columns[c].dtype() {
+                    DType::F64 => assert_eq!(seq.columns[c].as_f64(), par.columns[c].as_f64()),
+                    _ => assert_eq!(seq.columns[c].as_i64(), par.columns[c].as_i64()),
                 }
             }
         }
@@ -954,37 +757,27 @@ mod tests {
         ]);
         let models = ModelRegistry::new();
         let on = [(0usize, 0usize), (1usize, 1usize)];
-        let seq = probe_table(
-            &build_table_par(&build, &[0, 1], 1, false, None),
-            &probe,
-            &build,
-            JoinType::Inner,
-            &on,
-            None,
-            &models,
-            1,
-            false,
-        );
-        for flat in [false, true] {
+        let seq = sort_merge_join(&probe, &build, JoinType::Inner, &on, None, &models);
+        for workers in [1, 4] {
             let par = probe_table(
-                &build_table_par(&build, &[0, 1], 4, flat, None),
+                &build_table_par(&build, &[0, 1], workers, None),
                 &probe,
                 &build,
                 JoinType::Inner,
                 &on,
                 None,
                 &models,
-                4,
+                workers,
                 false,
             );
-            assert_eq!(seq.nrows(), par.nrows(), "flat={flat}");
+            assert_eq!(seq.nrows(), par.nrows(), "workers={workers}");
             for c in 0..seq.ncols() {
                 assert_eq!(seq.columns[c].as_i64(), par.columns[c].as_i64(), "col {c}");
             }
         }
     }
 
-    /// The distinct hint only sizes the flat directory; wildly wrong hints
+    /// The distinct hint only sizes the directory; wildly wrong hints
     /// must not change the join output.
     #[test]
     fn distinct_hint_is_output_invariant() {
@@ -995,7 +788,7 @@ mod tests {
         let probe = b(vec![Tensor::from_i64((0..100i64).collect())]);
         let models = ModelRegistry::new();
         let golden = probe_table(
-            &build_table_par(&build, &[0], 1, true, None),
+            &build_table_par(&build, &[0], 1, None),
             &probe,
             &build,
             JoinType::Inner,
@@ -1006,7 +799,7 @@ mod tests {
             false,
         );
         for hint in [Some(1u64), Some(37), Some(1 << 40)] {
-            let t = build_table_par(&build, &[0], 1, true, hint);
+            let t = build_table_par(&build, &[0], 1, hint);
             assert_eq!(t.len(), 37);
             let out = probe_table(
                 &t,
@@ -1069,7 +862,7 @@ mod tests {
                 assert!(golden.nrows() > 0 && golden.nrows() < n);
                 for workers in [1, 2, 4, 8] {
                     let out = probe_table(
-                        &build_table_par(&left, &[0], workers, true, None),
+                        &build_table_par(&left, &[0], workers, None),
                         &left,
                         &right,
                         join_type,

@@ -127,23 +127,6 @@ pub struct ExecConfig {
     /// process); shrinking it below the default 16 Ki rows trades merge
     /// overhead for scheduling granularity without affecting determinism.
     pub workers: usize,
-    /// Specialize hot `ExprProgram` shapes into fused, type-monomorphized
-    /// kernels (see [`exprfuse`]; default on). Never changes results —
-    /// fused kernels are bitwise-identical to the generic executor and
-    /// unfusible programs fall back silently — so the knob exists to keep
-    /// the unfused path alive as a differential oracle and for A/B
-    /// benchmarking the specialization win.
-    pub fuse_exprs: bool,
-    /// Use the vectorized hash engine (default on): blockwise multi-lane
-    /// key hashing, flat-arena join tables (`tqp_tensor::hash::FlatRowTable`)
-    /// and open-addressed group-by lookup, with each join side hashed
-    /// exactly once per query. Never changes results — flat buckets
-    /// preserve ascending build-row order and group ids stay
-    /// first-appearance-ordered, so output is bitwise identical to the
-    /// `HashMap` path at any worker count. `false` keeps the legacy
-    /// `HashMap`-based build/probe/group-by alive as a differential oracle
-    /// and for A/B benchmarking (`join_bench`).
-    pub flat_hash: bool,
     /// Use the explicit SIMD kernel layer (`tqp_tensor::simd`; default on).
     /// Vector paths (AVX-512/AVX2, picked once per process by runtime
     /// feature detection) share the exact lane-split accumulator layout and
@@ -170,8 +153,6 @@ impl Default for ExecConfig {
             gpu_strategy: GpuStrategy::Resident,
             prune_scans: true,
             workers: default_workers(),
-            fuse_exprs: true,
-            flat_hash: true,
             simd: true,
         }
     }

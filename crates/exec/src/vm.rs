@@ -33,8 +33,9 @@
 //! * **`HashBuild`** builds radix-partitioned, one disjoint partition per
 //!   worker ([`crate::join::build_table_par`]); the probe loop of
 //!   `HashProbe` chunks the probe side ([`crate::join::probe_table`]).
-//! * **`Sort`** (and the argsort inside sort-strategy aggregation) chunk-
-//!   sorts and stable-merges ([`tqp_tensor::sort::argsort_multi_par`]).
+//! * **`Sort`** (and the key-order argsort of an `AggStrategy::Sort`
+//!   aggregate's groups) chunk-sorts and stable-merges
+//!   ([`tqp_tensor::sort::argsort_multi_par`]).
 //!
 //! All three are **bit-identical at every worker count**: aggregation by
 //! the fixed-morsel merge order (partials) or because every group folds
@@ -110,9 +111,7 @@ pub fn run_program(
         models,
         profiler,
         fused,
-        fuse: cfg.fuse_exprs,
         prune: cfg.prune_scans,
-        flat: cfg.flat_hash,
         workers: cfg.workers.max(1),
         chunks_scanned: AtomicU64::new(0),
         chunks_pruned: AtomicU64::new(0),
@@ -131,12 +130,8 @@ struct Vm<'a> {
     models: &'a ModelRegistry,
     profiler: &'a Profiler,
     fused: bool,
-    /// Kernel specialization of `ExprProgram`s enabled (`exprfuse`).
-    fuse: bool,
     /// Zone-map chunk pruning enabled (stored tables only).
     prune: bool,
-    /// Vectorized flat-hash engine enabled (join tables + group-by).
-    flat: bool,
     workers: usize,
     /// Stored-table chunk counters (updated on the submitting thread).
     chunks_scanned: AtomicU64,
@@ -439,8 +434,6 @@ impl Vm<'_> {
             *strategy,
             self.models,
             self.workers,
-            self.fuse,
-            self.flat,
         );
         self.profiler.record_chunks(
             &op_key_par(&op.name(), idx),
@@ -483,7 +476,7 @@ impl Vm<'_> {
         // sized once per batch, and compacts once. When the program
         // specializes, `conjunct_mask` takes the fused kernel instead —
         // a single chunked pass with no intermediate mask tensors.
-        let mask = exprfuse::conjunct_mask(conjuncts, &input, self.models, self.fuse);
+        let mask = exprfuse::conjunct_mask(conjuncts, &input, self.models);
         narrow(input, keep).take(&mask_to_indices(&mask))
     }
 
@@ -504,10 +497,8 @@ impl Vm<'_> {
         // evaluates string predicates only on still-alive rows, which is
         // the benefit selection-vector compaction buys — without the
         // gather. Take it when the program fuses (bitwise-identical mask).
-        if self.fuse {
-            if let Some(mask) = exprfuse::try_conjunct_mask(conjuncts, &input, self.models) {
-                return narrow(input, keep).take(&mask_to_indices(&mask));
-            }
+        if let Some(mask) = exprfuse::try_conjunct_mask(conjuncts, &input, self.models) {
+            return narrow(input, keep).take(&mask_to_indices(&mask));
         }
         let mut ev = FusedEval::new(conjuncts);
         let mut acc: Option<Tensor> = None;
@@ -544,7 +535,7 @@ impl Vm<'_> {
     }
 
     fn apply_project(&self, exprs: &ExprProgram, input: &Batch) -> Batch {
-        let outs = exprfuse::eval_all(exprs, input, self.models, self.fuse);
+        let outs = exprfuse::eval_all(exprs, input, self.models);
         let mut columns = Vec::with_capacity(outs.len());
         let mut validity = Vec::with_capacity(outs.len());
         for (v, val) in outs {
@@ -713,7 +704,6 @@ impl Vm<'_> {
                     build,
                     keys,
                     if meter.is_enabled() { 1 } else { self.workers },
-                    self.flat,
                     *distinct,
                 );
                 let entries = table.len();
@@ -820,15 +810,7 @@ impl Vm<'_> {
                         let start = self.profiler.now_us();
                         let t0 = Instant::now();
                         let workers = if meter.is_enabled() { 1 } else { self.workers };
-                        let out = agg::aggregate(
-                            child,
-                            reduce,
-                            *strategy,
-                            self.models,
-                            workers,
-                            self.fuse,
-                            self.flat,
-                        );
+                        let out = agg::aggregate(child, reduce, *strategy, self.models, workers);
                         self.span(&op_key(&op.name(), idx), start, t0, &out);
                         out
                     }
@@ -850,18 +832,17 @@ impl Vm<'_> {
                 let start = self.profiler.now_us();
                 let t0 = Instant::now();
                 let in_bytes = child.nbytes();
-                let tensor_keys: Vec<TSortKey> =
-                    exprfuse::eval_all(keys, child, self.models, self.fuse)
-                        .into_iter()
-                        .zip(desc)
-                        .map(|((v, val), &d)| {
-                            assert!(val.is_none(), "NULL sort keys unsupported");
-                            TSortKey {
-                                values: v,
-                                order: if d { Order::Desc } else { Order::Asc },
-                            }
-                        })
-                        .collect();
+                let tensor_keys: Vec<TSortKey> = exprfuse::eval_all(keys, child, self.models)
+                    .into_iter()
+                    .zip(desc)
+                    .map(|((v, val), &d)| {
+                        assert!(val.is_none(), "NULL sort keys unsupported");
+                        TSortKey {
+                            values: v,
+                            order: if d { Order::Desc } else { Order::Asc },
+                        }
+                    })
+                    .collect();
                 // Safe at any worker count: a stable sort permutation is
                 // unique, so the parallel chunk-sort + merge is
                 // bit-identical to the sequential LSD sort.

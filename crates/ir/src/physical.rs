@@ -33,12 +33,14 @@ pub enum JoinStrategy {
     Hash,
 }
 
-/// Aggregation algorithm choice.
+/// Aggregation output order. Both group by hash and fold each group's
+/// rows in input order; they differ only in how the groups are listed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggStrategy {
-    /// Multi-key sort + run boundaries + segmented reduction.
+    /// Groups emitted in key order (a stable argsort of the hash
+    /// aggregate's groups).
     Sort,
-    /// Hash group table + scatter reduction.
+    /// Groups emitted in first-appearance order.
     Hash,
 }
 

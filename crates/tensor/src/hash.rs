@@ -28,7 +28,7 @@
 //! `tqp-exec` promises bitwise-identical results at any worker count, and
 //! its hash-join contract is specifically that every key's row bucket
 //! lists build rows in **ascending row order** (the order a sequential
-//! `HashMap<_, Vec<u32>>` build pushes them). [`FlatRowTable`] preserves
+//! per-key row list would push them). [`FlatRowTable`] preserves
 //! this structurally: the fill pass scans entries in ascending row order
 //! and appends each to its bucket's next free slot, so within a bucket —
 //! and therefore within the entries of any single key — rows ascend.
@@ -353,8 +353,7 @@ const EMPTY: u32 = u32::MAX;
 /// Group rows by their hash with collision verification: `eq(i, j)` must
 /// report true key equality of rows `i` and `j`. Returns `(gids, firsts)`
 /// — dense group ids per row in first-appearance order, and each group's
-/// first row — exactly the contract of the executor's `HashMap`-chain
-/// grouping, computed over a flat linear-probing table instead.
+/// first row — computed over a flat linear-probing table.
 ///
 /// The scan is sequential in row order, so group numbering is a pure
 /// function of the input (never of scheduling); hash collisions between
@@ -432,7 +431,7 @@ pub fn group_rows_by_hash(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     #[test]
     fn hash_matches_scalar_mix() {
@@ -453,8 +452,8 @@ mod tests {
         );
     }
 
-    fn oracle(keys: &[i64]) -> HashMap<i64, Vec<u32>> {
-        let mut m: HashMap<i64, Vec<u32>> = HashMap::new();
+    fn oracle(keys: &[i64]) -> BTreeMap<i64, Vec<u32>> {
+        let mut m: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
         for (i, &k) in keys.iter().enumerate() {
             m.entry(k).or_default().push(i as u32);
         }
@@ -484,7 +483,7 @@ mod tests {
     }
 
     #[test]
-    fn flat_table_matches_hashmap_oracle() {
+    fn flat_table_matches_map_oracle() {
         assert_table_matches(&[], None);
         assert_table_matches(&[42], None);
         assert_table_matches(&(0..1000).collect::<Vec<i64>>(), None);

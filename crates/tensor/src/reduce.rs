@@ -1,10 +1,10 @@
 //! Full and segmented reductions — the aggregation kernels behind SQL
 //! `SUM`/`AVG`/`MIN`/`MAX`/`COUNT`.
 //!
-//! Sort-based aggregation reduces contiguous runs with [`segmented_reduce`];
-//! hash-based aggregation scatters into group slots (see
-//! [`crate::index::scatter_add_f64`]). Full-column reductions implement
-//! ungrouped aggregates such as TPC-H Q6's single `SUM`.
+//! Grouped aggregation folds each row into its group's slot with
+//! [`segmented_reduce`] (dense group ids, rows folded in input order).
+//! Full-column reductions implement ungrouped aggregates such as TPC-H
+//! Q6's single `SUM`.
 
 use std::borrow::Cow;
 
@@ -141,10 +141,11 @@ fn i64_values(values: &Tensor) -> Cow<'_, [i64]> {
     }
 }
 
-/// Segmented reduction: reduce `values` within each contiguous group of
-/// `ids` (dense, sorted ascending, in `0..num_groups`). Returns one `F64`
-/// output row per group; empty groups cannot occur by construction (ids come
-/// from [`crate::unique::group_ids`]).
+/// Segmented reduction: reduce `values` into the group each row's `ids`
+/// entry names (dense ids in `0..num_groups`, any order; each group's rows
+/// fold in ascending row order). Returns one `F64` output row per group; a
+/// group with no rows holds the reduction identity (0, +∞, −∞), which
+/// callers that allow empty groups replace with their default.
 pub fn segmented_reduce(values: &Tensor, ids: &Tensor, num_groups: usize, f: AggFn) -> Tensor {
     let gid = ids.as_i64();
     assert_eq!(

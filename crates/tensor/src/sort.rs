@@ -1,8 +1,9 @@
 //! Stable sorting kernels.
 //!
-//! TQP's ORDER BY, sort-based aggregation, and sort-merge join are all built
-//! on *stable argsort*: produce a permutation, then [`crate::index::take`]
-//! every payload column through it. Multi-key ordering uses the classic
+//! TQP's ORDER BY, key-ordered aggregate output, `COUNT(DISTINCT)` and
+//! sort-merge join are all built on *stable argsort*: produce a
+//! permutation, then [`crate::index::take`] every payload column through
+//! it. Multi-key ordering uses the classic
 //! LSD trick — repeated stable single-key sorts from the least-significant
 //! key to the most-significant — which is exactly how multi-column sorts are
 //! expressed on tensor runtimes that only expose per-column stable sorts.

@@ -1,13 +1,9 @@
-//! Run detection over sorted keys: the group-boundary primitive of TQP's
-//! sort-based aggregation (paper §2.2).
-//!
-//! After sorting by the group keys, `group_ids` marks the start of every
-//! run of equal keys (`x[i] != x[i-1]`, OR-ed across key columns) and turns
-//! the boundary mask into dense group ids with a prefix sum — precisely the
-//! `unique_consecutive`/`cumsum` formulation used on tensor runtimes.
+//! Run detection over sorted keys (`unique_consecutive` on tensor
+//! runtimes): [`run_starts`] marks the start of every run of equal keys
+//! (`x[i] != x[i-1]`, OR-ed across key columns). `COUNT(DISTINCT)` sorts
+//! `(group, value)` and counts the runs.
 
 use crate::dtype::DType;
-use crate::index::{mask_to_indices, take};
 use crate::tensor::Tensor;
 
 /// Boolean mask of length `n` with `true` where row `i` differs from row
@@ -65,61 +61,6 @@ pub fn run_starts(keys: &[&Tensor]) -> Tensor {
     Tensor::from_bool(mask)
 }
 
-/// Result of [`group_ids`].
-#[derive(Debug, Clone)]
-pub struct Groups {
-    /// Dense group id per input row (`I64`, values in `0..num_groups`).
-    pub ids: Tensor,
-    /// Row index of the first member of each group (`I64`, ascending).
-    pub firsts: Tensor,
-    /// Number of distinct groups.
-    pub num_groups: usize,
-}
-
-/// Dense group ids for *sorted* key columns: rows of the same run share an
-/// id; `firsts` selects one representative row per group (for materializing
-/// the key columns of the output).
-pub fn group_ids(keys: &[&Tensor]) -> Groups {
-    let starts = run_starts(keys);
-    let firsts = mask_to_indices(&starts);
-    let num_groups = firsts.nrows();
-    let s = starts.as_bool();
-    let mut ids = Vec::with_capacity(s.len());
-    let mut g: i64 = -1;
-    for &b in s {
-        if b {
-            g += 1;
-        }
-        ids.push(g);
-    }
-    Groups {
-        ids: Tensor::from_i64(ids),
-        firsts,
-        num_groups,
-    }
-}
-
-/// Run lengths per group of sorted keys (`counts[g]` = members of group g).
-pub fn run_lengths(groups: &Groups, n: usize) -> Tensor {
-    let firsts = groups.firsts.as_i64();
-    let mut out = Vec::with_capacity(groups.num_groups);
-    for (i, &f) in firsts.iter().enumerate() {
-        let next = if i + 1 < firsts.len() {
-            firsts[i + 1]
-        } else {
-            n as i64
-        };
-        out.push(next - f);
-    }
-    Tensor::from_i64(out)
-}
-
-/// Distinct values of a *sorted* tensor (`unique_consecutive`).
-pub fn unique_sorted(t: &Tensor) -> Tensor {
-    let g = group_ids(&[t]);
-    take(t, &g.firsts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,34 +82,17 @@ mod tests {
     }
 
     #[test]
-    fn group_ids_dense() {
-        let t = Tensor::from_i64(vec![5, 5, 7, 9, 9]);
-        let g = group_ids(&[&t]);
-        assert_eq!(g.num_groups, 3);
-        assert_eq!(g.ids.as_i64(), &[0, 0, 1, 2, 2]);
-        assert_eq!(g.firsts.as_i64(), &[0, 2, 3]);
-        assert_eq!(run_lengths(&g, 5).as_i64(), &[2, 1, 2]);
-    }
-
-    #[test]
-    fn unique_of_sorted() {
-        let t = Tensor::from_i64(vec![1, 1, 4, 4, 4, 6]);
-        assert_eq!(unique_sorted(&t).as_i64(), &[1, 4, 6]);
-    }
-
-    #[test]
     fn empty_input() {
         let t = Tensor::from_i64(vec![]);
-        let g = group_ids(&[&t]);
-        assert_eq!(g.num_groups, 0);
-        assert_eq!(g.ids.nrows(), 0);
-        assert_eq!(run_lengths(&g, 0).nrows(), 0);
+        assert_eq!(run_starts(&[&t]).nrows(), 0);
     }
 
     #[test]
     fn float_runs_use_bits() {
-        let t = Tensor::from_f64(vec![1.0, 1.0, 2.0]);
-        let g = group_ids(&[&t]);
-        assert_eq!(g.num_groups, 2);
+        let t = Tensor::from_f64(vec![1.0, 1.0, 2.0, -0.0, 0.0]);
+        assert_eq!(
+            run_starts(&[&t]).as_bool(),
+            &[true, false, true, true, true]
+        );
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Consolidated bench-gate summary: one table of per-site ratios.
 
-Each bench binary (expr/join/store/simd) is its own hard regression gate
+Each bench binary (expr/store/simd) is its own hard regression gate
 — it exits non-zero when its optimized path regresses past the 1.25x
 noise margin — so by the time this runs, every gate has already passed.
 serve_bench is gated on correctness rather than speed: it asserts
@@ -39,9 +39,6 @@ def rows(doc):
             if "speedup_fused" in r:
                 site = f"q{r.get('query', '?')}/{r.get('site', '?')}"
                 yield site, r["speedup_fused"], big
-        elif fmt == "tqp-bench-join":
-            site = f"{r.get('site', '?')}/w{r.get('workers', '?')}"
-            yield site, r.get("speedup_flat", 0.0), big
         elif fmt == "tqp-bench-store":
             if r.get("kind") == "prune":
                 site = f"{r.get('query', '?')}/w{r.get('workers', '?')}"
@@ -65,7 +62,6 @@ def main():
     files = {
         "tpch": "BENCH_tpch.json",
         "expr": "BENCH_expr.json",
-        "join": "BENCH_join.json",
         "store": "BENCH_store.json",
         "simd": "BENCH_simd.json",
         "serve": "BENCH_serve.json",

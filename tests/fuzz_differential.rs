@@ -518,30 +518,6 @@ fn check(sessions: &Sessions, sql: &str) -> Result<(), String> {
             .run(&sessions.mem)
             .map_err(|e| format!("[{label}] run failed: {e}"))?;
         frames_match(&got, &expect).map_err(|e| format!("[{label}] {e}"))?;
-        // Fusion off: the generic per-op expression path must be bitwise
-        // the fused-kernel path on every backend (the fused dense masks
-        // and output evaluation may reorder nothing, drop nothing).
-        let uq = sessions
-            .mem
-            .compile(sql, cfg.fuse_exprs(false))
-            .map_err(|e| format!("[{label}/nofuse] compile failed: {e}"))?;
-        let (ugot, _) = uq
-            .run(&sessions.mem)
-            .map_err(|e| format!("[{label}/nofuse] run failed: {e}"))?;
-        frames_bitwise(&ugot, &got).map_err(|e| format!("[{label}/nofuse] {e}"))?;
-        // Flat hash engine off: the legacy HashMap build/probe/group-by
-        // must be bitwise the flat-arena path (hash-strategy plans only —
-        // sort-merge/sort-agg configs build no hash tables).
-        if join != Some(JoinStrategy::SortMerge) || agg != Some(AggStrategy::Sort) {
-            let fq = sessions
-                .mem
-                .compile(sql, cfg.flat_hash(false))
-                .map_err(|e| format!("[{label}/noflat] compile failed: {e}"))?;
-            let (fgot, _) = fq
-                .run(&sessions.mem)
-                .map_err(|e| format!("[{label}/noflat] run failed: {e}"))?;
-            frames_bitwise(&fgot, &got).map_err(|e| format!("[{label}/noflat] {e}"))?;
-        }
         // SIMD off: the scalar fallback tier must be bitwise the
         // vectorized tier (they share the canonical lane-split fold, so
         // even float aggregates cannot disagree).

@@ -58,38 +58,31 @@ fn exact_rows(frame: &DataFrame) -> Vec<Vec<String>> {
         .collect()
 }
 
-/// Run every TPC-H query over the {workers} × {flat_hash} grid and demand
-/// byte-identical output across the whole grid. The flat axis locks in
-/// the flat-vs-`HashMap` independence contract of the vectorized hash
-/// engine (sort-merge/sort-agg configs pass `&[true]` — no hash tables).
-fn run_parity(backend: Backend, physical: PhysicalOptions, flats: &[bool], label: &str) {
+/// Run every TPC-H query at `workers = 1` and `workers = 4` and demand
+/// byte-identical output.
+fn run_parity(backend: Backend, physical: PhysicalOptions, label: &str) {
     let s = session();
     for (n, sql) in queries::all() {
         let mut outs = Vec::new();
-        for &flat in flats {
-            for workers in [1usize, 4] {
-                let q = s
-                    .compile(
-                        sql,
-                        QueryConfig::default()
-                            .backend(backend)
-                            .physical(physical)
-                            .workers(workers)
-                            .flat_hash(flat),
-                    )
-                    .unwrap_or_else(|e| panic!("Q{n} [{label}] compile: {e}"));
-                let (out, _) = q
-                    .run(&s)
-                    .unwrap_or_else(|e| panic!("Q{n} [{label}] run: {e}"));
-                outs.push(exact_rows(&out));
-            }
+        for workers in [1usize, 4] {
+            let q = s
+                .compile(
+                    sql,
+                    QueryConfig::default()
+                        .backend(backend)
+                        .physical(physical)
+                        .workers(workers),
+                )
+                .unwrap_or_else(|e| panic!("Q{n} [{label}] compile: {e}"));
+            let (out, _) = q
+                .run(&s)
+                .unwrap_or_else(|e| panic!("Q{n} [{label}] run: {e}"));
+            outs.push(exact_rows(&out));
         }
-        for (k, out) in outs.iter().enumerate().skip(1) {
-            assert_eq!(
-                &outs[0], out,
-                "Q{n} [{label}]: grid point {k} not byte-identical to baseline"
-            );
-        }
+        assert_eq!(
+            outs[0], outs[1],
+            "Q{n} [{label}]: workers = 4 not byte-identical to workers = 1"
+        );
     }
 }
 
@@ -101,7 +94,6 @@ fn eager_sortmerge_sortagg_worker_parity() {
             join: Some(JoinStrategy::SortMerge),
             agg: Some(AggStrategy::Sort),
         },
-        &[true],
         "eager/smj/sort",
     );
 }
@@ -114,7 +106,6 @@ fn eager_hash_strategies_worker_parity() {
             join: Some(JoinStrategy::Hash),
             agg: Some(AggStrategy::Hash),
         },
-        &[true, false],
         "eager/hash/hash",
     );
 }
@@ -127,7 +118,6 @@ fn fused_sortmerge_sortagg_worker_parity() {
             join: Some(JoinStrategy::SortMerge),
             agg: Some(AggStrategy::Sort),
         },
-        &[true],
         "fused/smj/sort",
     );
 }
@@ -140,19 +130,13 @@ fn fused_hash_strategies_worker_parity() {
             join: Some(JoinStrategy::Hash),
             agg: Some(AggStrategy::Hash),
         },
-        &[true, false],
         "fused/hash/hash",
     );
 }
 
 #[test]
 fn fused_planner_chosen_worker_parity() {
-    run_parity(
-        Backend::Fused,
-        PhysicalOptions::default(),
-        &[true, false],
-        "fused/chosen",
-    );
+    run_parity(Backend::Fused, PhysicalOptions::default(), "fused/chosen");
 }
 
 #[test]
@@ -163,7 +147,6 @@ fn graph_sortmerge_sortagg_worker_parity() {
             join: Some(JoinStrategy::SortMerge),
             agg: Some(AggStrategy::Sort),
         },
-        &[true],
         "graph/smj/sort",
     );
 }
@@ -176,7 +159,6 @@ fn graph_hash_strategies_worker_parity() {
             join: Some(JoinStrategy::Hash),
             agg: Some(AggStrategy::Hash),
         },
-        &[true, false],
         "graph/hash/hash",
     );
 }

@@ -378,7 +378,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     // Both aggregation shapes against the row engine, on duplicate-heavy
-    // and all-distinct keys, flat hash engine on and off, fed by a fused
+    // and all-distinct keys, at one and four workers, fed by a fused
     // scan→filter chain and by a barrier (a sort). The partitioned shape
     // folds every group in input order — the row engine's own order — so
     // it must agree bitwise and in order; per-morsel partials associate
@@ -438,13 +438,13 @@ proptest! {
                 };
                 let oracle = RowEngine::new(session.frames(), session.models()).execute(&plan);
                 for backend in [Backend::Eager, Backend::Fused] {
-                    for (workers, flat) in [(1, true), (4, true), (4, false)] {
-                        let cfg = QueryConfig::default().backend(backend).workers(workers).flat_hash(flat);
+                    for workers in [1, 4] {
+                        let cfg = QueryConfig::default().backend(backend).workers(workers);
                         let (out, _) = session
                             .compile_plan(&plan, cfg)
                             .run(&session)
                             .map_err(|e| TestCaseError::fail(format!("run: {e}")))?;
-                        let what = format!("{route} groups={groups:?} {backend:?}/{workers}/flat={flat}");
+                        let what = format!("{route} groups={groups:?} {backend:?}/{workers}");
                         if groups.is_some() {
                             prop_assert_eq!(out.nrows(), oracle.nrows(), "{}", &what);
                             for i in 0..out.nrows() {

@@ -415,7 +415,7 @@ proptest! {
         let eager_mask = exprprog::eval_conjuncts_eager(&prog, &batch, &models);
         // The fused-kernel mask (or its generic fallback for shapes the
         // specializer rejects) must be bitwise the eager fold.
-        let fused_mask = exprfuse::conjunct_mask(&prog, &batch, &models, true);
+        let fused_mask = exprfuse::conjunct_mask(&prog, &batch, &models);
         prop_assert_eq!(
             fused_mask.as_bool(), eager_mask.as_bool(),
             "fused kernel/eager divergence for {:?}\nprogram:\n{}",
@@ -572,7 +572,7 @@ proptest! {
         let n_conj = 1 + g.pick(5) as usize;
         let conjuncts: Vec<E> = (0..n_conj).map(|_| adversarial_conjunct(&mut g)).collect();
         let prog = exprprog::compile_exprs(&conjuncts);
-        let fused = exprfuse::conjunct_mask(&prog, &batch, &models, true);
+        let fused = exprfuse::conjunct_mask(&prog, &batch, &models);
         let eager = exprprog::eval_conjuncts_eager(&prog, &batch, &models);
         prop_assert_eq!(
             fused.as_bool(), eager.as_bool(),
@@ -604,7 +604,7 @@ proptest! {
         let models = ModelRegistry::new();
         let prog = exprprog::compile_exprs(&exprs);
         let generic = exprprog::eval_all(&prog, &batch, &models);
-        let fused = exprfuse::eval_all(&prog, &batch, &models, true);
+        let fused = exprfuse::eval_all(&prog, &batch, &models);
         for (k, e) in exprs.iter().enumerate() {
             prop_assert!(
                 tensors_bit_equal(&generic[k].0, &fused[k].0),

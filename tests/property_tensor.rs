@@ -8,7 +8,6 @@ use tt::ops::{compare_scalar, CmpOp};
 use tt::reduce::{segmented_reduce, sum_f64, AggFn};
 use tt::sort::{argsort, argsort_multi, Order, SortKey};
 use tt::strings::LikePattern;
-use tt::unique::{group_ids, run_lengths};
 use tt::{Scalar, Tensor};
 
 proptest! {
@@ -85,37 +84,17 @@ proptest! {
     }
 
     #[test]
-    fn group_ids_reconstruct_counts(mut keys in prop::collection::vec(0i64..10, 1..300)) {
-        keys.sort_unstable();
-        let t = Tensor::from_i64(keys.clone());
-        let g = group_ids(&[&t]);
-        let lens = run_lengths(&g, keys.len());
-        prop_assert_eq!(lens.as_i64().iter().sum::<i64>(), keys.len() as i64);
-        // Each run length equals the multiplicity of its key.
-        let firsts = g.firsts.to_i64_vec();
-        for (gi, &f) in firsts.iter().enumerate() {
-            let key = keys[f as usize];
-            let mult = keys.iter().filter(|&&k| k == key).count() as i64;
-            prop_assert_eq!(lens.as_i64()[gi], mult);
-        }
-    }
-
-    #[test]
     fn segmented_sum_equals_naive(
         rows in prop::collection::vec((0usize..8, -100f64..100.0), 0..300),
     ) {
-        let mut sorted = rows.clone();
-        sorted.sort_by_key(|r| r.0);
-        let keys = Tensor::from_i64(sorted.iter().map(|r| r.0 as i64).collect());
-        let vals = Tensor::from_f64(sorted.iter().map(|r| r.1).collect());
-        let g = group_ids(&[&keys]);
-        let sums = segmented_reduce(&vals, &g.ids, g.num_groups, AggFn::Sum);
-        // Naive per-key sums in first-seen (sorted) order.
-        let firsts = g.firsts.to_i64_vec();
-        for (gi, &f) in firsts.iter().enumerate() {
-            let key = sorted[f as usize].0;
-            let expect: f64 = sorted.iter().filter(|r| r.0 == key).map(|r| r.1).sum();
-            prop_assert!((sums.as_f64()[gi] - expect).abs() < 1e-9);
+        // Ids in input order, unsorted: each group folds its rows in row
+        // order, so the sums match a sequential per-key fold bitwise.
+        let ids = Tensor::from_i64(rows.iter().map(|r| r.0 as i64).collect());
+        let vals = Tensor::from_f64(rows.iter().map(|r| r.1).collect());
+        let sums = segmented_reduce(&vals, &ids, 8, AggFn::Sum);
+        for key in 0..8 {
+            let expect = rows.iter().filter(|r| r.0 == key).fold(0.0, |acc, r| acc + r.1);
+            prop_assert_eq!(sums.as_f64()[key].to_bits(), expect.to_bits());
         }
     }
 

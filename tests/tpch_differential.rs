@@ -154,3 +154,42 @@ fn mixed_strategies_match_oracle() {
         "eager/hash/sort",
     );
 }
+
+/// A grouped string MIN/MAX whose groups hold only NULL arguments (a left
+/// join that matches nothing) yields the empty string, as the row engine
+/// does — on every backend, both aggregation strategies, at one and four
+/// workers.
+#[test]
+fn all_null_group_string_minmax_matches_oracle() {
+    let s = session();
+    let sql = "select c_mktsegment, max(o_orderstatus) as m, min(o_totalprice) as p \
+               from customer left join orders on c_custkey = o_custkey and o_totalprice < 0 \
+               group by c_mktsegment";
+    let expect = s.sql_baseline(sql).expect("oracle");
+    assert_eq!(expect.nrows(), 5);
+    for backend in [
+        Backend::Eager,
+        Backend::Fused,
+        Backend::Graph,
+        Backend::Wasm,
+    ] {
+        for agg in [AggStrategy::Hash, AggStrategy::Sort] {
+            for workers in [1, 4] {
+                let label = format!("{backend:?}/{agg:?}/w{workers}");
+                let physical = PhysicalOptions {
+                    join: None,
+                    agg: Some(agg),
+                };
+                let cfg = QueryConfig::default()
+                    .backend(backend)
+                    .physical(physical)
+                    .workers(workers);
+                let q = s
+                    .compile(sql, cfg)
+                    .unwrap_or_else(|e| panic!("[{label}] compile: {e}"));
+                let (got, _) = q.run(&s).unwrap_or_else(|e| panic!("[{label}] run: {e}"));
+                assert_frames_match(0, &label, &got, &expect);
+            }
+        }
+    }
+}
