@@ -520,6 +520,7 @@ fn run_with_obs(
         let local = Profiler::new();
         let (frame, stats) = executor.run(&session.storage, &session.models, &local);
         let spans = local.spans();
+        let predict = local.predict();
         if session.profiler.is_enabled() {
             for s in &spans {
                 session.profiler.record_chunks(
@@ -531,6 +532,9 @@ fn run_with_obs(
                     s.bytes,
                     s.chunks,
                 );
+            }
+            for &(op, us, rows) in &predict {
+                session.profiler.record_predict(op, us, rows);
             }
         }
         let cfg = executor.config();
@@ -566,6 +570,9 @@ fn run_with_obs(
             ops: Vec::new(),
         };
         trace.build_ops();
+        for (op, us, rows) in predict {
+            trace.add_predict(op as u64, us, rows);
+        }
         observe_qerror(executor, &session.catalog, &trace);
         (frame, stats, Some(trace))
     } else {
@@ -614,7 +621,7 @@ pub struct ExplainRow {
     /// Operator label with the planner's choices, e.g. `Scan(lineitem)`,
     /// `HashJoin(Semi, build=left)`, `SortAggregate`,
     /// `HashAggregate(partitioned, est_groups=40243)` (`ANALYZE` appends
-    /// `actual_groups=…`).
+    /// `actual_groups=…`), `Sort(limit=100)` (a top-k under a `LIMIT`).
     pub op: String,
     /// Optimizer cardinality estimate (stats-driven where available).
     pub est_rows: f64,
@@ -626,6 +633,9 @@ pub struct ExplainRow {
     /// Hash joins: `(input rows, wall time)` of the `HashBuild` op that
     /// feeds this node's probe.
     pub build: Option<(u64, u64)>,
+    /// `(model µs, rows scored)` of the `PREDICT` calls this node's op
+    /// ran, when it ran any.
+    pub predict: Option<(u64, u64)>,
 }
 
 impl ExplainRow {
@@ -645,8 +655,12 @@ impl ExplainRow {
                 .build
                 .map(|(rows, us)| format!(", build={us} us, build_rows={rows}"))
                 .unwrap_or_default();
+            let predict = self
+                .predict
+                .map(|(us, rows)| format!(", predict={us} us, predict_rows={rows}"))
+                .unwrap_or_default();
             s.push_str(&format!(
-                "  (est={} rows, actual={actual} rows, {us}{build})",
+                "  (est={} rows, actual={actual} rows, {us}{build}{predict})",
                 fmt_est(self.est_rows)
             ));
         } else {
@@ -669,22 +683,18 @@ struct Actuals<'a> {
     /// Plan node (post-order) → the program op producing its output.
     node_map: &'a [Option<usize>],
     program: &'a TensorProgram,
-    /// Program op → `(rows, total_us)` from the run's trace.
-    ops: HashMap<u64, (u64, u64)>,
+    /// Program op → its attribution row in the run's trace.
+    ops: HashMap<u64, &'a tqp_obs::OpTrace>,
 }
 
 impl<'a> Actuals<'a> {
     /// `None` when `executor` carries no node→op map (parameter-patched
     /// programs): its operators cannot be attributed to plan nodes.
-    fn new(executor: &'a Executor, trace: &QueryTrace) -> Option<Actuals<'a>> {
+    fn new(executor: &'a Executor, trace: &'a QueryTrace) -> Option<Actuals<'a>> {
         Some(Actuals {
             node_map: executor.node_map()?,
             program: executor.program(),
-            ops: trace
-                .ops
-                .iter()
-                .map(|o| (o.op_index, (o.rows, o.total_us)))
-                .collect(),
+            ops: trace.ops.iter().map(|o| (o.op_index, o)).collect(),
         })
     }
 
@@ -694,7 +704,15 @@ impl<'a> Actuals<'a> {
 
     /// `(rows, total_us)` of the op behind plan node `node`.
     fn of(&self, node: usize) -> Option<(u64, u64)> {
-        self.ops.get(&(self.op(node)? as u64)).copied()
+        let o = self.ops.get(&(self.op(node)? as u64))?;
+        Some((o.rows, o.total_us))
+    }
+
+    /// `(predict_us, predict_rows)` of the op behind plan node `node`, when
+    /// it ran a model.
+    fn predict_of(&self, node: usize) -> Option<(u64, u64)> {
+        let o = self.ops.get(&(self.op(node)? as u64))?;
+        (o.predict_rows > 0).then_some((o.predict_us, o.predict_rows))
     }
 
     /// `(rows, total_us)` of the build op whose table plan node `node`'s
@@ -704,7 +722,8 @@ impl<'a> Actuals<'a> {
             return None;
         };
         let build = self.program.ops.iter().position(|o| o.dst() == *table)?;
-        self.ops.get(&(build as u64)).copied()
+        let o = self.ops.get(&(build as u64))?;
+        Some((o.rows, o.total_us))
     }
 }
 
@@ -718,31 +737,42 @@ fn explain_rows(
     catalog: &Catalog,
     actuals: Option<&Actuals>,
 ) -> Vec<ExplainRow> {
+    /// `limit`: the `n` of a `Limit` directly above `p` (lowering folds it
+    /// into a `Sort` there, which then orders only its first `n` rows).
     fn go(
         p: &PhysicalPlan,
         depth: usize,
         post: &mut usize,
         est: &[f64],
         actuals: Option<&Actuals>,
+        limit: Option<usize>,
     ) -> Vec<ExplainRow> {
+        let child_limit = match p {
+            PhysicalPlan::Limit { n, .. } => Some(*n),
+            _ => None,
+        };
         let mut child_rows = Vec::new();
         for c in p.children() {
-            child_rows.extend(go(c, depth + 1, post, est, actuals));
+            child_rows.extend(go(c, depth + 1, post, est, actuals, child_limit));
         }
         let my_post = *post;
         *post += 1;
         let actual = actuals.and_then(|a| a.of(my_post));
         let build = actuals.and_then(|a| a.build_of(my_post));
-        let op = match p {
+        let op = match (p, limit) {
             // A grouped aggregate with an estimate names the shape the
             // executor derives from it, and what the estimate met.
-            PhysicalPlan::Aggregate {
-                groups: Some(est), ..
-            } => {
+            (
+                PhysicalPlan::Aggregate {
+                    groups: Some(est), ..
+                },
+                _,
+            ) => {
                 let shape = tqp_exec::agg::Shape::for_groups(Some(*est)).name();
                 let met = actual.map_or(String::new(), |(g, _)| format!(", actual_groups={g}"));
                 format!("{}({shape}, est_groups={est}{met})", p.op_name())
             }
+            (PhysicalPlan::Sort { .. }, Some(n)) => format!("{}(limit={n})", p.op_name()),
             _ => p.op_name(),
         };
         let mut rows = vec![ExplainRow {
@@ -752,13 +782,14 @@ fn explain_rows(
             actual_rows: actual.map(|(r, _)| r),
             wall_us: actual.map(|(_, us)| us),
             build,
+            predict: actuals.and_then(|a| a.predict_of(my_post)),
         }];
         rows.extend(child_rows);
         rows
     }
     let mut est = Vec::new();
     tqp_ir::estimate_each(plan, catalog, &mut |rows| est.push(rows));
-    go(plan, 0, &mut 0, &est, actuals)
+    go(plan, 0, &mut 0, &est, actuals, None)
 }
 
 /// Record every attributed plan node's q-error, `max(est/actual,

@@ -44,13 +44,14 @@
 //! `tqp_baseline::eval::eval_expr` three-valued logic.
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use tqp_baseline::Row;
 use tqp_data::LogicalType;
 use tqp_ir::expr::{eval_binary_scalar, eval_const, BinOp, BoundExpr, ScalarFunc};
 use tqp_ir::json as irjson;
 use tqp_json::Json;
-use tqp_ml::ModelRegistry;
+use tqp_ml::{Model, ModelRegistry};
 use tqp_tensor::ops::{self, BinOp as TB};
 use tqp_tensor::strings::{self, LikePattern};
 use tqp_tensor::{Scalar, Tensor};
@@ -833,9 +834,38 @@ fn exec_vec_op(
                     v.clone()
                 })
                 .collect();
-            (m.predict(&inputs), None)
+            (run_model(m.as_ref(), &inputs), None)
         }
     }
+}
+
+/// Invoke a `PREDICT` model — the one call site every executor goes
+/// through. Records the call's time and rows in the `ml.predict_us`
+/// histogram and `ml.predict_rows` counter, and charges both to the
+/// program op running it ([`crate::sched::charge_predict`]).
+fn run_model(model: &dyn Model, inputs: &[Tensor]) -> Tensor {
+    struct PredictMetrics {
+        us: tqp_obs::Histogram,
+        rows: tqp_obs::Counter,
+    }
+    static METRICS: std::sync::OnceLock<PredictMetrics> = std::sync::OnceLock::new();
+    let t0 = Instant::now();
+    let out = model.predict(inputs);
+    let elapsed = t0.elapsed();
+    let rows = out.nrows() as u64;
+    crate::sched::charge_predict(elapsed, rows);
+    if tqp_obs::enabled() {
+        let m = METRICS.get_or_init(|| {
+            let r = tqp_obs::registry();
+            PredictMetrics {
+                us: r.histogram("ml.predict_us"),
+                rows: r.counter("ml.predict_rows"),
+            }
+        });
+        m.us.observe(elapsed.as_micros() as u64);
+        m.rows.add(rows);
+    }
+    out
 }
 
 /// Placeholder values for an all-invalid (NULL) constant register, typed
@@ -1249,7 +1279,7 @@ pub fn prepare_model_applies(
                 }
             })
             .collect();
-        let preds = m.predict(&inputs);
+        let preds = run_model(m.as_ref(), &inputs);
         let pv = preds.as_f64();
         assert_eq!(pv.len(), rows.len(), "model output arity mismatch");
         for (row, &p) in rows.iter_mut().zip(pv) {

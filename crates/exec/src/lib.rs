@@ -31,7 +31,8 @@
 //! pipeline segments chunk into contiguous morsels, `GroupedReduce` runs
 //! partitioned (fixed-geometry partials merged in morsel order — fusing
 //! into a preceding segment when data-flow allows), `HashBuild` builds
-//! radix-partitioned, and `Sort` chunk-sorts + stable-merges (see [`vm`]).
+//! radix-partitioned, and `Sort` chunk-sorts + stable-merges — or, under a
+//! `LIMIT`, selects per morsel and merges the candidates (see [`vm`]).
 //! Results are byte-identical at every worker count; `Device::GpuSim`
 //! ignores `workers` entirely and stays sequential.
 //!

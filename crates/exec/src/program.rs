@@ -190,12 +190,17 @@ pub enum ProgOp {
         groups: Option<u64>,
     },
     /// Stable multi-key sort over compiled key expressions (`desc[k]`
-    /// flips key `k`).
+    /// flips key `k`). `limit` is the `n` of a `Limit` lowered directly
+    /// above it: the op outputs only the first `n` rows of the sorted
+    /// order, which the vectorized VM selects without sorting the rest
+    /// (top-k). The `Limit` op stays in the program, so a reader that
+    /// ignores the field produces the same result.
     Sort {
         dst: Reg,
         src: Reg,
         keys: ExprProgram,
         desc: Vec<bool>,
+        limit: Option<usize>,
     },
     /// Keep the first `n` rows.
     Limit { dst: Reg, src: Reg, n: usize },
@@ -629,11 +634,21 @@ impl Builder {
                     src,
                     keys: compile_exprs(&exprs),
                     desc: keys.iter().map(|k| k.desc).collect(),
+                    limit: None,
                 });
                 dst
             }
             PhysicalPlan::Limit { input, n } => {
                 let src = self.lower_node(input);
+                // A limit directly on a sort tells it how many rows it
+                // must order (EXPLAIN shows the same pairing).
+                if let (PhysicalPlan::Sort { .. }, Some(ProgOp::Sort { dst, limit, .. })) =
+                    (&**input, self.ops.last_mut())
+                {
+                    if *dst == src {
+                        *limit = Some(*n);
+                    }
+                }
                 let dst = self.fresh();
                 self.ops.push(ProgOp::Limit { dst, src, n: *n });
                 dst
@@ -1102,16 +1117,23 @@ fn op_to_json(op: &ProgOp) -> Json {
             src,
             keys,
             desc,
-        } => Json::obj(vec![
-            ("op", Json::str("sort")),
-            ("dst", reg(*dst)),
-            ("src", reg(*src)),
-            ("keys", exprprog_to_json(keys)),
-            (
-                "desc",
-                Json::Arr(desc.iter().map(|&d| Json::Bool(d)).collect()),
-            ),
-        ]),
+            limit,
+        } => {
+            let mut fields = vec![
+                ("op", Json::str("sort")),
+                ("dst", reg(*dst)),
+                ("src", reg(*src)),
+                ("keys", exprprog_to_json(keys)),
+                (
+                    "desc",
+                    Json::Arr(desc.iter().map(|&d| Json::Bool(d)).collect()),
+                ),
+            ];
+            if let Some(n) = limit {
+                fields.push(("limit", Json::I64(*n as i64)));
+            }
+            Json::obj(fields)
+        }
         ProgOp::Limit { dst, src, n } => Json::obj(vec![
             ("op", Json::str("limit")),
             ("dst", reg(*dst)),
@@ -1124,10 +1146,13 @@ fn op_to_json(op: &ProgOp) -> Json {
 fn op_from_json(j: &Json) -> Result<ProgOp, ProgramError> {
     let kind = j.field("op")?.as_str().unwrap_or_default().to_string();
     let dst = reg_field(j, "dst")?;
-    // The shape annotation means something on one op only; anywhere else
-    // it is a corrupt document, not a field to skip.
+    // The shape annotation and the top-k hint mean something on one op
+    // each; anywhere else they are a corrupt document, not a field to skip.
     if kind != "grouped_reduce" && j.get("groups").is_some() {
         return invalid(format!("op {kind:?} must not carry a groups estimate"));
+    }
+    if kind != "sort" && j.get("limit").is_some() {
+        return invalid(format!("op {kind:?} must not carry a limit"));
     }
     match kind.as_str() {
         "scan" => Ok(ProgOp::Scan {
@@ -1249,6 +1274,9 @@ fn op_from_json(j: &Json) -> Result<ProgOp, ProgramError> {
                 src: reg_field(j, "src")?,
                 keys,
                 desc,
+                // Optional: absent on sorts without a limit above them and
+                // in every artifact that predates the field.
+                limit: j.get("limit").map(|_| reg_field(j, "limit")).transpose()?,
             })
         }
         "limit" => Ok(ProgOp::Limit {

@@ -83,7 +83,8 @@ pub fn run_program_scalar_profiled(
     for (idx, op) in prog.ops.iter().enumerate() {
         let start_us = profiler.map(|p| p.now_us()).unwrap_or(0);
         let t0 = std::time::Instant::now();
-        let value = exec_op(op, &regs, tables, models);
+        let tally = std::sync::Arc::new(crate::sched::PredictTally::default());
+        let value = crate::sched::with_predict_tally(&tally, || exec_op(op, &regs, tables, models));
         if let Some(p) = profiler {
             let rows = match (&value, op) {
                 // The vectorized VM charges HashBuild with its build-side
@@ -102,6 +103,10 @@ pub fn run_program_scalar_profiled(
                 rows as u64,
                 0,
             );
+            let (us, rows) = tally.get();
+            if rows > 0 {
+                p.record_predict(idx, us, rows);
+            }
         }
         regs[op.dst()] = Some(value);
     }
@@ -286,7 +291,11 @@ fn exec_op(
             }
         }
         ProgOp::Sort {
-            src, keys, desc, ..
+            src,
+            keys,
+            desc,
+            limit,
+            ..
         } => {
             let rows = reg_rows(*src).clone();
             // Evaluate the compiled key program once per row, then stable-
@@ -310,6 +319,7 @@ fn exec_op(
                 }
                 std::cmp::Ordering::Equal
             });
+            keyed.truncate(limit.unwrap_or(usize::MAX));
             let arity = regs[*src].as_ref().expect("register live").arity();
             RowValue::Rows {
                 rows: keyed.into_iter().map(|(_, r)| r).collect(),

@@ -47,6 +47,14 @@
 //! (`tqp-core`) converts it into a retryable `TqpError::Execution`. Pool
 //! worker threads are never poisoned — every task body already runs
 //! under `catch_unwind`.
+//!
+//! ## PREDICT attribution
+//!
+//! A [`PredictTally`] rides the same way: the VM installs one per program
+//! op ([`with_predict_tally`]) while tracing, sections capture it beside
+//! the token, and every model invocation inside — on whichever thread —
+//! charges its time and rows to it ([`charge_predict`]), so `EXPLAIN
+//! ANALYZE` can put PREDICT time on the operator that ran the model.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -181,12 +189,63 @@ impl CancelToken {
     }
 }
 
+/// PREDICT work charged to one program op: model time and rows scored,
+/// summed over every thread that ran part of the op.
+#[derive(Debug, Default)]
+pub struct PredictTally {
+    ns: AtomicU64,
+    rows: AtomicU64,
+}
+
+impl PredictTally {
+    /// `(µs, rows)` charged so far.
+    pub fn get(&self) -> (u64, u64) {
+        (
+            self.ns.load(Ordering::Relaxed) / 1000,
+            self.rows.load(Ordering::Relaxed),
+        )
+    }
+}
+
+/// What execution on a thread rides: the query's cancellation token and
+/// the tally PREDICT work is charged to. Sections capture the submitter's
+/// and pool helpers install it while running their tasks.
+#[derive(Clone, Default)]
+struct TaskContext {
+    token: Option<CancelToken>,
+    predict: Option<Arc<PredictTally>>,
+}
+
 thread_local! {
-    /// The token execution on this thread currently rides (installed by
-    /// [`with_token`] on submitting threads and by the pool's task loop
-    /// on helpers).
-    static CURRENT_TOKEN: std::cell::RefCell<Option<CancelToken>> =
-        const { std::cell::RefCell::new(None) };
+    /// The context execution on this thread currently rides (installed by
+    /// [`with_token`]/[`with_predict_tally`] on submitting threads and by
+    /// the pool's task loop on helpers).
+    static CURRENT: std::cell::RefCell<TaskContext> = const {
+        std::cell::RefCell::new(TaskContext {
+            token: None,
+            predict: None,
+        })
+    };
+}
+
+/// Run `f` with `edit` applied to this thread's context, restoring the
+/// previous context afterwards (also when `f` unwinds).
+fn with_context<T>(edit: impl FnOnce(&mut TaskContext), f: impl FnOnce() -> T) -> T {
+    let prev = CURRENT.with(|c| {
+        let prev = c.borrow().clone();
+        edit(&mut c.borrow_mut());
+        prev
+    });
+    struct Restore(Option<TaskContext>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            if let Some(prev) = self.0.take() {
+                CURRENT.with(|c| *c.borrow_mut() = prev);
+            }
+        }
+    }
+    let _restore = Restore(Some(prev));
+    f()
 }
 
 /// Install a quiet panic hook for [`Cancelled`] unwinds: cancellation
@@ -211,21 +270,30 @@ fn install_cancel_hook() {
 /// observes the token.
 pub fn with_token<T>(token: &CancelToken, f: impl FnOnce() -> T) -> T {
     install_cancel_hook();
-    let prev = CURRENT_TOKEN.with(|c| c.replace(Some(token.clone())));
-    struct Restore(Option<CancelToken>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let prev = self.0.take();
-            CURRENT_TOKEN.with(|c| *c.borrow_mut() = prev);
-        }
-    }
-    let _restore = Restore(prev);
-    f()
+    with_context(|cx| cx.token = Some(token.clone()), f)
 }
 
 /// The token installed on this thread, if any.
 pub fn current_token() -> Option<CancelToken> {
-    CURRENT_TOKEN.with(|c| c.borrow().clone())
+    CURRENT.with(|c| c.borrow().token.clone())
+}
+
+/// Run `f` charging the PREDICT work inside it — on this thread and in
+/// every section it opens — to `tally` (an inner tally takes over for
+/// its own extent).
+pub fn with_predict_tally<T>(tally: &Arc<PredictTally>, f: impl FnOnce() -> T) -> T {
+    with_context(|cx| cx.predict = Some(Arc::clone(tally)), f)
+}
+
+/// Charge one model invocation to the tally installed on this thread, if
+/// any.
+pub fn charge_predict(elapsed: Duration, rows: u64) {
+    CURRENT.with(|c| {
+        if let Some(t) = &c.borrow().predict {
+            t.ns.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+            t.rows.fetch_add(rows, Ordering::Relaxed);
+        }
+    });
 }
 
 /// Morsel/section-boundary cancellation check: unwinds with a
@@ -233,7 +301,7 @@ pub fn current_token() -> Option<CancelToken> {
 /// Free when no token is installed (one thread-local read).
 #[inline]
 pub fn check_cancelled() {
-    let state = CURRENT_TOKEN.with(|c| c.borrow().as_ref().and_then(|t| t.state()));
+    let state = CURRENT.with(|c| c.borrow().token.as_ref().and_then(|t| t.state()));
     if let Some(reason) = state {
         std::panic::panic_any(Cancelled(reason));
     }
@@ -266,9 +334,10 @@ struct Section {
     /// verbatim (`resume_unwind`) so server logs name the real failure —
     /// and so [`Cancelled`] unwinds survive the pool boundary intact.
     payload: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// The submitting thread's cancellation token at submit time; pool
-    /// helpers install it while running this section's tasks.
-    token: Option<CancelToken>,
+    /// The submitting thread's context (cancellation token, PREDICT
+    /// tally) at submit time; pool helpers install it while running this
+    /// section's tasks.
+    cx: TaskContext,
     /// Completed task count, guarded for the completion wait.
     done: Mutex<usize>,
     done_cv: Condvar,
@@ -288,7 +357,8 @@ impl Section {
 
 // SAFETY: the erased closure is `Sync` (bound enforced by `run_scope`'s
 // signature) and outlives the section (see `Section` docs); the remaining
-// fields are ordinary sync primitives.
+// fields are ordinary sync primitives, and `cx` holds only `Arc`s of
+// `Send + Sync` data.
 unsafe impl Send for Section {}
 unsafe impl Sync for Section {}
 
@@ -386,17 +456,12 @@ fn worker_loop(p: &'static Pool) {
 /// the result slots, so executing the rest would only burn pool time a
 /// cancelled query was trying to free.
 fn run_tasks(s: &Section) -> u64 {
-    // Helpers observe the submitting thread's cancellation token while
-    // inside this section (nested sections inherit it transitively).
-    let prev = CURRENT_TOKEN.with(|c| c.replace(s.token.clone()));
-    struct Restore(Option<CancelToken>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let prev = self.0.take();
-            CURRENT_TOKEN.with(|c| *c.borrow_mut() = prev);
-        }
-    }
-    let _restore = Restore(prev);
+    // Helpers ride the submitting thread's context while inside this
+    // section (nested sections inherit it transitively).
+    with_context(|cx| *cx = s.cx.clone(), || claim_and_run(s))
+}
+
+fn claim_and_run(s: &Section) -> u64 {
     let mut ran = 0;
     loop {
         let i = s.next.fetch_add(1, Ordering::Relaxed);
@@ -404,7 +469,7 @@ fn run_tasks(s: &Section) -> u64 {
             break;
         }
         if !s.panicked.load(Ordering::Relaxed) {
-            if let Some(reason) = s.token.as_ref().and_then(|t| t.state()) {
+            if let Some(reason) = s.cx.token.as_ref().and_then(|t| t.state()) {
                 s.record_panic(Box::new(Cancelled(reason)));
             } else {
                 // SAFETY: the closure pointer is dereferenced only under a
@@ -461,7 +526,7 @@ pub fn run_scope(n_tasks: usize, workers: usize, f: &(dyn Fn(usize) + Sync)) {
         helpers_cap,
         panicked: AtomicBool::new(false),
         payload: Mutex::new(None),
-        token: current_token(),
+        cx: CURRENT.with(|c| c.borrow().clone()),
         done: Mutex::new(0),
         done_cv: Condvar::new(),
     });

@@ -35,7 +35,9 @@
 //!   `HashProbe` chunks the probe side ([`crate::join::probe_table`]).
 //! * **`Sort`** (and the key-order argsort of an `AggStrategy::Sort`
 //!   aggregate's groups) chunk-sorts and stable-merges
-//!   ([`tqp_tensor::sort::argsort_multi_par`]).
+//!   ([`tqp_tensor::sort::argsort_multi_par`]); a `Sort` with a `limit`
+//!   selects its first rows per fixed-geometry morsel and merges those
+//!   ([`tqp_tensor::sort::topk_range`]).
 //!
 //! All three are **bit-identical at every worker count**: aggregation by
 //! the fixed-morsel merge order (partials) or because every group folds
@@ -49,6 +51,7 @@
 //! single-threaded so modeled time is independent of host parallelism.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use tqp_data::{DataFrame, LogicalType};
@@ -56,7 +59,9 @@ use tqp_ir::plan::ColMeta;
 use tqp_ml::ModelRegistry;
 use tqp_profile::{op_key, op_key_par, Profiler};
 use tqp_tensor::index::{arange, mask_to_indices};
-use tqp_tensor::sort::{argsort_multi, argsort_multi_par, Order, SortKey as TSortKey};
+use tqp_tensor::sort::{
+    argsort_multi, argsort_multi_par, topk_merge, topk_range, Order, SortKey as TSortKey,
+};
 use tqp_tensor::{DType, Tensor};
 
 use crate::agg;
@@ -66,6 +71,7 @@ use crate::exprfuse;
 use crate::exprprog::{ExprProgram, FusedEval};
 use crate::join;
 use crate::program::{ProgOp, TensorProgram};
+use crate::sched::PredictTally;
 use crate::stored::{self, ScanLayout, ScanSource};
 use crate::{Device, ExecConfig, ScanStats, Storage, TableSource};
 
@@ -268,7 +274,7 @@ impl Vm<'_> {
         crate::sched::check_cancelled();
         for (k, op) in prog.ops[start + 1..end].iter().enumerate() {
             let t0 = Instant::now();
-            batch = self.apply_elementwise(op, batch);
+            batch = self.charged(start + 1 + k, || self.apply_elementwise(op, batch));
             samples[k].push((
                 t0.elapsed().as_micros() as u64,
                 batch.nrows() as u64,
@@ -426,15 +432,17 @@ impl Vm<'_> {
             panic!("op {} is not a reduction", op.name());
         };
         let start_us = self.profiler.now_us();
-        let (out, extras, busy_us) = agg::aggregate_morsels(
-            n_morsels,
-            morsel,
-            shape,
-            reduce,
-            *strategy,
-            self.models,
-            self.workers,
-        );
+        let (out, extras, busy_us) = self.charged(idx, || {
+            agg::aggregate_morsels(
+                n_morsels,
+                morsel,
+                shape,
+                reduce,
+                *strategy,
+                self.models,
+                self.workers,
+            )
+        });
         self.profiler.record_chunks(
             &op_key_par(&op.name(), idx),
             "relational",
@@ -638,6 +646,21 @@ impl Vm<'_> {
         (out, layout)
     }
 
+    /// Run `f` charging the PREDICT work inside it — on any thread — to
+    /// program op `idx` (traced runs only; see [`crate::sched::PredictTally`]).
+    fn charged<T>(&self, idx: usize, f: impl FnOnce() -> T) -> T {
+        if !self.profiler.is_enabled() {
+            return f();
+        }
+        let tally = Arc::new(PredictTally::default());
+        let out = crate::sched::with_predict_tally(&tally, f);
+        let (us, rows) = tally.get();
+        if rows > 0 {
+            self.profiler.record_predict(idx, us, rows);
+        }
+        out
+    }
+
     /// Execute one op sequentially with profiling/metering.
     fn exec_op(
         &self,
@@ -646,6 +669,10 @@ impl Vm<'_> {
         regs: &mut [Option<Value>],
         meter: &mut DeviceMeter,
     ) {
+        self.charged(idx, || self.run_op(idx, op, regs, meter));
+    }
+
+    fn run_op(&self, idx: usize, op: &ProgOp, regs: &mut [Option<Value>], meter: &mut DeviceMeter) {
         match op {
             ProgOp::Scan { dst, .. } => {
                 let (out, _) = self.exec_scan_op(idx, op, meter, None);
@@ -827,6 +854,7 @@ impl Vm<'_> {
                 src,
                 keys,
                 desc,
+                limit,
             } => {
                 let child = regs[*src].as_ref().expect("src register live").batch();
                 let start = self.profiler.now_us();
@@ -843,13 +871,14 @@ impl Vm<'_> {
                         }
                     })
                     .collect();
-                // Safe at any worker count: a stable sort permutation is
-                // unique, so the parallel chunk-sort + merge is
-                // bit-identical to the sequential LSD sort.
                 let perm = if meter.is_enabled() {
-                    argsort_multi(&tensor_keys)
+                    let perm = argsort_multi(&tensor_keys);
+                    match limit {
+                        Some(k) => tqp_tensor::index::head(&perm, (*k).min(perm.nrows())),
+                        None => perm,
+                    }
                 } else {
-                    argsort_multi_par(&tensor_keys, self.workers)
+                    sort_perm(&tensor_keys, child.nrows(), *limit, self.workers)
                 };
                 let out = child.take(&perm);
                 meter.op(
@@ -882,6 +911,27 @@ impl Vm<'_> {
             out.nrows() as u64,
             out.nbytes() as u64,
         );
+    }
+}
+
+/// The stable sort permutation of `n` rows under `keys`, or its first
+/// `limit` entries. With a limit, each fixed-geometry morsel
+/// ([`agg::par_morsel_rows`]) selects its first `k` rows on the shared
+/// pool and one merge keeps `k` of those — unless the morsels' candidates
+/// would cover the input anyway, where the full sort is as cheap. Both
+/// routes are bit-identical to the sequential sort at any worker count: a
+/// stable sort permutation is unique.
+fn sort_perm(keys: &[TSortKey], n: usize, limit: Option<usize>, workers: usize) -> Tensor {
+    let rows = agg::par_morsel_rows();
+    let morsels = n.div_ceil(rows);
+    match limit {
+        Some(k) if k.saturating_mul(morsels) < n => {
+            let candidates = crate::sched::map_tasks(morsels, workers, |m| {
+                topk_range(keys, m * rows, ((m + 1) * rows).min(n), k)
+            });
+            topk_merge(keys, candidates.concat(), k)
+        }
+        _ => argsort_multi_par(keys, workers),
     }
 }
 

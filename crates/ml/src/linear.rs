@@ -1,12 +1,18 @@
 //! Linear and logistic regression: gradient-descent training, pure-tensor
 //! inference (`X @ w + b`, optionally a sigmoid). The scikit-learn stand-in
 //! for the paper's Iris regression scenario (§3.3).
+//!
+//! Inference reads the feature columns directly: one pass per column
+//! adds `((x - mean) / std) * w` into a per-row accumulator that starts at
+//! the bias — per row, the same adds in the same order as standardizing a
+//! design matrix and taking its matrix-vector product.
 
-use tqp_tensor::gemm::{matvec_f64, sigmoid};
+use std::borrow::Cow;
+
 use tqp_tensor::Tensor;
 
-use crate::design_matrix;
 use crate::registry::Model;
+use crate::{feature_columns, matrix_columns};
 
 /// Feature standardization parameters learned at fit time.
 #[derive(Debug, Clone)]
@@ -42,6 +48,24 @@ impl Standardizer {
             }
         }
         Standardizer { means, stds }
+    }
+
+    /// `bias + Σ_j ((x_j - mean_j) / std_j) * w_j` per row, `j` ascending.
+    fn linear(&self, cols: &[Cow<'_, [f64]>], weights: &[f64], bias: f64) -> Vec<f64> {
+        assert_eq!(
+            cols.len(),
+            weights.len(),
+            "model takes {} features",
+            weights.len()
+        );
+        let mut acc = vec![bias; cols[0].len()];
+        for (j, col) in cols.iter().enumerate() {
+            let (m, s, w) = (self.means[j], self.stds[j], weights[j]);
+            for (a, &x) in acc.iter_mut().zip(col.iter()) {
+                *a += (x - m) / s * w;
+            }
+        }
+        acc
     }
 
     fn apply(&self, x: &Tensor) -> Tensor {
@@ -102,11 +126,9 @@ impl LinearRegression {
 
     /// Predict on a design matrix.
     pub fn predict_matrix(&self, x: &Tensor) -> Tensor {
-        let xs = self.norm.apply(x);
-        matvec_f64(
-            &xs,
-            &Tensor::from_f64(self.weights.clone()),
-            Some(self.bias),
+        Tensor::from_f64(
+            self.norm
+                .linear(&matrix_columns(x), &self.weights, self.bias),
         )
     }
 
@@ -131,7 +153,10 @@ impl Model for LinearRegression {
         self.weights.len()
     }
     fn predict(&self, inputs: &[Tensor]) -> Tensor {
-        self.predict_matrix(&design_matrix(inputs))
+        Tensor::from_f64(
+            self.norm
+                .linear(&feature_columns(inputs), &self.weights, self.bias),
+        )
     }
 }
 
@@ -185,13 +210,15 @@ impl LogisticRegression {
 
     /// Class-1 probabilities.
     pub fn predict_proba(&self, x: &Tensor) -> Tensor {
-        let xs = self.norm.apply(x);
-        let z = matvec_f64(
-            &xs,
-            &Tensor::from_f64(self.weights.clone()),
-            Some(self.bias),
-        );
-        sigmoid(&z)
+        Tensor::from_f64(self.proba(&matrix_columns(x)))
+    }
+
+    fn proba(&self, cols: &[Cow<'_, [f64]>]) -> Vec<f64> {
+        let mut z = self.norm.linear(cols, &self.weights, self.bias);
+        for v in &mut z {
+            *v = 1.0 / (1.0 + (-*v).exp());
+        }
+        z
     }
 
     /// Classification accuracy against 0/1 targets.
@@ -216,12 +243,13 @@ impl Model for LogisticRegression {
         self.weights.len()
     }
     fn predict(&self, inputs: &[Tensor]) -> Tensor {
-        let p = self.predict_proba(&design_matrix(inputs));
+        let mut p = self.proba(&feature_columns(inputs));
         if self.hard_labels {
-            Tensor::from_f64(p.as_f64().iter().map(|&v| f64::from(v >= 0.5)).collect())
-        } else {
-            p
+            for v in &mut p {
+                *v = f64::from(*v >= 0.5);
+            }
         }
+        Tensor::from_f64(p)
     }
 }
 
@@ -259,6 +287,34 @@ mod tests {
         let out = m.predict(&[a, b]);
         assert_eq!(out.nrows(), 2);
         assert!((out.as_f64()[0] - 3.0).abs() < 0.1); // 2*1 - 3*0 + 1
+    }
+
+    /// Columns-in inference is bit-for-bit the old path: standardize a
+    /// design matrix, then `bias + Σ xs[i, j] * w[j]` per row.
+    #[test]
+    fn columns_in_matches_design_matrix_matvec_bitwise() {
+        let (x, y) = synth_linear(300);
+        let m = LinearRegression::fit(&x, &y, 50, 0.3);
+        let xs = m.norm.apply(&x);
+        let k = m.weights.len();
+        let reference: Vec<u64> = xs
+            .as_f64()
+            .chunks(k)
+            .map(|row| {
+                let mut acc = m.bias;
+                for (a, w) in row.iter().zip(&m.weights) {
+                    acc += a * w;
+                }
+                acc.to_bits()
+            })
+            .collect();
+        let cols: Vec<Tensor> = (0..k)
+            .map(|j| Tensor::from_f64(x.as_f64().iter().skip(j).step_by(k).copied().collect()))
+            .collect();
+        for got in [m.predict(&cols), m.predict_matrix(&x)] {
+            let bits: Vec<u64> = got.as_f64().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, reference);
+        }
     }
 
     #[test]

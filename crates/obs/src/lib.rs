@@ -499,6 +499,10 @@ pub struct OpTrace {
     pub total_us: u64,
     pub rows: u64,
     pub bytes: u64,
+    /// Model time inside this op's `PREDICT` calls (part of `total_us`).
+    pub predict_us: u64,
+    /// Rows those calls scored.
+    pub predict_rows: u64,
 }
 
 /// The full per-query observability document: what `EXPLAIN ANALYZE`
@@ -548,6 +552,8 @@ impl QueryTrace {
                 total_us: 0,
                 rows: 0,
                 bytes: 0,
+                predict_us: 0,
+                predict_rows: 0,
             });
             entry.calls += 1;
             entry.total_us += span.dur_us;
@@ -555,6 +561,15 @@ impl QueryTrace {
             entry.bytes += span.bytes;
         }
         self.ops = by_op.into_values().collect();
+    }
+
+    /// Charge `PREDICT` work (model µs, rows scored) to the op at
+    /// `op_index`, after [`QueryTrace::build_ops`].
+    pub fn add_predict(&mut self, op_index: u64, us: u64, rows: u64) {
+        if let Some(op) = self.ops.iter_mut().find(|o| o.op_index == op_index) {
+            op.predict_us += us;
+            op.predict_rows += rows;
+        }
     }
 
     pub fn to_json(&self) -> Json {
@@ -613,6 +628,8 @@ impl QueryTrace {
                                 ("total_us", Json::I64(o.total_us as i64)),
                                 ("rows", Json::I64(o.rows as i64)),
                                 ("bytes", Json::I64(o.bytes as i64)),
+                                ("predict_us", Json::I64(o.predict_us as i64)),
+                                ("predict_rows", Json::I64(o.predict_rows as i64)),
                             ])
                         })
                         .collect(),
@@ -658,6 +675,10 @@ impl QueryTrace {
                 total_us: item.field("total_us")?.as_i64().unwrap_or(0) as u64,
                 rows: item.field("rows")?.as_i64().unwrap_or(0) as u64,
                 bytes: item.field("bytes")?.as_i64().unwrap_or(0) as u64,
+                // Absent in documents from builds without PREDICT
+                // attribution.
+                predict_us: item.get("predict_us").and_then(Json::as_i64).unwrap_or(0) as u64,
+                predict_rows: item.get("predict_rows").and_then(Json::as_i64).unwrap_or(0) as u64,
             });
         }
         Ok(trace)
@@ -860,9 +881,14 @@ mod tests {
             ops: vec![],
         };
         trace.build_ops();
+        trace.add_predict(1, 30, 10);
         assert_eq!(trace.ops.len(), 1);
         assert_eq!(trace.ops[0].op_index, 1);
         assert_eq!(trace.ops[0].name, "Filter");
+        assert_eq!(
+            (trace.ops[0].predict_us, trace.ops[0].predict_rows),
+            (30, 10)
+        );
         let parsed = tqp_json::Json::parse(&trace.to_json().to_string()).unwrap();
         let back = QueryTrace::from_json(&parsed).unwrap();
         assert_eq!(back, trace);

@@ -13,6 +13,7 @@
 
 pub mod graph;
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -61,6 +62,8 @@ pub struct Span {
 pub struct Profiler {
     epoch: Instant,
     spans: Mutex<Vec<Span>>,
+    /// PREDICT work per program op index: `(µs, rows)`.
+    predict: Mutex<BTreeMap<usize, (u64, u64)>>,
     enabled: bool,
 }
 
@@ -76,6 +79,7 @@ impl Profiler {
         Profiler {
             epoch: Instant::now(),
             spans: Mutex::new(Vec::new()),
+            predict: Mutex::new(BTreeMap::new()),
             enabled: true,
         }
     }
@@ -85,6 +89,7 @@ impl Profiler {
         Profiler {
             epoch: Instant::now(),
             spans: Mutex::new(Vec::new()),
+            predict: Mutex::new(BTreeMap::new()),
             enabled: false,
         }
     }
@@ -134,6 +139,28 @@ impl Profiler {
         });
     }
 
+    /// Charge PREDICT work — model time and rows scored — to program op
+    /// `op`. It sits inside the op's own span rather than beside it, so it
+    /// is kept apart from the spans; charges to one op add up.
+    pub fn record_predict(&self, op: usize, us: u64, rows: u64) {
+        if !self.enabled {
+            return;
+        }
+        let mut predict = self.predict.lock();
+        let e = predict.entry(op).or_default();
+        e.0 += us;
+        e.1 += rows;
+    }
+
+    /// PREDICT work per program op as `(op, µs, rows)`, by op index.
+    pub fn predict(&self) -> Vec<(usize, u64, u64)> {
+        self.predict
+            .lock()
+            .iter()
+            .map(|(&op, &(us, rows))| (op, us, rows))
+            .collect()
+    }
+
     /// Time a closure and record it; returns the closure result.
     pub fn time<T>(
         &self,
@@ -164,9 +191,10 @@ impl Profiler {
         self.spans.lock().clone()
     }
 
-    /// Clear recorded spans.
+    /// Clear recorded spans and PREDICT charges.
     pub fn reset(&self) {
         self.spans.lock().clear();
+        self.predict.lock().clear();
     }
 
     /// Aggregate spans by operator name: (name, calls, total_us, rows).
@@ -373,7 +401,21 @@ mod tests {
     fn reset_clears() {
         let p = Profiler::new();
         p.record("a", "b", 0, 1, 0, 0);
+        p.record_predict(3, 10, 100);
         p.reset();
         assert!(p.spans().is_empty());
+        assert!(p.predict().is_empty());
+    }
+
+    #[test]
+    fn predict_charges_add_up_per_op() {
+        let p = Profiler::new();
+        p.record_predict(4, 10, 100);
+        p.record_predict(2, 1, 5);
+        p.record_predict(4, 7, 50);
+        assert_eq!(p.predict(), vec![(2, 1, 5), (4, 17, 150)]);
+        let off = Profiler::disabled();
+        off.record_predict(4, 10, 100);
+        assert!(off.predict().is_empty());
     }
 }

@@ -1,9 +1,11 @@
 //! Dense matrix multiplication.
 //!
-//! GEMM is the backbone of the Hummingbird-style tree-model compilation the
-//! paper inherits (§3.3, "TQP integrates and expands Hummingbird"): decision
-//! trees become a cascade of matrix products, linear models a single one.
-//! The kernel is a cache-friendly i-k-j loop, parallelised over output rows.
+//! GEMM is the backbone of the Hummingbird-style model compilation the
+//! paper inherits (§3.3, "TQP integrates and expands Hummingbird"): a
+//! network's layers are matrix products, and so is the dense form of a
+//! compiled decision tree (which `tqp-ml` evaluates sparsely and keeps
+//! this kernel for as its test oracle). The kernel is a cache-friendly
+//! i-k-j loop, parallelised over output rows.
 
 use crate::tensor::Tensor;
 
@@ -44,30 +46,6 @@ pub fn matmul_f64(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_f64_matrix(out, n, m)
 }
 
-/// `y = A @ x + bias` for a rank-2 `(n×k)` matrix and rank-1 `(k)` vector;
-/// `bias` may be `None`. Returns a rank-1 `(n)` tensor. Linear-model predict.
-pub fn matvec_f64(a: &Tensor, x: &Tensor, bias: Option<f64>) -> Tensor {
-    assert_eq!(a.shape().len(), 2, "matvec lhs must be rank-2");
-    let (n, k) = (a.shape()[0], a.shape()[1]);
-    assert_eq!(x.nrows(), k, "matvec dim mismatch");
-    let av = a.as_f64();
-    let xv = x.as_f64();
-    let b = bias.unwrap_or(0.0);
-    let mut out = vec![0f64; n];
-    crate::pool::par_chunks_mut(&mut out, |start, chunk| {
-        for (r, o) in chunk.iter_mut().enumerate() {
-            let i = start + r;
-            let arow = &av[i * k..(i + 1) * k];
-            let mut acc = b;
-            for (a, x) in arow.iter().zip(xv) {
-                acc += a * x;
-            }
-            *o = acc;
-        }
-    });
-    Tensor::from_f64(out)
-}
-
 /// Row-wise argmax of a rank-2 `F64` matrix -> rank-1 `I64` class ids.
 pub fn argmax_rows(a: &Tensor) -> Tensor {
     assert_eq!(a.shape().len(), 2, "argmax_rows needs rank-2");
@@ -85,12 +63,6 @@ pub fn argmax_rows(a: &Tensor) -> Tensor {
         out[i] = best as i64;
     }
     Tensor::from_i64(out)
-}
-
-/// Element-wise sigmoid on any numeric tensor, returning `F64`.
-pub fn sigmoid(t: &Tensor) -> Tensor {
-    let x = t.to_f64_vec();
-    Tensor::from_f64(x.into_iter().map(|v| 1.0 / (1.0 + (-v).exp())).collect())
 }
 
 /// Element-wise ReLU on `F64` tensors.
@@ -171,14 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_with_bias() {
-        let a = Tensor::from_f64_matrix(vec![1., 2., 3., 4.], 2, 2);
-        let x = Tensor::from_f64(vec![10., 100.]);
-        let y = matvec_f64(&a, &x, Some(1.0));
-        assert_eq!(y.as_f64(), &[211., 431.]);
-    }
-
-    #[test]
     fn argmax_and_softmax() {
         let a = Tensor::from_f64_matrix(vec![0.1, 0.9, 5.0, -1.0], 2, 2);
         assert_eq!(argmax_rows(&a).as_i64(), &[1, 0]);
@@ -191,8 +155,5 @@ mod tests {
     fn activations() {
         let t = Tensor::from_f64(vec![-1.0, 0.0, 2.0]);
         assert_eq!(relu(&t).as_f64(), &[0.0, 0.0, 2.0]);
-        let s = sigmoid(&t);
-        assert!((s.as_f64()[1] - 0.5).abs() < 1e-12);
-        assert!(s.as_f64()[0] < 0.5 && s.as_f64()[2] > 0.5);
     }
 }

@@ -14,6 +14,11 @@
 //! smaller). Because a stable sort permutation is *unique* — fully
 //! determined by the key values and original row order — the parallel path
 //! is **bit-identical** to the sequential LSD sort at any worker count.
+//!
+//! `ORDER BY … LIMIT k` needs only the permutation's first `k` entries:
+//! [`topk_range`] selects them from one range of rows and [`topk_merge`]
+//! combines ranges. Uniqueness again makes the result the first `k` rows
+//! of the full stable sort, however the rows were split.
 
 use std::cmp::Ordering;
 
@@ -281,6 +286,48 @@ pub fn argsort_multi_par(keys: &[SortKey], workers: usize) -> Tensor {
         runs.extend(leftover);
     }
     Tensor::from_i64(runs.pop().expect("non-empty input"))
+}
+
+/// Top-k leaf kernel: the first `k` rows of `lo..hi` in the stable order
+/// of `keys` — key order, ties by row index — sorted. Sequential; a caller
+/// splits the rows and merges the pieces with [`topk_merge`].
+///
+/// Bounded selection: rows collect in a buffer of `2k`; a full buffer keeps
+/// its `k` first, and the last of those bounds every later row, which is
+/// dropped unless it orders before the bound.
+pub fn topk_range(keys: &[SortKey], lo: usize, hi: usize, k: usize) -> Vec<i64> {
+    if k == 0 {
+        return Vec::new();
+    }
+    let views: Vec<KeyView> = keys.iter().map(KeyView::new).collect();
+    let order = |a: &i64, b: &i64| cmp_rows(&views, *a as usize, *b as usize).then(a.cmp(b));
+    let mut buf: Vec<i64> = Vec::with_capacity(2 * k);
+    let mut bound: Option<i64> = None;
+    for row in lo as i64..hi as i64 {
+        if bound.is_some_and(|b| order(&row, &b) != Ordering::Less) {
+            continue;
+        }
+        buf.push(row);
+        if buf.len() == 2 * k {
+            buf.select_nth_unstable_by(k - 1, order);
+            buf.truncate(k);
+            bound = Some(buf[k - 1]);
+        }
+    }
+    buf.sort_unstable_by(order);
+    buf.truncate(k);
+    buf
+}
+
+/// Merge top-k candidates — the union of [`topk_range`] results over
+/// disjoint row ranges — into the first `k` rows of the stable sort of all
+/// the rows: the order is total (ties by row index), so this is the prefix
+/// [`argsort_multi`] would produce, whatever the ranges were.
+pub fn topk_merge(keys: &[SortKey], mut candidates: Vec<i64>, k: usize) -> Tensor {
+    let views: Vec<KeyView> = keys.iter().map(KeyView::new).collect();
+    candidates.sort_unstable_by(|a, b| cmp_rows(&views, *a as usize, *b as usize).then(a.cmp(b)));
+    candidates.truncate(k);
+    Tensor::from_i64(candidates)
 }
 
 /// Sort a tensor by itself (values, not indices).

@@ -101,3 +101,69 @@ fn explain_text_renders_est_and_actuals() {
         "analyze output missing actuals: {text:?}"
     );
 }
+
+/// PREDICT time is charged to the operator that ran the model — a filter
+/// here, an aggregate there — on every backend and worker count, and the
+/// registry counts every scored row.
+#[test]
+fn predict_time_lands_on_the_operator_that_ran_it() {
+    use std::sync::Arc;
+    use tqp_repro::ml::linear::LinearRegression;
+    use tqp_repro::tensor::Tensor;
+
+    let mut s = session();
+    let xs: Vec<f64> = (0..200)
+        .flat_map(|i| [(i % 50) as f64, (i % 11) as f64 / 100.0])
+        .collect();
+    let ys: Vec<f64> = (0..200).map(|i| (i % 50) as f64 * 2.0).collect();
+    let model = LinearRegression::fit(
+        &Tensor::from_f64_matrix(xs, 200, 2),
+        &Tensor::from_f64(ys),
+        100,
+        0.1,
+    );
+    s.register_model("lin", Arc::new(model));
+    let lineitem = s.catalog().get("lineitem").expect("lineitem").rows as u64;
+    for (sql, op) in [
+        (
+            "select count(*) from lineitem where predict('lin', l_quantity, l_discount) > 40",
+            "Filter",
+        ),
+        (
+            "select l_returnflag, sum(predict('lin', l_quantity, l_discount)) as p \
+             from lineitem group by l_returnflag",
+            "HashAggregate",
+        ),
+    ] {
+        for backend in [
+            Backend::Eager,
+            Backend::Fused,
+            Backend::Graph,
+            Backend::Wasm,
+        ] {
+            for workers in [1usize, 4] {
+                let before = tqp_repro::obs::registry()
+                    .snapshot()
+                    .counter("ml.predict_rows");
+                let cfg = QueryConfig::default().backend(backend).workers(workers);
+                let rows = s
+                    .compile(sql, cfg)
+                    .unwrap()
+                    .explain_analyze_rows(&s)
+                    .unwrap();
+                let charged: Vec<_> = rows.iter().filter(|r| r.predict.is_some()).collect();
+                let label = format!("{sql} ({backend:?}, {workers} workers)");
+                assert_eq!(charged.len(), 1, "{label}: {rows:?}");
+                assert!(charged[0].op.starts_with(op), "{label}: {rows:?}");
+                assert_eq!(charged[0].predict.unwrap().1, lineitem, "{label}");
+                assert!(charged[0]
+                    .render(true)
+                    .contains(&format!("predict_rows={lineitem}")));
+                let after = tqp_repro::obs::registry()
+                    .snapshot()
+                    .counter("ml.predict_rows");
+                assert!(after >= before + lineitem, "{label}: {before} -> {after}");
+            }
+        }
+    }
+}

@@ -188,6 +188,9 @@ struct Spec {
     n_group_keys: usize,
     distinct: bool,
     order_by: Vec<String>,
+    /// `LIMIT k`; set only with `order_by` naming every output alias, a
+    /// total order on distinct rows, so the kept multiset is well defined.
+    limit: Option<usize>,
 }
 
 impl Spec {
@@ -218,6 +221,9 @@ impl Spec {
         }
         if !self.order_by.is_empty() {
             s.push_str(&format!(" order by {}", self.order_by.join(", ")));
+        }
+        if let Some(k) = self.limit {
+            s.push_str(&format!(" limit {k}"));
         }
         s
     }
@@ -370,10 +376,17 @@ fn generate(rng: &mut StdRng) -> Spec {
     }
 
     // ORDER BY a random subset of output aliases (multiset comparison
-    // makes this cosmetically optional, but it exercises Sort lowering).
+    // makes this cosmetically optional, but it exercises Sort lowering) —
+    // or by every alias under a LIMIT, which exercises the top-k sort.
     let mut order_by = Vec::new();
+    let mut limit = None;
     if rng.gen_bool(0.5) {
-        let n = rng.gen_range(1usize..=select.len());
+        let n = if rng.gen_bool(0.4) {
+            limit = Some(rng.gen_range(0usize..=30));
+            select.len()
+        } else {
+            rng.gen_range(1usize..=select.len())
+        };
         for (_, alias) in select.iter().take(n) {
             let dir = if rng.gen_bool(0.3) { " desc" } else { "" };
             order_by.push(format!("{alias}{dir}"));
@@ -388,6 +401,7 @@ fn generate(rng: &mut StdRng) -> Spec {
         n_group_keys,
         distinct,
         order_by,
+        limit,
     }
 }
 
@@ -551,9 +565,15 @@ fn candidates(s: &Spec) -> Vec<Spec> {
         c.filters.remove(i);
         out.push(c);
     }
+    if s.limit.is_some() {
+        let mut c = s.clone();
+        c.limit = None;
+        out.push(c);
+    }
     if !s.order_by.is_empty() {
         let mut c = s.clone();
         c.order_by.clear();
+        c.limit = None;
         out.push(c);
     }
     if s.distinct {
@@ -572,6 +592,7 @@ fn candidates(s: &Spec) -> Vec<Spec> {
         let mut c = s.clone();
         c.select.pop();
         c.order_by.clear();
+        c.limit = None;
         out.push(c);
     }
     out

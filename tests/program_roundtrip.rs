@@ -197,3 +197,51 @@ fn graph_backend_equals_eager_exactly() {
         assert_identical(n, "graph-vs-eager", &eager, &graph);
     }
 }
+
+/// The top-k hint is an optional field of `sort` alone: it survives the
+/// artifact, a document without it (every artifact written before the
+/// field existed) loads as a full sort with the same result, and on any
+/// other op — or as anything but a count — it is a corrupt document.
+#[test]
+fn limit_rides_sort_only() {
+    use tqp_repro::exec::program::ProgOp;
+    let s = session();
+    let models = ModelRegistry::new();
+    let profiler = Profiler::disabled();
+    // Q3 ends `order by revenue desc, o_orderdate limit 10`.
+    let plan = compile_sql(queries::query(3), s.catalog(), &PhysicalOptions::default()).unwrap();
+    let prog = lower(&plan);
+    let limits = |p: &tqp_repro::exec::program::TensorProgram| -> Vec<Option<usize>> {
+        p.ops
+            .iter()
+            .filter_map(|op| match op {
+                ProgOp::Sort { limit, .. } => Some(*limit),
+                _ => None,
+            })
+            .collect()
+    };
+    assert_eq!(limits(&prog), vec![Some(10)]);
+    let text = String::from_utf8(serialize_program(&prog).to_vec()).unwrap();
+    let load = |doc: String| deserialize_program(&bytes::Bytes::from(doc.into_bytes()));
+    assert_eq!(load(text.clone()).unwrap(), prog);
+
+    let old = text.replace(",\"limit\":10", "");
+    assert_ne!(old, text, "field not found");
+    let loaded = load(old).unwrap();
+    assert_eq!(limits(&loaded), vec![None]);
+    for fused in [false, true] {
+        let cfg = ExecConfig::default();
+        let (with, _, _) = vm::run_program(&prog, s.storage(), &models, &profiler, cfg, fused);
+        let (without, _, _) = vm::run_program(&loaded, s.storage(), &models, &profiler, cfg, fused);
+        assert_identical(3, "limit stripped", &with, &without);
+    }
+    let with = scalar::run_program_scalar(&prog, s.frames(), &models);
+    let without = scalar::run_program_scalar(&loaded, s.frames(), &models);
+    assert_identical(3, "limit stripped, scalar", &with, &without);
+
+    let tampered = text.replacen("{\"op\":\"scan\",", "{\"op\":\"scan\",\"limit\":5,", 1);
+    assert_ne!(tampered, text, "tamper point not found");
+    let err = load(tampered).unwrap_err().to_string();
+    assert!(err.contains("limit"), "{err}");
+    assert!(load(text.replace("\"limit\":10", "\"limit\":-10")).is_err());
+}

@@ -6,7 +6,7 @@ use tqp_repro::tensor as tt;
 use tt::index::{filter, mask_to_indices, searchsorted, take, Side};
 use tt::ops::{compare_scalar, CmpOp};
 use tt::reduce::{segmented_reduce, sum_f64, AggFn};
-use tt::sort::{argsort, argsort_multi, Order, SortKey};
+use tt::sort::{argsort, argsort_multi, topk_merge, topk_range, Order, SortKey};
 use tt::strings::LikePattern;
 use tt::{Scalar, Tensor};
 
@@ -45,6 +45,38 @@ proptest! {
         let mut expect = pairs.clone();
         expect.sort_by(|x, y| x.0.cmp(&y.0).then(y.1.cmp(&x.1)));
         prop_assert_eq!(got, expect);
+    }
+
+    // Top-k over `workers` contiguous ranges plus one merge — the way the
+    // VM runs `ORDER BY … LIMIT k` — is the first k rows of the stable
+    // sort: duplicate-heavy keys, ±0.0 and ±NaN, prefix-sharing strings,
+    // every mix of directions, k from 0 past n.
+    #[test]
+    fn topk_is_the_prefix_of_the_stable_sort(
+        rows in prop::collection::vec((0i64..4, 0usize..7, 0usize..4), 0..200),
+        desc in prop::collection::vec(any::<bool>(), 3..4),
+        k_pick in 0usize..5,
+    ) {
+        const FLOATS: [f64; 7] = [0.0, -0.0, f64::NAN, -f64::NAN, 1.5, -2.0, f64::INFINITY];
+        const WORDS: [&str; 4] = ["a", "ab", "b", "ba"];
+        let n = rows.len();
+        let key = |t: Tensor, d: bool| if d { SortKey::desc(t) } else { SortKey::asc(t) };
+        let words: Vec<&str> = rows.iter().map(|r| WORDS[r.2]).collect();
+        let keys = [
+            key(Tensor::from_f64(rows.iter().map(|r| FLOATS[r.1]).collect()), desc[0]),
+            key(Tensor::from_strings(&words, 0), desc[1]),
+            key(Tensor::from_i64(rows.iter().map(|r| r.0).collect()), desc[2]),
+        ];
+        let full = argsort_multi(&keys).to_i64_vec();
+        let k = [0, 1, n.saturating_sub(1), n, n + 5][k_pick];
+        for workers in [1usize, 2, 4, 8] {
+            let len = n.div_ceil(workers).max(1);
+            let candidates: Vec<i64> = (0..workers)
+                .flat_map(|w| topk_range(&keys, (w * len).min(n), ((w + 1) * len).min(n), k))
+                .collect();
+            let got = topk_merge(&keys, candidates, k);
+            prop_assert_eq!(got.as_i64(), &full[..k.min(n)], "k={} workers={}", k, workers);
+        }
     }
 
     #[test]

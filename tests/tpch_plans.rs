@@ -576,6 +576,35 @@ mod with_statistics {
         }
     }
 
+    /// `ORDER BY … LIMIT n` lowers to a `Sort` that orders only its first
+    /// `n` rows; EXPLAIN names the limit on the Sort row.
+    #[test]
+    fn sort_under_limit_is_a_top_k() {
+        use tqp_repro::exec::program::ProgOp;
+        for (n, (q, rows)) in analyzed().iter().enumerate().map(|(i, r)| (i + 1, r)) {
+            let limited = [2, 3, 10, 18, 21].contains(&n);
+            let limits: Vec<usize> = q
+                .program()
+                .ops
+                .iter()
+                .filter_map(|op| match op {
+                    ProgOp::Sort { limit, .. } => *limit,
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(limits.len(), usize::from(limited), "Q{n}: {limits:?}");
+            let labelled: Vec<&ExplainRow> = rows
+                .iter()
+                .filter(|r| r.op.starts_with("Sort(limit="))
+                .collect();
+            assert_eq!(labelled.len(), limits.len(), "Q{n}: {rows:?}");
+            for (row, limit) in labelled.into_iter().zip(limits) {
+                assert_eq!(row.op, format!("Sort(limit={limit})"));
+                assert!(row.actual_rows.expect("actuals") <= limit as u64, "Q{n}");
+            }
+        }
+    }
+
     #[test]
     fn traced_runs_feed_the_qerror_histogram() {
         let before = tqp_repro::obs::registry()
