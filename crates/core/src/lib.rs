@@ -255,6 +255,27 @@ impl Session {
             TableSource::Mem(tqp_data::ingest::frame_to_tensors(&frame)),
         );
         self.frames.insert(key, frame);
+        self.publish_resident_bytes();
+    }
+
+    /// Set the `storage.resident_bytes` gauge — column data the session's
+    /// tables keep in memory — and its split by buffer kind
+    /// (`.padded`, `.codes`, `.dict`; numeric buffers are the rest).
+    fn publish_resident_bytes(&self) {
+        let bytes = self
+            .storage
+            .values()
+            .map(TableSource::resident_bytes)
+            .fold(tqp_tensor::Footprint::default(), |a, b| a + b);
+        let r = tqp_obs::registry();
+        for (name, v) in [
+            ("storage.resident_bytes", bytes.total()),
+            ("storage.resident_bytes.padded", bytes.padded),
+            ("storage.resident_bytes.codes", bytes.codes),
+            ("storage.resident_bytes.dict", bytes.dict),
+        ] {
+            r.gauge(name).set(v as i64);
+        }
     }
 
     /// Register (or replace) a table backed by a persistent `tqp-store`
@@ -269,6 +290,7 @@ impl Session {
             .register_with_stats(&key, table.schema().clone(), table.stats().clone());
         self.frames.remove(&key);
         self.storage.insert(key, TableSource::Stored(table));
+        self.publish_resident_bytes();
     }
 
     /// Register a whole TPC-H instance.

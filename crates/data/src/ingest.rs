@@ -5,8 +5,13 @@
 //! * `Date` columns → `I64` epoch-nanosecond tensors (already stored that
 //!   way, so also zero-copy here; the paper counts dates as "conversion"
 //!   because Pandas stores datetime64 differently);
-//! * `Str` columns → `(n × m)` right-zero-padded UTF-8 byte matrices
-//!   (conversion), `m` = max byte length in the column.
+//! * `Str` columns → `(n × m)` string matrices, `m` = max byte length in
+//!   the column (conversion), in one of two forms chosen by a constant rule
+//!   on the data: a column with at most [`tqp_tensor::dict::MAX_ENTRIES`]
+//!   distinct values becomes **dictionary-coded** (`u32` codes into a
+//!   sorted dictionary; distinct values are counted exactly, and counting
+//!   stops past the cap), any other column a right-zero-padded UTF-8 byte
+//!   matrix.
 //!
 //! The reverse direction materializes query results back into a
 //! [`DataFrame`] for display and for differential testing against the
@@ -14,7 +19,7 @@
 
 use std::sync::Arc;
 
-use tqp_tensor::{DType, Tensor};
+use tqp_tensor::{DType, Footprint, Tensor};
 
 use crate::column::{Column, LogicalType};
 use crate::frame::{DataFrame, Field, Schema};
@@ -37,6 +42,14 @@ impl TensorTable {
     pub fn tensor(&self, name: &str) -> Option<&Tensor> {
         self.schema.index_of(name).map(|i| &self.tensors[i])
     }
+
+    /// Bytes the table's tensors keep resident, by buffer kind.
+    pub fn footprint(&self) -> Footprint {
+        self.tensors
+            .iter()
+            .map(Tensor::footprint)
+            .fold(Footprint::default(), |a, b| a + b)
+    }
 }
 
 /// Convert one column into its tensor representation.
@@ -48,7 +61,7 @@ pub fn column_to_tensor(col: &Column) -> Tensor {
         Column::Date(v) => Tensor::from_i64_shared(Arc::clone(v)),
         Column::Str(v) => {
             let refs: Vec<&str> = v.iter().map(|s| s.as_str()).collect();
-            Tensor::from_strings(&refs, 1)
+            tqp_tensor::dict::encode(&refs, 1).unwrap_or_else(|| Tensor::from_strings(&refs, 1))
         }
     }
 }
@@ -137,16 +150,24 @@ mod tests {
     }
 
     #[test]
-    fn string_ingestion_pads() {
+    fn string_ingestion_codes_low_cardinality_and_pads_the_rest() {
         let frame = df(vec![(
             "s",
             Column::from_str(vec!["ab".into(), "wxyz".into()]),
         )]);
         let t = frame_to_tensors(&frame);
         let st = &t.tensors[0];
+        assert!(st.coded().is_some());
         assert_eq!(st.shape(), &[2, 4]);
         assert_eq!(st.str_at(0), "ab");
         assert_eq!(st.str_at(1), "wxyz");
+        // One distinct value past the cap: padded, same shape rule.
+        let many: Vec<String> = (0..=tqp_tensor::dict::MAX_ENTRIES)
+            .map(|i| format!("v{i}"))
+            .collect();
+        let t = frame_to_tensors(&df(vec![("s", Column::from_str(many.clone()))]));
+        assert!(t.tensors[0].coded().is_none());
+        assert_eq!(t.tensors[0].str_at(7), many[7]);
     }
 
     #[test]

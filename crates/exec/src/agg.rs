@@ -57,6 +57,7 @@
 //! Empty-input semantics (shared with the row oracle): a global aggregate
 //! yields one row of zeros; a grouped aggregate yields no rows.
 
+use std::borrow::Cow;
 use std::time::Instant;
 
 use tqp_data::LogicalType;
@@ -800,28 +801,58 @@ fn sort_groups_by_key(out: Batch, n_keys: usize, workers: usize) -> Batch {
 /// group. Zero key columns means a single global group (the ungrouped
 /// aggregate case).
 ///
-/// The key columns hash **once, blockwise**
-/// ([`tqp_tensor::hash::hash_columns`]) and group through the flat
-/// open-addressing table of [`tqp_tensor::hash::group_rows_by_hash`],
-/// which assigns gids in first-appearance order over a sequential row scan
-/// and verifies collisions through [`rows_equal`].
+/// A single bare-I64 key — or keys that are all dictionary-coded, packed
+/// into one ([`packed_codes`]) — hashes with [`tqp_tensor::hash::hash_i64`]
+/// and compares one slice. Other keys hash **once, blockwise**
+/// ([`tqp_tensor::hash::hash_columns`]) and verify collisions column by
+/// column ([`KeyCol`]). Either way the flat open-addressing table of
+/// [`tqp_tensor::hash::group_rows_by_hash`] assigns gids in
+/// first-appearance order over a sequential row scan, so the groups do not
+/// depend on the hash.
 fn hash_group_rows(keys: &[Tensor], n: usize) -> (Tensor, Tensor) {
     if keys.is_empty() {
         let firsts = if n == 0 { vec![] } else { vec![0] };
         return (Tensor::from_i64(vec![0; n]), Tensor::from_i64(firsts));
     }
-    let key_refs: Vec<&Tensor> = keys.iter().collect();
-    let hashes = tqp_tensor::hash::hash_columns(&key_refs);
-    // A single bare-I64 key compares through one slice instead of the
-    // per-dtype dispatch per probe.
-    let (gids, firsts) = match keys {
-        [k] if k.dtype() == DType::I64 && k.shape().len() == 1 => {
-            let v = k.as_i64();
+    let single: Option<Cow<[i64]>> = match keys {
+        [k] if k.dtype() == DType::I64 && k.shape().len() == 1 => Some(Cow::Borrowed(k.as_i64())),
+        _ => packed_codes(keys).map(Cow::Owned),
+    };
+    let (gids, firsts) = match single {
+        Some(v) => {
+            let hashes = tqp_tensor::hash::hash_i64(&v);
             tqp_tensor::hash::group_rows_by_hash(&hashes, |i, j| v[i] == v[j])
         }
-        _ => tqp_tensor::hash::group_rows_by_hash(&hashes, |i, j| rows_equal(keys, i, j)),
+        None => {
+            let key_refs: Vec<&Tensor> = keys.iter().collect();
+            let hashes = tqp_tensor::hash::hash_columns(&key_refs);
+            let cols: Vec<KeyCol> = keys.iter().map(KeyCol::new).collect();
+            tqp_tensor::hash::group_rows_by_hash(&hashes, |i, j| cols.iter().all(|c| c.eq(i, j)))
+        }
     };
     (Tensor::from_i64(gids), Tensor::from_i64(firsts))
+}
+
+/// All-coded group keys as one mixed-radix code per row — key `k`'s code
+/// weighted by the product of the earlier keys' dictionary sizes — so equal
+/// packed values are exactly equal key tuples. `None` when a key is not
+/// coded or the radix product leaves `i64`.
+fn packed_codes(keys: &[Tensor]) -> Option<Vec<i64>> {
+    let mut radix = Vec::with_capacity(keys.len());
+    let mut stride = 1i64;
+    for k in keys {
+        let (codes, dict) = k.coded()?;
+        radix.push((codes, stride));
+        stride = stride.checked_mul(dict.len().max(1) as i64)?;
+    }
+    let (first, rest) = radix.split_first().expect("at least one key");
+    let mut packed: Vec<i64> = first.0.iter().map(|&c| c as i64).collect();
+    for &(codes, stride) in rest {
+        for (p, &c) in packed.iter_mut().zip(codes) {
+            *p += c as i64 * stride;
+        }
+    }
+    Some(packed)
 }
 
 /// Segmented reduction dispatch with type- and emptiness-aware
@@ -925,15 +956,48 @@ fn hash_aggregate(
     (Batch::new(columns), firsts)
 }
 
-fn rows_equal(keys: &[Tensor], i: usize, j: usize) -> bool {
-    keys.iter().all(|k| match k.dtype() {
-        DType::I64 => k.as_i64()[i] == k.as_i64()[j],
-        DType::I32 => k.as_i32()[i] == k.as_i32()[j],
-        DType::F64 => k.as_f64()[i].to_bits() == k.as_f64()[j].to_bits(),
-        DType::Bool => k.as_bool()[i] == k.as_bool()[j],
-        DType::U8 => k.str_row(i) == k.str_row(j),
-        DType::F32 => k.as_f32()[i].to_bits() == k.as_f32()[j].to_bits(),
-    })
+/// One group-key column with its dtype resolved once per grouping pass,
+/// for the collision checks of [`hash_group_rows`].
+enum KeyCol<'a> {
+    I64(&'a [i64]),
+    I32(&'a [i32]),
+    F64(&'a [f64]),
+    F32(&'a [f32]),
+    Bool(&'a [bool]),
+    /// A coded string column: one dictionary, so equal codes are equal
+    /// values.
+    Codes(&'a [u32]),
+    /// A padded string column's bytes, `width` a row.
+    Bytes(&'a [u8], usize),
+}
+
+impl<'a> KeyCol<'a> {
+    fn new(k: &'a Tensor) -> KeyCol<'a> {
+        match k.dtype() {
+            DType::I64 => KeyCol::I64(k.as_i64()),
+            DType::I32 => KeyCol::I32(k.as_i32()),
+            DType::F64 => KeyCol::F64(k.as_f64()),
+            DType::F32 => KeyCol::F32(k.as_f32()),
+            DType::Bool => KeyCol::Bool(k.as_bool()),
+            DType::U8 => match k.coded() {
+                Some((codes, _)) => KeyCol::Codes(codes),
+                None => KeyCol::Bytes(k.as_u8(), k.row_width()),
+            },
+        }
+    }
+
+    /// Rows `i` and `j` hold the same key (floats by bit pattern).
+    fn eq(&self, i: usize, j: usize) -> bool {
+        match self {
+            KeyCol::I64(v) => v[i] == v[j],
+            KeyCol::I32(v) => v[i] == v[j],
+            KeyCol::F64(v) => v[i].to_bits() == v[j].to_bits(),
+            KeyCol::F32(v) => v[i].to_bits() == v[j].to_bits(),
+            KeyCol::Bool(v) => v[i] == v[j],
+            KeyCol::Codes(v) => v[i] == v[j],
+            KeyCol::Bytes(d, w) => d[i * w..(i + 1) * w] == d[j * w..(j + 1) * w],
+        }
+    }
 }
 
 #[cfg(test)]

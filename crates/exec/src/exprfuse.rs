@@ -902,9 +902,12 @@ fn bind_inputs<'a>(skel: &Skeleton, batch: &'a Batch) -> Option<BoundInputs<'a>>
             DType::I64 => ColInput::I64(t.as_i64()),
             DType::F64 => ColInput::F64(t.as_f64()),
             DType::Bool => ColInput::Bool(t.as_bool()),
-            DType::U8 => ColInput::Str {
-                data: t.as_u8(),
-                width: t.row_width(),
+            DType::U8 => match t.coded() {
+                Some((codes, dict)) => ColInput::Coded { codes, dict },
+                None => ColInput::Str {
+                    data: t.as_u8(),
+                    width: t.row_width(),
+                },
             },
             _ => return None,
         });

@@ -197,6 +197,15 @@ impl TableSource {
         }
     }
 
+    /// Bytes of column data the table keeps in memory, by buffer kind: a
+    /// stored table decodes chunks on demand and keeps none.
+    pub fn resident_bytes(&self) -> tqp_tensor::Footprint {
+        match self {
+            TableSource::Mem(t) => t.footprint(),
+            TableSource::Stored(_) => tqp_tensor::Footprint::default(),
+        }
+    }
+
     /// The stored-table handle, when disk-backed.
     pub fn as_stored(&self) -> Option<&Arc<StoredTable>> {
         match self {

@@ -39,6 +39,7 @@
 //! order over a sequential scan, matching the executor's documented
 //! group-output order exactly.
 
+use crate::tensor::trim_padding;
 use crate::{DType, Tensor};
 
 /// Rows per hashing block: big enough to amortize loop overhead, small
@@ -92,10 +93,11 @@ fn combine_i64(acc: &mut [u64], vals: &[i64]) {
     crate::simd::hash_combine_i64(acc, vals);
 }
 
-/// FNV-1a over one string row (strings cannot lane-split; everything else
-/// hashes blockwise).
+/// FNV-1a over one trimmed string (strings cannot lane-split; everything
+/// else hashes blockwise). Padding is never hashed, so a value hashes the
+/// same at every matrix width and in a dictionary.
 #[inline]
-fn hash_bytes(bytes: &[u8]) -> u64 {
+pub(crate) fn hash_bytes(bytes: &[u8]) -> u64 {
     let mut h: u64 = SEED;
     for &b in bytes {
         h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
@@ -105,9 +107,10 @@ fn hash_bytes(bytes: &[u8]) -> u64 {
 
 /// Hash multi-column row keys into one `u64` column, column-at-a-time:
 /// every numeric column folds in as a blockwise [`combine_i64`]-style
-/// pass over the whole column (the "hash column in one pass" shape),
-/// strings fall back to per-row byte hashing. Row equality must still be
-/// verified by the caller — two distinct rows may collide.
+/// pass over the whole column (the "hash column in one pass" shape), a
+/// coded string column gathers its dictionary's per-entry hashes, a padded
+/// one hashes each trimmed row. Row equality must still be verified by the
+/// caller — two distinct rows may collide.
 pub fn hash_columns(cols: &[&Tensor]) -> Vec<u64> {
     assert!(
         !cols.is_empty(),
@@ -135,11 +138,20 @@ pub fn hash_columns(cols: &[&Tensor]) -> Vec<u64> {
                     *a = (*a ^ mix64(v as u64)).wrapping_mul(COMBINE);
                 }
             }
-            DType::U8 => {
-                for (i, a) in acc.iter_mut().enumerate() {
-                    *a = (*a ^ hash_bytes(c.str_row(i))).wrapping_mul(COMBINE);
+            DType::U8 => match c.coded() {
+                Some((codes, dict)) => {
+                    for (a, &code) in acc.iter_mut().zip(codes) {
+                        *a = (*a ^ dict.hash(code)).wrapping_mul(COMBINE);
+                    }
                 }
-            }
+                None => {
+                    let (data, m) = (c.as_u8(), c.row_width());
+                    for (i, a) in acc.iter_mut().enumerate() {
+                        let row = trim_padding(&data[i * m..(i + 1) * m]);
+                        *a = (*a ^ hash_bytes(row)).wrapping_mul(COMBINE);
+                    }
+                }
+            },
         }
     }
     acc
@@ -440,6 +452,18 @@ mod tests {
         for (i, &v) in vals.iter().enumerate() {
             assert_eq!(hs[i], mix64(v as u64));
         }
+    }
+
+    #[test]
+    fn string_hashes_ignore_width_and_form() {
+        let vals = ["x", "yy", "", "x\0", "zzzz"];
+        let narrow = Tensor::from_strings(&vals, 0);
+        let wide = Tensor::from_strings(&vals, 9);
+        let coded = crate::dict::encode(&vals, 0).unwrap();
+        let h = hash_columns(&[&narrow]);
+        assert_eq!(h, hash_columns(&[&wide]));
+        assert_eq!(h, hash_columns(&[&coded]));
+        assert_eq!(h[0], h[3], "trailing NULs are padding");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! `searchsorted` (paper §2.2, "novel algorithms" of the companion paper).
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::dtype::DType;
 use crate::pool::{par_chunks_mut, par_reduce, PAR_THRESHOLD};
@@ -77,8 +78,9 @@ pub fn count_true(mask: &Tensor) -> usize {
 }
 
 /// Row gather (`index_select` on dim 0). Works for rank-1 tensors of any
-/// dtype and rank-2 matrices (rows move as units). Panics on out-of-bounds
-/// indices — the planner always derives indices from masks or sorts.
+/// dtype and rank-2 matrices (rows move as units; a coded string matrix
+/// gathers its codes). Panics on out-of-bounds indices — the planner
+/// always derives indices from masks or sorts.
 #[allow(clippy::needless_range_loop)] // row windows index two slices in lockstep
 pub fn take(t: &Tensor, idx: &Tensor) -> Tensor {
     let ix = idx.as_i64();
@@ -98,6 +100,16 @@ pub fn take(t: &Tensor, idx: &Tensor) -> Tensor {
             });
             $ctor(out)
         }};
+    }
+    if let Some((codes, dict)) = t.coded() {
+        let mut out = vec![0u32; ix.len()];
+        par_chunks_mut(&mut out, |s, c| {
+            let len = c.len();
+            for (o, &i) in c.iter_mut().zip(&ix[s..s + len]) {
+                *o = codes[i as usize];
+            }
+        });
+        return Tensor::from_coded(out, Arc::clone(dict));
     }
     if t.shape().len() == 2 {
         let m = t.row_width();
@@ -329,6 +341,9 @@ pub fn head(t: &Tensor, k: usize) -> Tensor {
 pub fn slice_rows(t: &Tensor, lo: usize, hi: usize) -> Tensor {
     let hi = hi.min(t.nrows());
     let lo = lo.min(hi);
+    if let Some((codes, dict)) = t.coded() {
+        return Tensor::from_coded(codes[lo..hi].to_vec(), Arc::clone(dict));
+    }
     if t.shape().len() == 2 {
         let m = t.row_width();
         return match t.dtype() {
@@ -350,7 +365,9 @@ pub fn slice_rows(t: &Tensor, lo: usize, hi: usize) -> Tensor {
 }
 
 /// Vertical concatenation of rank-1 tensors or equal-width matrices of the
-/// same dtype. String matrices of different widths are re-padded to the max.
+/// same dtype. Coded string matrices sharing one dictionary concatenate
+/// their codes; any other mix of string matrices is re-padded to the
+/// widest.
 pub fn concat(parts: &[&Tensor]) -> Tensor {
     assert!(!parts.is_empty(), "concat of zero tensors");
     if parts.len() == 1 {
@@ -374,17 +391,44 @@ pub fn concat_ranges(parts: &[(&Tensor, Range<usize>)]) -> Tensor {
         "concat dtype mismatch"
     );
     let n: usize = parts.iter().map(|(_, r)| r.len()).sum();
+    if let Some((_, dict)) = first.coded() {
+        let same_dict = |p: &Tensor| p.coded().is_some_and(|(_, d)| Arc::ptr_eq(d, dict));
+        if parts.iter().all(|(p, _)| same_dict(p)) {
+            let mut out = Vec::with_capacity(n);
+            for (p, range) in parts {
+                out.extend_from_slice(&p.coded().expect("checked coded").0[range.clone()]);
+            }
+            return Tensor::from_coded(out, Arc::clone(dict));
+        }
+    }
     if first.shape().len() == 2 {
         let m = parts.iter().map(|(p, _)| p.row_width()).max().unwrap();
         match dt {
             DType::U8 => {
+                // Each row lands in the prefix of its wider output row;
+                // padding is zeros in every form, so the rest stays zero.
                 let mut out = vec![0u8; n * m];
                 let mut row = 0;
                 for (p, range) in parts {
-                    for i in range.clone() {
-                        let src = p.str_row_trimmed(i);
-                        out[row * m..row * m + src.len()].copy_from_slice(src);
-                        row += 1;
+                    let w = p.row_width();
+                    match p.coded() {
+                        Some((codes, dict)) => {
+                            for &c in &codes[range.clone()] {
+                                out[row * m..row * m + w].copy_from_slice(dict.row(c));
+                                row += 1;
+                            }
+                        }
+                        None if w == m => {
+                            let src = &p.as_u8()[range.start * m..range.end * m];
+                            out[row * m..row * m + src.len()].copy_from_slice(src);
+                            row += range.len();
+                        }
+                        None => {
+                            for i in range.clone() {
+                                out[row * m..row * m + w].copy_from_slice(p.str_row(i));
+                                row += 1;
+                            }
+                        }
                     }
                 }
                 Tensor::from_u8_matrix(out, n, m)
@@ -524,6 +568,35 @@ mod tests {
         assert_eq!(c.row_width(), 4);
         assert_eq!(c.str_at(0), "ab");
         assert_eq!(c.str_at(1), "wxyz");
+    }
+
+    #[test]
+    fn coded_rows_move_as_codes() {
+        let vals = ["b", "a", "ccc", "a"];
+        let t = crate::dict::encode(&vals, 0).unwrap();
+        let padded = Tensor::from_strings(&vals, 0);
+        let idx = Tensor::from_i64(vec![2, 0, 3]);
+        let taken = take(&t, &idx);
+        assert!(taken.coded().is_some());
+        assert_eq!(taken, take(&padded, &idx));
+        let sliced = slice_rows(&t, 1, 3);
+        assert!(sliced.coded().is_some());
+        assert_eq!(sliced, slice_rows(&padded, 1, 3));
+        // One dictionary: codes concatenate. Another dictionary or a
+        // padded part: the rows re-pad to the widest part.
+        let same = concat_ranges(&[(&t, 0..2), (&taken, 1..3)]);
+        assert!(same.coded().is_some());
+        assert_eq!(
+            same,
+            concat_ranges(&[(&padded, 0..2), (&take(&padded, &idx), 1..3)])
+        );
+        let other = crate::dict::encode(&["zzzzz"], 0).unwrap();
+        for mixed in [concat(&[&t, &other]), concat(&[&t, &padded])] {
+            assert!(mixed.coded().is_none());
+            assert_eq!(mixed.str_at(0), "b");
+            assert_eq!(mixed.row_width(), mixed.str_row(0).len());
+        }
+        assert_eq!(concat(&[&t, &other]).str_at(4), "zzzzz");
     }
 
     #[test]

@@ -22,8 +22,11 @@
 //!   instead of per-row branching;
 //! * filter (mask) execution folds conjunct-at-a-time, **skips the rest of
 //!   a chunk** once its mask is all-false, and evaluates per-row string
-//!   predicates (`=`/`IN`/`LIKE` on string columns) only for rows still
-//!   alive — the selective-compaction idea at chunk granularity.
+//!   predicates (`=`/`IN`/`LIKE` on padded string columns) only for rows
+//!   still alive — the selective-compaction idea at chunk granularity;
+//! * a string predicate on a dictionary-coded column is a lookup table
+//!   (the predicate per dictionary entry, fetched once per kernel run from
+//!   the dictionary's memo) gathered by code.
 //!
 //! Every inner loop replicates the semantics of the generic kernels in
 //! [`crate::ops`] **bit for bit** (wrapping integer arithmetic, integer
@@ -34,6 +37,9 @@
 //! decides *what* fuses and owns the program-fingerprint cache) lives in
 //! `tqp-exec`; this module only knows how to run a compiled kernel.
 
+use std::sync::Arc;
+
+use crate::dict::{StrDict, StrPred};
 use crate::ops::{BinOp, CmpOp};
 use crate::strings::LikePattern;
 
@@ -241,6 +247,20 @@ pub enum ColInput<'a> {
         data: &'a [u8],
         width: usize,
     },
+    /// Dictionary-coded string matrix.
+    Coded {
+        codes: &'a [u32],
+        dict: &'a StrDict,
+    },
+}
+
+/// A string predicate op resolved for one kernel run from the constant
+/// pool: the predicate, its negation and — over a coded column — its
+/// lookup table from the dictionary's memo.
+struct StrOp {
+    pred: StrPred,
+    negated: bool,
+    lut: Option<Arc<[bool]>>,
 }
 
 /// A compiled fused kernel: the op list plus the register-file shape. Mask
@@ -483,6 +503,37 @@ impl RegFile {
 #[inline]
 pub fn trimmed_row(data: &[u8], width: usize, i: usize) -> &[u8] {
     crate::tensor::trim_padding(&data[i * width..(i + 1) * width])
+}
+
+/// One chunk of a string predicate op, `out[i] = alive(i) && (pred(row) !=
+/// negated)`: gathered from the lookup table by code on a coded column,
+/// evaluated per trimmed row — alive rows only — on a padded one.
+fn str_op_chunk(out: &mut [bool], col: &ColInput, op: &StrOp, base: usize, mask: Option<&[bool]>) {
+    let (len, negated) = (out.len(), op.negated);
+    match (col, op.lut.as_deref()) {
+        (ColInput::Coded { codes, .. }, Some(lut)) => {
+            let codes = &codes[base..base + len];
+            match mask {
+                Some(m) => {
+                    for ((o, &c), &alive) in out.iter_mut().zip(codes).zip(m) {
+                        *o = alive & (lut[c as usize] != negated);
+                    }
+                }
+                None => {
+                    for (o, &c) in out.iter_mut().zip(codes) {
+                        *o = lut[c as usize] != negated;
+                    }
+                }
+            }
+        }
+        (ColInput::Str { data, width }, _) => {
+            for (i, o) in out.iter_mut().enumerate() {
+                *o = mask.is_none_or(|m| m[i])
+                    && (op.pred.eval(trimmed_row(data, *width, base + i)) != negated);
+            }
+        }
+        _ => unreachable!("string predicate channel is not a string column"),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -876,6 +927,7 @@ impl FusedKernel {
         let mut mask = vec![false; n];
         let mut regs = RegFile::new(self);
         self.const_prologue(&mut regs, consts);
+        let str_ops = self.str_ops(cols, consts);
         let mut base = 0;
         while base < n {
             let len = (n - base).min(CHUNK_ROWS);
@@ -889,6 +941,7 @@ impl FusedKernel {
                     cols,
                     validity,
                     consts,
+                    &str_ops,
                     base,
                     len,
                     Some(&*m),
@@ -943,6 +996,7 @@ impl FusedKernel {
             .collect();
         let mut regs = RegFile::new(self);
         self.const_prologue(&mut regs, consts);
+        let str_ops = self.str_ops(cols, consts);
         let mut base = 0;
         while base < n {
             let len = (n - base).min(CHUNK_ROWS);
@@ -952,6 +1006,7 @@ impl FusedKernel {
                 cols,
                 validity,
                 consts,
+                &str_ops,
                 base,
                 len,
                 None,
@@ -989,6 +1044,33 @@ impl FusedKernel {
         }
     }
 
+    /// Every string predicate op resolved for this run (`None` at other
+    /// ops); a lookup table is fetched once per run, not per chunk.
+    fn str_ops(&self, cols: &[ColInput], consts: &ConstPool) -> Vec<Option<StrOp>> {
+        self.ops
+            .iter()
+            .map(|op| {
+                let (col, pred, negated) = match op {
+                    KOp::CmpStrConst { col, op, c, .. } => {
+                        (*col, StrPred::Cmp(*op, consts.strs[*c].clone()), false)
+                    }
+                    KOp::InListStr {
+                        col, c, negated, ..
+                    } => (*col, StrPred::In(consts.str_lists[*c].clone()), *negated),
+                    KOp::LikeStr {
+                        col, c, negated, ..
+                    } => (*col, StrPred::Like(consts.likes[*c].clone()), *negated),
+                    _ => return None,
+                };
+                let lut = match cols[col] {
+                    ColInput::Coded { dict, .. } => Some(dict.lut(&pred)),
+                    _ => None,
+                };
+                Some(StrOp { pred, negated, lut })
+            })
+            .collect()
+    }
+
     /// Execute `ops[range]` over one chunk. `mask` is `Some` in mask mode:
     /// per-row string predicates evaluate only rows still alive (sound
     /// because a dead row's conjunct value is ANDed into an already-false
@@ -1001,6 +1083,7 @@ impl FusedKernel {
         cols: &[ColInput],
         validity: &[Option<&[bool]>],
         consts: &ConstPool,
+        str_ops: &[Option<StrOp>],
         base: usize,
         len: usize,
         mask: Option<&[bool]>,
@@ -1024,15 +1107,7 @@ impl FusedKernel {
             };
             &v[base..base + len]
         };
-        let str_col = |c: usize| -> (&[u8], usize) {
-            let ColInput::Str { data, width } = &cols[c] else {
-                unreachable!("channel {c} is not a string matrix")
-            };
-            (data, *width)
-        };
-        let alive = |i: usize| mask.is_none_or(|m| m[i]);
-
-        for op in &self.ops[range] {
+        for (at, op) in range.clone().zip(&self.ops[range]) {
             match op {
                 // Constants were filled by the prologue.
                 KOp::ConstI64 { .. } | KOp::ConstF64 { .. } | KOp::ConstBool { .. } => {}
@@ -1162,14 +1237,13 @@ impl FusedKernel {
                     };
                     cmp_const_kernel!(*op, a, consts.bools[*c], out);
                 }
-                KOp::CmpStrConst { dst, col, op, c } => {
-                    let (data, width) = str_col(*col);
-                    let needle = consts.strs[*c].as_slice();
-                    let out = &mut regs.bools[*dst][..len];
-                    for (i, o) in out.iter_mut().enumerate() {
-                        *o =
-                            alive(i) && op.eval_ord(trimmed_row(data, width, base + i).cmp(needle));
-                    }
+                KOp::CmpStrConst { dst, col, .. }
+                | KOp::InListStr { dst, col, .. }
+                | KOp::LikeStr { dst, col, .. } => {
+                    let op = str_ops[at]
+                        .as_ref()
+                        .expect("string op resolved for the run");
+                    str_op_chunk(&mut regs.bools[*dst][..len], &cols[*col], op, base, mask);
                 }
                 KOp::InListI64 {
                     dst,
@@ -1203,37 +1277,6 @@ impl FusedKernel {
                     for (o, &x) in out.iter_mut().zip(a) {
                         let hit = list.contains(&x);
                         *o = hit != *negated;
-                    }
-                }
-                KOp::InListStr {
-                    dst,
-                    col,
-                    c,
-                    negated,
-                } => {
-                    let (data, width) = str_col(*col);
-                    let list = consts.str_lists[*c].as_slice();
-                    let out = &mut regs.bools[*dst][..len];
-                    for (i, o) in out.iter_mut().enumerate() {
-                        *o = alive(i) && {
-                            let row = trimmed_row(data, width, base + i);
-                            let hit = list.iter().any(|v| row == v.as_slice());
-                            hit != *negated
-                        };
-                    }
-                }
-                KOp::LikeStr {
-                    dst,
-                    col,
-                    c,
-                    negated,
-                } => {
-                    let (data, width) = str_col(*col);
-                    let pat = &consts.likes[*c];
-                    let out = &mut regs.bools[*dst][..len];
-                    for (i, o) in out.iter_mut().enumerate() {
-                        *o = alive(i)
-                            && (pat.matches(trimmed_row(data, width, base + i)) != *negated);
                     }
                 }
                 KOp::And { dst, a, b } => {
@@ -1671,6 +1714,86 @@ mod tests {
             panic!()
         };
         assert_eq!(v, &[0, 5, 2, 0, 1, 0, 1, 0]);
+    }
+
+    #[test]
+    fn coded_string_predicates_match_padded_rows() {
+        // `s < 'MAIL'`, `s NOT IN ('AIR', '')`, `s LIKE '%R%'` — masks and
+        // materialized outputs over the padded and the coded form of one
+        // column, across chunk boundaries.
+        let words = ["MAIL", "AIR", "SHIP", "AIR REG", "", "TRUCK", "RAIL"];
+        let n = CHUNK_ROWS * 2 + 9;
+        let vals: Vec<&str> = (0..n)
+            .map(|i| words[(i * 5 + i / 7) % words.len()])
+            .collect();
+        let padded = crate::Tensor::from_strings(&vals, 0);
+        let coded = crate::dict::encode(&vals, 0).unwrap();
+        let (codes, dict) = coded.coded().unwrap();
+        let ops = vec![
+            KOp::CmpStrConst {
+                dst: 0,
+                col: 0,
+                op: CmpOp::Lt,
+                c: 0,
+            },
+            KOp::InListStr {
+                dst: 1,
+                col: 0,
+                c: 0,
+                negated: true,
+            },
+            KOp::LikeStr {
+                dst: 2,
+                col: 0,
+                c: 0,
+                negated: false,
+            },
+        ];
+        let conj = |end, reg| KConjunct {
+            end,
+            reg: Some(reg),
+            col: None,
+            vchans: vec![],
+        };
+        let mask_kernel = FusedKernel {
+            ops: ops.clone(),
+            n_i64: 0,
+            n_f64: 0,
+            n_bool: 3,
+            conjuncts: vec![conj(1, 0), conj(2, 1), conj(3, 2)],
+            outs: vec![],
+        };
+        let out_kernel = FusedKernel {
+            conjuncts: vec![],
+            outs: vec![KOut::Bool(0), KOut::Bool(1), KOut::Bool(2)],
+            ..mask_kernel.clone()
+        };
+        let consts = ConstPool {
+            strs: vec![b"MAIL".to_vec()],
+            str_lists: vec![vec![b"AIR".to_vec(), b"".to_vec()]],
+            likes: vec![LikePattern::compile("%R%")],
+            ..Default::default()
+        };
+        let p_cols = [ColInput::Str {
+            data: padded.as_u8(),
+            width: padded.row_width(),
+        }];
+        let c_cols = [ColInput::Coded { codes, dict }];
+        let mask = mask_kernel.run_mask(&p_cols, &[], &consts, n);
+        assert!(mask.iter().any(|&b| b) && !mask.iter().all(|&b| b));
+        assert_eq!(mask, mask_kernel.run_mask(&c_cols, &[], &consts, n));
+        let bools = |outs: Vec<KOutValue>| -> Vec<Vec<bool>> {
+            outs.into_iter()
+                .map(|o| match o {
+                    KOutValue::Bool(v) => v,
+                    _ => panic!("bool output expected"),
+                })
+                .collect()
+        };
+        assert_eq!(
+            bools(out_kernel.run_outputs(&p_cols, &[], &consts, n)),
+            bools(out_kernel.run_outputs(&c_cols, &[], &consts, n))
+        );
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //! * run-boundary / unique-consecutive detection ([`unique`]),
 //! * dense GEMM for the ML operators ([`gemm`]),
 //! * kernels over `(n × m)` right-zero-padded UTF-8 byte matrices — the
-//!   paper's string representation (§2.1) — including `LIKE` ([`strings`]).
+//!   paper's string representation (§2.1) — including `LIKE` ([`strings`]),
+//! * dictionary-coded string matrices, the second string form: `u32` codes
+//!   into a sorted dictionary, on which predicates, hashes, sorts and group
+//!   keys run as code arithmetic ([`dict`]).
 //!
 //! Tensors are immutable, reference-counted, contiguous and row-major
 //! ([`Tensor`]); cloning is O(1). Large kernels are parallelised over a
@@ -24,6 +27,7 @@
 //! by the execution layer (`tqp-exec`); kernels here are device-agnostic pure
 //! compute, exactly like ATen kernels underneath PyTorch.
 
+pub mod dict;
 pub mod dtype;
 pub mod gemm;
 pub mod hash;
@@ -39,7 +43,7 @@ pub mod tensor;
 pub mod unique;
 
 pub use dtype::{DType, Scalar};
-pub use tensor::Tensor;
+pub use tensor::{Footprint, Tensor};
 
 /// Errors produced by tensor kernels on semantically invalid input.
 ///

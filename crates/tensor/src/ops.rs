@@ -10,6 +10,9 @@
 //! implements the ternary `CASE WHEN` building block the paper highlights in
 //! Figure 4.
 
+use std::sync::Arc;
+
+use crate::dict::{str_mask, StrPred};
 use crate::dtype::{DType, Scalar};
 use crate::pool::par_chunks_mut;
 use crate::tensor::Tensor;
@@ -271,7 +274,8 @@ macro_rules! cmp_loop {
 
 /// Element-wise comparison producing a `Bool` mask. Supports numeric tensors
 /// (with promotion), bool tensors, and `(n×m)` string matrices (row-wise
-/// trimmed byte-lexicographic comparison, ≡ UTF-8 code-point order).
+/// trimmed byte-lexicographic comparison, ≡ UTF-8 code-point order; two
+/// coded matrices over one dictionary compare codes, which order the same).
 pub fn compare(op: CmpOp, a: &Tensor, b: &Tensor) -> Tensor {
     assert_same_rows(a, b, "compare");
     let n = a.nrows();
@@ -286,6 +290,12 @@ pub fn compare(op: CmpOp, a: &Tensor, b: &Tensor) -> Tensor {
             }
         );
         let mut out = vec![false; n];
+        if let (Some((x, da)), Some((y, db))) = (a.coded(), b.coded()) {
+            if Arc::ptr_eq(da, db) {
+                cmp_loop!(op, x, y, &mut out);
+                return Tensor::from_bool(out);
+            }
+        }
         par_chunks_mut(&mut out, |s, c| {
             for (i, o) in c.iter_mut().enumerate() {
                 let ord = a.str_row_trimmed(s + i).cmp(b.str_row_trimmed(s + i));
@@ -315,9 +325,10 @@ pub fn compare(op: CmpOp, a: &Tensor, b: &Tensor) -> Tensor {
 }
 
 /// Compare against a broadcast scalar. String scalars compare against the
-/// trimmed rows of a string matrix. Numeric scalars take a fused path that
-/// never materializes the broadcast tensor (this is the hottest kernel in
-/// TPC-H filters).
+/// trimmed rows of a string matrix ([`str_mask`]: a coded matrix compares
+/// once per dictionary entry). Numeric scalars take a fused path that never
+/// materializes the broadcast tensor (this is the hottest kernel in TPC-H
+/// filters).
 pub fn compare_scalar(op: CmpOp, a: &Tensor, s: &Scalar) -> Tensor {
     if let Scalar::Str(needle) = s {
         assert_eq!(
@@ -326,15 +337,7 @@ pub fn compare_scalar(op: CmpOp, a: &Tensor, s: &Scalar) -> Tensor {
             "string comparison against {:?}",
             a.dtype()
         );
-        let nb = needle.as_bytes();
-        let n = a.nrows();
-        let mut out = vec![false; n];
-        par_chunks_mut(&mut out, |st, c| {
-            for (i, o) in c.iter_mut().enumerate() {
-                *o = op.eval_ord(a.str_row_trimmed(st + i).cmp(nb));
-            }
-        });
-        return Tensor::from_bool(out);
+        return str_mask(a, &StrPred::Cmp(op, needle.as_bytes().to_vec()));
     }
     macro_rules! cmp_const {
         ($x:expr, $v:expr) => {{
@@ -489,8 +492,14 @@ pub fn where_select(cond: &Tensor, a: &Tensor, b: &Tensor) -> Tensor {
 
 /// Membership test against a literal list (`expr IN (v1, v2, ...)`),
 /// implemented as an OR-fold of equality masks — the tensor formulation of
-/// `IN` used by queries like TPC-H Q12/Q19/Q22.
+/// `IN` used by queries like TPC-H Q12/Q19/Q22. A string matrix against a
+/// list of strings tests each row (a coded one: each dictionary entry)
+/// against the whole list in one pass.
 pub fn in_list(a: &Tensor, values: &[Scalar]) -> Tensor {
+    if a.dtype() == DType::U8 && values.iter().all(|v| matches!(v, Scalar::Str(_))) {
+        let list = values.iter().map(|v| v.as_str().as_bytes().to_vec());
+        return str_mask(a, &StrPred::In(list.collect()));
+    }
     let mut acc = Tensor::from_bool(vec![false; a.nrows()]);
     for v in values {
         acc = or(&acc, &compare_scalar(CmpOp::Eq, a, v));
@@ -575,6 +584,51 @@ mod tests {
             compare_scalar(CmpOp::Ge, &a, &Scalar::Str("fig".into())).as_bool(),
             &[false, true, true]
         );
+    }
+
+    #[test]
+    fn coded_string_comparisons_match_padded() {
+        let vals = ["apple", "pear", "fig", "", "pear", "fig\0"];
+        let p = Tensor::from_strings(&vals, 0);
+        let c = crate::dict::encode(&vals, 0).unwrap();
+        let shifted = crate::index::take(&c, &Tensor::from_i64(vec![1, 2, 3, 4, 5, 0]));
+        let other = crate::dict::encode(&["pear", "fig", "zed", "", "a", "fig"], 3).unwrap();
+        let needles = ["fig", "", "pear", "zzz"];
+        let list: Vec<Scalar> = needles.iter().map(|s| Scalar::Str(s.to_string())).collect();
+        assert_eq!(in_list(&c, &list).as_bool(), in_list(&p, &list).as_bool());
+        for op in [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ] {
+            for n in needles {
+                let s = Scalar::Str(n.into());
+                assert_eq!(
+                    compare_scalar(op, &c, &s).as_bool(),
+                    compare_scalar(op, &p, &s).as_bool(),
+                    "{op:?} {n:?}"
+                );
+            }
+            // Shared dictionary (codes), another dictionary and a padded
+            // side (bytes) all agree with the padded comparison.
+            let sp = crate::index::take(&p, &Tensor::from_i64(vec![1, 2, 3, 4, 5, 0]));
+            let want = compare(op, &p, &sp);
+            assert_eq!(
+                compare(op, &c, &shifted).as_bool(),
+                want.as_bool(),
+                "{op:?}"
+            );
+            assert_eq!(compare(op, &c, &sp).as_bool(), want.as_bool(), "{op:?}");
+            let po = Tensor::from_strings(&["pear", "fig", "zed", "", "a", "fig"], 0);
+            assert_eq!(
+                compare(op, &c, &other).as_bool(),
+                compare(op, &p, &po).as_bool(),
+                "{op:?}"
+            );
+        }
     }
 
     #[test]

@@ -261,13 +261,18 @@ fn segmented_minmax_str_best(
     min: bool,
 ) -> Vec<Option<usize>> {
     let gid = ids.as_i64();
+    // A coded matrix's codes order as its rows do.
+    let codes = values.coded().map(|(c, _)| c);
     let mut best: Vec<Option<usize>> = vec![None; num_groups];
     for (row, &g) in gid.iter().enumerate() {
         let slot = &mut best[g as usize];
         match slot {
             None => *slot = Some(row),
             Some(cur) => {
-                let ord = values.str_row(row).cmp(values.str_row(*cur));
+                let ord = match codes {
+                    Some(c) => c[row].cmp(&c[*cur]),
+                    None => values.str_row(row).cmp(values.str_row(*cur)),
+                };
                 if (min && ord.is_lt()) || (!min && ord.is_gt()) {
                     *slot = Some(row);
                 }
@@ -301,6 +306,10 @@ pub fn segmented_min_str_or_filler(
     min: bool,
 ) -> Tensor {
     let best = segmented_minmax_str_best(values, ids, num_groups, min);
+    if best.iter().all(Option::is_some) {
+        let idx = best.into_iter().map(|b| b.expect("checked") as i64);
+        return crate::index::take(values, &Tensor::from_i64(idx.collect()));
+    }
     let width = values.row_width().max(1);
     let mut out = vec![0u8; num_groups * width];
     for (gi, b) in best.iter().enumerate() {
@@ -389,13 +398,22 @@ mod tests {
 
     #[test]
     fn segmented_string_minmax() {
-        let vals = Tensor::from_strings(&["pear", "apple", "zed", "kiwi"], 0);
-        let ids = Tensor::from_i64(vec![0, 0, 1, 1]);
-        let mn = segmented_min_str(&vals, &ids, 2, true);
-        assert_eq!(mn.str_at(0), "apple");
-        assert_eq!(mn.str_at(1), "kiwi");
-        let mx = segmented_min_str(&vals, &ids, 2, false);
-        assert_eq!(mx.str_at(0), "pear");
-        assert_eq!(mx.str_at(1), "zed");
+        let words = ["pear", "apple", "zed", "kiwi"];
+        for vals in [
+            Tensor::from_strings(&words, 0),
+            crate::dict::encode(&words, 0).unwrap(),
+        ] {
+            let ids = Tensor::from_i64(vec![0, 0, 1, 1]);
+            let mn = segmented_min_str(&vals, &ids, 2, true);
+            assert_eq!(mn.str_at(0), "apple");
+            assert_eq!(mn.str_at(1), "kiwi");
+            let mx = segmented_min_str(&vals, &ids, 2, false);
+            assert_eq!(mx.str_at(0), "pear");
+            assert_eq!(mx.str_at(1), "zed");
+            // A group with no rows gets the all-zero filler row.
+            let filled = segmented_min_str_or_filler(&vals, &ids, 3, true);
+            assert_eq!(filled.str_row(2), vec![0u8; vals.row_width()].as_slice());
+            assert_eq!(filled.str_at(1), "kiwi");
+        }
     }
 }

@@ -98,6 +98,15 @@ fn argsort_perm(key: &Tensor, order: Order, mut perm: Vec<i64>) -> Tensor {
                 Order::Desc => perm.sort_by(|&a, &b| vals[b as usize].total_cmp(&vals[a as usize])),
             }
         }
+        // A coded string matrix's dictionary is sorted: codes order as
+        // the rows do.
+        DType::U8 if key.coded().is_some() => {
+            let codes = key.coded().expect("checked coded").0;
+            match order {
+                Order::Asc => perm.sort_by(|&a, &b| codes[a as usize].cmp(&codes[b as usize])),
+                Order::Desc => perm.sort_by(|&a, &b| codes[b as usize].cmp(&codes[a as usize])),
+            }
+        }
         DType::U8 => {
             // Rank-2 string matrix: rows compare as padded byte slices
             // (trailing NULs sort below every printable byte, preserving
@@ -145,6 +154,8 @@ enum KeyCol<'a> {
         bytes: &'a [u8],
         width: usize,
     },
+    /// Coded string matrix: codes order as the rows do.
+    Codes(&'a [u32]),
 }
 
 struct KeyView<'a> {
@@ -160,9 +171,12 @@ impl<'a> KeyView<'a> {
             DType::I64 => KeyCol::I64(k.values.as_i64()),
             DType::F32 => KeyCol::F32(k.values.as_f32()),
             DType::F64 => KeyCol::F64(k.values.as_f64()),
-            DType::U8 => KeyCol::Str {
-                bytes: k.values.as_u8(),
-                width: k.values.row_width(),
+            DType::U8 => match k.values.coded() {
+                Some((codes, _)) => KeyCol::Codes(codes),
+                None => KeyCol::Str {
+                    bytes: k.values.as_u8(),
+                    width: k.values.row_width(),
+                },
             },
         };
         KeyView {
@@ -181,6 +195,7 @@ impl<'a> KeyView<'a> {
             KeyCol::Str { bytes, width } => {
                 bytes[a * width..(a + 1) * width].cmp(&bytes[b * width..(b + 1) * width])
             }
+            KeyCol::Codes(v) => v[a].cmp(&v[b]),
         };
         if self.desc {
             o.reverse()
@@ -369,6 +384,34 @@ mod tests {
         assert_eq!(s.str_at(0), "ap");
         assert_eq!(s.str_at(1), "apple");
         assert_eq!(s.str_at(2), "pear");
+    }
+
+    #[test]
+    fn coded_strings_sort_like_padded() {
+        let vals = ["pear", "apple", "ap", "", "pear", "ap\0", "zed"];
+        let p = Tensor::from_strings(&vals, 0);
+        let c = crate::dict::encode(&vals, 0).unwrap();
+        let n = Tensor::from_i64(vec![3, 1, 2, 5, 0, 4, 6]);
+        for order in [Order::Asc, Order::Desc] {
+            assert_eq!(argsort(&c, order).as_i64(), argsort(&p, order).as_i64());
+            let keys = |s: &Tensor| {
+                vec![
+                    SortKey {
+                        values: s.clone(),
+                        order,
+                    },
+                    SortKey::desc(n.clone()),
+                ]
+            };
+            assert_eq!(
+                argsort_multi(&keys(&c)).as_i64(),
+                argsort_multi(&keys(&p)).as_i64()
+            );
+            assert_eq!(
+                topk_range(&keys(&c), 0, 7, 3),
+                topk_range(&keys(&p), 0, 7, 3)
+            );
+        }
     }
 
     #[test]

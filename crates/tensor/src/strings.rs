@@ -10,6 +10,7 @@
 //! rarest byte eight bytes at a time, compare the slice at each hit —
 //! instead of tested at every start position.
 
+use crate::dict::{str_mask, StrPred};
 use crate::pool::par_chunks_mut;
 use crate::tensor::Tensor;
 
@@ -226,16 +227,10 @@ fn match_general(s: &[u8], segments: &[Segment], leading: bool, trailing: bool) 
     true
 }
 
-/// Vectorized `LIKE` over a string matrix: returns a `Bool` mask.
+/// Vectorized `LIKE` over a string matrix: returns a `Bool` mask. A coded
+/// matrix matches each dictionary entry once and gathers the result.
 pub fn like(col: &Tensor, pattern: &LikePattern) -> Tensor {
-    let n = col.nrows();
-    let mut out = vec![false; n];
-    par_chunks_mut(&mut out, |s, c| {
-        for (i, o) in c.iter_mut().enumerate() {
-            *o = pattern.matches(col.str_row_trimmed(s + i));
-        }
-    });
-    Tensor::from_bool(out)
+    str_mask(col, &StrPred::Like(pattern.clone()))
 }
 
 /// SQL `SUBSTRING(col, start, len)` with 1-based `start`; returns a new
@@ -381,9 +376,14 @@ mod tests {
 
     #[test]
     fn like_kernel_on_column() {
-        let col = Tensor::from_strings(&["PROMO A", "STD B", "PROMO C"], 0);
-        let mask = like(&col, &LikePattern::compile("PROMO%"));
-        assert_eq!(mask.as_bool(), &[true, false, true]);
+        let vals = ["PROMO A", "STD B", "PROMO C"];
+        for col in [
+            Tensor::from_strings(&vals, 0),
+            crate::dict::encode(&vals, 0).unwrap(),
+        ] {
+            let mask = like(&col, &LikePattern::compile("PROMO%"));
+            assert_eq!(mask.as_bool(), &[true, false, true]);
+        }
     }
 
     #[test]

@@ -1,15 +1,21 @@
 //! The [`Tensor`] type: an immutable, reference-counted, contiguous,
-//! row-major dense array.
+//! row-major array.
 //!
 //! TQP represents every table column as a tensor (paper §2.1): numeric and
 //! date columns are rank-1 `(n)`, string columns are rank-2 `(n × m)` byte
-//! matrices. Rank-2 float tensors also appear inside compiled ML operators
-//! (weight matrices). Cloning a tensor is O(1) — buffers are shared through
-//! `Arc`, which is what makes the ingestion path "zero-copy in general"
-//! (paper §2.1).
+//! matrices in one of two forms — **padded** (`n × m` right-zero-padded
+//! bytes) or **dictionary-coded** (one `u32` code per row into a shared,
+//! sorted dictionary of the distinct values; see [`crate::dict`]). Both
+//! forms report dtype `U8` and shape `[n, m]`, and [`Tensor::str_row`]
+//! reads the same padded bytes from either, so only bulk kernels need to
+//! know which form they hold. Rank-2 float tensors also appear inside
+//! compiled ML operators (weight matrices). Cloning a tensor is O(1) —
+//! buffers are shared through `Arc`, which is what makes the ingestion
+//! path "zero-copy in general" (paper §2.1).
 
 use std::sync::Arc;
 
+use crate::dict::StrDict;
 use crate::dtype::{DType, Scalar};
 use crate::{Result, TensorError};
 
@@ -22,9 +28,12 @@ pub enum Buffer {
     F32(Arc<Vec<f32>>),
     F64(Arc<Vec<f64>>),
     U8(Arc<Vec<u8>>),
+    /// A dictionary-coded string matrix: row `i` is `dict.row(codes[i])`.
+    Coded(Arc<Vec<u32>>, Arc<StrDict>),
 }
 
 impl Buffer {
+    /// Elements of the (logical, padded) matrix.
     fn len(&self) -> usize {
         match self {
             Buffer::Bool(v) => v.len(),
@@ -33,6 +42,7 @@ impl Buffer {
             Buffer::F32(v) => v.len(),
             Buffer::F64(v) => v.len(),
             Buffer::U8(v) => v.len(),
+            Buffer::Coded(codes, dict) => codes.len() * dict.width(),
         }
     }
 
@@ -43,7 +53,40 @@ impl Buffer {
             Buffer::I64(_) => DType::I64,
             Buffer::F32(_) => DType::F32,
             Buffer::F64(_) => DType::F64,
-            Buffer::U8(_) => DType::U8,
+            Buffer::U8(_) | Buffer::Coded(..) => DType::U8,
+        }
+    }
+}
+
+/// Bytes a tensor (or a table of them) keeps resident, by buffer kind.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// Numeric, bool and date buffers.
+    pub numeric: usize,
+    /// Padded string matrices.
+    pub padded: usize,
+    /// Codes of dictionary-coded string columns.
+    pub codes: usize,
+    /// Their dictionaries.
+    pub dict: usize,
+}
+
+impl Footprint {
+    /// All resident bytes.
+    pub fn total(&self) -> usize {
+        self.numeric + self.padded + self.codes + self.dict
+    }
+}
+
+impl std::ops::Add for Footprint {
+    type Output = Footprint;
+
+    fn add(self, o: Footprint) -> Footprint {
+        Footprint {
+            numeric: self.numeric + o.numeric,
+            padded: self.padded + o.padded,
+            codes: self.codes + o.codes,
+            dict: self.dict + o.dict,
         }
     }
 }
@@ -149,6 +192,16 @@ impl Tensor {
         Tensor::new(vec![rows, cols], Buffer::I64(Arc::new(v)))
     }
 
+    /// A dictionary-coded `(n × m)` string matrix, `m` = the dictionary's
+    /// width; every code must index `dict`.
+    pub fn from_coded(codes: Vec<u32>, dict: Arc<StrDict>) -> Self {
+        let shape = vec![codes.len(), dict.width()];
+        Tensor {
+            shape,
+            buf: Buffer::Coded(Arc::new(codes), dict),
+        }
+    }
+
     /// Build a `(n × m)` padded byte matrix from UTF-8 strings, right-padding
     /// with zeros — the paper's string representation (§2.1). `m` is
     /// `max(len)` unless `min_width` demands more.
@@ -214,6 +267,7 @@ impl Tensor {
     }
 
     /// Row width: 1 for rank-1 tensors, `m` for rank-2.
+    #[inline]
     pub fn row_width(&self) -> usize {
         if self.shape.len() >= 2 {
             self.shape[1]
@@ -227,9 +281,38 @@ impl Tensor {
         self.shape.iter().product()
     }
 
-    /// Total payload size in bytes (drives the GPU cost model in `tqp-exec`).
+    /// Payload size in bytes of the dense (padded) form, whichever form
+    /// the tensor holds (drives the GPU cost model in `tqp-exec`).
     pub fn nbytes(&self) -> usize {
         self.numel() * self.dtype().size_of()
+    }
+
+    /// Bytes this tensor keeps resident, by buffer kind.
+    pub fn footprint(&self) -> Footprint {
+        match &self.buf {
+            Buffer::Coded(codes, dict) => Footprint {
+                codes: codes.len() * 4,
+                dict: dict.nbytes(),
+                ..Footprint::default()
+            },
+            Buffer::U8(v) if self.shape.len() == 2 => Footprint {
+                padded: v.len(),
+                ..Footprint::default()
+            },
+            _ => Footprint {
+                numeric: self.nbytes(),
+                ..Footprint::default()
+            },
+        }
+    }
+
+    /// The codes and dictionary of a dictionary-coded string matrix;
+    /// `None` for every other tensor.
+    pub fn coded(&self) -> Option<(&[u32], &Arc<StrDict>)> {
+        match &self.buf {
+            Buffer::Coded(codes, dict) => Some((codes, dict)),
+            _ => None,
+        }
     }
 
     /// True when the tensor holds no rows.
@@ -238,7 +321,9 @@ impl Tensor {
     }
 
     /// Reinterpret the buffer with a new shape (same number of elements).
+    /// Dense tensors only.
     pub fn reshape(&self, shape: Vec<usize>) -> Tensor {
+        assert!(self.coded().is_none(), "reshape of a coded string matrix");
         assert_eq!(
             shape.iter().product::<usize>(),
             self.numel(),
@@ -295,23 +380,36 @@ impl Tensor {
         }
     }
 
-    /// Borrow as `&[u8]`; panics if dtype differs.
+    /// Borrow as `&[u8]`; panics if dtype differs or the matrix is
+    /// dictionary-coded (read its rows with [`Tensor::str_row`]).
     pub fn as_u8(&self) -> &[u8] {
         match &self.buf {
             Buffer::U8(v) => v,
+            Buffer::Coded(..) => panic!("a coded string matrix has no padded byte buffer"),
             _ => panic!("expected U8 tensor, got {:?}", self.dtype()),
         }
     }
 
     /// Byte row `i` of a rank-2 `U8` matrix, including padding.
+    #[inline]
     pub fn str_row(&self, i: usize) -> &[u8] {
-        let m = self.row_width();
-        &self.as_u8()[i * m..(i + 1) * m]
+        match &self.buf {
+            Buffer::U8(v) => {
+                let m = self.row_width();
+                &v[i * m..(i + 1) * m]
+            }
+            Buffer::Coded(codes, dict) => dict.row(codes[i]),
+            _ => panic!("expected U8 tensor, got {:?}", self.dtype()),
+        }
     }
 
     /// Byte row `i` with trailing zero padding removed.
+    #[inline]
     pub fn str_row_trimmed(&self, i: usize) -> &[u8] {
-        trim_padding(self.str_row(i))
+        match &self.buf {
+            Buffer::Coded(codes, dict) => dict.trimmed(codes[i]),
+            _ => trim_padding(self.str_row(i)),
+        }
     }
 
     /// Decode row `i` of a string matrix into `String`.
@@ -333,7 +431,7 @@ impl Tensor {
             Buffer::I64(v) => Scalar::I64(v[i]),
             Buffer::F32(v) => Scalar::F32(v[i]),
             Buffer::F64(v) => Scalar::F64(v[i]),
-            Buffer::U8(_) => Scalar::Str(self.str_at(i)),
+            Buffer::U8(_) | Buffer::Coded(..) => Scalar::Str(self.str_at(i)),
         }
     }
 
@@ -479,7 +577,7 @@ impl Tensor {
             Buffer::I64(v) => v.iter().map(|&x| x as f64).collect(),
             Buffer::F32(v) => v.iter().map(|&x| x as f64).collect(),
             Buffer::F64(v) => v.as_ref().clone(),
-            Buffer::U8(_) => panic!("string tensor has no f64 view"),
+            Buffer::U8(_) | Buffer::Coded(..) => panic!("string tensor has no f64 view"),
         }
     }
 
@@ -496,10 +594,14 @@ impl Tensor {
 
 impl PartialEq for Tensor {
     /// Structural equality: same dtype, shape, and bitwise-equal elements
-    /// (floats compared by `==`; NaN != NaN as usual).
+    /// (floats compared by `==`; NaN != NaN as usual). A coded string
+    /// matrix equals the padded matrix it stands for.
     fn eq(&self, other: &Self) -> bool {
         if self.shape != other.shape || self.dtype() != other.dtype() {
             return false;
+        }
+        if self.coded().is_some() || other.coded().is_some() {
+            return (0..self.nrows()).all(|i| self.str_row(i) == other.str_row(i));
         }
         match (&self.buf, &other.buf) {
             (Buffer::Bool(a), Buffer::Bool(b)) => a == b,
@@ -515,6 +617,7 @@ impl PartialEq for Tensor {
 
 /// `row` without its trailing zero padding. Padding goes a word at a time:
 /// read little-endian, a word's last bytes in memory are its leading zeros.
+#[inline]
 pub(crate) fn trim_padding(row: &[u8]) -> &[u8] {
     let mut end = row.len();
     while end >= 8 {

@@ -19,6 +19,12 @@ pub fn run_starts(keys: &[&Tensor]) -> Tensor {
     for key in keys {
         assert_eq!(key.nrows(), n, "run_starts keys must align");
         match key.dtype() {
+            DType::U8 if key.coded().is_some() => {
+                let v = key.coded().expect("checked coded").0;
+                for i in 1..n {
+                    mask[i] |= v[i] != v[i - 1];
+                }
+            }
             DType::U8 => {
                 for i in 1..n {
                     if !mask[i] && key.str_row(i) != key.str_row(i - 1) {

@@ -6,6 +6,7 @@ use tqp_repro::data::frame::df;
 use tqp_repro::data::{Column, DataFrame};
 use tqp_repro::exec::Backend;
 use tqp_repro::ir::physical::PhysicalPlan;
+use tqp_repro::ir::{JoinStrategy, PhysicalOptions};
 use tqp_tensor::Scalar;
 
 fn session_with(rows: usize) -> Session {
@@ -217,4 +218,70 @@ fn wasm_backend_on_edge_inputs() {
         .unwrap();
     let (out, _) = q.run(&s).unwrap();
     assert_eq!(out.column(0).get(0).as_i64(), 0);
+}
+
+/// String equi-join keys match across columns of different padded widths
+/// (`ak` is 4 bytes wide, `bk` 2): hashes cover the value, not the
+/// padding — on every backend, worker count and join strategy.
+#[test]
+fn string_join_keys_of_different_widths_match() {
+    let mut s = Session::new();
+    let strs = |v: &[&str]| Column::from_str(v.iter().map(|x| x.to_string()).collect());
+    s.register_table(
+        "a",
+        df(vec![
+            ("ak", strs(&["x", "yy", "zzzz"])),
+            ("av", Column::from_i64(vec![1, 2, 3])),
+        ]),
+    );
+    s.register_table(
+        "b",
+        df(vec![
+            ("bk", strs(&["x", "yy"])),
+            ("bv", Column::from_i64(vec![10, 20])),
+        ]),
+    );
+    let cases = [
+        ("select av, bv from a, b where ak = bk order by av", 2),
+        (
+            "select av from a where ak in (select bk from b) order by av",
+            2,
+        ),
+        (
+            "select av from a where exists (select * from b where bk = ak) order by av",
+            2,
+        ),
+        (
+            "select av from a where ak not in (select bk from b) order by av",
+            1,
+        ),
+    ];
+    for (sql, n) in cases {
+        let expect = s.sql_baseline(sql).unwrap();
+        assert_eq!(expect.nrows(), n, "{sql}");
+        for backend in [
+            Backend::Eager,
+            Backend::Fused,
+            Backend::Graph,
+            Backend::Wasm,
+        ] {
+            for workers in [1, 4] {
+                for join in [JoinStrategy::Hash, JoinStrategy::SortMerge] {
+                    let cfg = QueryConfig::default()
+                        .backend(backend)
+                        .workers(workers)
+                        .physical(PhysicalOptions {
+                            join: Some(join),
+                            agg: None,
+                        });
+                    let (out, _) = s.compile(sql, cfg).unwrap().run(&s).unwrap();
+                    let label = format!("{backend:?} w={workers} {join:?}: {sql}");
+                    assert_eq!(out.nrows(), n, "{label}");
+                    for i in 0..n {
+                        assert_eq!(out.row(i), expect.row(i), "{label}");
+                    }
+                }
+            }
+        }
+    }
 }

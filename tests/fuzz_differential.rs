@@ -5,7 +5,9 @@
 //!
 //! The generator covers projections (arithmetic, CASE), filters
 //! (comparisons, BETWEEN, LIKE, IN), comma-joins on the TPC-H foreign
-//! keys, GROUP BY with the full aggregate set, DISTINCT, and ORDER BY.
+//! keys and string equi-joins against a small `flags` table whose key
+//! column is wider than the TPC-H flag columns it joins, GROUP BY with the
+//! full aggregate set, DISTINCT, and ORDER BY.
 //! On a mismatch the failing query is **shrunk** — filters, projections,
 //! and clauses are removed while the failure reproduces — and the minimal
 //! SQL plus the seed is printed so the case can be replayed with
@@ -24,8 +26,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tqp_repro::core::{QueryConfig, Session};
+use tqp_repro::data::frame::df;
 use tqp_repro::data::tpch::{TpchConfig, TpchData};
-use tqp_repro::data::DataFrame;
+use tqp_repro::data::{Column, DataFrame};
 use tqp_repro::exec::Backend;
 use tqp_repro::ir::{AggStrategy, JoinStrategy, PhysicalOptions};
 use tqp_tensor::Scalar;
@@ -133,6 +136,28 @@ const JOIN_LP: &[Col] = &[
     col("p_brand", Kind::Text),
 ];
 
+/// `flags.f_flag` holds the one-letter TPC-H flags beside a two-letter
+/// value, so it is wider than the columns it joins.
+const FLAG_LABELS: &[&str] = &["accepted", "none", "returned", "open", "final", "wide"];
+
+const JOIN_LF: &[Col] = &[
+    col("l_quantity", Kind::Float),
+    col("l_extendedprice", Kind::Float),
+    col("l_returnflag", Kind::Enum(&["A", "N", "R"])),
+    col("l_linestatus", Kind::Enum(&["O", "F"])),
+    col("f_label", Kind::Enum(FLAG_LABELS)),
+    col("f_weight", Kind::Int),
+];
+
+const JOIN_OF: &[Col] = &[
+    col("o_totalprice", Kind::Float),
+    col("o_orderdate", Kind::Date),
+    col("o_orderstatus", Kind::Enum(&["O", "F", "P"])),
+    col("f_flag", Kind::Enum(&["A", "O", "F", "XX"])),
+    col("f_label", Kind::Enum(FLAG_LABELS)),
+    col("f_weight", Kind::Int),
+];
+
 const SOURCES: &[Source] = &[
     Source {
         from: "lineitem",
@@ -169,7 +194,27 @@ const SOURCES: &[Source] = &[
         join: Some("l_partkey = p_partkey"),
         cols: JOIN_LP,
     },
+    Source {
+        from: "lineitem, flags",
+        join: Some("l_returnflag = f_flag"),
+        cols: JOIN_LF,
+    },
+    Source {
+        from: "orders, flags",
+        join: Some("o_orderstatus = f_flag"),
+        cols: JOIN_OF,
+    },
 ];
+
+/// The `flags` table of the string equi-join sources.
+fn flags() -> DataFrame {
+    let strs = |v: &[&str]| Column::from_str(v.iter().map(|s| s.to_string()).collect());
+    df(vec![
+        ("f_flag", strs(&["A", "N", "R", "O", "F", "XX"])),
+        ("f_label", strs(FLAG_LABELS)),
+        ("f_weight", Column::from_i64((1..=6).collect())),
+    ])
+}
 
 const LIKE_PATTERNS: &[&str] = &["%a%", "%the%", "s%", "%5", "%r%e%", "B%"];
 
@@ -619,10 +664,12 @@ fn shrink(sessions: &Sessions, spec: Spec) -> Spec {
 fn build_sessions(data: &TpchData) -> Sessions {
     let mut mem = Session::new();
     mem.register_tpch(data);
+    mem.register_table("flags", flags());
     let dir = std::env::temp_dir().join(format!("tqp_fuzz_store_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let mut stored = Session::new();
-    for (name, frame) in data.tables() {
+    let flags = flags();
+    for (name, frame) in data.tables().into_iter().chain([("flags", &flags)]) {
         let path = dir.join(format!("{name}.tqps"));
         let table = tqp_repro::store::store_frame(frame, &path, 2048)
             .unwrap_or_else(|e| panic!("storing {name}: {e}"));
