@@ -68,7 +68,7 @@ use tqp_tensor::reduce::{
     segmented_min_str, segmented_min_str_or_filler, segmented_reduce, segmented_reduce_i64,
     sum_f64, sum_i64, AggFn,
 };
-use tqp_tensor::sort::{argsort_multi, argsort_multi_par, Order, SortKey};
+use tqp_tensor::sort::{argsort_multi, Order, SortKey};
 use tqp_tensor::unique::run_starts;
 use tqp_tensor::{DType, Tensor};
 
@@ -792,7 +792,7 @@ fn sort_groups_by_key(out: Batch, n_keys: usize, workers: usize) -> Batch {
         .iter()
         .map(|k| SortKey::asc(k.clone()))
         .collect();
-    let perm = argsort_multi_par(&sort_keys, workers);
+    let perm = crate::vm::argsort_par(&sort_keys, workers);
     out.take(&perm)
 }
 

@@ -140,10 +140,18 @@ pub struct ExecConfig {
     pub simd: bool,
 }
 
-/// Default CPU worker count: all cores, capped to keep scoped-thread spawn
-/// overhead negligible on very wide machines.
+/// Default CPU worker count: all cores, capped at 8 — the width of the
+/// shared scheduler pool ([`sched::pool_threads`]) unless overridden.
+/// Asked of the OS once: `available_parallelism` reads the affinity mask
+/// and cgroup files on every call, which costs more than a small query.
 pub fn default_workers() -> usize {
-    tqp_tensor::pool::num_threads().min(8)
+    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(8)
+    })
 }
 
 impl Default for ExecConfig {

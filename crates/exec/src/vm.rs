@@ -34,9 +34,9 @@
 //!   worker ([`crate::join::build_table_par`]); the probe loop of
 //!   `HashProbe` chunks the probe side ([`crate::join::probe_table`]).
 //! * **`Sort`** (and the key-order argsort of an `AggStrategy::Sort`
-//!   aggregate's groups) chunk-sorts and stable-merges
-//!   ([`tqp_tensor::sort::argsort_multi_par`]); a `Sort` with a `limit`
-//!   selects its first rows per fixed-geometry morsel and merges those
+//!   aggregate's groups) sorts row ranges as pool tasks and stable-merges
+//!   them pairwise ([`argsort_par`]); a `Sort` with a `limit` selects its
+//!   first rows per fixed-geometry morsel and merges those
 //!   ([`tqp_tensor::sort::topk_range`]).
 //!
 //! All three are **bit-identical at every worker count**: aggregation by
@@ -60,7 +60,7 @@ use tqp_ml::ModelRegistry;
 use tqp_profile::{op_key, op_key_par, Profiler};
 use tqp_tensor::index::{arange, mask_to_indices};
 use tqp_tensor::sort::{
-    argsort_multi, argsort_multi_par, topk_merge, topk_range, Order, SortKey as TSortKey,
+    argsort_multi, argsort_range, merge_runs, topk_merge, topk_range, Order, SortKey as TSortKey,
 };
 use tqp_tensor::{DType, Tensor};
 
@@ -77,6 +77,10 @@ use crate::{Device, ExecConfig, ScanStats, Storage, TableSource};
 
 /// Minimum scanned rows before a pipeline segment is worth chunking.
 const PAR_SEGMENT_MIN_ROWS: usize = 64 * 1024;
+
+/// Minimum rows before a full sort splits into runs and merges; a run
+/// holds at least a quarter of this.
+const PAR_SORT_MIN_ROWS: usize = 32 * 1024;
 
 /// A register value: a column batch, or a hash-join build table.
 pub enum Value {
@@ -931,8 +935,41 @@ fn sort_perm(keys: &[TSortKey], n: usize, limit: Option<usize>, workers: usize) 
             });
             topk_merge(keys, candidates.concat(), k)
         }
-        _ => argsort_multi_par(keys, workers),
+        _ => argsort_par(keys, workers),
     }
+}
+
+/// The stable sort permutation of all rows under `keys` on the shared
+/// pool: up to `workers` contiguous runs of at least
+/// `PAR_SORT_MIN_ROWS / 4` rows sort as one section of tasks
+/// ([`argsort_range`]), then adjacent runs merge pairwise, one section per
+/// level ([`merge_runs`]). An odd last run — the highest rows — moves up a
+/// level untouched, keeping the adjacency that makes take-left-on-ties
+/// stable. A stable sort permutation is unique, so the result is
+/// bit-identical to [`argsort_multi`] at every worker count.
+pub(crate) fn argsort_par(keys: &[TSortKey], workers: usize) -> Tensor {
+    let n = keys.first().map_or(0, |k| k.values.nrows());
+    if workers <= 1 || n < PAR_SORT_MIN_ROWS {
+        return argsort_multi(keys);
+    }
+    let n_runs = workers.min(n / (PAR_SORT_MIN_ROWS / 4));
+    let len = n.div_ceil(n_runs);
+    let mut runs = crate::sched::map_tasks(n_runs, workers, |r| {
+        argsort_range(keys, r * len, ((r + 1) * len).min(n))
+    });
+    while runs.len() > 1 {
+        let leftover = if runs.len() % 2 == 1 {
+            runs.pop()
+        } else {
+            None
+        };
+        let mut merged = crate::sched::map_tasks(runs.len() / 2, workers, |p| {
+            merge_runs(keys, &runs[2 * p], &runs[2 * p + 1])
+        });
+        merged.extend(leftover);
+        runs = merged;
+    }
+    Tensor::from_i64(runs.pop().expect("the runs merged into one"))
 }
 
 /// The columns of `batch` a filter's keep-list names (all without one).
@@ -1326,5 +1363,95 @@ mod tests {
                 op.name()
             );
         }
+    }
+
+    /// Deterministic LCG for the sort tests (no rand dependency).
+    fn lcg(seed: &mut u64) -> u64 {
+        *seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *seed >> 33
+    }
+
+    #[test]
+    fn parallel_argsort_bit_identical_to_sequential() {
+        let n = PAR_SORT_MIN_ROWS * 2 + 777;
+        let mut seed = 42u64;
+        // Low-cardinality primary key (many ties → stability matters),
+        // floats with NaNs, and a string key.
+        let a = Tensor::from_i64((0..n).map(|_| (lcg(&mut seed) % 7) as i64).collect());
+        let b = Tensor::from_f64(
+            (0..n)
+                .map(|_| {
+                    let v = lcg(&mut seed);
+                    if v.is_multiple_of(97) {
+                        f64::NAN
+                    } else {
+                        (v % 1000) as f64 / 7.0
+                    }
+                })
+                .collect(),
+        );
+        let words = ["kiwi", "apple", "pear", "zed", "ap"];
+        let strs: Vec<&str> = (0..n)
+            .map(|_| words[(lcg(&mut seed) % 5) as usize])
+            .collect();
+        let c = Tensor::from_strings(&strs, 0);
+        let keys = [TSortKey::asc(a), TSortKey::desc(b), TSortKey::asc(c)];
+        let seq = argsort_multi(&keys);
+        for workers in [1, 2, 3, 8] {
+            let par = argsort_par(&keys, workers);
+            assert_eq!(seq.as_i64(), par.as_i64(), "workers={workers}");
+        }
+    }
+
+    /// A sort of `n` rows by one all-equal key, under a cancelled token.
+    fn sort_cancelled(n: usize) -> std::thread::Result<Tensor> {
+        let token = crate::sched::CancelToken::new();
+        token.cancel();
+        let keys = [TSortKey::asc(Tensor::from_i64(vec![5; n]))];
+        std::panic::catch_unwind(|| crate::sched::with_token(&token, || argsort_par(&keys, 4)))
+    }
+
+    #[test]
+    fn parallel_argsort_small_input_runs_inline() {
+        let t = Tensor::from_i64(vec![3, 1, 2, 1]);
+        let p = argsort_par(&[TSortKey::asc(t)], 4);
+        assert_eq!(p.as_i64(), &[1, 3, 2, 0]);
+        // No section and no cancellation check: a cancelled token cannot
+        // stop a sort below the split threshold.
+        let p = sort_cancelled(PAR_SORT_MIN_ROWS - 1).expect("sorted inline");
+        assert_eq!(p.nrows(), PAR_SORT_MIN_ROWS - 1);
+    }
+
+    #[test]
+    fn parallel_argsort_all_equal_keys_keeps_row_order() {
+        let n = PAR_SORT_MIN_ROWS + 10;
+        let p = argsort_par(&[TSortKey::asc(Tensor::from_i64(vec![5; n]))], 4);
+        let expect: Vec<i64> = (0..n as i64).collect();
+        assert_eq!(p.as_i64(), &expect[..]);
+    }
+
+    #[test]
+    fn parallel_argsort_unwinds_on_a_cancelled_token() {
+        let Err(err) = sort_cancelled(PAR_SORT_MIN_ROWS) else {
+            panic!("the sort finished under a cancelled token");
+        };
+        let c = crate::sched::cancelled_payload(err.as_ref()).expect("Cancelled payload");
+        assert_eq!(c.0, crate::sched::CancelReason::Cancelled);
+    }
+
+    #[test]
+    fn parallel_argsort_opens_scheduler_sections() {
+        let sections = tqp_obs::registry().counter("sched.sections");
+        let before = sections.get();
+        let n = PAR_SORT_MIN_ROWS;
+        let keys = [TSortKey::desc(Tensor::from_i64((0..n as i64).collect()))];
+        let p = argsort_par(&keys, 2);
+        assert_eq!(p.as_i64()[0], n as i64 - 1);
+        assert!(
+            sections.get() > before,
+            "the sort ran outside the scheduler"
+        );
     }
 }

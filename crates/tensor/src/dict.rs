@@ -33,7 +33,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use crate::ops::CmpOp;
-use crate::pool::par_chunks_mut;
 use crate::strings::LikePattern;
 use crate::tensor::{trim_padding, Tensor};
 
@@ -244,25 +243,13 @@ pub fn str_mask(col: &Tensor, pred: &StrPred) -> Tensor {
     if let Some((codes, dict)) = col.coded() {
         return gather_lut(codes, &dict.lut(pred));
     }
-    let mut out = vec![false; col.nrows()];
-    par_chunks_mut(&mut out, |s, c| {
-        for (i, o) in c.iter_mut().enumerate() {
-            *o = pred.eval(col.str_row_trimmed(s + i));
-        }
-    });
-    Tensor::from_bool(out)
+    let out = (0..col.nrows()).map(|i| pred.eval(col.str_row_trimmed(i)));
+    Tensor::from_bool(out.collect())
 }
 
 /// `lut[codes[i]]` for every row — a predicate gathered by code.
 fn gather_lut(codes: &[u32], lut: &[bool]) -> Tensor {
-    let mut out = vec![false; codes.len()];
-    par_chunks_mut(&mut out, |s, c| {
-        let len = c.len();
-        for (o, &code) in c.iter_mut().zip(&codes[s..s + len]) {
-            *o = lut[code as usize];
-        }
-    });
-    Tensor::from_bool(out)
+    Tensor::from_bool(codes.iter().map(|&c| lut[c as usize]).collect())
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! network's layers are matrix products, and so is the dense form of a
 //! compiled decision tree (which `tqp-ml` evaluates sparsely and keeps
 //! this kernel for as its test oracle). The kernel is a cache-friendly
-//! i-k-j loop, parallelised over output rows.
+//! i-k-j loop.
 
 use crate::tensor::Tensor;
 
@@ -19,30 +19,21 @@ pub fn matmul_f64(a: &Tensor, b: &Tensor) -> Tensor {
     let av = a.as_f64();
     let bv = b.as_f64();
     let mut out = vec![0f64; n * m];
-    // Parallelise across row blocks; i-k-j order keeps B row-contiguous in
-    // the inner loop so the compiler can vectorize it.
-    crate::pool::par_chunks_mut(&mut out, |start, chunk| {
-        if chunk.is_empty() {
-            return;
-        }
-        debug_assert_eq!(start % m, 0, "chunks must align to rows");
-        let row0 = start / m;
-        let rows = chunk.len() / m;
-        for r in 0..rows {
-            let i = row0 + r;
-            let arow = &av[i * k..(i + 1) * k];
-            let crow = &mut chunk[r * m..(r + 1) * m];
-            for (kk, &aik) in arow.iter().enumerate() {
-                if aik == 0.0 {
-                    continue; // tree one-hot matrices are sparse
-                }
-                let brow = &bv[kk * m..(kk + 1) * m];
-                for (c, &bkj) in crow.iter_mut().zip(brow) {
-                    *c += aik * bkj;
-                }
+    // i-k-j order keeps B row-contiguous in the inner loop so the
+    // compiler can vectorize it.
+    for i in 0..n {
+        let arow = &av[i * k..(i + 1) * k];
+        let crow = &mut out[i * m..(i + 1) * m];
+        for (kk, &aik) in arow.iter().enumerate() {
+            if aik == 0.0 {
+                continue; // tree one-hot matrices are sparse
+            }
+            let brow = &bv[kk * m..(kk + 1) * m];
+            for (c, &bkj) in crow.iter_mut().zip(brow) {
+                *c += aik * bkj;
             }
         }
-    });
+    }
     Tensor::from_f64_matrix(out, n, m)
 }
 

@@ -10,62 +10,11 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::dtype::DType;
-use crate::pool::{par_chunks_mut, par_reduce, PAR_THRESHOLD};
 use crate::tensor::Tensor;
 
 /// Positions of `true` bits as an `I64` index tensor (`torch.nonzero`).
 pub fn mask_to_indices(mask: &Tensor) -> Tensor {
     let m = mask.as_bool();
-    // Two-pass parallel compaction: count per chunk, then write at offsets.
-    if m.len() >= PAR_THRESHOLD * 4 {
-        let threads = crate::pool::num_threads();
-        let chunk = m.len().div_ceil(threads);
-        let counts: Vec<usize> = (0..threads)
-            .map(|t| {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(m.len());
-                if lo >= hi {
-                    0
-                } else {
-                    crate::simd::count_true(&m[lo..hi])
-                }
-            })
-            .collect();
-        let total: usize = counts.iter().sum();
-        let mut offsets = vec![0usize; threads];
-        let mut acc = 0;
-        for (o, c) in offsets.iter_mut().zip(&counts) {
-            *o = acc;
-            acc += c;
-        }
-        let mut out = vec![0i64; total];
-        // Carve the output into per-thread windows and fill them in parallel.
-        let mut windows: Vec<&mut [i64]> = Vec::with_capacity(threads);
-        let mut rest: &mut [i64] = &mut out;
-        for &take in counts.iter().take(threads) {
-            let (w, r) = rest.split_at_mut(take);
-            windows.push(w);
-            rest = r;
-        }
-        crossbeam::scope(|s| {
-            for (t, w) in windows.into_iter().enumerate() {
-                let m = &m;
-                s.spawn(move |_| {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(m.len());
-                    let mut k = 0;
-                    for (i, &b) in m[lo.min(m.len())..hi].iter().enumerate() {
-                        if b {
-                            w[k] = (lo + i) as i64;
-                            k += 1;
-                        }
-                    }
-                });
-            }
-        })
-        .expect("worker thread panicked");
-        return Tensor::from_i64(out);
-    }
     let mut out = Vec::with_capacity(m.len() / 2);
     crate::simd::compact_indices_into(m, 0, &mut out);
     Tensor::from_i64(out)
@@ -73,15 +22,13 @@ pub fn mask_to_indices(mask: &Tensor) -> Tensor {
 
 /// Number of `true` bits in a bool tensor.
 pub fn count_true(mask: &Tensor) -> usize {
-    let m = mask.as_bool();
-    par_reduce(m.len(), |r| crate::simd::count_true(&m[r]), |a, b| a + b, 0)
+    crate::simd::count_true(mask.as_bool())
 }
 
 /// Row gather (`index_select` on dim 0). Works for rank-1 tensors of any
 /// dtype and rank-2 matrices (rows move as units; a coded string matrix
 /// gathers its codes). Panics on out-of-bounds indices — the planner
 /// always derives indices from masks or sorts.
-#[allow(clippy::needless_range_loop)] // row windows index two slices in lockstep
 pub fn take(t: &Tensor, idx: &Tensor) -> Tensor {
     let ix = idx.as_i64();
     let n = t.nrows();
@@ -90,109 +37,52 @@ pub fn take(t: &Tensor, idx: &Tensor) -> Tensor {
         assert!((i as usize) < n, "take: index {i} out of bounds ({n})");
     }
     macro_rules! gather1 {
-        ($as:ident, $ctor:path, $t:ty) => {{
-            let src = t.$as();
-            let mut out: Vec<$t> = vec![Default::default(); ix.len()];
-            par_chunks_mut(&mut out, |s, c| {
-                for (k, o) in c.iter_mut().enumerate() {
-                    *o = src[ix[s + k] as usize];
-                }
-            });
-            $ctor(out)
+        ($src:expr) => {{
+            let src = $src;
+            ix.iter().map(|&i| src[i as usize]).collect()
         }};
     }
     if let Some((codes, dict)) = t.coded() {
-        let mut out = vec![0u32; ix.len()];
-        par_chunks_mut(&mut out, |s, c| {
-            let len = c.len();
-            for (o, &i) in c.iter_mut().zip(&ix[s..s + len]) {
-                *o = codes[i as usize];
-            }
-        });
-        return Tensor::from_coded(out, Arc::clone(dict));
+        return Tensor::from_coded(gather1!(codes), Arc::clone(dict));
     }
     if t.shape().len() == 2 {
         let m = t.row_width();
+        macro_rules! gather_rows {
+            ($as:ident, $ctor:path) => {{
+                let src = t.$as();
+                let mut out = vec![Default::default(); ix.len() * m];
+                for (row, &i) in ix.iter().enumerate() {
+                    let so = i as usize * m;
+                    out[row * m..(row + 1) * m].copy_from_slice(&src[so..so + m]);
+                }
+                $ctor(out, ix.len(), m)
+            }};
+        }
         match t.dtype() {
-            DType::U8 => {
-                let src = t.as_u8();
-                let mut out = vec![0u8; ix.len() * m];
-                par_chunks_mut(&mut out, |s, c| {
-                    if c.is_empty() {
-                        return;
-                    }
-                    // s is an element offset; chunks may straddle rows, so
-                    // recompute row-by-row within the chunk window.
-                    let lo = s;
-                    let hi = s + c.len();
-                    let first_row = lo / m;
-                    let last_row = (hi - 1) / m;
-                    for row in first_row..=last_row {
-                        let src_off = ix[row] as usize * m;
-                        let dst_lo = (row * m).max(lo);
-                        let dst_hi = ((row + 1) * m).min(hi);
-                        let s_lo = src_off + (dst_lo - row * m);
-                        c[dst_lo - lo..dst_hi - lo]
-                            .copy_from_slice(&src[s_lo..s_lo + (dst_hi - dst_lo)]);
-                    }
-                });
-                Tensor::from_u8_matrix(out, ix.len(), m)
-            }
-            DType::F64 => {
-                let src = t.as_f64();
-                let mut out = vec![0f64; ix.len() * m];
-                for (row, &i) in ix.iter().enumerate() {
-                    let so = i as usize * m;
-                    out[row * m..(row + 1) * m].copy_from_slice(&src[so..so + m]);
-                }
-                Tensor::from_f64_matrix(out, ix.len(), m)
-            }
-            DType::F32 => {
-                let src = t.as_f32();
-                let mut out = vec![0f32; ix.len() * m];
-                for (row, &i) in ix.iter().enumerate() {
-                    let so = i as usize * m;
-                    out[row * m..(row + 1) * m].copy_from_slice(&src[so..so + m]);
-                }
-                Tensor::from_f32_matrix(out, ix.len(), m)
-            }
-            DType::I64 => {
-                let src = t.as_i64();
-                let mut out = vec![0i64; ix.len() * m];
-                for (row, &i) in ix.iter().enumerate() {
-                    let so = i as usize * m;
-                    out[row * m..(row + 1) * m].copy_from_slice(&src[so..so + m]);
-                }
-                Tensor::from_i64_matrix(out, ix.len(), m)
-            }
+            DType::U8 => gather_rows!(as_u8, Tensor::from_u8_matrix),
+            DType::F64 => gather_rows!(as_f64, Tensor::from_f64_matrix),
+            DType::F32 => gather_rows!(as_f32, Tensor::from_f32_matrix),
+            DType::I64 => gather_rows!(as_i64, Tensor::from_i64_matrix),
             other => panic!("take on rank-2 {other:?} unsupported"),
         }
     } else {
         match t.dtype() {
-            DType::Bool => gather1!(as_bool, Tensor::from_bool, bool),
-            DType::I32 => gather1!(as_i32, Tensor::from_i32, i32),
+            DType::Bool => Tensor::from_bool(gather1!(t.as_bool())),
+            DType::I32 => Tensor::from_i32(gather1!(t.as_i32())),
             // The 8-byte dtypes ride the hardware-gather kernel (same
             // bounds-check-then-panic contract as direct indexing).
             DType::I64 => {
-                let src = t.as_i64();
                 let mut out = vec![0i64; ix.len()];
-                par_chunks_mut(&mut out, |s, c| {
-                    let len = c.len();
-                    crate::simd::gather_i64(src, &ix[s..s + len], c);
-                });
+                crate::simd::gather_i64(t.as_i64(), ix, &mut out);
                 Tensor::from_i64(out)
             }
-            DType::F32 => gather1!(as_f32, Tensor::from_f32, f32),
+            DType::F32 => Tensor::from_f32(gather1!(t.as_f32())),
             DType::F64 => {
-                let src = t.as_f64();
                 let mut out = vec![0f64; ix.len()];
-                par_chunks_mut(&mut out, |s, c| {
-                    let len = c.len();
-                    crate::simd::gather_f64(src, &ix[s..s + len], c);
-                });
+                crate::simd::gather_f64(t.as_f64(), ix, &mut out);
                 Tensor::from_f64(out)
             }
-            DType::U8 => gather1!(as_u8, Tensor::from_u8, u8),
+            DType::U8 => Tensor::from_u8(gather1!(t.as_u8())),
         }
     }
 }
@@ -266,40 +156,17 @@ pub fn searchsorted(haystack: &Tensor, needles: &Tensor, side: Side) -> Tensor {
     macro_rules! ss {
         ($as:ident) => {{
             let hs = haystack.$as();
-            let ns = needles.$as();
-            let mut out = vec![0i64; ns.len()];
-            par_chunks_mut(&mut out, |s, c| {
-                for (k, o) in c.iter_mut().enumerate() {
-                    let v = &ns[s + k];
-                    let pos = match side {
-                        Side::Left => hs.partition_point(|x| x < v),
-                        Side::Right => hs.partition_point(|x| x <= v),
-                    };
-                    *o = pos as i64;
-                }
+            let pos = needles.$as().iter().map(|v| match side {
+                Side::Left => hs.partition_point(|x| x < v) as i64,
+                Side::Right => hs.partition_point(|x| x <= v) as i64,
             });
-            Tensor::from_i64(out)
+            Tensor::from_i64(pos.collect())
         }};
     }
     match haystack.dtype() {
         DType::I64 => ss!(as_i64),
         DType::I32 => ss!(as_i32),
-        DType::F64 => {
-            let hs = haystack.as_f64();
-            let ns = needles.as_f64();
-            let mut out = vec![0i64; ns.len()];
-            par_chunks_mut(&mut out, |s, c| {
-                for (k, o) in c.iter_mut().enumerate() {
-                    let v = ns[s + k];
-                    let pos = match side {
-                        Side::Left => hs.partition_point(|&x| x < v),
-                        Side::Right => hs.partition_point(|&x| x <= v),
-                    };
-                    *o = pos as i64;
-                }
-            });
-            Tensor::from_i64(out)
-        }
+        DType::F64 => ss!(as_f64),
         other => panic!("searchsorted on dtype {other:?}"),
     }
 }
@@ -479,15 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn mask_to_indices_parallel_path() {
-        let n = PAR_THRESHOLD * 8;
-        let mask: Vec<bool> = (0..n).map(|i| i % 7 == 0).collect();
-        let expect: Vec<i64> = (0..n as i64).filter(|i| i % 7 == 0).collect();
-        let got = mask_to_indices(&Tensor::from_bool(mask));
-        assert_eq!(got.as_i64(), expect.as_slice());
-    }
-
-    #[test]
     fn take_rank1() {
         let t = Tensor::from_f64(vec![10.0, 20.0, 30.0]);
         let r = take(&t, &Tensor::from_i64(vec![2, 0, 2]));
@@ -600,7 +458,7 @@ mod tests {
     }
 
     #[test]
-    fn take_large_string_matrix_parallel() {
+    fn take_large_string_matrix() {
         let rows: Vec<String> = (0..40_000).map(|i| format!("row{i:06}")).collect();
         let refs: Vec<&str> = rows.iter().map(|s| s.as_str()).collect();
         let t = Tensor::from_strings(&refs, 0);

@@ -19,9 +19,10 @@
 //!   keys run as code arithmetic ([`dict`]).
 //!
 //! Tensors are immutable, reference-counted, contiguous and row-major
-//! ([`Tensor`]); cloning is O(1). Large kernels are parallelised over a
-//! crossbeam-based thread pool ([`pool`]), mirroring "TQP-CPU runs over all
-//! cores" in the paper's evaluation setup.
+//! ([`Tensor`]); cloning is O(1). Every kernel is a sequential leaf function
+//! and this crate starts no threads: "TQP-CPU runs over all cores" in the
+//! paper's evaluation setup is the execution layer's job, whose scheduler
+//! splits the rows and calls these kernels once per piece.
 //!
 //! Device placement (CPU vs the simulated GPU of the reproduction) is decided
 //! by the execution layer (`tqp-exec`); kernels here are device-agnostic pure
@@ -34,7 +35,6 @@ pub mod hash;
 pub mod index;
 pub mod kernels;
 pub mod ops;
-pub mod pool;
 pub mod reduce;
 pub mod simd;
 pub mod sort;

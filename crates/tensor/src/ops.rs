@@ -2,8 +2,8 @@
 //!
 //! These are the tensor equivalents of the expression nodes TQP's planning
 //! layer emits for filters, projections, and `CASE` expressions. All kernels
-//! are vectorized columnar loops, parallelised across cores for large inputs,
-//! and allocate exactly one output buffer.
+//! are sequential vectorized columnar loops (the executor splits work across
+//! cores) and allocate exactly one output buffer.
 //!
 //! Numeric inputs of different dtypes are promoted SQL-style (see
 //! [`DType::promote`]); comparisons yield `Bool` tensors; `where_select`
@@ -14,7 +14,6 @@ use std::sync::Arc;
 
 use crate::dict::{str_mask, StrPred};
 use crate::dtype::{DType, Scalar};
-use crate::pool::par_chunks_mut;
 use crate::tensor::Tensor;
 
 /// Binary arithmetic operators.
@@ -77,81 +76,28 @@ fn assert_same_rows(a: &Tensor, b: &Tensor, what: &str) {
     );
 }
 
-macro_rules! arith_loop {
-    ($op:expr, $x:expr, $y:expr, $out:expr, int) => {
+/// `f(x[i], y[i])` for every row of two equal-length slices.
+fn zip_map<T: Copy, U>(x: &[T], y: &[T], f: impl Fn(T, T) -> U) -> Vec<U> {
+    x.iter().zip(y).map(|(&a, &b)| f(a, b)).collect()
+}
+
+macro_rules! arith {
+    ($op:expr, $x:expr, $y:expr, int) => {
         match $op {
-            BinOp::Add => par_chunks_mut($out, |s, c| {
-                let xs = &$x[s..s + c.len()];
-                let ys = &$y[s..s + c.len()];
-                for ((o, &a), &b) in c.iter_mut().zip(xs).zip(ys) {
-                    *o = a.wrapping_add(b);
-                }
-            }),
-            BinOp::Sub => par_chunks_mut($out, |s, c| {
-                let xs = &$x[s..s + c.len()];
-                let ys = &$y[s..s + c.len()];
-                for ((o, &a), &b) in c.iter_mut().zip(xs).zip(ys) {
-                    *o = a.wrapping_sub(b);
-                }
-            }),
-            BinOp::Mul => par_chunks_mut($out, |s, c| {
-                let xs = &$x[s..s + c.len()];
-                let ys = &$y[s..s + c.len()];
-                for ((o, &a), &b) in c.iter_mut().zip(xs).zip(ys) {
-                    *o = a.wrapping_mul(b);
-                }
-            }),
-            BinOp::Div => par_chunks_mut($out, |s, c| {
-                for (i, o) in c.iter_mut().enumerate() {
-                    let d = $y[s + i];
-                    *o = if d == 0 { 0 } else { $x[s + i].wrapping_div(d) };
-                }
-            }),
-            BinOp::Mod => par_chunks_mut($out, |s, c| {
-                for (i, o) in c.iter_mut().enumerate() {
-                    let d = $y[s + i];
-                    *o = if d == 0 { 0 } else { $x[s + i].wrapping_rem(d) };
-                }
-            }),
+            BinOp::Add => zip_map($x, $y, |a, b| a.wrapping_add(b)),
+            BinOp::Sub => zip_map($x, $y, |a, b| a.wrapping_sub(b)),
+            BinOp::Mul => zip_map($x, $y, |a, b| a.wrapping_mul(b)),
+            BinOp::Div => zip_map($x, $y, |a, b| if b == 0 { 0 } else { a.wrapping_div(b) }),
+            BinOp::Mod => zip_map($x, $y, |a, b| if b == 0 { 0 } else { a.wrapping_rem(b) }),
         }
     };
-    ($op:expr, $x:expr, $y:expr, $out:expr, float) => {
+    ($op:expr, $x:expr, $y:expr, float) => {
         match $op {
-            BinOp::Add => par_chunks_mut($out, |s, c| {
-                let xs = &$x[s..s + c.len()];
-                let ys = &$y[s..s + c.len()];
-                for ((o, &a), &b) in c.iter_mut().zip(xs).zip(ys) {
-                    *o = a + b;
-                }
-            }),
-            BinOp::Sub => par_chunks_mut($out, |s, c| {
-                let xs = &$x[s..s + c.len()];
-                let ys = &$y[s..s + c.len()];
-                for ((o, &a), &b) in c.iter_mut().zip(xs).zip(ys) {
-                    *o = a - b;
-                }
-            }),
-            BinOp::Mul => par_chunks_mut($out, |s, c| {
-                let xs = &$x[s..s + c.len()];
-                let ys = &$y[s..s + c.len()];
-                for ((o, &a), &b) in c.iter_mut().zip(xs).zip(ys) {
-                    *o = a * b;
-                }
-            }),
-            BinOp::Div => par_chunks_mut($out, |s, c| {
-                let xs = &$x[s..s + c.len()];
-                let ys = &$y[s..s + c.len()];
-                for ((o, &a), &b) in c.iter_mut().zip(xs).zip(ys) {
-                    *o = a / b;
-                }
-            }),
-            BinOp::Mod => par_chunks_mut($out, |s, c| {
-                let xs = &$x[s..s + c.len()];
-                let ys = &$y[s..s + c.len()];
-                for ((o, &a), &b) in c.iter_mut().zip(xs).zip(ys) {
-                    *o = a % b;
-                }
-            }),
+            BinOp::Add => zip_map($x, $y, |a, b| a + b),
+            BinOp::Sub => zip_map($x, $y, |a, b| a - b),
+            BinOp::Mul => zip_map($x, $y, |a, b| a * b),
+            BinOp::Div => zip_map($x, $y, |a, b| a / b),
+            BinOp::Mod => zip_map($x, $y, |a, b| a % b),
         }
     };
 }
@@ -163,30 +109,10 @@ pub fn binary(op: BinOp, a: &Tensor, b: &Tensor) -> Tensor {
     let a = a.cast(dt).expect("promote cast");
     let b = b.cast(dt).expect("promote cast");
     match dt {
-        DType::I32 => {
-            let (x, y) = (a.as_i32(), b.as_i32());
-            let mut out = vec![0i32; x.len()];
-            arith_loop!(op, x, y, &mut out, int);
-            Tensor::from_i32(out)
-        }
-        DType::I64 => {
-            let (x, y) = (a.as_i64(), b.as_i64());
-            let mut out = vec![0i64; x.len()];
-            arith_loop!(op, x, y, &mut out, int);
-            Tensor::from_i64(out)
-        }
-        DType::F32 => {
-            let (x, y) = (a.as_f32(), b.as_f32());
-            let mut out = vec![0f32; x.len()];
-            arith_loop!(op, x, y, &mut out, float);
-            Tensor::from_f32(out)
-        }
-        DType::F64 => {
-            let (x, y) = (a.as_f64(), b.as_f64());
-            let mut out = vec![0f64; x.len()];
-            arith_loop!(op, x, y, &mut out, float);
-            Tensor::from_f64(out)
-        }
+        DType::I32 => Tensor::from_i32(arith!(op, a.as_i32(), b.as_i32(), int)),
+        DType::I64 => Tensor::from_i64(arith!(op, a.as_i64(), b.as_i64(), int)),
+        DType::F32 => Tensor::from_f32(arith!(op, a.as_f32(), b.as_f32(), float)),
+        DType::F64 => Tensor::from_f64(arith!(op, a.as_f64(), b.as_f64(), float)),
         other => panic!("arithmetic on non-numeric dtype {other:?}"),
     }
 }
@@ -223,51 +149,15 @@ pub fn abs(a: &Tensor) -> Tensor {
     }
 }
 
-macro_rules! cmp_loop {
-    ($op:expr, $x:expr, $y:expr, $out:expr) => {
+macro_rules! cmp {
+    ($op:expr, $x:expr, $y:expr) => {
         match $op {
-            CmpOp::Eq => par_chunks_mut($out, |s, c| {
-                let xs = &$x[s..s + c.len()];
-                let ys = &$y[s..s + c.len()];
-                for ((o, &a), &b) in c.iter_mut().zip(xs).zip(ys) {
-                    *o = a == b;
-                }
-            }),
-            CmpOp::Ne => par_chunks_mut($out, |s, c| {
-                let xs = &$x[s..s + c.len()];
-                let ys = &$y[s..s + c.len()];
-                for ((o, &a), &b) in c.iter_mut().zip(xs).zip(ys) {
-                    *o = a != b;
-                }
-            }),
-            CmpOp::Lt => par_chunks_mut($out, |s, c| {
-                let xs = &$x[s..s + c.len()];
-                let ys = &$y[s..s + c.len()];
-                for ((o, &a), &b) in c.iter_mut().zip(xs).zip(ys) {
-                    *o = a < b;
-                }
-            }),
-            CmpOp::Le => par_chunks_mut($out, |s, c| {
-                let xs = &$x[s..s + c.len()];
-                let ys = &$y[s..s + c.len()];
-                for ((o, &a), &b) in c.iter_mut().zip(xs).zip(ys) {
-                    *o = a <= b;
-                }
-            }),
-            CmpOp::Gt => par_chunks_mut($out, |s, c| {
-                let xs = &$x[s..s + c.len()];
-                let ys = &$y[s..s + c.len()];
-                for ((o, &a), &b) in c.iter_mut().zip(xs).zip(ys) {
-                    *o = a > b;
-                }
-            }),
-            CmpOp::Ge => par_chunks_mut($out, |s, c| {
-                let xs = &$x[s..s + c.len()];
-                let ys = &$y[s..s + c.len()];
-                for ((o, &a), &b) in c.iter_mut().zip(xs).zip(ys) {
-                    *o = a >= b;
-                }
-            }),
+            CmpOp::Eq => zip_map($x, $y, |a, b| a == b),
+            CmpOp::Ne => zip_map($x, $y, |a, b| a != b),
+            CmpOp::Lt => zip_map($x, $y, |a, b| a < b),
+            CmpOp::Le => zip_map($x, $y, |a, b| a <= b),
+            CmpOp::Gt => zip_map($x, $y, |a, b| a > b),
+            CmpOp::Ge => zip_map($x, $y, |a, b| a >= b),
         }
     };
 }
@@ -289,38 +179,27 @@ pub fn compare(op: CmpOp, a: &Tensor, b: &Tensor) -> Tensor {
                 a.dtype()
             }
         );
-        let mut out = vec![false; n];
         if let (Some((x, da)), Some((y, db))) = (a.coded(), b.coded()) {
             if Arc::ptr_eq(da, db) {
-                cmp_loop!(op, x, y, &mut out);
-                return Tensor::from_bool(out);
+                return Tensor::from_bool(cmp!(op, x, y));
             }
         }
-        par_chunks_mut(&mut out, |s, c| {
-            for (i, o) in c.iter_mut().enumerate() {
-                let ord = a.str_row_trimmed(s + i).cmp(b.str_row_trimmed(s + i));
-                *o = op.eval_ord(ord);
-            }
-        });
-        return Tensor::from_bool(out);
+        let out = (0..n).map(|i| op.eval_ord(a.str_row_trimmed(i).cmp(b.str_row_trimmed(i))));
+        return Tensor::from_bool(out.collect());
     }
     if a.dtype() == DType::Bool && b.dtype() == DType::Bool {
-        let (x, y) = (a.as_bool(), b.as_bool());
-        let mut out = vec![false; n];
-        cmp_loop!(op, x, y, &mut out);
-        return Tensor::from_bool(out);
+        return Tensor::from_bool(cmp!(op, a.as_bool(), b.as_bool()));
     }
     let dt = a.dtype().promote(b.dtype());
     let a = a.cast(dt).expect("promote cast");
     let b = b.cast(dt).expect("promote cast");
-    let mut out = vec![false; n];
-    match dt {
-        DType::I32 => cmp_loop!(op, a.as_i32(), b.as_i32(), &mut out),
-        DType::I64 => cmp_loop!(op, a.as_i64(), b.as_i64(), &mut out),
-        DType::F32 => cmp_loop!(op, a.as_f32(), b.as_f32(), &mut out),
-        DType::F64 => cmp_loop!(op, a.as_f64(), b.as_f64(), &mut out),
+    let out = match dt {
+        DType::I32 => cmp!(op, a.as_i32(), b.as_i32()),
+        DType::I64 => cmp!(op, a.as_i64(), b.as_i64()),
+        DType::F32 => cmp!(op, a.as_f32(), b.as_f32()),
+        DType::F64 => cmp!(op, a.as_f64(), b.as_f64()),
         other => panic!("compare on dtype {other:?}"),
-    }
+    };
     Tensor::from_bool(out)
 }
 
@@ -341,47 +220,15 @@ pub fn compare_scalar(op: CmpOp, a: &Tensor, s: &Scalar) -> Tensor {
     }
     macro_rules! cmp_const {
         ($x:expr, $v:expr) => {{
-            let x = $x;
-            let v = $v;
-            let mut out = vec![false; x.len()];
-            match op {
-                CmpOp::Eq => par_chunks_mut(&mut out, |s, c| {
-                    let xs = &x[s..s + c.len()];
-                    for (o, &a) in c.iter_mut().zip(xs) {
-                        *o = a == v;
-                    }
-                }),
-                CmpOp::Ne => par_chunks_mut(&mut out, |s, c| {
-                    let xs = &x[s..s + c.len()];
-                    for (o, &a) in c.iter_mut().zip(xs) {
-                        *o = a != v;
-                    }
-                }),
-                CmpOp::Lt => par_chunks_mut(&mut out, |s, c| {
-                    let xs = &x[s..s + c.len()];
-                    for (o, &a) in c.iter_mut().zip(xs) {
-                        *o = a < v;
-                    }
-                }),
-                CmpOp::Le => par_chunks_mut(&mut out, |s, c| {
-                    let xs = &x[s..s + c.len()];
-                    for (o, &a) in c.iter_mut().zip(xs) {
-                        *o = a <= v;
-                    }
-                }),
-                CmpOp::Gt => par_chunks_mut(&mut out, |s, c| {
-                    let xs = &x[s..s + c.len()];
-                    for (o, &a) in c.iter_mut().zip(xs) {
-                        *o = a > v;
-                    }
-                }),
-                CmpOp::Ge => par_chunks_mut(&mut out, |s, c| {
-                    let xs = &x[s..s + c.len()];
-                    for (o, &a) in c.iter_mut().zip(xs) {
-                        *o = a >= v;
-                    }
-                }),
-            }
+            let (x, v) = ($x, $v);
+            let out = match op {
+                CmpOp::Eq => x.iter().map(|&a| a == v).collect(),
+                CmpOp::Ne => x.iter().map(|&a| a != v).collect(),
+                CmpOp::Lt => x.iter().map(|&a| a < v).collect(),
+                CmpOp::Le => x.iter().map(|&a| a <= v).collect(),
+                CmpOp::Gt => x.iter().map(|&a| a > v).collect(),
+                CmpOp::Ge => x.iter().map(|&a| a >= v).collect(),
+            };
             Tensor::from_bool(out)
         }};
     }
@@ -400,31 +247,13 @@ pub fn compare_scalar(op: CmpOp, a: &Tensor, s: &Scalar) -> Tensor {
 /// Logical AND of two bool tensors.
 pub fn and(a: &Tensor, b: &Tensor) -> Tensor {
     assert_same_rows(a, b, "and");
-    let (x, y) = (a.as_bool(), b.as_bool());
-    let mut out = vec![false; x.len()];
-    par_chunks_mut(&mut out, |s, c| {
-        let xs = &x[s..s + c.len()];
-        let ys = &y[s..s + c.len()];
-        for ((o, &a), &b) in c.iter_mut().zip(xs).zip(ys) {
-            *o = a && b;
-        }
-    });
-    Tensor::from_bool(out)
+    Tensor::from_bool(zip_map(a.as_bool(), b.as_bool(), |x, y| x && y))
 }
 
 /// Logical OR of two bool tensors.
 pub fn or(a: &Tensor, b: &Tensor) -> Tensor {
     assert_same_rows(a, b, "or");
-    let (x, y) = (a.as_bool(), b.as_bool());
-    let mut out = vec![false; x.len()];
-    par_chunks_mut(&mut out, |s, c| {
-        let xs = &x[s..s + c.len()];
-        let ys = &y[s..s + c.len()];
-        for ((o, &a), &b) in c.iter_mut().zip(xs).zip(ys) {
-            *o = a || b;
-        }
-    });
-    Tensor::from_bool(out)
+    Tensor::from_bool(zip_map(a.as_bool(), b.as_bool(), |x, y| x || y))
 }
 
 /// Logical NOT of a bool tensor.
@@ -455,37 +284,23 @@ pub fn where_select(cond: &Tensor, a: &Tensor, b: &Tensor) -> Tensor {
         }
         return Tensor::from_u8_matrix(out, n, m);
     }
+    macro_rules! sel {
+        ($x:expr, $y:expr) => {{
+            let out = mask.iter().zip($x.iter().zip($y));
+            out.map(|(&c, (&x, &y))| if c { x } else { y }).collect()
+        }};
+    }
     if a.dtype() == DType::Bool && b.dtype() == DType::Bool {
-        let (x, y) = (a.as_bool(), b.as_bool());
-        let out = mask
-            .iter()
-            .zip(x.iter().zip(y))
-            .map(|(&c, (&x, &y))| if c { x } else { y });
-        return Tensor::from_bool(out.collect());
+        return Tensor::from_bool(sel!(a.as_bool(), b.as_bool()));
     }
     let dt = a.dtype().promote(b.dtype());
     let a = a.cast(dt).expect("promote cast");
     let b = b.cast(dt).expect("promote cast");
-    macro_rules! sel {
-        ($as:ident, $ctor:path) => {{
-            let (x, y) = (a.$as(), b.$as());
-            let mut out = vec![Default::default(); x.len()];
-            par_chunks_mut(&mut out, |s, c| {
-                let ms = &mask[s..s + c.len()];
-                let xs = &x[s..s + c.len()];
-                let ys = &y[s..s + c.len()];
-                for (((o, &m), &a), &b) in c.iter_mut().zip(ms).zip(xs).zip(ys) {
-                    *o = if m { a } else { b };
-                }
-            });
-            $ctor(out)
-        }};
-    }
     match dt {
-        DType::I32 => sel!(as_i32, Tensor::from_i32),
-        DType::I64 => sel!(as_i64, Tensor::from_i64),
-        DType::F32 => sel!(as_f32, Tensor::from_f32),
-        DType::F64 => sel!(as_f64, Tensor::from_f64),
+        DType::I32 => Tensor::from_i32(sel!(a.as_i32(), b.as_i32())),
+        DType::I64 => Tensor::from_i64(sel!(a.as_i64(), b.as_i64())),
+        DType::F32 => Tensor::from_f32(sel!(a.as_f32(), b.as_f32())),
+        DType::F64 => Tensor::from_f64(sel!(a.as_f64(), b.as_f64())),
         other => panic!("where_select on dtype {other:?}"),
     }
 }
@@ -677,17 +492,5 @@ mod tests {
             &[Scalar::Str("MAIL".into()), Scalar::Str("SHIP".into())],
         );
         assert_eq!(r.as_bool(), &[true, false, true]);
-    }
-
-    #[test]
-    fn large_inputs_parallel_path() {
-        let n = crate::pool::PAR_THRESHOLD * 2 + 3;
-        let a = Tensor::from_i64((0..n as i64).collect());
-        let b = Tensor::from_i64(vec![1; n]);
-        let r = binary(BinOp::Add, &a, &b);
-        assert_eq!(r.as_i64()[0], 1);
-        assert_eq!(r.as_i64()[n - 1], n as i64);
-        let m = compare_scalar(CmpOp::Lt, &a, &Scalar::I64(10));
-        assert_eq!(m.as_bool().iter().filter(|&&x| x).count(), 10);
     }
 }

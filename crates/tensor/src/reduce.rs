@@ -9,7 +9,6 @@
 use std::borrow::Cow;
 
 use crate::dtype::DType;
-use crate::pool::par_reduce;
 use crate::tensor::Tensor;
 
 /// Aggregation function selector shared by all engines.
@@ -22,27 +21,18 @@ pub enum AggFn {
     Avg,
 }
 
-/// Sum of a numeric tensor as `f64` (parallel tree reduction).
+/// Sum of a numeric tensor as `f64`.
 ///
-/// Float ranges reduce with the canonical lane-split kernel
-/// ([`crate::simd::sum_f64`]): the accumulation order is fixed by the
-/// kernel definition, not by the dispatch tier, so results are bitwise
-/// identical with SIMD on or off. The thread-range geometry of
-/// [`par_reduce`] is unchanged, so worker count keeps its (pre-existing)
-/// determinism contract too.
+/// Float columns reduce with the canonical lane-split kernel
+/// ([`crate::simd::sum_f64`]) over the whole slice: the accumulation order
+/// is fixed by the kernel definition, not by the dispatch tier or the
+/// host, so results are bitwise identical with SIMD on or off and on any
+/// core count.
 pub fn sum_f64(t: &Tensor) -> f64 {
     match t.dtype() {
-        DType::F64 => {
-            let x = t.as_f64();
-            par_reduce(x.len(), |r| crate::simd::sum_f64(&x[r]), |a, b| a + b, 0.0)
-        }
-        DType::F32 => {
-            let x = t.as_f32();
-            par_reduce(x.len(), |r| crate::simd::sum_f32(&x[r]), |a, b| a + b, 0.0)
-        }
-        DType::I64 => sum_i64(t) as f64,
-        DType::I32 => sum_i64(t) as f64,
-        DType::Bool => sum_i64(t) as f64,
+        DType::F64 => crate::simd::sum_f64(t.as_f64()),
+        DType::F32 => crate::simd::sum_f32(t.as_f32()),
+        DType::I64 | DType::I32 | DType::Bool => sum_i64(t) as f64,
         other => panic!("sum on dtype {other:?}"),
     }
 }
@@ -50,28 +40,9 @@ pub fn sum_f64(t: &Tensor) -> f64 {
 /// Sum of an integer/bool tensor as `i64`.
 pub fn sum_i64(t: &Tensor) -> i64 {
     match t.dtype() {
-        DType::I64 => {
-            let x = t.as_i64();
-            par_reduce(x.len(), |r| crate::simd::sum_i64(&x[r]), |a, b| a + b, 0)
-        }
-        DType::I32 => {
-            let x = t.as_i32();
-            par_reduce(
-                x.len(),
-                |r| x[r].iter().map(|&v| v as i64).sum::<i64>(),
-                |a, b| a + b,
-                0,
-            )
-        }
-        DType::Bool => {
-            let x = t.as_bool();
-            par_reduce(
-                x.len(),
-                |r| crate::simd::count_true(&x[r]) as i64,
-                |a, b| a + b,
-                0,
-            )
-        }
+        DType::I64 => crate::simd::sum_i64(t.as_i64()),
+        DType::I32 => t.as_i32().iter().map(|&v| v as i64).sum(),
+        DType::Bool => crate::simd::count_true(t.as_bool()) as i64,
         other => panic!("integer sum on dtype {other:?}"),
     }
 }
@@ -82,38 +53,12 @@ pub fn sum_i64(t: &Tensor) -> i64 {
 /// `+inf`): deterministic on NaN (ignored) and signed-zero ties, and
 /// identical on every dispatch tier — see the `simd` module docs.
 pub fn min_f64(t: &Tensor) -> Option<f64> {
-    if t.is_empty() {
-        return None;
-    }
-    if t.dtype() == DType::F64 {
-        let x = t.as_f64();
-        return Some(par_reduce(
-            x.len(),
-            |r| crate::simd::min_f64(&x[r]),
-            crate::simd::cmin,
-            f64::INFINITY,
-        ));
-    }
-    let v = t.to_f64_vec();
-    Some(crate::simd::min_f64(&v))
+    (!t.is_empty()).then(|| crate::simd::min_f64(&f64_values(t)))
 }
 
 /// Maximum as `f64`, or `None` on empty input (mirror of [`min_f64`]).
 pub fn max_f64(t: &Tensor) -> Option<f64> {
-    if t.is_empty() {
-        return None;
-    }
-    if t.dtype() == DType::F64 {
-        let x = t.as_f64();
-        return Some(par_reduce(
-            x.len(),
-            |r| crate::simd::max_f64(&x[r]),
-            crate::simd::cmax,
-            f64::NEG_INFINITY,
-        ));
-    }
-    let v = t.to_f64_vec();
-    Some(crate::simd::max_f64(&v))
+    (!t.is_empty()).then(|| crate::simd::max_f64(&f64_values(t)))
 }
 
 /// Mean, or `None` on empty input.
@@ -348,10 +293,27 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sum_matches_serial() {
-        let n = crate::pool::PAR_THRESHOLD * 3;
-        let t = Tensor::from_i64(vec![1; n]);
-        assert_eq!(sum_i64(&t), n as i64);
+    fn large_float_sum_is_one_canonical_fold() {
+        // Past the size where kernels used to split across host threads:
+        // the bits equal one lane-split fold over the whole slice, so they
+        // cannot depend on the core count.
+        let n = 3 * (1 << 20) + 5;
+        let mut seed = 7u64;
+        let x: Vec<f64> = (0..n)
+            .map(|i| {
+                seed = seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let mag = [1e-3, 1.0, 1e6, 1e15][i % 4];
+                ((seed >> 33) as f64 / (1u64 << 31) as f64 - 0.25) * mag
+            })
+            .collect();
+        let want = crate::simd::sum_f64(&x);
+        let t = Tensor::from_f64(x);
+        assert_eq!(sum_f64(&t).to_bits(), want.to_bits());
+        assert_eq!(mean(&t).unwrap().to_bits(), (want / n as f64).to_bits());
+        let ints = Tensor::from_i64(vec![1; n]);
+        assert_eq!(sum_i64(&ints), n as i64);
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! key to the most-significant — which is exactly how multi-column sorts are
 //! expressed on tensor runtimes that only expose per-column stable sorts.
 //!
-//! Large inputs can sort worker-parallel via [`argsort_multi_par`]:
-//! contiguous chunks are stably sorted in parallel, then merged pairwise
-//! with a stable merge (ties take the earlier chunk, whose indices are all
-//! smaller). Because a stable sort permutation is *unique* — fully
-//! determined by the key values and original row order — the parallel path
-//! is **bit-identical** to the sequential LSD sort at any worker count.
+//! Every kernel here is sequential. A caller that splits a large sort
+//! across threads sorts contiguous row ranges with [`argsort_range`] and
+//! combines adjacent runs with [`merge_runs`] (ties take the earlier run,
+//! whose indices are all smaller). Because a stable sort permutation is
+//! *unique* — fully determined by the key values and original row order —
+//! any such split is **bit-identical** to the sequential LSD sort.
 //!
 //! `ORDER BY … LIMIT k` needs only the permutation's first `k` entries:
 //! [`topk_range`] selects them from one range of rows and [`topk_merge`]
@@ -138,10 +138,6 @@ pub fn argsort_multi(keys: &[SortKey]) -> Tensor {
     Tensor::from_i64(perm)
 }
 
-/// Minimum rows before parallel chunk-sort + merge amortizes thread spawn
-/// and merge passes.
-const PAR_SORT_MIN_ROWS: usize = 32 * 1024;
-
 /// A borrowed, dtype-resolved view of one sort key for comparator sorting.
 enum KeyCol<'a> {
     Bool(&'a [bool]),
@@ -218,14 +214,24 @@ fn cmp_rows(views: &[KeyView], a: usize, b: usize) -> Ordering {
     Ordering::Equal
 }
 
-/// Stable merge of two sorted index runs. All indices in `a` come from
-/// earlier rows than those in `b`, so taking `a` on ties preserves global
-/// stability.
-fn merge_runs(a: &[i64], b: &[i64], views: &[KeyView]) -> Vec<i64> {
+/// Sort leaf kernel: the rows `lo..hi` in the stable order of `keys` — the
+/// run a caller merges with its neighbours via [`merge_runs`].
+pub fn argsort_range(keys: &[SortKey], lo: usize, hi: usize) -> Vec<i64> {
+    let views: Vec<KeyView> = keys.iter().map(KeyView::new).collect();
+    let mut idx: Vec<i64> = (lo as i64..hi as i64).collect();
+    idx.sort_by(|&a, &b| cmp_rows(&views, a as usize, b as usize));
+    idx
+}
+
+/// Stable merge of two sorted runs of `keys`' rows. All indices in `a`
+/// come from earlier rows than those in `b`, so taking `a` on ties
+/// preserves global stability.
+pub fn merge_runs(keys: &[SortKey], a: &[i64], b: &[i64]) -> Vec<i64> {
+    let views: Vec<KeyView> = keys.iter().map(KeyView::new).collect();
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
-        if cmp_rows(views, a[i] as usize, b[j] as usize) != Ordering::Greater {
+        if cmp_rows(&views, a[i] as usize, b[j] as usize) != Ordering::Greater {
             out.push(a[i]);
             i += 1;
         } else {
@@ -236,71 +242,6 @@ fn merge_runs(a: &[i64], b: &[i64], views: &[KeyView]) -> Vec<i64> {
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
     out
-}
-
-/// Worker-parallel stable multi-key argsort. Splits the input into
-/// `workers` contiguous chunks, stably sorts each with the lexicographic
-/// comparator, then merges pairs of adjacent runs (stable: ties take the
-/// left run) until one permutation remains.
-///
-/// **Determinism contract**: a stable sort permutation is unique, so this
-/// returns *bit-identical* output to [`argsort_multi`] for every input and
-/// every `workers` value. Callers may freely vary the worker count without
-/// perturbing downstream results.
-pub fn argsort_multi_par(keys: &[SortKey], workers: usize) -> Tensor {
-    assert!(!keys.is_empty(), "argsort_multi needs at least one key");
-    let n = keys[0].values.nrows();
-    for k in keys {
-        assert_eq!(k.values.nrows(), n, "sort keys must have equal length");
-    }
-    if workers <= 1 || n < PAR_SORT_MIN_ROWS {
-        return argsort_multi(keys);
-    }
-    let views: Vec<KeyView> = keys.iter().map(KeyView::new).collect();
-    let n_chunks = workers.min(n / (PAR_SORT_MIN_ROWS / 4)).max(2);
-    let chunk_len = n.div_ceil(n_chunks);
-
-    // Phase 1: sort each contiguous chunk in parallel.
-    let mut slots: Vec<Option<Vec<i64>>> = (0..n_chunks).map(|_| None).collect();
-    crossbeam::scope(|s| {
-        for (c, slot) in slots.iter_mut().enumerate() {
-            let views = &views;
-            s.spawn(move |_| {
-                let lo = c * chunk_len;
-                let hi = ((c + 1) * chunk_len).min(n);
-                let mut idx: Vec<i64> = (lo as i64..hi as i64).collect();
-                idx.sort_by(|&a, &b| cmp_rows(views, a as usize, b as usize));
-                *slot = Some(idx);
-            });
-        }
-    })
-    .expect("sort worker panicked");
-    let mut runs: Vec<Vec<i64>> = slots.into_iter().flatten().collect();
-
-    // Phase 2: merge adjacent pairs (parallel per level) until one run.
-    // An odd leftover run (always the last — highest chunk indices) moves
-    // to the next level untouched, keeping the adjacency that makes
-    // take-left-on-ties stable.
-    while runs.len() > 1 {
-        let leftover = if runs.len() % 2 == 1 {
-            runs.pop()
-        } else {
-            None
-        };
-        let mut merged: Vec<Option<Vec<i64>>> = (0..runs.len() / 2).map(|_| None).collect();
-        crossbeam::scope(|s| {
-            for (slot, pair) in merged.iter_mut().zip(runs.chunks(2)) {
-                let views = &views;
-                s.spawn(move |_| {
-                    *slot = Some(merge_runs(&pair[0], &pair[1], views));
-                });
-            }
-        })
-        .expect("merge worker panicked");
-        runs = merged.into_iter().flatten().collect();
-        runs.extend(leftover);
-    }
-    Tensor::from_i64(runs.pop().expect("non-empty input"))
 }
 
 /// Top-k leaf kernel: the first `k` rows of `lo..hi` in the stable order
@@ -448,63 +389,16 @@ mod tests {
         assert!(!is_sorted_i64(&Tensor::from_i64(vec![2, 1])));
     }
 
-    /// Deterministic LCG for the parity tests (no rand dependency).
-    fn lcg(seed: &mut u64) -> u64 {
-        *seed = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        *seed >> 33
-    }
-
     #[test]
-    fn parallel_argsort_bit_identical_to_sequential() {
-        let n = PAR_SORT_MIN_ROWS * 2 + 777;
-        let mut seed = 42u64;
-        // Low-cardinality primary key (many ties → stability matters),
-        // floats with NaNs, and a string key.
-        let a = Tensor::from_i64((0..n).map(|_| (lcg(&mut seed) % 7) as i64).collect());
-        let b = Tensor::from_f64(
-            (0..n)
-                .map(|_| {
-                    let v = lcg(&mut seed);
-                    if v.is_multiple_of(97) {
-                        f64::NAN
-                    } else {
-                        (v % 1000) as f64 / 7.0
-                    }
-                })
-                .collect(),
+    fn ranges_merge_into_the_full_sort() {
+        let a = Tensor::from_i64((0..50).map(|i| (i * 7) % 5).collect());
+        let b = Tensor::from_strings(&["x", "y"].repeat(25), 0);
+        let keys = [SortKey::asc(a), SortKey::desc(b)];
+        let lo = argsort_range(&keys, 0, 23);
+        let hi = argsort_range(&keys, 23, 50);
+        assert_eq!(
+            merge_runs(&keys, &lo, &hi),
+            argsort_multi(&keys).to_i64_vec()
         );
-        let words = ["kiwi", "apple", "pear", "zed", "ap"];
-        let strs: Vec<&str> = (0..n)
-            .map(|_| words[(lcg(&mut seed) % 5) as usize])
-            .collect();
-        let c = Tensor::from_strings(&strs, 0);
-        let keys = [
-            SortKey::asc(a.clone()),
-            SortKey::desc(b.clone()),
-            SortKey::asc(c.clone()),
-        ];
-        let seq = argsort_multi(&keys);
-        for workers in [2, 3, 8] {
-            let par = argsort_multi_par(&keys, workers);
-            assert_eq!(seq.as_i64(), par.as_i64(), "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_argsort_small_input_delegates() {
-        let t = Tensor::from_i64(vec![3, 1, 2, 1]);
-        let p = argsort_multi_par(&[SortKey::asc(t)], 4);
-        assert_eq!(p.as_i64(), &[1, 3, 2, 0]);
-    }
-
-    #[test]
-    fn parallel_argsort_all_equal_keys_keeps_row_order() {
-        let n = PAR_SORT_MIN_ROWS + 10;
-        let t = Tensor::from_i64(vec![5; n]);
-        let p = argsort_multi_par(&[SortKey::asc(t)], 4);
-        let expect: Vec<i64> = (0..n as i64).collect();
-        assert_eq!(p.as_i64(), &expect[..]);
     }
 }

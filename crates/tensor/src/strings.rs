@@ -11,7 +11,6 @@
 //! instead of tested at every start position.
 
 use crate::dict::{str_mask, StrPred};
-use crate::pool::par_chunks_mut;
 use crate::tensor::Tensor;
 
 /// A compiled `LIKE` pattern. `%` matches any run (possibly empty), `_`
@@ -251,14 +250,8 @@ pub fn substring(col: &Tensor, start: usize, len: usize) -> Tensor {
 
 /// Per-row character (byte) length, trimmed of padding.
 pub fn char_length(col: &Tensor) -> Tensor {
-    let n = col.nrows();
-    let mut out = vec![0i64; n];
-    par_chunks_mut(&mut out, |s, c| {
-        for (i, o) in c.iter_mut().enumerate() {
-            *o = col.str_row_trimmed(s + i).len() as i64;
-        }
-    });
-    Tensor::from_i64(out)
+    let out = (0..col.nrows()).map(|i| col.str_row_trimmed(i).len() as i64);
+    Tensor::from_i64(out.collect())
 }
 
 /// Vectorized prefix test (`starts_with`), a common planner fast path.

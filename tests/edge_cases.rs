@@ -285,3 +285,53 @@ fn string_join_keys_of_different_widths_match() {
         }
     }
 }
+
+/// `n` mixed-magnitude floats from a fixed LCG: summed in different orders
+/// or splits they round differently.
+fn mixed_magnitudes(n: usize) -> Vec<f64> {
+    let mut seed = 7u64;
+    (0..n)
+        .map(|i| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let mag = [1e-3, 1.0, 1e6, 1e15][i % 4];
+            ((seed >> 33) as f64 / (1u64 << 31) as f64 - 0.25) * mag
+        })
+        .collect()
+}
+
+/// A global float SUM beside COUNT(DISTINCT) — aggregated in one pass over
+/// the whole column — is one canonical fold of more than 2^20 values: the
+/// same bits on every backend and worker count, and on any host.
+#[test]
+fn global_float_sum_over_a_large_column_is_host_independent() {
+    let n = 3 * (1 << 20) + 5;
+    let x = mixed_magnitudes(n);
+    let want = tqp_tensor::simd::sum_f64(&x);
+    let mut s = Session::new();
+    s.register_table(
+        "t",
+        df(vec![
+            ("x", Column::from_f64(x)),
+            (
+                "k",
+                Column::from_i64((0..n as i64).map(|i| i % 1000).collect()),
+            ),
+        ]),
+    );
+    let sql = "select sum(x), count(distinct k) from t";
+    for backend in [Backend::Eager, Backend::Fused, Backend::Graph] {
+        for workers in [1, 4] {
+            let cfg = QueryConfig::default().backend(backend).workers(workers);
+            let (out, _) = s.compile(sql, cfg).unwrap().run(&s).unwrap();
+            let label = format!("{backend:?} w={workers}");
+            assert_eq!(
+                out.column(0).get(0).as_f64().to_bits(),
+                want.to_bits(),
+                "{label}"
+            );
+            assert_eq!(out.column(1).get(0).as_i64(), 1000, "{label}");
+        }
+    }
+}

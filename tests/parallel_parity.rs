@@ -12,6 +12,10 @@
 //!   sequential per-key row order;
 //! * parallel sort — a stable permutation is unique.
 //!
+//! A synthetic table of more than 2^20 rows adds kernel inputs past the
+//! sizes where tensor kernels once split work across threads of their own
+//! (`large_kernel_inputs_worker_parity`).
+//!
 //! Floats compare by **bit pattern**, not tolerance: the whole point is
 //! that parallelism must not perturb a single rounding decision.
 //!
@@ -19,8 +23,9 @@
 //! effect there), so the suite covers the three vectorized-VM backends.
 
 use tqp_repro::core::{QueryConfig, Session};
+use tqp_repro::data::frame::df;
 use tqp_repro::data::tpch::{queries, TpchConfig, TpchData};
-use tqp_repro::data::DataFrame;
+use tqp_repro::data::{Column, DataFrame};
 use tqp_repro::exec::Backend;
 use tqp_repro::ir::{AggStrategy, JoinStrategy, PhysicalOptions};
 use tqp_tensor::Scalar;
@@ -161,4 +166,100 @@ fn graph_hash_strategies_worker_parity() {
         },
         "graph/hash/hash",
     );
+}
+
+/// Rows at printed precision (floats to ten significant digits), for
+/// comparison against the row-at-a-time baseline, which sums in another
+/// order.
+fn printed_rows(frame: &DataFrame) -> Vec<Vec<String>> {
+    (0..frame.nrows())
+        .map(|i| {
+            frame
+                .row(i)
+                .into_iter()
+                .map(|s| match s {
+                    Scalar::F64(v) => format!("{v:.9e}"),
+                    other => format!("{other:?}"),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// One table of more than 2^20 rows, three shapes: a join whose output
+/// gathers a padded string column (20 000 distinct names, too many to
+/// dictionary-code) into a > 1 MiB matrix, an ORDER BY without LIMIT over
+/// more than 32 Ki rows, and a global SUM beside COUNT(DISTINCT), which
+/// reduces the whole column at once. Bitwise equal across workers 1/2/4 on
+/// every vectorized backend, and equal to the baseline when printed.
+#[test]
+fn large_kernel_inputs_worker_parity() {
+    let n: usize = (1 << 20) + 4099;
+    let mut s = Session::new();
+    s.register_table(
+        "t",
+        df(vec![
+            ("id", Column::from_i64((0..n as i64).collect())),
+            (
+                "k",
+                Column::from_i64((0..n as i64).map(|i| i * 31 % 5000).collect()),
+            ),
+            (
+                "x",
+                Column::from_f64((0..n).map(|i| (i * 7919 % 100_003) as f64 / 8.0).collect()),
+            ),
+            (
+                "name",
+                Column::from_str((0..n).map(|i| format!("n{:06}", i * 13 % 20_000)).collect()),
+            ),
+        ]),
+    );
+    s.register_table(
+        "d",
+        df(vec![
+            ("dk", Column::from_i64((0..5000).collect())),
+            (
+                "label",
+                Column::from_str((0..5000).map(|k| format!("L{k}")).collect()),
+            ),
+        ]),
+    );
+    let cases = [
+        // 200 000 output rows × 7-byte names: a 1.4 MB gather.
+        (
+            "select name, label, x from t, d where k = dk and id < 200000",
+            false,
+        ),
+        (
+            "select id, name, x from t where id < 100000 order by name desc, x, id",
+            true,
+        ),
+        ("select sum(x), count(distinct k) from t", true),
+    ];
+    for (sql, ordered) in cases {
+        let mut expect = printed_rows(&s.sql_baseline(sql).unwrap());
+        if !ordered {
+            expect.sort();
+        }
+        for backend in [Backend::Eager, Backend::Fused, Backend::Graph] {
+            let mut first: Option<Vec<Vec<String>>> = None;
+            for workers in [1, 2, 4] {
+                let cfg = QueryConfig::default().backend(backend).workers(workers);
+                let (out, _) = s.compile(sql, cfg).unwrap().run(&s).unwrap();
+                let label = format!("{backend:?} w={workers}: {sql}");
+                let exact = exact_rows(&out);
+                match &first {
+                    None => {
+                        let mut printed = printed_rows(&out);
+                        if !ordered {
+                            printed.sort();
+                        }
+                        assert!(printed == expect, "{label}: differs from the baseline");
+                        first = Some(exact);
+                    }
+                    Some(w1) => assert!(&exact == w1, "{label}: not bit-identical to w=1"),
+                }
+            }
+        }
+    }
 }
