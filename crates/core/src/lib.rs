@@ -58,15 +58,11 @@ pub struct QueryConfig {
     pub device: Device,
     pub gpu_strategy: GpuStrategy,
     /// Zone-map chunk pruning for store-backed scans (default on; results
-    /// are identical either way — the knob exists for benchmarking).
+    /// are identical either way — off is the reference scan the pruning
+    /// tests compare against).
     pub prune_scans: bool,
     /// Worker threads for morsel-parallel CPU execution (1 = sequential).
     pub workers: usize,
-    /// Explicit SIMD kernel layer (default on; vector and scalar tiers
-    /// share the same lane-split fold order, so results are bitwise
-    /// identical either way — the knob keeps the scalar oracle alive for
-    /// differential testing).
-    pub simd: bool,
     /// Per-query execution deadline (default: none). An execution that
     /// exceeds it aborts at the next morsel/section boundary with a
     /// retryable [`TqpError::Execution`] and frees its worker-pool slots.
@@ -95,7 +91,6 @@ impl Default for QueryConfig {
             gpu_strategy: GpuStrategy::Resident,
             prune_scans: true,
             workers: tqp_exec::default_workers(),
-            simd: true,
             deadline: None,
             trace: false,
             slow_query_ms: None,
@@ -137,12 +132,6 @@ impl QueryConfig {
     /// Builder-style zone-map pruning toggle for store-backed scans.
     pub fn prune_scans(mut self, on: bool) -> Self {
         self.prune_scans = on;
-        self
-    }
-
-    /// Builder-style SIMD kernel-layer toggle.
-    pub fn simd(mut self, on: bool) -> Self {
-        self.simd = on;
         self
     }
 
@@ -481,7 +470,6 @@ fn exec_config(cfg: QueryConfig) -> ExecConfig {
         gpu_strategy: cfg.gpu_strategy,
         prune_scans: cfg.prune_scans,
         workers: cfg.workers,
-        simd: cfg.simd,
     }
 }
 
@@ -538,7 +526,7 @@ fn run_with_obs(
     trace_on: bool,
     slow_ms: Option<u64>,
 ) -> (DataFrame, tqp_exec::ExecStats, Option<QueryTrace>) {
-    let (frame, stats, trace) = if trace_on && tqp_obs::enabled() {
+    let (frame, stats, trace) = if trace_on {
         let local = Profiler::new();
         let (frame, stats) = executor.run(&session.storage, &session.models, &local);
         let spans = local.spans();
@@ -613,7 +601,7 @@ fn observe_slow(
     trace: Option<&QueryTrace>,
 ) {
     let Some(ms) = slow_ms else { return };
-    if !tqp_obs::enabled() || stats.wall_us < ms.saturating_mul(1000) {
+    if stats.wall_us < ms.saturating_mul(1000) {
         return;
     }
     tqp_obs::record_slow_query(tqp_obs::SlowQuery {

@@ -5,10 +5,9 @@
 //! [`eval_mask`]: every backend now runs expressions as compiled
 //! [`crate::exprprog::ExprProgram`]s (flat register-based kernel
 //! sequences, built at lowering time). The tree walk is kept as the
-//! **reference oracle** — the proptest parity suite asserts bitwise
-//! equivalence between it and the compiled form, and
-//! `crates/bench/src/bin/expr_bench.rs` measures compiled-vs-interpreted
-//! dispatch on TPC-H expression workloads. Do not add production callers.
+//! **reference oracle** — the proptest parity suite
+//! (`tests/property_exprprog.rs`) asserts bitwise equivalence between it
+//! and the compiled form. Do not add production callers.
 //!
 //! `PREDICT` is evaluated *inline*: argument columns are already tensors, so
 //! the model's tensor program runs as just another kernel in the pipeline —
@@ -37,7 +36,7 @@ pub type Evaled = (Tensor, Option<Tensor>);
 ///
 /// **Legacy reference interpreter** — production paths run compiled
 /// [`crate::exprprog::ExprProgram`]s instead; this stays as the oracle
-/// for parity tests and the `expr_bench` interpreted baseline.
+/// for parity tests.
 pub fn eval(e: &BoundExpr, batch: &Batch, models: &ModelRegistry) -> Evaled {
     let n = batch.nrows();
     match e {

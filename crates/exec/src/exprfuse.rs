@@ -33,7 +33,6 @@
 //! `tqp-baseline` row engine.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 use tqp_data::LogicalType;
@@ -48,31 +47,6 @@ use tqp_tensor::{DType, Scalar, Tensor};
 use crate::batch::Batch;
 use crate::expr::{to_cmp, Evaled};
 use crate::exprprog::{self, EReg, ExprOp, ExprProgram};
-
-// ---------------------------------------------------------------------
-// Stats
-// ---------------------------------------------------------------------
-
-static OPS_FUSED: AtomicU64 = AtomicU64::new(0);
-static KERNELS_HIT: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide fusion counters (monotonic; snapshot via [`stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExprStats {
-    /// Expression ops covered by a fused kernel at specialization time
-    /// (counted once per unique program shape).
-    pub ops_fused: u64,
-    /// Executions served by a cached fused kernel.
-    pub kernels_hit: u64,
-}
-
-/// Snapshot the fusion counters.
-pub fn stats() -> ExprStats {
-    ExprStats {
-        ops_fused: OPS_FUSED.load(Ordering::Relaxed),
-        kernels_hit: KERNELS_HIT.load(Ordering::Relaxed),
-    }
-}
 
 // ---------------------------------------------------------------------
 // Public entry points
@@ -179,18 +153,11 @@ fn skeleton_for(prog: &ExprProgram, mode: Mode) -> Option<Arc<Skeleton>> {
     if let Some(shelf) = cache().read().expect("fuse cache poisoned").get(&h) {
         for (bytes, skel) in shelf {
             if bytes == &shape {
-                if skel.is_some() {
-                    KERNELS_HIT.fetch_add(1, Ordering::Relaxed);
-                }
                 return skel.clone();
             }
         }
     }
     let compiled = try_fuse(prog, mode).map(Arc::new);
-    if compiled.is_some() {
-        OPS_FUSED.fetch_add(prog.ops.len() as u64, Ordering::Relaxed);
-        KERNELS_HIT.fetch_add(1, Ordering::Relaxed);
-    }
     let mut w = cache().write().expect("fuse cache poisoned");
     let shelf = w.entry(h).or_default();
     if !shelf.iter().any(|(b, _)| b == &shape) {
@@ -1171,11 +1138,10 @@ mod tests {
         let b = batch();
         let models = ModelRegistry::new();
         let m1 = conjunct_mask(&mk(24), &b, &models);
-        let before = stats();
         let m2 = conjunct_mask(&mk(40), &b, &models);
-        let after = stats();
-        assert_eq!(after.ops_fused, before.ops_fused, "no recompilation");
-        assert!(after.kernels_hit > before.kernels_hit, "cache hit counted");
+        let k1 = skeleton_for(&mk(24), Mode::Mask).expect("fusible shape");
+        let k2 = skeleton_for(&mk(40), Mode::Mask).expect("fusible shape");
+        assert!(Arc::ptr_eq(&k1, &k2), "re-bound constants recompiled");
         let qty = b.columns[0].as_i64();
         for (i, &q) in qty.iter().enumerate() {
             assert_eq!(m1.as_bool()[i], q < 24);

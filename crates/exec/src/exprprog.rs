@@ -854,17 +854,15 @@ fn run_model(model: &dyn Model, inputs: &[Tensor]) -> Tensor {
     let elapsed = t0.elapsed();
     let rows = out.nrows() as u64;
     crate::sched::charge_predict(elapsed, rows);
-    if tqp_obs::enabled() {
-        let m = METRICS.get_or_init(|| {
-            let r = tqp_obs::registry();
-            PredictMetrics {
-                us: r.histogram("ml.predict_us"),
-                rows: r.counter("ml.predict_rows"),
-            }
-        });
-        m.us.observe(elapsed.as_micros() as u64);
-        m.rows.add(rows);
-    }
+    let m = METRICS.get_or_init(|| {
+        let r = tqp_obs::registry();
+        PredictMetrics {
+            us: r.histogram("ml.predict_us"),
+            rows: r.counter("ml.predict_rows"),
+        }
+    });
+    m.us.observe(elapsed.as_micros() as u64);
+    m.rows.add(rows);
     out
 }
 

@@ -110,8 +110,8 @@ pub struct ExecConfig {
     pub gpu_strategy: GpuStrategy,
     /// Zone-map chunk pruning for `tqp-store`-backed scans (default on).
     /// Pruning never changes results — it only skips chunks the following
-    /// filter would empty — so the knob exists for benchmarking the
-    /// pruned-vs-unpruned scan cost, not for correctness.
+    /// filter would empty. Off, every chunk is decoded: the reference scan
+    /// the pruning tests (`store_differential`) compare against.
     pub prune_scans: bool,
     /// Worker threads for morsel-parallel CPU execution: chunked pipeline
     /// segments, partitioned aggregation (optionally fused into its
@@ -128,16 +128,6 @@ pub struct ExecConfig {
     /// process); shrinking it below the default 16 Ki rows trades merge
     /// overhead for scheduling granularity without affecting determinism.
     pub workers: usize,
-    /// Use the explicit SIMD kernel layer (`tqp_tensor::simd`; default on).
-    /// Vector paths (AVX-512/AVX2, picked once per process by runtime
-    /// feature detection) share the exact lane-split accumulator layout and
-    /// fold order with the scalar fallback, so results are bitwise
-    /// identical at any setting — the knob keeps the scalar oracle alive
-    /// for differential testing and A/B benchmarking (`simd_bench`).
-    /// `false` forces the scalar tier for this executor's run; the
-    /// `TQP_SIMD` environment variable (read once per process: `off` /
-    /// `avx2`) caps the detected level below whatever this knob asks for.
-    pub simd: bool,
 }
 
 /// Default CPU worker count: all cores, capped at 8 — the width of the
@@ -162,7 +152,6 @@ impl Default for ExecConfig {
             gpu_strategy: GpuStrategy::Resident,
             prune_scans: true,
             workers: default_workers(),
-            simd: true,
         }
     }
 }
@@ -272,7 +261,7 @@ pub struct ExecStats {
     pub chunks_pruned: u64,
     /// Per-family SIMD kernel dispatches during this run (how many times a
     /// vectorized hash/filter/gather/reduce/decode path was taken; all zero
-    /// when `ExecConfig::simd` is off or the host lacks AVX2).
+    /// under `TQP_SIMD=off` or when the host lacks AVX2).
     pub simd_dispatch: tqp_tensor::simd::DispatchCounts,
 }
 
@@ -374,7 +363,6 @@ impl Executor {
         models: &ModelRegistry,
         profiler: &Profiler,
     ) -> (DataFrame, ExecStats) {
-        tqp_tensor::simd::set_enabled(self.cfg.simd);
         let simd_before = tqp_tensor::simd::counters();
         let t0 = std::time::Instant::now();
         let (frame, meter, scans) = match self.cfg.backend {
@@ -447,9 +435,6 @@ fn exec_metrics() -> &'static ExecMetrics {
 }
 
 fn record_exec_metrics(stats: &ExecStats) {
-    if !tqp_obs::enabled() {
-        return;
-    }
     let m = exec_metrics();
     m.queries.inc();
     m.rows.add(stats.rows as u64);

@@ -669,7 +669,7 @@ fn column_only(exprs: &[BoundExpr]) -> Option<Vec<usize>> {
 }
 
 /// Split a predicate tree on top-level ANDs.
-pub fn split_and(e: BoundExpr, out: &mut Vec<BoundExpr>) {
+fn split_and(e: BoundExpr, out: &mut Vec<BoundExpr>) {
     use tqp_ir::expr::BinOp;
     match e {
         BoundExpr::Binary {

@@ -1,6 +1,6 @@
 //! A small synchronous client for the wire protocol — what the
-//! integration tests and `serve_bench --clients` drive, and the reference
-//! implementation for anyone speaking the protocol from elsewhere.
+//! integration tests and the benchmark's serving workloads drive, and the
+//! reference implementation for anyone speaking the protocol from elsewhere.
 
 use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};

@@ -441,8 +441,8 @@ pub fn read_dataframe(r: &mut PayloadReader) -> Result<DataFrame, WireError> {
 
 /// Encode a query configuration: `[u8 backend][u8 device][u16 workers]
 /// [u8 flags][u64 deadline_ms][u64 slow_query_ms]` (both `u64::MAX` =
-/// none). Flag bits: 0 = zone-map pruning, 3 = SIMD, 4 = trace capture;
-/// bits 1 and 2 are reserved (written as 0, ignored on read). Physical-plan
+/// none). Flag bits: 0 = zone-map pruning, 4 = trace capture; bits 1–3
+/// are reserved (written as 0, ignored on read). Physical-plan
 /// options stay at their defaults — they are compiler tuning, not a
 /// client-facing contract.
 pub fn write_config(w: &mut PayloadWriter, cfg: &tqp_core::QueryConfig) {
@@ -457,7 +457,7 @@ pub fn write_config(w: &mut PayloadWriter, cfg: &tqp_core::QueryConfig) {
         tqp_exec::Device::GpuSim => 1,
     });
     w.u16(cfg.workers.min(u16::MAX as usize) as u16);
-    let flags = (cfg.prune_scans as u8) | (cfg.simd as u8) << 3 | (cfg.trace as u8) << 4;
+    let flags = (cfg.prune_scans as u8) | (cfg.trace as u8) << 4;
     w.u8(flags);
     w.u64(encode_deadline(cfg.deadline));
     w.u64(cfg.slow_query_ms.unwrap_or(u64::MAX));
@@ -500,7 +500,6 @@ pub fn read_config(r: &mut PayloadReader) -> Result<tqp_core::QueryConfig, WireE
         .device(device)
         .workers(workers.max(1));
     cfg.prune_scans = flags & 1 != 0;
-    cfg.simd = flags & 8 != 0;
     cfg.trace = flags & 16 != 0;
     cfg.deadline = deadline;
     cfg.slow_query_ms = (slow != u64::MAX).then_some(slow);
@@ -615,14 +614,14 @@ mod tests {
         assert_eq!(back.backend, tqp_exec::Backend::Fused);
         assert_eq!(back.workers, 3);
         assert_eq!(back.deadline, Some(std::time::Duration::from_millis(250)));
-        assert!(back.prune_scans && back.simd);
+        assert!(back.prune_scans);
         assert!(back.trace);
         assert_eq!(back.slow_query_ms, Some(75));
     }
 
-    /// Flag bits 1 and 2 (the retired fusion and hash-engine toggles) are
-    /// written as 0 and ignored on read, so a peer that still sets them
-    /// decodes to the same configuration.
+    /// Flag bits 1–3 (the retired fusion, hash-engine and SIMD toggles)
+    /// are written as 0 and ignored on read, so a peer that still sets
+    /// them decodes to the same configuration.
     #[test]
     fn reserved_config_flag_bits() {
         let cfg = tqp_core::QueryConfig::default().trace(true);
@@ -632,12 +631,9 @@ mod tests {
             .unwrap()
             .unwrap();
         // [u8 backend][u8 device][u16 workers][u8 flags]…
-        assert_eq!(
-            payload[4], 0b1_1001,
-            "prune + simd + trace, reserved bits clear"
-        );
+        assert_eq!(payload[4], 0b1_0001, "prune + trace, reserved bits clear");
         let mut legacy = payload.to_vec();
-        legacy[4] |= 0b110;
+        legacy[4] |= 0b1110;
         let decode = |bytes: &[u8]| {
             let mut r = PayloadReader::new(bytes);
             let cfg = read_config(&mut r).unwrap();
@@ -645,10 +641,7 @@ mod tests {
             cfg
         };
         let (a, b) = (decode(&payload), decode(&legacy));
-        assert_eq!(
-            (a.prune_scans, a.simd, a.trace),
-            (b.prune_scans, b.simd, b.trace)
-        );
+        assert_eq!((a.prune_scans, a.trace), (b.prune_scans, b.trace));
         assert_eq!(
             (a.workers, a.deadline, a.slow_query_ms),
             (b.workers, b.deadline, b.slow_query_ms)

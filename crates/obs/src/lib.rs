@@ -10,10 +10,8 @@
 //!   p50/p95/p99 estimation from the bucket bounds.
 //!
 //! Instrument handles are `Arc`-backed atomics: registration takes a
-//! mutex once, after which every update is a single relaxed atomic RMW
-//! guarded by one relaxed load of the process [`enabled`] flag. That flag
-//! exists purely as the A/B switch for the CI overhead gate — production
-//! leaves it on.
+//! mutex once, after which every update is a single relaxed atomic RMW.
+//! The registry is always on.
 //!
 //! The crate also owns the cross-layer observability plumbing that must
 //! be shared between `tqp-core` and `tqp-net` without a dependency cycle:
@@ -23,28 +21,10 @@
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use tqp_json::{Json, JsonError};
-
-// ---------------------------------------------------------------------------
-// Process enable flag
-// ---------------------------------------------------------------------------
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Turn metric recording on or off process-wide. The registry stays
-/// always-on in production; this switch exists so the bench smoke can
-/// measure the overhead delta.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether instruments currently record updates.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 // ---------------------------------------------------------------------------
 // Instruments
@@ -66,9 +46,7 @@ impl Counter {
 
     #[inline]
     pub fn add(&self, n: u64) {
-        if enabled() {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> u64 {
@@ -87,16 +65,12 @@ impl Gauge {
 
     #[inline]
     pub fn set(&self, v: i64) {
-        if enabled() {
-            self.0.store(v, Ordering::Relaxed);
-        }
+        self.0.store(v, Ordering::Relaxed);
     }
 
     #[inline]
     pub fn add(&self, n: i64) {
-        if enabled() {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     #[inline]
@@ -162,9 +136,6 @@ impl Histogram {
     /// Record one observation (microseconds).
     #[inline]
     pub fn observe(&self, v: u64) {
-        if !enabled() {
-            return;
-        }
         let cell = &*self.0;
         cell.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         cell.count.fetch_add(1, Ordering::Relaxed);
@@ -765,15 +736,6 @@ pub fn clear_slow_queries() {
 mod tests {
     use super::*;
 
-    /// Tests that record metrics serialize here so the enabled-flag test
-    /// cannot drop their updates.
-    fn flag_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-    }
-
     #[test]
     fn bucket_index_is_monotone_and_bounded() {
         assert_eq!(bucket_index(0), 0);
@@ -794,7 +756,6 @@ mod tests {
 
     #[test]
     fn histogram_quantiles() {
-        let _g = flag_lock();
         let h = Histogram::new();
         for v in [10u64, 20, 30, 40, 1000] {
             h.observe(v);
@@ -807,20 +768,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_flag_stops_recording() {
-        let _g = flag_lock();
-        let c = Counter::new();
-        c.inc();
-        set_enabled(false);
-        c.inc();
-        set_enabled(true);
-        c.inc();
-        assert_eq!(c.get(), 2);
-    }
-
-    #[test]
     fn registry_handles_share_state() {
-        let _g = flag_lock();
         let a = registry().counter("test.shared");
         let b = registry().counter("test.shared");
         a.add(3);
@@ -830,7 +778,6 @@ mod tests {
 
     #[test]
     fn snapshot_json_round_trip() {
-        let _g = flag_lock();
         let h = registry().histogram("test.snapjson_us");
         h.observe(42);
         registry().gauge("test.snapjson_gauge").set(-5);
@@ -844,7 +791,6 @@ mod tests {
 
     #[test]
     fn prometheus_text_line_format() {
-        let _g = flag_lock();
         let reg = Registry::new();
         reg.counter("exec.queries").add(7);
         reg.gauge("sched.queue_depth").set(2);

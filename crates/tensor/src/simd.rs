@@ -1,13 +1,13 @@
 //! Explicit SIMD kernel layer with one-time runtime CPU-feature dispatch.
 //!
-//! Every kernel here has (at least) three tiers: a **scalar** reference
-//! implementation (the oracle the test suites pin against), an **AVX2**
-//! path, and an **AVX-512** path, selected once per process by
+//! Every dispatching kernel here has (at least) three tiers: a **scalar**
+//! reference implementation (the oracle the test suites pin against), an
+//! **AVX2** path, and an **AVX-512** path, selected once per process by
 //! [`level`] from `is_x86_feature_detected!` and the `TQP_SIMD`
 //! environment variable (`off`/`scalar` forces the fallback, `avx2` caps
-//! the tier, anything else picks the best the host supports). The
-//! [`set_enabled`] switch lets `ExecConfig::simd` turn vectorized tiers
-//! off per run without re-reading the environment.
+//! the tier, anything else picks the best the host supports). That
+//! variable is the one switch: it is read once and holds for the whole
+//! process.
 //!
 //! **Determinism contract.** Every tier of every kernel produces
 //! bitwise-identical output. Integer and comparison kernels are exact by
@@ -15,7 +15,7 @@
 //! the canonical algorithm as a fixed 8-lane split ([`LANES`]): lane `j`
 //! accumulates elements `8*b + j`, lanes fold in the fixed halving order
 //! of [`fold8`], and the ragged tail folds sequentially into the result.
-//! The scalar tier runs that same lane-split loop, so `{simd on, off}`
+//! The scalar tier runs that same lane-split loop, so the tiers
 //! cannot disagree even though float addition is non-associative. Min and
 //! max use the canonical comparators [`cmin`]/[`cmax`], which are
 //! deterministic on `NaN` (ignored unless the accumulator itself is NaN)
@@ -30,11 +30,15 @@
 //! min/max *select* an element (never synthesize a value), so they remain
 //! fully bitwise even on NaN payloads.
 //!
+//! The plain little-endian decodes and the run-length fill have no vector
+//! tier: their scalar loops already run at memory bandwidth, so the
+//! scalar function is the entry point and nothing is dispatched.
+//!
 //! Per-family dispatch counters ([`counters`]) count vectorized kernel
 //! invocations process-wide; `ExecStats` snapshots a delta around each
 //! run (approximate under concurrent queries, exact otherwise).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Dispatch tier, ordered by capability. A tier may reuse a narrower
@@ -48,17 +52,6 @@ pub enum Level {
     Avx2,
     /// 512-bit paths (requires avx512{f,bw,dq,vl}).
     Avx512,
-}
-
-impl Level {
-    /// Stable lowercase name (used by benches and stats output).
-    pub fn name(self) -> &'static str {
-        match self {
-            Level::Scalar => "scalar",
-            Level::Avx2 => "avx2",
-            Level::Avx512 => "avx512",
-        }
-    }
 }
 
 static LEVEL: OnceLock<Level> = OnceLock::new();
@@ -87,30 +80,11 @@ fn detect() -> Level {
     Level::Scalar
 }
 
-/// The tier this process dispatches to when SIMD is enabled. Detected
-/// once (first call) from the CPU and `TQP_SIMD`.
+/// The tier this process dispatches to. Detected once (first call) from
+/// the CPU and `TQP_SIMD`.
+#[inline]
 pub fn level() -> Level {
     *LEVEL.get_or_init(detect)
-}
-
-/// Process-global enable switch (`ExecConfig::simd`). `false` forces
-/// every kernel onto the scalar tier. Because all tiers are bitwise
-/// identical, a race between concurrent runs with different settings can
-/// only affect throughput and counters, never results.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Set by the executor at run start from `ExecConfig::simd`.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-#[inline]
-fn active() -> Level {
-    if ENABLED.load(Ordering::Relaxed) {
-        level()
-    } else {
-        Level::Scalar
-    }
 }
 
 /// Kernels shorter than this stay scalar: below ~2 vectors of work the
@@ -577,21 +551,26 @@ pub mod scalar {
         }
     }
 
-    /// Little-endian plain decode; `bytes.len()` must be `8 * out.len()`.
+    /// Plain little-endian `i64` column decode (`bytes.len() == 8 *
+    /// out.len()`). No vector tier (see the module docs).
     pub fn decode_i64_le(bytes: &[u8], out: &mut [i64]) {
+        assert_eq!(bytes.len(), 8 * out.len(), "plain i64 payload length");
         for (o, c) in out.iter_mut().zip(bytes.chunks_exact(8)) {
             *o = i64::from_le_bytes(c.try_into().unwrap());
         }
     }
 
-    /// Little-endian plain decode; `bytes.len()` must be `8 * out.len()`.
+    /// Plain little-endian `f64` column decode (`bytes.len() == 8 *
+    /// out.len()`). No vector tier.
     pub fn decode_f64_le(bytes: &[u8], out: &mut [f64]) {
+        assert_eq!(bytes.len(), 8 * out.len(), "plain f64 payload length");
         for (o, c) in out.iter_mut().zip(bytes.chunks_exact(8)) {
             *o = f64::from_le_bytes(c.try_into().unwrap());
         }
     }
 
-    /// Append `n` copies of `val`.
+    /// Run-length fill: append `n` copies of `val` (a memset). No vector
+    /// tier.
     pub fn splat_i64(out: &mut Vec<i64>, val: i64, n: usize) {
         out.resize(out.len() + n, val);
     }
@@ -1499,7 +1478,7 @@ macro_rules! dispatch {
         #[cfg(target_arch = "x86_64")]
         {
             if $len >= SIMD_MIN {
-                match active() {
+                match level() {
                     Level::Avx2 => {
                         bump($family);
                         return unsafe { avx2::$name($($arg),*) };
@@ -1518,7 +1497,7 @@ macro_rules! dispatch {
     ($family:expr, $len:expr, avx2_only $name:ident ( $($arg:expr),* )) => {{
         #[cfg(target_arch = "x86_64")]
         {
-            if $len >= SIMD_MIN && active() != Level::Scalar {
+            if $len >= SIMD_MIN && level() != Level::Scalar {
                 bump($family);
                 return unsafe { avx2::$name($($arg),*) };
             }
@@ -1634,57 +1613,8 @@ pub fn decode_for(bytes: &[u8], width: usize, min: i64, out: &mut [i64]) {
     dispatch!(Family::Decode, out.len(), avx2_only decode_for(bytes, width, min, out))
 }
 
-/// Plain little-endian `i64` column decode (`bytes.len() == 8 * out.len()`).
-pub fn decode_i64_le(bytes: &[u8], out: &mut [i64]) {
-    assert_eq!(bytes.len(), 8 * out.len(), "plain i64 payload length");
-    #[cfg(all(target_arch = "x86_64", target_endian = "little"))]
-    {
-        if out.len() >= SIMD_MIN && active() != Level::Scalar {
-            bump(Family::Decode);
-            // On a little-endian host the decoded column *is* the byte
-            // stream: one bulk copy, the memory-bandwidth ceiling.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    bytes.as_ptr(),
-                    out.as_mut_ptr().cast::<u8>(),
-                    bytes.len(),
-                );
-            }
-            return;
-        }
-    }
-    scalar::decode_i64_le(bytes, out)
-}
-
-/// Plain little-endian `f64` column decode (`bytes.len() == 8 * out.len()`).
-pub fn decode_f64_le(bytes: &[u8], out: &mut [f64]) {
-    assert_eq!(bytes.len(), 8 * out.len(), "plain f64 payload length");
-    #[cfg(all(target_arch = "x86_64", target_endian = "little"))]
-    {
-        if out.len() >= SIMD_MIN && active() != Level::Scalar {
-            bump(Family::Decode);
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    bytes.as_ptr(),
-                    out.as_mut_ptr().cast::<u8>(),
-                    bytes.len(),
-                );
-            }
-            return;
-        }
-    }
-    scalar::decode_f64_le(bytes, out)
-}
-
-/// Run-length fill: append `n` copies of `val`. All tiers lower to
-/// `Vec::resize` (a memset — already at memory bandwidth); the dispatch
-/// point exists so RLE decode shows up in the decode-family accounting.
-pub fn splat_i64(out: &mut Vec<i64>, val: i64, n: usize) {
-    if n >= SIMD_MIN && active() != Level::Scalar {
-        bump(Family::Decode);
-    }
-    scalar::splat_i64(out, val, n)
-}
+// Kernels with no vector tier: the scalar loop is the entry point.
+pub use scalar::{decode_f64_le, decode_i64_le, splat_i64};
 
 #[cfg(test)]
 mod tests {

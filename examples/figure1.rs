@@ -6,18 +6,24 @@
 //! Expected shape (the paper's): TQP-CPU ≳3× over the row engine, the
 //! simulated GPU fastest with a larger win on Q6 than Q14, the web backend
 //! slowest by a wide margin, and resident-GPU ≥4× over per-op-transfer GPU.
+//!
+//! ```bash
+//! TQP_SF=0.1 TQP_RUNS=5 cargo run --release --example figure1
+//! ```
 
-use tqp_bench::{fmt_ms, median_us, print_row, tpch_session};
-use tqp_core::QueryConfig;
-use tqp_data::tpch::queries;
-use tqp_exec::{Backend, Device, GpuStrategy};
+mod common;
+
+use common::{fmt_ms, median_us, print_row, tpch_session};
+use tqp_repro::core::QueryConfig;
+use tqp_repro::data::tpch::queries;
+use tqp_repro::exec::{Backend, Device, GpuStrategy};
 
 fn main() {
     let session = tpch_session();
     println!(
         "Figure 1: TPC-H Q6/Q14 execution time (SF {}, median of {} runs)",
-        tqp_bench::scale_factor(),
-        tqp_bench::runs()
+        common::scale_factor(),
+        common::runs()
     );
     for qn in [6usize, 14] {
         let sql = queries::query(qn);
@@ -34,8 +40,8 @@ fn main() {
             fmt_ms(spark)
         );
 
-        // TQP on CPU (eager tensor kernels; fused differences are within
-        // noise on small hosts — see the backends bench).
+        // TQP on CPU (eager tensor kernels; the fused backend is within
+        // noise of it on small hosts — `figure3` times every backend).
         let cpu_q = session
             .compile(sql, QueryConfig::default().backend(Backend::Eager))
             .unwrap();

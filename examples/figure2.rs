@@ -4,13 +4,19 @@
 //! Prints the per-operator self-time table and writes a Chrome-trace JSON
 //! (`target/figure2_trace.json`) that loads in `chrome://tracing` /
 //! Perfetto — the same artifact class TensorBoard renders in the paper.
+//!
+//! ```bash
+//! TQP_SF=0.1 cargo run --release --example figure2
+//! ```
 
-use tqp_core::QueryConfig;
-use tqp_data::tpch::queries;
-use tqp_exec::Backend;
+mod common;
+
+use tqp_repro::core::QueryConfig;
+use tqp_repro::data::tpch::queries;
+use tqp_repro::exec::Backend;
 
 fn main() {
-    let mut session = tqp_bench::tpch_session();
+    let mut session = common::tpch_session();
     session.enable_profiling();
     let sql = queries::query(6);
     let q = session
@@ -24,8 +30,8 @@ fn main() {
 
     println!(
         "Figure 2: operator runtime breakdown, TPC-H Q6 @ SF {} (total {})",
-        tqp_bench::scale_factor(),
-        tqp_bench::fmt_ms(stats.wall_us)
+        common::scale_factor(),
+        common::fmt_ms(stats.wall_us)
     );
     println!("revenue = {}", out.column(0).display(0));
     println!();

@@ -1,18 +1,24 @@
 //! **Figure 3** — TPC-H Q6 compiled once per backend/device combination;
 //! switching targets is a one-line configuration change. All combinations
 //! must return the identical result (the demo's point in §3.2 step 5).
+//!
+//! ```bash
+//! TQP_SF=0.1 TQP_RUNS=5 cargo run --release --example figure3
+//! ```
 
-use tqp_bench::{fmt_ms, median_us, tpch_session};
-use tqp_core::QueryConfig;
-use tqp_data::tpch::queries;
-use tqp_exec::{Backend, Device};
+mod common;
+
+use common::{fmt_ms, median_us, tpch_session};
+use tqp_repro::core::QueryConfig;
+use tqp_repro::data::tpch::queries;
+use tqp_repro::exec::{Backend, Device};
 
 fn main() {
     let session = tpch_session();
     let sql = queries::query(6);
     println!(
         "Figure 3: one-line backend/device switching, TPC-H Q6 @ SF {}",
-        tqp_bench::scale_factor()
+        common::scale_factor()
     );
     println!(
         "\n  {:<10} {:<8} {:>12} {:>12} {:>14} {:>10}",

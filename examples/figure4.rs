@@ -5,15 +5,21 @@
 //! Produces: the per-brand actual-vs-predicted table of Figure 4, the
 //! Graphviz executor graph (`target/figure4_executor.dot`), and the unified
 //! vs split runtime comparison (the §3.3 "end-to-end acceleration" claim).
+//!
+//! ```bash
+//! TQP_REVIEWS=50000 TQP_RUNS=5 cargo run --release --example figure4
+//! ```
 
 use std::sync::Arc;
 
-use tqp_bench::{fmt_ms, median_us, print_row};
-use tqp_core::{QueryConfig, Session};
-use tqp_data::datasets;
-use tqp_exec::Backend;
-use tqp_ml::text::TextClassifier;
-use tqp_tensor::Tensor;
+mod common;
+
+use common::{fmt_ms, median_us, print_row};
+use tqp_repro::core::{QueryConfig, Session};
+use tqp_repro::data::{self, datasets};
+use tqp_repro::exec::Backend;
+use tqp_repro::ml::text::TextClassifier;
+use tqp_repro::tensor::Tensor;
 
 /// The query of Figure 4 ➋ (AMAZON_REVIEWS → reviews).
 const FIG4_SQL: &str = "\
@@ -36,7 +42,7 @@ fn main() {
     let train = datasets::amazon_reviews(8_000, 7);
     let texts: Vec<&str> = (0..train.nrows())
         .map(|i| match train.column_by_name("text").unwrap() {
-            tqp_data::Column::Str(v) => v[i].as_str(),
+            data::Column::Str(v) => v[i].as_str(),
             _ => unreachable!(),
         })
         .collect();
@@ -83,7 +89,7 @@ fn main() {
     });
     println!(
         "\nend-to-end execution (median of {} runs):",
-        tqp_bench::runs()
+        common::runs()
     );
     println!(
         "  {:<34} {:>12}",

@@ -5,19 +5,23 @@
 //!    — "a variety of models";
 //! 2. sentiment classification on the synthetic Amazon reviews with the
 //!    hashed bag-of-words classifier, combined with relational operators.
+//!
+//! ```bash
+//! cargo run --release --example scenario3
+//! ```
 
 use std::sync::Arc;
 
-use tqp_core::Session;
-use tqp_data::datasets;
-use tqp_ml::compile::{CompiledTrees, TreeStrategy};
-use tqp_ml::linear::LinearRegression;
-use tqp_ml::mlp::Mlp;
-use tqp_ml::text::TextClassifier;
-use tqp_ml::tree::{GradientBoostedTrees, TreeParams};
-use tqp_tensor::Tensor;
+use tqp_repro::core::Session;
+use tqp_repro::data::{self, datasets};
+use tqp_repro::ml::compile::{CompiledTrees, TreeStrategy};
+use tqp_repro::ml::linear::LinearRegression;
+use tqp_repro::ml::mlp::Mlp;
+use tqp_repro::ml::text::TextClassifier;
+use tqp_repro::ml::tree::{GradientBoostedTrees, TreeParams};
+use tqp_repro::tensor::Tensor;
 
-fn iris_features(frame: &tqp_data::DataFrame) -> (Tensor, Tensor) {
+fn iris_features(frame: &data::DataFrame) -> (Tensor, Tensor) {
     let cols = ["sepal_length", "sepal_width", "petal_length"];
     let n = frame.nrows();
     let mut x = Vec::with_capacity(n * 3);
@@ -86,7 +90,7 @@ fn main() {
     let train = datasets::amazon_reviews(8_000, 7);
     let texts: Vec<&str> = (0..train.nrows())
         .map(|i| match train.column_by_name("text").unwrap() {
-            tqp_data::Column::Str(v) => v[i].as_str(),
+            data::Column::Str(v) => v[i].as_str(),
             _ => unreachable!(),
         })
         .collect();

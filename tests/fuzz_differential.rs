@@ -577,17 +577,6 @@ fn check(sessions: &Sessions, sql: &str) -> Result<(), String> {
             .run(&sessions.mem)
             .map_err(|e| format!("[{label}] run failed: {e}"))?;
         frames_match(&got, &expect).map_err(|e| format!("[{label}] {e}"))?;
-        // SIMD off: the scalar fallback tier must be bitwise the
-        // vectorized tier (they share the canonical lane-split fold, so
-        // even float aggregates cannot disagree).
-        let nq = sessions
-            .mem
-            .compile(sql, cfg.simd(false))
-            .map_err(|e| format!("[{label}/nosimd] compile failed: {e}"))?;
-        let (ngot, _) = nq
-            .run(&sessions.mem)
-            .map_err(|e| format!("[{label}/nosimd] run failed: {e}"))?;
-        frames_bitwise(&ngot, &got).map_err(|e| format!("[{label}/nosimd] {e}"))?;
         // Stored-table mode: same query over the tqp-store scan path,
         // bitwise against the in-memory tensor result.
         let sq = sessions

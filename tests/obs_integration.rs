@@ -19,7 +19,7 @@ use tqp_repro::obs;
 use tqp_repro::serve::Server;
 
 /// Tests here mutate process-global observability state (the slow-query
-/// ring, the enabled flag). Serialize them.
+/// ring, the metrics registry). Serialize them.
 fn obs_lock() -> &'static Mutex<()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
