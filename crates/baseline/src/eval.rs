@@ -195,28 +195,37 @@ pub fn prepare_predicts(
     let mut rows = rows;
     for (k, (model_name, args)) in calls.iter().enumerate() {
         let model = models.require(model_name);
-        // Materialize each argument column.
+        // Materialize each argument column. A NULL argument feeds the
+        // model a placeholder (0 / "") and makes its row's prediction NULL.
+        let arg_vals: Vec<Vec<Scalar>> = args
+            .iter()
+            .map(|a| rows.iter().map(|r| eval_expr(a, r)).collect())
+            .collect();
         let inputs: Vec<Tensor> = args
             .iter()
-            .map(|a| {
+            .zip(&arg_vals)
+            .map(|(a, vals)| {
                 if a.ty() == LogicalType::Str {
-                    let vals: Vec<String> = rows
+                    let refs: Vec<&str> = vals
                         .iter()
-                        .map(|r| eval_expr(a, r).as_str().to_string())
+                        .map(|v| if v.is_null() { "" } else { v.as_str() })
                         .collect();
-                    let refs: Vec<&str> = vals.iter().map(|s| s.as_str()).collect();
                     Tensor::from_strings(&refs, 1)
                 } else {
-                    let vals: Vec<f64> = rows.iter().map(|r| eval_expr(a, r).as_f64()).collect();
-                    Tensor::from_f64(vals)
+                    Tensor::from_f64(
+                        vals.iter()
+                            .map(|v| if v.is_null() { 0.0 } else { v.as_f64() })
+                            .collect(),
+                    )
                 }
             })
             .collect();
         let preds = model.predict(&inputs);
         let pv = preds.as_f64();
         assert_eq!(pv.len(), rows.len(), "model output arity mismatch");
-        for (row, &p) in rows.iter_mut().zip(pv) {
-            row.push(Scalar::F64(p));
+        for (i, (row, &p)) in rows.iter_mut().zip(pv).enumerate() {
+            let null = arg_vals.iter().any(|vals| vals[i].is_null());
+            row.push(if null { Scalar::Null } else { Scalar::F64(p) });
         }
         let _ = k;
     }

@@ -4,7 +4,7 @@
 //! a [`Session`] holds tables (ingested to the tensor format of §2.1) and
 //! registered `PREDICT` models; [`Session::compile`] runs the full
 //! compilation stack (parse → bind → optimize → plan → **lower to the
-//! [`TensorProgram`](tqp_exec::program::TensorProgram)**) and returns a
+//! [`TensorProgram`]**) and returns a
 //! [`CompiledQuery`] bound to a backend/device configuration. Every
 //! backend executes the same lowered program — see `ARCHITECTURE.md`.
 //!
@@ -86,7 +86,7 @@ impl Default for QueryConfig {
     fn default() -> Self {
         QueryConfig {
             physical: PhysicalOptions::default(),
-            backend: Backend::Eager,
+            backend: Backend::Fused,
             device: Device::Cpu,
             gpu_strategy: GpuStrategy::Resident,
             prune_scans: true,
@@ -1480,7 +1480,7 @@ mod tests {
         let trace = trace.expect("trace requested");
         assert!(trace.trace_id > 0);
         assert_eq!(trace.sql, "select sum(v) from t");
-        assert_eq!(trace.backend, "Eager");
+        assert_eq!(trace.backend, "Fused");
         assert_eq!(trace.wall_us, stats.wall_us);
         assert!(!trace.spans.is_empty());
         assert!(!trace.ops.is_empty());

@@ -34,7 +34,7 @@ pub struct ColumnStats {
     pub max: Option<Scalar>,
     /// Number of NULL rows.
     pub null_count: usize,
-    /// Estimated distinct non-NULL values (exact below [`KMV_K`]).
+    /// Estimated distinct non-NULL values (exact below `KMV_K`).
     pub distinct: usize,
 }
 

@@ -1,39 +1,37 @@
-//! **The kernel-specialization layer**: lowering [`ExprProgram`]s onto the
+//! **The kernel-specialization layer**: binding [`ExprProgram`]s to the
 //! fused, type-monomorphized kernels in [`tqp_tensor::kernels`].
 //!
-//! This sits between expression lowering and execution. When a compiled
-//! expression program matches the fusible shapes — conjunct chains of
-//! `CompareConst`/`InList`/`IsNull`/`Like` producing one filter mask,
-//! arithmetic chains like `l_extendedprice * (1 - l_discount) * (1 + l_tax)`,
-//! `Coerce`+`Binary` aggregate-input pipelines — [`try_fuse`] compiles it
-//! into a [`FusedKernel`] whose execution is a single chunked pass with no
-//! intermediate register tensors (see the `kernels` module docs for the
-//! loop shape). Programs containing `CASE`, scalar functions, `PREDICT`,
-//! NULL constants, or string-typed intermediate registers fall back to the
-//! generic executor — **silently and per call site**, so fusion is purely
-//! an optimization and never a correctness surface.
+//! Binding happens once, when a program is lowered for a kernel backend:
+//! [`crate::Executor::compile`] binds for `Backend::Fused`, and
+//! [`crate::graphvm::load_artifact`] binds for `Backend::Graph`.
+//! [`bind_program`] runs the fusion pass over every expression site in the
+//! mode its role implies — filter conjuncts and join residuals produce one
+//! mask, projections, aggregate bundles and sort keys produce every
+//! output — and stores the result in [`ExprProgram::kernel`]. A program
+//! that matches the fusible shapes (conjunct chains of
+//! `CompareConst`/`InList`/`IsNull`/`Like`, arithmetic chains like
+//! `l_extendedprice * (1 - l_discount) * (1 + l_tax)`, `Coerce`+`Binary`
+//! aggregate inputs) gets a [`FusedKernel`] whose execution is a single
+//! chunked pass with no intermediate register tensors (see the `kernels`
+//! module docs for the loop shape). Programs containing `CASE`, scalar
+//! functions, `PREDICT`, NULL constants, or string-typed intermediate
+//! registers get none, and so does every program on Eager and Wasm.
 //!
-//! **The fingerprint cache.** Compiled kernels are cached process-wide,
-//! keyed by the program's *shape fingerprint*: a hash over every
-//! structural feature (op kinds, registers, comparison operators, types,
-//! negation flags, output list) that **masks constant values**. A prepared
-//! statement re-bound to new parameter values therefore hits the same
-//! cache entry — the kernel skeleton is reused and only the per-execution
-//! [`ConstPool`] is re-extracted from the live (bound) program, which is a
-//! few scalar copies. Unfusible shapes are negatively cached so the bail
-//! decision is also paid once. Collisions are handled exactly: entries
-//! store their canonical shape bytes and compare them on lookup.
+//! **Constants are not shape.** A kernel reads its constants from a
+//! per-execution [`ConstPool`] extracted from the live program, so a
+//! prepared statement's parameter-patched clone shares its template's
+//! kernel. When the live program no longer fits the kernel (a NULL bound
+//! where the template held a value) or the batch's physical types differ
+//! from the compiled ones, that call takes the generic walk.
 //!
-//! **Fallback and reference.** [`conjunct_mask`] and [`eval_all`] try
-//! the fused kernel first. The generic evaluator ([`exprprog::eval_all`],
-//! [`exprprog::eval_conjuncts_eager`]) stays as the fallback for programs
-//! that do not fuse, and it is the reference `tests/property_exprprog.rs`
-//! compares every fused inner loop against *bitwise* by calling it
-//! directly; the differential fuzzer checks whole queries against the
-//! `tqp-baseline` row engine.
+//! **Evaluation.** [`conjunct_mask`] and [`eval_all`] run the bound kernel
+//! and fall back to the generic walk ([`exprprog::eval_conjuncts_eager`],
+//! [`exprprog::eval_all`]) where there is none. Both give bitwise the same
+//! result: `tests/property_exprprog.rs` compares every kernel against the
+//! generic walk, and `tests/parallel_parity.rs` runs the 22 TPC-H queries
+//! on Eager (no kernels) against Fused and Graph.
 
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
 
 use tqp_data::LogicalType;
 use tqp_ir::expr::BinOp;
@@ -46,51 +44,67 @@ use tqp_tensor::{DType, Scalar, Tensor};
 
 use crate::batch::Batch;
 use crate::expr::{to_cmp, Evaled};
-use crate::exprprog::{self, EReg, ExprOp, ExprProgram};
+use crate::exprprog::{self, ExprOp, ExprProgram};
+use crate::program::{ProgOp, TensorProgram};
 
 // ---------------------------------------------------------------------
 // Public entry points
 // ---------------------------------------------------------------------
 
 /// Evaluate all conjuncts of a filter program into one AND-folded mask
-/// (validity folded in: NULL = drop). Takes the fused kernel when the
-/// program specializes; otherwise the generic
-/// [`exprprog::eval_conjuncts_eager`]. Results are bitwise identical
-/// either way.
+/// (validity folded in: NULL = drop): the bound kernel when there is one
+/// and it fits, otherwise [`exprprog::eval_conjuncts_eager`].
 pub fn conjunct_mask(prog: &ExprProgram, batch: &Batch, models: &ModelRegistry) -> Tensor {
-    fused_mask(prog, batch).unwrap_or_else(|| exprprog::eval_conjuncts_eager(prog, batch, models))
-}
-
-/// Fused-only variant of [`conjunct_mask`]: `Some` iff the program
-/// specializes (bitwise-identical to the generic fold). `None` lets the
-/// caller pick its own fallback (the Fused backend's adaptive
-/// selection-vector stepping rather than the eager fold).
-pub fn try_conjunct_mask(
-    prog: &ExprProgram,
-    batch: &Batch,
-    _models: &ModelRegistry,
-) -> Option<Tensor> {
-    fused_mask(prog, batch)
+    kernel_mask(prog, batch).unwrap_or_else(|| exprprog::eval_conjuncts_eager(prog, batch, models))
 }
 
 /// Evaluate every output of a program (projections, aggregate inputs,
-/// sort keys). Fused when possible, identical results always.
+/// sort keys): the bound kernel when there is one and it fits, otherwise
+/// [`exprprog::eval_all`].
 pub fn eval_all(prog: &ExprProgram, batch: &Batch, models: &ModelRegistry) -> Vec<Evaled> {
-    fused_outputs(prog, batch).unwrap_or_else(|| exprprog::eval_all(prog, batch, models))
+    kernel_outputs(prog, batch).unwrap_or_else(|| exprprog::eval_all(prog, batch, models))
 }
 
-// ---------------------------------------------------------------------
-// Skeletons and the fingerprint cache
-// ---------------------------------------------------------------------
-
-/// Evaluation mode a kernel was specialized for.
+/// Evaluation mode a kernel is specialized for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Filter: one AND-folded mask over all outputs.
+pub enum Mode {
+    /// Filter conjuncts and join residuals: one AND-folded mask over all
+    /// outputs.
     Mask,
-    /// Projection/agg-input/sort-key: every output materialized.
+    /// Projections, aggregate bundles and sort keys: every output
+    /// materialized.
     Outputs,
 }
+
+/// Run the fusion pass once and store its kernel (or `None`) in `prog`.
+pub fn bind(prog: &mut ExprProgram, mode: Mode) {
+    prog.kernel = try_fuse(prog, mode).map(Arc::new);
+}
+
+/// Bind a kernel at every expression site of a lowered program, in the
+/// mode the site's role implies.
+pub fn bind_program(prog: &mut TensorProgram) {
+    for op in &mut prog.ops {
+        match op {
+            ProgOp::Filter { conjuncts, .. } => bind(conjuncts, Mode::Mask),
+            ProgOp::HashProbe {
+                residual: Some(r), ..
+            }
+            | ProgOp::SortMergeJoin {
+                residual: Some(r), ..
+            } => bind(r, Mode::Mask),
+            ProgOp::Project { exprs, .. } | ProgOp::Sort { keys: exprs, .. } => {
+                bind(exprs, Mode::Outputs)
+            }
+            ProgOp::GroupedReduce { reduce, .. } => bind(&mut reduce.exprs, Mode::Outputs),
+            _ => {}
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Skeletons
+// ---------------------------------------------------------------------
 
 /// Where to fetch one constant-pool entry from the live program: the op
 /// index plus the expected shape. Extraction happens per execution, after
@@ -118,6 +132,7 @@ enum ConstSpec {
 /// A compiled kernel plus the batch-binding metadata: which batch columns
 /// feed which kernel channels, where constants come from, and which
 /// columns' validity each output inherits.
+#[derive(Debug)]
 pub struct Skeleton {
     kernel: FusedKernel,
     /// `(batch column, expected dtype)` per kernel column channel.
@@ -127,162 +142,6 @@ pub struct Skeleton {
     const_specs: Vec<ConstSpec>,
     /// Validity-source batch columns per output (outputs mode).
     out_vcols: Vec<Vec<usize>>,
-}
-
-type Shelf = Vec<(Vec<u8>, Option<Arc<Skeleton>>)>;
-
-fn cache() -> &'static RwLock<HashMap<u64, Shelf>> {
-    static CACHE: OnceLock<RwLock<HashMap<u64, Shelf>>> = OnceLock::new();
-    CACHE.get_or_init(|| RwLock::new(HashMap::new()))
-}
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Fetch (or compile and cache) the skeleton for a program shape.
-/// `None` = the shape is unfusible (negatively cached).
-fn skeleton_for(prog: &ExprProgram, mode: Mode) -> Option<Arc<Skeleton>> {
-    let shape = shape_bytes(prog, mode);
-    let h = fnv(&shape);
-    if let Some(shelf) = cache().read().expect("fuse cache poisoned").get(&h) {
-        for (bytes, skel) in shelf {
-            if bytes == &shape {
-                return skel.clone();
-            }
-        }
-    }
-    let compiled = try_fuse(prog, mode).map(Arc::new);
-    let mut w = cache().write().expect("fuse cache poisoned");
-    let shelf = w.entry(h).or_default();
-    if !shelf.iter().any(|(b, _)| b == &shape) {
-        shelf.push((shape, compiled.clone()));
-    }
-    compiled
-}
-
-/// Canonical shape encoding with constant **values** masked out (kinds,
-/// types, operators, registers, and flags all kept): the fingerprint key
-/// that lets prepared-statement re-binds share one kernel.
-fn shape_bytes(prog: &ExprProgram, mode: Mode) -> Vec<u8> {
-    let mut out = Vec::with_capacity(prog.ops.len() * 6 + prog.outputs.len() * 3 + 1);
-    let push_reg = |out: &mut Vec<u8>, r: EReg| out.extend_from_slice(&(r as u32).to_le_bytes());
-    let ty_byte = |ty: LogicalType| -> u8 {
-        match ty {
-            LogicalType::Bool => 0,
-            LogicalType::Int64 => 1,
-            LogicalType::Float64 => 2,
-            LogicalType::Str => 3,
-            LogicalType::Date => 4,
-        }
-    };
-    let kind_byte = |s: &Scalar| -> u8 {
-        match s {
-            Scalar::Null => 0,
-            Scalar::Bool(_) => 1,
-            Scalar::I32(_) => 2,
-            Scalar::I64(_) => 3,
-            Scalar::F32(_) => 4,
-            Scalar::F64(_) => 5,
-            Scalar::Str(_) => 6,
-        }
-    };
-    out.push(match mode {
-        Mode::Mask => 0xA0,
-        Mode::Outputs => 0xA1,
-    });
-    for op in &prog.ops {
-        match op {
-            ExprOp::LoadColumn { index, ty } => {
-                out.push(1);
-                push_reg(&mut out, *index);
-                out.push(ty_byte(*ty));
-            }
-            ExprOp::LoadConst { value, ty } => {
-                out.push(2);
-                out.push(kind_byte(value));
-                out.push(ty_byte(*ty));
-            }
-            ExprOp::Binary { op, lhs, rhs, ty } => {
-                out.push(3);
-                out.push(*op as u8);
-                push_reg(&mut out, *lhs);
-                push_reg(&mut out, *rhs);
-                out.push(ty_byte(*ty));
-            }
-            ExprOp::CompareConst { op, src, value } => {
-                out.push(4);
-                out.push(*op as u8);
-                push_reg(&mut out, *src);
-                out.push(kind_byte(value));
-            }
-            ExprOp::Not { src } => {
-                out.push(5);
-                push_reg(&mut out, *src);
-            }
-            ExprOp::Neg { src } => {
-                out.push(6);
-                push_reg(&mut out, *src);
-            }
-            ExprOp::Coerce { src, ty } => {
-                out.push(7);
-                push_reg(&mut out, *src);
-                out.push(ty_byte(*ty));
-            }
-            ExprOp::Select {
-                cond,
-                on_true,
-                on_false,
-                ty,
-            } => {
-                out.push(8);
-                push_reg(&mut out, *cond);
-                push_reg(&mut out, *on_true);
-                push_reg(&mut out, *on_false);
-                out.push(ty_byte(*ty));
-            }
-            ExprOp::Like { src, negated, .. } => {
-                // The compiled pattern is a per-execution constant; only
-                // the op identity is shape.
-                out.push(9);
-                push_reg(&mut out, *src);
-                out.push(*negated as u8);
-            }
-            ExprOp::InList { src, list, negated } => {
-                out.push(10);
-                push_reg(&mut out, *src);
-                out.push(*negated as u8);
-                // Member *kinds* are shape (they pick the kernel class);
-                // member values and count are constants.
-                out.push(list.iter().fold(0u8, |acc, s| acc | (1 << kind_byte(s))));
-            }
-            ExprOp::IsNull { src, negated } => {
-                out.push(11);
-                push_reg(&mut out, *src);
-                out.push(*negated as u8);
-            }
-            ExprOp::Func { func, src, .. } => {
-                out.push(12);
-                out.push(format!("{func:?}").len() as u8);
-                push_reg(&mut out, *src);
-            }
-            ExprOp::ModelApply { args, .. } => {
-                out.push(13);
-                out.push(args.len() as u8);
-            }
-        }
-    }
-    out.push(0xFE);
-    for (&r, ty) in prog.outputs.iter().zip(&prog.out_tys) {
-        push_reg(&mut out, r);
-        out.push(ty_byte(*ty));
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -380,8 +239,8 @@ fn vunion(a: &[usize], b: &[usize]) -> Vec<usize> {
 }
 
 /// Attempt to specialize `prog` into a fused kernel. `None` = some op (or
-/// type combination) is outside the fusible subset; callers fall back to
-/// the generic executor.
+/// type combination) is outside the fusible subset; the program keeps the
+/// generic walk.
 fn try_fuse(prog: &ExprProgram, mode: Mode) -> Option<Skeleton> {
     if prog.ops.is_empty() || prog.outputs.is_empty() {
         return None;
@@ -770,8 +629,9 @@ fn lower_op(
 // ---------------------------------------------------------------------
 
 /// Extract the constant pools from the live (parameter-bound) program.
-/// `None` = a constant's kind no longer matches the compiled shape (can
-/// only happen through exotic re-binding; callers fall back).
+/// `None` = a constant's kind no longer matches the compiled shape (a
+/// NULL bound where the template held a value); the call takes the
+/// generic walk.
 fn extract_consts(prog: &ExprProgram, specs: &[ConstSpec]) -> Option<ConstPool> {
     let mut pool = ConstPool::default();
     for spec in specs {
@@ -887,11 +747,13 @@ fn bind_inputs<'a>(skel: &Skeleton, batch: &'a Batch) -> Option<BoundInputs<'a>>
     Some((cols, vals))
 }
 
-/// Fused filter-mask evaluation; `None` falls back to the generic path.
-fn fused_mask(prog: &ExprProgram, batch: &Batch) -> Option<Tensor> {
-    let skel = skeleton_for(prog, Mode::Mask)?;
+/// The bound kernel's filter mask. `None` when no kernel is bound, or the
+/// live program or the batch no longer fits it; the caller then takes the
+/// generic walk.
+pub fn kernel_mask(prog: &ExprProgram, batch: &Batch) -> Option<Tensor> {
+    let skel = prog.kernel.as_deref()?;
     let consts = extract_consts(prog, &skel.const_specs)?;
-    let (cols, vals) = bind_inputs(&skel, batch)?;
+    let (cols, vals) = bind_inputs(skel, batch)?;
     Some(Tensor::from_bool(skel.kernel.run_mask(
         &cols,
         &vals,
@@ -900,11 +762,11 @@ fn fused_mask(prog: &ExprProgram, batch: &Batch) -> Option<Tensor> {
     )))
 }
 
-/// Fused all-outputs evaluation; `None` falls back to the generic path.
-fn fused_outputs(prog: &ExprProgram, batch: &Batch) -> Option<Vec<Evaled>> {
-    let skel = skeleton_for(prog, Mode::Outputs)?;
+/// The bound kernel's outputs; `None` as for [`kernel_mask`].
+fn kernel_outputs(prog: &ExprProgram, batch: &Batch) -> Option<Vec<Evaled>> {
+    let skel = prog.kernel.as_deref()?;
     let consts = extract_consts(prog, &skel.const_specs)?;
-    let (cols, vals) = bind_inputs(&skel, batch)?;
+    let (cols, vals) = bind_inputs(skel, batch)?;
     let raw = skel
         .kernel
         .run_outputs(&cols, &vals, &consts, batch.nrows());
@@ -964,7 +826,7 @@ mod tests {
 
     #[test]
     fn fused_mask_matches_eager_fold() {
-        let prog = ExprProgram {
+        let mut prog = ExprProgram {
             ops: vec![
                 col(0, LT::Int64),
                 ExprOp::CompareConst {
@@ -988,7 +850,10 @@ mod tests {
             outputs: vec![1, 3, 5],
             out_tys: vec![LT::Bool, LT::Bool, LT::Bool],
             params: vec![],
+            kernel: None,
         };
+        bind(&mut prog, Mode::Mask);
+        assert!(prog.kernel.is_some(), "compare chain fuses");
         let b = batch();
         let models = ModelRegistry::new();
         let fused = conjunct_mask(&prog, &b, &models);
@@ -999,7 +864,7 @@ mod tests {
     #[test]
     fn fused_outputs_match_generic_eval_all_bitwise() {
         // price * (1 - disc) + qty, plus a passthrough and a nullable col.
-        let prog = ExprProgram {
+        let mut prog = ExprProgram {
             ops: vec![
                 col(1, LT::Float64),
                 ExprOp::LoadConst {
@@ -1037,7 +902,10 @@ mod tests {
             outputs: vec![6, 0, 8],
             out_tys: vec![LT::Float64, LT::Float64, LT::Int64],
             params: vec![],
+            kernel: None,
         };
+        bind(&mut prog, Mode::Outputs);
+        assert!(prog.kernel.is_some(), "arithmetic chain fuses");
         let b = batch();
         let models = ModelRegistry::new();
         let fused = eval_all(&prog, &b, &models);
@@ -1069,7 +937,7 @@ mod tests {
     #[test]
     fn unfusible_program_falls_back() {
         // CASE (Select) is outside the fusible subset.
-        let prog = ExprProgram {
+        let mut prog = ExprProgram {
             ops: vec![
                 col(3, LT::Bool),
                 ExprOp::LoadConst {
@@ -1090,62 +958,14 @@ mod tests {
             outputs: vec![3],
             out_tys: vec![LT::Int64],
             params: vec![],
+            kernel: None,
         };
+        bind(&mut prog, Mode::Outputs);
+        assert!(prog.kernel.is_none(), "CASE binds no kernel");
         let b = batch();
         let models = ModelRegistry::new();
         let fused = eval_all(&prog, &b, &models);
         let generic = exprprog::eval_all(&prog, &b, &models);
         assert_eq!(fused[0].0.as_i64(), generic[0].0.as_i64());
-    }
-
-    #[test]
-    fn fingerprint_masks_constant_values_but_not_kinds() {
-        let mk = |v: Scalar| ExprProgram {
-            ops: vec![
-                col(0, LT::Int64),
-                ExprOp::CompareConst {
-                    op: BinOp::Lt,
-                    src: 0,
-                    value: v,
-                },
-            ],
-            outputs: vec![1],
-            out_tys: vec![LT::Bool],
-            params: vec![],
-        };
-        let a = shape_bytes(&mk(Scalar::I64(24)), Mode::Mask);
-        let b = shape_bytes(&mk(Scalar::I64(7000)), Mode::Mask);
-        let c = shape_bytes(&mk(Scalar::F64(24.0)), Mode::Mask);
-        assert_eq!(a, b, "same shape across constant values");
-        assert_ne!(a, c, "constant kind is part of the shape");
-    }
-
-    #[test]
-    fn rebound_constants_reuse_the_cached_kernel() {
-        let mk = |cut: i64| ExprProgram {
-            ops: vec![
-                col(0, LT::Int64),
-                ExprOp::CompareConst {
-                    op: BinOp::Lt,
-                    src: 0,
-                    value: Scalar::I64(cut),
-                },
-            ],
-            outputs: vec![1],
-            out_tys: vec![LT::Bool],
-            params: vec![],
-        };
-        let b = batch();
-        let models = ModelRegistry::new();
-        let m1 = conjunct_mask(&mk(24), &b, &models);
-        let m2 = conjunct_mask(&mk(40), &b, &models);
-        let k1 = skeleton_for(&mk(24), Mode::Mask).expect("fusible shape");
-        let k2 = skeleton_for(&mk(40), Mode::Mask).expect("fusible shape");
-        assert!(Arc::ptr_eq(&k1, &k2), "re-bound constants recompiled");
-        let qty = b.columns[0].as_i64();
-        for (i, &q) in qty.iter().enumerate() {
-            assert_eq!(m1.as_bool()[i], q < 24);
-            assert_eq!(m2.as_bool()[i], q < 40);
-        }
     }
 }

@@ -12,7 +12,8 @@
 //! re-walks an expression *tree* per batch (or per row) anymore:
 //!
 //! * the vectorized VM runs the op list as a straight-line kernel loop
-//!   over expression registers ([`eval_all`], [`FusedEval`]);
+//!   over expression registers ([`eval_all`]), unless the backend bound a
+//!   specialized kernel to the program ([`crate::exprfuse`]);
 //! * the Wasm scalar interpreter walks the *same* flat ops row-at-a-time
 //!   ([`eval_row`], with [`prepare_model_applies`] batching `PREDICT`);
 //! * the v2 artifact encodes the compiled form natively
@@ -35,15 +36,16 @@
 //! conjuncts, collapsing constant-false filters) lives in
 //! `program::lower`, which owns the operator list.
 //!
-//! **Validity.** Vectorized evaluation carries the same conservative
-//! Kleene validity the tree interpreter used: each register holds a
-//! `(value, Option<validity>)` pair and every op merges its inputs'
-//! validity exactly as `crate::expr::eval` did — the proptest parity
-//! suite asserts bitwise equivalence against that legacy interpreter.
-//! Scalar (row) evaluation represents NULL as `Scalar::Null`, matching
-//! `tqp_baseline::eval::eval_expr` three-valued logic.
+//! **Validity.** Vectorized evaluation carries conservative validity:
+//! each register holds a `(value, Option<validity>)` pair, and a result
+//! row is valid iff every input row it touched was valid (`IS NULL` is
+//! always valid). Scalar (row) evaluation represents NULL as
+//! `Scalar::Null`, matching `tqp_baseline::eval::eval_expr` three-valued
+//! logic exactly. The two agree wherever no NULL enters an expression;
+//! `tests/property_exprprog.rs` checks both against the row engine.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use tqp_baseline::Row;
@@ -60,6 +62,7 @@ use crate::batch::Batch;
 use crate::expr::{
     coerce, extract_month_kernel, extract_year_kernel, merge_validity, to_cmp, Evaled,
 };
+use crate::exprfuse::Skeleton;
 
 /// An expression register. Register `r` is defined by `ops[r]`.
 pub type EReg = usize;
@@ -231,7 +234,7 @@ pub struct ParamSlot {
 /// A compiled expression bundle: flat op list + one output register per
 /// source expression. `ops[r]` defines register `r`; ops only read smaller
 /// registers, so a single forward pass evaluates everything.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ExprProgram {
     pub ops: Vec<ExprOp>,
     /// Result register of each source expression, in source order.
@@ -241,6 +244,21 @@ pub struct ExprProgram {
     /// Prepared-statement parameter slots ([`ExprProgram::bind_params`]
     /// patches them). Empty for parameter-free programs.
     pub params: Vec<ParamSlot>,
+    /// The specialized kernel bound when the program was lowered for a
+    /// kernel backend ([`crate::exprfuse::bind_program`]); `None` means
+    /// the generic walk evaluates it. Derived from the op shape, so it is
+    /// neither serialized nor part of equality, and a parameter-patched
+    /// clone shares it.
+    pub kernel: Option<Arc<Skeleton>>,
+}
+
+impl PartialEq for ExprProgram {
+    fn eq(&self, other: &ExprProgram) -> bool {
+        self.ops == other.ops
+            && self.outputs == other.outputs
+            && self.out_tys == other.out_tys
+            && self.params == other.params
+    }
 }
 
 impl ExprProgram {
@@ -271,7 +289,7 @@ impl ExprProgram {
         (0..self.outputs.len()).any(|k| matches!(self.const_output(k), Some(Scalar::Bool(false))))
     }
 
-    /// For stepped (fused-filter) evaluation: `cuts[k]` is the end of the
+    /// Conjunct boundaries for a mask kernel: `cuts[k]` is the end of the
     /// op range that must have run for `outputs[k]` to be readable, given
     /// all earlier ranges ran. Monotone by construction.
     pub fn output_cuts(&self) -> Vec<usize> {
@@ -374,6 +392,7 @@ pub fn compile_exprs(exprs: &[BoundExpr]) -> ExprProgram {
         outputs,
         out_tys,
         params: b.params,
+        kernel: None,
     }
 }
 
@@ -581,8 +600,8 @@ impl ExprBuilder {
                 else_expr,
                 ty,
             } => {
-                // Same shape the tree interpreter used: fold from the last
-                // branch backwards, `select(cond, value, acc)`, coercing
+                // Fold from the last branch backwards,
+                // `select(cond, value, acc)`, coercing
                 // every arm onto the result type.
                 let (e_reg, e_ty) = self.lower(else_expr);
                 let mut acc = self.coerced(e_reg, e_ty, *ty);
@@ -825,16 +844,14 @@ fn exec_vec_op(
             (out, val.clone())
         }
         ExprOp::ModelApply { model, args, .. } => {
+            // The model sees the whole batch, placeholders in NULL rows
+            // included; a row with a NULL argument predicts NULL.
             let m = models.require(model);
-            let inputs: Vec<Tensor> = args
+            let inputs: Vec<Tensor> = args.iter().map(|&a| reg(a).0.clone()).collect();
+            let validity = args
                 .iter()
-                .map(|&a| {
-                    let (v, val) = reg(a);
-                    assert!(val.is_none(), "PREDICT over NULLable columns unsupported");
-                    v.clone()
-                })
-                .collect();
-            (run_model(m.as_ref(), &inputs), None)
+                .fold(None, |acc, &a| merge_validity(acc, reg(a).1.clone()));
+            (run_model(m.as_ref(), &inputs), validity)
         }
     }
 }
@@ -893,21 +910,10 @@ pub fn eval_all(prog: &ExprProgram, batch: &Batch, models: &ModelRegistry) -> Ve
         .collect()
 }
 
-/// Evaluate a single-output program to a filter mask (validity folded in:
-/// NULL = drop) — join residuals.
-pub fn eval_mask(prog: &ExprProgram, batch: &Batch, models: &ModelRegistry) -> Tensor {
-    assert_eq!(prog.outputs.len(), 1, "mask programs have one output");
-    let (v, val) = eval_all(prog, batch, models).pop().expect("one output");
-    match val {
-        Some(m) => ops::and(&v, &m),
-        None => v,
-    }
-}
-
 /// Evaluate all conjuncts over the full batch and AND-fold them (with
 /// validity: NULL = drop) into **one scratch mask buffer sized once per
-/// batch** — the Eager filter path. The old tree walk allocated one
-/// full-width mask per conjunct plus one per AND; this folds in place.
+/// batch** — the generic filter path (every Eager filter, and a Fused or
+/// Graph filter without a kernel).
 pub fn eval_conjuncts_eager(prog: &ExprProgram, batch: &Batch, models: &ModelRegistry) -> Tensor {
     let outs = eval_all(prog, batch, models);
     let mut acc: Option<Vec<bool>> = None;
@@ -938,93 +944,6 @@ pub fn eval_conjuncts_eager(prog: &ExprProgram, batch: &Batch, models: &ModelReg
         }
     }
     Tensor::from_bool(acc.unwrap_or_default())
-}
-
-/// Stepped conjunct evaluation for the **Fused** filter mode: conjunct
-/// masks are produced one at a time, and when the host compacts the batch
-/// to a selection of survivors, the evaluator compacts its live registers
-/// with the same indices — so subexpressions shared across conjuncts stay
-/// row-aligned *and* computed-once, while later (expensive) conjuncts run
-/// on the surviving fraction only.
-pub struct FusedEval<'a> {
-    prog: &'a ExprProgram,
-    cuts: Vec<usize>,
-    /// Last op index reading each register (`usize::MAX` = never).
-    last_op_read: Vec<usize>,
-    regs: Vec<Option<Evaled>>,
-    /// Ops executed so far.
-    pos: usize,
-    /// Next output (conjunct) to produce.
-    next: usize,
-}
-
-impl<'a> FusedEval<'a> {
-    pub fn new(prog: &'a ExprProgram) -> FusedEval<'a> {
-        let mut last_op_read = vec![usize::MAX; prog.ops.len()];
-        for (i, op) in prog.ops.iter().enumerate() {
-            for s in op.srcs() {
-                last_op_read[s] = i;
-            }
-        }
-        FusedEval {
-            cuts: prog.output_cuts(),
-            last_op_read,
-            regs: (0..prog.ops.len()).map(|_| None).collect(),
-            pos: 0,
-            next: 0,
-            prog,
-        }
-    }
-
-    /// Evaluate the next conjunct over `batch` (which must hold the rows
-    /// surviving all compactions so far) and return its mask with
-    /// validity folded in (NULL = drop). Dead registers are released.
-    pub fn step(&mut self, batch: &Batch, models: &ModelRegistry) -> Tensor {
-        let k = self.next;
-        assert!(k < self.prog.outputs.len(), "all conjuncts already stepped");
-        let end = self.cuts[k];
-        while self.pos < end {
-            let op = &self.prog.ops[self.pos];
-            self.regs[self.pos] = Some(exec_vec_op(op, &self.regs, batch, models));
-            self.pos += 1;
-        }
-        let (v, val) = self.regs[self.prog.outputs[k]]
-            .as_ref()
-            .expect("conjunct output written");
-        let mask = match val {
-            Some(m) => ops::and(v, m),
-            None => v.clone(),
-        };
-        self.next = k + 1;
-        self.release_dead();
-        mask
-    }
-
-    /// Compact every live register to the surviving row indices (called
-    /// when the host compacts the batch between conjuncts).
-    pub fn compact(&mut self, idx: &Tensor) {
-        for slot in self.regs.iter_mut() {
-            if let Some((v, val)) = slot.take() {
-                *slot = Some((
-                    tqp_tensor::index::take(&v, idx),
-                    val.map(|m| tqp_tensor::index::take(&m, idx)),
-                ));
-            }
-        }
-    }
-
-    /// Drop registers no later op or pending output will read.
-    fn release_dead(&mut self) {
-        let pending: Vec<EReg> = self.prog.outputs[self.next..].to_vec();
-        for r in 0..self.pos {
-            if self.regs[r].is_some()
-                && (self.last_op_read[r] == usize::MAX || self.last_op_read[r] < self.pos)
-                && !pending.contains(&r)
-            {
-                self.regs[r] = None;
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1076,8 +995,7 @@ pub fn eval_row_outputs(prog: &ExprProgram, row: &Row, scratch: &mut Vec<Scalar>
 /// Evaluate the program's outputs as filter conjuncts over one row,
 /// short-circuiting: ops run only up to each conjunct's cut (`cuts` from
 /// [`ExprProgram::output_cuts`], computed once per batch), and a conjunct
-/// that is not `TRUE` (false or NULL) stops evaluation — the
-/// row-interpreter analog of the fused filter's lazy conjunct stepping.
+/// that is not `TRUE` (false or NULL) stops evaluation.
 pub fn eval_row_conjuncts(
     prog: &ExprProgram,
     cuts: &[usize],
@@ -1257,31 +1175,44 @@ pub fn prepare_model_applies(
             // Binding happens before execution, so any parameter slots in
             // the prefix already hold their patched values.
             params: Vec::new(),
+            kernel: None,
         };
         let mut scratch = Vec::new();
         let mut arg_rows: Vec<Vec<Scalar>> = Vec::with_capacity(rows.len());
         for row in &rows {
             arg_rows.push(eval_row_outputs(&prefix, row, &mut scratch));
         }
+        // NULL arguments feed the model a placeholder (0 / ""), and their
+        // rows predict NULL.
         let inputs: Vec<Tensor> = args
             .iter()
             .enumerate()
             .map(|(j, &a)| {
                 if tys[a] == LogicalType::Str {
-                    let vals: Vec<String> =
-                        arg_rows.iter().map(|r| r[j].as_str().to_string()).collect();
-                    let refs: Vec<&str> = vals.iter().map(|s| s.as_str()).collect();
-                    Tensor::from_strings(&refs, 1)
+                    let vals: Vec<&str> = arg_rows
+                        .iter()
+                        .map(|r| match &r[j] {
+                            Scalar::Null => "",
+                            v => v.as_str(),
+                        })
+                        .collect();
+                    Tensor::from_strings(&vals, 1)
                 } else {
-                    Tensor::from_f64(arg_rows.iter().map(|r| r[j].as_f64()).collect())
+                    Tensor::from_f64(
+                        arg_rows
+                            .iter()
+                            .map(|r| if r[j].is_null() { 0.0 } else { r[j].as_f64() })
+                            .collect(),
+                    )
                 }
             })
             .collect();
         let preds = run_model(m.as_ref(), &inputs);
         let pv = preds.as_f64();
         assert_eq!(pv.len(), rows.len(), "model output arity mismatch");
-        for (row, &p) in rows.iter_mut().zip(pv) {
-            row.push(Scalar::F64(p));
+        for ((row, args), &p) in rows.iter_mut().zip(&arg_rows).zip(pv) {
+            let null = args.iter().any(Scalar::is_null);
+            row.push(if null { Scalar::Null } else { Scalar::F64(p) });
         }
         prog.ops[i] = ExprOp::LoadColumn {
             index: base + appended,
@@ -1637,6 +1568,7 @@ pub fn exprprog_from_json(j: &Json) -> Result<ExprProgram, irjson::PlanJsonError
         outputs,
         out_tys,
         params,
+        kernel: None,
     })
 }
 
@@ -1752,7 +1684,7 @@ mod tests {
     }
 
     #[test]
-    fn case_like_chain_matches_tree_interpreter() {
+    fn case_like_chain_evaluates() {
         // Q14 numerator shape.
         let e = E::Case {
             branches: vec![(
@@ -1768,12 +1700,10 @@ mod tests {
         };
         let outs = compile_eval(std::slice::from_ref(&e));
         assert_eq!(outs[0].0.as_f64(), &[10.0, 0.0, 30.0, 0.0]);
-        let (tree_v, _) = crate::expr::eval(&e, &batch(), &models());
-        assert_eq!(outs[0].0.as_f64(), tree_v.as_f64());
     }
 
     #[test]
-    fn validity_merges_like_the_tree_interpreter() {
+    fn validity_folds_into_masks_and_is_null() {
         let b = Batch::with_validity(
             vec![Tensor::from_i64(vec![1, 2, 3])],
             vec![Some(Tensor::from_bool(vec![true, false, true]))],
@@ -1794,33 +1724,6 @@ mod tests {
         let outs = eval_all(&compile_expr(&isnull), &b, &models());
         assert_eq!(outs[0].0.as_bool(), &[false, true, false]);
         assert!(outs[0].1.is_none());
-    }
-
-    #[test]
-    fn fused_stepping_compacts_registers() {
-        let b = batch();
-        // conjunct 1: b > 15 (drops row 0); conjunct 2 shares the column.
-        let c1 = E::Binary {
-            op: BinOp::Gt,
-            left: Box::new(E::col(1, LogicalType::Float64)),
-            right: Box::new(E::lit_f64(15.0)),
-            ty: LogicalType::Bool,
-        };
-        let c2 = E::Binary {
-            op: BinOp::Lt,
-            left: Box::new(E::col(1, LogicalType::Float64)),
-            right: Box::new(E::lit_f64(35.0)),
-            ty: LogicalType::Bool,
-        };
-        let prog = compile_exprs(&[c1, c2]);
-        let mut ev = FusedEval::new(&prog);
-        let m1 = ev.step(&b, &models());
-        assert_eq!(m1.as_bool(), &[false, true, true, true]);
-        let idx = tqp_tensor::index::mask_to_indices(&m1);
-        let compacted = b.take(&idx);
-        ev.compact(&idx);
-        let m2 = ev.step(&compacted, &models());
-        assert_eq!(m2.as_bool(), &[true, true, false]);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! and these entry points are the deployment story — a compiled query is
 //! a portable artifact that runs without the compiler front-end.
 //!
-//! **Graph**: deserialize + the vectorized register VM ([`crate::vm`]).
+//! **Graph**: deserialize, bind the specialized expression kernels
+//! ([`crate::exprfuse::bind_program`]), and run the vectorized register VM
+//! ([`crate::vm`]).
 //!
 //! **Wasm**: the same artifact interpreted the way ORT-Web runs on a
 //! browser: single-threaded, scalar (boxed values, per-row dispatch), with
@@ -23,13 +25,18 @@ use tqp_profile::Profiler;
 
 use crate::device::DeviceMeter;
 use crate::program::{deserialize_program, TensorProgram};
-use crate::{scalar, vm, ExecConfig, Storage};
+use crate::{exprfuse, scalar, vm, Backend, ExecConfig, Storage};
 
-/// Decode the artifact, charging the load to the profiler.
-fn load_artifact(artifact: &Bytes, profiler: &Profiler) -> TensorProgram {
+/// Decode the artifact for `backend`, charging the load to the profiler:
+/// Graph binds the expression kernels here, once per load; Wasm binds
+/// none (its row walk never reads them).
+pub fn load_artifact(artifact: &Bytes, backend: Backend, profiler: &Profiler) -> TensorProgram {
     let start = profiler.now_us();
     let t0 = std::time::Instant::now();
-    let prog = deserialize_program(artifact).expect("artifact deserializes");
+    let mut prog = deserialize_program(artifact).expect("artifact deserializes");
+    if backend == Backend::Graph {
+        exprfuse::bind_program(&mut prog);
+    }
     profiler.record(
         "GraphLoad",
         "compile",
@@ -41,7 +48,7 @@ fn load_artifact(artifact: &Bytes, profiler: &Profiler) -> TensorProgram {
     prog
 }
 
-/// Execute the Graph backend: deserialize + vectorized VM.
+/// Execute the Graph backend: load (with kernels bound) + vectorized VM.
 pub fn run_graph(
     artifact: &Bytes,
     storage: &Storage,
@@ -49,8 +56,8 @@ pub fn run_graph(
     profiler: &Profiler,
     cfg: ExecConfig,
 ) -> (DataFrame, DeviceMeter, crate::ScanStats) {
-    let prog = load_artifact(artifact, profiler);
-    vm::run_program(&prog, storage, models, profiler, cfg, false)
+    let prog = load_artifact(artifact, Backend::Graph, profiler);
+    vm::run_program(&prog, storage, models, profiler, cfg)
 }
 
 /// Execute the Wasm backend: scalar single-threaded VM over sandbox copies.
@@ -60,7 +67,7 @@ pub fn run_wasm(
     models: &ModelRegistry,
     profiler: &Profiler,
 ) -> (DataFrame, DeviceMeter, crate::ScanStats) {
-    let prog = load_artifact(artifact, profiler);
+    let prog = load_artifact(artifact, Backend::Wasm, profiler);
     let dilation: u32 = std::env::var("TQP_WASM_DILATION")
         .ok()
         .and_then(|v| v.parse().ok())

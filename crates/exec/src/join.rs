@@ -41,7 +41,8 @@ use tqp_tensor::{DType, Tensor};
 
 use crate::batch::Batch;
 use crate::expr::{hash_rows, keys_equal};
-use crate::exprprog::{self, ExprProgram};
+use crate::exprfuse;
+use crate::exprprog::ExprProgram;
 
 /// Execute a join between two batches (single-threaded entry point; the
 /// program VM calls the build/probe halves directly).
@@ -345,7 +346,7 @@ fn finish_join(
     }
     if let Some(res) = residual {
         let pair_batch = left.take(&left_idx).hcat(right.take(&right_idx));
-        and_mask(exprprog::eval_mask(res, &pair_batch, models));
+        and_mask(exprfuse::conjunct_mask(res, &pair_batch, models));
     }
     if let Some(m) = mask {
         let keep = mask_to_indices(&m);

@@ -14,11 +14,13 @@
 //! |---------------------|-------------------------------------------------|
 //! | PyTorch eager       | [`Backend::Eager`] — vectorized register VM,    |
 //! |                     | every intermediate materialized ([`vm`])        |
-//! | TorchScript         | [`Backend::Fused`] — the same VM in fused mode: |
-//! |                     | selection-vector compaction between conjuncts   |
+//! | TorchScript         | [`Backend::Fused`] — the same VM, every         |
+//! |                     | expression site bound at compile time to a      |
+//! |                     | specialized kernel ([`exprfuse`])               |
 //! | ONNX                | [`Backend::Graph`] — the program serialized to a|
-//! |                     | versioned, self-describing artifact, executed by|
-//! |                     | the standalone VM ([`graphvm`])                 |
+//! |                     | versioned, self-describing artifact, loaded with|
+//! |                     | kernels bound and executed by the VM            |
+//! |                     | ([`graphvm`])                                   |
 //! | ORT-Web (WASM)      | [`Backend::Wasm`] — the same artifact scalar-   |
 //! |                     | interpreted row-at-a-time with simulated        |
 //! |                     | sandbox copies ([`scalar`])                     |
@@ -70,13 +72,16 @@ use tqp_store::StoredTable;
 /// Execution backend (the paper's lowering targets, §2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Vectorized register-VM execution, operator-at-a-time (PyTorch eager).
+    /// Vectorized register-VM execution, expressions op-at-a-time through
+    /// the generic walk (PyTorch eager).
     Eager,
-    /// The same VM in fused mode: selection vectors, short-circuit conjunct
-    /// evaluation over survivors (TorchScript / `torch.jit`).
+    /// The same VM with every expression site bound at compile time to a
+    /// specialized kernel where one fits (TorchScript / `torch.jit`). The
+    /// default.
     Fused,
-    /// Serialize the program to the portable artifact, execute with the
-    /// standalone vectorized VM (ONNX + ORT).
+    /// Serialize the program to the portable artifact; loading it binds
+    /// the same kernels as Fused, and the vectorized VM runs it (ONNX +
+    /// ORT).
     Graph,
     /// The same artifact interpreted by a scalar, single-threaded VM with
     /// per-operator sandbox copies (ORT-Web on WASM).
@@ -147,7 +152,7 @@ pub fn default_workers() -> usize {
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
-            backend: Backend::Eager,
+            backend: Backend::Fused,
             device: Device::Cpu,
             gpu_strategy: GpuStrategy::Resident,
             prune_scans: true,
@@ -291,9 +296,13 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Compile a physical plan for a backend/device configuration.
+    /// Compile a physical plan for a backend/device configuration. Fused
+    /// binds its expression kernels here, once.
     pub fn compile(plan: &PhysicalPlan, cfg: ExecConfig) -> Executor {
-        let (program, node_map) = program::lower_with_map(plan);
+        let (mut program, node_map) = program::lower_with_map(plan);
+        if cfg.backend == Backend::Fused {
+            exprfuse::bind_program(&mut program);
+        }
         let artifact = match cfg.backend {
             Backend::Graph | Backend::Wasm => Some(program::serialize_program(&program)),
             _ => None,
@@ -309,9 +318,10 @@ impl Executor {
 
     /// Build an executor from an already-lowered program (the prepared-
     /// statement path: the cached program is cloned and parameter-patched,
-    /// then wrapped here — no parse/bind/optimize/lower work). Graph/Wasm
-    /// re-serialize the artifact from the bound program so shipped
-    /// artifacts carry the bound constants.
+    /// then wrapped here — no parse/bind/optimize/lower work). The program
+    /// keeps the kernels it carries: a clone of a Fused template shares
+    /// them. Graph/Wasm re-serialize the artifact from the bound program
+    /// so shipped artifacts carry the bound constants.
     pub fn from_parts(
         plan: PhysicalPlan,
         program: program::TensorProgram,
@@ -366,11 +376,8 @@ impl Executor {
         let simd_before = tqp_tensor::simd::counters();
         let t0 = std::time::Instant::now();
         let (frame, meter, scans) = match self.cfg.backend {
-            Backend::Eager => {
-                vm::run_program(&self.program, storage, models, profiler, self.cfg, false)
-            }
-            Backend::Fused => {
-                vm::run_program(&self.program, storage, models, profiler, self.cfg, true)
+            Backend::Eager | Backend::Fused => {
+                vm::run_program(&self.program, storage, models, profiler, self.cfg)
             }
             Backend::Graph => {
                 let artifact = self.artifact.as_ref().expect("graph artifact");
@@ -466,9 +473,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_default_is_eager_cpu() {
+    fn config_default_is_fused_cpu() {
         let c = ExecConfig::default();
-        assert_eq!(c.backend, Backend::Eager);
+        assert_eq!(c.backend, Backend::Fused);
         assert_eq!(c.device, Device::Cpu);
         assert_eq!(c.gpu_strategy, GpuStrategy::Resident);
         assert!(c.workers >= 1);

@@ -6,8 +6,8 @@
 //! every backend executes:
 //!
 //! * the vectorized register VM ([`crate::vm`]) runs it directly
-//!   (`Eager`/`Fused` are VM modes: fusion is selection-vector compaction
-//!   between ops);
+//!   (`Fused` binds a specialized kernel to each expression site at
+//!   compile time, `Eager` binds none);
 //! * the Graph backend serializes it into a **versioned, self-describing
 //!   artifact** ([`serialize_program`]) — the reproduction's "ONNX file" —
 //!   and the standalone VM executes the deserialized program without the
@@ -117,10 +117,8 @@ pub enum ProgOp {
         projection: Option<Vec<usize>>,
     },
     /// Filter `src` by compiled conjuncts (one program output per
-    /// conjunct). The VM mode decides the evaluation shape: Eager
-    /// materializes every conjunct mask over the full input and compacts
-    /// once; Fused compacts adaptively between conjuncts (selection
-    /// vectors), compacting the expression registers alongside. A
+    /// conjunct), AND-folded into one mask — by the bound kernel when the
+    /// backend bound one, else by the generic walk — and compacted once. A
     /// constant-false conjunct (see [`lower`]) short-circuits to an empty
     /// batch without evaluating anything. `keep` lists the input columns
     /// the output carries, in output order (`None` = all): a column-only
@@ -333,7 +331,7 @@ impl TensorProgram {
         }
     }
 
-    /// Number of parameter values ([`$1..$n`] placeholders) an execution
+    /// Number of parameter values (`$1..$n` placeholders) an execution
     /// must bind before this program may run; 0 for parameter-free queries.
     pub fn n_params(&self) -> usize {
         let mut n = 0;

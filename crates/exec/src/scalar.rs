@@ -459,7 +459,6 @@ mod tests {
                 &ModelRegistry::new(),
                 &tqp_profile::Profiler::disabled(),
                 crate::ExecConfig::default(),
-                false,
             );
             assert_eq!(scalar_out.nrows(), vec_out.nrows(), "{join:?}");
             for i in 0..scalar_out.nrows() {

@@ -7,7 +7,7 @@
 //! `workers = W` oversubscribed the host with up to `N × W` threads. Now
 //! a fixed pool of [`pool_threads`] workers serves *all* queries:
 //!
-//! * **Submission**: a parallel section enqueues one [`Section`] holding
+//! * **Submission**: a parallel section enqueues one `Section` holding
 //!   its task closure and task count; idle pool workers pick sections up
 //!   and claim task indices from an atomic cursor.
 //! * **Admission cap**: a section admits at most `workers − 1` pool

@@ -1,16 +1,18 @@
 //! The vectorized **register VM** — executes a [`TensorProgram`] for the
 //! Eager, Fused, and Graph backends.
 //!
-//! One VM, two modes (the paper's eager-vs-TorchScript axis):
+//! One VM, one code path (the paper's eager-vs-TorchScript axis is
+//! decided before it runs):
 //!
-//! * **Eager**: every `Filter` materializes one boolean mask per conjunct
-//!   over the full input and compacts once (PyTorch-eager semantics:
-//!   every intermediate exists);
-//! * **Fused**: conjunct evaluation runs over *selection vectors* — the
-//!   batch is compacted adaptively between conjuncts, so later (more
-//!   expensive, e.g. `LIKE`) predicates run on the surviving fraction
-//!   only. Fusion is a property of how the VM steps the same program, not
-//!   a different program.
+//! * **Eager**: no expression site carries a kernel, so every expression
+//!   runs op-at-a-time through the generic walk and every intermediate
+//!   register exists (PyTorch-eager semantics); a `Filter` evaluates all
+//!   conjunct masks over the full input, AND-folds them and compacts once;
+//! * **Fused** and **Graph**: the expression sites carry the kernels bound
+//!   when the program was lowered or loaded
+//!   ([`crate::exprfuse::bind_program`]) — one chunked pass per site with
+//!   no intermediate tensors; only sites no kernel can express (CASE,
+//!   scalar functions, `PREDICT`, NULL constants) take the generic walk.
 //!
 //! **Morsel-parallel execution**: lowering leaves data-flow explicit, so
 //! the VM statically finds *pipeline segments* — a `Scan` followed by a
@@ -35,7 +37,7 @@
 //!   `HashProbe` chunks the probe side ([`crate::join::probe_table`]).
 //! * **`Sort`** (and the key-order argsort of an `AggStrategy::Sort`
 //!   aggregate's groups) sorts row ranges as pool tasks and stable-merges
-//!   them pairwise ([`argsort_par`]); a `Sort` with a `limit` selects its
+//!   them pairwise (`argsort_par`); a `Sort` with a `limit` selects its
 //!   first rows per fixed-geometry morsel and merges those
 //!   ([`tqp_tensor::sort::topk_range`]).
 //!
@@ -68,7 +70,7 @@ use crate::agg;
 use crate::batch::Batch;
 use crate::device::{kernel_count, DeviceMeter};
 use crate::exprfuse;
-use crate::exprprog::{ExprProgram, FusedEval};
+use crate::exprprog::ExprProgram;
 use crate::join;
 use crate::program::{ProgOp, TensorProgram};
 use crate::sched::PredictTally;
@@ -105,22 +107,23 @@ impl Value {
 }
 
 /// Execute a program against storage, producing the result frame, the
-/// device meter, and chunk-scan counters. `fused` selects the Fused
-/// (TorchScript-analog) mode.
+/// device meter, and chunk-scan counters. Every backend that runs on this
+/// VM (Eager, Fused, Graph) runs the same code; they differ only in the
+/// kernels bound into the program's expression sites when it was lowered
+/// or loaded ([`crate::exprfuse::bind_program`]). A site without a kernel
+/// takes the generic op-at-a-time walk.
 pub fn run_program(
     prog: &TensorProgram,
     storage: &Storage,
     models: &ModelRegistry,
     profiler: &Profiler,
     cfg: ExecConfig,
-    fused: bool,
 ) -> (DataFrame, DeviceMeter, ScanStats) {
     let mut meter = DeviceMeter::new(cfg.device == Device::GpuSim, cfg.gpu_strategy);
     let cx = Vm {
         storage,
         models,
         profiler,
-        fused,
         prune: cfg.prune_scans,
         workers: cfg.workers.max(1),
         chunks_scanned: AtomicU64::new(0),
@@ -139,7 +142,6 @@ struct Vm<'a> {
     storage: &'a Storage,
     models: &'a ModelRegistry,
     profiler: &'a Profiler,
-    fused: bool,
     /// Zone-map chunk pruning enabled (stored tables only).
     prune: bool,
     workers: usize,
@@ -479,71 +481,11 @@ impl Vm<'_> {
         if conjuncts.has_const_false_output() {
             return narrow(input, keep).slice_rows(0, 0);
         }
-        if self.fused {
-            return self.apply_filter_fused(conjuncts, keep, input);
-        }
-        // Eager: the compiled program evaluates every conjunct over the
-        // full input in one straight-line kernel pass (shared subterms
-        // once), AND-folds all masks + validity into one scratch buffer
-        // sized once per batch, and compacts once. When the program
-        // specializes, `conjunct_mask` takes the fused kernel instead —
-        // a single chunked pass with no intermediate mask tensors.
+        // One kernel pass when the program has one bound, otherwise every
+        // conjunct over the full input in one straight-line walk (shared
+        // subterms once) AND-folded into one scratch mask; compact once.
         let mask = exprfuse::conjunct_mask(conjuncts, &input, self.models);
         narrow(input, keep).take(&mask_to_indices(&mask))
-    }
-
-    /// Adaptive fused filter: step the compiled conjuncts one at a time,
-    /// switching to selection vectors (compact the batch, evaluate the
-    /// rest on survivors) as soon as the accumulated mask turns selective.
-    /// Unselective prefixes stay in mask-AND form to avoid gather costs —
-    /// the dynamic fusion decision a JIT makes with runtime feedback. The
-    /// expression registers compact alongside the batch, so subterms
-    /// shared across conjuncts stay computed-once.
-    fn apply_filter_fused(
-        &self,
-        conjuncts: &ExprProgram,
-        keep: Option<&[usize]>,
-        input: Batch,
-    ) -> Batch {
-        // A specialized kernel already short-circuits per 1k-row chunk and
-        // evaluates string predicates only on still-alive rows, which is
-        // the benefit selection-vector compaction buys — without the
-        // gather. Take it when the program fuses (bitwise-identical mask).
-        if let Some(mask) = exprfuse::try_conjunct_mask(conjuncts, &input, self.models) {
-            return narrow(input, keep).take(&mask_to_indices(&mask));
-        }
-        let mut ev = FusedEval::new(conjuncts);
-        let mut acc: Option<Tensor> = None;
-        let mut current = input;
-        let mut compacted = false;
-        for _ in 0..conjuncts.outputs.len() {
-            if current.nrows() == 0 {
-                return narrow(current, keep);
-            }
-            let mask = ev.step(&current, self.models);
-            let mask = match acc.take() {
-                Some(prev) => tqp_tensor::ops::and(&prev, &mask),
-                None => mask,
-            };
-            let kept = tqp_tensor::index::count_true(&mask);
-            if compacted || kept * 16 < current.nrows() {
-                // Very selective: compact now, stream the rest over the
-                // survivors (later LIKE-style conjuncts run on a fraction).
-                let idx = mask_to_indices(&mask);
-                current = current.take(&idx);
-                ev.compact(&idx);
-                compacted = true;
-            } else {
-                acc = Some(mask);
-            }
-        }
-        // Later conjuncts read the predicate-only columns, so the batch
-        // narrows only now.
-        let current = narrow(current, keep);
-        match acc {
-            Some(mask) => current.take(&mask_to_indices(&mask)),
-            None => current,
-        }
     }
 
     fn apply_project(&self, exprs: &ExprProgram, input: &Batch) -> Batch {
@@ -1094,20 +1036,17 @@ mod tests {
         (crate::ingest_tables(&tables), catalog)
     }
 
+    /// Run `sql`, with the Fused backend's kernels bound when `fused`.
     fn run(sql: &str, fused: bool) -> DataFrame {
         let (storage, catalog) = setup();
         let plan = compile_sql(sql, &catalog, &PhysicalOptions::default()).unwrap();
-        let prog = lower(&plan);
+        let mut prog = lower(&plan);
+        if fused {
+            crate::exprfuse::bind_program(&mut prog);
+        }
         let models = ModelRegistry::new();
         let profiler = Profiler::disabled();
-        let (out, _, _) = run_program(
-            &prog,
-            &storage,
-            &models,
-            &profiler,
-            ExecConfig::default(),
-            fused,
-        );
+        let (out, _, _) = run_program(&prog, &storage, &models, &profiler, ExecConfig::default());
         out
     }
 
@@ -1167,14 +1106,7 @@ mod tests {
         let prog = lower(&plan);
         let models = ModelRegistry::new();
         let profiler = Profiler::new();
-        let _ = run_program(
-            &prog,
-            &storage,
-            &models,
-            &profiler,
-            ExecConfig::default(),
-            false,
-        );
+        let _ = run_program(&prog, &storage, &models, &profiler, ExecConfig::default());
         let names: Vec<String> = profiler.aggregate().into_iter().map(|s| s.name).collect();
         assert!(names.iter().any(|n| n.starts_with("Scan")), "{names:?}");
         assert!(names.iter().any(|n| n.contains("Aggregate")), "{names:?}");
@@ -1198,7 +1130,7 @@ mod tests {
             device: Device::GpuSim,
             ..Default::default()
         };
-        let (_, meter, _) = run_program(&prog, &storage, &models, &profiler, cfg, false);
+        let (_, meter, _) = run_program(&prog, &storage, &models, &profiler, cfg);
         assert!(meter.total_us() > 0);
     }
 
@@ -1235,8 +1167,8 @@ mod tests {
             workers: 4,
             ..Default::default()
         };
-        let (seq, _, _) = run_program(&prog, &storage, &models, &profiler, seq_cfg, false);
-        let (par, _, _) = run_program(&prog, &storage, &models, &profiler, par_cfg, false);
+        let (seq, _, _) = run_program(&prog, &storage, &models, &profiler, seq_cfg);
+        let (par, _, _) = run_program(&prog, &storage, &models, &profiler, par_cfg);
         assert_eq!(seq.nrows(), par.nrows());
         for i in 0..seq.nrows() {
             assert_eq!(seq.row(i), par.row(i), "row {i}");
@@ -1280,7 +1212,11 @@ mod tests {
                 ..Default::default()
             };
             for fused in [false, true] {
-                let (out, _, _) = run_program(&prog, &storage, &models, &profiler, cfg, fused);
+                let mut prog = prog.clone();
+                if fused {
+                    crate::exprfuse::bind_program(&mut prog);
+                }
+                let (out, _, _) = run_program(&prog, &storage, &models, &profiler, cfg);
                 frames.push((workers, fused, out));
             }
         }
@@ -1326,7 +1262,7 @@ mod tests {
                 workers,
                 ..Default::default()
             };
-            let (out, _, _) = run_program(&prog, &storage, &models, &profiler, cfg, false);
+            let (out, _, _) = run_program(&prog, &storage, &models, &profiler, cfg);
             assert_eq!(out.nrows(), 1, "workers={workers}");
             assert_eq!(out.column(0).get(0).as_i64(), 0);
             assert_eq!(out.column(1).get(0).as_f64(), 0.0);

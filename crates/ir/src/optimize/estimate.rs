@@ -10,10 +10,10 @@
 //! * filters over a scan whose catalog entry carries [`TableStats`]
 //!   multiply per-conjunct selectivities from min/max ranges, distinct
 //!   counts and NULL fractions; anything else takes the constant
-//!   [`DEFAULT_FILTER_SELECTIVITY`];
+//!   `DEFAULT_FILTER_SELECTIVITY`;
 //! * equi-joins divide `|L|·|R|` by the larger key NDV, each side's NDV
 //!   being the catalog's KMV sketch for the key column(s) traced to their
-//!   base table ([`column_source`]) and capped by that side's estimated
+//!   base table (`column_source`) and capped by that side's estimated
 //!   rows; semi/anti joins keep the fraction of left keys the right side
 //!   contains; grouped aggregates emit at most the product of their key
 //!   NDVs. Without NDVs (schema-only catalogs, computed keys) each falls

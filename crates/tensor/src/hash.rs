@@ -106,7 +106,7 @@ pub(crate) fn hash_bytes(bytes: &[u8]) -> u64 {
 }
 
 /// Hash multi-column row keys into one `u64` column, column-at-a-time:
-/// every numeric column folds in as a blockwise [`combine_i64`]-style
+/// every numeric column folds in as a blockwise `combine_i64`-style
 /// pass over the whole column (the "hash column in one pass" shape), a
 /// coded string column gathers its dictionary's per-entry hashes, a padded
 /// one hashes each trimmed row. Row equality must still be verified by the

@@ -247,7 +247,7 @@ pub fn concat(parts: &[&Tensor]) -> Tensor {
     concat_ranges(&whole)
 }
 
-/// [`concat`] of the row range taken from each part, each row copied once
+/// [`concat()`] of the row range taken from each part, each row copied once
 /// (no per-part slice is materialized).
 pub fn concat_ranges(parts: &[(&Tensor, Range<usize>)]) -> Tensor {
     assert!(!parts.is_empty(), "concat of zero tensors");

@@ -34,7 +34,7 @@
 //! comparison). All fused ops are element-wise — no reductions — so chunked
 //! evaluation cannot reorder float operations, and results are bitwise
 //! identical to the unfused path by construction. The fusion pass (which
-//! decides *what* fuses and owns the program-fingerprint cache) lives in
+//! decides *what* fuses, once per program when it is lowered) lives in
 //! `tqp-exec`; this module only knows how to run a compiled kernel.
 
 use std::sync::Arc;
@@ -695,7 +695,7 @@ impl FusedKernel {
     /// channels (full columns), `validity[v]` the validity channels
     /// (`None` = all rows valid — channel statically referenced but absent
     /// in this batch), `n` the row count. All-compare conjunct chains take
-    /// the dense fast path (see [`DensePred`]); everything else evaluates
+    /// the dense fast path (see `DensePred`); everything else evaluates
     /// chunk at a time.
     pub fn run_mask(
         &self,

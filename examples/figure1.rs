@@ -40,11 +40,9 @@ fn main() {
             fmt_ms(spark)
         );
 
-        // TQP on CPU (eager tensor kernels; the fused backend is within
-        // noise of it on small hosts — `figure3` times every backend).
-        let cpu_q = session
-            .compile(sql, QueryConfig::default().backend(Backend::Eager))
-            .unwrap();
+        // TQP on CPU with the default backend (Fused: expression kernels
+        // bound at compile time — `figure3` times every backend).
+        let cpu_q = session.compile(sql, QueryConfig::default()).unwrap();
         let cpu = median_us(|| {
             let _ = cpu_q.run(&session).unwrap();
             None

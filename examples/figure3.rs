@@ -1,6 +1,8 @@
 //! **Figure 3** — TPC-H Q6 compiled once per backend/device combination;
 //! switching targets is a one-line configuration change. All combinations
 //! must return the identical result (the demo's point in §3.2 step 5).
+//! Eager trails Fused and Graph on CPU because it runs every expression
+//! op-at-a-time, while they bind specialized kernels once per program.
 //!
 //! ```bash
 //! TQP_SF=0.1 TQP_RUNS=5 cargo run --release --example figure3

@@ -12,6 +12,10 @@
 //!   sequential per-key row order;
 //! * parallel sort — a stable permutation is unique.
 //!
+//! `eager_fused_graph_backend_parity` adds the cross-backend leg: Eager
+//! runs no specialized expression kernel, so it is the whole-query oracle
+//! for the kernels Fused and Graph bind.
+//!
 //! A synthetic table of more than 2^20 rows adds kernel inputs past the
 //! sizes where tensor kernels once split work across threads of their own
 //! (`large_kernel_inputs_worker_parity`).
@@ -166,6 +170,31 @@ fn graph_hash_strategies_worker_parity() {
         },
         "graph/hash/hash",
     );
+}
+
+/// The whole-query oracle for the specialized expression kernels: Eager
+/// binds none and runs every expression through the generic walk, Fused
+/// binds them at compile time and Graph when it loads its artifact. All
+/// three must agree bit for bit on every TPC-H query at `workers = 4`.
+#[test]
+fn eager_fused_graph_backend_parity() {
+    let s = session();
+    for (n, sql) in queries::all() {
+        let outs: Vec<Vec<Vec<String>>> = [Backend::Eager, Backend::Fused, Backend::Graph]
+            .into_iter()
+            .map(|backend| {
+                let q = s
+                    .compile(sql, QueryConfig::default().backend(backend).workers(4))
+                    .unwrap_or_else(|e| panic!("Q{n} [{backend:?}] compile: {e}"));
+                let (out, _) = q
+                    .run(&s)
+                    .unwrap_or_else(|e| panic!("Q{n} [{backend:?}] run: {e}"));
+                exact_rows(&out)
+            })
+            .collect();
+        assert_eq!(outs[0], outs[1], "Q{n}: Fused not byte-identical to Eager");
+        assert_eq!(outs[0], outs[2], "Q{n}: Graph not byte-identical to Eager");
+    }
 }
 
 /// Rows at printed precision (floats to ten significant digits), for

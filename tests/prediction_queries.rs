@@ -224,3 +224,64 @@ fn predict_missing_model_is_a_clean_execution_error() {
         other => panic!("expected an execution error, got {:?}", other.map(|_| ())),
     }
 }
+
+#[test]
+fn predict_over_the_null_side_of_a_left_join_is_null() {
+    // `extra` covers every third point, so the left join pads two thirds
+    // of the rows with NULL arguments: those rows predict NULL, the others
+    // predict exactly what the model gives, on every engine.
+    let (x, y) = training_xy();
+    let mut s = numeric_session();
+    s.register_table(
+        "extra",
+        df(vec![
+            ("eid", Column::from_i64((0..50).step_by(3).collect())),
+            (
+                "ea",
+                Column::from_f64((0..50).step_by(3).map(|i| (i % 7) as f64).collect()),
+            ),
+            (
+                "eb",
+                Column::from_f64((0..50).step_by(3).map(|i| (i % 5) as f64).collect()),
+            ),
+        ]),
+    );
+    s.register_model("lin", Arc::new(LinearRegression::fit(&x, &y, 800, 0.3)));
+    s.register_model("net", Arc::new(Mlp::fit(&x, &y, 8, 150, 0.01, 9)));
+    for model in ["lin", "net"] {
+        let from = "from points left join extra on id = eid";
+        let p = format!("predict('{model}', ea, eb)");
+        let missing = format!("select id, {p} is null as missing {from} order by id");
+        let oracle = s.sql_baseline(&missing).expect("oracle");
+        let nulls = (0..oracle.nrows())
+            .filter(|&i| oracle.row(i)[1] == Scalar::Bool(true))
+            .count();
+        assert_eq!((oracle.nrows(), nulls), (50, 33), "{model}");
+        for sql in [
+            missing,
+            // Per-row predictions, each row its own group: a NULL row
+            // counts 0, a valid one 1 with its prediction as the sum.
+            format!("select id, count({p}) as c, sum({p}) as s {from} group by id order by id"),
+            format!("select count({p}) as c, sum({p}) as s, min({p}) as lo, max({p}) as hi {from}"),
+        ] {
+            let oracle = s.sql_baseline(&sql).expect("oracle");
+            for backend in [
+                Backend::Eager,
+                Backend::Fused,
+                Backend::Graph,
+                Backend::Wasm,
+            ] {
+                let (out, _) = s
+                    .compile(&sql, QueryConfig::default().backend(backend))
+                    .unwrap()
+                    .run(&s)
+                    .unwrap();
+                assert_eq!(
+                    canon(&out),
+                    canon(&oracle),
+                    "{backend:?} vs oracle on {sql}"
+                );
+            }
+        }
+    }
+}

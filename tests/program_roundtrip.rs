@@ -8,8 +8,8 @@
 use tqp_repro::core::Session;
 use tqp_repro::data::tpch::{queries, TpchConfig, TpchData};
 use tqp_repro::data::DataFrame;
-use tqp_repro::exec::program::{deserialize_program, lower, serialize_program};
-use tqp_repro::exec::{scalar, vm, ExecConfig};
+use tqp_repro::exec::program::{deserialize_program, lower, serialize_program, TensorProgram};
+use tqp_repro::exec::{exprfuse, scalar, vm, ExecConfig};
 use tqp_repro::ir::{compile_sql, AggStrategy, JoinStrategy, PhysicalOptions};
 use tqp_repro::ml::ModelRegistry;
 use tqp_repro::profile::Profiler;
@@ -22,6 +22,15 @@ fn session() -> Session {
     let mut s = Session::new();
     s.register_tpch(&data);
     s
+}
+
+/// `prog` as the Fused backend runs it: kernels bound when `fused`.
+fn with_kernels(prog: &TensorProgram, fused: bool) -> TensorProgram {
+    let mut prog = prog.clone();
+    if fused {
+        exprfuse::bind_program(&mut prog);
+    }
+    prog
 }
 
 /// Exact equality — no float tolerance: identical code paths must give
@@ -56,15 +65,25 @@ fn roundtripped_artifact_is_byte_identical_on_all_backends() {
             // The program itself survives structurally...
             assert_eq!(prog, shipped, "Q{n}: program changed through the artifact");
 
-            // ...and behaviorally, on the vectorized VM in both modes
-            // (Eager + Fused backends and the Graph backend's executor all
-            // route through this path)...
+            // ...and behaviorally, on the vectorized VM without and with
+            // kernels bound (Eager + Fused backends and the Graph
+            // backend's executor all route through this path)...
             for fused in [false, true] {
                 let cfg = ExecConfig::default();
-                let (direct, _, _) =
-                    vm::run_program(&prog, s.storage(), &models, &profiler, cfg, fused);
-                let (via_artifact, _, _) =
-                    vm::run_program(&shipped, s.storage(), &models, &profiler, cfg, fused);
+                let (direct, _, _) = vm::run_program(
+                    &with_kernels(&prog, fused),
+                    s.storage(),
+                    &models,
+                    &profiler,
+                    cfg,
+                );
+                let (via_artifact, _, _) = vm::run_program(
+                    &with_kernels(&shipped, fused),
+                    s.storage(),
+                    &models,
+                    &profiler,
+                    cfg,
+                );
                 let label = if fused { "fused" } else { "eager" };
                 assert_identical(n, label, &direct, &via_artifact);
             }
@@ -158,8 +177,8 @@ fn groups_estimate_rides_grouped_reduce_only() {
     assert!(estimates(&loaded).iter().all(Option::is_none));
     // Q18 sums integral quantities, so both shapes give the same bytes.
     let cfg = ExecConfig::default();
-    let (with, _, _) = vm::run_program(&prog, s.storage(), &models, &profiler, cfg, true);
-    let (without, _, _) = vm::run_program(&loaded, s.storage(), &models, &profiler, cfg, true);
+    let (with, _, _) = vm::run_program(&prog, s.storage(), &models, &profiler, cfg);
+    let (without, _, _) = vm::run_program(&loaded, s.storage(), &models, &profiler, cfg);
     assert_identical(18, "groups stripped", &with, &without);
 
     // On any other op the field is rejected, not skipped.
@@ -176,14 +195,15 @@ fn groups_estimate_rides_grouped_reduce_only() {
 
 #[test]
 fn graph_backend_equals_eager_exactly() {
-    // Graph = deserialize(artifact) + the same vectorized VM, so its
-    // output must match Eager byte-for-byte, not just within tolerance.
+    // Graph = deserialize(artifact) + kernels + the same vectorized VM,
+    // so its output must match Eager (no kernels) byte-for-byte, not just
+    // within tolerance.
     use tqp_repro::core::QueryConfig;
     use tqp_repro::exec::Backend;
     let s = session();
     for (n, sql) in queries::all() {
         let eager = s
-            .compile(sql, QueryConfig::default())
+            .compile(sql, QueryConfig::default().backend(Backend::Eager))
             .unwrap()
             .run(&s)
             .unwrap()
@@ -231,8 +251,20 @@ fn limit_rides_sort_only() {
     assert_eq!(limits(&loaded), vec![None]);
     for fused in [false, true] {
         let cfg = ExecConfig::default();
-        let (with, _, _) = vm::run_program(&prog, s.storage(), &models, &profiler, cfg, fused);
-        let (without, _, _) = vm::run_program(&loaded, s.storage(), &models, &profiler, cfg, fused);
+        let (with, _, _) = vm::run_program(
+            &with_kernels(&prog, fused),
+            s.storage(),
+            &models,
+            &profiler,
+            cfg,
+        );
+        let (without, _, _) = vm::run_program(
+            &with_kernels(&loaded, fused),
+            s.storage(),
+            &models,
+            &profiler,
+            cfg,
+        );
         assert_identical(3, "limit stripped", &with, &without);
     }
     let with = scalar::run_program_scalar(&prog, s.frames(), &models);
@@ -244,4 +276,109 @@ fn limit_rides_sort_only() {
     let err = load(tampered).unwrap_err().to_string();
     assert!(err.contains("limit"), "{err}");
     assert!(load(text.replace("\"limit\":10", "\"limit\":-10")).is_err());
+}
+
+/// The evaluator is chosen once, when the program is lowered or loaded:
+/// Fused binds a kernel at every fusible expression site at compile time,
+/// the Graph loader binds the same set, Eager (and Wasm) bind none, and a
+/// prepared statement's parameter-patched clones share the template's
+/// kernel — falling back to the generic walk only where the bound value
+/// no longer fits it (NULL).
+#[test]
+fn kernels_are_bound_when_the_program_is_lowered() {
+    use std::sync::Arc;
+    use tqp_repro::core::QueryConfig;
+    use tqp_repro::data::frame::df;
+    use tqp_repro::data::Column;
+    use tqp_repro::exec::batch::Batch;
+    use tqp_repro::exec::program::ProgOp;
+    use tqp_repro::exec::{graphvm, Backend, Executor};
+    use tqp_repro::tensor::Tensor;
+    use tqp_tensor::Scalar;
+
+    let s = session();
+    let profiler = Profiler::disabled();
+    let bound = |p: &TensorProgram| -> Vec<bool> {
+        let mut sites = Vec::new();
+        p.for_each_exprprog(|e| sites.push(e.kernel.is_some()));
+        sites
+    };
+    for n in [1, 6, 19] {
+        let plan =
+            compile_sql(queries::query(n), s.catalog(), &PhysicalOptions::default()).unwrap();
+        let compiled = |backend| {
+            let cfg = ExecConfig {
+                backend,
+                ..ExecConfig::default()
+            };
+            bound(Executor::compile(&plan, cfg).program())
+        };
+        // Every site of these three queries is fusible.
+        let fused = compiled(Backend::Fused);
+        assert!(
+            !fused.is_empty() && fused.iter().all(|&b| b),
+            "Q{n} Fused: {fused:?}"
+        );
+        let eager = compiled(Backend::Eager);
+        assert!(
+            eager.iter().all(|&b| !b),
+            "Q{n} Eager binds a kernel: {eager:?}"
+        );
+        let artifact = serialize_program(&lower(&plan));
+        let graph = bound(&graphvm::load_artifact(
+            &artifact,
+            Backend::Graph,
+            &profiler,
+        ));
+        assert_eq!(
+            graph, fused,
+            "Q{n}: the Graph load binds another set than Fused"
+        );
+        let wasm = bound(&graphvm::load_artifact(&artifact, Backend::Wasm, &profiler));
+        assert!(
+            wasm.iter().all(|&b| !b),
+            "Q{n} Wasm binds a kernel: {wasm:?}"
+        );
+    }
+
+    // A prepared `col < $1`, re-bound three times.
+    let mut p = tqp_repro::core::Session::new();
+    p.register_table("t", df(vec![("a", Column::from_i64((0..50).collect()))]));
+    let prepared = p
+        .prepare("select a from t where a < $1", QueryConfig::default())
+        .unwrap();
+    let filter = |prog: &TensorProgram| {
+        prog.ops
+            .iter()
+            .find_map(|op| match op {
+                ProgOp::Filter { conjuncts, .. } => Some(conjuncts.clone()),
+                _ => None,
+            })
+            .expect("a filter")
+    };
+    let template = filter(prepared.program());
+    let kernel = template
+        .kernel
+        .clone()
+        .expect("the template binds a kernel");
+    let batch = Batch::new(vec![Tensor::from_i64((0..50).collect())]);
+    let models = ModelRegistry::new();
+    for value in [Scalar::I64(24), Scalar::I64(40), Scalar::Null] {
+        let conj = filter(
+            &prepared
+                .program()
+                .bind_params(std::slice::from_ref(&value))
+                .unwrap(),
+        );
+        let shared = conj.kernel.as_ref().expect("the clone keeps the kernel");
+        assert!(Arc::ptr_eq(shared, &kernel), "{value:?}: kernel recompiled");
+        let want: Vec<bool> = (0..50)
+            .map(|a| !value.is_null() && a < value.as_i64())
+            .collect();
+        let mask = exprfuse::conjunct_mask(&conj, &batch, &models);
+        assert_eq!(mask.as_bool(), &want[..], "{value:?}");
+        // The kernel runs for a value and the generic walk for NULL.
+        let via_kernel = exprfuse::kernel_mask(&conj, &batch);
+        assert_eq!(via_kernel.is_some(), !value.is_null(), "{value:?}");
+    }
 }

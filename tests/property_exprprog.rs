@@ -1,33 +1,40 @@
 //! Proptest parity suite for the compiled **ExprProgram** micro-IR:
 //! random well-typed expression trees over every dtype (Int64, Float64,
-//! Str, Bool, Date) with NULL-bearing (validity-masked) columns, asserted
-//! **bitwise** equivalent between the compiled flat program and the legacy
-//! tree interpreter — on both execution shapes:
+//! Str, Bool, Date) with NULL-bearing (validity-masked) columns. The
+//! oracle is the row engine's tree walk, `tqp_baseline::eval::eval_expr`,
+//! which shares no code with the compiler:
 //!
-//! * vectorized: `exprprog::eval_all` vs `expr::eval` (value tensors
-//!   compared bit-for-bit, validity masks exactly);
-//! * scalar rows: `exprprog::eval_row_outputs` vs
-//!   `tqp_baseline::eval::eval_expr` (exact `Scalar` equality, including
-//!   NULL propagation).
+//! * vectorized: `exprprog::eval_all` row by row against `eval_expr`. On
+//!   every row where no subexpression is NULL, the compiled output is
+//!   valid and equal. Where a NULL enters, the
+//!   vectorized walk's validity is conservative (a result is NULL if any
+//!   input it touched is; integer division by zero gives 0, not NULL) and
+//!   the row engine's three-valued logic is finer, so those rows are not
+//!   compared;
+//! * scalar rows: `exprprog::eval_row_outputs` against `eval_expr`
+//!   (exact `Scalar` equality, including NULL propagation);
+//! * kernels: every specialized kernel (`exprfuse`, bound the way the
+//!   Fused backend binds it) against the generic walk it replaces,
+//!   bitwise, and the dense filter mask additionally against the row
+//!   engine.
 //!
-//! Worker-count invariance is covered two ways: expression evaluation is
-//! asserted morsel-invariant (evaluating two slices and concatenating
-//! equals evaluating the whole batch — morsels are exactly how worker
-//! threads see batches), and the fused filter's register-compacting
-//! stepper is asserted equivalent to the eager one-pass mask fold on
-//! random conjunct sets. (Whole-query bitwise parity at workers 1 vs 4 is
-//! locked in by `tests/parallel_parity.rs` on all 22 TPC-H queries.)
+//! Expression evaluation is also asserted morsel-invariant (evaluating two
+//! slices and concatenating equals evaluating the whole batch — morsels
+//! are exactly how worker threads see batches). Whole-query bitwise parity
+//! at workers 1 vs 4, and across Eager, Fused and Graph, is locked in by
+//! `tests/parallel_parity.rs` on all 22 TPC-H queries.
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use tqp_repro::data::LogicalType;
 use tqp_repro::exec::batch::Batch;
-use tqp_repro::exec::expr as tree;
-use tqp_repro::exec::exprfuse;
+use tqp_repro::exec::exprfuse::{self, Mode};
 use tqp_repro::exec::exprprog;
 use tqp_repro::ir::expr::{BinOp, BoundExpr as E, ScalarFunc};
 use tqp_repro::ml::ModelRegistry;
 use tqp_tensor::{DType, Scalar, Tensor};
+
+use tqp_baseline::eval::eval_expr;
 
 const N_ROWS: usize = 48;
 
@@ -329,37 +336,76 @@ fn validity_equal(a: &Option<Tensor>, b: &Option<Tensor>) -> bool {
         (None, None) => true,
         (Some(x), Some(y)) => x.as_bool() == y.as_bool(),
         // A validity of all-true and no validity are semantically equal,
-        // but the compiled form must reproduce the tree's representation
+        // but a kernel must reproduce the generic walk's representation
         // *exactly* — so this counts as a mismatch.
         _ => false,
     }
 }
 
+/// Row `i` of a compiled output as the row engine would hold it.
+fn cell(t: &Tensor, i: usize) -> Scalar {
+    match t.dtype() {
+        DType::I64 => Scalar::I64(t.as_i64()[i]),
+        DType::F64 => Scalar::F64(t.as_f64()[i]),
+        DType::Bool => Scalar::Bool(t.as_bool()[i]),
+        DType::U8 => Scalar::Str(t.str_at(i)),
+        other => panic!("unexpected dtype {other:?}"),
+    }
+}
+
+/// Equal as SQL values. Floats compare as numbers (NaN equal to NaN): the
+/// row engine keeps an integer from one arm of a Float64 `CASE` unwidened,
+/// so its negation is `0` where the compiled walk has `-0.0`, and the sign
+/// of that zero can survive later arithmetic.
+fn same_value(compiled: &Scalar, oracle: &Scalar) -> bool {
+    let num = |a: f64, b: f64| a == b || (a.is_nan() && b.is_nan());
+    match (compiled, oracle) {
+        (Scalar::F64(a), Scalar::F64(b)) => num(*a, *b),
+        (Scalar::F64(a), Scalar::I64(b)) => num(*a, *b as f64),
+        (a, b) => a == b,
+    }
+}
+
+/// True when no subexpression of `e` (untaken `CASE` arms included, since
+/// the vectorized walk evaluates them) is NULL on `row`.
+fn null_free(e: &E, row: &Vec<Scalar>) -> bool {
+    let mut ok = true;
+    e.visit(&mut |node| ok &= !eval_expr(node, row).is_null());
+    ok
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    // Compiled vectorized evaluation is bitwise identical to the legacy
-    // tree interpreter — values, dtypes, and validity masks — and
-    // morsel-invariant (slice + concat == whole batch).
+    // Compiled vectorized evaluation agrees with the row engine on every
+    // row no NULL enters — validity and values — and is morsel-invariant
+    // (slice + concat == whole batch).
     #[test]
     fn compiled_matches_tree_interpreter_bitwise(seed in any::<u64>()) {
         let mut g = Gen { rng: TestRng::new(seed) };
         let exprs: Vec<E> = (0..3).map(|_| g.any_expr(3)).collect();
         let batch = test_batch();
+        let rows = test_rows(&batch);
         let models = ModelRegistry::new();
         let prog = exprprog::compile_exprs(&exprs);
         let compiled = exprprog::eval_all(&prog, &batch, &models);
         for (k, e) in exprs.iter().enumerate() {
-            let (tv, tval) = tree::eval(e, &batch, &models);
             let (cv, cval) = &compiled[k];
-            prop_assert!(
-                tensors_bit_equal(&tv, cv),
-                "value mismatch for {e:?}\nprogram:\n{}", prog.display()
-            );
-            prop_assert!(
-                validity_equal(&tval, cval),
-                "validity mismatch for {e:?}\nprogram:\n{}", prog.display()
-            );
+            for (i, row) in rows.iter().enumerate() {
+                if !null_free(e, row) {
+                    continue;
+                }
+                let oracle = eval_expr(e, row);
+                prop_assert!(
+                    cval.as_ref().is_none_or(|m| m.as_bool()[i]),
+                    "row {i} invalid, oracle {oracle:?}, for {e:?}\nprogram:\n{}", prog.display()
+                );
+                prop_assert!(
+                    same_value(&cell(cv, i), &oracle),
+                    "row {i}: {:?} vs oracle {oracle:?} for {e:?}\nprogram:\n{}",
+                    cell(cv, i), prog.display()
+                );
+            }
         }
         // Morsel invariance: evaluating two halves and concatenating is
         // bitwise the evaluation of the whole batch (this is exactly how
@@ -379,8 +425,8 @@ proptest! {
         }
     }
 
-    // The scalar row walk over the same flat ops matches the row-engine
-    // tree interpreter exactly (three-valued logic, NULL propagation).
+    // The scalar row walk over the same flat ops matches the row
+    // engine's tree walk exactly (three-valued logic, NULL propagation).
     #[test]
     fn compiled_row_walk_matches_row_interpreter(seed in any::<u64>()) {
         let mut g = Gen { rng: TestRng::new(seed) };
@@ -402,57 +448,24 @@ proptest! {
         }
     }
 
-    // The fused filter's register-compacting stepper selects exactly the
-    // rows the eager one-pass mask fold selects, for every compaction
-    // schedule (compact after conjunct k, for every k).
+    // A filter's bound kernel yields bitwise the eager one-pass mask fold
+    // (for shapes the specializer rejects no kernel is bound and both
+    // sides are the generic walk).
     #[test]
     fn fused_stepper_matches_eager_mask_fold(seed in any::<u64>()) {
         let mut g = Gen { rng: TestRng::new(seed) };
         let conjuncts: Vec<E> = (0..3).map(|_| g.bool_expr(2)).collect();
         let batch = test_batch();
         let models = ModelRegistry::new();
-        let prog = exprprog::compile_exprs(&conjuncts);
+        let mut prog = exprprog::compile_exprs(&conjuncts);
         let eager_mask = exprprog::eval_conjuncts_eager(&prog, &batch, &models);
-        // The fused-kernel mask (or its generic fallback for shapes the
-        // specializer rejects) must be bitwise the eager fold.
+        exprfuse::bind(&mut prog, Mode::Mask);
         let fused_mask = exprfuse::conjunct_mask(&prog, &batch, &models);
         prop_assert_eq!(
             fused_mask.as_bool(), eager_mask.as_bool(),
             "fused kernel/eager divergence for {:?}\nprogram:\n{}",
             conjuncts, prog.display()
         );
-        let eager_idx = tqp_tensor::index::mask_to_indices(&eager_mask);
-        for compact_at in 0..conjuncts.len() {
-            let mut ev = exprprog::FusedEval::new(&prog);
-            let mut current = batch.slice_rows(0, batch.nrows());
-            // Survivor row ids relative to the original batch.
-            let mut live: Vec<i64> = (0..batch.nrows() as i64).collect();
-            let mut acc: Option<Tensor> = None;
-            for k in 0..conjuncts.len() {
-                let mask = ev.step(&current, &models);
-                let mask = match acc.take() {
-                    Some(prev) => tqp_tensor::ops::and(&prev, &mask),
-                    None => mask,
-                };
-                if k >= compact_at {
-                    let idx = tqp_tensor::index::mask_to_indices(&mask);
-                    live = idx.as_i64().iter().map(|&i| live[i as usize]).collect();
-                    current = current.take(&idx);
-                    ev.compact(&idx);
-                } else {
-                    acc = Some(mask);
-                }
-            }
-            if let Some(mask) = acc {
-                let idx = tqp_tensor::index::mask_to_indices(&mask);
-                live = idx.as_i64().iter().map(|&i| live[i as usize]).collect();
-            }
-            prop_assert_eq!(
-                &live, &eager_idx.as_i64().to_vec(),
-                "fused/eager divergence (compact_at={}) for {:?}\nprogram:\n{}",
-                compact_at, conjuncts, prog.display()
-            );
-        }
     }
 }
 
@@ -496,6 +509,17 @@ fn adversarial_batch() -> Batch {
         ],
         vec![None, None, Some(Tensor::from_bool(nf_valid)), None],
     )
+}
+
+/// True when every column `e` reads is non-NULL on `row`.
+fn null_free_inputs(e: &E, row: &[Scalar]) -> bool {
+    let mut ok = true;
+    e.visit(&mut |node| {
+        if let E::Column { index, .. } = node {
+            ok &= !row[*index].is_null();
+        }
+    });
+    ok
 }
 
 /// One random compare-against-constant conjunct over the adversarial
@@ -561,9 +585,12 @@ proptest! {
 
     // The fused kernel's canonicalized dense mask path — interval merging,
     // i64 MIN/MAX edges, NaN constants, ±0.0 bound ties, runtime validity
-    // folds — is bitwise the eager unfused fold AND the tree
-    // interpreter's mask, for random compare chains that repeatedly hit
-    // the same columns (forcing interval merges and empty intervals).
+    // folds — is bitwise the eager unfused fold, for random compare chains
+    // that repeatedly hit the same columns (forcing interval merges and
+    // empty intervals). Both keep exactly the rows the row engine keeps,
+    // except where the row engine calls a comparison with a NaN operand
+    // NULL while the tensor engines follow IEEE (`NaN <> x` is true):
+    // a row where some conjunct is NULL on non-NULL input is not compared.
     #[test]
     fn fused_dense_mask_matches_eager_and_tree(seed in any::<u64>()) {
         let mut g = Gen { rng: TestRng::new(seed) };
@@ -571,26 +598,30 @@ proptest! {
         let models = ModelRegistry::new();
         let n_conj = 1 + g.pick(5) as usize;
         let conjuncts: Vec<E> = (0..n_conj).map(|_| adversarial_conjunct(&mut g)).collect();
-        let prog = exprprog::compile_exprs(&conjuncts);
+        let mut prog = exprprog::compile_exprs(&conjuncts);
+        exprfuse::bind(&mut prog, Mode::Mask);
+        prop_assert!(prog.kernel.is_some(), "compare chains always fuse");
         let fused = exprfuse::conjunct_mask(&prog, &batch, &models);
         let eager = exprprog::eval_conjuncts_eager(&prog, &batch, &models);
         prop_assert_eq!(
             fused.as_bool(), eager.as_bool(),
             "fused/eager divergence for {:?}\nprogram:\n{}", conjuncts, prog.display()
         );
-        let mut tree_mask: Option<Tensor> = None;
-        for c in &conjuncts {
-            let m = tree::eval_mask(c, &batch, &models);
-            tree_mask = Some(match tree_mask.take() {
-                Some(prev) => tqp_tensor::ops::and(&prev, &m),
-                None => m,
-            });
+        for (i, row) in test_rows(&batch).iter().enumerate() {
+            let vals: Vec<Scalar> = conjuncts.iter().map(|c| eval_expr(c, row)).collect();
+            let nan_rule = conjuncts
+                .iter()
+                .zip(&vals)
+                .any(|(c, v)| v.is_null() && null_free_inputs(c, row));
+            if nan_rule {
+                continue;
+            }
+            let keep = vals.iter().all(|v| *v == Scalar::Bool(true));
+            prop_assert_eq!(
+                eager.as_bool()[i], keep,
+                "row {} differs from the row engine for {:?}", i, conjuncts
+            );
         }
-        let tree_mask = tree_mask.unwrap();
-        prop_assert_eq!(
-            eager.as_bool(), tree_mask.as_bool(),
-            "eager/tree divergence for {:?}", conjuncts
-        );
     }
 
     // Fused all-outputs evaluation (projections / aggregate inputs / sort
@@ -602,8 +633,9 @@ proptest! {
         let exprs: Vec<E> = (0..3).map(|_| g.any_expr(3)).collect();
         let batch = test_batch();
         let models = ModelRegistry::new();
-        let prog = exprprog::compile_exprs(&exprs);
+        let mut prog = exprprog::compile_exprs(&exprs);
         let generic = exprprog::eval_all(&prog, &batch, &models);
+        exprfuse::bind(&mut prog, Mode::Outputs);
         let fused = exprfuse::eval_all(&prog, &batch, &models);
         for (k, e) in exprs.iter().enumerate() {
             prop_assert!(
