@@ -1,9 +1,11 @@
 //! **The kernel-specialization layer**: binding [`ExprProgram`]s to the
 //! fused, type-monomorphized kernels in [`tqp_tensor::kernels`].
 //!
-//! Binding happens once, when a program is lowered for a kernel backend:
-//! [`crate::Executor::compile`] binds for `Backend::Fused`, and
-//! [`crate::graphvm::load_artifact`] binds for `Backend::Graph`.
+//! Binding happens once per program, when it is lowered for a kernel
+//! backend: [`crate::Executor::compile`] binds for `Backend::Fused`, and
+//! [`crate::graphvm::load_artifact`] binds for `Backend::Graph` (whose
+//! runs each load the artifact, so Graph binds on every run; a few
+//! microseconds per query, next to the deserialization it follows).
 //! [`bind_program`] runs the fusion pass over every expression site in the
 //! mode its role implies — filter conjuncts and join residuals produce one
 //! mask, projections, aggregate bundles and sort keys produce every
@@ -45,7 +47,7 @@ use tqp_tensor::{DType, Scalar, Tensor};
 use crate::batch::Batch;
 use crate::expr::{to_cmp, Evaled};
 use crate::exprprog::{self, ExprOp, ExprProgram};
-use crate::program::{ProgOp, TensorProgram};
+use crate::program::TensorProgram;
 
 // ---------------------------------------------------------------------
 // Public entry points
@@ -84,22 +86,7 @@ pub fn bind(prog: &mut ExprProgram, mode: Mode) {
 /// Bind a kernel at every expression site of a lowered program, in the
 /// mode the site's role implies.
 pub fn bind_program(prog: &mut TensorProgram) {
-    for op in &mut prog.ops {
-        match op {
-            ProgOp::Filter { conjuncts, .. } => bind(conjuncts, Mode::Mask),
-            ProgOp::HashProbe {
-                residual: Some(r), ..
-            }
-            | ProgOp::SortMergeJoin {
-                residual: Some(r), ..
-            } => bind(r, Mode::Mask),
-            ProgOp::Project { exprs, .. } | ProgOp::Sort { keys: exprs, .. } => {
-                bind(exprs, Mode::Outputs)
-            }
-            ProgOp::GroupedReduce { reduce, .. } => bind(&mut reduce.exprs, Mode::Outputs),
-            _ => {}
-        }
-    }
+    prog.for_each_exprprog_mut(bind);
 }
 
 // ---------------------------------------------------------------------
@@ -134,6 +121,8 @@ enum ConstSpec {
 /// columns' validity each output inherits.
 #[derive(Debug)]
 pub struct Skeleton {
+    /// The mode the kernel was specialized for; it can only run in it.
+    mode: Mode,
     kernel: FusedKernel,
     /// `(batch column, expected dtype)` per kernel column channel.
     cols: Vec<(usize, DType)>,
@@ -299,6 +288,7 @@ fn try_fuse(prog: &ExprProgram, mode: Mode) -> Option<Skeleton> {
     }
 
     Some(Skeleton {
+        mode,
         kernel: FusedKernel {
             ops: f.kops,
             n_i64: f.n_i64,
@@ -750,8 +740,9 @@ fn bind_inputs<'a>(skel: &Skeleton, batch: &'a Batch) -> Option<BoundInputs<'a>>
 /// The bound kernel's filter mask. `None` when no kernel is bound, or the
 /// live program or the batch no longer fits it; the caller then takes the
 /// generic walk.
-pub fn kernel_mask(prog: &ExprProgram, batch: &Batch) -> Option<Tensor> {
+fn kernel_mask(prog: &ExprProgram, batch: &Batch) -> Option<Tensor> {
     let skel = prog.kernel.as_deref()?;
+    assert_eq!(skel.mode, Mode::Mask, "an outputs kernel asked for a mask");
     let consts = extract_consts(prog, &skel.const_specs)?;
     let (cols, vals) = bind_inputs(skel, batch)?;
     Some(Tensor::from_bool(skel.kernel.run_mask(
@@ -765,6 +756,7 @@ pub fn kernel_mask(prog: &ExprProgram, batch: &Batch) -> Option<Tensor> {
 /// The bound kernel's outputs; `None` as for [`kernel_mask`].
 fn kernel_outputs(prog: &ExprProgram, batch: &Batch) -> Option<Vec<Evaled>> {
     let skel = prog.kernel.as_deref()?;
+    assert_eq!(skel.mode, Mode::Outputs, "a mask kernel asked for outputs");
     let consts = extract_consts(prog, &skel.const_specs)?;
     let (cols, vals) = bind_inputs(skel, batch)?;
     let raw = skel
@@ -967,5 +959,60 @@ mod tests {
         let fused = eval_all(&prog, &b, &models);
         let generic = exprprog::eval_all(&prog, &b, &models);
         assert_eq!(fused[0].0.as_i64(), generic[0].0.as_i64());
+    }
+
+    #[test]
+    fn null_bound_parameter_takes_the_generic_walk() {
+        use tqp_ir::expr::BoundExpr as E;
+        // `qty < $1`: the kernel reads the bound value per call, until a
+        // NULL no longer fits its integer constant slot.
+        let mut template = exprprog::compile_exprs(&[E::Binary {
+            op: BinOp::Lt,
+            left: Box::new(E::col(0, LT::Int64)),
+            right: Box::new(E::Param {
+                index: 0,
+                ty: LT::Int64,
+            }),
+            ty: LT::Bool,
+        }]);
+        bind(&mut template, Mode::Mask);
+        let b = batch();
+        let models = ModelRegistry::new();
+        for value in [Scalar::I64(24), Scalar::I64(40), Scalar::Null] {
+            let mut prog = template.clone();
+            prog.bind_params(std::slice::from_ref(&value)).unwrap();
+            assert_eq!(
+                kernel_mask(&prog, &b).is_some(),
+                !value.is_null(),
+                "{value:?}"
+            );
+            let want: Vec<bool> = b.columns[0]
+                .as_i64()
+                .iter()
+                .map(|&q| !value.is_null() && q < value.as_i64())
+                .collect();
+            assert_eq!(conjunct_mask(&prog, &b, &models).as_bool(), &want[..]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a mask kernel asked for outputs")]
+    fn a_kernel_runs_only_in_its_mode() {
+        let mut prog = ExprProgram {
+            ops: vec![
+                col(0, LT::Int64),
+                ExprOp::CompareConst {
+                    op: BinOp::Lt,
+                    src: 0,
+                    value: Scalar::I64(24),
+                },
+            ],
+            outputs: vec![1],
+            out_tys: vec![LT::Bool],
+            params: vec![],
+            kernel: None,
+        };
+        bind(&mut prog, Mode::Mask);
+        eval_all(&prog, &batch(), &ModelRegistry::new());
     }
 }

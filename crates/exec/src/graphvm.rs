@@ -28,8 +28,9 @@ use crate::program::{deserialize_program, TensorProgram};
 use crate::{exprfuse, scalar, vm, Backend, ExecConfig, Storage};
 
 /// Decode the artifact for `backend`, charging the load to the profiler:
-/// Graph binds the expression kernels here, once per load; Wasm binds
-/// none (its row walk never reads them).
+/// Graph binds the expression kernels here, once per load (and so once
+/// per run: every Graph run loads its artifact); Wasm binds none (its
+/// row walk never reads them).
 pub fn load_artifact(artifact: &Bytes, backend: Backend, profiler: &Profiler) -> TensorProgram {
     let start = profiler.now_us();
     let t0 = std::time::Instant::now();

@@ -39,6 +39,7 @@ use tqp_ir::plan::{JoinType, PlanSchema};
 use tqp_json::Json;
 use tqp_tensor::Scalar;
 
+use crate::exprfuse::Mode;
 use crate::exprprog::{
     compile_expr, compile_exprs, exprprog_from_json, exprprog_to_json, ExprProgram,
 };
@@ -310,19 +311,22 @@ impl TensorProgram {
         }
     }
 
-    /// Mutable variant of [`TensorProgram::for_each_exprprog`].
-    pub fn for_each_exprprog_mut(&mut self, mut f: impl FnMut(&mut ExprProgram)) {
+    /// Mutable variant of [`TensorProgram::for_each_exprprog`]; each site
+    /// comes with the evaluation mode its role implies (filter conjuncts
+    /// and join residuals fold to one mask, every other site produces all
+    /// of its outputs).
+    pub fn for_each_exprprog_mut(&mut self, mut f: impl FnMut(&mut ExprProgram, Mode)) {
         for op in &mut self.ops {
             match op {
-                ProgOp::Filter { conjuncts, .. } => f(conjuncts),
-                ProgOp::Project { exprs, .. } => f(exprs),
+                ProgOp::Filter { conjuncts, .. } => f(conjuncts, Mode::Mask),
+                ProgOp::Project { exprs, .. } => f(exprs, Mode::Outputs),
                 ProgOp::HashProbe { residual, .. } | ProgOp::SortMergeJoin { residual, .. } => {
                     if let Some(r) = residual {
-                        f(r)
+                        f(r, Mode::Mask)
                     }
                 }
-                ProgOp::GroupedReduce { reduce, .. } => f(&mut reduce.exprs),
-                ProgOp::Sort { keys, .. } => f(keys),
+                ProgOp::GroupedReduce { reduce, .. } => f(&mut reduce.exprs, Mode::Outputs),
+                ProgOp::Sort { keys, .. } => f(keys, Mode::Outputs),
                 ProgOp::Scan { .. }
                 | ProgOp::HashBuild { .. }
                 | ProgOp::CrossJoin { .. }
@@ -353,7 +357,7 @@ impl TensorProgram {
         }
         let mut bound = self.clone();
         let mut err: Option<String> = None;
-        bound.for_each_exprprog_mut(|p| {
+        bound.for_each_exprprog_mut(|p, _| {
             if err.is_none() {
                 if let Err(e) = p.bind_params(values) {
                     err = Some(e);

@@ -4,19 +4,21 @@
 //! oracle is the row engine's tree walk, `tqp_baseline::eval::eval_expr`,
 //! which shares no code with the compiler:
 //!
-//! * vectorized: `exprprog::eval_all` row by row against `eval_expr`. On
-//!   every row where no subexpression is NULL, the compiled output is
-//!   valid and equal. Where a NULL enters, the
-//!   vectorized walk's validity is conservative (a result is NULL if any
-//!   input it touched is; integer division by zero gives 0, not NULL) and
-//!   the row engine's three-valued logic is finer, so those rows are not
-//!   compared;
+//! * vectorized: `exprprog::eval_all` row by row against `eval_expr`.
+//!   The compiled validity must be exactly the conservative validity a
+//!   test-side walk of the tree derives (a result is NULL if any input it
+//!   touched is; `IS NULL` is always valid), on every row; on every row
+//!   that validity keeps, the value must be the row engine's, except on
+//!   rows where the two define a node differently: an integer division
+//!   by zero (NULL vs 0), or an `IS NULL` operand or `CASE` condition
+//!   that is conservatively NULL where the row engine has a value;
 //! * scalar rows: `exprprog::eval_row_outputs` against `eval_expr`
 //!   (exact `Scalar` equality, including NULL propagation);
 //! * kernels: every specialized kernel (`exprfuse`, bound the way the
 //!   Fused backend binds it) against the generic walk it replaces,
 //!   bitwise, and the dense filter mask additionally against the row
-//!   engine.
+//!   engine (with IEEE comparison where the row engine calls a NaN
+//!   comparison NULL).
 //!
 //! Expression evaluation is also asserted morsel-invariant (evaluating two
 //! slices and concatenating equals evaluating the whole batch — morsels
@@ -366,19 +368,75 @@ fn same_value(compiled: &Scalar, oracle: &Scalar) -> bool {
     }
 }
 
-/// True when no subexpression of `e` (untaken `CASE` arms included, since
-/// the vectorized walk evaluates them) is NULL on `row`.
-fn null_free(e: &E, row: &Vec<Scalar>) -> bool {
-    let mut ok = true;
-    e.visit(&mut |node| ok &= !eval_expr(node, row).is_null());
-    ok
+/// The validity the vectorized walk must give `e` over `batch`, derived
+/// from the tree alone: a column carries its own validity, a non-NULL
+/// literal and `IS NULL` are always valid, a `CASE` is valid where its
+/// `ELSE` and every arm value are (conditions fold into the selection),
+/// and anything else is valid where all its children are. `None` means
+/// "no validity tensor", which the walk must reproduce as such.
+fn conservative_validity(e: &E, batch: &Batch) -> Option<Vec<bool>> {
+    let and = |a: Option<Vec<bool>>, b: Option<Vec<bool>>| match (a, b) {
+        (None, m) | (m, None) => m,
+        (Some(x), Some(y)) => Some(x.iter().zip(&y).map(|(p, q)| *p && *q).collect()),
+    };
+    let all = |es: &[&E]| {
+        es.iter()
+            .fold(None, |acc, c| and(acc, conservative_validity(c, batch)))
+    };
+    match e {
+        E::Column { index, .. } => batch.validity[*index]
+            .as_ref()
+            .map(|m| m.as_bool().to_vec()),
+        E::Literal { value, .. } => value.is_null().then(|| vec![false; batch.nrows()]),
+        E::IsNull { .. } => None,
+        E::Case {
+            branches,
+            else_expr,
+            ..
+        } => {
+            let mut arms: Vec<&E> = branches.iter().map(|(_, v)| v).collect();
+            arms.push(else_expr);
+            all(&arms)
+        }
+        E::Binary { left, right, .. } => all(&[&**left, &**right]),
+        E::Not(c) | E::Neg(c) | E::Like { expr: c, .. } | E::InList { expr: c, .. } => all(&[&**c]),
+        E::Func { args, .. } | E::Predict { args, .. } => all(&args.iter().collect::<Vec<_>>()),
+        other => panic!("the generator emits no {other:?}"),
+    }
+}
+
+/// True when some node of `e` takes, on row `i`, a value the vectorized
+/// walk defines differently from the row engine, so that row's value is
+/// not compared: an integer division by zero (NULL in the row engine, 0
+/// in the tensor engines), or an `IS NULL` operand or `CASE` condition
+/// whose conservative validity is not the row engine's NULL-ness (the
+/// vectorized walk tests that validity, so `x IS NULL` is true where an
+/// untaken `CASE` arm of `x` is NULL).
+fn diverges(e: &E, batch: &Batch, row: &Vec<Scalar>, i: usize) -> bool {
+    let nulls_differ = |x: &E| {
+        let valid = conservative_validity(x, batch).is_none_or(|m| m[i]);
+        valid == eval_expr(x, row).is_null()
+    };
+    let mut hit = false;
+    e.visit(&mut |n| match n {
+        E::Binary {
+            op: BinOp::Div | BinOp::Mod,
+            right,
+            ..
+        } => hit |= eval_expr(right, row) == Scalar::I64(0),
+        E::IsNull { expr, .. } => hit |= nulls_differ(expr),
+        E::Case { branches, .. } => hit |= branches.iter().any(|(c, _)| nulls_differ(c)),
+        _ => {}
+    });
+    hit
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    // Compiled vectorized evaluation agrees with the row engine on every
-    // row no NULL enters — validity and values — and is morsel-invariant
+    // Compiled vectorized evaluation has exactly the conservative validity
+    // on every row, has the row engine's value on every row that validity
+    // keeps and no defined divergence touches, and is morsel-invariant
     // (slice + concat == whole batch).
     #[test]
     fn compiled_matches_tree_interpreter_bitwise(seed in any::<u64>()) {
@@ -391,15 +449,16 @@ proptest! {
         let compiled = exprprog::eval_all(&prog, &batch, &models);
         for (k, e) in exprs.iter().enumerate() {
             let (cv, cval) = &compiled[k];
+            let want = conservative_validity(e, &batch);
+            prop_assert_eq!(
+                cval.as_ref().map(|m| m.as_bool().to_vec()), want.clone(),
+                "validity mismatch for {:?}\nprogram:\n{}", e, prog.display()
+            );
             for (i, row) in rows.iter().enumerate() {
-                if !null_free(e, row) {
+                if want.as_ref().is_some_and(|m| !m[i]) || diverges(e, &batch, row, i) {
                     continue;
                 }
                 let oracle = eval_expr(e, row);
-                prop_assert!(
-                    cval.as_ref().is_none_or(|m| m.as_bool()[i]),
-                    "row {i} invalid, oracle {oracle:?}, for {e:?}\nprogram:\n{}", prog.display()
-                );
                 prop_assert!(
                     same_value(&cell(cv, i), &oracle),
                     "row {i}: {:?} vs oracle {oracle:?} for {e:?}\nprogram:\n{}",
@@ -522,6 +581,31 @@ fn null_free_inputs(e: &E, row: &[Scalar]) -> bool {
     ok
 }
 
+/// An [`adversarial_conjunct`] comparison on `row` under IEEE 754, as the
+/// tensor engines evaluate it: a NaN operand compares unequal to
+/// everything, itself included, and is not ordered.
+fn ieee_compare(c: &E, row: &[Scalar]) -> bool {
+    let E::Binary {
+        op, left, right, ..
+    } = c
+    else {
+        panic!("not a comparison: {c:?}")
+    };
+    let (E::Column { index, .. }, E::Literal { value, .. }) = (&**left, &**right) else {
+        panic!("not column-vs-constant: {c:?}")
+    };
+    let (a, b) = (row[*index].as_f64(), value.as_f64());
+    match op {
+        BinOp::Eq => a == b,
+        BinOp::NotEq => a != b,
+        BinOp::Lt => a < b,
+        BinOp::LtEq => a <= b,
+        BinOp::Gt => a > b,
+        BinOp::GtEq => a >= b,
+        other => panic!("not a comparison: {other:?}"),
+    }
+}
+
 /// One random compare-against-constant conjunct over the adversarial
 /// batch — the exact shape the fused kernel canonicalizes into merged
 /// interval predicates. Constants include every interval-edge value the
@@ -587,10 +671,10 @@ proptest! {
     // i64 MIN/MAX edges, NaN constants, ±0.0 bound ties, runtime validity
     // folds — is bitwise the eager unfused fold, for random compare chains
     // that repeatedly hit the same columns (forcing interval merges and
-    // empty intervals). Both keep exactly the rows the row engine keeps,
-    // except where the row engine calls a comparison with a NaN operand
-    // NULL while the tensor engines follow IEEE (`NaN <> x` is true):
-    // a row where some conjunct is NULL on non-NULL input is not compared.
+    // empty intervals). Both keep exactly the rows the row engine keeps;
+    // where the row engine calls a comparison with a NaN operand NULL, the
+    // conjunct is instead the IEEE comparison (`NaN <> x` is true), which
+    // the tensor engines follow.
     #[test]
     fn fused_dense_mask_matches_eager_and_tree(seed in any::<u64>()) {
         let mut g = Gen { rng: TestRng::new(seed) };
@@ -608,15 +692,11 @@ proptest! {
             "fused/eager divergence for {:?}\nprogram:\n{}", conjuncts, prog.display()
         );
         for (i, row) in test_rows(&batch).iter().enumerate() {
-            let vals: Vec<Scalar> = conjuncts.iter().map(|c| eval_expr(c, row)).collect();
-            let nan_rule = conjuncts
-                .iter()
-                .zip(&vals)
-                .any(|(c, v)| v.is_null() && null_free_inputs(c, row));
-            if nan_rule {
-                continue;
-            }
-            let keep = vals.iter().all(|v| *v == Scalar::Bool(true));
+            let keep = conjuncts.iter().all(|c| match eval_expr(c, row) {
+                Scalar::Bool(b) => b,
+                Scalar::Null if null_free_inputs(c, row) => ieee_compare(c, row),
+                _ => false,
+            });
             prop_assert_eq!(
                 eager.as_bool()[i], keep,
                 "row {} differs from the row engine for {:?}", i, conjuncts
