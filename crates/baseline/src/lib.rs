@@ -476,7 +476,7 @@ mod tests {
 
     fn run(sql: &str) -> DataFrame {
         let (tables, catalog) = setup();
-        let plan = compile_sql(sql, &catalog, &PhysicalOptions::default()).unwrap();
+        let plan = compile_sql(sql, &catalog, &PhysicalOptions).unwrap();
         let models = ModelRegistry::new();
         RowEngine::new(&tables, &models).execute(&plan)
     }

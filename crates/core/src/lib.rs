@@ -47,12 +47,12 @@ use tqp_tensor::Scalar;
 
 pub use tqp_exec::sched::{CancelReason, CancelToken};
 
-/// Per-query configuration: physical strategies + backend + device.
+/// Per-query configuration: backend + device, and the execution knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryConfig {
-    /// Join/aggregation strategies: chosen per operator by the planner by
-    /// default; a `Some(_)` forces that strategy on every operator (the
-    /// paper's ablation axis).
+    /// Carries nothing: the planner makes every physical choice. The field
+    /// stays only because the benchmark package passes `&cfg.physical` to
+    /// `tqp_ir::compile_sql`; it goes when that call drops the argument.
     pub physical: PhysicalOptions,
     pub backend: Backend,
     pub device: Device,
@@ -85,7 +85,7 @@ pub struct QueryConfig {
 impl Default for QueryConfig {
     fn default() -> Self {
         QueryConfig {
-            physical: PhysicalOptions::default(),
+            physical: PhysicalOptions,
             backend: Backend::Fused,
             device: Device::Cpu,
             gpu_strategy: GpuStrategy::Resident,
@@ -114,12 +114,6 @@ impl QueryConfig {
     /// Builder-style GPU placement strategy.
     pub fn gpu_strategy(mut self, s: GpuStrategy) -> Self {
         self.gpu_strategy = s;
-        self
-    }
-
-    /// Builder-style physical options.
-    pub fn physical(mut self, p: PhysicalOptions) -> Self {
-        self.physical = p;
         self
     }
 
@@ -398,8 +392,7 @@ impl Session {
     /// production path); frames are shared, not copied (columns are
     /// `Arc`-backed), and queries over in-memory tables pay nothing.
     pub fn sql_baseline(&self, sql: &str) -> Result<DataFrame, TqpError> {
-        let plan = compile_sql(sql, &self.catalog, &PhysicalOptions::default())
-            .map_err(TqpError::Compile)?;
+        let plan = compile_sql(sql, &self.catalog, &PhysicalOptions).map_err(TqpError::Compile)?;
         fn scanned_tables(p: &PhysicalPlan, out: &mut Vec<String>) {
             if let PhysicalPlan::Scan { table, .. } = p {
                 if !out.contains(table) {
@@ -629,7 +622,7 @@ pub struct ExplainRow {
     /// Tree depth (root = 0); rendering indents two spaces per level.
     pub depth: usize,
     /// Operator label with the planner's choices, e.g. `Scan(lineitem)`,
-    /// `HashJoin(Semi, build=left)`, `SortAggregate`,
+    /// `HashJoin(Semi, build=left)`, `HashAggregate`,
     /// `HashAggregate(partitioned, est_groups=40243)` (`ANALYZE` appends
     /// `actual_groups=…`), `Sort(limit=100)` (a top-k under a `LIMIT`).
     pub op: String,

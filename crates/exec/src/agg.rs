@@ -5,11 +5,7 @@
 //! of [`tqp_tensor::hash::group_rows_by_hash`] (collisions verified by
 //! key equality); aggregates are segmented reductions by group id.
 //! `COUNT(DISTINCT x)` sorts `(group id, x)` and counts distinct runs per
-//! group. The plan's [`Strategy`] only picks the output order: `Hash`
-//! emits groups in first-appearance order, `Sort` in key order (the hash
-//! aggregate's groups, then a stable argsort by key — each group's rows
-//! still fold in ascending input order, so the two differ by a
-//! permutation of whole rows and nothing else).
+//! group. Groups are emitted in first-appearance order.
 //!
 //! Group keys and aggregate arguments arrive as one **compiled
 //! [`ReduceExprs`] bundle** ([`crate::program`]): a shared
@@ -76,9 +72,6 @@ use crate::batch::Batch;
 use crate::expr::Evaled;
 use crate::exprfuse;
 use crate::program::{CompiledAgg, ReduceExprs};
-
-/// Aggregation strategy selector (the plan's).
-pub use tqp_ir::physical::AggStrategy as Strategy;
 
 /// Rows per aggregation morsel on the partitioned parallel path. Fixed —
 /// **never derived from the worker count** — so the partial-merge tree (and
@@ -176,26 +169,14 @@ fn eval_reduce(
 }
 
 /// Execute an aggregation over a whole batch on the calling thread:
-/// metered/GpuSim runs (modeled time must not depend on host threads, so
-/// they pass `workers = 1`), inputs under [`par_min_rows`], and reductions
-/// [`morsel_shape`] refuses. `workers` threads only the `Sort` strategy's
-/// key-order argsort, whose permutation is unique.
-pub fn aggregate(
-    input: &Batch,
-    reduce: &ReduceExprs,
-    strategy: Strategy,
-    models: &ModelRegistry,
-    workers: usize,
-) -> Batch {
+/// metered/GpuSim runs (modeled time must not depend on host threads),
+/// inputs under [`par_min_rows`], and reductions [`morsel_shape`] refuses.
+pub fn aggregate(input: &Batch, reduce: &ReduceExprs, models: &ModelRegistry) -> Batch {
     let (keys, args) = eval_reduce(input, reduce, models);
     if reduce.n_keys == 0 {
         return global_aggregate(input.nrows(), &reduce.aggs, &args);
     }
-    let out = hash_aggregate(&keys, &reduce.aggs, &args, input.nrows()).0;
-    match strategy {
-        Strategy::Sort => sort_groups_by_key(out, reduce.n_keys, workers),
-        Strategy::Hash => out,
-    }
+    hash_aggregate(&keys, &reduce.aggs, &args, input.nrows()).0
 }
 
 /// The morsel driver behind every parallel `GroupedReduce`: `morsel(m)`
@@ -215,7 +196,6 @@ pub fn aggregate_morsels<S: Send>(
     morsel: impl Fn(usize) -> (Batch, S) + Sync,
     shape: Shape,
     reduce: &ReduceExprs,
-    strategy: Strategy,
     models: &ModelRegistry,
     workers: usize,
 ) -> (Batch, Vec<S>, u64) {
@@ -227,7 +207,7 @@ pub fn aggregate_morsels<S: Send>(
             });
             // The merge runs on this thread.
             let t0 = Instant::now();
-            let out = merge_partials(partials, reduce.n_keys, &reduce.aggs, strategy, workers);
+            let out = merge_partials(partials, reduce.n_keys, &reduce.aggs);
             (out, extras, busy_us + t0.elapsed().as_micros() as u64)
         }
         Shape::Partitioned => {
@@ -235,7 +215,7 @@ pub fn aggregate_morsels<S: Send>(
             let (binned, extras, busy_us) = each_morsel(n_morsels, workers, morsel, |rows| {
                 bin_morsel(rows, reduce, models, bits)
             });
-            let (out, tasks_us) = aggregate_partitions(&binned, bits, reduce, strategy, workers);
+            let (out, tasks_us) = aggregate_partitions(&binned, bits, reduce, workers);
             (out, extras, busy_us + tasks_us)
         }
     }
@@ -510,15 +490,9 @@ fn one_partial(call: &CompiledAgg, arg: &Option<Evaled>, ids: &Tensor, g: usize)
 /// SUM/AVG results depend only on the morsel geometry, not on which worker
 /// computed which partial.
 ///
-/// Output group order matches the sequential aggregate: `Hash` keeps
-/// global first-appearance order, `Sort` sorts groups by their keys.
-fn merge_partials(
-    partials: Vec<AggPartial>,
-    n_group_cols: usize,
-    aggs: &[CompiledAgg],
-    strategy: Strategy,
-    workers: usize,
-) -> Batch {
+/// Output group order is global first-appearance order, as in the
+/// sequential aggregate.
+fn merge_partials(partials: Vec<AggPartial>, n_group_cols: usize, aggs: &[CompiledAgg]) -> Batch {
     let total: usize = partials.iter().map(|p| p.groups).sum();
     // A global aggregate whose every morsel came up empty (e.g. a fused
     // filter that matched nothing) must still yield the engine's one row
@@ -549,11 +523,7 @@ fn merge_partials(
         };
         columns.push(merge_one(call, &acc, counts.as_ref(), &ids, g));
     }
-    let out = Batch::new(columns);
-    if strategy == Strategy::Sort && n_group_cols > 0 {
-        return sort_groups_by_key(out, n_group_cols, workers);
-    }
-    out
+    Batch::new(columns)
 }
 
 /// Combine one aggregate's concatenated partial accumulators by global
@@ -698,14 +668,12 @@ fn bin_morsel(
 /// Phase 2 of the partitioned shape: one task per partition concatenates
 /// its slice of every morsel — its rows in ascending input order — and
 /// hash-aggregates them once; the partitions' groups are then emitted in
-/// ascending first-row order (`Hash`) or key order (`Sort`) — exactly the
-/// order of the sequential aggregate. Returns the aggregate and the worker
-/// time spent, µs.
+/// ascending first-row order — exactly the order of the sequential
+/// aggregate. Returns the aggregate and the worker time spent, µs.
 fn aggregate_partitions(
     morsels: &[BinnedMorsel],
     bits: u32,
     reduce: &ReduceExprs,
-    strategy: Strategy,
     workers: usize,
 ) -> (Batch, u64) {
     // Input-order position of each morsel's first row.
@@ -753,11 +721,7 @@ fn aggregate_partitions(
         first_rows.push(f);
         busy_us += us;
     }
-    let out = Batch::vcat_all(groups);
-    let out = match strategy {
-        Strategy::Sort => sort_groups_by_key(out, reduce.n_keys, workers),
-        Strategy::Hash => out.take(&first_row_order(&first_rows, n_rows)),
-    };
+    let out = Batch::vcat_all(groups).take(&first_row_order(&first_rows, n_rows));
     (out, busy_us + t0.elapsed().as_micros() as u64)
 }
 
@@ -783,17 +747,6 @@ fn first_row_order(first_rows: &[Vec<usize>], n_rows: usize) -> Tensor {
         perm[rank[f / 64] + below.count_ones() as usize] = g as i64;
     }
     Tensor::from_i64(perm)
-}
-
-/// Order an aggregate's groups by their key columns (the `Sort`
-/// strategy's output order).
-fn sort_groups_by_key(out: Batch, n_keys: usize, workers: usize) -> Batch {
-    let sort_keys: Vec<SortKey> = out.columns[..n_keys]
-        .iter()
-        .map(|k| SortKey::asc(k.clone()))
-        .collect();
-    let perm = crate::vm::argsort_par(&sort_keys, workers);
-    out.take(&perm)
 }
 
 /// Hash-group rows by key equality (collision-verified). Returns dense
@@ -1040,29 +993,14 @@ mod tests {
 
     /// Morsel-driven aggregation of a batch in hand, the way the VM's
     /// non-fused route slices it.
-    fn morsels(
-        b: &Batch,
-        reduce: &ReduceExprs,
-        strategy: Strategy,
-        shape: Shape,
-        workers: usize,
-    ) -> Batch {
+    fn morsels(b: &Batch, reduce: &ReduceExprs, shape: Shape, workers: usize) -> Batch {
         let (n, rows) = (b.nrows(), par_morsel_rows());
         let morsel = |m: usize| (b.slice_rows(m * rows, ((m + 1) * rows).min(n)), ());
         let models = ModelRegistry::new();
-        aggregate_morsels(
-            n.div_ceil(rows),
-            morsel,
-            shape,
-            reduce,
-            strategy,
-            &models,
-            workers,
-        )
-        .0
+        aggregate_morsels(n.div_ceil(rows), morsel, shape, reduce, &models, workers).0
     }
 
-    fn run(strategy: Strategy) -> Batch {
+    fn run() -> Batch {
         aggregate(
             &batch(),
             &reduce_of(
@@ -1076,9 +1014,7 @@ mod tests {
                     call(AggFunc::CountDistinct, 2, LogicalType::Int64),
                 ],
             ),
-            strategy,
             &ModelRegistry::new(),
-            1,
         )
     }
 
@@ -1097,71 +1033,17 @@ mod tests {
         panic!("group {key} missing");
     }
 
-    /// `Strategy::Sort` is `Strategy::Hash` with its groups listed in key
-    /// order — bitwise, float SUM/AVG association included — for float
-    /// keys with signed zeros and NaNs, string keys, two key columns,
-    /// COUNT(DISTINCT) and NULL-bearing arguments. The key order is
-    /// computed here (`total_cmp` on floats, bytes on strings), not by the
-    /// engine.
+    /// Groups are listed in first-appearance order.
     #[test]
-    fn sort_is_hash_ordered_by_key() {
-        for strat in [Strategy::Sort, Strategy::Hash] {
-            let out = run(strat);
-            assert_eq!(out.nrows(), 2, "{strat:?}");
-            // a: vals 1,3,5; i64 7,8,7 → 2 distinct
-            assert_eq!(group_of(&out, "a"), vec![9.0, 3.0, 1.0, 5.0, 3.0, 2.0]);
-            // b: vals 2,4; i64 7,8 → 2 distinct
-            assert_eq!(group_of(&out, "b"), vec![6.0, 2.0, 2.0, 4.0, 3.0, 2.0]);
-        }
-
-        let n = 3000;
-        let floats = [
-            0.0,
-            -0.0,
-            f64::NAN,
-            -f64::NAN,
-            f64::from_bits(0x7ff8_0000_0000_0001),
-            1.5,
-            -2.25,
-            f64::INFINITY,
-        ];
-        let mut b = everything_batch(n, |i| ((i * 7919) % 37) as i64);
-        b.columns.push(Tensor::from_f64(
-            (0..n)
-                .map(|i| floats[(i * 13 + i / 5) % floats.len()])
-                .collect(),
-        ));
-        b.validity.push(None);
-        use LogicalType::{Float64 as F, Int64 as I, Str as S};
-        let key_sets = [
-            vec![E::col(5, F)],
-            vec![E::col(1, S)],
-            vec![E::col(5, F), E::col(1, S)],
-            vec![E::col(0, I), E::col(5, F)],
-        ];
-        let models = ModelRegistry::new();
-        for keys in key_sets {
-            let reduce = everything_by(&keys);
-            let hash = aggregate(&b, &reduce, Strategy::Hash, &models, 1);
-            let cmp_rows = |x: usize, y: usize| {
-                hash.columns[..keys.len()]
-                    .iter()
-                    .map(|k| match k.dtype() {
-                        DType::F64 => k.as_f64()[x].total_cmp(&k.as_f64()[y]),
-                        DType::U8 => k.str_row(x).cmp(k.str_row(y)),
-                        _ => k.as_i64()[x].cmp(&k.as_i64()[y]),
-                    })
-                    .find(|o| o.is_ne())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            };
-            let mut perm: Vec<usize> = (0..hash.nrows()).collect();
-            perm.sort_by(|&x, &y| cmp_rows(x, y));
-            let by_key = hash.take(&Tensor::from_i64(perm.iter().map(|&i| i as i64).collect()));
-            for workers in [1, 4] {
-                let sort = aggregate(&b, &reduce, Strategy::Sort, &models, workers);
-                assert_bitwise(&by_key, &sort, &format!("{} keys, w={workers}", keys.len()));
-            }
-        }
+    fn grouped_aggregates() {
+        let out = run();
+        assert_eq!(out.nrows(), 2);
+        assert_eq!(out.columns[0].str_at(0), "a");
+        assert_eq!(out.columns[0].str_at(1), "b");
+        // a: vals 1,3,5; i64 7,8,7 → 2 distinct
+        assert_eq!(group_of(&out, "a"), vec![9.0, 3.0, 1.0, 5.0, 3.0, 2.0]);
+        // b: vals 2,4; i64 7,8 → 2 distinct
+        assert_eq!(group_of(&out, "b"), vec![6.0, 2.0, 2.0, 4.0, 3.0, 2.0]);
     }
 
     #[test]
@@ -1194,7 +1076,7 @@ mod tests {
             reduce.exprs.outputs[reduce.aggs[0].arg.unwrap()],
             reduce.exprs.outputs[reduce.aggs[1].arg.unwrap()]
         );
-        let out = aggregate(&batch(), &reduce, Strategy::Sort, &ModelRegistry::new(), 1);
+        let out = aggregate(&batch(), &reduce, &ModelRegistry::new());
         assert_eq!(group_of(&out, "a"), vec![18.0, 6.0]);
     }
 
@@ -1210,9 +1092,7 @@ mod tests {
                     call(AggFunc::CountDistinct, 2, LogicalType::Int64),
                 ],
             ),
-            Strategy::Sort,
             &ModelRegistry::new(),
-            1,
         );
         assert_eq!(out.nrows(), 1);
         assert_eq!(out.columns[0].as_f64(), &[15.0]);
@@ -1238,9 +1118,7 @@ mod tests {
                     call(AggFunc::Avg, 1, LogicalType::Float64),
                 ],
             ),
-            Strategy::Sort,
             &ModelRegistry::new(),
-            1,
         );
         assert_eq!(out.nrows(), 1);
         assert_eq!(out.columns[0].as_f64(), &[0.0]);
@@ -1259,9 +1137,7 @@ mod tests {
         let out = aggregate(
             &empty,
             &reduce_of(&[E::col(0, LogicalType::Str)], &[star()]),
-            Strategy::Sort,
             &ModelRegistry::new(),
-            1,
         );
         assert_eq!(out.nrows(), 0);
     }
@@ -1276,33 +1152,29 @@ mod tests {
             ],
             vec![None, Some(Tensor::from_bool(vec![true, false, true]))],
         );
-        for strat in [Strategy::Sort, Strategy::Hash] {
-            let out = aggregate(
-                &b,
-                &reduce_of(
-                    &[E::col(0, LogicalType::Int64)],
-                    &[
-                        AggCall {
-                            func: AggFunc::Count,
-                            arg: Some(E::col(1, LogicalType::Float64)),
-                            ty: LogicalType::Int64,
-                        },
-                        AggCall {
-                            func: AggFunc::Sum,
-                            arg: Some(E::col(1, LogicalType::Float64)),
-                            ty: LogicalType::Float64,
-                        },
-                        star(),
-                    ],
-                ),
-                strat,
-                &ModelRegistry::new(),
-                1,
-            );
-            assert_eq!(out.columns[1].as_i64(), &[2], "{strat:?}");
-            assert_eq!(out.columns[2].as_f64(), &[30.0]);
-            assert_eq!(out.columns[3].as_i64(), &[3]);
-        }
+        let out = aggregate(
+            &b,
+            &reduce_of(
+                &[E::col(0, LogicalType::Int64)],
+                &[
+                    AggCall {
+                        func: AggFunc::Count,
+                        arg: Some(E::col(1, LogicalType::Float64)),
+                        ty: LogicalType::Int64,
+                    },
+                    AggCall {
+                        func: AggFunc::Sum,
+                        arg: Some(E::col(1, LogicalType::Float64)),
+                        ty: LogicalType::Float64,
+                    },
+                    star(),
+                ],
+            ),
+            &ModelRegistry::new(),
+        );
+        assert_eq!(out.columns[1].as_i64(), &[2]);
+        assert_eq!(out.columns[2].as_f64(), &[30.0]);
+        assert_eq!(out.columns[3].as_i64(), &[3]);
     }
 
     /// Adversarial float magnitudes: values whose sum is exquisitely
@@ -1333,70 +1205,60 @@ mod tests {
             ],
         );
         let models = ModelRegistry::new();
-        for strat in [Strategy::Sort, Strategy::Hash] {
-            let one = morsels(&b, &reduce, strat, Shape::Partial, 1);
-            for workers in [2, 5, 8] {
-                let many = morsels(&b, &reduce, strat, Shape::Partial, workers);
-                assert_eq!(one.nrows(), many.nrows(), "{strat:?}");
-                for c in 0..one.ncols() {
-                    match one.columns[c].dtype() {
-                        DType::F64 => {
-                            let x: Vec<u64> = one.columns[c]
-                                .as_f64()
-                                .iter()
-                                .map(|v| v.to_bits())
-                                .collect();
-                            let y: Vec<u64> = many.columns[c]
-                                .as_f64()
-                                .iter()
-                                .map(|v| v.to_bits())
-                                .collect();
-                            assert_eq!(x, y, "{strat:?} col {c} workers {workers}: float bits");
-                        }
-                        _ => assert_eq!(
-                            one.columns[c].as_i64(),
-                            many.columns[c].as_i64(),
-                            "{strat:?} col {c} workers {workers}"
-                        ),
+        let one = morsels(&b, &reduce, Shape::Partial, 1);
+        for workers in [2, 5, 8] {
+            let many = morsels(&b, &reduce, Shape::Partial, workers);
+            assert_eq!(one.nrows(), many.nrows());
+            for c in 0..one.ncols() {
+                match one.columns[c].dtype() {
+                    DType::F64 => {
+                        let x: Vec<u64> = one.columns[c]
+                            .as_f64()
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect();
+                        let y: Vec<u64> = many.columns[c]
+                            .as_f64()
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect();
+                        assert_eq!(x, y, "col {c} workers {workers}: float bits");
                     }
+                    _ => assert_eq!(
+                        one.columns[c].as_i64(),
+                        many.columns[c].as_i64(),
+                        "col {c} workers {workers}"
+                    ),
                 }
             }
-            // The sequential path must agree exactly on everything
-            // association-insensitive: the group set, MIN, MAX, and
-            // COUNT(*). SUM/AVG are deliberately excluded here — with
-            // these magnitudes the value genuinely depends on association
-            // order (that is what makes the input adversarial); their
-            // seq-vs-par agreement is asserted on benign values in
-            // `parallel_grouped_matches_sequential`.
-            let seq = aggregate(&b, &reduce, strat, &models, 1);
-            assert_eq!(seq.nrows(), one.nrows(), "{strat:?}");
-            assert_eq!(
-                seq.columns[0].as_i64(),
-                one.columns[0].as_i64(),
-                "{strat:?} keys"
-            );
-            for c in [3, 4] {
-                let s: Vec<u64> = seq.columns[c]
-                    .as_f64()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect();
-                let p: Vec<u64> = one.columns[c]
-                    .as_f64()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect();
-                assert_eq!(s, p, "{strat:?} col {c}: seq-vs-par MIN/MAX bits");
-            }
-            assert_eq!(
-                seq.columns[5].as_i64(),
-                one.columns[5].as_i64(),
-                "{strat:?} count"
-            );
         }
+        // The sequential path must agree exactly on everything
+        // association-insensitive: the group set, MIN, MAX, and
+        // COUNT(*). SUM/AVG are deliberately excluded here — with
+        // these magnitudes the value genuinely depends on association
+        // order (that is what makes the input adversarial); their
+        // seq-vs-par agreement is asserted on benign values in
+        // `parallel_grouped_matches_sequential`.
+        let seq = aggregate(&b, &reduce, &models);
+        assert_eq!(seq.nrows(), one.nrows());
+        assert_eq!(seq.columns[0].as_i64(), one.columns[0].as_i64(), "keys");
+        for c in [3, 4] {
+            let s: Vec<u64> = seq.columns[c]
+                .as_f64()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let p: Vec<u64> = one.columns[c]
+                .as_f64()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(s, p, "col {c}: seq-vs-par MIN/MAX bits");
+        }
+        assert_eq!(seq.columns[5].as_i64(), one.columns[5].as_i64(), "count");
     }
 
-    /// The partitioned path agrees with the sequential strategies on exact
+    /// The partial-merge path agrees with the sequential aggregate on exact
     /// (integer/count) results, group sets, and output order, including
     /// validity-masked inputs (the left-join NULL case).
     #[test]
@@ -1429,17 +1291,11 @@ mod tests {
             ],
         );
         let models = ModelRegistry::new();
-        for strat in [Strategy::Sort, Strategy::Hash] {
-            let seq = aggregate(&b, &reduce, strat, &models, 1);
-            let par = morsels(&b, &reduce, strat, Shape::Partial, 4);
-            assert_eq!(seq.nrows(), par.nrows(), "{strat:?}");
-            for c in 0..seq.ncols() {
-                assert_eq!(
-                    seq.columns[c].as_i64(),
-                    par.columns[c].as_i64(),
-                    "{strat:?} col {c}"
-                );
-            }
+        let seq = aggregate(&b, &reduce, &models);
+        let par = morsels(&b, &reduce, Shape::Partial, 4);
+        assert_eq!(seq.nrows(), par.nrows());
+        for c in 0..seq.ncols() {
+            assert_eq!(seq.columns[c].as_i64(), par.columns[c].as_i64(), "col {c}");
         }
     }
 
@@ -1459,8 +1315,8 @@ mod tests {
                 star(),
             ],
         );
-        let one = morsels(&b, &reduce, Strategy::Sort, Shape::Partial, 1);
-        let many = morsels(&b, &reduce, Strategy::Sort, Shape::Partial, 6);
+        let one = morsels(&b, &reduce, Shape::Partial, 1);
+        let many = morsels(&b, &reduce, Shape::Partial, 6);
         assert_eq!(one.nrows(), 1);
         assert_eq!(
             one.columns[0].as_f64()[0].to_bits(),
@@ -1503,9 +1359,9 @@ mod tests {
             ],
         );
         let models = ModelRegistry::new();
-        let seq = aggregate(&b, &reduce, Strategy::Hash, &models, 1);
+        let seq = aggregate(&b, &reduce, &models);
         for workers in [1usize, 4] {
-            let par = morsels(&b, &reduce, Strategy::Hash, Shape::Partial, workers);
+            let par = morsels(&b, &reduce, Shape::Partial, workers);
             assert_eq!(seq.nrows(), par.nrows(), "workers {workers}");
             assert_eq!(seq.columns[0].str_at(0), par.columns[0].str_at(0));
             assert_eq!(seq.columns[1].str_at(0), par.columns[1].str_at(0));
@@ -1556,21 +1412,19 @@ mod tests {
         );
         let models = ModelRegistry::new();
         for (k, b) in inputs.iter().enumerate() {
-            for strat in [Strategy::Sort, Strategy::Hash] {
-                let seq = aggregate(b, &reduce, strat, &models, 1);
-                assert_eq!(seq.nrows(), 3);
-                if k == 1 {
-                    let g2 = (0..3).find(|&r| seq.columns[0].as_i64()[r] == 2).unwrap();
-                    assert_eq!(seq.columns[1].as_i64()[g2], 0);
-                    assert_eq!(seq.columns[2].str_at(g2), "");
-                    assert_eq!(seq.columns[3].str_at(g2), "");
-                }
-                for shape in [Shape::Partial, Shape::Partitioned] {
-                    for workers in [1usize, 4] {
-                        let par = morsels(b, &reduce, strat, shape, workers);
-                        let what = format!("input {k} {strat:?} {shape:?} w={workers}");
-                        assert_bitwise(&seq, &par, &what);
-                    }
+            let seq = aggregate(b, &reduce, &models);
+            assert_eq!(seq.nrows(), 3);
+            if k == 1 {
+                let g2 = (0..3).find(|&r| seq.columns[0].as_i64()[r] == 2).unwrap();
+                assert_eq!(seq.columns[1].as_i64()[g2], 0);
+                assert_eq!(seq.columns[2].str_at(g2), "");
+                assert_eq!(seq.columns[3].str_at(g2), "");
+            }
+            for shape in [Shape::Partial, Shape::Partitioned] {
+                for workers in [1usize, 4] {
+                    let par = morsels(b, &reduce, shape, workers);
+                    let what = format!("input {k} {shape:?} w={workers}");
+                    assert_bitwise(&seq, &par, &what);
                 }
             }
         }
@@ -1604,12 +1458,6 @@ mod tests {
     /// Every aggregate function over NULL-bearing arguments, float, int and
     /// string, keyed by `(k0: i64, k1: str)`.
     fn everything(n_keys: usize) -> ReduceExprs {
-        use LogicalType::{Int64 as I, Str as S};
-        everything_by(&[E::col(0, I), E::col(1, S)][..n_keys])
-    }
-
-    /// [`everything`]'s aggregates, grouped by `keys`.
-    fn everything_by(keys: &[E]) -> ReduceExprs {
         let arg = |func, col, arg_ty, ty| AggCall {
             func,
             arg: Some(E::col(col, arg_ty)),
@@ -1617,7 +1465,7 @@ mod tests {
         };
         use LogicalType::{Float64 as F, Int64 as I, Str as S};
         reduce_of(
-            keys,
+            &[E::col(0, I), E::col(1, S)][..n_keys],
             &[
                 arg(AggFunc::Sum, 2, F, F),
                 arg(AggFunc::Avg, 2, F, F),
@@ -1673,8 +1521,8 @@ mod tests {
 
     /// The partitioned shape is bit-for-bit the sequential aggregate — group
     /// order, keys and every aggregate, float association included — at
-    /// every worker count, both strategies; for
-    /// duplicate-heavy keys, all-distinct keys and one giant group.
+    /// every worker count; for duplicate-heavy keys, all-distinct keys and
+    /// one giant group.
     #[test]
     fn partitioned_is_bitwise_the_sequential_aggregate() {
         let n = par_min_rows() * 2 + 4321;
@@ -1689,13 +1537,11 @@ mod tests {
             let b = everything_batch(n, key);
             for n_keys in [1, 2] {
                 let reduce = everything(n_keys);
-                for strat in [Strategy::Hash, Strategy::Sort] {
-                    let seq = aggregate(&b, &reduce, strat, &models, 1);
-                    for workers in [1, 2, 4, 8] {
-                        let par = morsels(&b, &reduce, strat, Shape::Partitioned, workers);
-                        let what = format!("{name} keys={n_keys} {strat:?} w={workers}");
-                        assert_bitwise(&seq, &par, &what);
-                    }
+                let seq = aggregate(&b, &reduce, &models);
+                for workers in [1, 2, 4, 8] {
+                    let par = morsels(&b, &reduce, Shape::Partitioned, workers);
+                    let what = format!("{name} keys={n_keys} w={workers}");
+                    assert_bitwise(&seq, &par, &what);
                 }
             }
         }
@@ -1725,7 +1571,6 @@ mod tests {
                 morsel,
                 Shape::Partitioned,
                 &reduce,
-                Strategy::Hash,
                 &models,
                 workers,
             )
@@ -1736,7 +1581,7 @@ mod tests {
             .iter()
             .map(|&m| b.slice_rows(m * rows, (m + 1) * rows))
             .collect();
-        let seq = aggregate(&Batch::vcat_all(kept), &reduce, Strategy::Hash, &models, 1);
+        let seq = aggregate(&Batch::vcat_all(kept), &reduce, &models);
         for workers in [1, 4] {
             let par = run(&|m| m % 2 == 1, workers);
             assert_bitwise(&seq, &par, &format!("odd morsels, w={workers}"));
@@ -1787,9 +1632,7 @@ mod tests {
                     ty: LogicalType::Str,
                 }],
             ),
-            Strategy::Sort,
             &ModelRegistry::new(),
-            1,
         );
         assert_eq!(out.columns[1].str_at(0), "apple");
         assert_eq!(out.columns[1].str_at(1), "kiwi");

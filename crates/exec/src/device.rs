@@ -104,7 +104,6 @@ pub fn kernel_count(op: &str, n_exprs: usize) -> u32 {
         "Scan" => 1,
         "Filter" => (2 + n_exprs) as u32,
         "Project" => n_exprs.max(1) as u32,
-        "Join" => 10,
         "CrossJoin" => 3,
         "Aggregate" => (6 + n_exprs) as u32,
         "Sort" => (2 * n_exprs.max(1)) as u32,
@@ -167,6 +166,6 @@ mod tests {
     #[test]
     fn kernel_counts_reasonable() {
         assert_eq!(kernel_count("Scan", 0), 1);
-        assert!(kernel_count("Join", 0) > kernel_count("Filter", 1));
+        assert!(kernel_count("Aggregate", 0) > kernel_count("Filter", 1));
     }
 }

@@ -1,4 +1,4 @@
-//! Shared expression kernels: `EXTRACT`, row hashing and key equality,
+//! Shared expression kernels: `EXTRACT` and key equality,
 //! plus the validity and coercion rules the compiled expression walk
 //! ([`crate::exprprog`]) applies.
 
@@ -70,51 +70,6 @@ pub fn extract_month_kernel(t: &Tensor) -> Tensor {
     Tensor::from_i64(out)
 }
 
-/// FxHash-style row hash over multiple key columns → `I64` tensor. Used by
-/// multi-key joins and hash aggregation (hash + full-key verification).
-pub fn hash_rows(keys: &[&Tensor]) -> Tensor {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-    let n = keys.first().map_or(0, |k| k.nrows());
-    let mut acc = vec![0xcbf2_9ce4_8422_2325u64; n];
-    let mix = |h: u64, v: u64| -> u64 { (h.rotate_left(5) ^ v).wrapping_mul(SEED) };
-    for k in keys {
-        match k.dtype() {
-            tqp_tensor::DType::I64 => {
-                for (a, &v) in acc.iter_mut().zip(k.as_i64()) {
-                    *a = mix(*a, v as u64);
-                }
-            }
-            tqp_tensor::DType::I32 => {
-                for (a, &v) in acc.iter_mut().zip(k.as_i32()) {
-                    *a = mix(*a, v as i64 as u64);
-                }
-            }
-            tqp_tensor::DType::F64 => {
-                for (a, &v) in acc.iter_mut().zip(k.as_f64()) {
-                    *a = mix(*a, v.to_bits());
-                }
-            }
-            tqp_tensor::DType::Bool => {
-                for (a, &v) in acc.iter_mut().zip(k.as_bool()) {
-                    *a = mix(*a, v as u64);
-                }
-            }
-            tqp_tensor::DType::U8 => {
-                for (i, a) in acc.iter_mut().enumerate() {
-                    let row = k.str_row_trimmed(i);
-                    let mut h = 0xcbf2_9ce4_8422_2325u64;
-                    for &b in row {
-                        h = mix(h, b as u64);
-                    }
-                    *a = mix(*a, h);
-                }
-            }
-            other => panic!("hash_rows on {other:?}"),
-        }
-    }
-    Tensor::from_i64(acc.into_iter().map(|h| h as i64).collect())
-}
-
 /// Row-wise key equality across two gathered key sets (hash-collision
 /// verification and join-key residuals).
 pub fn keys_equal(left: &[Tensor], right: &[Tensor]) -> Tensor {
@@ -137,15 +92,6 @@ mod tests {
         let t = Tensor::from_i64(vec![ns]);
         assert_eq!(extract_year_kernel(&t).as_i64(), &[1995]);
         assert_eq!(extract_month_kernel(&t).as_i64(), &[9]);
-    }
-
-    #[test]
-    fn hash_rows_consistency() {
-        let a = Tensor::from_i64(vec![1, 2, 1]);
-        let b = Tensor::from_strings(&["x", "y", "x"], 0);
-        let h = hash_rows(&[&a, &b]);
-        assert_eq!(h.as_i64()[0], h.as_i64()[2]);
-        assert_ne!(h.as_i64()[0], h.as_i64()[1]);
     }
 
     #[test]

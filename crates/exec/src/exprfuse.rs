@@ -394,6 +394,10 @@ fn lower_op(
                         _ => TB::Mod,
                     };
                     match (rvs[*lhs], rvs[*rhs]) {
+                        // Integer `/` and `%` by zero are NULL, which a
+                        // kernel's column-validity AND cannot express:
+                        // generic path.
+                        (RV::I64(_), RV::I64(_)) if matches!(op, BinOp::Div | BinOp::Mod) => None,
                         (RV::I64(a), RV::I64(b)) => {
                             let dst = f.i64_slot();
                             f.kops.push(KOp::ArithI64 { dst, op: tb, a, b });

@@ -54,9 +54,10 @@ use tqp_ir::expr::{eval_binary_scalar, eval_const, BinOp, BoundExpr, ScalarFunc}
 use tqp_ir::json as irjson;
 use tqp_json::Json;
 use tqp_ml::{Model, ModelRegistry};
-use tqp_tensor::ops::{self, BinOp as TB};
+use tqp_tensor::index::count_true;
+use tqp_tensor::ops::{self, BinOp as TB, CmpOp};
 use tqp_tensor::strings::{self, LikePattern};
-use tqp_tensor::{Scalar, Tensor};
+use tqp_tensor::{DType, Scalar, Tensor};
 
 use crate::batch::Batch;
 use crate::expr::{
@@ -754,7 +755,16 @@ fn exec_vec_op(
         ExprOp::Binary { op, lhs, rhs, .. } => {
             let (lv, lval) = reg(*lhs);
             let (rv, rval) = reg(*rhs);
-            let validity = merge_validity(lval.clone(), rval.clone());
+            let mut validity = merge_validity(lval.clone(), rval.clone());
+            // Integer `/` and `%` by zero are NULL, as on the row engine;
+            // without a zero divisor the validity is left as it is.
+            if matches!(op, BinOp::Div | BinOp::Mod) && lv.dtype().is_int() && rv.dtype().is_int() {
+                let divisor = rv.cast(DType::I64).expect("integer cast");
+                let nonzero = ops::compare_scalar(CmpOp::Ne, &divisor, &Scalar::I64(0));
+                if count_true(&nonzero) < n {
+                    validity = merge_validity(validity, Some(nonzero));
+                }
+            }
             let value = match op {
                 BinOp::And => ops::and(lv, rv),
                 BinOp::Or => ops::or(lv, rv),

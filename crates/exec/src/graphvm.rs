@@ -146,7 +146,7 @@ mod tests {
         let plan = compile_sql(
             "select id from t where v > 10.0",
             &catalog,
-            &PhysicalOptions::default(),
+            &PhysicalOptions,
         )
         .unwrap();
         let prog = lower(&plan);
@@ -162,7 +162,7 @@ mod tests {
         let plan = compile_sql(
             "select id, v * 2 as vv from t where v > 10.0 order by id",
             &catalog,
-            &PhysicalOptions::default(),
+            &PhysicalOptions,
         )
         .unwrap();
         let bytes = serialize_program(&lower(&plan));

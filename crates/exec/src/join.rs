@@ -1,17 +1,12 @@
-//! Tensor join algorithms (the paper's "novel algorithms mapping relational
+//! The tensor hash join (the paper's "novel algorithms mapping relational
 //! operators into tensor programs").
 //!
-//! * **Sort-merge** (tensor-native): stable-argsort the build side,
-//!   probe with two `searchsorted` calls to get each probe key's match run
-//!   `[lo, hi)`, expand runs into aligned index tensors with
-//!   `repeat_interleave`/`cumsum`/`arange` arithmetic, then gather. No data-
-//!   dependent control flow — every step is a dense kernel.
-//! * **Hash**: hash each side exactly once with the blockwise kernels in
-//!   [`tqp_tensor::hash`] and build a [`FlatRowTable`] — a power-of-two
-//!   directory over contiguous row/key arenas, filled by a counting pass
-//!   (no per-key `Vec` allocations, no second hash on insert). Probe pairs
-//!   come out in (probe row asc, build row asc) order, and hashed keys are
-//!   verified for true equality.
+//! Each side is hashed exactly once with the blockwise kernels in
+//! [`tqp_tensor::hash`], and the build side fills a [`FlatRowTable`] — a
+//! power-of-two directory over contiguous row/key arenas, filled by a
+//! counting pass (no per-key `Vec` allocations, no second hash on insert).
+//! Probe pairs come out in (probe row asc, build row asc) order, and hashed
+//! keys are verified for true equality.
 //!
 //! Multi-column keys reduce to the single-key case by joining on a 64-bit
 //! combined row hash and verifying true key equality on the expanded pairs
@@ -20,7 +15,7 @@
 //! evaluated over the gathered pair batch, and a pair either of whose keys
 //! is NULL (an outer join's padding) is dropped.
 //!
-//! Joins build on their right input. A hash **semi/anti** join may
+//! Joins build on their right input. A **semi/anti** join may
 //! instead build on its *left* input (`build_left`, chosen by the planner
 //! when the left side is the smaller one): the right side's keys probe the
 //! table and mark the left rows they match. The pair list comes out in
@@ -28,73 +23,17 @@
 //! matched and emits them in left order, so the output is the same
 //! whichever side was built — and the same at every worker count.
 
-use tqp_ir::physical::JoinStrategy;
 use tqp_ir::plan::JoinType;
 use tqp_ml::ModelRegistry;
 use tqp_tensor::hash::{self, FlatRowTable};
-use tqp_tensor::index::{
-    arange, exclusive_cumsum, mask_to_indices, repeat_interleave, searchsorted, take, Side,
-};
-use tqp_tensor::ops::{self, BinOp as TB};
-use tqp_tensor::sort::{argsort, Order};
+use tqp_tensor::index::{mask_to_indices, repeat_interleave, take};
+use tqp_tensor::ops;
 use tqp_tensor::{DType, Tensor};
 
 use crate::batch::Batch;
-use crate::expr::{hash_rows, keys_equal};
+use crate::expr::keys_equal;
 use crate::exprfuse;
 use crate::exprprog::ExprProgram;
-
-/// Execute a join between two batches (single-threaded entry point; the
-/// program VM calls the build/probe halves directly).
-#[allow(clippy::too_many_arguments)]
-pub fn join(
-    left: &Batch,
-    right: &Batch,
-    join_type: JoinType,
-    strategy: JoinStrategy,
-    on: &[(usize, usize)],
-    residual: Option<&ExprProgram>,
-    models: &ModelRegistry,
-) -> Batch {
-    match strategy {
-        JoinStrategy::SortMerge => sort_merge_join(left, right, join_type, on, residual, models),
-        JoinStrategy::Hash => {
-            let keys: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-            let table = build_table(right, &keys);
-            probe_table(
-                &table, left, right, join_type, on, residual, models, 1, false,
-            )
-        }
-    }
-}
-
-/// The tensor-native sort-merge join: one fused pairs+assembly op.
-pub fn sort_merge_join(
-    left: &Batch,
-    right: &Batch,
-    join_type: JoinType,
-    on: &[(usize, usize)],
-    residual: Option<&ExprProgram>,
-    models: &ModelRegistry,
-) -> Batch {
-    assert!(!on.is_empty(), "tensor joins require at least one equi key");
-    let lkeys: Vec<&Tensor> = on.iter().map(|&(l, _)| &left.columns[l]).collect();
-    let rkeys: Vec<&Tensor> = on.iter().map(|&(_, r)| &right.columns[r]).collect();
-    // Reduce to one I64 key column; hashed keys require verification.
-    let (lkey, rkey, need_verify) = make_keys(&lkeys, &rkeys);
-    let (left_idx, right_idx) = smj_pairs(&lkey, &rkey);
-    finish_join(
-        left,
-        right,
-        join_type,
-        left_idx,
-        right_idx,
-        need_verify,
-        on,
-        residual,
-        models,
-    )
-}
 
 /// The build side of a hash join (the program's `HashBuild` op): a
 /// row-index table over the build (right) input's key columns. Multi-key
@@ -299,8 +238,7 @@ pub fn probe_table(
     )
 }
 
-/// Pair verification + residual filtering + join-type assembly, shared by
-/// both join algorithms.
+/// Pair verification + residual filtering + join-type assembly.
 #[allow(clippy::too_many_arguments)]
 fn finish_join(
     left: &Batch,
@@ -388,42 +326,6 @@ pub fn cross_join(left: &Batch, right: &Batch) -> Batch {
     }
     left.take(&left_idx)
         .hcat(right.take(&Tensor::from_i64(ridx)))
-}
-
-/// Build single-I64 key tensors from (possibly multi-column, possibly
-/// non-integer) key sets. Returns `(lkey, rkey, needs_verification)`.
-fn make_keys(lkeys: &[&Tensor], rkeys: &[&Tensor]) -> (Tensor, Tensor, bool) {
-    if lkeys.len() == 1
-        && lkeys[0].dtype() == DType::I64
-        && rkeys[0].dtype() == DType::I64
-        && lkeys[0].shape().len() == 1
-    {
-        return (lkeys[0].clone(), rkeys[0].clone(), false);
-    }
-    (hash_rows(lkeys), hash_rows(rkeys), true)
-}
-
-/// Sort-merge pair expansion.
-fn smj_pairs(lkey: &Tensor, rkey: &Tensor) -> (Tensor, Tensor) {
-    if lkey.is_empty() || rkey.is_empty() {
-        return (Tensor::from_i64(vec![]), Tensor::from_i64(vec![]));
-    }
-    let perm_r = argsort(rkey, Order::Asc);
-    let sorted = take(rkey, &perm_r);
-    let lo = searchsorted(&sorted, lkey, Side::Left);
-    let hi = searchsorted(&sorted, lkey, Side::Right);
-    let counts = ops::binary(TB::Sub, &hi, &lo);
-    let total: i64 = counts.as_i64().iter().sum();
-    if total == 0 {
-        return (Tensor::from_i64(vec![]), Tensor::from_i64(vec![]));
-    }
-    let left_idx = repeat_interleave(&counts);
-    let offsets = exclusive_cumsum(&counts);
-    let k = arange(0, total);
-    let within = ops::binary(TB::Sub, &k, &take(&offsets, &left_idx));
-    let right_sorted_pos = ops::binary(TB::Add, &take(&lo, &left_idx), &within);
-    let right_idx = take(&perm_r, &right_sorted_pos);
-    (left_idx, right_idx)
 }
 
 /// Minimum probe rows per worker before chunking pays for itself.
@@ -572,16 +474,40 @@ mod tests {
         ])
     }
 
-    fn run(jt: JoinType, strat: JoinStrategy) -> Batch {
-        join(
-            &left(),
-            &right(),
-            jt,
-            strat,
-            &[(0, 0)],
-            None,
-            &ModelRegistry::new(),
+    /// A single-threaded join built on `right`.
+    fn join(
+        left: &Batch,
+        right: &Batch,
+        join_type: JoinType,
+        on: &[(usize, usize)],
+        residual: Option<&ExprProgram>,
+    ) -> Batch {
+        let keys: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
+        let table = build_table(right, &keys);
+        let models = ModelRegistry::new();
+        probe_table(
+            &table, left, right, join_type, on, residual, &models, 1, false,
         )
+    }
+
+    fn run(jt: JoinType) -> Batch {
+        join(&left(), &right(), jt, &[(0, 0)], None)
+    }
+
+    /// The (probe row, build row) pairs of an inner equi-join on `I64`
+    /// keys, by nested loops: probe rows ascending, each probe row's
+    /// matches in ascending build row order.
+    fn nested_loop_pairs(probe: &[&[i64]], build: &[&[i64]]) -> (Vec<i64>, Vec<i64>) {
+        let (mut p, mut b) = (Vec::new(), Vec::new());
+        for i in 0..probe[0].len() {
+            for j in 0..build[0].len() {
+                if probe.iter().zip(build).all(|(pk, bk)| pk[i] == bk[j]) {
+                    p.push(i as i64);
+                    b.push(j as i64);
+                }
+            }
+        }
+        (p, b)
     }
 
     fn sorted_i64(t: &Tensor) -> Vec<i64> {
@@ -591,28 +517,24 @@ mod tests {
     }
 
     #[test]
-    fn inner_join_both_strategies_agree() {
-        for strat in [JoinStrategy::SortMerge, JoinStrategy::Hash] {
-            let out = run(JoinType::Inner, strat);
-            assert_eq!(out.nrows(), 3, "{strat:?}");
-            assert_eq!(sorted_i64(&out.columns[0]), vec![2, 3, 3]);
-            assert_eq!(out.ncols(), 4);
-        }
+    fn inner_join() {
+        let out = run(JoinType::Inner);
+        assert_eq!(out.nrows(), 3);
+        assert_eq!(sorted_i64(&out.columns[0]), vec![2, 3, 3]);
+        assert_eq!(out.ncols(), 4);
     }
 
     #[test]
     fn semi_and_anti() {
-        for strat in [JoinStrategy::SortMerge, JoinStrategy::Hash] {
-            let semi = run(JoinType::Semi, strat);
-            assert_eq!(sorted_i64(&semi.columns[0]), vec![2, 3]);
-            let anti = run(JoinType::Anti, strat);
-            assert_eq!(sorted_i64(&anti.columns[0]), vec![1, 4]);
-        }
+        let semi = run(JoinType::Semi);
+        assert_eq!(sorted_i64(&semi.columns[0]), vec![2, 3]);
+        let anti = run(JoinType::Anti);
+        assert_eq!(sorted_i64(&anti.columns[0]), vec![1, 4]);
     }
 
     #[test]
     fn left_join_null_extends() {
-        let out = run(JoinType::Left, JoinStrategy::SortMerge);
+        let out = run(JoinType::Left);
         assert_eq!(out.nrows(), 5); // 3 matches + 2 unmatched
         let validity = out.validity[2].as_ref().expect("right side nullable");
         let invalid = validity.as_bool().iter().filter(|&&v| !v).count();
@@ -630,15 +552,7 @@ mod tests {
             right: Box::new(E::lit_str("y")),
             ty: LogicalType::Bool,
         });
-        let out = join(
-            &left(),
-            &right(),
-            JoinType::Inner,
-            JoinStrategy::SortMerge,
-            &[(0, 0)],
-            Some(&res),
-            &ModelRegistry::new(),
-        );
+        let out = join(&left(), &right(), JoinType::Inner, &[(0, 0)], Some(&res));
         assert_eq!(out.nrows(), 2); // (2,x) and (3,z); (3,y) filtered
     }
 
@@ -652,42 +566,16 @@ mod tests {
             Tensor::from_i64(vec![1, 2]),
             Tensor::from_i64(vec![10, 10]),
         ]);
-        for strat in [JoinStrategy::SortMerge, JoinStrategy::Hash] {
-            let out = join(
-                &l,
-                &r,
-                JoinType::Inner,
-                strat,
-                &[(0, 0), (1, 1)],
-                None,
-                &ModelRegistry::new(),
-            );
-            assert_eq!(out.nrows(), 2, "{strat:?}"); // (1,10) and (2,10)
-        }
+        let out = join(&l, &r, JoinType::Inner, &[(0, 0), (1, 1)], None);
+        assert_eq!(out.nrows(), 2); // (1,10) and (2,10)
     }
 
     #[test]
     fn empty_sides() {
         let empty = b(vec![Tensor::from_i64(vec![]), Tensor::from_f64(vec![])]);
-        let out = join(
-            &empty,
-            &right(),
-            JoinType::Inner,
-            JoinStrategy::SortMerge,
-            &[(0, 0)],
-            None,
-            &ModelRegistry::new(),
-        );
+        let out = join(&empty, &right(), JoinType::Inner, &[(0, 0)], None);
         assert_eq!(out.nrows(), 0);
-        let out = join(
-            &left(),
-            &empty,
-            JoinType::Anti,
-            JoinStrategy::SortMerge,
-            &[(0, 0)],
-            None,
-            &ModelRegistry::new(),
-        );
+        let out = join(&left(), &empty, JoinType::Anti, &[(0, 0)], None);
         assert_eq!(out.nrows(), 4); // nothing matches → all survive anti
     }
 
@@ -709,15 +597,19 @@ mod tests {
         // order is the property under test).
         let bkeys: Vec<i64> = (0..n as i64).map(|i| i % 4096).collect();
         let bvals: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        let pkeys: Vec<i64> = (0..8192i64).map(|i| i * 3 % 5000).collect();
+        let (pairs_p, pairs_b) = nested_loop_pairs(&[&pkeys], &[&bkeys]);
         let build = b(vec![Tensor::from_i64(bkeys), Tensor::from_f64(bvals)]);
-        let probe = b(vec![Tensor::from_i64(
-            (0..8192i64).map(|i| i * 3 % 5000).collect(),
-        )]);
+        let probe = b(vec![Tensor::from_i64(pkeys)]);
         let models = ModelRegistry::new();
-        // Golden output: the sort-merge join, which emits the same
-        // (probe row asc, build row asc) pair order.
-        let seq = sort_merge_join(&probe, &build, JoinType::Inner, &[(0, 0)], None, &models);
+        // Golden output: the sequential build, whose pairs come out in
+        // nested-loop order (probe row asc, build row asc).
+        let seq = join(&probe, &build, JoinType::Inner, &[(0, 0)], None);
         let seq_table = build_table(&build, &[0]);
+        let build_rows: Vec<i64> = seq.columns[2].as_f64().iter().map(|&v| v as i64).collect();
+        assert_eq!(build_rows, pairs_b);
+        let probe_keys: Vec<i64> = pairs_p.iter().map(|&i| i * 3 % 5000).collect();
+        assert_eq!(seq.columns[0].as_i64(), &probe_keys[..]);
         // Every worker count must reproduce it bitwise.
         for workers in [1, 2, 4, 8] {
             let par_table = build_table_par(&build, &[0], workers, None);
@@ -751,14 +643,23 @@ mod tests {
         let n = PAR_BUILD_MIN_ROWS + 64;
         let k1: Vec<i64> = (0..n as i64).map(|i| i % 100).collect();
         let k2: Vec<i64> = (0..n as i64).map(|i| i % 7).collect();
+        let p1: Vec<i64> = (0..500i64).collect();
+        let p2: Vec<i64> = (0..500i64).map(|i| i % 7).collect();
+        let (pairs_p, pairs_b) = nested_loop_pairs(&[&p1, &p2], &[&k1, &k2]);
+        let take_rows = |col: &[i64], rows: &[i64]| -> Vec<i64> {
+            rows.iter().map(|&r| col[r as usize]).collect()
+        };
+        // Golden output, in nested-loop pair order: probe keys, then build.
+        let seq = [
+            take_rows(&p1, &pairs_p),
+            take_rows(&p2, &pairs_p),
+            take_rows(&k1, &pairs_b),
+            take_rows(&k2, &pairs_b),
+        ];
         let build = b(vec![Tensor::from_i64(k1), Tensor::from_i64(k2)]);
-        let probe = b(vec![
-            Tensor::from_i64((0..500i64).collect()),
-            Tensor::from_i64((0..500i64).map(|i| i % 7).collect()),
-        ]);
+        let probe = b(vec![Tensor::from_i64(p1), Tensor::from_i64(p2)]);
         let models = ModelRegistry::new();
         let on = [(0usize, 0usize), (1usize, 1usize)];
-        let seq = sort_merge_join(&probe, &build, JoinType::Inner, &on, None, &models);
         for workers in [1, 4] {
             let par = probe_table(
                 &build_table_par(&build, &[0, 1], workers, None),
@@ -771,9 +672,13 @@ mod tests {
                 workers,
                 false,
             );
-            assert_eq!(seq.nrows(), par.nrows(), "workers={workers}");
-            for c in 0..seq.ncols() {
-                assert_eq!(seq.columns[c].as_i64(), par.columns[c].as_i64(), "col {c}");
+            assert!(!seq[0].is_empty());
+            for (c, col) in seq.iter().enumerate() {
+                assert_eq!(
+                    par.columns[c].as_i64(),
+                    &col[..],
+                    "workers={workers} col {c}"
+                );
             }
         }
     }
@@ -887,26 +792,21 @@ mod tests {
             vec![Tensor::from_i64(vec![2, 3, 9])],
             vec![Some(Tensor::from_bool(vec![true, false, true]))],
         );
-        for (strat, build_left) in [
-            (JoinStrategy::SortMerge, false),
-            (JoinStrategy::Hash, false),
-            (JoinStrategy::Hash, true),
-        ] {
+        for build_left in [false, true] {
             let run = |join_type| {
                 if build_left {
                     let table = build_table(&l, &[0]);
                     let (r, models) = (right(), ModelRegistry::new());
                     probe_table(&table, &l, &r, join_type, &[(0, 0)], None, &models, 1, true)
                 } else {
-                    let models = ModelRegistry::new();
-                    join(&l, &right(), join_type, strat, &[(0, 0)], None, &models)
+                    join(&l, &right(), join_type, &[(0, 0)], None)
                 }
             };
             assert_eq!(run(JoinType::Semi).columns[0].as_i64(), &[2, 9]);
             assert_eq!(run(JoinType::Anti).columns[0].as_i64(), &[3]);
             if !build_left {
-                assert_eq!(run(JoinType::Inner).nrows(), 2, "{strat:?}");
-                assert_eq!(run(JoinType::Left).nrows(), 3, "{strat:?}");
+                assert_eq!(run(JoinType::Inner).nrows(), 2);
+                assert_eq!(run(JoinType::Left).nrows(), 3);
             }
         }
     }
@@ -915,15 +815,7 @@ mod tests {
     fn string_keys_join_via_hash_path() {
         let l = b(vec![Tensor::from_strings(&["a", "b", "c"], 0)]);
         let r = b(vec![Tensor::from_strings(&["b", "c", "d"], 0)]);
-        let out = join(
-            &l,
-            &r,
-            JoinType::Semi,
-            JoinStrategy::SortMerge,
-            &[(0, 0)],
-            None,
-            &ModelRegistry::new(),
-        );
+        let out = join(&l, &r, JoinType::Semi, &[(0, 0)], None);
         assert_eq!(out.nrows(), 2);
     }
 }

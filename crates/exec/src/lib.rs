@@ -504,12 +504,7 @@ mod tests {
         let t = df(vec![("a", Column::from_i64(vec![1, 2]))]);
         let mut catalog = Catalog::new();
         catalog.register("t", t.schema().clone(), t.nrows());
-        let plan = compile_sql(
-            "select a from t where a > 1",
-            &catalog,
-            &PhysicalOptions::default(),
-        )
-        .unwrap();
+        let plan = compile_sql("select a from t where a > 1", &catalog, &PhysicalOptions).unwrap();
         let ex = Executor::compile(&plan, ExecConfig::default());
         assert!(!ex.program().ops.is_empty());
         assert!(ex.program().display().contains("Scan(t)"));

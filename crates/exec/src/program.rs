@@ -34,7 +34,7 @@
 use bytes::Bytes;
 use tqp_ir::expr::{eval_const, AggCall, AggFunc, BoundExpr};
 use tqp_ir::json as irjson;
-use tqp_ir::physical::{dedup_names, AggStrategy, JoinStrategy, PhysicalPlan};
+use tqp_ir::physical::{dedup_names, PhysicalPlan};
 use tqp_ir::plan::{JoinType, PlanSchema};
 use tqp_json::Json;
 use tqp_tensor::Scalar;
@@ -164,27 +164,16 @@ pub enum ProgOp {
         residual: Option<ExprProgram>,
         build_left: bool,
     },
-    /// The tensor-native sort-merge join (argsort + double searchsorted +
-    /// pair expansion) as one fused op.
-    SortMergeJoin {
-        dst: Reg,
-        left: Reg,
-        right: Reg,
-        join_type: JoinType,
-        on: Vec<(usize, usize)>,
-        residual: Option<ExprProgram>,
-    },
     /// Cartesian product (scalar-subquery sides only).
     CrossJoin { dst: Reg, left: Reg, right: Reg },
-    /// Grouped/global reduction (sort- or hash-strategy segmented
-    /// reduce — the paper's GroupedReduce) over a compiled key/argument
-    /// bundle. `groups` is the planner's group-count estimate; the
-    /// executor derives the aggregation shape from it
-    /// ([`crate::agg::morsel_shape`]), `None` keeps per-morsel partials.
+    /// Grouped/global reduction (hash grouping in first-appearance order
+    /// — the paper's GroupedReduce) over a compiled key/argument bundle.
+    /// `groups` is the planner's group-count estimate; the executor derives
+    /// the aggregation shape from it ([`crate::agg::morsel_shape`]), `None`
+    /// keeps per-morsel partials.
     GroupedReduce {
         dst: Reg,
         src: Reg,
-        strategy: AggStrategy,
         reduce: ReduceExprs,
         groups: Option<u64>,
     },
@@ -214,7 +203,6 @@ impl ProgOp {
             | ProgOp::Project { dst, .. }
             | ProgOp::HashBuild { dst, .. }
             | ProgOp::HashProbe { dst, .. }
-            | ProgOp::SortMergeJoin { dst, .. }
             | ProgOp::CrossJoin { dst, .. }
             | ProgOp::GroupedReduce { dst, .. }
             | ProgOp::Sort { dst, .. }
@@ -235,9 +223,7 @@ impl ProgOp {
             ProgOp::HashProbe {
                 table, left, right, ..
             } => vec![*table, *left, *right],
-            ProgOp::SortMergeJoin { left, right, .. } | ProgOp::CrossJoin { left, right, .. } => {
-                vec![*left, *right]
-            }
+            ProgOp::CrossJoin { left, right, .. } => vec![*left, *right],
         }
     }
 
@@ -251,9 +237,8 @@ impl ProgOp {
             ProgOp::Project { .. } => "Project".into(),
             ProgOp::HashBuild { .. } => "HashBuild".into(),
             ProgOp::HashProbe { join_type, .. } => format!("HashJoin({join_type:?})"),
-            ProgOp::SortMergeJoin { join_type, .. } => format!("SortMergeJoin({join_type:?})"),
             ProgOp::CrossJoin { .. } => "CrossJoin".into(),
-            ProgOp::GroupedReduce { strategy, .. } => format!("{strategy:?}Aggregate"),
+            ProgOp::GroupedReduce { .. } => "HashAggregate".into(),
             ProgOp::Sort { .. } => "Sort".into(),
             ProgOp::Limit { .. } => "Limit".into(),
         }
@@ -265,9 +250,7 @@ impl ProgOp {
         match self {
             ProgOp::Filter { conjuncts, .. } => conjuncts.ops.len(),
             ProgOp::Project { exprs, .. } => exprs.ops.len(),
-            ProgOp::HashProbe { residual, .. } | ProgOp::SortMergeJoin { residual, .. } => {
-                residual.as_ref().map_or(0, |r| r.ops.len())
-            }
+            ProgOp::HashProbe { residual, .. } => residual.as_ref().map_or(0, |r| r.ops.len()),
             ProgOp::GroupedReduce { reduce, .. } => reduce.exprs.ops.len(),
             ProgOp::Sort { keys, .. } => keys.ops.len(),
             _ => 0,
@@ -296,7 +279,7 @@ impl TensorProgram {
             match op {
                 ProgOp::Filter { conjuncts, .. } => f(conjuncts),
                 ProgOp::Project { exprs, .. } => f(exprs),
-                ProgOp::HashProbe { residual, .. } | ProgOp::SortMergeJoin { residual, .. } => {
+                ProgOp::HashProbe { residual, .. } => {
                     if let Some(r) = residual {
                         f(r)
                     }
@@ -320,7 +303,7 @@ impl TensorProgram {
             match op {
                 ProgOp::Filter { conjuncts, .. } => f(conjuncts, Mode::Mask),
                 ProgOp::Project { exprs, .. } => f(exprs, Mode::Outputs),
-                ProgOp::HashProbe { residual, .. } | ProgOp::SortMergeJoin { residual, .. } => {
+                ProgOp::HashProbe { residual, .. } => {
                     if let Some(r) = residual {
                         f(r, Mode::Mask)
                     }
@@ -549,7 +532,6 @@ impl Builder {
                 left,
                 right,
                 join_type,
-                strategy,
                 on,
                 residual,
                 build_left,
@@ -557,45 +539,28 @@ impl Builder {
             } => {
                 let l = self.lower_node(left);
                 let r = self.lower_node(right);
-                let residual = residual.as_ref().map(compile_expr);
-                match strategy {
-                    JoinStrategy::Hash => {
-                        let table = self.fresh();
-                        self.ops.push(ProgOp::HashBuild {
-                            dst: table,
-                            src: if *build_left { l } else { r },
-                            keys: on
-                                .iter()
-                                .map(|&(lk, rk)| if *build_left { lk } else { rk })
-                                .collect(),
-                            distinct: *build_distinct,
-                        });
-                        let dst = self.fresh();
-                        self.ops.push(ProgOp::HashProbe {
-                            dst,
-                            table,
-                            left: l,
-                            right: r,
-                            join_type: *join_type,
-                            on: on.clone(),
-                            residual,
-                            build_left: *build_left,
-                        });
-                        dst
-                    }
-                    JoinStrategy::SortMerge => {
-                        let dst = self.fresh();
-                        self.ops.push(ProgOp::SortMergeJoin {
-                            dst,
-                            left: l,
-                            right: r,
-                            join_type: *join_type,
-                            on: on.clone(),
-                            residual,
-                        });
-                        dst
-                    }
-                }
+                let table = self.fresh();
+                self.ops.push(ProgOp::HashBuild {
+                    dst: table,
+                    src: if *build_left { l } else { r },
+                    keys: on
+                        .iter()
+                        .map(|&(lk, rk)| if *build_left { lk } else { rk })
+                        .collect(),
+                    distinct: *build_distinct,
+                });
+                let dst = self.fresh();
+                self.ops.push(ProgOp::HashProbe {
+                    dst,
+                    table,
+                    left: l,
+                    right: r,
+                    join_type: *join_type,
+                    on: on.clone(),
+                    residual: residual.as_ref().map(compile_expr),
+                    build_left: *build_left,
+                });
+                dst
             }
             PhysicalPlan::CrossJoin { left, right } => {
                 let l = self.lower_node(left);
@@ -610,7 +575,6 @@ impl Builder {
             }
             PhysicalPlan::Aggregate {
                 input,
-                strategy,
                 group_by,
                 aggs,
                 groups,
@@ -621,7 +585,6 @@ impl Builder {
                 self.ops.push(ProgOp::GroupedReduce {
                     dst,
                     src,
-                    strategy: *strategy,
                     reduce: ReduceExprs::compile(group_by, aggs),
                     groups: *groups,
                 });
@@ -1073,22 +1036,6 @@ fn op_to_json(op: &ProgOp) -> Json {
             }
             Json::obj(fields)
         }
-        ProgOp::SortMergeJoin {
-            dst,
-            left,
-            right,
-            join_type,
-            on,
-            residual,
-        } => Json::obj(vec![
-            ("op", Json::str("sort_merge_join")),
-            ("dst", reg(*dst)),
-            ("left", reg(*left)),
-            ("right", reg(*right)),
-            ("join_type", irjson::join_type_to_json(*join_type)),
-            ("on", on_json(on)),
-            ("residual", residual_json(residual)),
-        ]),
         ProgOp::CrossJoin { dst, left, right } => Json::obj(vec![
             ("op", Json::str("cross_join")),
             ("dst", reg(*dst)),
@@ -1098,7 +1045,6 @@ fn op_to_json(op: &ProgOp) -> Json {
         ProgOp::GroupedReduce {
             dst,
             src,
-            strategy,
             reduce,
             groups,
         } => {
@@ -1106,7 +1052,6 @@ fn op_to_json(op: &ProgOp) -> Json {
                 ("op", Json::str("grouped_reduce")),
                 ("dst", reg(*dst)),
                 ("src", reg(*src)),
-                ("strategy", irjson::agg_strategy_to_json(*strategy)),
                 ("reduce", reduce_json(reduce)),
             ];
             if let Some(g) = groups {
@@ -1216,14 +1161,6 @@ fn op_from_json(j: &Json) -> Result<ProgOp, ProgramError> {
                 build_left,
             })
         }
-        "sort_merge_join" => Ok(ProgOp::SortMergeJoin {
-            dst,
-            left: reg_field(j, "left")?,
-            right: reg_field(j, "right")?,
-            join_type: irjson::join_type_from_json(j.field("join_type")?)?,
-            on: on_from(j.field("on")?)?,
-            residual: residual_from(j.field("residual")?)?,
-        }),
         "cross_join" => Ok(ProgOp::CrossJoin {
             dst,
             left: reg_field(j, "left")?,
@@ -1242,7 +1179,6 @@ fn op_from_json(j: &Json) -> Result<ProgOp, ProgramError> {
             Ok(ProgOp::GroupedReduce {
                 dst,
                 src: reg_field(j, "src")?,
-                strategy: irjson::agg_strategy_from_json(j.field("strategy")?)?,
                 reduce,
                 groups,
             })
@@ -1319,8 +1255,8 @@ mod tests {
         c
     }
 
-    fn program(sql: &str, opts: PhysicalOptions) -> TensorProgram {
-        let plan = compile_sql(sql, &catalog(), &opts).unwrap();
+    fn program(sql: &str) -> TensorProgram {
+        let plan = compile_sql(sql, &catalog(), &PhysicalOptions).unwrap();
         lower(&plan)
     }
 
@@ -1329,7 +1265,6 @@ mod tests {
         let p = program(
             "select t.a, sum(u.x) from t, u where t.a = u.a and t.b > 1.0 \
              group by t.a order by t.a limit 5",
-            PhysicalOptions::default(),
         );
         assert!(p.ops.len() >= 5, "{}", p.display());
         let mut written = vec![false; p.n_regs];
@@ -1348,10 +1283,7 @@ mod tests {
 
     #[test]
     fn filters_split_into_conjuncts() {
-        let p = program(
-            "select a from t where a > 1 and b < 2.0 and s like 'x%'",
-            PhysicalOptions::default(),
-        );
+        let p = program("select a from t where a > 1 and b < 2.0 and s like 'x%'");
         let conjuncts: Vec<usize> = p
             .ops
             .iter()
@@ -1367,10 +1299,7 @@ mod tests {
 
     #[test]
     fn expressions_lower_to_flat_programs() {
-        let p = program(
-            "select a * 2 + 1, b from t where b > 0.5",
-            PhysicalOptions::default(),
-        );
+        let p = program("select a * 2 + 1, b from t where b > 0.5");
         for op in &p.ops {
             match op {
                 ProgOp::Filter { conjuncts, .. } => {
@@ -1388,10 +1317,7 @@ mod tests {
     #[test]
     fn always_true_conjuncts_are_dropped() {
         // `1 = 1` folds away entirely; the filter keeps only `a > 1`.
-        let p = program(
-            "select a from t where a > 1 and 1 = 1",
-            PhysicalOptions::default(),
-        );
+        let p = program("select a from t where a > 1 and 1 = 1");
         let filter_conjuncts: usize = p
             .ops
             .iter()
@@ -1402,7 +1328,7 @@ mod tests {
             .sum();
         assert_eq!(filter_conjuncts, 1, "{}", p.display());
         // A filter that is entirely constant-true is elided.
-        let p = program("select a from t where 1 = 1", PhysicalOptions::default());
+        let p = program("select a from t where 1 = 1");
         assert!(
             !p.ops.iter().any(|o| matches!(o, ProgOp::Filter { .. })),
             "{}",
@@ -1415,10 +1341,7 @@ mod tests {
         // `s` is read by the predicate alone; pruning projects it away
         // directly over the filter, and lowering folds that projection
         // into the filter op.
-        let p = program(
-            "select a, sum(b) from t where s like 'x%' group by a",
-            PhysicalOptions::default(),
-        );
+        let p = program("select a, sum(b) from t where s like 'x%' group by a");
         let kinds: Vec<String> = p.ops.iter().map(ProgOp::name).collect();
         assert_eq!(
             kinds,
@@ -1443,10 +1366,7 @@ mod tests {
 
     #[test]
     fn constant_false_filter_collapses_to_short_circuit() {
-        let p = program(
-            "select a from t where a > 1 and 1 = 2",
-            PhysicalOptions::default(),
-        );
+        let p = program("select a from t where a > 1 and 1 = 2");
         let filters: Vec<&ExprProgram> = p
             .ops
             .iter()
@@ -1464,11 +1384,7 @@ mod tests {
 
     #[test]
     fn hash_joins_lower_to_build_plus_probe() {
-        let opts = PhysicalOptions {
-            join: Some(tqp_ir::JoinStrategy::Hash),
-            agg: Some(tqp_ir::AggStrategy::Hash),
-        };
-        let p = program("select t.a from t, u where t.a = u.a", opts);
+        let p = program("select t.a from t, u where t.a = u.a");
         let builds = p
             .ops
             .iter()
@@ -1499,10 +1415,7 @@ mod tests {
     fn left_build_probe_roundtrips_and_is_validated() {
         // `u` (50 rows) is estimated smaller than the IN-list over `t`
         // (100 rows): the semi join builds on its left input.
-        let p = program(
-            "select a from u where a in (select a from t)",
-            PhysicalOptions::default(),
-        );
+        let p = program("select a from u where a in (select a from t)");
         let (build_src, probe_left) = p
             .ops
             .iter()
@@ -1542,33 +1455,20 @@ mod tests {
 
     #[test]
     fn artifact_roundtrips_exactly() {
-        for opts in [
-            PhysicalOptions::default(),
-            PhysicalOptions {
-                join: Some(tqp_ir::JoinStrategy::SortMerge),
-                agg: Some(tqp_ir::AggStrategy::Sort),
-            },
-            PhysicalOptions {
-                join: Some(tqp_ir::JoinStrategy::Hash),
-                agg: Some(tqp_ir::AggStrategy::Hash),
-            },
-        ] {
-            let p = program(
-                "select t.a, count(*) as c, sum(t.b * 2.0 - 0.5) from t, u \
-                 where t.a = u.a and t.s like 'PROMO%' and t.b between 1.0 and 9.5 \
-                 group by t.a order by c desc, t.a limit 7",
-                opts,
-            );
-            let bytes = serialize_program(&p);
-            assert!(!bytes.is_empty());
-            let back = deserialize_program(&bytes).unwrap();
-            assert_eq!(back, p);
-        }
+        let p = program(
+            "select t.a, count(*) as c, sum(t.b * 2.0 - 0.5) from t, u \
+             where t.a = u.a and t.s like 'PROMO%' and t.b between 1.0 and 9.5 \
+             group by t.a order by c desc, t.a limit 7",
+        );
+        let bytes = serialize_program(&p);
+        assert!(!bytes.is_empty());
+        let back = deserialize_program(&bytes).unwrap();
+        assert_eq!(back, p);
     }
 
     #[test]
     fn artifact_is_versioned_and_self_describing() {
-        let p = program("select a from t", PhysicalOptions::default());
+        let p = program("select a from t");
         let bytes = serialize_program(&p);
         let doc = tqp_json::Json::parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
         assert_eq!(doc.field("format").unwrap().as_str(), Some(ARTIFACT_FORMAT));
@@ -1580,11 +1480,46 @@ mod tests {
         let mut tampered = String::from_utf8(bytes.to_vec()).unwrap();
         tampered = tampered.replace("\"version\":2", "\"version\":999");
         assert!(deserialize_program(&Bytes::from(tampered.into_bytes())).is_err());
+
+        let load = |text: &str| deserialize_program(&Bytes::from(text.as_bytes().to_vec()));
+        // A version-2 artifact written while the strategy axis existed
+        // carries `"strategy":"hash"` on each grouped reduction: it still
+        // loads, to the same program, and runs.
+        let p = program("select a, count(*) as c from t group by a");
+        let text = String::from_utf8(serialize_program(&p).to_vec()).unwrap();
+        let old = text.replace(
+            "\"op\":\"grouped_reduce\",",
+            "\"op\":\"grouped_reduce\",\"strategy\":\"hash\",",
+        );
+        assert_ne!(old, text, "tamper point not found");
+        let back = load(&old).unwrap();
+        assert_eq!(back, p);
+        let frame = tqp_data::frame::df(vec![
+            ("a", tqp_data::Column::from_i64(vec![2, 1, 2])),
+            ("b", tqp_data::Column::from_f64(vec![0.5, 1.5, 2.5])),
+            ("s", tqp_data::Column::from_str(vec!["x".into(); 3])),
+        ]);
+        let storage = crate::ingest_tables(&[("t".to_string(), frame)].into());
+        let (out, _, _) = crate::vm::run_program(
+            &back,
+            &storage,
+            &tqp_ml::ModelRegistry::new(),
+            &tqp_profile::Profiler::disabled(),
+            crate::ExecConfig::default(),
+        );
+        assert_eq!(out.nrows(), 2);
+        assert_eq!(out.row(0), vec![Scalar::I64(2), Scalar::I64(2)]);
+        // The op the sort-merge join lowered to is gone: an artifact that
+        // carries it is rejected by name.
+        let gone = format!("{}_join", "sort_merge");
+        let smj = text.replace("grouped_reduce", &gone);
+        let err = load(&smj).unwrap_err().to_string();
+        assert!(err.contains(&gone), "{err}");
     }
 
     #[test]
     fn v1_artifacts_rejected_with_actionable_error() {
-        let p = program("select a from t", PhysicalOptions::default());
+        let p = program("select a from t");
         let bytes = serialize_program(&p);
         let tampered = String::from_utf8(bytes.to_vec())
             .unwrap()
@@ -1599,7 +1534,7 @@ mod tests {
     #[test]
     fn oversized_register_budget_rejected() {
         // A corrupt artifact must not drive an attacker-sized allocation.
-        let p = program("select a from t", PhysicalOptions::default());
+        let p = program("select a from t");
         let text = String::from_utf8(serialize_program(&p).to_vec()).unwrap();
         let tampered = text.replace(
             &format!("\"n_regs\":{}", p.n_regs),
@@ -1626,10 +1561,7 @@ mod tests {
     #[test]
     fn argless_aggregate_artifact_rejected() {
         // SUM without an arg slot would panic at execution; reject at load.
-        let p = program(
-            "select sum(b) from t group by a",
-            PhysicalOptions::default(),
-        );
+        let p = program("select sum(b) from t group by a");
         let text = String::from_utf8(serialize_program(&p).to_vec()).unwrap();
         let tampered = text.replace(
             "\"func\":\"sum\",\"arg\":1",
@@ -1663,10 +1595,7 @@ mod tests {
 
     #[test]
     fn sort_desc_arity_mismatch_rejected() {
-        let p = program(
-            "select a from t order by a desc",
-            PhysicalOptions::default(),
-        );
+        let p = program("select a from t order by a desc");
         let text = String::from_utf8(serialize_program(&p).to_vec()).unwrap();
         let tampered = text.replace("\"desc\":[true]", "\"desc\":[true,false]");
         assert_ne!(text, tampered, "tamper point not found");
@@ -1678,7 +1607,7 @@ mod tests {
 
     #[test]
     fn corrupt_register_flow_rejected() {
-        let p = program("select a from t where b > 0.5", PhysicalOptions::default());
+        let p = program("select a from t where b > 0.5");
         let text = String::from_utf8(serialize_program(&p).to_vec()).unwrap();
         // Point the filter's src at an unwritten register.
         let tampered = text.replace("\"src\":0", "\"src\":7");

@@ -13,9 +13,7 @@
 //! already compiled, and `PREDICT` splice points are batch-prepared
 //! ([`crate::exprprog::prepare_model_applies`]) so the model still runs
 //! once per batch. Join/aggregate/sort *algorithms* stay the scalar
-//! row-engine primitives from `tqp-baseline`. `SortMergeJoin` ops are
-//! honored with a hash build+probe: a scalar runtime has no vectorized
-//! `searchsorted`, and equi-join semantics are algorithm-independent.
+//! row-engine primitives from `tqp-baseline`.
 
 use std::collections::HashMap;
 
@@ -238,36 +236,6 @@ fn exec_op(
                 arity: join_output_arity(*join_type, larity, rarity),
             }
         }
-        ProgOp::SortMergeJoin {
-            left,
-            right,
-            join_type,
-            on,
-            residual,
-            ..
-        } => {
-            // A scalar runtime joins by hashing regardless of the
-            // vectorized algorithm choice; semantics are identical.
-            let lrows = reg_rows(*left);
-            let rrows = reg_rows(*right);
-            let larity = regs[*left].as_ref().expect("register live").arity();
-            let rarity = regs[*right].as_ref().expect("register live").arity();
-            let rkeys: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-            let t = build_row_table(rrows, &rkeys);
-            let mut pass = residual.as_ref().map(residual_pass);
-            RowValue::Rows {
-                rows: probe_row_table_with(
-                    &t,
-                    lrows,
-                    rrows,
-                    rarity,
-                    *join_type,
-                    on,
-                    pass.as_mut().map(|f| f as &mut dyn FnMut(&Row) -> bool),
-                ),
-                arity: join_output_arity(*join_type, larity, rarity),
-            }
-        }
         ProgOp::CrossJoin { left, right, .. } => {
             let l = reg_rows(*left);
             let r = reg_rows(*right);
@@ -381,7 +349,7 @@ mod tests {
     use crate::program::lower;
     use tqp_data::frame::df;
     use tqp_data::Column;
-    use tqp_ir::{compile_sql, Catalog, JoinStrategy, PhysicalOptions};
+    use tqp_ir::{compile_sql, Catalog, PhysicalOptions};
 
     fn tables() -> (HashMap<String, DataFrame>, Catalog) {
         let t = df(vec![
@@ -408,29 +376,23 @@ mod tests {
         (map, catalog)
     }
 
-    fn run(sql: &str, opts: PhysicalOptions) -> DataFrame {
+    fn run(sql: &str) -> DataFrame {
         let (tables, catalog) = tables();
-        let plan = compile_sql(sql, &catalog, &opts).unwrap();
+        let plan = compile_sql(sql, &catalog, &PhysicalOptions).unwrap();
         let prog = lower(&plan);
         run_program_scalar(&prog, &tables, &ModelRegistry::new())
     }
 
     #[test]
     fn scalar_vm_runs_filters_and_aggregates() {
-        let out = run(
-            "select count(*) as c, sum(v) as s from t where v > 15.0",
-            PhysicalOptions::default(),
-        );
+        let out = run("select count(*) as c, sum(v) as s from t where v > 15.0");
         assert_eq!(out.column(0).get(0).as_i64(), 3);
         assert_eq!(out.column(1).get(0).as_f64(), 90.0);
     }
 
     #[test]
     fn constant_false_filter_yields_no_rows() {
-        let out = run(
-            "select count(*) as c from t where 1 = 2",
-            PhysicalOptions::default(),
-        );
+        let out = run("select count(*) as c from t where 1 = 2");
         assert_eq!(out.column(0).get(0).as_i64(), 0);
     }
 
@@ -440,45 +402,30 @@ mod tests {
         // to the right schema's width (arity travels in the register, not
         // in the rows). Output must match the vectorized VM exactly.
         use crate::vm;
-        use tqp_ir::JoinStrategy;
         let (tables, catalog) = tables();
         let sql = "select t.id, count(e.w) as c from t left outer join e on t.id = e.id \
                    group by t.id order by t.id";
-        for join in [JoinStrategy::SortMerge, JoinStrategy::Hash] {
-            let opts = PhysicalOptions {
-                join: Some(join),
-                ..Default::default()
-            };
-            let plan = compile_sql(sql, &catalog, &opts).unwrap();
-            let prog = lower(&plan);
-            let scalar_out = run_program_scalar(&prog, &tables, &ModelRegistry::new());
-            let storage = crate::ingest_tables(&tables);
-            let (vec_out, _, _) = vm::run_program(
-                &prog,
-                &storage,
-                &ModelRegistry::new(),
-                &tqp_profile::Profiler::disabled(),
-                crate::ExecConfig::default(),
-            );
-            assert_eq!(scalar_out.nrows(), vec_out.nrows(), "{join:?}");
-            for i in 0..scalar_out.nrows() {
-                assert_eq!(scalar_out.row(i), vec_out.row(i), "{join:?} row {i}");
-            }
+        let plan = compile_sql(sql, &catalog, &PhysicalOptions).unwrap();
+        let prog = lower(&plan);
+        let scalar_out = run_program_scalar(&prog, &tables, &ModelRegistry::new());
+        let storage = crate::ingest_tables(&tables);
+        let (vec_out, _, _) = vm::run_program(
+            &prog,
+            &storage,
+            &ModelRegistry::new(),
+            &tqp_profile::Profiler::disabled(),
+            crate::ExecConfig::default(),
+        );
+        assert_eq!(scalar_out.nrows(), vec_out.nrows());
+        for i in 0..scalar_out.nrows() {
+            assert_eq!(scalar_out.row(i), vec_out.row(i), "row {i}");
         }
     }
 
     #[test]
-    fn scalar_vm_joins_on_both_strategies() {
-        for join in [JoinStrategy::SortMerge, JoinStrategy::Hash] {
-            let out = run(
-                "select t.id, u.w from t, u where t.id = u.id order by t.id, u.w",
-                PhysicalOptions {
-                    join: Some(join),
-                    ..Default::default()
-                },
-            );
-            assert_eq!(out.nrows(), 3, "{join:?}");
-            assert_eq!(out.column(0).get(2).as_i64(), 3);
-        }
+    fn scalar_vm_joins() {
+        let out = run("select t.id, u.w from t, u where t.id = u.id order by t.id, u.w");
+        assert_eq!(out.nrows(), 3);
+        assert_eq!(out.column(0).get(2).as_i64(), 3);
     }
 }

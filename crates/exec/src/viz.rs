@@ -99,7 +99,7 @@ mod tests {
              sum(predict('sentiment_classifier', text)) as predicted_positive \
              from reviews group by brand",
             &catalog,
-            &PhysicalOptions::default(),
+            &PhysicalOptions,
         )
         .unwrap();
         let dot = plan_to_dot(&plan, "figure 4");

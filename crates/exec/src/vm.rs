@@ -35,9 +35,8 @@
 //! * **`HashBuild`** builds radix-partitioned, one disjoint partition per
 //!   worker ([`crate::join::build_table_par`]); the probe loop of
 //!   `HashProbe` chunks the probe side ([`crate::join::probe_table`]).
-//! * **`Sort`** (and the key-order argsort of an `AggStrategy::Sort`
-//!   aggregate's groups) sorts row ranges as pool tasks and stable-merges
-//!   them pairwise (`argsort_par`); a `Sort` with a `limit` selects its
+//! * **`Sort`** sorts row ranges as pool tasks and stable-merges them
+//!   pairwise (`argsort_par`); a `Sort` with a `limit` selects its
 //!   first rows per fixed-geometry morsel and merges those
 //!   ([`tqp_tensor::sort::topk_range`]).
 //!
@@ -45,8 +44,8 @@
 //! the fixed-morsel merge order (partials) or because every group folds
 //! its rows in input order inside one partition, build/probe because partition
 //! buckets replicate the sequential row order, sort because a stable
-//! permutation is unique. `SortMergeJoin`/`CrossJoin` assembly and `Limit`
-//! remain sequential barriers.
+//! permutation is unique. `CrossJoin` assembly and `Limit` remain
+//! sequential barriers.
 //!
 //! Every op reports a span keyed by its **program op index** (`Filter@op3`)
 //! and charges the [`DeviceMeter`] — the simulated-GPU path stays
@@ -431,23 +430,12 @@ impl Vm<'_> {
         n_morsels: usize,
         morsel: impl Fn(usize) -> (Batch, S) + Sync,
     ) -> (Batch, Vec<S>) {
-        let ProgOp::GroupedReduce {
-            strategy, reduce, ..
-        } = op
-        else {
+        let ProgOp::GroupedReduce { reduce, .. } = op else {
             panic!("op {} is not a reduction", op.name());
         };
         let start_us = self.profiler.now_us();
         let (out, extras, busy_us) = self.charged(idx, || {
-            agg::aggregate_morsels(
-                n_morsels,
-                morsel,
-                shape,
-                reduce,
-                *strategy,
-                self.models,
-                self.workers,
-            )
+            agg::aggregate_morsels(n_morsels, morsel, shape, reduce, self.models, self.workers)
         });
         self.profiler.record_chunks(
             &op_key_par(&op.name(), idx),
@@ -726,25 +714,6 @@ impl Vm<'_> {
                 self.span(&op_key(&op.name(), idx), start, t0, &out);
                 regs[*dst] = Some(Value::Batch(out));
             }
-            ProgOp::SortMergeJoin {
-                dst,
-                left,
-                right,
-                join_type,
-                on,
-                residual,
-            } => {
-                let l = regs[*left].as_ref().expect("left register live").batch();
-                let r = regs[*right].as_ref().expect("right register live").batch();
-                let start = self.profiler.now_us();
-                let t0 = Instant::now();
-                let in_bytes = l.nbytes() + r.nbytes();
-                let out =
-                    join::sort_merge_join(l, r, *join_type, on, residual.as_ref(), self.models);
-                meter.op(kernel_count("Join", on.len()), in_bytes, out.nbytes());
-                self.span(&op_key(&op.name(), idx), start, t0, &out);
-                regs[*dst] = Some(Value::Batch(out));
-            }
             ProgOp::CrossJoin { dst, left, right } => {
                 let l = regs[*left].as_ref().expect("left register live").batch();
                 let r = regs[*right].as_ref().expect("right register live").batch();
@@ -759,7 +728,6 @@ impl Vm<'_> {
             ProgOp::GroupedReduce {
                 dst,
                 src,
-                strategy,
                 reduce,
                 groups,
             } => {
@@ -782,8 +750,7 @@ impl Vm<'_> {
                     None => {
                         let start = self.profiler.now_us();
                         let t0 = Instant::now();
-                        let workers = if meter.is_enabled() { 1 } else { self.workers };
-                        let out = agg::aggregate(child, reduce, *strategy, self.models, workers);
+                        let out = agg::aggregate(child, reduce, self.models);
                         self.span(&op_key(&op.name(), idx), start, t0, &out);
                         out
                     }
@@ -1039,7 +1006,7 @@ mod tests {
     /// Run `sql`, with the Fused backend's kernels bound when `fused`.
     fn run(sql: &str, fused: bool) -> DataFrame {
         let (storage, catalog) = setup();
-        let plan = compile_sql(sql, &catalog, &PhysicalOptions::default()).unwrap();
+        let plan = compile_sql(sql, &catalog, &PhysicalOptions).unwrap();
         let mut prog = lower(&plan);
         if fused {
             crate::exprfuse::bind_program(&mut prog);
@@ -1068,7 +1035,7 @@ mod tests {
         // carries a keep-list and gathers `id` only, in both VM modes.
         let (_, catalog) = setup();
         let sql = "select id from t where grp = 'a' and v > 15.0";
-        let plan = compile_sql(sql, &catalog, &PhysicalOptions::default()).unwrap();
+        let plan = compile_sql(sql, &catalog, &PhysicalOptions).unwrap();
         assert!(lower(&plan)
             .ops
             .iter()
@@ -1100,7 +1067,7 @@ mod tests {
         let plan = compile_sql(
             "select grp, sum(v) from t group by grp",
             &catalog,
-            &PhysicalOptions::default(),
+            &PhysicalOptions,
         )
         .unwrap();
         let prog = lower(&plan);
@@ -1117,12 +1084,8 @@ mod tests {
     #[test]
     fn gpu_meter_accumulates_per_op() {
         let (storage, catalog) = setup();
-        let plan = compile_sql(
-            "select id from t where v > 0.0",
-            &catalog,
-            &PhysicalOptions::default(),
-        )
-        .unwrap();
+        let plan =
+            compile_sql("select id from t where v > 0.0", &catalog, &PhysicalOptions).unwrap();
         let prog = lower(&plan);
         let models = ModelRegistry::new();
         let profiler = Profiler::disabled();
@@ -1153,7 +1116,7 @@ mod tests {
         let plan = compile_sql(
             "select id, v * 3.0 + 1.0 as w from big where v > 500.0 and id % 3 = 0",
             &catalog,
-            &PhysicalOptions::default(),
+            &PhysicalOptions,
         )
         .unwrap();
         let prog = lower(&plan);
@@ -1199,7 +1162,7 @@ mod tests {
             "select grp, sum(v) as s, avg(v) as a, count(*) as c, min(v) as mn, max(v) as mx \
              from big where id % 7 < 5 group by grp order by grp",
             &catalog,
-            &PhysicalOptions::default(),
+            &PhysicalOptions,
         )
         .unwrap();
         let prog = lower(&plan);
@@ -1251,7 +1214,7 @@ mod tests {
         let plan = compile_sql(
             "select count(*) as c, sum(v) as sv, min(v) as mn from big where v < -1.0",
             &catalog,
-            &PhysicalOptions::default(),
+            &PhysicalOptions,
         )
         .unwrap();
         let prog = lower(&plan);
@@ -1276,7 +1239,7 @@ mod tests {
         let plan = compile_sql(
             "select grp, count(*) from t where v > 1.0 group by grp",
             &catalog,
-            &PhysicalOptions::default(),
+            &PhysicalOptions,
         )
         .unwrap();
         let prog = lower(&plan);

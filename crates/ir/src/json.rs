@@ -16,7 +16,7 @@ use tqp_json::{Json, JsonError};
 use tqp_tensor::Scalar;
 
 use crate::expr::{AggCall, AggFunc, BinOp, BoundExpr, ScalarFunc};
-use crate::physical::{AggStrategy, JoinStrategy, PhysicalPlan};
+use crate::physical::PhysicalPlan;
 use crate::plan::{ColMeta, JoinType, PlanSchema, SortKey};
 
 /// Error produced by plan/expression JSON (de)serialization.
@@ -140,23 +140,6 @@ string_enum_codec!(
         (JoinType::Semi, "semi"),
         (JoinType::Anti, "anti"),
     ]
-);
-
-string_enum_codec!(
-    join_strategy_to_json,
-    join_strategy_from_json,
-    JoinStrategy,
-    [
-        (JoinStrategy::SortMerge, "sort_merge"),
-        (JoinStrategy::Hash, "hash"),
-    ]
-);
-
-string_enum_codec!(
-    agg_strategy_to_json,
-    agg_strategy_from_json,
-    AggStrategy,
-    [(AggStrategy::Sort, "sort"), (AggStrategy::Hash, "hash"),]
 );
 
 string_enum_codec!(
@@ -614,7 +597,6 @@ pub fn plan_to_json(p: &PhysicalPlan) -> Json {
             left,
             right,
             join_type,
-            strategy,
             on,
             residual,
             build_left,
@@ -625,7 +607,6 @@ pub fn plan_to_json(p: &PhysicalPlan) -> Json {
                 ("left", plan_to_json(left)),
                 ("right", plan_to_json(right)),
                 ("join_type", join_type_to_json(*join_type)),
-                ("strategy", join_strategy_to_json(*strategy)),
                 (
                     "on",
                     Json::Arr(
@@ -659,7 +640,6 @@ pub fn plan_to_json(p: &PhysicalPlan) -> Json {
         ]),
         PhysicalPlan::Aggregate {
             input,
-            strategy,
             group_by,
             aggs,
             schema,
@@ -668,7 +648,6 @@ pub fn plan_to_json(p: &PhysicalPlan) -> Json {
             let mut fields = vec![
                 ("op", Json::str("aggregate")),
                 ("input", plan_to_json(input)),
-                ("strategy", agg_strategy_to_json(*strategy)),
                 ("group_by", exprs_to_json(group_by)),
                 (
                     "aggs",
@@ -738,19 +717,17 @@ pub fn plan_from_json(j: &Json) -> R<PhysicalPlan> {
         }),
         "join" => {
             let join_type = join_type_from_json(j.field("join_type")?)?;
-            let strategy = join_strategy_from_json(j.field("strategy")?)?;
+            // A `strategy` field, written before the hash join became the
+            // only join, is ignored: both strategies yielded the same rows
+            // in the same order.
             let build_left = j.get("build_left").and_then(Json::as_bool).unwrap_or(false);
-            if build_left
-                && !(strategy == JoinStrategy::Hash
-                    && matches!(join_type, JoinType::Semi | JoinType::Anti))
-            {
-                return bad("build_left is only valid on hash semi/anti joins");
+            if build_left && !matches!(join_type, JoinType::Semi | JoinType::Anti) {
+                return bad("build_left is only valid on semi/anti joins");
             }
             Ok(PhysicalPlan::Join {
                 left: input("left")?,
                 right: input("right")?,
                 join_type,
-                strategy,
                 on: j
                     .field("on")?
                     .as_arr()
@@ -782,9 +759,10 @@ pub fn plan_from_json(j: &Json) -> R<PhysicalPlan> {
             left: input("left")?,
             right: input("right")?,
         }),
+        // A `strategy` field (older documents) is ignored: it only chose
+        // whether groups were listed in key order.
         "aggregate" => Ok(PhysicalPlan::Aggregate {
             input: input("input")?,
-            strategy: agg_strategy_from_json(j.field("strategy")?)?,
             group_by: exprs_from_json(j.field("group_by")?)?,
             aggs: j
                 .field("aggs")?

@@ -11,11 +11,10 @@
 //!    cross-join → equi-join extraction with estimate-driven greedy
 //!    ordering, filter pushdown, and column pruning;
 //! 3. hand-off to the **planning layer**: a [`physical::PhysicalPlan`]
-//!    annotated with algorithm choices (sort-merge vs hash join and its
-//!    build side, sort vs hash aggregation), made per operator from the
-//!    same estimates unless forced, that both execution substrates
-//!    consume — the tensor
-//!    compiler in `tqp-exec` and the row-Volcano baseline in `tqp-baseline`.
+//!    annotated per operator from the same estimates (each hash join's
+//!    build side, build-key and group-count estimates), that both
+//!    execution substrates consume — the tensor compiler in `tqp-exec` and
+//!    the row-Volcano baseline in `tqp-baseline`.
 //!
 //! Plans serialize to JSON ([`json`]): the plan frontend demonstrates the
 //! paper's point that "the architecture decouples the physical plan
@@ -35,33 +34,36 @@ pub use bind::{bind_query, BindError};
 pub use catalog::{Catalog, TableMeta};
 pub use expr::{AggCall, AggFunc, BinOp, BoundExpr, ScalarFunc};
 pub use optimize::estimate::{estimate, estimate_each};
-pub use physical::{plan_physical, AggStrategy, JoinStrategy, PhysicalOptions, PhysicalPlan};
+pub use physical::{plan_physical, PhysicalOptions, PhysicalPlan};
 pub use plan::{ColMeta, JoinType, LogicalPlan, PlanSchema};
 
 /// Compile SQL text all the way to an optimized physical plan.
 ///
 /// Convenience entry point combining parse → bind → optimize → physical.
+/// `_opts` carries nothing (see [`PhysicalOptions`]); it stays until the
+/// benchmark package stops passing it.
 pub fn compile_sql(
     sql: &str,
     catalog: &Catalog,
-    opts: &PhysicalOptions,
+    _opts: &PhysicalOptions,
 ) -> Result<PhysicalPlan, CompileError> {
     let ast = tqp_sql::parse(sql).map_err(CompileError::Parse)?;
-    compile_query(&ast, catalog, opts)
+    compile_query(&ast, catalog, &PhysicalOptions)
 }
 
 /// Compile an already-parsed query to an optimized physical plan.
 ///
 /// Used by callers that pre-parse the statement themselves (e.g. to strip
 /// an `EXPLAIN` prefix) and hand the inner query straight to the binder.
+/// `_opts` carries nothing, as in [`compile_sql`].
 pub fn compile_query(
     ast: &tqp_sql::Query,
     catalog: &Catalog,
-    opts: &PhysicalOptions,
+    _opts: &PhysicalOptions,
 ) -> Result<PhysicalPlan, CompileError> {
     let logical = bind_query(ast, catalog).map_err(CompileError::Bind)?;
     let optimized = optimize::optimize(logical, catalog);
-    Ok(plan_physical(&optimized, opts, catalog))
+    Ok(plan_physical(&optimized, catalog))
 }
 
 /// Errors from the full compilation pipeline.

@@ -1,19 +1,11 @@
-//! Physical planning: annotate the logical plan with algorithm choices.
+//! Physical planning: annotate the logical plan with what its tensor
+//! program needs.
 //!
-//! TQP's planning layer (paper §2.2) maps each IR operator to a tensor
-//! program; which program depends on the physical operator chosen here.
-//! Two strategy axes exist — they are the ablation knobs of the benchmark
-//! suite:
-//!
-//! * joins: **sort-merge** (the tensor-native formulation built on argsort +
-//!   `searchsorted`) vs **hash** (row-hash tables);
-//! * aggregation: **sort-based** (sort + run detection + segmented reduce)
-//!   vs **hash-based** (group table + scatter).
-//!
-//! Left alone ([`PhysicalOptions::default`]) the planner decides per
-//! operator ([`plan_physical`]); a `Some(_)` option forces one strategy on
-//! every operator, which is how the paper's ablation binaries and the
-//! parity grid pin an axis.
+//! TQP's planning layer (paper §2.2) maps each IR operator to one tensor
+//! program. Every equi-join is a hash join, built on the side estimated
+//! smaller, and every aggregation groups by hash and lists its groups in
+//! first-appearance order; what the planner adds per operator are the
+//! build side and the catalog's estimates ([`plan_physical`]).
 //!
 //! The same physical plan drives the row-Volcano baseline, which is exactly
 //! the paper's experimental setup: identical plans, different execution
@@ -24,35 +16,15 @@ use crate::expr::{AggCall, BoundExpr};
 use crate::optimize::estimate::{column_source, estimate, group_count, key_distinct};
 use crate::plan::{ColMeta, JoinType, LogicalPlan, PlanSchema, SortKey};
 
-/// Join algorithm choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinStrategy {
-    /// Argsort + `searchsorted` probe (tensor-native).
-    SortMerge,
-    /// Row-hash build + probe.
-    Hash,
-}
-
-/// Aggregation output order. Both group by hash and fold each group's
-/// rows in input order; they differ only in how the groups are listed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggStrategy {
-    /// Groups emitted in key order (a stable argsort of the hash
-    /// aggregate's groups).
-    Sort,
-    /// Groups emitted in first-appearance order.
-    Hash,
-}
-
-/// Physical planning options: `None` (the default) lets the planner
-/// choose per operator, `Some(_)` forces that strategy everywhere.
+/// Physical planning options: none are left. The type remains only
+/// because the benchmark package passes `&cfg.physical` to
+/// [`crate::compile_sql`]; it goes, with `QueryConfig::physical`, when
+/// that call drops the argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PhysicalOptions {
-    pub join: Option<JoinStrategy>,
-    pub agg: Option<AggStrategy>,
-}
+pub struct PhysicalOptions;
 
-/// The physical plan: structurally the logical plan plus algorithm tags.
+/// The physical plan: structurally the logical plan plus the planner's
+/// annotations (build side, estimates).
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhysicalPlan {
     Scan {
@@ -73,10 +45,9 @@ pub enum PhysicalPlan {
         left: Box<PhysicalPlan>,
         right: Box<PhysicalPlan>,
         join_type: JoinType,
-        strategy: JoinStrategy,
         on: Vec<(usize, usize)>,
         residual: Option<BoundExpr>,
-        /// Hash semi/anti joins only: the table is built over the *left*
+        /// Semi/anti joins only: the table is built over the *left*
         /// input and the right input probes it, marking the left rows it
         /// matches; the output is still left rows in left order. Every
         /// other join builds on its right input.
@@ -93,7 +64,6 @@ pub enum PhysicalPlan {
     },
     Aggregate {
         input: Box<PhysicalPlan>,
-        strategy: AggStrategy,
         group_by: Vec<BoundExpr>,
         aggs: Vec<AggCall>,
         schema: PlanSchema,
@@ -177,19 +147,15 @@ impl PhysicalPlan {
             PhysicalPlan::Filter { .. } => "Filter".into(),
             PhysicalPlan::Project { .. } => "Project".into(),
             PhysicalPlan::Join {
-                strategy,
                 join_type,
                 build_left,
                 ..
-            } => match strategy {
-                JoinStrategy::Hash => {
-                    let side = if *build_left { "left" } else { "right" };
-                    format!("HashJoin({join_type:?}, build={side})")
-                }
-                JoinStrategy::SortMerge => format!("SortMergeJoin({join_type:?})"),
-            },
+            } => {
+                let side = if *build_left { "left" } else { "right" };
+                format!("HashJoin({join_type:?}, build={side})")
+            }
             PhysicalPlan::CrossJoin { .. } => "CrossJoin".into(),
-            PhysicalPlan::Aggregate { strategy, .. } => format!("{strategy:?}Aggregate"),
+            PhysicalPlan::Aggregate { .. } => "HashAggregate".into(),
             PhysicalPlan::Sort { .. } => "Sort".into(),
             PhysicalPlan::Limit { .. } => "Limit".into(),
         }
@@ -223,26 +189,22 @@ impl PhysicalPlan {
     }
 }
 
-/// Convert an optimized logical plan into a physical plan, choosing each
-/// operator's algorithm where `opts` leaves it open.
+/// Convert an optimized logical plan into a physical plan.
 ///
-/// The choice is a rule, not a cost model, because on every join and
-/// aggregation site of the repo's four benchmark workloads one answer won:
-/// **hash, built on the side estimated smaller**. Inner joins already
-/// arrive with the smaller side on the right (join ordering puts it
-/// there); a semi/anti join whose left input is estimated smaller than its
-/// right builds on the left ([`PhysicalPlan::Join::build_left`]); left
-/// outer joins always build right. Hash joins also get the catalog's
-/// distinct-key estimate for their build side, which sizes the hash
-/// directory, and grouped aggregates get the estimated group count
-/// ([`PhysicalPlan::Aggregate`]'s `groups`), from which the executor picks
-/// its aggregation shape. Everything here reads SQL and catalog statistics
-/// only, so a plan never depends on workers, backend or host.
-pub fn plan_physical(
-    plan: &LogicalPlan,
-    opts: &PhysicalOptions,
-    catalog: &Catalog,
-) -> PhysicalPlan {
+/// Every equi-join is a hash join **built on the side estimated smaller**,
+/// and every aggregation a hash aggregation: forced over the 22 TPC-H
+/// queries, sort-merge joins cost +28 % and key-order aggregation +3 %.
+/// Inner joins already arrive with the smaller side on the right (join
+/// ordering puts it there); a semi/anti join whose left input is estimated
+/// smaller than its right builds on the left
+/// ([`PhysicalPlan::Join::build_left`]); left outer joins always build
+/// right. Joins also get the catalog's distinct-key estimate for their
+/// build side, which sizes the hash directory, and grouped aggregates get
+/// the estimated group count ([`PhysicalPlan::Aggregate`]'s `groups`), from
+/// which the executor picks its aggregation shape. Everything here reads
+/// SQL and catalog statistics only, so a plan never depends on workers,
+/// backend or host.
+pub fn plan_physical(plan: &LogicalPlan, catalog: &Catalog) -> PhysicalPlan {
     match plan {
         LogicalPlan::Scan {
             table,
@@ -254,7 +216,7 @@ pub fn plan_physical(
             projection: projection.clone(),
         },
         LogicalPlan::Filter { input, predicate } => PhysicalPlan::Filter {
-            input: Box::new(plan_physical(input, opts, catalog)),
+            input: Box::new(plan_physical(input, catalog)),
             predicate: predicate.clone(),
         },
         LogicalPlan::Project {
@@ -262,7 +224,7 @@ pub fn plan_physical(
             exprs,
             schema,
         } => PhysicalPlan::Project {
-            input: Box::new(plan_physical(input, opts, catalog)),
+            input: Box::new(plan_physical(input, catalog)),
             exprs: exprs.clone(),
             schema: schema.clone(),
         },
@@ -273,23 +235,17 @@ pub fn plan_physical(
             on,
             residual,
         } => {
-            let strategy = opts.join.unwrap_or(JoinStrategy::Hash);
-            let hash = strategy == JoinStrategy::Hash;
-            let build_left = hash
-                && matches!(join_type, JoinType::Semi | JoinType::Anti)
+            let build_left = matches!(join_type, JoinType::Semi | JoinType::Anti)
                 && estimate(&**left, catalog) < estimate(&**right, catalog);
-            let build_distinct = if !hash {
-                None
-            } else if build_left {
+            let build_distinct = if build_left {
                 key_distinct(on.iter().map(|k| column_source(&**left, k.0, catalog)))
             } else {
                 key_distinct(on.iter().map(|k| column_source(&**right, k.1, catalog)))
             };
             PhysicalPlan::Join {
-                left: Box::new(plan_physical(left, opts, catalog)),
-                right: Box::new(plan_physical(right, opts, catalog)),
+                left: Box::new(plan_physical(left, catalog)),
+                right: Box::new(plan_physical(right, catalog)),
                 join_type: *join_type,
-                strategy,
                 on: on.clone(),
                 residual: residual.clone(),
                 build_left,
@@ -297,8 +253,8 @@ pub fn plan_physical(
             }
         }
         LogicalPlan::CrossJoin { left, right } => PhysicalPlan::CrossJoin {
-            left: Box::new(plan_physical(left, opts, catalog)),
-            right: Box::new(plan_physical(right, opts, catalog)),
+            left: Box::new(plan_physical(left, catalog)),
+            right: Box::new(plan_physical(right, catalog)),
         },
         LogicalPlan::Aggregate {
             input,
@@ -306,8 +262,7 @@ pub fn plan_physical(
             aggs,
             schema,
         } => PhysicalPlan::Aggregate {
-            input: Box::new(plan_physical(input, opts, catalog)),
-            strategy: opts.agg.unwrap_or(AggStrategy::Hash),
+            input: Box::new(plan_physical(input, catalog)),
             group_by: group_by.clone(),
             aggs: aggs.clone(),
             schema: schema.clone(),
@@ -319,11 +274,11 @@ pub fn plan_physical(
             },
         },
         LogicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
-            input: Box::new(plan_physical(input, opts, catalog)),
+            input: Box::new(plan_physical(input, catalog)),
             keys: keys.clone(),
         },
         LogicalPlan::Limit { input, n } => PhysicalPlan::Limit {
-            input: Box::new(plan_physical(input, opts, catalog)),
+            input: Box::new(plan_physical(input, catalog)),
             n: *n,
         },
     }
@@ -389,56 +344,44 @@ mod tests {
         c
     }
 
-    fn physical(sql: &str, opts: PhysicalOptions) -> PhysicalPlan {
+    fn physical(sql: &str) -> PhysicalPlan {
         let cat = catalog();
         let p = bind_query(&tqp_sql::parse(sql).unwrap(), &cat).unwrap();
         let p = crate::optimize::optimize(p, &cat);
-        plan_physical(&p, &opts, &cat)
-    }
-
-    #[test]
-    fn strategies_propagate() {
-        let p = physical(
-            "select t.a, sum(t.b) from t, u where t.a = u.a group by t.a",
-            PhysicalOptions {
-                join: Some(JoinStrategy::Hash),
-                agg: Some(AggStrategy::Hash),
-            },
-        );
-        fn check(p: &PhysicalPlan) -> (bool, bool) {
-            let mut j = false;
-            let mut a = false;
-            if let PhysicalPlan::Join { strategy, .. } = p {
-                j |= *strategy == JoinStrategy::Hash;
-            }
-            if let PhysicalPlan::Aggregate { strategy, .. } = p {
-                a |= *strategy == AggStrategy::Hash;
-            }
-            for c in p.children() {
-                let (cj, ca) = check(c);
-                j |= cj;
-                a |= ca;
-            }
-            (j, a)
-        }
-        let (j, a) = check(&p);
-        assert!(j && a);
+        plan_physical(&p, &cat)
     }
 
     #[test]
     fn json_roundtrip() {
-        let p = physical(
+        for sql in [
             "select a from t where b > 1.0 order by a limit 3",
-            PhysicalOptions::default(),
-        );
-        let json = p.to_json();
-        let back = PhysicalPlan::from_json(&json).unwrap();
-        assert_eq!(p, back);
+            "select t.a, sum(t.b) from t, u where t.a = u.a group by t.a",
+        ] {
+            let p = physical(sql);
+            let json = p.to_json();
+            let back = PhysicalPlan::from_json(&json).unwrap();
+            assert_eq!(p, back);
+            // Documents written while joins and aggregates carried a
+            // `strategy` load to the same plan, whatever it named.
+            for (join, agg) in [("sort_merge", "sort"), ("hash", "hash")] {
+                let old = json
+                    .replace(
+                        "\"op\":\"join\",",
+                        &format!("\"op\":\"join\",\"strategy\":\"{join}\","),
+                    )
+                    .replace(
+                        "\"op\":\"aggregate\",",
+                        &format!("\"op\":\"aggregate\",\"strategy\":\"{agg}\","),
+                    );
+                assert_eq!(old == json, !sql.contains("group by"), "{old}");
+                assert_eq!(PhysicalPlan::from_json(&old).unwrap(), p);
+            }
+        }
     }
 
     #[test]
     fn display_and_names() {
-        let p = physical("select a, b from t", PhysicalOptions::default());
+        let p = physical("select a, b from t");
         let tree = p.display_tree();
         assert!(tree.contains("Scan(t)"));
         let schema = vec![

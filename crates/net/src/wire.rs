@@ -442,9 +442,9 @@ pub fn read_dataframe(r: &mut PayloadReader) -> Result<DataFrame, WireError> {
 /// Encode a query configuration: `[u8 backend][u8 device][u16 workers]
 /// [u8 flags][u64 deadline_ms][u64 slow_query_ms]` (both `u64::MAX` =
 /// none). Flag bits: 0 = zone-map pruning, 4 = trace capture; bits 1–3
-/// are reserved (written as 0, ignored on read). Physical-plan
-/// options stay at their defaults — they are compiler tuning, not a
-/// client-facing contract.
+/// are reserved (written as 0, ignored on read). `QueryConfig::physical`
+/// carries nothing and is not sent; the planner makes every physical
+/// choice on the server.
 pub fn write_config(w: &mut PayloadWriter, cfg: &tqp_core::QueryConfig) {
     w.u8(match cfg.backend {
         tqp_exec::Backend::Eager => 0,

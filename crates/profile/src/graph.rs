@@ -82,7 +82,7 @@ mod tests {
         let mut g = DotGraph::new();
         let scan = g.add_node("Scan(reviews)", "data");
         let predict = g.add_node("Predict(sentiment_classifier)", "ml");
-        let agg = g.add_node("SortAggregate", "relational");
+        let agg = g.add_node("HashAggregate", "relational");
         g.add_edge(&scan, &predict, "5000 rows");
         g.add_edge(&predict, &agg, "");
         let dot = g.to_dot("figure 4");

@@ -39,7 +39,7 @@ pub fn op_key_par(name: &str, idx: usize) -> String {
 /// One recorded operator span.
 #[derive(Debug, Clone)]
 pub struct Span {
-    /// Operator name (e.g. `Filter@op2`, `SortMergeJoin(Inner)@op5`; see
+    /// Operator name (e.g. `Filter@op2`, `HashJoin(Inner)@op5`; see
     /// [`op_key`]).
     pub name: String,
     /// Coarse category (`relational`, `ml`, `transfer`, `compile`,

@@ -8,7 +8,7 @@
 //!   lock and run concurrently; `register_table`/`register_model` take
 //!   the write lock;
 //! * a **prepared-statement cache**: an LRU keyed by *normalized SQL
-//!   text* + the [`QueryConfig`] (backend, device, strategies, workers).
+//!   text* + the [`QueryConfig`] (backend, device, workers, pruning).
 //!   A hit returns the same `Arc`-shared [`PreparedQuery`] — pointer
 //!   equality is the test-visible proof that no parse/bind/lower work
 //!   happened. `$1..$n` placeholder values are bound per execution by

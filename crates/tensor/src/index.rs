@@ -1,10 +1,9 @@
-//! Index-space kernels: mask compaction, gather, `searchsorted`, `arange`,
+//! Index-space kernels: mask compaction, gather, `arange`,
 //! `repeat_interleave`, `cumsum`, scatter-add, slicing, concatenation.
 //!
 //! These are the workhorses of TQP's filter and join algorithms: a filter is
-//! `mask → indices → take`; the tensor sort-merge join expands match runs
-//! with `repeat_interleave` + `arange` arithmetic and probes with
-//! `searchsorted` (paper §2.2, "novel algorithms" of the companion paper).
+//! `mask → indices → take`, and a join gathers both sides by its pair
+//! indices.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -111,18 +110,6 @@ pub fn repeat_interleave(counts: &Tensor) -> Tensor {
     Tensor::from_i64(out)
 }
 
-/// Exclusive prefix sum of an `I64` tensor: `exclusive_cumsum([2,3,1]) = [0,2,5]`.
-pub fn exclusive_cumsum(t: &Tensor) -> Tensor {
-    let x = t.as_i64();
-    let mut out = Vec::with_capacity(x.len());
-    let mut acc = 0i64;
-    for &v in x {
-        out.push(acc);
-        acc += v;
-    }
-    Tensor::from_i64(out)
-}
-
 /// Inclusive prefix sum of an `I64` tensor.
 pub fn cumsum(t: &Tensor) -> Tensor {
     let x = t.as_i64();
@@ -135,44 +122,8 @@ pub fn cumsum(t: &Tensor) -> Tensor {
     Tensor::from_i64(out)
 }
 
-/// Binary-search side for [`searchsorted`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Side {
-    /// First position where `value` could be inserted keeping order.
-    Left,
-    /// Last position where `value` could be inserted keeping order.
-    Right,
-}
-
-/// For each value in `needles`, the insertion point within ascending-sorted
-/// `haystack` (`torch.searchsorted`). Supports `I64` and `F64` rank-1
-/// tensors. This is the probe primitive of the tensor sort-merge join.
-pub fn searchsorted(haystack: &Tensor, needles: &Tensor, side: Side) -> Tensor {
-    assert_eq!(
-        haystack.dtype(),
-        needles.dtype(),
-        "searchsorted dtype mismatch"
-    );
-    macro_rules! ss {
-        ($as:ident) => {{
-            let hs = haystack.$as();
-            let pos = needles.$as().iter().map(|v| match side {
-                Side::Left => hs.partition_point(|x| x < v) as i64,
-                Side::Right => hs.partition_point(|x| x <= v) as i64,
-            });
-            Tensor::from_i64(pos.collect())
-        }};
-    }
-    match haystack.dtype() {
-        DType::I64 => ss!(as_i64),
-        DType::I32 => ss!(as_i32),
-        DType::F64 => ss!(as_f64),
-        other => panic!("searchsorted on dtype {other:?}"),
-    }
-}
-
 /// `out[idx[i]] += src[i]` over `F64` accumulators (`torch.scatter_add`).
-/// The hash-aggregation strategy reduces into group slots with this kernel.
+/// Hash aggregation reduces into group slots with this kernel.
 pub fn scatter_add_f64(len: usize, idx: &Tensor, src: &Tensor) -> Tensor {
     let ix = idx.as_i64();
     let xs = src.as_f64();
@@ -382,21 +333,9 @@ mod tests {
             &[0, 0, 2, 2, 2]
         );
         assert_eq!(
-            exclusive_cumsum(&Tensor::from_i64(vec![2, 3, 1])).as_i64(),
-            &[0, 2, 5]
-        );
-        assert_eq!(
             cumsum(&Tensor::from_i64(vec![2, 3, 1])).as_i64(),
             &[2, 5, 6]
         );
-    }
-
-    #[test]
-    fn searchsorted_sides() {
-        let h = Tensor::from_i64(vec![1, 2, 2, 4]);
-        let n = Tensor::from_i64(vec![0, 2, 3, 5]);
-        assert_eq!(searchsorted(&h, &n, Side::Left).as_i64(), &[0, 1, 3, 4]);
-        assert_eq!(searchsorted(&h, &n, Side::Right).as_i64(), &[0, 3, 3, 4]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   broadcasting ([`ops`]),
 //! * full and segmented reductions ([`reduce`]),
 //! * stable single- and multi-key argsort, gather/take ([`sort`]),
-//! * boolean-mask compaction, `searchsorted`, `arange`, `repeat`, `cumsum`
+//! * boolean-mask compaction, `arange`, `repeat`, `cumsum`
 //!   ([`index`]),
 //! * run-boundary / unique-consecutive detection ([`unique`]),
 //! * dense GEMM for the ML operators ([`gemm`]),

@@ -1,12 +1,11 @@
 //! Stable sorting kernels.
 //!
-//! TQP's ORDER BY, key-ordered aggregate output, `COUNT(DISTINCT)` and
-//! sort-merge join are all built on *stable argsort*: produce a
-//! permutation, then [`crate::index::take`] every payload column through
-//! it. Multi-key ordering uses the classic
-//! LSD trick — repeated stable single-key sorts from the least-significant
-//! key to the most-significant — which is exactly how multi-column sorts are
-//! expressed on tensor runtimes that only expose per-column stable sorts.
+//! TQP's ORDER BY and `COUNT(DISTINCT)` are built on *stable argsort*:
+//! produce a permutation, then [`crate::index::take`] every payload column
+//! through it. Multi-key ordering uses the classic LSD trick — repeated
+//! stable single-key sorts from the least-significant key to the
+//! most-significant — which is exactly how multi-column sorts are expressed
+//! on tensor runtimes that only expose per-column stable sorts.
 //!
 //! Every kernel here is sequential. A caller that splits a large sort
 //! across threads sorts contiguous row ranges with [`argsort_range`] and

@@ -6,7 +6,6 @@ use tqp_repro::data::frame::df;
 use tqp_repro::data::{Column, DataFrame};
 use tqp_repro::exec::Backend;
 use tqp_repro::ir::physical::PhysicalPlan;
-use tqp_repro::ir::{JoinStrategy, PhysicalOptions};
 use tqp_tensor::Scalar;
 
 fn session_with(rows: usize) -> Session {
@@ -222,7 +221,9 @@ fn wasm_backend_on_edge_inputs() {
 
 /// String equi-join keys match across columns of different padded widths
 /// (`ak` is 4 bytes wide, `bk` 2): hashes cover the value, not the
-/// padding — on every backend, worker count and join strategy.
+/// padding — on every backend and worker count. The joined rows also feed
+/// integer `/` and `%` by a zero divisor, which are NULL as on the row
+/// engine.
 #[test]
 fn string_join_keys_of_different_widths_match() {
     let mut s = Session::new();
@@ -244,6 +245,15 @@ fn string_join_keys_of_different_widths_match() {
     let cases = [
         ("select av, bv from a, b where ak = bk order by av", 2),
         (
+            "select av, av / (bv - 10) is null, av % (bv - 10) is null from a, b \
+             where ak = bk order by av",
+            2,
+        ),
+        (
+            "select count(av / (bv - 10)), sum(av % (bv - 10)) from a, b where ak = bk",
+            1,
+        ),
+        (
             "select av from a where ak in (select bk from b) order by av",
             2,
         ),
@@ -256,6 +266,18 @@ fn string_join_keys_of_different_widths_match() {
             1,
         ),
     ];
+    // `x` joins `bv = 10`: its quotient and remainder are NULL.
+    let by_zero = s.sql_baseline(cases[1].0).unwrap();
+    assert_eq!(
+        by_zero.row(0),
+        [Scalar::I64(1), Scalar::Bool(true), Scalar::Bool(true)]
+    );
+    assert_eq!(
+        by_zero.row(1),
+        [Scalar::I64(2), Scalar::Bool(false), Scalar::Bool(false)]
+    );
+    let by_zero = s.sql_baseline(cases[2].0).unwrap();
+    assert_eq!(by_zero.row(0), [Scalar::I64(1), Scalar::I64(2)]);
     for (sql, n) in cases {
         let expect = s.sql_baseline(sql).unwrap();
         assert_eq!(expect.nrows(), n, "{sql}");
@@ -266,20 +288,12 @@ fn string_join_keys_of_different_widths_match() {
             Backend::Wasm,
         ] {
             for workers in [1, 4] {
-                for join in [JoinStrategy::Hash, JoinStrategy::SortMerge] {
-                    let cfg = QueryConfig::default()
-                        .backend(backend)
-                        .workers(workers)
-                        .physical(PhysicalOptions {
-                            join: Some(join),
-                            agg: None,
-                        });
-                    let (out, _) = s.compile(sql, cfg).unwrap().run(&s).unwrap();
-                    let label = format!("{backend:?} w={workers} {join:?}: {sql}");
-                    assert_eq!(out.nrows(), n, "{label}");
-                    for i in 0..n {
-                        assert_eq!(out.row(i), expect.row(i), "{label}");
-                    }
+                let cfg = QueryConfig::default().backend(backend).workers(workers);
+                let (out, _) = s.compile(sql, cfg).unwrap().run(&s).unwrap();
+                let label = format!("{backend:?} w={workers}: {sql}");
+                assert_eq!(out.nrows(), n, "{label}");
+                for i in 0..n {
+                    assert_eq!(out.row(i), expect.row(i), "{label}");
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! Randomized differential fuzzing: seeded SQL generation over the TPC-H
 //! schema, every generated query executed on all four tensor backends
-//! (plus the hash-strategy plans) and checked cell-for-cell against the
-//! `tqp-baseline` row-Volcano oracle.
+//! and checked cell-for-cell against the `tqp-baseline` row-Volcano
+//! oracle.
 //!
 //! The generator covers projections (arithmetic, CASE), filters
 //! (comparisons, BETWEEN, LIKE, IN), comma-joins on the TPC-H foreign
@@ -30,7 +30,6 @@ use tqp_repro::data::frame::df;
 use tqp_repro::data::tpch::{TpchConfig, TpchData};
 use tqp_repro::data::{Column, DataFrame};
 use tqp_repro::exec::Backend;
-use tqp_repro::ir::{AggStrategy, JoinStrategy, PhysicalOptions};
 use tqp_tensor::Scalar;
 
 // ---------------------------------------------------------------------
@@ -500,39 +499,12 @@ fn frames_match(got: &DataFrame, expect: &DataFrame) -> Result<(), String> {
     Ok(())
 }
 
-/// `None` leaves the choice to the planner.
-const BACKENDS: &[(Backend, Option<JoinStrategy>, Option<AggStrategy>, &str)] = &[
-    (
-        Backend::Eager,
-        Some(JoinStrategy::SortMerge),
-        Some(AggStrategy::Sort),
-        "eager/smj/sort",
-    ),
-    (
-        Backend::Eager,
-        Some(JoinStrategy::Hash),
-        Some(AggStrategy::Hash),
-        "eager/hash/hash",
-    ),
-    (
-        Backend::Fused,
-        Some(JoinStrategy::SortMerge),
-        Some(AggStrategy::Sort),
-        "fused/smj/sort",
-    ),
-    (
-        Backend::Graph,
-        Some(JoinStrategy::Hash),
-        Some(AggStrategy::Sort),
-        "graph/hash/sort",
-    ),
-    (
-        Backend::Wasm,
-        Some(JoinStrategy::SortMerge),
-        Some(AggStrategy::Sort),
-        "wasm/smj/sort",
-    ),
-    (Backend::Fused, None, None, "fused/chosen"),
+/// Every backend, on the planner's plan.
+const BACKENDS: &[Backend] = &[
+    Backend::Eager,
+    Backend::Fused,
+    Backend::Graph,
+    Backend::Wasm,
 ];
 
 /// The differential pair: the classic in-memory session plus a session
@@ -565,10 +537,9 @@ fn check(sessions: &Sessions, sql: &str) -> Result<(), String> {
         .mem
         .sql_baseline(sql)
         .map_err(|e| format!("oracle failed: {e}"))?;
-    for &(backend, join, agg, label) in BACKENDS {
-        let cfg = QueryConfig::default()
-            .backend(backend)
-            .physical(PhysicalOptions { join, agg });
+    for &backend in BACKENDS {
+        let label = format!("{backend:?}");
+        let cfg = QueryConfig::default().backend(backend);
         let q = sessions
             .mem
             .compile(sql, cfg)

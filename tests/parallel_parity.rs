@@ -1,5 +1,6 @@
-//! Worker-count parity: every differential configuration must produce
-//! **byte-identical** output at `workers = 1` and `workers = 4`.
+//! Worker-count parity: every vectorized backend must produce
+//! **byte-identical** output at `workers = 1` and `workers = 4`, on the
+//! planner's plan (hash joins, hash aggregation).
 //!
 //! This locks in the determinism contracts of the parallel barrier ops
 //! (see `ARCHITECTURE.md` "Parallel chunked execution"):
@@ -31,7 +32,6 @@ use tqp_repro::data::frame::df;
 use tqp_repro::data::tpch::{queries, TpchConfig, TpchData};
 use tqp_repro::data::{Column, DataFrame};
 use tqp_repro::exec::Backend;
-use tqp_repro::ir::{AggStrategy, JoinStrategy, PhysicalOptions};
 use tqp_tensor::Scalar;
 
 fn session() -> Session {
@@ -69,7 +69,7 @@ fn exact_rows(frame: &DataFrame) -> Vec<Vec<String>> {
 
 /// Run every TPC-H query at `workers = 1` and `workers = 4` and demand
 /// byte-identical output.
-fn run_parity(backend: Backend, physical: PhysicalOptions, label: &str) {
+fn run_parity(backend: Backend, label: &str) {
     let s = session();
     for (n, sql) in queries::all() {
         let mut outs = Vec::new();
@@ -77,10 +77,7 @@ fn run_parity(backend: Backend, physical: PhysicalOptions, label: &str) {
             let q = s
                 .compile(
                     sql,
-                    QueryConfig::default()
-                        .backend(backend)
-                        .physical(physical)
-                        .workers(workers),
+                    QueryConfig::default().backend(backend).workers(workers),
                 )
                 .unwrap_or_else(|e| panic!("Q{n} [{label}] compile: {e}"));
             let (out, _) = q
@@ -96,80 +93,18 @@ fn run_parity(backend: Backend, physical: PhysicalOptions, label: &str) {
 }
 
 #[test]
-fn eager_sortmerge_sortagg_worker_parity() {
-    run_parity(
-        Backend::Eager,
-        PhysicalOptions {
-            join: Some(JoinStrategy::SortMerge),
-            agg: Some(AggStrategy::Sort),
-        },
-        "eager/smj/sort",
-    );
-}
-
-#[test]
 fn eager_hash_strategies_worker_parity() {
-    run_parity(
-        Backend::Eager,
-        PhysicalOptions {
-            join: Some(JoinStrategy::Hash),
-            agg: Some(AggStrategy::Hash),
-        },
-        "eager/hash/hash",
-    );
-}
-
-#[test]
-fn fused_sortmerge_sortagg_worker_parity() {
-    run_parity(
-        Backend::Fused,
-        PhysicalOptions {
-            join: Some(JoinStrategy::SortMerge),
-            agg: Some(AggStrategy::Sort),
-        },
-        "fused/smj/sort",
-    );
-}
-
-#[test]
-fn fused_hash_strategies_worker_parity() {
-    run_parity(
-        Backend::Fused,
-        PhysicalOptions {
-            join: Some(JoinStrategy::Hash),
-            agg: Some(AggStrategy::Hash),
-        },
-        "fused/hash/hash",
-    );
+    run_parity(Backend::Eager, "eager");
 }
 
 #[test]
 fn fused_planner_chosen_worker_parity() {
-    run_parity(Backend::Fused, PhysicalOptions::default(), "fused/chosen");
-}
-
-#[test]
-fn graph_sortmerge_sortagg_worker_parity() {
-    run_parity(
-        Backend::Graph,
-        PhysicalOptions {
-            join: Some(JoinStrategy::SortMerge),
-            agg: Some(AggStrategy::Sort),
-        },
-        "graph/smj/sort",
-    );
+    run_parity(Backend::Fused, "fused");
 }
 
 #[test]
 fn graph_hash_strategies_worker_parity() {
-    run_parity(
-        Backend::Graph,
-        PhysicalOptions {
-            join: Some(JoinStrategy::Hash),
-            agg: Some(AggStrategy::Hash),
-        },
-        "graph/hash/hash",
-    );
+    run_parity(Backend::Graph, "graph");
 }
 
 /// The whole-query oracle for the specialized expression kernels: Eager

@@ -10,7 +10,7 @@ use tqp_repro::data::tpch::{queries, TpchConfig, TpchData};
 use tqp_repro::data::DataFrame;
 use tqp_repro::exec::program::{deserialize_program, lower, serialize_program, TensorProgram};
 use tqp_repro::exec::{exprfuse, scalar, vm, ExecConfig};
-use tqp_repro::ir::{compile_sql, AggStrategy, JoinStrategy, PhysicalOptions};
+use tqp_repro::ir::{compile_sql, PhysicalOptions};
 use tqp_repro::ml::ModelRegistry;
 use tqp_repro::profile::Profiler;
 
@@ -48,51 +48,43 @@ fn roundtripped_artifact_is_byte_identical_on_all_backends() {
     let s = session();
     let models = ModelRegistry::new();
     let profiler = Profiler::disabled();
-    for opts in [
-        PhysicalOptions::default(),
-        PhysicalOptions {
-            join: Some(JoinStrategy::Hash),
-            agg: Some(AggStrategy::Hash),
-        },
-    ] {
-        for (n, sql) in queries::all() {
-            let plan = compile_sql(sql, s.catalog(), &opts)
-                .unwrap_or_else(|e| panic!("Q{n} compile: {e}"));
-            let prog = lower(&plan);
-            let artifact = serialize_program(&prog);
-            let shipped =
-                deserialize_program(&artifact).unwrap_or_else(|e| panic!("Q{n} artifact: {e}"));
-            // The program itself survives structurally...
-            assert_eq!(prog, shipped, "Q{n}: program changed through the artifact");
+    for (n, sql) in queries::all() {
+        let plan = compile_sql(sql, s.catalog(), &PhysicalOptions)
+            .unwrap_or_else(|e| panic!("Q{n} compile: {e}"));
+        let prog = lower(&plan);
+        let artifact = serialize_program(&prog);
+        let shipped =
+            deserialize_program(&artifact).unwrap_or_else(|e| panic!("Q{n} artifact: {e}"));
+        // The program itself survives structurally...
+        assert_eq!(prog, shipped, "Q{n}: program changed through the artifact");
 
-            // ...and behaviorally, on the vectorized VM without and with
-            // kernels bound (Eager + Fused backends and the Graph
-            // backend's executor all route through this path)...
-            for fused in [false, true] {
-                let cfg = ExecConfig::default();
-                let (direct, _, _) = vm::run_program(
-                    &with_kernels(&prog, fused),
-                    s.storage(),
-                    &models,
-                    &profiler,
-                    cfg,
-                );
-                let (via_artifact, _, _) = vm::run_program(
-                    &with_kernels(&shipped, fused),
-                    s.storage(),
-                    &models,
-                    &profiler,
-                    cfg,
-                );
-                let label = if fused { "fused" } else { "eager" };
-                assert_identical(n, label, &direct, &via_artifact);
-            }
-
-            // ...and on the scalar row VM (the Wasm backend's interpreter).
-            let direct = scalar::run_program_scalar(&prog, s.frames(), &models);
-            let via_artifact = scalar::run_program_scalar(&shipped, s.frames(), &models);
-            assert_identical(n, "wasm-scalar", &direct, &via_artifact);
+        // ...and behaviorally, on the vectorized VM without and with
+        // kernels bound (Eager + Fused backends and the Graph
+        // backend's executor all route through this path)...
+        for fused in [false, true] {
+            let cfg = ExecConfig::default();
+            let (direct, _, _) = vm::run_program(
+                &with_kernels(&prog, fused),
+                s.storage(),
+                &models,
+                &profiler,
+                cfg,
+            );
+            let (via_artifact, _, _) = vm::run_program(
+                &with_kernels(&shipped, fused),
+                s.storage(),
+                &models,
+                &profiler,
+                cfg,
+            );
+            let label = if fused { "fused" } else { "eager" };
+            assert_identical(n, label, &direct, &via_artifact);
         }
+
+        // ...and on the scalar row VM (the Wasm backend's interpreter).
+        let direct = scalar::run_program_scalar(&prog, s.frames(), &models);
+        let via_artifact = scalar::run_program_scalar(&shipped, s.frames(), &models);
+        assert_identical(n, "wasm-scalar", &direct, &via_artifact);
     }
 }
 
@@ -112,12 +104,7 @@ fn v1_artifact_rejected_with_error_naming_both_versions() {
         Schema::new(vec![Field::new("a", LogicalType::Int64)]),
         10,
     );
-    let plan = compile_sql(
-        "select a from t where a > 1",
-        &catalog,
-        &PhysicalOptions::default(),
-    )
-    .unwrap();
+    let plan = compile_sql("select a from t where a > 1", &catalog, &PhysicalOptions).unwrap();
     let artifact = serialize_program(&lower(&plan));
     let v1 = String::from_utf8(artifact.to_vec())
         .unwrap()
@@ -145,7 +132,7 @@ fn groups_estimate_rides_grouped_reduce_only() {
     let models = ModelRegistry::new();
     let profiler = Profiler::disabled();
     // Q18 groups lineitem by l_orderkey: 15 000 estimated groups.
-    let plan = compile_sql(queries::query(18), s.catalog(), &PhysicalOptions::default()).unwrap();
+    let plan = compile_sql(queries::query(18), s.catalog(), &PhysicalOptions).unwrap();
     let prog = lower(&plan);
     let estimates = |p: &tqp_repro::exec::program::TensorProgram| -> Vec<Option<u64>> {
         p.ops
@@ -229,7 +216,7 @@ fn limit_rides_sort_only() {
     let models = ModelRegistry::new();
     let profiler = Profiler::disabled();
     // Q3 ends `order by revenue desc, o_orderdate limit 10`.
-    let plan = compile_sql(queries::query(3), s.catalog(), &PhysicalOptions::default()).unwrap();
+    let plan = compile_sql(queries::query(3), s.catalog(), &PhysicalOptions).unwrap();
     let prog = lower(&plan);
     let limits = |p: &tqp_repro::exec::program::TensorProgram| -> Vec<Option<usize>> {
         p.ops
@@ -305,8 +292,7 @@ fn kernels_are_bound_when_the_program_is_lowered() {
         sites
     };
     for n in [1, 6, 19] {
-        let plan =
-            compile_sql(queries::query(n), s.catalog(), &PhysicalOptions::default()).unwrap();
+        let plan = compile_sql(queries::query(n), s.catalog(), &PhysicalOptions).unwrap();
         let compiled = |backend| {
             let cfg = ExecConfig {
                 backend,

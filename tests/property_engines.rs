@@ -1,5 +1,5 @@
 //! Differential fuzzing: random micro-tables + randomized query parameters,
-//! tensor engine (both join/agg strategies) vs the row oracle. This covers
+//! tensor engine (Eager and Fused) vs the row oracle. This covers
 //! the operator space beyond what the 22 fixed TPC-H queries exercise.
 
 use proptest::prelude::*;
@@ -11,7 +11,7 @@ use tqp_repro::data::{Column, DataFrame};
 use tqp_repro::exec::Backend;
 use tqp_repro::ir::physical::PhysicalPlan;
 use tqp_repro::ir::plan::{ColMeta, JoinType, SortKey};
-use tqp_repro::ir::{AggStrategy, BinOp, BoundExpr, JoinStrategy, PhysicalOptions};
+use tqp_repro::ir::{BinOp, BoundExpr};
 use tqp_tensor::Scalar;
 
 fn canon(frame: &DataFrame) -> Vec<Vec<String>> {
@@ -36,33 +36,21 @@ fn check_all_configs(session: &Session, sql: &str) -> Result<(), TestCaseError> 
         .sql_baseline(sql)
         .map_err(|e| TestCaseError::fail(format!("oracle failed on {sql}: {e}")))?;
     let expect = canon(&oracle);
-    for (join, agg) in [
-        (JoinStrategy::SortMerge, AggStrategy::Sort),
-        (JoinStrategy::Hash, AggStrategy::Hash),
-    ] {
-        for backend in [Backend::Eager, Backend::Fused] {
-            let cfg = QueryConfig::default()
-                .backend(backend)
-                .physical(PhysicalOptions {
-                    join: Some(join),
-                    agg: Some(agg),
-                });
-            let q = session
-                .compile(sql, cfg)
-                .map_err(|e| TestCaseError::fail(format!("compile {sql}: {e}")))?;
-            let (out, _) = q
-                .run(session)
-                .map_err(|e| TestCaseError::fail(format!("run {sql}: {e}")))?;
-            prop_assert_eq!(
-                canon(&out),
-                expect.clone(),
-                "{:?}/{:?}/{:?} disagrees on {}",
-                backend,
-                join,
-                agg,
-                sql
-            );
-        }
+    for backend in [Backend::Eager, Backend::Fused] {
+        let cfg = QueryConfig::default().backend(backend);
+        let q = session
+            .compile(sql, cfg)
+            .map_err(|e| TestCaseError::fail(format!("compile {sql}: {e}")))?;
+        let (out, _) = q
+            .run(session)
+            .map_err(|e| TestCaseError::fail(format!("run {sql}: {e}")))?;
+        prop_assert_eq!(
+            canon(&out),
+            expect.clone(),
+            "{:?} disagrees on {}",
+            backend,
+            sql
+        );
     }
     Ok(())
 }
@@ -229,7 +217,6 @@ proptest! {
             left: Box::new(scan(&session, "t")),
             right: Box::new(scan(&session, "u")),
             join_type: JoinType::Left,
-            strategy: JoinStrategy::Hash,
             on: vec![(0, 0)],
             residual: None,
             build_left: false,
@@ -262,7 +249,6 @@ proptest! {
                             left: Box::new(left.clone()),
                             right: Box::new(scan(&session, "u")),
                             join_type,
-                            strategy: JoinStrategy::Hash,
                             on: vec![(*key, 0)],
                             residual: residual.clone(),
                             build_left,
@@ -281,7 +267,6 @@ proptest! {
                     left: Box::new(left.clone()),
                     right: Box::new(scan(&session, "u")),
                     join_type: JoinType::Inner,
-                    strategy: JoinStrategy::Hash,
                     on: vec![(*key, 0)],
                     residual: residual.clone(),
                     build_left: false,
@@ -297,7 +282,6 @@ proptest! {
                     left: Box::new(scan(&session, "u")),
                     right: Box::new(left.clone()),
                     join_type: JoinType::Inner,
-                    strategy: JoinStrategy::Hash,
                     on: vec![(0, *key)],
                     residual: residual.clone().map(|r| {
                         r.transform(&|e| match e {
@@ -430,7 +414,6 @@ proptest! {
                 schema.extend(aggs.iter().enumerate().map(|(i, a)| ColMeta::new(format!("a{i}"), a.ty)));
                 let plan = PhysicalPlan::Aggregate {
                     input: Box::new(input.clone()),
-                    strategy: AggStrategy::Hash,
                     group_by: vec![BoundExpr::col(1, LogicalType::Int64)],
                     aggs: aggs.clone(),
                     schema,

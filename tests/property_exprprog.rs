@@ -9,9 +9,9 @@
 //!   test-side walk of the tree derives (a result is NULL if any input it
 //!   touched is; `IS NULL` is always valid), on every row; on every row
 //!   that validity keeps, the value must be the row engine's, except on
-//!   rows where the two define a node differently: an integer division
-//!   by zero (NULL vs 0), or an `IS NULL` operand or `CASE` condition
-//!   that is conservatively NULL where the row engine has a value;
+//!   rows where the two define a node differently: an `IS NULL` operand
+//!   or `CASE` condition that is conservatively NULL where the row engine
+//!   has a value;
 //! * scalar rows: `exprprog::eval_row_outputs` against `eval_expr`
 //!   (exact `Scalar` equality, including NULL propagation);
 //! * kernels: every specialized kernel (`exprfuse`, bound the way the
@@ -372,8 +372,10 @@ fn same_value(compiled: &Scalar, oracle: &Scalar) -> bool {
 /// from the tree alone: a column carries its own validity, a non-NULL
 /// literal and `IS NULL` are always valid, a `CASE` is valid where its
 /// `ELSE` and every arm value are (conditions fold into the selection),
-/// and anything else is valid where all its children are. `None` means
-/// "no validity tensor", which the walk must reproduce as such.
+/// an integer `/` or `%` is valid where both operands are and the divisor
+/// the walk computed is not 0 (a divisor with no 0 adds no validity), and
+/// anything else is valid where all its children are. `None` means "no
+/// validity tensor", which the walk must reproduce as such.
 fn conservative_validity(e: &E, batch: &Batch) -> Option<Vec<bool>> {
     let and = |a: Option<Vec<bool>>, b: Option<Vec<bool>>| match (a, b) {
         (None, m) | (m, None) => m,
@@ -398,6 +400,24 @@ fn conservative_validity(e: &E, batch: &Batch) -> Option<Vec<bool>> {
             arms.push(else_expr);
             all(&arms)
         }
+        E::Binary {
+            op: BinOp::Div | BinOp::Mod,
+            left,
+            right,
+            ty: LogicalType::Int64,
+        } => {
+            // The divisor as the walk computes it: where a `CASE` condition
+            // is conservatively NULL, the row engine may pick another arm.
+            let prog = exprprog::compile_exprs(std::slice::from_ref(&**right));
+            let divisor = &exprprog::eval_all(&prog, batch, &ModelRegistry::new())[0].0;
+            let nonzero: Vec<bool> = divisor.as_i64().iter().map(|&d| d != 0).collect();
+            let operands = all(&[&**left, &**right]);
+            if nonzero.iter().all(|&v| v) {
+                operands
+            } else {
+                and(operands, Some(nonzero))
+            }
+        }
         E::Binary { left, right, .. } => all(&[&**left, &**right]),
         E::Not(c) | E::Neg(c) | E::Like { expr: c, .. } | E::InList { expr: c, .. } => all(&[&**c]),
         E::Func { args, .. } | E::Predict { args, .. } => all(&args.iter().collect::<Vec<_>>()),
@@ -407,9 +427,8 @@ fn conservative_validity(e: &E, batch: &Batch) -> Option<Vec<bool>> {
 
 /// True when some node of `e` takes, on row `i`, a value the vectorized
 /// walk defines differently from the row engine, so that row's value is
-/// not compared: an integer division by zero (NULL in the row engine, 0
-/// in the tensor engines), or an `IS NULL` operand or `CASE` condition
-/// whose conservative validity is not the row engine's NULL-ness (the
+/// not compared: an `IS NULL` operand or `CASE` condition whose
+/// conservative validity is not the row engine's NULL-ness (the
 /// vectorized walk tests that validity, so `x IS NULL` is true where an
 /// untaken `CASE` arm of `x` is NULL).
 fn diverges(e: &E, batch: &Batch, row: &Vec<Scalar>, i: usize) -> bool {
@@ -419,11 +438,6 @@ fn diverges(e: &E, batch: &Batch, row: &Vec<Scalar>, i: usize) -> bool {
     };
     let mut hit = false;
     e.visit(&mut |n| match n {
-        E::Binary {
-            op: BinOp::Div | BinOp::Mod,
-            right,
-            ..
-        } => hit |= eval_expr(right, row) == Scalar::I64(0),
         E::IsNull { expr, .. } => hit |= nulls_differ(expr),
         E::Case { branches, .. } => hit |= branches.iter().any(|(c, _)| nulls_differ(c)),
         _ => {}

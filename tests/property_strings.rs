@@ -29,7 +29,7 @@ use tqp_repro::data::ingest::{frame_to_tensors, TensorTable};
 use tqp_repro::data::stats::frame_stats;
 use tqp_repro::data::{Column, DataFrame};
 use tqp_repro::exec::{Backend, ExecConfig, Executor, Storage, TableSource};
-use tqp_repro::ir::{compile_sql, AggStrategy, Catalog, JoinStrategy, PhysicalOptions};
+use tqp_repro::ir::{compile_sql, Catalog, PhysicalOptions};
 use tqp_repro::ml::ModelRegistry;
 use tqp_repro::profile::Profiler;
 use tqp_tensor::Tensor;
@@ -173,23 +173,17 @@ const QUERIES: &[&str] = &[
      on t.k1 = u.uk and u.w < 0 group by t.k2 order by t.k2",
 ];
 
-/// `(backend, workers, physical)` — every backend at workers 1 and 4 (the
-/// scalar Wasm VM is single-threaded), planner-chosen and forced
-/// sort-merge/sort-aggregate plans.
-fn configs() -> Vec<(Backend, usize, PhysicalOptions)> {
-    let chosen = PhysicalOptions::default();
-    let sorted = PhysicalOptions {
-        join: Some(JoinStrategy::SortMerge),
-        agg: Some(AggStrategy::Sort),
-    };
+/// `(backend, workers)` — every backend at workers 1 and 4 (the scalar
+/// Wasm VM is single-threaded).
+fn configs() -> Vec<(Backend, usize)> {
     vec![
-        (Backend::Eager, 1, chosen),
-        (Backend::Eager, 4, sorted),
-        (Backend::Fused, 1, sorted),
-        (Backend::Fused, 4, chosen),
-        (Backend::Graph, 1, chosen),
-        (Backend::Graph, 4, sorted),
-        (Backend::Wasm, 1, chosen),
+        (Backend::Eager, 1),
+        (Backend::Eager, 4),
+        (Backend::Fused, 1),
+        (Backend::Fused, 4),
+        (Backend::Graph, 1),
+        (Backend::Graph, 4),
+        (Backend::Wasm, 1),
     ]
 }
 
@@ -240,12 +234,11 @@ fn check_dataset(ndv: usize, seed: u64) {
     let models = ModelRegistry::new();
     let profiler = Profiler::disabled();
     for sql in QUERIES {
-        let plan = compile_sql(sql, &catalog, &PhysicalOptions::default())
-            .unwrap_or_else(|e| panic!("{sql}: {e:?}"));
+        let plan =
+            compile_sql(sql, &catalog, &PhysicalOptions).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
         let mut expect = rows(&RowEngine::new(&oracle_frames, &models).execute(&plan));
         expect.sort();
-        for (backend, workers, physical) in configs() {
-            let plan = compile_sql(sql, &catalog, &physical).expect("compiles");
+        for (backend, workers) in configs() {
             let cfg = ExecConfig {
                 backend,
                 workers,
@@ -255,8 +248,7 @@ fn check_dataset(ndv: usize, seed: u64) {
             let mut first: Option<Vec<String>> = None;
             for (form, storage) in &storages {
                 let got = rows(&exec.run(storage, &models, &profiler).0);
-                let what =
-                    format!("ndv {ndv}, {backend:?} w={workers} {physical:?}, {form}: {sql}");
+                let what = format!("ndv {ndv}, {backend:?} w={workers}, {form}: {sql}");
                 match &first {
                     None => {
                         let mut sorted = got.clone();

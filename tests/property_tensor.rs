@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use tqp_repro::tensor as tt;
-use tt::index::{filter, mask_to_indices, searchsorted, take, Side};
+use tt::index::{filter, mask_to_indices, take};
 use tt::ops::{compare_scalar, CmpOp};
 use tt::reduce::{segmented_reduce, sum_f64, AggFn};
 use tt::sort::{argsort, argsort_multi, topk_merge, topk_range, Order, SortKey};
@@ -95,24 +95,6 @@ proptest! {
         let expect: Vec<i64> =
             mask.iter().enumerate().filter(|(_, &b)| b).map(|(i, _)| i as i64).collect();
         prop_assert_eq!(idx.as_i64(), expect.as_slice());
-    }
-
-    #[test]
-    fn searchsorted_matches_linear_scan(
-        mut hay in prop::collection::vec(-100i64..100, 0..100),
-        needles in prop::collection::vec(-120i64..120, 0..50),
-    ) {
-        hay.sort_unstable();
-        let h = Tensor::from_i64(hay.clone());
-        let n = Tensor::from_i64(needles.clone());
-        let left = searchsorted(&h, &n, Side::Left);
-        let right = searchsorted(&h, &n, Side::Right);
-        for (k, &v) in needles.iter().enumerate() {
-            let l = hay.iter().filter(|&&x| x < v).count() as i64;
-            let r = hay.iter().filter(|&&x| x <= v).count() as i64;
-            prop_assert_eq!(left.as_i64()[k], l);
-            prop_assert_eq!(right.as_i64()[k], r);
-        }
     }
 
     #[test]

@@ -17,7 +17,6 @@ use tqp_repro::core::{QueryConfig, Session};
 use tqp_repro::data::tpch::{TpchConfig, TpchData};
 use tqp_repro::data::{csv, DataFrame};
 use tqp_repro::exec::Backend;
-use tqp_repro::ir::{AggStrategy, JoinStrategy, PhysicalOptions};
 use tqp_repro::store::{store_csv, StoredTable};
 
 const CHUNK_ROWS: usize = 512;
@@ -120,29 +119,18 @@ fn stored_scans_match_memory_bitwise_all_backends() {
             Backend::Graph,
             Backend::Wasm,
         ] {
-            // Planner-chosen strategies, and the sort-merge/sort-aggregate
-            // pair forced (what `default()` used to mean).
-            let forced = PhysicalOptions {
-                join: Some(JoinStrategy::SortMerge),
-                agg: Some(AggStrategy::Sort),
-            };
-            for physical in [PhysicalOptions::default(), forced] {
-                for workers in [1usize, 4] {
-                    for prune in [true, false] {
-                        let cfg = QueryConfig::default()
-                            .backend(backend)
-                            .physical(physical)
-                            .workers(workers)
-                            .prune_scans(prune);
-                        let ctx = format!(
-                            "{backend:?} {physical:?} workers={workers} prune={prune}: {sql}"
-                        );
-                        let (want, _) = mem.compile(sql, cfg).unwrap().run(&mem).unwrap();
-                        let (got, stats) = st.compile(sql, cfg).unwrap().run(&st).unwrap();
-                        assert_bitwise(&want, &got, &ctx);
-                        if !prune && backend != Backend::Wasm {
-                            assert_eq!(stats.chunks_pruned, 0, "{ctx}: pruned while disabled");
-                        }
+            for workers in [1usize, 4] {
+                for prune in [true, false] {
+                    let cfg = QueryConfig::default()
+                        .backend(backend)
+                        .workers(workers)
+                        .prune_scans(prune);
+                    let ctx = format!("{backend:?} workers={workers} prune={prune}: {sql}");
+                    let (want, _) = mem.compile(sql, cfg).unwrap().run(&mem).unwrap();
+                    let (got, stats) = st.compile(sql, cfg).unwrap().run(&st).unwrap();
+                    assert_bitwise(&want, &got, &ctx);
+                    if !prune && backend != Backend::Wasm {
+                        assert_eq!(stats.chunks_pruned, 0, "{ctx}: pruned while disabled");
                     }
                 }
             }

@@ -31,7 +31,7 @@ fn all_22_queries_run_on_row_engine() {
     let models = ModelRegistry::new();
     let engine = RowEngine::new(&tables, &models);
     for (n, sql) in queries::all() {
-        let plan = compile_sql(sql, &catalog, &PhysicalOptions::default())
+        let plan = compile_sql(sql, &catalog, &PhysicalOptions)
             .unwrap_or_else(|e| panic!("Q{n} failed to compile: {e}"));
         let result = engine.execute(&plan);
         // Sanity: the well-known result shapes.

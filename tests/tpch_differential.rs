@@ -1,8 +1,8 @@
 //! Differential testing: every TPC-H query, tensor engine vs row oracle.
 //!
-//! The tensor engine runs under multiple backend × strategy combinations;
-//! all must produce cell-identical results (1e-6 relative tolerance on
-//! floats) to the row-Volcano oracle after canonical sorting. This is the
+//! The tensor engine runs every backend on the planner's plan; each must
+//! produce cell-identical results (1e-6 relative tolerance on floats) to
+//! the row-Volcano oracle after canonical sorting. This is the
 //! paper's central correctness claim — "all of them generate the same
 //! correct result" (§3.2) — checked across the whole benchmark.
 
@@ -10,7 +10,6 @@ use tqp_repro::core::{QueryConfig, Session};
 use tqp_repro::data::tpch::{queries, TpchConfig, TpchData};
 use tqp_repro::data::DataFrame;
 use tqp_repro::exec::Backend;
-use tqp_repro::ir::{AggStrategy, JoinStrategy, PhysicalOptions};
 use tqp_tensor::Scalar;
 
 fn session() -> Session {
@@ -66,99 +65,45 @@ fn assert_frames_match(n: usize, label: &str, got: &DataFrame, expect: &DataFram
     }
 }
 
-fn run_suite(backend: Backend, physical: PhysicalOptions, label: &str) {
+fn run_suite(backend: Backend, label: &str) {
     let s = session();
     for (n, sql) in queries::all() {
         let expect = s
             .sql_baseline(sql)
             .unwrap_or_else(|e| panic!("Q{n} oracle: {e}"));
         let q = s
-            .compile(
-                sql,
-                QueryConfig::default().backend(backend).physical(physical),
-            )
+            .compile(sql, QueryConfig::default().backend(backend))
             .unwrap_or_else(|e| panic!("Q{n} compile: {e}"));
         let (got, _) = q.run(&s).unwrap_or_else(|e| panic!("Q{n} run: {e}"));
         assert_frames_match(n, label, &got, &expect);
     }
 }
 
-#[test]
-fn eager_sortmerge_sortagg_matches_oracle() {
-    run_suite(
-        Backend::Eager,
-        PhysicalOptions {
-            join: Some(JoinStrategy::SortMerge),
-            agg: Some(AggStrategy::Sort),
-        },
-        "eager/smj/sort",
-    );
-}
-
+/// Eager runs the planner's hash joins and hash aggregation with no
+/// bound expression kernel.
 #[test]
 fn eager_hash_strategies_match_oracle() {
-    run_suite(
-        Backend::Eager,
-        PhysicalOptions {
-            join: Some(JoinStrategy::Hash),
-            agg: Some(AggStrategy::Hash),
-        },
-        "eager/hash/hash",
-    );
+    run_suite(Backend::Eager, "eager");
 }
 
 #[test]
 fn fused_backend_matches_oracle() {
-    run_suite(
-        Backend::Fused,
-        PhysicalOptions {
-            join: Some(JoinStrategy::SortMerge),
-            agg: Some(AggStrategy::Sort),
-        },
-        "fused/smj/sort",
-    );
+    run_suite(Backend::Fused, "fused");
 }
 
 #[test]
 fn graph_backend_matches_oracle() {
-    run_suite(
-        Backend::Graph,
-        PhysicalOptions {
-            join: Some(JoinStrategy::SortMerge),
-            agg: Some(AggStrategy::Sort),
-        },
-        "graph/smj/sort",
-    );
+    run_suite(Backend::Graph, "graph");
 }
 
 #[test]
 fn wasm_backend_matches_oracle() {
-    run_suite(
-        Backend::Wasm,
-        PhysicalOptions {
-            join: Some(JoinStrategy::SortMerge),
-            agg: Some(AggStrategy::Sort),
-        },
-        "wasm/smj/sort",
-    );
-}
-
-#[test]
-fn mixed_strategies_match_oracle() {
-    run_suite(
-        Backend::Eager,
-        PhysicalOptions {
-            join: Some(JoinStrategy::Hash),
-            agg: Some(AggStrategy::Sort),
-        },
-        "eager/hash/sort",
-    );
+    run_suite(Backend::Wasm, "wasm");
 }
 
 /// A grouped string MIN/MAX whose groups hold only NULL arguments (a left
 /// join that matches nothing) yields the empty string, as the row engine
-/// does — on every backend, both aggregation strategies, at one and four
-/// workers.
+/// does — on every backend, at one and four workers.
 #[test]
 fn all_null_group_string_minmax_matches_oracle() {
     let s = session();
@@ -173,23 +118,14 @@ fn all_null_group_string_minmax_matches_oracle() {
         Backend::Graph,
         Backend::Wasm,
     ] {
-        for agg in [AggStrategy::Hash, AggStrategy::Sort] {
-            for workers in [1, 4] {
-                let label = format!("{backend:?}/{agg:?}/w{workers}");
-                let physical = PhysicalOptions {
-                    join: None,
-                    agg: Some(agg),
-                };
-                let cfg = QueryConfig::default()
-                    .backend(backend)
-                    .physical(physical)
-                    .workers(workers);
-                let q = s
-                    .compile(sql, cfg)
-                    .unwrap_or_else(|e| panic!("[{label}] compile: {e}"));
-                let (got, _) = q.run(&s).unwrap_or_else(|e| panic!("[{label}] run: {e}"));
-                assert_frames_match(0, &label, &got, &expect);
-            }
+        for workers in [1, 4] {
+            let label = format!("{backend:?}/w{workers}");
+            let cfg = QueryConfig::default().backend(backend).workers(workers);
+            let q = s
+                .compile(sql, cfg)
+                .unwrap_or_else(|e| panic!("[{label}] compile: {e}"));
+            let (got, _) = q.run(&s).unwrap_or_else(|e| panic!("[{label}] run: {e}"));
+            assert_frames_match(0, &label, &got, &expect);
         }
     }
 }

@@ -10,7 +10,7 @@ use tqp_repro::ir::{compile_sql, Catalog, PhysicalOptions};
 
 fn plan(n: usize) -> PhysicalPlan {
     let catalog = Catalog::tpch(1.0);
-    compile_sql(queries::query(n), &catalog, &PhysicalOptions::default())
+    compile_sql(queries::query(n), &catalog, &PhysicalOptions)
         .unwrap_or_else(|e| panic!("Q{n}: {e}"))
 }
 
@@ -214,18 +214,10 @@ fn stats_fed_catalog_does_not_regress_join_orders() {
     }
     let plain_catalog = Catalog::tpch(0.01);
     for n in 1..=22 {
-        let with_stats = compile_sql(
-            queries::query(n),
-            &stats_catalog,
-            &PhysicalOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("Q{n} (stats): {e}"));
-        let without = compile_sql(
-            queries::query(n),
-            &plain_catalog,
-            &PhysicalOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("Q{n}: {e}"));
+        let with_stats = compile_sql(queries::query(n), &stats_catalog, &PhysicalOptions)
+            .unwrap_or_else(|e| panic!("Q{n} (stats): {e}"));
+        let without = compile_sql(queries::query(n), &plain_catalog, &PhysicalOptions)
+            .unwrap_or_else(|e| panic!("Q{n}: {e}"));
         // Same operator census: stats may reorder joins but must not
         // introduce Cartesian products or drop/add join edges.
         assert_eq!(
