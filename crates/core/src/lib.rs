@@ -4,9 +4,11 @@
 //! a [`Session`] holds tables (ingested to the tensor format of §2.1) and
 //! registered `PREDICT` models; [`Session::compile`] runs the full
 //! compilation stack (parse → bind → optimize → plan → **lower to the
-//! [`TensorProgram`]**) and returns a
+//! [`TensorProgram`]**, binding each `PREDICT` model into it) and returns a
 //! [`CompiledQuery`] bound to a backend/device configuration. Every
-//! backend executes the same lowered program — see `ARCHITECTURE.md`.
+//! backend executes the same lowered program — see `ARCHITECTURE.md`. A
+//! compiled query keeps the models it was compiled with: registering a
+//! replacement affects only queries compiled afterwards.
 //!
 //! The paper's Figure 3 one-line backend switch looks like this:
 //!
@@ -151,9 +153,10 @@ impl QueryConfig {
 /// Errors surfaced by the façade. The compile/run split matters to
 /// serving layers: a [`TqpError::Compile`] means the SQL itself is bad
 /// (retrying is pointless — reject the statement), while a
-/// [`TqpError::Execution`] is a run-time condition of *this* session
-/// state (a table dropped between prepare and execute, unbound
-/// parameters, a missing model) that a later retry may well succeed on.
+/// [`TqpError::Execution`] is a condition of *this* session state (a
+/// table dropped between prepare and execute, unbound parameters, or —
+/// at compile time — a `PREDICT` model that is not registered or takes
+/// another number of arguments) that a later retry may well succeed on.
 #[derive(Debug)]
 pub enum TqpError {
     /// Parse/bind failure: the statement can never run as written.
@@ -331,7 +334,7 @@ impl Session {
     pub fn compile(&self, sql: &str, cfg: QueryConfig) -> Result<CompiledQuery, TqpError> {
         let (kind, ast) = parse_stmt(sql)?;
         let plan = compile_query(&ast, &self.catalog, &cfg.physical).map_err(TqpError::Compile)?;
-        let executor = Executor::compile(&plan, exec_config(cfg));
+        let executor = self.bind(&plan, cfg)?;
         let pre = RunPreconditions::capture(executor.program(), &self.catalog);
         Ok(CompiledQuery {
             executor,
@@ -352,7 +355,7 @@ impl Session {
     pub fn prepare(&self, sql: &str, cfg: QueryConfig) -> Result<PreparedQuery, TqpError> {
         let (kind, ast) = parse_stmt(sql)?;
         let plan = compile_query(&ast, &self.catalog, &cfg.physical).map_err(TqpError::Compile)?;
-        let executor = Executor::compile(&plan, exec_config(cfg));
+        let executor = self.bind(&plan, cfg)?;
         let pre = RunPreconditions::capture(executor.program(), &self.catalog);
         Ok(PreparedQuery {
             inner: Arc::new(PreparedInner {
@@ -367,16 +370,26 @@ impl Session {
 
     /// Compile a pre-built physical plan (the external/JSON plan frontend —
     /// how a Spark-produced plan enters TQP).
-    pub fn compile_plan(&self, plan: &PhysicalPlan, cfg: QueryConfig) -> CompiledQuery {
-        let executor = Executor::compile(plan, exec_config(cfg));
+    pub fn compile_plan(
+        &self,
+        plan: &PhysicalPlan,
+        cfg: QueryConfig,
+    ) -> Result<CompiledQuery, TqpError> {
+        let executor = self.bind(plan, cfg)?;
         let pre = RunPreconditions::capture(executor.program(), &self.catalog);
-        CompiledQuery {
+        Ok(CompiledQuery {
             executor,
             pre,
             cfg,
             kind: QueryKind::Query,
             sql: "<external plan>".to_string(),
-        }
+        })
+    }
+
+    /// Lower a plan and bind the `PREDICT` models registered now (a missing
+    /// or wrong-arity model is a retryable [`TqpError::Execution`]).
+    fn bind(&self, plan: &PhysicalPlan, cfg: QueryConfig) -> Result<Executor, TqpError> {
+        Executor::compile(plan, exec_config(cfg), &self.models).map_err(TqpError::Execution)
     }
 
     /// One-shot convenience: compile + run on the default configuration.
@@ -521,7 +534,7 @@ fn run_with_obs(
 ) -> (DataFrame, tqp_exec::ExecStats, Option<QueryTrace>) {
     let (frame, stats, trace) = if trace_on {
         let local = Profiler::new();
-        let (frame, stats) = executor.run(&session.storage, &session.models, &local);
+        let (frame, stats) = executor.run(&session.storage, &local);
         let spans = local.spans();
         let predict = local.predict();
         if session.profiler.is_enabled() {
@@ -579,7 +592,7 @@ fn run_with_obs(
         observe_qerror(executor, &session.catalog, &trace);
         (frame, stats, Some(trace))
     } else {
-        let (frame, stats) = executor.run(&session.storage, &session.models, &session.profiler);
+        let (frame, stats) = executor.run(&session.storage, &session.profiler);
         (frame, stats, None)
     };
     observe_slow(sql, slow_ms, &stats, trace.as_ref());
@@ -838,8 +851,9 @@ fn explain_frame(rows: &[ExplainRow], analyze: bool) -> (DataFrame, tqp_exec::Ex
 ///   a client kept across the replacement (compiled programs carry
 ///   positional column indices, so running them against a reshaped table
 ///   would read the wrong columns);
-/// * every `PREDICT` model must be registered;
 /// * parameterized programs must have values bound.
+///
+/// `PREDICT` models are not: a compiled query runs the ones it bound.
 ///
 /// Violations are [`TqpError`] values (not panics) so a serving layer can
 /// classify and retry them.
@@ -848,7 +862,6 @@ struct RunPreconditions {
     /// when the compiling catalog did not know the table — external
     /// plans — which downgrades to a presence-only check).
     tables: Vec<(String, Option<tqp_data::Schema>)>,
-    models: Vec<String>,
     n_params: usize,
 }
 
@@ -860,12 +873,11 @@ impl RunPreconditions {
                 .into_iter()
                 .map(|t| (t.to_string(), catalog.get(t).map(|m| m.schema.clone())))
                 .collect(),
-            models: program.model_names(),
             n_params: program.n_params(),
         }
     }
 
-    /// Table/model checks against the executing session.
+    /// Table checks against the executing session.
     fn check_session(&self, session: &Session) -> Result<(), TqpError> {
         for (table, compiled_schema) in &self.tables {
             if !session.storage.contains_key(table) {
@@ -883,13 +895,6 @@ impl RunPreconditions {
                         )))
                     }
                 }
-            }
-        }
-        for model in &self.models {
-            if session.models.get(model).is_none() {
-                return Err(TqpError::Execution(format!(
-                    "model {model} is not registered in this session"
-                )));
             }
         }
         Ok(())
@@ -1082,8 +1087,7 @@ pub struct CompiledQuery {
 impl CompiledQuery {
     /// Execute against the session. Returns the result frame and stats
     /// (wall time; modeled device time on the simulated GPU). Run-time
-    /// preconditions (tables ingested, models registered, parameters
-    /// bound) surface as [`TqpError::Execution`] — distinguishable from
+    /// preconditions (tables ingested, parameters bound) surface as [`TqpError::Execution`] — distinguishable from
     /// compile failures by serve-layer callers.
     pub fn run(&self, session: &Session) -> Result<(DataFrame, tqp_exec::ExecStats), TqpError> {
         self.run_traced(session).map(|(f, s, _)| (f, s))
@@ -1282,9 +1286,48 @@ mod tests {
         // Ship the plan as JSON (the Spark-frontend path) and re-import.
         let json = q1.plan().to_json();
         let plan = PhysicalPlan::from_json(&json).unwrap();
-        let q2 = s.compile_plan(&plan, QueryConfig::default());
+        let q2 = s.compile_plan(&plan, QueryConfig::default()).unwrap();
         let (out, _) = q2.run(&s).unwrap();
         assert_eq!(out.nrows(), 3);
+    }
+
+    /// `PREDICT('m', x)` = `k · x`.
+    struct Scale(f64);
+
+    impl Model for Scale {
+        fn family(&self) -> &'static str {
+            "scale"
+        }
+        fn n_inputs(&self) -> usize {
+            1
+        }
+        fn predict(&self, inputs: &[tqp_tensor::Tensor]) -> tqp_tensor::Tensor {
+            tqp_tensor::Tensor::from_f64(
+                inputs[0].to_f64_vec().iter().map(|x| x * self.0).collect(),
+            )
+        }
+    }
+
+    #[test]
+    fn compiled_query_keeps_the_model_it_was_compiled_with() {
+        let sql = "select sum(predict('m', v)) from t";
+        let sum = |q: &CompiledQuery, s: &Session| q.run(s).unwrap().0.column(0).get(0).as_f64();
+        for backend in [
+            Backend::Eager,
+            Backend::Fused,
+            Backend::Graph,
+            Backend::Wasm,
+        ] {
+            let cfg = QueryConfig::default().backend(backend);
+            let mut s = session();
+            s.register_model("m", Arc::new(Scale(2.0)));
+            let before = s.compile(sql, cfg).unwrap();
+            s.register_model("m", Arc::new(Scale(3.0)));
+            assert_eq!(sum(&before, &s), 15.0, "{backend:?}");
+            assert_eq!(sum(&s.compile(sql, cfg).unwrap(), &s), 22.5, "{backend:?}");
+            // A session without the model still runs the compiled query.
+            assert_eq!(sum(&before, &session()), 15.0, "{backend:?}");
+        }
     }
 
     #[test]

@@ -58,7 +58,6 @@ use std::time::Instant;
 
 use tqp_data::LogicalType;
 use tqp_ir::expr::AggFunc;
-use tqp_ml::ModelRegistry;
 use tqp_tensor::index::{concat, mask_to_indices, scatter_add_i64, take};
 use tqp_tensor::reduce::{
     segmented_min_str, segmented_min_str_or_filler, segmented_reduce, segmented_reduce_i64,
@@ -160,19 +159,15 @@ fn split_outs(outs: &[Evaled], reduce: &ReduceExprs) -> (Vec<Tensor>, Vec<Option
 }
 
 /// Evaluate the reduce bundle over a batch: key and argument columns.
-fn eval_reduce(
-    input: &Batch,
-    reduce: &ReduceExprs,
-    models: &ModelRegistry,
-) -> (Vec<Tensor>, Vec<Option<Evaled>>) {
-    split_outs(&exprfuse::eval_all(&reduce.exprs, input, models), reduce)
+fn eval_reduce(input: &Batch, reduce: &ReduceExprs) -> (Vec<Tensor>, Vec<Option<Evaled>>) {
+    split_outs(&exprfuse::eval_all(&reduce.exprs, input), reduce)
 }
 
 /// Execute an aggregation over a whole batch on the calling thread:
 /// metered/GpuSim runs (modeled time must not depend on host threads),
 /// inputs under [`par_min_rows`], and reductions [`morsel_shape`] refuses.
-pub fn aggregate(input: &Batch, reduce: &ReduceExprs, models: &ModelRegistry) -> Batch {
-    let (keys, args) = eval_reduce(input, reduce, models);
+pub fn aggregate(input: &Batch, reduce: &ReduceExprs) -> Batch {
+    let (keys, args) = eval_reduce(input, reduce);
     if reduce.n_keys == 0 {
         return global_aggregate(input.nrows(), &reduce.aggs, &args);
     }
@@ -190,20 +185,18 @@ pub fn aggregate(input: &Batch, reduce: &ReduceExprs, models: &ModelRegistry) ->
 /// over the source's original row space) and pick `shape` from the plan
 /// ([`morsel_shape`]) — never from `workers` — so results are bit-identical
 /// at every worker count.
-#[allow(clippy::too_many_arguments)]
 pub fn aggregate_morsels<S: Send>(
     n_morsels: usize,
     morsel: impl Fn(usize) -> (Batch, S) + Sync,
     shape: Shape,
     reduce: &ReduceExprs,
-    models: &ModelRegistry,
     workers: usize,
 ) -> (Batch, Vec<S>, u64) {
     let workers = workers.max(1);
     match shape {
         Shape::Partial => {
             let (partials, extras, busy_us) = each_morsel(n_morsels, workers, morsel, |rows| {
-                partial_aggregate(rows, reduce, models)
+                partial_aggregate(rows, reduce)
             });
             // The merge runs on this thread.
             let t0 = Instant::now();
@@ -213,7 +206,7 @@ pub fn aggregate_morsels<S: Send>(
         Shape::Partitioned => {
             let bits = partition_bits(n_morsels);
             let (binned, extras, busy_us) = each_morsel(n_morsels, workers, morsel, |rows| {
-                bin_morsel(rows, reduce, models, bits)
+                bin_morsel(rows, reduce, bits)
             });
             let (out, tasks_us) = aggregate_partitions(&binned, bits, reduce, workers);
             (out, extras, busy_us + tasks_us)
@@ -407,9 +400,9 @@ struct Partial {
 /// Compute the partial aggregation state of one morsel. The compiled
 /// reduce program (group keys, aggregate arguments) evaluates on the
 /// morsel slice, so this step parallelizes the expression work too.
-fn partial_aggregate(morsel: &Batch, reduce: &ReduceExprs, models: &ModelRegistry) -> AggPartial {
+fn partial_aggregate(morsel: &Batch, reduce: &ReduceExprs) -> AggPartial {
     let n = morsel.nrows();
-    let (keys, args) = eval_reduce(morsel, reduce, models);
+    let (keys, args) = eval_reduce(morsel, reduce);
     let (ids, firsts) = hash_group_rows(&keys, n);
     let g = firsts.nrows();
     let key_cols: Vec<Tensor> = keys.iter().map(|k| take(k, &firsts)).collect();
@@ -630,14 +623,9 @@ struct BinnedMorsel {
 /// `bits` bits — a counting sort, so rows keep their order inside a
 /// partition. Gathering here, while the morsel is cache-resident, leaves
 /// phase 2 contiguous slices to read instead of one row per cache line.
-fn bin_morsel(
-    morsel: &Batch,
-    reduce: &ReduceExprs,
-    models: &ModelRegistry,
-    bits: u32,
-) -> BinnedMorsel {
+fn bin_morsel(morsel: &Batch, reduce: &ReduceExprs, bits: u32) -> BinnedMorsel {
     let (columns, validity): (Vec<Tensor>, Vec<Option<Tensor>>) =
-        exprfuse::eval_all(&reduce.exprs, morsel, models)
+        exprfuse::eval_all(&reduce.exprs, morsel)
             .into_iter()
             .unzip();
     let key_refs: Vec<&Tensor> = columns[..reduce.n_keys].iter().collect();
@@ -996,8 +984,7 @@ mod tests {
     fn morsels(b: &Batch, reduce: &ReduceExprs, shape: Shape, workers: usize) -> Batch {
         let (n, rows) = (b.nrows(), par_morsel_rows());
         let morsel = |m: usize| (b.slice_rows(m * rows, ((m + 1) * rows).min(n)), ());
-        let models = ModelRegistry::new();
-        aggregate_morsels(n.div_ceil(rows), morsel, shape, reduce, &models, workers).0
+        aggregate_morsels(n.div_ceil(rows), morsel, shape, reduce, workers).0
     }
 
     fn run() -> Batch {
@@ -1014,7 +1001,6 @@ mod tests {
                     call(AggFunc::CountDistinct, 2, LogicalType::Int64),
                 ],
             ),
-            &ModelRegistry::new(),
         )
     }
 
@@ -1076,7 +1062,7 @@ mod tests {
             reduce.exprs.outputs[reduce.aggs[0].arg.unwrap()],
             reduce.exprs.outputs[reduce.aggs[1].arg.unwrap()]
         );
-        let out = aggregate(&batch(), &reduce, &ModelRegistry::new());
+        let out = aggregate(&batch(), &reduce);
         assert_eq!(group_of(&out, "a"), vec![18.0, 6.0]);
     }
 
@@ -1092,7 +1078,6 @@ mod tests {
                     call(AggFunc::CountDistinct, 2, LogicalType::Int64),
                 ],
             ),
-            &ModelRegistry::new(),
         );
         assert_eq!(out.nrows(), 1);
         assert_eq!(out.columns[0].as_f64(), &[15.0]);
@@ -1118,7 +1103,6 @@ mod tests {
                     call(AggFunc::Avg, 1, LogicalType::Float64),
                 ],
             ),
-            &ModelRegistry::new(),
         );
         assert_eq!(out.nrows(), 1);
         assert_eq!(out.columns[0].as_f64(), &[0.0]);
@@ -1137,7 +1121,6 @@ mod tests {
         let out = aggregate(
             &empty,
             &reduce_of(&[E::col(0, LogicalType::Str)], &[star()]),
-            &ModelRegistry::new(),
         );
         assert_eq!(out.nrows(), 0);
     }
@@ -1170,7 +1153,6 @@ mod tests {
                     star(),
                 ],
             ),
-            &ModelRegistry::new(),
         );
         assert_eq!(out.columns[1].as_i64(), &[2]);
         assert_eq!(out.columns[2].as_f64(), &[30.0]);
@@ -1204,7 +1186,6 @@ mod tests {
                 star(),
             ],
         );
-        let models = ModelRegistry::new();
         let one = morsels(&b, &reduce, Shape::Partial, 1);
         for workers in [2, 5, 8] {
             let many = morsels(&b, &reduce, Shape::Partial, workers);
@@ -1239,7 +1220,7 @@ mod tests {
         // order (that is what makes the input adversarial); their
         // seq-vs-par agreement is asserted on benign values in
         // `parallel_grouped_matches_sequential`.
-        let seq = aggregate(&b, &reduce, &models);
+        let seq = aggregate(&b, &reduce);
         assert_eq!(seq.nrows(), one.nrows());
         assert_eq!(seq.columns[0].as_i64(), one.columns[0].as_i64(), "keys");
         for c in [3, 4] {
@@ -1290,8 +1271,7 @@ mod tests {
                 call(AggFunc::Max, 2, LogicalType::Int64),
             ],
         );
-        let models = ModelRegistry::new();
-        let seq = aggregate(&b, &reduce, &models);
+        let seq = aggregate(&b, &reduce);
         let par = morsels(&b, &reduce, Shape::Partial, 4);
         assert_eq!(seq.nrows(), par.nrows());
         for c in 0..seq.ncols() {
@@ -1358,8 +1338,7 @@ mod tests {
                 star(),
             ],
         );
-        let models = ModelRegistry::new();
-        let seq = aggregate(&b, &reduce, &models);
+        let seq = aggregate(&b, &reduce);
         for workers in [1usize, 4] {
             let par = morsels(&b, &reduce, Shape::Partial, workers);
             assert_eq!(seq.nrows(), par.nrows(), "workers {workers}");
@@ -1410,9 +1389,8 @@ mod tests {
                 str_arg(AggFunc::Max, LogicalType::Str),
             ],
         );
-        let models = ModelRegistry::new();
         for (k, b) in inputs.iter().enumerate() {
-            let seq = aggregate(b, &reduce, &models);
+            let seq = aggregate(b, &reduce);
             assert_eq!(seq.nrows(), 3);
             if k == 1 {
                 let g2 = (0..3).find(|&r| seq.columns[0].as_i64()[r] == 2).unwrap();
@@ -1526,7 +1504,6 @@ mod tests {
     #[test]
     fn partitioned_is_bitwise_the_sequential_aggregate() {
         let n = par_min_rows() * 2 + 4321;
-        let models = ModelRegistry::new();
         type Key = fn(usize) -> i64;
         let shapes: [(&str, Key); 3] = [
             ("duplicate-heavy", |i| ((i * 7919) % 2003) as i64),
@@ -1537,7 +1514,7 @@ mod tests {
             let b = everything_batch(n, key);
             for n_keys in [1, 2] {
                 let reduce = everything(n_keys);
-                let seq = aggregate(&b, &reduce, &models);
+                let seq = aggregate(&b, &reduce);
                 for workers in [1, 2, 4, 8] {
                     let par = morsels(&b, &reduce, Shape::Partitioned, workers);
                     let what = format!("{name} keys={n_keys} w={workers}");
@@ -1556,7 +1533,6 @@ mod tests {
         let n = rows * 6 + 17;
         let b = everything_batch(n, |i| ((i * 31) % 4001) as i64);
         let reduce = everything(2);
-        let models = ModelRegistry::new();
         let run = |alive: &(dyn Fn(usize) -> bool + Sync), workers: usize| -> Batch {
             let morsel = |m: usize| {
                 let hi = if alive(m) {
@@ -1571,7 +1547,6 @@ mod tests {
                 morsel,
                 Shape::Partitioned,
                 &reduce,
-                &models,
                 workers,
             )
             .0
@@ -1581,7 +1556,7 @@ mod tests {
             .iter()
             .map(|&m| b.slice_rows(m * rows, (m + 1) * rows))
             .collect();
-        let seq = aggregate(&Batch::vcat_all(kept), &reduce, &models);
+        let seq = aggregate(&Batch::vcat_all(kept), &reduce);
         for workers in [1, 4] {
             let par = run(&|m| m % 2 == 1, workers);
             assert_bitwise(&seq, &par, &format!("odd morsels, w={workers}"));
@@ -1632,7 +1607,6 @@ mod tests {
                     ty: LogicalType::Str,
                 }],
             ),
-            &ModelRegistry::new(),
         );
         assert_eq!(out.columns[1].str_at(0), "apple");
         assert_eq!(out.columns[1].str_at(1), "kiwi");

@@ -37,7 +37,6 @@ use std::sync::Arc;
 
 use tqp_data::LogicalType;
 use tqp_ir::expr::BinOp;
-use tqp_ml::ModelRegistry;
 use tqp_tensor::kernels::{
     ColInput, ConstPool, FusedKernel, KConjunct, KOp, KOut, KOutValue, KSrc,
 };
@@ -56,15 +55,15 @@ use crate::program::TensorProgram;
 /// Evaluate all conjuncts of a filter program into one AND-folded mask
 /// (validity folded in: NULL = drop): the bound kernel when there is one
 /// and it fits, otherwise [`exprprog::eval_conjuncts_eager`].
-pub fn conjunct_mask(prog: &ExprProgram, batch: &Batch, models: &ModelRegistry) -> Tensor {
-    kernel_mask(prog, batch).unwrap_or_else(|| exprprog::eval_conjuncts_eager(prog, batch, models))
+pub fn conjunct_mask(prog: &ExprProgram, batch: &Batch) -> Tensor {
+    kernel_mask(prog, batch).unwrap_or_else(|| exprprog::eval_conjuncts_eager(prog, batch))
 }
 
 /// Evaluate every output of a program (projections, aggregate inputs,
 /// sort keys): the bound kernel when there is one and it fits, otherwise
 /// [`exprprog::eval_all`].
-pub fn eval_all(prog: &ExprProgram, batch: &Batch, models: &ModelRegistry) -> Vec<Evaled> {
-    kernel_outputs(prog, batch).unwrap_or_else(|| exprprog::eval_all(prog, batch, models))
+pub fn eval_all(prog: &ExprProgram, batch: &Batch) -> Vec<Evaled> {
+    kernel_outputs(prog, batch).unwrap_or_else(|| exprprog::eval_all(prog, batch))
 }
 
 /// Evaluation mode a kernel is specialized for.
@@ -851,9 +850,8 @@ mod tests {
         bind(&mut prog, Mode::Mask);
         assert!(prog.kernel.is_some(), "compare chain fuses");
         let b = batch();
-        let models = ModelRegistry::new();
-        let fused = conjunct_mask(&prog, &b, &models);
-        let eager = exprprog::eval_conjuncts_eager(&prog, &b, &models);
+        let fused = conjunct_mask(&prog, &b);
+        let eager = exprprog::eval_conjuncts_eager(&prog, &b);
         assert_eq!(fused.as_bool(), eager.as_bool());
     }
 
@@ -903,9 +901,8 @@ mod tests {
         bind(&mut prog, Mode::Outputs);
         assert!(prog.kernel.is_some(), "arithmetic chain fuses");
         let b = batch();
-        let models = ModelRegistry::new();
-        let fused = eval_all(&prog, &b, &models);
-        let generic = exprprog::eval_all(&prog, &b, &models);
+        let fused = eval_all(&prog, &b);
+        let generic = exprprog::eval_all(&prog, &b);
         assert_eq!(fused.len(), generic.len());
         for (k, ((fv, fval), (gv, gval))) in fused.iter().zip(&generic).enumerate() {
             match fv.dtype() {
@@ -959,9 +956,8 @@ mod tests {
         bind(&mut prog, Mode::Outputs);
         assert!(prog.kernel.is_none(), "CASE binds no kernel");
         let b = batch();
-        let models = ModelRegistry::new();
-        let fused = eval_all(&prog, &b, &models);
-        let generic = exprprog::eval_all(&prog, &b, &models);
+        let fused = eval_all(&prog, &b);
+        let generic = exprprog::eval_all(&prog, &b);
         assert_eq!(fused[0].0.as_i64(), generic[0].0.as_i64());
     }
 
@@ -981,7 +977,6 @@ mod tests {
         }]);
         bind(&mut template, Mode::Mask);
         let b = batch();
-        let models = ModelRegistry::new();
         for value in [Scalar::I64(24), Scalar::I64(40), Scalar::Null] {
             let mut prog = template.clone();
             prog.bind_params(std::slice::from_ref(&value)).unwrap();
@@ -995,7 +990,7 @@ mod tests {
                 .iter()
                 .map(|&q| !value.is_null() && q < value.as_i64())
                 .collect();
-            assert_eq!(conjunct_mask(&prog, &b, &models).as_bool(), &want[..]);
+            assert_eq!(conjunct_mask(&prog, &b).as_bool(), &want[..]);
         }
     }
 
@@ -1017,6 +1012,6 @@ mod tests {
             kernel: None,
         };
         bind(&mut prog, Mode::Mask);
-        eval_all(&prog, &batch(), &ModelRegistry::new());
+        eval_all(&prog, &batch());
     }
 }

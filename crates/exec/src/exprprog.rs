@@ -53,7 +53,7 @@ use tqp_data::LogicalType;
 use tqp_ir::expr::{eval_binary_scalar, eval_const, BinOp, BoundExpr, ScalarFunc};
 use tqp_ir::json as irjson;
 use tqp_json::Json;
-use tqp_ml::{Model, ModelRegistry};
+use tqp_ml::Model;
 use tqp_tensor::index::count_true;
 use tqp_tensor::ops::{self, BinOp as TB, CmpOp};
 use tqp_tensor::strings::{self, LikePattern};
@@ -126,12 +126,32 @@ pub enum ExprOp {
         ty: LogicalType,
     },
     /// ML inference splice point (paper §3.3): gather the argument
-    /// registers and run the registered model's tensor program inline.
+    /// registers and run the bound model's tensor program inline.
     ModelApply {
         model: String,
         args: Vec<EReg>,
         ty: LogicalType,
+        bound: BoundModel,
     },
+}
+
+/// The model a `ModelApply` runs, bound from its name once when the
+/// program is lowered ([`crate::program::bind_models`]). Like
+/// [`ExprProgram::kernel`] it is neither serialized nor part of equality,
+/// and a parameter-patched clone shares it.
+#[derive(Clone, Default)]
+pub struct BoundModel(pub(crate) Option<Arc<dyn Model>>);
+
+impl PartialEq for BoundModel {
+    fn eq(&self, _: &BoundModel) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for BoundModel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.0.as_ref().map_or("unbound", |m| m.family()))
+    }
 }
 
 impl ExprOp {
@@ -156,43 +176,6 @@ impl ExprOp {
             } => vec![*cond, *on_true, *on_false],
             ExprOp::ModelApply { args, .. } => args.clone(),
         }
-    }
-
-    /// Clone this op with every source register rewritten through `f`
-    /// (register remapping for pruned sub-programs).
-    pub fn map_srcs(&self, f: impl Fn(EReg) -> EReg) -> ExprOp {
-        let mut op = self.clone();
-        match &mut op {
-            ExprOp::LoadColumn { .. } | ExprOp::LoadConst { .. } => {}
-            ExprOp::Binary { lhs, rhs, .. } => {
-                *lhs = f(*lhs);
-                *rhs = f(*rhs);
-            }
-            ExprOp::CompareConst { src, .. }
-            | ExprOp::Not { src }
-            | ExprOp::Neg { src }
-            | ExprOp::Coerce { src, .. }
-            | ExprOp::Like { src, .. }
-            | ExprOp::InList { src, .. }
-            | ExprOp::IsNull { src, .. }
-            | ExprOp::Func { src, .. } => *src = f(*src),
-            ExprOp::Select {
-                cond,
-                on_true,
-                on_false,
-                ..
-            } => {
-                *cond = f(*cond);
-                *on_true = f(*on_true);
-                *on_false = f(*on_false);
-            }
-            ExprOp::ModelApply { args, .. } => {
-                for a in args.iter_mut() {
-                    *a = f(*a);
-                }
-            }
-        }
-        op
     }
 
     /// Short mnemonic for display/profiling.
@@ -678,6 +661,7 @@ impl ExprBuilder {
                         model: model.clone(),
                         args: regs,
                         ty: *ty,
+                        bound: BoundModel::default(),
                     }),
                     *ty,
                 )
@@ -727,12 +711,7 @@ fn flip_cmp(op: BinOp) -> BinOp {
 // Vectorized execution (the register VM's expression kernel loop)
 // ---------------------------------------------------------------------
 
-fn exec_vec_op(
-    op: &ExprOp,
-    regs: &[Option<Evaled>],
-    batch: &Batch,
-    models: &ModelRegistry,
-) -> Evaled {
+fn exec_vec_op(op: &ExprOp, regs: &[Option<Evaled>], batch: &Batch) -> Evaled {
     let n = batch.nrows();
     let reg = |r: EReg| -> &Evaled { regs[r].as_ref().expect("expr register live") };
     match op {
@@ -853,15 +832,14 @@ fn exec_vec_op(
             };
             (out, val.clone())
         }
-        ExprOp::ModelApply { model, args, .. } => {
+        ExprOp::ModelApply { args, bound, .. } => {
             // The model sees the whole batch, placeholders in NULL rows
             // included; a row with a NULL argument predicts NULL.
-            let m = models.require(model);
             let inputs: Vec<Tensor> = args.iter().map(|&a| reg(a).0.clone()).collect();
             let validity = args
                 .iter()
                 .fold(None, |acc, &a| merge_validity(acc, reg(a).1.clone()));
-            (run_model(m.as_ref(), &inputs), validity)
+            (run_model(bound, &inputs), validity)
         }
     }
 }
@@ -870,12 +848,16 @@ fn exec_vec_op(
 /// through. Records the call's time and rows in the `ml.predict_us`
 /// histogram and `ml.predict_rows` counter, and charges both to the
 /// program op running it ([`crate::sched::charge_predict`]).
-fn run_model(model: &dyn Model, inputs: &[Tensor]) -> Tensor {
+fn run_model(model: &BoundModel, inputs: &[Tensor]) -> Tensor {
     struct PredictMetrics {
         us: tqp_obs::Histogram,
         rows: tqp_obs::Counter,
     }
     static METRICS: std::sync::OnceLock<PredictMetrics> = std::sync::OnceLock::new();
+    let model = model
+        .0
+        .as_deref()
+        .expect("PREDICT models are bound at compile");
     let t0 = Instant::now();
     let out = model.predict(inputs);
     let elapsed = t0.elapsed();
@@ -909,10 +891,10 @@ fn null_value_tensor(ty: LogicalType, n: usize) -> Tensor {
 
 /// Evaluate every output of the program over a batch (one straight-line
 /// pass; shared subexpressions run once).
-pub fn eval_all(prog: &ExprProgram, batch: &Batch, models: &ModelRegistry) -> Vec<Evaled> {
+pub fn eval_all(prog: &ExprProgram, batch: &Batch) -> Vec<Evaled> {
     let mut regs: Vec<Option<Evaled>> = (0..prog.ops.len()).map(|_| None).collect();
     for (i, op) in prog.ops.iter().enumerate() {
-        regs[i] = Some(exec_vec_op(op, &regs, batch, models));
+        regs[i] = Some(exec_vec_op(op, &regs, batch));
     }
     prog.outputs
         .iter()
@@ -924,8 +906,8 @@ pub fn eval_all(prog: &ExprProgram, batch: &Batch, models: &ModelRegistry) -> Ve
 /// validity: NULL = drop) into **one scratch mask buffer sized once per
 /// batch** — the generic filter path (every Eager filter, and a Fused or
 /// Graph filter without a kernel).
-pub fn eval_conjuncts_eager(prog: &ExprProgram, batch: &Batch, models: &ModelRegistry) -> Tensor {
-    let outs = eval_all(prog, batch, models);
+pub fn eval_conjuncts_eager(prog: &ExprProgram, batch: &Batch) -> Tensor {
+    let outs = eval_all(prog, batch);
     let mut acc: Option<Vec<bool>> = None;
     for (v, val) in &outs {
         let vs = v.as_bool();
@@ -1138,30 +1120,25 @@ fn exec_row_op(op: &ExprOp, regs: &[Scalar], row: &Row) -> Scalar {
 /// tensors over all rows, the model is invoked **once**, the predictions
 /// are appended to each row, and the op is rewritten into a column load.
 /// Returns the (possibly widened) rows and the rewritten program.
-pub fn prepare_model_applies(
-    rows: Vec<Row>,
-    prog: &ExprProgram,
-    models: &ModelRegistry,
-) -> (Vec<Row>, ExprProgram) {
+pub fn prepare_model_applies(rows: Vec<Row>, prog: &ExprProgram) -> (Vec<Row>, ExprProgram) {
     if !prog.has_model_apply() {
         return (rows, prog.clone());
     }
     let mut prog = prog.clone();
     let mut rows = rows;
     let base = rows.first().map(|r| r.len()).unwrap_or(0);
+    let tys = reg_types(&prog);
     let mut appended = 0usize;
     for i in 0..prog.ops.len() {
-        let ExprOp::ModelApply { model, args, .. } = prog.ops[i].clone() else {
+        let ExprOp::ModelApply { args, bound, .. } = prog.ops[i].clone() else {
             continue;
         };
-        let tys = reg_types(&prog);
-        let m = models.require(&model);
         // Evaluate the argument registers for every row — but only the
         // ops the arguments transitively need, not the whole prefix
         // (sibling expressions would otherwise be evaluated per row here
         // and again in the main pass). Ops before `i` are already
         // rewritten (earlier splice points read appended columns), so
-        // the pruned prefix is ModelApply-free.
+        // none of them is a splice point.
         let mut needed = vec![false; i];
         let mut stack = args.clone();
         while let Some(r) = stack.pop() {
@@ -1170,27 +1147,19 @@ pub fn prepare_model_applies(
                 stack.extend(prog.ops[r].srcs());
             }
         }
-        let mut remap = vec![usize::MAX; i];
-        let mut pruned: Vec<ExprOp> = Vec::new();
-        for (r, keep) in needed.iter().enumerate() {
-            if *keep {
-                remap[r] = pruned.len();
-                pruned.push(prog.ops[r].map_srcs(|s| remap[s]));
-            }
-        }
-        let prefix = ExprProgram {
-            outputs: args.iter().map(|&a| remap[a]).collect(),
-            out_tys: args.iter().map(|&a| tys[a]).collect(),
-            ops: pruned,
-            // Binding happens before execution, so any parameter slots in
-            // the prefix already hold their patched values.
-            params: Vec::new(),
-            kernel: None,
-        };
-        let mut scratch = Vec::new();
+        let mut scratch = Vec::with_capacity(i);
         let mut arg_rows: Vec<Vec<Scalar>> = Vec::with_capacity(rows.len());
         for row in &rows {
-            arg_rows.push(eval_row_outputs(&prefix, row, &mut scratch));
+            scratch.clear();
+            for (op, &need) in prog.ops[..i].iter().zip(&needed) {
+                let v = if need {
+                    exec_row_op(op, &scratch, row)
+                } else {
+                    Scalar::Null
+                };
+                scratch.push(v);
+            }
+            arg_rows.push(args.iter().map(|&a| scratch[a].clone()).collect());
         }
         // NULL arguments feed the model a placeholder (0 / ""), and their
         // rows predict NULL.
@@ -1217,7 +1186,7 @@ pub fn prepare_model_applies(
                 }
             })
             .collect();
-        let preds = run_model(m.as_ref(), &inputs);
+        let preds = run_model(&bound, &inputs);
         let pv = preds.as_f64();
         assert_eq!(pv.len(), rows.len(), "model output arity mismatch");
         for ((row, args), &p) in rows.iter_mut().zip(&arg_rows).zip(pv) {
@@ -1318,7 +1287,9 @@ pub fn exprprog_to_json(prog: &ExprProgram) -> Json {
                 ("src", reg(*src)),
                 ("ty", irjson::type_to_json(*ty)),
             ]),
-            ExprOp::ModelApply { model, args, ty } => Json::obj(vec![
+            ExprOp::ModelApply {
+                model, args, ty, ..
+            } => Json::obj(vec![
                 ("k", Json::str("predict")),
                 ("model", Json::str(model.as_str())),
                 ("args", regs(args)),
@@ -1497,6 +1468,7 @@ pub fn exprprog_from_json(j: &Json) -> Result<ExprProgram, irjson::PlanJsonError
                     })
                     .collect::<Result<Vec<_>, _>>()?,
                 ty: irjson::type_from_json(oj.field("ty")?)?,
+                bound: BoundModel::default(),
             },
             other => return bad(format!("unknown expr op {other:?}")),
         };
@@ -1595,12 +1567,8 @@ mod tests {
         ])
     }
 
-    fn models() -> ModelRegistry {
-        ModelRegistry::new()
-    }
-
     fn compile_eval(exprs: &[E]) -> Vec<Evaled> {
-        eval_all(&compile_exprs(exprs), &batch(), &models())
+        eval_all(&compile_exprs(exprs), &batch())
     }
 
     #[test]
@@ -1631,7 +1599,7 @@ mod tests {
             "{}",
             prog.display()
         );
-        let outs = eval_all(&prog, &batch(), &models());
+        let outs = eval_all(&prog, &batch());
         assert_eq!(outs[0].0.as_bool(), &[true, true, false, false]);
     }
 
@@ -1688,7 +1656,7 @@ mod tests {
             .filter(|o| matches!(o, ExprOp::Binary { op: BinOp::Mul, .. }))
             .count();
         assert_eq!(muls, 1, "{}", prog.display());
-        let outs = eval_all(&prog, &batch(), &models());
+        let outs = eval_all(&prog, &batch());
         assert_eq!(outs[0].0.as_f64(), &[21.0, 41.0, 61.0, 81.0]);
         assert_eq!(outs[1].0.as_f64(), &[19.0, 39.0, 59.0, 79.0]);
     }
@@ -1725,13 +1693,13 @@ mod tests {
             ty: LogicalType::Bool,
         };
         let prog = compile_expr(&e);
-        let mask = eval_conjuncts_eager(&prog, &b, &models());
+        let mask = eval_conjuncts_eager(&prog, &b);
         assert_eq!(mask.as_bool(), &[true, false, true]);
         let isnull = E::IsNull {
             expr: Box::new(E::col(0, LogicalType::Int64)),
             negated: false,
         };
-        let outs = eval_all(&compile_expr(&isnull), &b, &models());
+        let outs = eval_all(&compile_expr(&isnull), &b);
         assert_eq!(outs[0].0.as_bool(), &[false, true, false]);
         assert!(outs[0].1.is_none());
     }

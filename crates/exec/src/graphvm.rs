@@ -6,17 +6,21 @@
 //! and these entry points are the deployment story — a compiled query is
 //! a portable artifact that runs without the compiler front-end.
 //!
-//! **Graph**: deserialize, bind the specialized expression kernels
-//! ([`crate::exprfuse::bind_program`]), and run the vectorized register VM
-//! ([`crate::vm`]).
+//! **Graph**: deserialize, bind the `PREDICT` models and the specialized
+//! expression kernels ([`crate::exprfuse::bind_program`]), and run the
+//! vectorized register VM ([`crate::vm`]).
 //!
 //! **Wasm**: the same artifact interpreted the way ORT-Web runs on a
 //! browser: single-threaded, scalar (boxed values, per-row dispatch), with
 //! data copied across the "sandbox" boundary (tensor → row conversion), and
-//! an instruction-dilation factor approximating WASM-vs-native slowdown
-//! (default ×3, spec'd from typical WASM compute benchmarks; override with
-//! `TQP_WASM_DILATION`). All reported numbers are real measured wall-clock
-//! of this deliberately interpretive execution — see EXPERIMENTS.md.
+//! an instruction-dilation factor of [`WASM_DILATION`] approximating
+//! WASM-vs-native slowdown (spec'd from typical WASM compute benchmarks).
+//! All reported numbers are real measured wall-clock of this deliberately
+//! interpretive execution — see EXPERIMENTS.md.
+//!
+//! The artifact names its `PREDICT` models and does not carry them, so
+//! every load binds the decoded program against the models the executor
+//! bound at compile.
 
 use bytes::Bytes;
 use tqp_data::DataFrame;
@@ -24,17 +28,27 @@ use tqp_ml::ModelRegistry;
 use tqp_profile::Profiler;
 
 use crate::device::DeviceMeter;
-use crate::program::{deserialize_program, TensorProgram};
+use crate::program::{bind_models, deserialize_program, TensorProgram};
 use crate::{exprfuse, scalar, vm, Backend, ExecConfig, Storage};
 
-/// Decode the artifact for `backend`, charging the load to the profiler:
-/// Graph binds the expression kernels here, once per load (and so once
-/// per run: every Graph run loads its artifact); Wasm binds none (its
-/// row walk never reads them).
-pub fn load_artifact(artifact: &Bytes, backend: Backend, profiler: &Profiler) -> TensorProgram {
+/// How many times the Wasm backend interprets the program, approximating
+/// the WASM-vs-native slowdown.
+pub const WASM_DILATION: u32 = 3;
+
+/// Decode the artifact for `backend` and bind its models, charging the
+/// load to the profiler. Graph also binds the expression kernels here,
+/// once per load (and so once per run: every Graph run loads its
+/// artifact); Wasm binds none (its row walk never reads them).
+pub fn load_artifact(
+    artifact: &Bytes,
+    models: &ModelRegistry,
+    backend: Backend,
+    profiler: &Profiler,
+) -> TensorProgram {
     let start = profiler.now_us();
     let t0 = std::time::Instant::now();
     let mut prog = deserialize_program(artifact).expect("artifact deserializes");
+    bind_models(&mut prog, models).expect("the artifact's models were bound at compile");
     if backend == Backend::Graph {
         exprfuse::bind_program(&mut prog);
     }
@@ -52,27 +66,23 @@ pub fn load_artifact(artifact: &Bytes, backend: Backend, profiler: &Profiler) ->
 /// Execute the Graph backend: load (with kernels bound) + vectorized VM.
 pub fn run_graph(
     artifact: &Bytes,
-    storage: &Storage,
     models: &ModelRegistry,
+    storage: &Storage,
     profiler: &Profiler,
     cfg: ExecConfig,
 ) -> (DataFrame, DeviceMeter, crate::ScanStats) {
-    let prog = load_artifact(artifact, Backend::Graph, profiler);
-    vm::run_program(&prog, storage, models, profiler, cfg)
+    let prog = load_artifact(artifact, models, Backend::Graph, profiler);
+    vm::run_program(&prog, storage, profiler, cfg)
 }
 
 /// Execute the Wasm backend: scalar single-threaded VM over sandbox copies.
 pub fn run_wasm(
     artifact: &Bytes,
-    storage: &Storage,
     models: &ModelRegistry,
+    storage: &Storage,
     profiler: &Profiler,
 ) -> (DataFrame, DeviceMeter, crate::ScanStats) {
-    let prog = load_artifact(artifact, Backend::Wasm, profiler);
-    let dilation: u32 = std::env::var("TQP_WASM_DILATION")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
+    let prog = load_artifact(artifact, models, Backend::Wasm, profiler);
 
     // Sandbox boundary: copy tensors into the VM's own (row) representation.
     let start = profiler.now_us();
@@ -100,9 +110,9 @@ pub fn run_wasm(
     // counts are independent of the dilation factor.
     let start = profiler.now_us();
     let t0 = std::time::Instant::now();
-    let mut out = scalar::run_program_scalar_profiled(&prog, &tables, models, Some(profiler));
-    for _ in 1..dilation {
-        out = scalar::run_program_scalar(&prog, &tables, models);
+    let mut out = scalar::run_program_scalar(&prog, &tables, Some(profiler));
+    for _ in 1..WASM_DILATION {
+        out = scalar::run_program_scalar(&prog, &tables, None);
     }
     profiler.record(
         "WasmScalarVM",
@@ -166,10 +176,9 @@ mod tests {
         )
         .unwrap();
         let bytes = serialize_program(&lower(&plan));
-        let models = ModelRegistry::new();
-        let profiler = Profiler::new();
-        let (g, _, _) = run_graph(&bytes, &storage, &models, &profiler, ExecConfig::default());
-        let (w, _, _) = run_wasm(&bytes, &storage, &models, &profiler);
+        let (models, profiler) = (ModelRegistry::new(), Profiler::new());
+        let (g, _, _) = run_graph(&bytes, &models, &storage, &profiler, ExecConfig::default());
+        let (w, _, _) = run_wasm(&bytes, &models, &storage, &profiler);
         assert_eq!(g.nrows(), w.nrows());
         for i in 0..g.nrows() {
             assert_eq!(g.row(i), w.row(i));

@@ -24,7 +24,6 @@
 //! whichever side was built — and the same at every worker count.
 
 use tqp_ir::plan::JoinType;
-use tqp_ml::ModelRegistry;
 use tqp_tensor::hash::{self, FlatRowTable};
 use tqp_tensor::index::{mask_to_indices, repeat_interleave, take};
 use tqp_tensor::ops;
@@ -199,7 +198,6 @@ pub fn probe_table(
     join_type: JoinType,
     on: &[(usize, usize)],
     residual: Option<&ExprProgram>,
-    models: &ModelRegistry,
     workers: usize,
     build_left: bool,
 ) -> Batch {
@@ -234,7 +232,6 @@ pub fn probe_table(
         table.hashed,
         on,
         residual,
-        models,
     )
 }
 
@@ -249,7 +246,6 @@ fn finish_join(
     need_verify: bool,
     on: &[(usize, usize)],
     residual: Option<&ExprProgram>,
-    models: &ModelRegistry,
 ) -> Batch {
     // Verification + residual masking over the expanded pairs.
     let mut mask: Option<Tensor> = None;
@@ -284,7 +280,7 @@ fn finish_join(
     }
     if let Some(res) = residual {
         let pair_batch = left.take(&left_idx).hcat(right.take(&right_idx));
-        and_mask(exprfuse::conjunct_mask(res, &pair_batch, models));
+        and_mask(exprfuse::conjunct_mask(res, &pair_batch));
     }
     if let Some(m) = mask {
         let keep = mask_to_indices(&m);
@@ -484,10 +480,7 @@ mod tests {
     ) -> Batch {
         let keys: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
         let table = build_table(right, &keys);
-        let models = ModelRegistry::new();
-        probe_table(
-            &table, left, right, join_type, on, residual, &models, 1, false,
-        )
+        probe_table(&table, left, right, join_type, on, residual, 1, false)
     }
 
     fn run(jt: JoinType) -> Batch {
@@ -601,7 +594,6 @@ mod tests {
         let (pairs_p, pairs_b) = nested_loop_pairs(&[&pkeys], &[&bkeys]);
         let build = b(vec![Tensor::from_i64(bkeys), Tensor::from_f64(bvals)]);
         let probe = b(vec![Tensor::from_i64(pkeys)]);
-        let models = ModelRegistry::new();
         // Golden output: the sequential build, whose pairs come out in
         // nested-loop order (probe row asc, build row asc).
         let seq = join(&probe, &build, JoinType::Inner, &[(0, 0)], None);
@@ -622,7 +614,6 @@ mod tests {
                 JoinType::Inner,
                 &[(0, 0)],
                 None,
-                &models,
                 workers,
                 false,
             );
@@ -658,7 +649,6 @@ mod tests {
         ];
         let build = b(vec![Tensor::from_i64(k1), Tensor::from_i64(k2)]);
         let probe = b(vec![Tensor::from_i64(p1), Tensor::from_i64(p2)]);
-        let models = ModelRegistry::new();
         let on = [(0usize, 0usize), (1usize, 1usize)];
         for workers in [1, 4] {
             let par = probe_table(
@@ -668,7 +658,6 @@ mod tests {
                 JoinType::Inner,
                 &on,
                 None,
-                &models,
                 workers,
                 false,
             );
@@ -692,7 +681,6 @@ mod tests {
             Tensor::from_f64((0..5000).map(|i| i as f64).collect()),
         ]);
         let probe = b(vec![Tensor::from_i64((0..100i64).collect())]);
-        let models = ModelRegistry::new();
         let golden = probe_table(
             &build_table_par(&build, &[0], 1, None),
             &probe,
@@ -700,7 +688,6 @@ mod tests {
             JoinType::Inner,
             &[(0, 0)],
             None,
-            &models,
             1,
             false,
         );
@@ -714,7 +701,6 @@ mod tests {
                 JoinType::Inner,
                 &[(0, 0)],
                 None,
-                &models,
                 1,
                 false,
             );
@@ -750,7 +736,6 @@ mod tests {
             right: Box::new(E::col(3, LogicalType::Float64)),
             ty: LogicalType::Bool,
         });
-        let models = ModelRegistry::new();
         let on = [(0usize, 0usize)];
         for join_type in [JoinType::Semi, JoinType::Anti] {
             for residual in [None, Some(&residual)] {
@@ -761,7 +746,6 @@ mod tests {
                     join_type,
                     &on,
                     residual,
-                    &models,
                     1,
                     false,
                 );
@@ -774,7 +758,6 @@ mod tests {
                         join_type,
                         &on,
                         residual,
-                        &models,
                         workers,
                         true,
                     );
@@ -796,8 +779,7 @@ mod tests {
             let run = |join_type| {
                 if build_left {
                     let table = build_table(&l, &[0]);
-                    let (r, models) = (right(), ModelRegistry::new());
-                    probe_table(&table, &l, &r, join_type, &[(0, 0)], None, &models, 1, true)
+                    probe_table(&table, &l, &right(), join_type, &[(0, 0)], None, 1, true)
                 } else {
                     join(&l, &right(), join_type, &[(0, 0)], None)
                 }

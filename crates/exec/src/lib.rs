@@ -279,9 +279,9 @@ impl ExecStats {
 }
 
 /// A compiled query ready to run. Compilation lowers the plan to the
-/// [`program::TensorProgram`] all backends execute; the Graph/Wasm
-/// backends additionally serialize the program into the portable artifact
-/// (the "ONNX file") at compile time.
+/// [`program::TensorProgram`] all backends execute and binds its `PREDICT`
+/// models; the Graph/Wasm backends additionally serialize the program into
+/// the portable artifact (the "ONNX file") at compile time.
 pub struct Executor {
     plan: PhysicalPlan,
     program: program::TensorProgram,
@@ -296,32 +296,31 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Compile a physical plan for a backend/device configuration. Fused
-    /// binds its expression kernels here, once.
-    pub fn compile(plan: &PhysicalPlan, cfg: ExecConfig) -> Executor {
+    /// Compile a physical plan for a backend/device configuration: every
+    /// backend binds the `PREDICT` models from `models` here (a missing or
+    /// wrong-arity model is the error), and Fused binds its expression
+    /// kernels, once.
+    pub fn compile(
+        plan: &PhysicalPlan,
+        cfg: ExecConfig,
+        models: &ModelRegistry,
+    ) -> Result<Executor, String> {
         let (mut program, node_map) = program::lower_with_map(plan);
+        program::bind_models(&mut program, models)?;
         if cfg.backend == Backend::Fused {
             exprfuse::bind_program(&mut program);
         }
-        let artifact = match cfg.backend {
-            Backend::Graph | Backend::Wasm => Some(program::serialize_program(&program)),
-            _ => None,
-        };
-        Executor {
-            plan: plan.clone(),
-            program,
-            cfg,
-            artifact,
-            node_map: Some(node_map),
-        }
+        let mut executor = Executor::from_parts(plan.clone(), program, cfg);
+        executor.node_map = Some(node_map);
+        Ok(executor)
     }
 
     /// Build an executor from an already-lowered program (the prepared-
     /// statement path: the cached program is cloned and parameter-patched,
     /// then wrapped here — no parse/bind/optimize/lower work). The program
-    /// keeps the kernels it carries: a clone of a Fused template shares
-    /// them. Graph/Wasm re-serialize the artifact from the bound program
-    /// so shipped artifacts carry the bound constants.
+    /// keeps the models and kernels it carries: a clone of a template
+    /// shares them. Graph/Wasm re-serialize the artifact from the bound
+    /// program so shipped artifacts carry the bound constants.
     pub fn from_parts(
         plan: PhysicalPlan,
         program: program::TensorProgram,
@@ -365,27 +364,28 @@ impl Executor {
         self.artifact.as_ref().map(|b| b.len())
     }
 
-    /// Execute against tensor storage + models, recording spans into the
-    /// profiler. Returns the materialized result and stats.
-    pub fn run(
-        &self,
-        storage: &Storage,
-        models: &ModelRegistry,
-        profiler: &Profiler,
-    ) -> (DataFrame, ExecStats) {
+    /// Execute against tensor storage, recording spans into the profiler.
+    /// Returns the materialized result and stats.
+    pub fn run(&self, storage: &Storage, profiler: &Profiler) -> (DataFrame, ExecStats) {
         let simd_before = tqp_tensor::simd::counters();
         let t0 = std::time::Instant::now();
         let (frame, meter, scans) = match self.cfg.backend {
             Backend::Eager | Backend::Fused => {
-                vm::run_program(&self.program, storage, models, profiler, self.cfg)
+                vm::run_program(&self.program, storage, profiler, self.cfg)
             }
             Backend::Graph => {
                 let artifact = self.artifact.as_ref().expect("graph artifact");
-                graphvm::run_graph(artifact, storage, models, profiler, self.cfg)
+                graphvm::run_graph(
+                    artifact,
+                    &self.program.models(),
+                    storage,
+                    profiler,
+                    self.cfg,
+                )
             }
             Backend::Wasm => {
                 let artifact = self.artifact.as_ref().expect("graph artifact");
-                graphvm::run_wasm(artifact, storage, models, profiler)
+                graphvm::run_wasm(artifact, &self.program.models(), storage, profiler)
             }
         };
         let wall_us = t0.elapsed().as_micros() as u64;
@@ -505,7 +505,8 @@ mod tests {
         let mut catalog = Catalog::new();
         catalog.register("t", t.schema().clone(), t.nrows());
         let plan = compile_sql("select a from t where a > 1", &catalog, &PhysicalOptions).unwrap();
-        let ex = Executor::compile(&plan, ExecConfig::default());
+        let models = ModelRegistry::new();
+        let ex = Executor::compile(&plan, ExecConfig::default(), &models).unwrap();
         assert!(!ex.program().ops.is_empty());
         assert!(ex.program().display().contains("Scan(t)"));
         // Eager/Fused compile without an artifact; Graph carries one.
@@ -516,7 +517,9 @@ mod tests {
                 backend: Backend::Graph,
                 ..Default::default()
             },
-        );
+            &models,
+        )
+        .unwrap();
         assert!(g.artifact_size().unwrap() > 0);
     }
 }

@@ -37,11 +37,12 @@ use tqp_ir::json as irjson;
 use tqp_ir::physical::{dedup_names, PhysicalPlan};
 use tqp_ir::plan::{JoinType, PlanSchema};
 use tqp_json::Json;
+use tqp_ml::ModelRegistry;
 use tqp_tensor::Scalar;
 
 use crate::exprfuse::Mode;
 use crate::exprprog::{
-    compile_expr, compile_exprs, exprprog_from_json, exprprog_to_json, ExprProgram,
+    compile_expr, compile_exprs, exprprog_from_json, exprprog_to_json, ExprOp, ExprProgram,
 };
 
 /// Artifact format tag (the self-describing header's `format` field).
@@ -366,14 +367,16 @@ impl TensorProgram {
         out
     }
 
-    /// Names of the registered models the program invokes (deduplicated).
-    pub fn model_names(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
+    /// The models bound into the program, under the names its `PREDICT`
+    /// calls give them (what a loaded artifact, which only names its
+    /// models, is bound against).
+    pub fn models(&self) -> ModelRegistry {
+        let mut out = ModelRegistry::new();
         self.for_each_exprprog(|p| {
             for op in &p.ops {
-                if let crate::exprprog::ExprOp::ModelApply { model, .. } = op {
-                    if !out.contains(model) {
-                        out.push(model.clone());
+                if let ExprOp::ModelApply { model, bound, .. } = op {
+                    if let Some(m) = &bound.0 {
+                        out.register(model, m.clone());
                     }
                 }
             }
@@ -684,6 +687,35 @@ fn invalid<T>(message: impl Into<String>) -> Result<T, ProgramError> {
     Err(ProgramError {
         message: message.into(),
     })
+}
+
+/// Bind every `PREDICT` splice point of a lowered program to the model it
+/// names in `models`, once, so no evaluator looks a model up. A missing
+/// model, or one taking another number of arguments, is the error.
+pub fn bind_models(prog: &mut TensorProgram, models: &ModelRegistry) -> Result<(), String> {
+    let mut res = Ok(());
+    prog.for_each_exprprog_mut(|p, _| {
+        for op in &mut p.ops {
+            let ExprOp::ModelApply {
+                model, args, bound, ..
+            } = op
+            else {
+                continue;
+            };
+            let Some(m) = models.get(model) else {
+                res = Err(format!("model {model} is not registered in this session"));
+                continue;
+            };
+            let (n, got) = (m.n_inputs(), args.len());
+            if n != got {
+                res = Err(format!(
+                    "model {model} takes {n} argument(s), {got} supplied"
+                ));
+            }
+            bound.0 = Some(m);
+        }
+    });
+    res
 }
 
 /// Serialize a program into the portable artifact: a self-describing,
@@ -1503,7 +1535,6 @@ mod tests {
         let (out, _, _) = crate::vm::run_program(
             &back,
             &storage,
-            &tqp_ml::ModelRegistry::new(),
             &tqp_profile::Profiler::disabled(),
             crate::ExecConfig::default(),
         );

@@ -23,7 +23,6 @@ use tqp_baseline::{
 };
 use tqp_data::DataFrame;
 use tqp_ir::expr::{AggCall, BoundExpr};
-use tqp_ml::ModelRegistry;
 use tqp_tensor::Scalar;
 
 use crate::exprprog::{
@@ -57,23 +56,14 @@ impl RowValue {
 }
 
 /// Interpret a program over row-format tables (the sandbox copies made by
-/// the Wasm backend), producing the materialized result frame.
+/// the Wasm backend), producing the materialized result frame. With a
+/// profiler, per-op spans follow the vectorized VM's conventions — keyed
+/// [`tqp_profile::op_key`] by program index, rows = output rows
+/// (`HashBuild` charges its build-input rows) — so `EXPLAIN ANALYZE`
+/// attribution is backend-invariant.
 pub fn run_program_scalar(
     prog: &TensorProgram,
     tables: &HashMap<String, DataFrame>,
-    models: &ModelRegistry,
-) -> DataFrame {
-    run_program_scalar_profiled(prog, tables, models, None)
-}
-
-/// [`run_program_scalar`] with per-op span recording. Spans follow the
-/// vectorized VM's conventions — keyed [`tqp_profile::op_key`] by program
-/// index, rows = output rows (`HashBuild` charges its build-input rows) —
-/// so `EXPLAIN ANALYZE` attribution is backend-invariant.
-pub fn run_program_scalar_profiled(
-    prog: &TensorProgram,
-    tables: &HashMap<String, DataFrame>,
-    models: &ModelRegistry,
     profiler: Option<&tqp_profile::Profiler>,
 ) -> DataFrame {
     let profiler = profiler.filter(|p| p.is_enabled());
@@ -82,7 +72,7 @@ pub fn run_program_scalar_profiled(
         let start_us = profiler.map(|p| p.now_us()).unwrap_or(0);
         let t0 = std::time::Instant::now();
         let tally = std::sync::Arc::new(crate::sched::PredictTally::default());
-        let value = crate::sched::with_predict_tally(&tally, || exec_op(op, &regs, tables, models));
+        let value = crate::sched::with_predict_tally(&tally, || exec_op(op, &regs, tables));
         if let Some(p) = profiler {
             let rows = match (&value, op) {
                 // The vectorized VM charges HashBuild with its build-side
@@ -133,7 +123,6 @@ fn exec_op(
     op: &ProgOp,
     regs: &[Option<RowValue>],
     tables: &HashMap<String, DataFrame>,
-    models: &ModelRegistry,
 ) -> RowValue {
     let reg_rows = |r: usize| regs[r].as_ref().expect("register live").rows();
     match op {
@@ -172,7 +161,7 @@ fn exec_op(
             }
             let rows = reg_rows(*src).clone();
             // PREDICT inside predicates: batch-prepare, then scalar loops.
-            let (rows, conjuncts) = prepare_model_applies(rows, conjuncts, models);
+            let (rows, conjuncts) = prepare_model_applies(rows, conjuncts);
             let cuts = conjuncts.output_cuts();
             let mut scratch = Vec::new();
             let kept: Vec<Row> = rows
@@ -193,7 +182,7 @@ fn exec_op(
         }
         ProgOp::Project { src, exprs, .. } => {
             let rows = reg_rows(*src).clone();
-            let (rows, exprs) = prepare_model_applies(rows, exprs, models);
+            let (rows, exprs) = prepare_model_applies(rows, exprs);
             let arity = exprs.outputs.len();
             let mut scratch = Vec::new();
             RowValue::Rows {
@@ -254,7 +243,7 @@ fn exec_op(
         ProgOp::GroupedReduce { src, reduce, .. } => {
             let rows = reg_rows(*src).clone();
             RowValue::Rows {
-                rows: grouped_reduce_rows(rows, reduce, models),
+                rows: grouped_reduce_rows(rows, reduce),
                 arity: reduce.n_keys + reduce.aggs.len(),
             }
         }
@@ -307,8 +296,8 @@ fn exec_op(
 /// evaluate the compiled key/argument bundle once per row, then hand the
 /// pre-evaluated columns to the row engine's aggregation (whose grouping,
 /// NULL-skipping, and DISTINCT semantics are unchanged).
-fn grouped_reduce_rows(rows: Vec<Row>, reduce: &ReduceExprs, models: &ModelRegistry) -> Vec<Row> {
-    let (rows, exprs) = prepare_model_applies(rows, &reduce.exprs, models);
+fn grouped_reduce_rows(rows: Vec<Row>, reduce: &ReduceExprs) -> Vec<Row> {
+    let (rows, exprs) = prepare_model_applies(rows, &reduce.exprs);
     let mut scratch = Vec::new();
     let eval_rows: Vec<Row> = rows
         .iter()
@@ -380,7 +369,7 @@ mod tests {
         let (tables, catalog) = tables();
         let plan = compile_sql(sql, &catalog, &PhysicalOptions).unwrap();
         let prog = lower(&plan);
-        run_program_scalar(&prog, &tables, &ModelRegistry::new())
+        run_program_scalar(&prog, &tables, None)
     }
 
     #[test]
@@ -407,12 +396,11 @@ mod tests {
                    group by t.id order by t.id";
         let plan = compile_sql(sql, &catalog, &PhysicalOptions).unwrap();
         let prog = lower(&plan);
-        let scalar_out = run_program_scalar(&prog, &tables, &ModelRegistry::new());
+        let scalar_out = run_program_scalar(&prog, &tables, None);
         let storage = crate::ingest_tables(&tables);
         let (vec_out, _, _) = vm::run_program(
             &prog,
             &storage,
-            &ModelRegistry::new(),
             &tqp_profile::Profiler::disabled(),
             crate::ExecConfig::default(),
         );

@@ -57,7 +57,6 @@ use std::time::Instant;
 
 use tqp_data::{DataFrame, LogicalType};
 use tqp_ir::plan::ColMeta;
-use tqp_ml::ModelRegistry;
 use tqp_profile::{op_key, op_key_par, Profiler};
 use tqp_tensor::index::{arange, mask_to_indices};
 use tqp_tensor::sort::{
@@ -114,14 +113,12 @@ impl Value {
 pub fn run_program(
     prog: &TensorProgram,
     storage: &Storage,
-    models: &ModelRegistry,
     profiler: &Profiler,
     cfg: ExecConfig,
 ) -> (DataFrame, DeviceMeter, ScanStats) {
     let mut meter = DeviceMeter::new(cfg.device == Device::GpuSim, cfg.gpu_strategy);
     let cx = Vm {
         storage,
-        models,
         profiler,
         prune: cfg.prune_scans,
         workers: cfg.workers.max(1),
@@ -139,7 +136,6 @@ pub fn run_program(
 /// VM context: immutable inputs shared by worker threads.
 struct Vm<'a> {
     storage: &'a Storage,
-    models: &'a ModelRegistry,
     profiler: &'a Profiler,
     /// Zone-map chunk pruning enabled (stored tables only).
     prune: bool,
@@ -435,7 +431,7 @@ impl Vm<'_> {
         };
         let start_us = self.profiler.now_us();
         let (out, extras, busy_us) = self.charged(idx, || {
-            agg::aggregate_morsels(n_morsels, morsel, shape, reduce, self.models, self.workers)
+            agg::aggregate_morsels(n_morsels, morsel, shape, reduce, self.workers)
         });
         self.profiler.record_chunks(
             &op_key_par(&op.name(), idx),
@@ -472,12 +468,12 @@ impl Vm<'_> {
         // One kernel pass when the program has one bound, otherwise every
         // conjunct over the full input in one straight-line walk (shared
         // subterms once) AND-folded into one scratch mask; compact once.
-        let mask = exprfuse::conjunct_mask(conjuncts, &input, self.models);
+        let mask = exprfuse::conjunct_mask(conjuncts, &input);
         narrow(input, keep).take(&mask_to_indices(&mask))
     }
 
     fn apply_project(&self, exprs: &ExprProgram, input: &Batch) -> Batch {
-        let outs = exprfuse::eval_all(exprs, input, self.models);
+        let outs = exprfuse::eval_all(exprs, input);
         let mut columns = Vec::with_capacity(outs.len());
         let mut validity = Vec::with_capacity(outs.len());
         for (v, val) in outs {
@@ -706,7 +702,6 @@ impl Vm<'_> {
                     *join_type,
                     on,
                     residual.as_ref(),
-                    self.models,
                     if meter.is_enabled() { 1 } else { self.workers },
                     *build_left,
                 );
@@ -750,7 +745,7 @@ impl Vm<'_> {
                     None => {
                         let start = self.profiler.now_us();
                         let t0 = Instant::now();
-                        let out = agg::aggregate(child, reduce, self.models);
+                        let out = agg::aggregate(child, reduce);
                         self.span(&op_key(&op.name(), idx), start, t0, &out);
                         out
                     }
@@ -773,7 +768,7 @@ impl Vm<'_> {
                 let start = self.profiler.now_us();
                 let t0 = Instant::now();
                 let in_bytes = child.nbytes();
-                let tensor_keys: Vec<TSortKey> = exprfuse::eval_all(keys, child, self.models)
+                let tensor_keys: Vec<TSortKey> = exprfuse::eval_all(keys, child)
                     .into_iter()
                     .zip(desc)
                     .map(|((v, val), &d)| {
@@ -1011,9 +1006,8 @@ mod tests {
         if fused {
             crate::exprfuse::bind_program(&mut prog);
         }
-        let models = ModelRegistry::new();
         let profiler = Profiler::disabled();
-        let (out, _, _) = run_program(&prog, &storage, &models, &profiler, ExecConfig::default());
+        let (out, _, _) = run_program(&prog, &storage, &profiler, ExecConfig::default());
         out
     }
 
@@ -1071,9 +1065,8 @@ mod tests {
         )
         .unwrap();
         let prog = lower(&plan);
-        let models = ModelRegistry::new();
         let profiler = Profiler::new();
-        let _ = run_program(&prog, &storage, &models, &profiler, ExecConfig::default());
+        let _ = run_program(&prog, &storage, &profiler, ExecConfig::default());
         let names: Vec<String> = profiler.aggregate().into_iter().map(|s| s.name).collect();
         assert!(names.iter().any(|n| n.starts_with("Scan")), "{names:?}");
         assert!(names.iter().any(|n| n.contains("Aggregate")), "{names:?}");
@@ -1087,13 +1080,12 @@ mod tests {
         let plan =
             compile_sql("select id from t where v > 0.0", &catalog, &PhysicalOptions).unwrap();
         let prog = lower(&plan);
-        let models = ModelRegistry::new();
         let profiler = Profiler::disabled();
         let cfg = ExecConfig {
             device: Device::GpuSim,
             ..Default::default()
         };
-        let (_, meter, _) = run_program(&prog, &storage, &models, &profiler, cfg);
+        let (_, meter, _) = run_program(&prog, &storage, &profiler, cfg);
         assert!(meter.total_us() > 0);
     }
 
@@ -1120,7 +1112,6 @@ mod tests {
         )
         .unwrap();
         let prog = lower(&plan);
-        let models = ModelRegistry::new();
         let profiler = Profiler::disabled();
         let seq_cfg = ExecConfig {
             workers: 1,
@@ -1130,8 +1121,8 @@ mod tests {
             workers: 4,
             ..Default::default()
         };
-        let (seq, _, _) = run_program(&prog, &storage, &models, &profiler, seq_cfg);
-        let (par, _, _) = run_program(&prog, &storage, &models, &profiler, par_cfg);
+        let (seq, _, _) = run_program(&prog, &storage, &profiler, seq_cfg);
+        let (par, _, _) = run_program(&prog, &storage, &profiler, par_cfg);
         assert_eq!(seq.nrows(), par.nrows());
         for i in 0..seq.nrows() {
             assert_eq!(seq.row(i), par.row(i), "row {i}");
@@ -1166,7 +1157,6 @@ mod tests {
         )
         .unwrap();
         let prog = lower(&plan);
-        let models = ModelRegistry::new();
         let profiler = Profiler::disabled();
         let mut frames = Vec::new();
         for workers in [1usize, 4, 7] {
@@ -1179,7 +1169,7 @@ mod tests {
                 if fused {
                     crate::exprfuse::bind_program(&mut prog);
                 }
-                let (out, _, _) = run_program(&prog, &storage, &models, &profiler, cfg);
+                let (out, _, _) = run_program(&prog, &storage, &profiler, cfg);
                 frames.push((workers, fused, out));
             }
         }
@@ -1218,14 +1208,13 @@ mod tests {
         )
         .unwrap();
         let prog = lower(&plan);
-        let models = ModelRegistry::new();
         let profiler = Profiler::disabled();
         for workers in [1usize, 4] {
             let cfg = ExecConfig {
                 workers,
                 ..Default::default()
             };
-            let (out, _, _) = run_program(&prog, &storage, &models, &profiler, cfg);
+            let (out, _, _) = run_program(&prog, &storage, &profiler, cfg);
             assert_eq!(out.nrows(), 1, "workers={workers}");
             assert_eq!(out.column(0).get(0).as_i64(), 0);
             assert_eq!(out.column(1).get(0).as_f64(), 0.0);

@@ -41,10 +41,10 @@ impl ModelRegistry {
         self.models.get(&name.to_ascii_lowercase()).cloned()
     }
 
-    /// Look up a model that a compiled program splices in, panicking with
-    /// the canonical "not registered" message when missing. Every executor
-    /// (vectorized `ModelApply`, the scalar batch-prepare bridge, the row
-    /// baseline) resolves splice points through this one entry.
+    /// Look up a model a plan calls, panicking with the canonical "not
+    /// registered" message when missing. Only the row engine calls it,
+    /// per run: the tensor engines bind each model once, when the program
+    /// is lowered, and report a missing one as an error.
     pub fn require(&self, name: &str) -> Arc<dyn Model> {
         self.get(name)
             .unwrap_or_else(|| panic!("model {name} not registered"))

@@ -17,9 +17,10 @@
 //!   scan the replaced table** (a replaced table may change schemas,
 //!   statistics, and plans — but statements over other tables compiled
 //!   against unchanged state and stay hot); `register_model` still
-//!   flushes the whole cache, because `PREDICT` splice points are
-//!   compiled into programs and model references aren't tracked per
-//!   entry;
+//!   flushes the whole cache: every statement binds its `PREDICT` models
+//!   when it is compiled, so the flush is what makes served statements
+//!   recompile against the replacement (model references aren't tracked
+//!   per entry);
 //! * execution itself rides the process-wide shared worker pool
 //!   (`tqp_exec::sched`), so N concurrent clients share `workers`
 //!   threads instead of oversubscribing N×workers.
@@ -447,8 +448,8 @@ impl Server {
         self.invalidate_table(name);
     }
 
-    /// Register a `PREDICT` model; invalidates the cache (a model swap
-    /// changes `PREDICT` splice points compiled into programs).
+    /// Register a `PREDICT` model; invalidates the cache (statements bind
+    /// their models when compiled, so only a recompile sees the swap).
     pub fn register_model(&self, name: &str, model: Arc<dyn Model>) {
         let mut session = self.session.write().unwrap_or_else(|e| e.into_inner());
         session.register_model(name, model);
@@ -744,23 +745,45 @@ mod tests {
         assert_eq!(stats.invalidations, 0, "no whole-cache flush happened");
     }
 
+    /// `PREDICT('m', x)` = `k · x`.
+    struct Scale(f64);
+
+    impl Model for Scale {
+        fn family(&self) -> &'static str {
+            "scale"
+        }
+        fn n_inputs(&self) -> usize {
+            1
+        }
+        fn predict(&self, inputs: &[tqp_tensor::Tensor]) -> tqp_tensor::Tensor {
+            tqp_tensor::Tensor::from_f64(
+                inputs[0].to_f64_vec().iter().map(|x| x * self.0).collect(),
+            )
+        }
+    }
+
     #[test]
     fn model_registration_still_flushes_everything() {
         let mut s = Session::new();
         s.register_table("t", df(vec![("a", Column::from_f64(vec![1.0]))]));
+        s.register_model("m", Arc::new(Scale(2.0)));
         let srv = Server::new(s);
         let cfg = QueryConfig::default();
+        let predict = "select predict('m', a) as p from t";
+        let p = |(frame, _): (DataFrame, ExecStats)| frame.column(0).get(0).as_f64();
         let q = srv.prepare("select a from t", cfg).unwrap();
-        let x = tqp_tensor::Tensor::from_f64_matrix(vec![0.0, 1.0], 2, 1);
-        let y = tqp_tensor::Tensor::from_f64(vec![0.0, 1.0]);
-        srv.register_model(
-            "m",
-            std::sync::Arc::new(tqp_ml::linear::LinearRegression::fit(&x, &y, 5, 0.1)),
-        );
+        let held = srv.prepare(predict, cfg).unwrap();
+        assert_eq!(p(srv.query(predict, cfg, &[]).unwrap()), 2.0);
+        srv.register_model("m", Arc::new(Scale(3.0)));
         let q2 = srv.prepare("select a from t", cfg).unwrap();
         assert!(!q.ptr_eq(&q2), "model swap must flush the whole cache");
         let stats = srv.cache_stats();
         assert!(stats.invalidations >= 1);
+        // The flush is what gives served statements the replacement: a
+        // statement compiles its model in, so a handle held across the
+        // swap still runs the model it was compiled with.
+        assert_eq!(p(srv.query(predict, cfg, &[]).unwrap()), 3.0);
+        assert_eq!(p(srv.execute(&held, &[]).unwrap()), 2.0);
     }
 
     #[test]

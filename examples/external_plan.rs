@@ -43,7 +43,9 @@ fn main() {
 
     let mut executor_session = Session::new();
     executor_session.register_tpch(&data);
-    let q = executor_session.compile_plan(&plan, QueryConfig::default().backend(Backend::Graph));
+    let q = executor_session
+        .compile_plan(&plan, QueryConfig::default().backend(Backend::Graph))
+        .expect("plan compiles");
     let (result, stats) = q.run(&executor_session).unwrap();
     println!("{}", result.to_table_string(10));
     println!("executed the shipped plan in {} us", stats.wall_us);

@@ -12,8 +12,9 @@
 
 use std::sync::Arc;
 
-use tqp_repro::core::Session;
+use tqp_repro::core::{QueryConfig, Session};
 use tqp_repro::data::{self, datasets};
+use tqp_repro::exec::Backend;
 use tqp_repro::ml::compile::{CompiledTrees, TreeStrategy};
 use tqp_repro::ml::linear::LinearRegression;
 use tqp_repro::ml::mlp::Mlp;
@@ -84,6 +85,18 @@ fn main() {
             / out.nrows() as f64;
         println!("[iris] {model:<28} per-species MAE (overall {overall:.3}):");
         println!("{}", out.to_table_string(5));
+        // One compiled program, every runtime: the other backends agree.
+        for backend in [Backend::Eager, Backend::Graph, Backend::Wasm] {
+            let cfg = QueryConfig::default().backend(backend);
+            let other = session.compile(&sql, cfg).unwrap().run(&session).unwrap().0;
+            for i in 0..out.nrows() {
+                let (a, b) = (
+                    out.column(1).get(i).as_f64(),
+                    other.column(1).get(i).as_f64(),
+                );
+                assert!((a - b).abs() < 1e-9, "{backend:?} {model}: {a} vs {b}");
+            }
+        }
     }
 
     // ---------- Task 1 of the paper: sentiment on Amazon reviews ----------

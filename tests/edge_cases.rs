@@ -147,7 +147,9 @@ fn json_plan_frontend_roundtrip_executes() {
         .unwrap();
     let json = q.plan().to_json();
     let plan = PhysicalPlan::from_json(&json).unwrap();
-    let q2 = s.compile_plan(&plan, QueryConfig::default().backend(Backend::Graph));
+    let q2 = s
+        .compile_plan(&plan, QueryConfig::default().backend(Backend::Graph))
+        .unwrap();
     let (a, _) = q.run(&s).unwrap();
     let (b, _) = q2.run(&s).unwrap();
     assert_eq!(a.nrows(), b.nrows());

@@ -33,9 +33,16 @@ fn canon(frame: &DataFrame) -> Vec<Vec<String>> {
     rows
 }
 
+const BACKENDS: [Backend; 4] = [
+    Backend::Eager,
+    Backend::Fused,
+    Backend::Graph,
+    Backend::Wasm,
+];
+
 fn check(session: &Session, sql: &str) {
     let oracle = session.sql_baseline(sql).expect("oracle");
-    for backend in [Backend::Eager, Backend::Fused, Backend::Graph] {
+    for backend in BACKENDS {
         let q = session
             .compile(sql, QueryConfig::default().backend(backend))
             .unwrap();
@@ -212,17 +219,48 @@ fn figure4_query_end_to_end() {
     }
 }
 
+/// `Session::compile` on every backend fails with a retryable
+/// `TqpError::Execution` whose message contains each of `needles`.
+fn assert_compile_error(s: &Session, sql: &str, needles: &[&str]) {
+    for backend in BACKENDS {
+        match s.compile(sql, QueryConfig::default().backend(backend)) {
+            Err(e @ tqp_repro::core::TqpError::Execution(_)) => {
+                assert!(e.is_retryable(), "{backend:?}: {e}");
+                let msg = e.to_string();
+                for needle in needles {
+                    assert!(msg.contains(needle), "{backend:?}: {msg}");
+                }
+            }
+            other => panic!(
+                "{backend:?}: expected an execution error from compile, got {:?}",
+                other.map(|_| ())
+            ),
+        }
+    }
+}
+
 #[test]
 fn predict_missing_model_is_a_clean_execution_error() {
-    // Formerly a panic; the serve-layer error split pre-flights missing
-    // models into a retryable TqpError::Execution instead.
+    // Formerly a panic; models are bound when the program is compiled, so
+    // a missing one is a retryable TqpError::Execution from compile.
     let s = numeric_session();
-    match s.sql("select predict('nope', a) from points") {
-        Err(tqp_repro::core::TqpError::Execution(msg)) => {
-            assert!(msg.contains("nope"), "{msg}");
-        }
-        other => panic!("expected an execution error, got {:?}", other.map(|_| ())),
-    }
+    assert_compile_error(&s, "select predict('nope', a) from points", &["nope"]);
+}
+
+#[test]
+fn predict_wrong_argument_count_is_a_clean_execution_error() {
+    // Every `Model::predict` asserts its argument count; binding checks it
+    // before anything runs.
+    let (x, y) = training_xy();
+    let mut s = numeric_session();
+    s.register_model("lin", Arc::new(LinearRegression::fit(&x, &y, 800, 0.3)));
+    assert_compile_error(
+        &s,
+        "select predict('lin', a) from points",
+        &["lin", "takes 2 argument(s), 1 supplied"],
+    );
+    // The right count still compiles and runs.
+    check(&s, "select predict('lin', a, b) from points");
 }
 
 #[test]
@@ -265,12 +303,7 @@ fn predict_over_the_null_side_of_a_left_join_is_null() {
             format!("select count({p}) as c, sum({p}) as s, min({p}) as lo, max({p}) as hi {from}"),
         ] {
             let oracle = s.sql_baseline(&sql).expect("oracle");
-            for backend in [
-                Backend::Eager,
-                Backend::Fused,
-                Backend::Graph,
-                Backend::Wasm,
-            ] {
+            for backend in BACKENDS {
                 let (out, _) = s
                     .compile(&sql, QueryConfig::default().backend(backend))
                     .unwrap()

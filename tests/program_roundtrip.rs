@@ -11,7 +11,6 @@ use tqp_repro::data::DataFrame;
 use tqp_repro::exec::program::{deserialize_program, lower, serialize_program, TensorProgram};
 use tqp_repro::exec::{exprfuse, scalar, vm, ExecConfig};
 use tqp_repro::ir::{compile_sql, PhysicalOptions};
-use tqp_repro::ml::ModelRegistry;
 use tqp_repro::profile::Profiler;
 
 fn session() -> Session {
@@ -46,7 +45,6 @@ fn assert_identical(n: usize, label: &str, a: &DataFrame, b: &DataFrame) {
 #[test]
 fn roundtripped_artifact_is_byte_identical_on_all_backends() {
     let s = session();
-    let models = ModelRegistry::new();
     let profiler = Profiler::disabled();
     for (n, sql) in queries::all() {
         let plan = compile_sql(sql, s.catalog(), &PhysicalOptions)
@@ -63,27 +61,17 @@ fn roundtripped_artifact_is_byte_identical_on_all_backends() {
         // backend's executor all route through this path)...
         for fused in [false, true] {
             let cfg = ExecConfig::default();
-            let (direct, _, _) = vm::run_program(
-                &with_kernels(&prog, fused),
-                s.storage(),
-                &models,
-                &profiler,
-                cfg,
-            );
-            let (via_artifact, _, _) = vm::run_program(
-                &with_kernels(&shipped, fused),
-                s.storage(),
-                &models,
-                &profiler,
-                cfg,
-            );
+            let (direct, _, _) =
+                vm::run_program(&with_kernels(&prog, fused), s.storage(), &profiler, cfg);
+            let (via_artifact, _, _) =
+                vm::run_program(&with_kernels(&shipped, fused), s.storage(), &profiler, cfg);
             let label = if fused { "fused" } else { "eager" };
             assert_identical(n, label, &direct, &via_artifact);
         }
 
         // ...and on the scalar row VM (the Wasm backend's interpreter).
-        let direct = scalar::run_program_scalar(&prog, s.frames(), &models);
-        let via_artifact = scalar::run_program_scalar(&shipped, s.frames(), &models);
+        let direct = scalar::run_program_scalar(&prog, s.frames(), None);
+        let via_artifact = scalar::run_program_scalar(&shipped, s.frames(), None);
         assert_identical(n, "wasm-scalar", &direct, &via_artifact);
     }
 }
@@ -129,7 +117,6 @@ fn v1_artifact_rejected_with_error_naming_both_versions() {
 fn groups_estimate_rides_grouped_reduce_only() {
     use tqp_repro::exec::program::ProgOp;
     let s = session();
-    let models = ModelRegistry::new();
     let profiler = Profiler::disabled();
     // Q18 groups lineitem by l_orderkey: 15 000 estimated groups.
     let plan = compile_sql(queries::query(18), s.catalog(), &PhysicalOptions).unwrap();
@@ -164,8 +151,8 @@ fn groups_estimate_rides_grouped_reduce_only() {
     assert!(estimates(&loaded).iter().all(Option::is_none));
     // Q18 sums integral quantities, so both shapes give the same bytes.
     let cfg = ExecConfig::default();
-    let (with, _, _) = vm::run_program(&prog, s.storage(), &models, &profiler, cfg);
-    let (without, _, _) = vm::run_program(&loaded, s.storage(), &models, &profiler, cfg);
+    let (with, _, _) = vm::run_program(&prog, s.storage(), &profiler, cfg);
+    let (without, _, _) = vm::run_program(&loaded, s.storage(), &profiler, cfg);
     assert_identical(18, "groups stripped", &with, &without);
 
     // On any other op the field is rejected, not skipped.
@@ -213,7 +200,6 @@ fn graph_backend_equals_eager_exactly() {
 fn limit_rides_sort_only() {
     use tqp_repro::exec::program::ProgOp;
     let s = session();
-    let models = ModelRegistry::new();
     let profiler = Profiler::disabled();
     // Q3 ends `order by revenue desc, o_orderdate limit 10`.
     let plan = compile_sql(queries::query(3), s.catalog(), &PhysicalOptions).unwrap();
@@ -238,24 +224,14 @@ fn limit_rides_sort_only() {
     assert_eq!(limits(&loaded), vec![None]);
     for fused in [false, true] {
         let cfg = ExecConfig::default();
-        let (with, _, _) = vm::run_program(
-            &with_kernels(&prog, fused),
-            s.storage(),
-            &models,
-            &profiler,
-            cfg,
-        );
-        let (without, _, _) = vm::run_program(
-            &with_kernels(&loaded, fused),
-            s.storage(),
-            &models,
-            &profiler,
-            cfg,
-        );
+        let (with, _, _) =
+            vm::run_program(&with_kernels(&prog, fused), s.storage(), &profiler, cfg);
+        let (without, _, _) =
+            vm::run_program(&with_kernels(&loaded, fused), s.storage(), &profiler, cfg);
         assert_identical(3, "limit stripped", &with, &without);
     }
-    let with = scalar::run_program_scalar(&prog, s.frames(), &models);
-    let without = scalar::run_program_scalar(&loaded, s.frames(), &models);
+    let with = scalar::run_program_scalar(&prog, s.frames(), None);
+    let without = scalar::run_program_scalar(&loaded, s.frames(), None);
     assert_identical(3, "limit stripped, scalar", &with, &without);
 
     let tampered = text.replacen("{\"op\":\"scan\",", "{\"op\":\"scan\",\"limit\":5,", 1);
@@ -298,7 +274,7 @@ fn kernels_are_bound_when_the_program_is_lowered() {
                 backend,
                 ..ExecConfig::default()
             };
-            bound(Executor::compile(&plan, cfg).program())
+            bound(Executor::compile(&plan, cfg, s.models()).unwrap().program())
         };
         // Every site of these three queries is fusible.
         let fused = compiled(Backend::Fused);
@@ -314,6 +290,7 @@ fn kernels_are_bound_when_the_program_is_lowered() {
         let artifact = serialize_program(&lower(&plan));
         let graph = bound(&graphvm::load_artifact(
             &artifact,
+            s.models(),
             Backend::Graph,
             &profiler,
         ));
@@ -321,7 +298,12 @@ fn kernels_are_bound_when_the_program_is_lowered() {
             graph, fused,
             "Q{n}: the Graph load binds another set than Fused"
         );
-        let wasm = bound(&graphvm::load_artifact(&artifact, Backend::Wasm, &profiler));
+        let wasm = bound(&graphvm::load_artifact(
+            &artifact,
+            s.models(),
+            Backend::Wasm,
+            &profiler,
+        ));
         assert!(
             wasm.iter().all(|&b| !b),
             "Q{n} Wasm binds a kernel: {wasm:?}"
@@ -349,7 +331,6 @@ fn kernels_are_bound_when_the_program_is_lowered() {
         .clone()
         .expect("the template binds a kernel");
     let batch = Batch::new(vec![Tensor::from_i64((0..50).collect())]);
-    let models = ModelRegistry::new();
     for value in [Scalar::I64(24), Scalar::I64(40), Scalar::Null] {
         let conj = filter(
             &prepared
@@ -362,7 +343,7 @@ fn kernels_are_bound_when_the_program_is_lowered() {
         let want: Vec<bool> = (0..50)
             .map(|a| !value.is_null() && a < value.as_i64())
             .collect();
-        let mask = exprfuse::conjunct_mask(&conj, &batch, &models);
+        let mask = exprfuse::conjunct_mask(&conj, &batch);
         assert_eq!(mask.as_bool(), &want[..], "{value:?}");
     }
 }

@@ -68,7 +68,7 @@ fn check_plan_bitwise(
             let cfg = QueryConfig::default().backend(backend).workers(workers);
             let (out, _) = session
                 .compile_plan(plan, cfg)
-                .run(session)
+                .and_then(|q| q.run(session))
                 .map_err(|e| TestCaseError::fail(format!("run {what}: {e}")))?;
             prop_assert_eq!(
                 out.nrows(),
@@ -425,7 +425,7 @@ proptest! {
                         let cfg = QueryConfig::default().backend(backend).workers(workers);
                         let (out, _) = session
                             .compile_plan(&plan, cfg)
-                            .run(&session)
+                            .and_then(|q| q.run(&session))
                             .map_err(|e| TestCaseError::fail(format!("run: {e}")))?;
                         let what = format!("{route} groups={groups:?} {backend:?}/{workers}");
                         if groups.is_some() {

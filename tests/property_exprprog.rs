@@ -33,7 +33,6 @@ use tqp_repro::exec::batch::Batch;
 use tqp_repro::exec::exprfuse::{self, Mode};
 use tqp_repro::exec::exprprog;
 use tqp_repro::ir::expr::{BinOp, BoundExpr as E, ScalarFunc};
-use tqp_repro::ml::ModelRegistry;
 use tqp_tensor::{DType, Scalar, Tensor};
 
 use tqp_baseline::eval::eval_expr;
@@ -409,7 +408,7 @@ fn conservative_validity(e: &E, batch: &Batch) -> Option<Vec<bool>> {
             // The divisor as the walk computes it: where a `CASE` condition
             // is conservatively NULL, the row engine may pick another arm.
             let prog = exprprog::compile_exprs(std::slice::from_ref(&**right));
-            let divisor = &exprprog::eval_all(&prog, batch, &ModelRegistry::new())[0].0;
+            let divisor = &exprprog::eval_all(&prog, batch)[0].0;
             let nonzero: Vec<bool> = divisor.as_i64().iter().map(|&d| d != 0).collect();
             let operands = all(&[&**left, &**right]);
             if nonzero.iter().all(|&v| v) {
@@ -458,9 +457,8 @@ proptest! {
         let exprs: Vec<E> = (0..3).map(|_| g.any_expr(3)).collect();
         let batch = test_batch();
         let rows = test_rows(&batch);
-        let models = ModelRegistry::new();
         let prog = exprprog::compile_exprs(&exprs);
-        let compiled = exprprog::eval_all(&prog, &batch, &models);
+        let compiled = exprprog::eval_all(&prog, &batch);
         for (k, e) in exprs.iter().enumerate() {
             let (cv, cval) = &compiled[k];
             let want = conservative_validity(e, &batch);
@@ -487,8 +485,8 @@ proptest! {
         let half = batch.nrows() / 2;
         let lo = batch.slice_rows(0, half);
         let hi = batch.slice_rows(half, batch.nrows());
-        let out_lo = exprprog::eval_all(&prog, &lo, &models);
-        let out_hi = exprprog::eval_all(&prog, &hi, &models);
+        let out_lo = exprprog::eval_all(&prog, &lo);
+        let out_hi = exprprog::eval_all(&prog, &hi);
         for k in 0..exprs.len() {
             let merged = tqp_tensor::index::concat(&[&out_lo[k].0, &out_hi[k].0]);
             prop_assert!(
@@ -529,11 +527,10 @@ proptest! {
         let mut g = Gen { rng: TestRng::new(seed) };
         let conjuncts: Vec<E> = (0..3).map(|_| g.bool_expr(2)).collect();
         let batch = test_batch();
-        let models = ModelRegistry::new();
         let mut prog = exprprog::compile_exprs(&conjuncts);
-        let eager_mask = exprprog::eval_conjuncts_eager(&prog, &batch, &models);
+        let eager_mask = exprprog::eval_conjuncts_eager(&prog, &batch);
         exprfuse::bind(&mut prog, Mode::Mask);
-        let fused_mask = exprfuse::conjunct_mask(&prog, &batch, &models);
+        let fused_mask = exprfuse::conjunct_mask(&prog, &batch);
         prop_assert_eq!(
             fused_mask.as_bool(), eager_mask.as_bool(),
             "fused kernel/eager divergence for {:?}\nprogram:\n{}",
@@ -693,14 +690,13 @@ proptest! {
     fn fused_dense_mask_matches_eager_and_tree(seed in any::<u64>()) {
         let mut g = Gen { rng: TestRng::new(seed) };
         let batch = adversarial_batch();
-        let models = ModelRegistry::new();
         let n_conj = 1 + g.pick(5) as usize;
         let conjuncts: Vec<E> = (0..n_conj).map(|_| adversarial_conjunct(&mut g)).collect();
         let mut prog = exprprog::compile_exprs(&conjuncts);
         exprfuse::bind(&mut prog, Mode::Mask);
         prop_assert!(prog.kernel.is_some(), "compare chains always fuse");
-        let fused = exprfuse::conjunct_mask(&prog, &batch, &models);
-        let eager = exprprog::eval_conjuncts_eager(&prog, &batch, &models);
+        let fused = exprfuse::conjunct_mask(&prog, &batch);
+        let eager = exprprog::eval_conjuncts_eager(&prog, &batch);
         prop_assert_eq!(
             fused.as_bool(), eager.as_bool(),
             "fused/eager divergence for {:?}\nprogram:\n{}", conjuncts, prog.display()
@@ -726,11 +722,10 @@ proptest! {
         let mut g = Gen { rng: TestRng::new(seed) };
         let exprs: Vec<E> = (0..3).map(|_| g.any_expr(3)).collect();
         let batch = test_batch();
-        let models = ModelRegistry::new();
         let mut prog = exprprog::compile_exprs(&exprs);
-        let generic = exprprog::eval_all(&prog, &batch, &models);
+        let generic = exprprog::eval_all(&prog, &batch);
         exprfuse::bind(&mut prog, Mode::Outputs);
-        let fused = exprfuse::eval_all(&prog, &batch, &models);
+        let fused = exprfuse::eval_all(&prog, &batch);
         for (k, e) in exprs.iter().enumerate() {
             prop_assert!(
                 tensors_bit_equal(&generic[k].0, &fused[k].0),

@@ -244,10 +244,10 @@ fn check_dataset(ndv: usize, seed: u64) {
                 workers,
                 ..ExecConfig::default()
             };
-            let exec = Executor::compile(&plan, cfg);
+            let exec = Executor::compile(&plan, cfg, &models).unwrap();
             let mut first: Option<Vec<String>> = None;
             for (form, storage) in &storages {
-                let got = rows(&exec.run(storage, &models, &profiler).0);
+                let got = rows(&exec.run(storage, &profiler).0);
                 let what = format!("ndv {ndv}, {backend:?} w={workers}, {form}: {sql}");
                 match &first {
                     None => {
