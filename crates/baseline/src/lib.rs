@@ -18,7 +18,7 @@
 //!   "separate runtimes for relational and ML computations" integration the
 //!   paper contrasts against (§3.3).
 
-pub mod agg;
+mod agg;
 pub mod eval;
 
 use std::collections::HashMap;
@@ -181,28 +181,14 @@ impl<'a> RowEngine<'a> {
     }
 }
 
-/// The build side of the scalar hash join: key tuple → build-row indexes.
-/// Shared by the row engine and the Wasm backend's scalar program VM
-/// (where it executes the program's `HashBuild` op).
-pub struct RowJoinTable {
+/// The build side of the row hash join: key tuple → build-row indexes.
+struct RowJoinTable {
     map: HashMap<Vec<KeyPart>, Vec<usize>>,
-}
-
-impl RowJoinTable {
-    /// Number of distinct keys.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no keyed rows were inserted.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 /// Hash the build rows on `keys` (NULL keys never match, so they are not
 /// inserted).
-pub fn build_row_table(rows: &[Row], keys: &[usize]) -> RowJoinTable {
+fn build_row_table(rows: &[Row], keys: &[usize]) -> RowJoinTable {
     assert!(
         !keys.is_empty(),
         "row joins require at least one equi key (plan bug)"
@@ -216,9 +202,9 @@ pub fn build_row_table(rows: &[Row], keys: &[usize]) -> RowJoinTable {
     RowJoinTable { map }
 }
 
-/// Probe a [`RowJoinTable`] row-at-a-time and assemble the join output
-/// (the scalar analog of the program's `HashProbe` op).
-pub fn probe_row_table(
+/// Probe a [`RowJoinTable`] row-at-a-time and assemble the join output;
+/// the residual sees the combined `left ++ right` row.
+fn probe_row_table(
     table: &RowJoinTable,
     lrows: &[Row],
     rrows: &[Row],
@@ -227,41 +213,14 @@ pub fn probe_row_table(
     on: &[(usize, usize)],
     residual: Option<&BoundExpr>,
 ) -> Vec<Row> {
-    let mut pass = residual
-        .map(|res| move |combined: &Row| matches!(eval_expr(res, combined), Scalar::Bool(true)));
-    probe_row_table_with(
-        table,
-        lrows,
-        rrows,
-        rarity,
-        join_type,
-        on,
-        pass.as_mut().map(|f| f as &mut dyn FnMut(&Row) -> bool),
-    )
-}
-
-/// [`probe_row_table`] with the residual predicate abstracted to a
-/// closure over the combined `left ++ right` row — the entry point used
-/// by the scalar program VM, whose residuals are compiled `ExprProgram`s
-/// rather than expression trees. The closure is `FnMut` so callers can
-/// carry reusable evaluation scratch across the (pair-heavy) probe loop.
-pub fn probe_row_table_with(
-    table: &RowJoinTable,
-    lrows: &[Row],
-    rrows: &[Row],
-    rarity: usize,
-    join_type: JoinType,
-    on: &[(usize, usize)],
-    mut residual: Option<&mut dyn FnMut(&Row) -> bool>,
-) -> Vec<Row> {
     let lkeys: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
-    let mut matches_pass = |lrow: &Row, ridx: usize| -> bool {
-        match residual.as_mut() {
+    let matches_pass = |lrow: &Row, ridx: usize| -> bool {
+        match residual {
             None => true,
-            Some(pass) => {
+            Some(res) => {
                 let mut combined = lrow.clone();
                 combined.extend(rrows[ridx].iter().cloned());
-                pass(&combined)
+                matches!(eval_expr(res, &combined), Scalar::Bool(true))
             }
         }
     };
@@ -314,52 +273,6 @@ pub fn probe_row_table_with(
     out
 }
 
-/// Semi/anti probe of a table built over the **left** rows (the scalar
-/// analog of a `HashProbe` with `build_left`): every right row looks up its
-/// key and marks the left rows it matches; the marked (semi) or unmarked
-/// (anti) left rows come out in left order — exactly what
-/// [`probe_row_table_with`] returns from a right-built table.
-pub fn probe_row_table_marking(
-    table: &RowJoinTable,
-    lrows: &[Row],
-    rrows: &[Row],
-    join_type: JoinType,
-    on: &[(usize, usize)],
-    mut residual: Option<&mut dyn FnMut(&Row) -> bool>,
-) -> Vec<Row> {
-    assert!(
-        matches!(join_type, JoinType::Semi | JoinType::Anti),
-        "only semi/anti joins build on the left (plan bug)"
-    );
-    let rkeys: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-    let mut matched = vec![false; lrows.len()];
-    for rrow in rrows {
-        let Some(candidates) = key_of(rrow, &rkeys).and_then(|k| table.map.get(&k)) else {
-            continue;
-        };
-        for &li in candidates {
-            if matched[li] {
-                continue;
-            }
-            matched[li] = match residual.as_mut() {
-                None => true,
-                Some(pass) => {
-                    let mut combined = lrows[li].clone();
-                    combined.extend(rrow.iter().cloned());
-                    pass(&combined)
-                }
-            };
-        }
-    }
-    let keep = join_type == JoinType::Semi;
-    lrows
-        .iter()
-        .zip(matched)
-        .filter(|(_, m)| *m == keep)
-        .map(|(row, _)| row.clone())
-        .collect()
-}
-
 fn input_arity_of(plan: &PhysicalPlan) -> usize {
     plan.arity()
 }
@@ -367,12 +280,6 @@ fn input_arity_of(plan: &PhysicalPlan) -> usize {
 /// Materialize rows into a typed frame, applying the plan's output schema.
 fn rows_to_frame(rows: Vec<Row>, plan: &PhysicalPlan) -> DataFrame {
     let schema = tqp_ir::physical::dedup_names(&plan.schema());
-    rows_to_frame_with_schema(rows, &schema)
-}
-
-/// Materialize rows against an explicit (already deduplicated) schema —
-/// the scalar program VM materializes against the program's schema.
-pub fn rows_to_frame_with_schema(rows: Vec<Row>, schema: &[tqp_ir::ColMeta]) -> DataFrame {
     let fields: Vec<tqp_data::Field> = schema
         .iter()
         .map(|c| tqp_data::Field::new(c.name.clone(), c.ty))

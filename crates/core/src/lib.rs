@@ -403,7 +403,9 @@ impl Session {
     /// tables **that the plan actually scans** are materialized whole
     /// for the row engine (it is the differential-test oracle, not a
     /// production path); frames are shared, not copied (columns are
-    /// `Arc`-backed), and queries over in-memory tables pay nothing.
+    /// `Arc`-backed), and queries over in-memory tables pay nothing. A
+    /// scanned stored table whose statistics count a NULL is a retryable
+    /// [`TqpError::Execution`] naming it: a frame cell cannot hold a NULL.
     pub fn sql_baseline(&self, sql: &str) -> Result<DataFrame, TqpError> {
         let plan = compile_sql(sql, &self.catalog, &PhysicalOptions).map_err(TqpError::Compile)?;
         fn scanned_tables(p: &PhysicalPlan, out: &mut Vec<String>) {
@@ -418,10 +420,19 @@ impl Session {
         }
         let mut needed = Vec::new();
         scanned_tables(&plan, &mut needed);
-        let needed_stored: Vec<&String> = needed
+        let needed_stored: Vec<(&String, &Arc<StoredTable>)> = needed
             .iter()
-            .filter(|t| matches!(self.storage.get(t.as_str()), Some(TableSource::Stored(_))))
+            .filter_map(|t| Some((t, self.storage.get(t.as_str())?.as_stored()?)))
             .collect();
+        // Refuse before decoding anything: a frame cell cannot hold a NULL.
+        if let Some((name, _)) = needed_stored
+            .iter()
+            .find(|(_, t)| t.stats().columns.iter().any(|c| c.null_count > 0))
+        {
+            return Err(TqpError::Execution(format!(
+                "table {name} holds NULLs, which the row engine cannot read"
+            )));
+        }
         if needed_stored.is_empty() {
             let engine = RowEngine::new(&self.frames, &self.models);
             return Ok(engine.execute(&plan));
@@ -429,11 +440,10 @@ impl Session {
         // Shallow-clone the frame map (Arc-backed columns) and add only
         // the stored tables this query touches.
         let mut frames = self.frames.clone();
-        for name in needed_stored {
-            let src = self.storage.get(name.as_str()).expect("checked above");
+        for (name, stored) in needed_stored {
             frames.insert(
                 name.clone(),
-                tqp_data::ingest::tensors_to_frame(&src.to_tensor_table()),
+                tqp_data::ingest::tensors_to_frame(&tqp_exec::stored::materialize(stored)),
             );
         }
         let engine = RowEngine::new(&frames, &self.models);

@@ -11,11 +11,10 @@
 //! [`compile_exprs`] into an [`ExprProgram`] at lowering time. No backend
 //! re-walks an expression *tree* per batch (or per row) anymore:
 //!
-//! * the vectorized VM runs the op list as a straight-line kernel loop
-//!   over expression registers ([`eval_all`]), unless the backend bound a
-//!   specialized kernel to the program ([`crate::exprfuse`]);
-//! * the Wasm scalar interpreter walks the *same* flat ops row-at-a-time
-//!   ([`eval_row`], with [`prepare_model_applies`] batching `PREDICT`);
+//! * the vectorized VM — on every backend — runs the op list as a
+//!   straight-line kernel loop over expression registers ([`eval_all`]),
+//!   unless the backend bound a specialized kernel to the program
+//!   ([`crate::exprfuse`]);
 //! * the v2 artifact encodes the compiled form natively
 //!   ([`exprprog_to_json`] / [`exprprog_from_json`]).
 //!
@@ -39,18 +38,17 @@
 //! **Validity.** Vectorized evaluation carries conservative validity:
 //! each register holds a `(value, Option<validity>)` pair, and a result
 //! row is valid iff every input row it touched was valid (`IS NULL` is
-//! always valid). Scalar (row) evaluation represents NULL as
-//! `Scalar::Null`, matching `tqp_baseline::eval::eval_expr` three-valued
-//! logic exactly. The two agree wherever no NULL enters an expression;
-//! `tests/property_exprprog.rs` checks both against the row engine.
+//! always valid). The row engine (`tqp_baseline::eval::eval_expr`)
+//! represents NULL as `Scalar::Null` with three-valued logic; the two
+//! agree wherever no NULL enters an expression, and
+//! `tests/property_exprprog.rs` checks the compiled form against it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use tqp_baseline::Row;
 use tqp_data::LogicalType;
-use tqp_ir::expr::{eval_binary_scalar, eval_const, BinOp, BoundExpr, ScalarFunc};
+use tqp_ir::expr::{eval_const, BinOp, BoundExpr, ScalarFunc};
 use tqp_ir::json as irjson;
 use tqp_json::Json;
 use tqp_ml::Model;
@@ -939,270 +937,6 @@ pub fn eval_conjuncts_eager(prog: &ExprProgram, batch: &Batch) -> Tensor {
 }
 
 // ---------------------------------------------------------------------
-// Scalar (row-at-a-time) execution — the Wasm interpreter's inner loop
-// ---------------------------------------------------------------------
-
-/// Result logical type of every register (forward pass over the ops).
-pub fn reg_types(prog: &ExprProgram) -> Vec<LogicalType> {
-    let mut tys = Vec::with_capacity(prog.ops.len());
-    for op in &prog.ops {
-        let ty = match op {
-            ExprOp::LoadColumn { ty, .. }
-            | ExprOp::LoadConst { ty, .. }
-            | ExprOp::Binary { ty, .. }
-            | ExprOp::Coerce { ty, .. }
-            | ExprOp::Select { ty, .. }
-            | ExprOp::Func { ty, .. }
-            | ExprOp::ModelApply { ty, .. } => *ty,
-            ExprOp::CompareConst { .. }
-            | ExprOp::Not { .. }
-            | ExprOp::Like { .. }
-            | ExprOp::InList { .. }
-            | ExprOp::IsNull { .. } => LogicalType::Bool,
-            ExprOp::Neg { src } => tys[*src],
-        };
-        tys.push(ty);
-    }
-    tys
-}
-
-/// Evaluate every register of the program over one row into `scratch`
-/// (reused across rows: sized once, overwritten in place). Semantics match
-/// `tqp_baseline::eval::eval_expr` three-valued logic exactly.
-pub fn eval_row(prog: &ExprProgram, row: &Row, scratch: &mut Vec<Scalar>) {
-    scratch.clear();
-    scratch.reserve(prog.ops.len());
-    for op in prog.ops.iter() {
-        let v = exec_row_op(op, scratch, row);
-        scratch.push(v);
-    }
-}
-
-/// Evaluate one row and collect the program's outputs.
-pub fn eval_row_outputs(prog: &ExprProgram, row: &Row, scratch: &mut Vec<Scalar>) -> Vec<Scalar> {
-    eval_row(prog, row, scratch);
-    prog.outputs.iter().map(|&r| scratch[r].clone()).collect()
-}
-
-/// Evaluate the program's outputs as filter conjuncts over one row,
-/// short-circuiting: ops run only up to each conjunct's cut (`cuts` from
-/// [`ExprProgram::output_cuts`], computed once per batch), and a conjunct
-/// that is not `TRUE` (false or NULL) stops evaluation.
-pub fn eval_row_conjuncts(
-    prog: &ExprProgram,
-    cuts: &[usize],
-    row: &Row,
-    scratch: &mut Vec<Scalar>,
-) -> bool {
-    scratch.clear();
-    let mut pos = 0usize;
-    for (k, &out) in prog.outputs.iter().enumerate() {
-        while pos < cuts[k] {
-            let v = exec_row_op(&prog.ops[pos], scratch, row);
-            scratch.push(v);
-            pos += 1;
-        }
-        if !matches!(scratch[out], Scalar::Bool(true)) {
-            return false;
-        }
-    }
-    true
-}
-
-fn exec_row_op(op: &ExprOp, regs: &[Scalar], row: &Row) -> Scalar {
-    match op {
-        ExprOp::LoadColumn { index, .. } => row[*index].clone(),
-        ExprOp::LoadConst { value, .. } => value.clone(),
-        ExprOp::Binary { op, lhs, rhs, .. } => {
-            let l = &regs[*lhs];
-            let r = &regs[*rhs];
-            match op {
-                // Kleene AND/OR: false/true dominate NULL.
-                BinOp::And => match (l, r) {
-                    (Scalar::Bool(false), _) | (_, Scalar::Bool(false)) => Scalar::Bool(false),
-                    (Scalar::Bool(true), Scalar::Bool(true)) => Scalar::Bool(true),
-                    _ => Scalar::Null,
-                },
-                BinOp::Or => match (l, r) {
-                    (Scalar::Bool(true), _) | (_, Scalar::Bool(true)) => Scalar::Bool(true),
-                    (Scalar::Bool(false), Scalar::Bool(false)) => Scalar::Bool(false),
-                    _ => Scalar::Null,
-                },
-                _ => eval_binary_scalar(*op, l, r).unwrap_or(Scalar::Null),
-            }
-        }
-        ExprOp::CompareConst { op, src, value } => {
-            eval_binary_scalar(*op, &regs[*src], value).unwrap_or(Scalar::Null)
-        }
-        ExprOp::Not { src } => match &regs[*src] {
-            Scalar::Bool(b) => Scalar::Bool(!b),
-            _ => Scalar::Null,
-        },
-        ExprOp::Neg { src } => match &regs[*src] {
-            Scalar::I64(v) => Scalar::I64(-v),
-            Scalar::F64(v) => Scalar::F64(-v),
-            Scalar::I32(v) => Scalar::I32(-v),
-            Scalar::F32(v) => Scalar::F32(-v),
-            _ => Scalar::Null,
-        },
-        // Row semantics: identity. Coerce exists to unify *tensor dtypes*
-        // across CASE branches; boxed scalars need no unification, and the
-        // row engine's tree walk (the Wasm oracle) never coerced — a
-        // Float64 CASE may yield `I64` scalars, which every downstream
-        // scalar op (arith promotion, `cmp_sql`, schema-typed
-        // materialization) already handles.
-        ExprOp::Coerce { src, .. } => regs[*src].clone(),
-        ExprOp::Select {
-            cond,
-            on_true,
-            on_false,
-            ..
-        } => {
-            if matches!(regs[*cond], Scalar::Bool(true)) {
-                regs[*on_true].clone()
-            } else {
-                regs[*on_false].clone()
-            }
-        }
-        ExprOp::Like {
-            src,
-            compiled,
-            negated,
-            ..
-        } => {
-            let v = &regs[*src];
-            if v.is_null() {
-                return Scalar::Null;
-            }
-            Scalar::Bool(compiled.matches(v.as_str().as_bytes()) != *negated)
-        }
-        ExprOp::InList { src, list, negated } => {
-            let v = &regs[*src];
-            if v.is_null() {
-                return Scalar::Null;
-            }
-            let found = list
-                .iter()
-                .any(|s| eval_binary_scalar(BinOp::Eq, v, s) == Some(Scalar::Bool(true)));
-            Scalar::Bool(found != *negated)
-        }
-        ExprOp::IsNull { src, negated } => Scalar::Bool(regs[*src].is_null() != *negated),
-        ExprOp::Func { func, src, .. } => {
-            let v = &regs[*src];
-            if v.is_null() {
-                return Scalar::Null;
-            }
-            match func {
-                ScalarFunc::ExtractYear => Scalar::I64(tqp_data::dates::extract_year(v.as_i64())),
-                ScalarFunc::ExtractMonth => Scalar::I64(tqp_data::dates::extract_month(v.as_i64())),
-                ScalarFunc::Substring { start, len } => {
-                    let s = v.as_str();
-                    let lo = ((*start - 1) as usize).min(s.len());
-                    let hi = (lo + *len as usize).min(s.len());
-                    Scalar::Str(s[lo..hi].to_string())
-                }
-                ScalarFunc::Abs => match v {
-                    Scalar::I64(x) => Scalar::I64(x.abs()),
-                    Scalar::F64(x) => Scalar::F64(x.abs()),
-                    other => Scalar::F64(other.as_f64().abs()),
-                },
-            }
-        }
-        ExprOp::ModelApply { .. } => {
-            panic!("ModelApply must be batch-prepared before row evaluation")
-        }
-    }
-}
-
-/// Batch-prepare every `ModelApply` in the program for row execution (the
-/// "separate ML runtime" bridge of the Wasm sandbox): for each splice
-/// point in op order, the argument registers are materialized into
-/// tensors over all rows, the model is invoked **once**, the predictions
-/// are appended to each row, and the op is rewritten into a column load.
-/// Returns the (possibly widened) rows and the rewritten program.
-pub fn prepare_model_applies(rows: Vec<Row>, prog: &ExprProgram) -> (Vec<Row>, ExprProgram) {
-    if !prog.has_model_apply() {
-        return (rows, prog.clone());
-    }
-    let mut prog = prog.clone();
-    let mut rows = rows;
-    let base = rows.first().map(|r| r.len()).unwrap_or(0);
-    let tys = reg_types(&prog);
-    let mut appended = 0usize;
-    for i in 0..prog.ops.len() {
-        let ExprOp::ModelApply { args, bound, .. } = prog.ops[i].clone() else {
-            continue;
-        };
-        // Evaluate the argument registers for every row — but only the
-        // ops the arguments transitively need, not the whole prefix
-        // (sibling expressions would otherwise be evaluated per row here
-        // and again in the main pass). Ops before `i` are already
-        // rewritten (earlier splice points read appended columns), so
-        // none of them is a splice point.
-        let mut needed = vec![false; i];
-        let mut stack = args.clone();
-        while let Some(r) = stack.pop() {
-            if !needed[r] {
-                needed[r] = true;
-                stack.extend(prog.ops[r].srcs());
-            }
-        }
-        let mut scratch = Vec::with_capacity(i);
-        let mut arg_rows: Vec<Vec<Scalar>> = Vec::with_capacity(rows.len());
-        for row in &rows {
-            scratch.clear();
-            for (op, &need) in prog.ops[..i].iter().zip(&needed) {
-                let v = if need {
-                    exec_row_op(op, &scratch, row)
-                } else {
-                    Scalar::Null
-                };
-                scratch.push(v);
-            }
-            arg_rows.push(args.iter().map(|&a| scratch[a].clone()).collect());
-        }
-        // NULL arguments feed the model a placeholder (0 / ""), and their
-        // rows predict NULL.
-        let inputs: Vec<Tensor> = args
-            .iter()
-            .enumerate()
-            .map(|(j, &a)| {
-                if tys[a] == LogicalType::Str {
-                    let vals: Vec<&str> = arg_rows
-                        .iter()
-                        .map(|r| match &r[j] {
-                            Scalar::Null => "",
-                            v => v.as_str(),
-                        })
-                        .collect();
-                    Tensor::from_strings(&vals, 1)
-                } else {
-                    Tensor::from_f64(
-                        arg_rows
-                            .iter()
-                            .map(|r| if r[j].is_null() { 0.0 } else { r[j].as_f64() })
-                            .collect(),
-                    )
-                }
-            })
-            .collect();
-        let preds = run_model(&bound, &inputs);
-        let pv = preds.as_f64();
-        assert_eq!(pv.len(), rows.len(), "model output arity mismatch");
-        for ((row, args), &p) in rows.iter_mut().zip(&arg_rows).zip(pv) {
-            let null = args.iter().any(Scalar::is_null);
-            row.push(if null { Scalar::Null } else { Scalar::F64(p) });
-        }
-        prog.ops[i] = ExprOp::LoadColumn {
-            index: base + appended,
-            ty: LogicalType::Float64,
-        };
-        appended += 1;
-    }
-    (rows, prog)
-}
-
-// ---------------------------------------------------------------------
 // Artifact codec (the v2 native expression encoding)
 // ---------------------------------------------------------------------
 
@@ -1705,9 +1439,18 @@ mod tests {
     }
 
     #[test]
-    fn row_eval_matches_baseline_eval_expr() {
+    fn vectorized_eval_matches_baseline_eval_expr() {
+        // One row `[5, 'PROMO X', NULL]`: the NULL is an invalid Int64 cell.
         use tqp_baseline::eval::eval_expr;
-        let row: Row = vec![Scalar::I64(5), Scalar::Str("PROMO X".into()), Scalar::Null];
+        let row = vec![Scalar::I64(5), Scalar::Str("PROMO X".into()), Scalar::Null];
+        let b = Batch::with_validity(
+            vec![
+                Tensor::from_i64(vec![5]),
+                Tensor::from_strings(&["PROMO X"], 0),
+                Tensor::from_i64(vec![0]),
+            ],
+            vec![None, None, Some(Tensor::from_bool(vec![false]))],
+        );
         let exprs = vec![
             E::Binary {
                 op: BinOp::Add,
@@ -1730,11 +1473,13 @@ mod tests {
                 ty: LogicalType::Str,
             },
         ];
-        let prog = compile_exprs(&exprs);
-        let mut scratch = Vec::new();
-        let outs = eval_row_outputs(&prog, &row, &mut scratch);
-        for (o, e) in outs.iter().zip(&exprs) {
-            assert_eq!(*o, eval_expr(e, &row), "{e:?}");
+        let outs = eval_all(&compile_exprs(&exprs), &b);
+        for ((value, validity), e) in outs.iter().zip(&exprs) {
+            let got = match validity {
+                Some(v) if !v.as_bool()[0] => Scalar::Null,
+                _ => value.get(0),
+            };
+            assert_eq!(got, eval_expr(e, &row), "{e:?}");
         }
     }
 

@@ -10,13 +10,12 @@
 //! expression kernels ([`crate::exprfuse::bind_program`]), and run the
 //! vectorized register VM ([`crate::vm`]).
 //!
-//! **Wasm**: the same artifact interpreted the way ORT-Web runs on a
-//! browser: single-threaded, scalar (boxed values, per-row dispatch), with
-//! data copied across the "sandbox" boundary (tensor → row conversion), and
-//! an instruction-dilation factor of [`WASM_DILATION`] approximating
-//! WASM-vs-native slowdown (spec'd from typical WASM compute benchmarks).
-//! All reported numbers are real measured wall-clock of this deliberately
-//! interpretive execution — see EXPERIMENTS.md.
+//! **Wasm**: the same artifact loaded with no kernels bound, so every
+//! expression site takes the generic walk (as on Eager), and run by the
+//! same vectorized VM on one worker, the way ORT-Web runs a model in a
+//! browser: single-threaded, on the CPU whatever the configured device.
+//! The run repeats [`WASM_DILATION`] times, approximating WASM-vs-native
+//! slowdown; spans and chunk counters come from the first pass alone.
 //!
 //! The artifact names its `PREDICT` models and does not carry them, so
 //! every load binds the decoded program against the models the executor
@@ -29,16 +28,16 @@ use tqp_profile::Profiler;
 
 use crate::device::DeviceMeter;
 use crate::program::{bind_models, deserialize_program, TensorProgram};
-use crate::{exprfuse, scalar, vm, Backend, ExecConfig, Storage};
+use crate::{exprfuse, vm, Backend, Device, ExecConfig, ScanStats, Storage};
 
-/// How many times the Wasm backend interprets the program, approximating
-/// the WASM-vs-native slowdown.
+/// How many times the Wasm backend runs the program, approximating the
+/// WASM-vs-native slowdown.
 pub const WASM_DILATION: u32 = 3;
 
 /// Decode the artifact for `backend` and bind its models, charging the
 /// load to the profiler. Graph also binds the expression kernels here,
 /// once per load (and so once per run: every Graph run loads its
-/// artifact); Wasm binds none (its row walk never reads them).
+/// artifact); Wasm binds none, so it runs the generic walk.
 pub fn load_artifact(
     artifact: &Bytes,
     models: &ModelRegistry,
@@ -70,63 +69,32 @@ pub fn run_graph(
     storage: &Storage,
     profiler: &Profiler,
     cfg: ExecConfig,
-) -> (DataFrame, DeviceMeter, crate::ScanStats) {
+) -> (DataFrame, DeviceMeter, ScanStats) {
     let prog = load_artifact(artifact, models, Backend::Graph, profiler);
     vm::run_program(&prog, storage, profiler, cfg)
 }
 
-/// Execute the Wasm backend: scalar single-threaded VM over sandbox copies.
+/// Execute the Wasm backend: load (no kernels) + the vectorized VM on one
+/// CPU worker, [`WASM_DILATION`] times. Only the first pass reports spans;
+/// its result, meter and chunk counters are the run's.
 pub fn run_wasm(
     artifact: &Bytes,
     models: &ModelRegistry,
     storage: &Storage,
     profiler: &Profiler,
-) -> (DataFrame, DeviceMeter, crate::ScanStats) {
+    cfg: ExecConfig,
+) -> (DataFrame, DeviceMeter, ScanStats) {
     let prog = load_artifact(artifact, models, Backend::Wasm, profiler);
-
-    // Sandbox boundary: copy tensors into the VM's own (row) representation.
-    let start = profiler.now_us();
-    let t0 = std::time::Instant::now();
-    let mut tables = std::collections::HashMap::new();
-    for (name, src) in storage {
-        // Stored tables decode every chunk here: the sandbox boundary is
-        // a whole-table copy by design (ORT-Web ships the data in).
-        tables.insert(
-            name.clone(),
-            tqp_data::ingest::tensors_to_frame(&src.to_tensor_table()),
-        );
-    }
-    profiler.record(
-        "WasmSandboxCopy",
-        "transfer",
-        start,
-        t0.elapsed().as_micros() as u64,
-        0,
-        tables.values().map(|f| f.nrows() as u64).sum(),
-    );
-
-    // Scalar interpretation, dilated to model WASM-vs-native overhead.
-    // Per-op spans record on the first iteration only, so trace row
-    // counts are independent of the dilation factor.
-    let start = profiler.now_us();
-    let t0 = std::time::Instant::now();
-    let mut out = scalar::run_program_scalar(&prog, &tables, Some(profiler));
+    let cfg = ExecConfig {
+        device: Device::Cpu,
+        workers: 1,
+        ..cfg
+    };
+    let first = vm::run_program(&prog, storage, profiler, cfg);
     for _ in 1..WASM_DILATION {
-        out = scalar::run_program_scalar(&prog, &tables, None);
+        vm::run_program(&prog, storage, &Profiler::disabled(), cfg);
     }
-    profiler.record(
-        "WasmScalarVM",
-        "relational",
-        start,
-        t0.elapsed().as_micros() as u64,
-        out.nrows() as u64,
-        0,
-    );
-    (
-        out,
-        DeviceMeter::new(false, crate::GpuStrategy::Resident),
-        crate::ScanStats::default(),
-    )
+    first
 }
 
 #[cfg(test)]
@@ -178,14 +146,16 @@ mod tests {
         let bytes = serialize_program(&lower(&plan));
         let (models, profiler) = (ModelRegistry::new(), Profiler::new());
         let (g, _, _) = run_graph(&bytes, &models, &storage, &profiler, ExecConfig::default());
-        let (w, _, _) = run_wasm(&bytes, &models, &storage, &profiler);
+        let (w, _, _) = run_wasm(&bytes, &models, &storage, &profiler, ExecConfig::default());
         assert_eq!(g.nrows(), w.nrows());
         for i in 0..g.nrows() {
             assert_eq!(g.row(i), w.row(i));
         }
-        // The profiler saw the sandbox copy + scalar VM spans.
-        let names: Vec<String> = profiler.aggregate().into_iter().map(|s| s.name).collect();
-        assert!(names.iter().any(|n| n == "WasmSandboxCopy"));
-        assert!(names.iter().any(|n| n == "GraphLoad"));
+        // Both loads and one Wasm pass of the dilated run left spans: the
+        // scan ran once for Graph and once for Wasm's first pass.
+        let spans = profiler.aggregate();
+        let calls = |name: &str| spans.iter().find(|s| s.name == name).map(|s| s.calls);
+        assert_eq!(calls("GraphLoad"), Some(2));
+        assert_eq!(calls(&tqp_profile::op_key("Scan(t)", 0)), Some(2));
     }
 }

@@ -21,9 +21,9 @@
 //! |                     | versioned, self-describing artifact, loaded with|
 //! |                     | kernels bound and executed by the VM            |
 //! |                     | ([`graphvm`])                                   |
-//! | ORT-Web (WASM)      | [`Backend::Wasm`] — the same artifact scalar-   |
-//! |                     | interpreted row-at-a-time with simulated        |
-//! |                     | sandbox copies ([`scalar`])                     |
+//! | ORT-Web (WASM)      | [`Backend::Wasm`] — the same artifact loaded    |
+//! |                     | with no kernels and run by the VM on one worker,|
+//! |                     | dilated ([`graphvm`])                           |
 //! | CUDA device         | [`Device::GpuSim`] — kernels run on CPU for     |
 //! |                     | correctness, wall-clock is replaced by an       |
 //! |                     | analytical P100 cost model ([`device`])         |
@@ -36,7 +36,7 @@
 //! radix-partitioned, and `Sort` chunk-sorts + stable-merges — or, under a
 //! `LIMIT`, selects per morsel and merges the candidates (see [`vm`]).
 //! Results are byte-identical at every worker count; `Device::GpuSim`
-//! ignores `workers` entirely and stays sequential.
+//! and `Backend::Wasm` ignore `workers` entirely and stay sequential.
 //!
 //! Switching is one line of configuration — the paper's Figure 3:
 //!
@@ -53,7 +53,6 @@ pub mod exprprog;
 pub mod graphvm;
 pub mod join;
 pub mod program;
-pub mod scalar;
 pub mod sched;
 pub mod stored;
 pub mod viz;
@@ -83,8 +82,9 @@ pub enum Backend {
     /// the same kernels as Fused, and the vectorized VM runs it (ONNX +
     /// ORT).
     Graph,
-    /// The same artifact interpreted by a scalar, single-threaded VM with
-    /// per-operator sandbox copies (ORT-Web on WASM).
+    /// The same artifact loaded without kernels and run by the VM on one
+    /// CPU worker, repeated to model WASM-vs-native slowdown (ORT-Web on
+    /// WASM).
     Wasm,
 }
 
@@ -128,7 +128,8 @@ pub struct ExecConfig {
     /// the thread count, so outputs are byte-identical at any setting (see
     /// `ARCHITECTURE.md` "Parallel chunked execution"). On
     /// `Device::GpuSim` the knob is ignored: metered runs stay fully
-    /// sequential so modeled time is worker-independent. The aggregation
+    /// sequential so modeled time is worker-independent. `Backend::Wasm`
+    /// ignores it too and always runs on one worker. The aggregation
     /// morsel size is tunable via `TQP_AGG_MORSEL_ROWS` (read once per
     /// process); shrinking it below the default 16 Ki rows trades merge
     /// overhead for scheduling granularity without affecting determinism.
@@ -190,8 +191,8 @@ impl TableSource {
     }
 
     /// Materialize as a whole tensor table (decodes every chunk of a
-    /// stored table — the Wasm sandbox-copy path; the VM scan never
-    /// calls this).
+    /// stored table, sequentially and unpruned; the VM scan never calls
+    /// this).
     pub fn to_tensor_table(&self) -> TensorTable {
         match self {
             TableSource::Mem(t) => t.clone(),
@@ -385,7 +386,13 @@ impl Executor {
             }
             Backend::Wasm => {
                 let artifact = self.artifact.as_ref().expect("graph artifact");
-                graphvm::run_wasm(artifact, &self.program.models(), storage, profiler)
+                graphvm::run_wasm(
+                    artifact,
+                    &self.program.models(),
+                    storage,
+                    profiler,
+                    self.cfg,
+                )
             }
         };
         let wall_us = t0.elapsed().as_micros() as u64;

@@ -12,8 +12,8 @@
 //!   artifact** ([`serialize_program`]) — the reproduction's "ONNX file" —
 //!   and the standalone VM executes the deserialized program without the
 //!   compiler front-end;
-//! * the Wasm backend scalar-interprets the *same* artifact row-at-a-time
-//!   ([`crate::scalar`]), the ORT-Web analog.
+//! * the Wasm backend loads the *same* artifact with no kernels and runs
+//!   it on the VM on one worker ([`crate::graphvm`]), the ORT-Web analog.
 //!
 //! **Expressions are compiled, not embedded.** Since artifact v2, no op
 //! carries a `BoundExpr` tree: every scalar expression — filter
@@ -1146,8 +1146,8 @@ fn op_from_json(j: &Json) -> Result<ProgOp, ProgramError> {
             let conjuncts = exprprog_from_json(j.field("conjuncts")?)?;
             // Lowering never emits a conjunct-less filter (all-true
             // filters are elided); a zero-output program would diverge
-            // across backends (Eager drops every row, Fused/Wasm keep
-            // them all), so reject it at load.
+            // across backends (the generic walk drops every row, a bound
+            // kernel keeps them all), so reject it at load.
             if conjuncts.outputs.is_empty() {
                 return invalid("filter must have at least one conjunct");
             }
@@ -1579,7 +1579,8 @@ mod tests {
     fn zero_conjunct_filter_artifact_rejected() {
         // Lowering elides all-true filters, so a conjunct-less Filter can
         // only come from a corrupt artifact — and would diverge across
-        // backends (Eager: empty, Fused/Wasm: everything). Reject it.
+        // backends (generic walk: empty, bound kernel: everything).
+        // Reject it.
         let doc = r#"{"format":"tqp-tensor-program","version":2,"n_regs":2,"output":1,
             "schema":[{"qualifier":null,"name":"a","ty":"int64"}],
             "ops":[{"op":"scan","dst":0,"table":"t","projection":null},

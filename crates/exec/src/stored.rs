@@ -415,8 +415,8 @@ impl ScanSource {
     }
 }
 
-/// Materialize a whole stored table as one tensor table (the Wasm
-/// sandbox-copy and baseline-oracle path — sequential, unpruned).
+/// Materialize a whole stored table as one tensor table (the row-engine
+/// oracle's path — sequential, unpruned).
 pub fn materialize(table: &StoredTable) -> tqp_data::ingest::TensorTable {
     let cols: Vec<usize> = (0..table.schema().len()).collect();
     let mut per_col: Vec<Vec<Tensor>> = vec![Vec::new(); cols.len()];

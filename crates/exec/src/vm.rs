@@ -1,5 +1,5 @@
-//! The vectorized **register VM** — executes a [`TensorProgram`] for the
-//! Eager, Fused, and Graph backends.
+//! The vectorized **register VM** — executes a [`TensorProgram`] for all
+//! four backends.
 //!
 //! One VM, one code path (the paper's eager-vs-TorchScript axis is
 //! decided before it runs):
@@ -12,7 +12,9 @@
 //!   when the program was lowered or loaded
 //!   ([`crate::exprfuse::bind_program`]) — one chunked pass per site with
 //!   no intermediate tensors; only sites no kernel can express (CASE,
-//!   scalar functions, `PREDICT`, NULL constants) take the generic walk.
+//!   scalar functions, `PREDICT`, NULL constants) take the generic walk;
+//! * **Wasm**: no kernels, as on Eager, on one CPU worker, the run
+//!   repeated to model WASM-vs-native slowdown ([`crate::graphvm`]).
 //!
 //! **Morsel-parallel execution**: lowering leaves data-flow explicit, so
 //! the VM statically finds *pipeline segments* — a `Scan` followed by a
@@ -105,11 +107,11 @@ impl Value {
 }
 
 /// Execute a program against storage, producing the result frame, the
-/// device meter, and chunk-scan counters. Every backend that runs on this
-/// VM (Eager, Fused, Graph) runs the same code; they differ only in the
-/// kernels bound into the program's expression sites when it was lowered
-/// or loaded ([`crate::exprfuse::bind_program`]). A site without a kernel
-/// takes the generic op-at-a-time walk.
+/// device meter, and chunk-scan counters. Every backend runs the same
+/// code; they differ only in the kernels bound into the program's
+/// expression sites when it was lowered or loaded
+/// ([`crate::exprfuse::bind_program`]) and, for Wasm, in the worker count.
+/// A site without a kernel takes the generic op-at-a-time walk.
 pub fn run_program(
     prog: &TensorProgram,
     storage: &Storage,

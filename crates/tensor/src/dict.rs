@@ -11,8 +11,8 @@
 //!
 //! A coded tensor keeps the padded form's dtype (`U8`) and shape
 //! (`[n, m]`), and `Tensor::str_row(i)` reads the dictionary row of code
-//! `i`, so every row-at-a-time path — `str_at`, `get`, the scalar VM,
-//! result materialization — sees the padded bytes unchanged. Bulk kernels
+//! `i`, so every row-at-a-time path — `str_at`, `get`, result
+//! materialization — sees the padded bytes unchanged. Bulk kernels
 //! dispatch on the codes instead:
 //!
 //! * the dictionary is sorted, so **code order is byte order**: sorts,

@@ -5,7 +5,9 @@
 //!
 //! Expected shape (the paper's): TQP-CPU ≳3× over the row engine, the
 //! simulated GPU fastest with a larger win on Q6 than Q14, the web backend
-//! slowest by a wide margin, and resident-GPU ≥4× over per-op-transfer GPU.
+//! well behind TQP-CPU (one worker, each run repeated
+//! `graphvm::WASM_DILATION` times), and resident-GPU ≥4× over
+//! per-op-transfer GPU.
 //!
 //! ```bash
 //! TQP_SF=0.1 TQP_RUNS=5 cargo run --release --example figure1
@@ -74,7 +76,7 @@ fn main() {
         });
         print_row("BlazingSQL-sim (per-op transfer)", blz, spark);
 
-        // Web backend (scalar WASM-sim VM; real wall-clock).
+        // Web backend (the VM on one worker, dilated; real wall-clock).
         let web_q = session
             .compile(sql, QueryConfig::default().backend(Backend::Wasm))
             .unwrap();
@@ -82,7 +84,7 @@ fn main() {
             let _ = web_q.run(&session).unwrap();
             None
         });
-        print_row("TQP-Web (Wasm-sim scalar VM)", web, spark);
+        print_row("TQP-Web (Wasm-sim, 1 worker)", web, spark);
 
         println!("  -- shape checks --");
         println!(
@@ -98,8 +100,8 @@ fn main() {
             blz as f64 / gpu as f64
         );
         println!(
-            "  web slowdown vs Spark-sim      : {:>5.1}x slower (paper: 'quite slow')",
-            web as f64 / spark as f64
+            "  web slowdown vs TQP-CPU        : {:>5.1}x slower (paper: 'quite slow')",
+            web as f64 / cpu as f64
         );
     }
 }

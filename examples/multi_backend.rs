@@ -42,7 +42,7 @@ fn main() {
             QueryConfig::default().backend(Backend::Graph),
         ),
         (
-            "Browser (Wasm-sim VM)",
+            "Browser (Wasm-sim, 1 worker)",
             QueryConfig::default().backend(Backend::Wasm),
         ),
     ];

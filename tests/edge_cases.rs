@@ -225,7 +225,8 @@ fn wasm_backend_on_edge_inputs() {
 /// (`ak` is 4 bytes wide, `bk` 2): hashes cover the value, not the
 /// padding — on every backend and worker count. The joined rows also feed
 /// integer `/` and `%` by a zero divisor, which are NULL as on the row
-/// engine.
+/// engine, and a LEFT JOIN against the empty `e` pads every row with NULLs
+/// of the right side's width.
 #[test]
 fn string_join_keys_of_different_widths_match() {
     let mut s = Session::new();
@@ -243,6 +244,10 @@ fn string_join_keys_of_different_widths_match() {
             ("bk", strs(&["x", "yy"])),
             ("bv", Column::from_i64(vec![10, 20])),
         ]),
+    );
+    s.register_table(
+        "e",
+        df(vec![("ek", strs(&[])), ("ev", Column::from_i64(vec![]))]),
     );
     let cases = [
         ("select av, bv from a, b where ak = bk order by av", 2),
@@ -266,6 +271,11 @@ fn string_join_keys_of_different_widths_match() {
         (
             "select av from a where ak not in (select bk from b) order by av",
             1,
+        ),
+        (
+            "select av, count(ev) from a left outer join e on ak = ek \
+             group by av order by av",
+            3,
         ),
     ];
     // `x` joins `bv = 10`: its quotient and remainder are NULL.

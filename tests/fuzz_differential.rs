@@ -413,8 +413,8 @@ fn generate(rng: &mut StdRng) -> Spec {
             select.push((item, format!("c{i}")));
         }
         if distinct {
-            // DISTINCT over wide free-text rows explodes Wasm sandbox
-            // copies for no coverage gain; keep it narrow.
+            // DISTINCT over wide free-text rows costs time for no
+            // coverage gain; keep it narrow.
             select.truncate(2);
         }
     }

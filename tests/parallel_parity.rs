@@ -24,8 +24,8 @@
 //! Floats compare by **bit pattern**, not tolerance: the whole point is
 //! that parallelism must not perturb a single rounding decision.
 //!
-//! The scalar Wasm backend is single-threaded by design (`workers` has no
-//! effect there), so the suite covers the three vectorized-VM backends.
+//! The Wasm backend runs the same VM on one worker by design (`workers`
+//! has no effect there), so the suite covers the other three backends.
 
 use tqp_repro::core::{QueryConfig, Session};
 use tqp_repro::data::frame::df;

@@ -1,15 +1,16 @@
 //! Artifact round-trip differential suite: for every TPC-H query,
 //! `serialize → deserialize → run` of the lowered [`TensorProgram`] must
 //! be **byte-identical** to running the in-memory program directly — on
-//! all four backends (vectorized eager/fused for Eager+Graph, scalar for
-//! Wasm). This is the deployment guarantee behind the paper's portable
-//! artifact story (§3.2): shipping the compiled program loses nothing.
+//! all four backends (the VM without and with kernels for Eager, Fused
+//! and Graph, and the Wasm backend's own load and run). This is the
+//! deployment guarantee behind the paper's portable artifact story
+//! (§3.2): shipping the compiled program loses nothing.
 
 use tqp_repro::core::Session;
 use tqp_repro::data::tpch::{queries, TpchConfig, TpchData};
 use tqp_repro::data::DataFrame;
 use tqp_repro::exec::program::{deserialize_program, lower, serialize_program, TensorProgram};
-use tqp_repro::exec::{exprfuse, scalar, vm, ExecConfig};
+use tqp_repro::exec::{exprfuse, graphvm, vm, ExecConfig};
 use tqp_repro::ir::{compile_sql, PhysicalOptions};
 use tqp_repro::profile::Profiler;
 
@@ -69,10 +70,12 @@ fn roundtripped_artifact_is_byte_identical_on_all_backends() {
             assert_identical(n, label, &direct, &via_artifact);
         }
 
-        // ...and on the scalar row VM (the Wasm backend's interpreter).
-        let direct = scalar::run_program_scalar(&prog, s.frames(), None);
-        let via_artifact = scalar::run_program_scalar(&shipped, s.frames(), None);
-        assert_identical(n, "wasm-scalar", &direct, &via_artifact);
+        // ...and through the Wasm backend, which loads the artifact itself.
+        let cfg = ExecConfig::default();
+        let (direct, _, _) = vm::run_program(&prog, s.storage(), &profiler, cfg);
+        let (via_artifact, _, _) =
+            graphvm::run_wasm(&artifact, s.models(), s.storage(), &profiler, cfg);
+        assert_identical(n, "wasm", &direct, &via_artifact);
     }
 }
 
@@ -230,9 +233,11 @@ fn limit_rides_sort_only() {
             vm::run_program(&with_kernels(&loaded, fused), s.storage(), &profiler, cfg);
         assert_identical(3, "limit stripped", &with, &without);
     }
-    let with = scalar::run_program_scalar(&prog, s.frames(), None);
-    let without = scalar::run_program_scalar(&loaded, s.frames(), None);
-    assert_identical(3, "limit stripped, scalar", &with, &without);
+    let wasm = |p: &TensorProgram| {
+        let (artifact, cfg) = (serialize_program(p), ExecConfig::default());
+        graphvm::run_wasm(&artifact, s.models(), s.storage(), &profiler, cfg).0
+    };
+    assert_identical(3, "limit stripped, wasm", &wasm(&prog), &wasm(&loaded));
 
     let tampered = text.replacen("{\"op\":\"scan\",", "{\"op\":\"scan\",\"limit\":5,", 1);
     assert_ne!(tampered, text, "tamper point not found");

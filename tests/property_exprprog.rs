@@ -12,8 +12,6 @@
 //!   rows where the two define a node differently: an `IS NULL` operand
 //!   or `CASE` condition that is conservatively NULL where the row engine
 //!   has a value;
-//! * scalar rows: `exprprog::eval_row_outputs` against `eval_expr`
-//!   (exact `Scalar` equality, including NULL propagation);
 //! * kernels: every specialized kernel (`exprfuse`, bound the way the
 //!   Fused backend binds it) against the generic walk it replaces,
 //!   bitwise, and the dense filter mask additionally against the row
@@ -493,29 +491,6 @@ proptest! {
                 tensors_bit_equal(&compiled[k].0, &merged),
                 "morsel variance for {:?}", exprs[k]
             );
-        }
-    }
-
-    // The scalar row walk over the same flat ops matches the row
-    // engine's tree walk exactly (three-valued logic, NULL propagation).
-    #[test]
-    fn compiled_row_walk_matches_row_interpreter(seed in any::<u64>()) {
-        let mut g = Gen { rng: TestRng::new(seed) };
-        let exprs: Vec<E> = (0..3).map(|_| g.any_expr(3)).collect();
-        let batch = test_batch();
-        let rows = test_rows(&batch);
-        let prog = exprprog::compile_exprs(&exprs);
-        let mut scratch = Vec::new();
-        for row in &rows {
-            let outs = exprprog::eval_row_outputs(&prog, row, &mut scratch);
-            for (k, e) in exprs.iter().enumerate() {
-                let oracle = tqp_baseline::eval::eval_expr(e, row);
-                prop_assert_eq!(
-                    &outs[k], &oracle,
-                    "row mismatch for {:?}\nrow: {:?}\nprogram:\n{}",
-                    e, row, prog.display()
-                );
-            }
         }
     }
 

@@ -242,9 +242,9 @@ fn register_table_invalidates_under_concurrent_load() {
 
 #[test]
 fn concurrency_is_backend_agnostic() {
-    // The Wasm scalar backend serves concurrently too (its executions are
-    // single-threaded internally, but the server must interleave them
-    // safely with vectorized clients).
+    // The Wasm backend serves concurrently too (each execution runs on one
+    // worker, but the server must interleave them safely with
+    // multi-worker clients).
     let srv = server();
     let eager = QueryConfig::default().workers(2);
     let wasm = QueryConfig::default().backend(Backend::Wasm);

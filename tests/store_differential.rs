@@ -18,6 +18,7 @@ use tqp_repro::data::tpch::{TpchConfig, TpchData};
 use tqp_repro::data::{csv, DataFrame};
 use tqp_repro::exec::Backend;
 use tqp_repro::store::{store_csv, StoredTable};
+use tqp_tensor::Scalar;
 
 const CHUNK_ROWS: usize = 512;
 
@@ -109,10 +110,13 @@ const QUERIES: &[&str] = &[
      where l_shipdate < date '1901-01-01'",
 ];
 
+/// Wasm runs on one worker, so its chunk counters must be Fused's at
+/// `workers = 1`.
 #[test]
 fn stored_scans_match_memory_bitwise_all_backends() {
     let (mem, st, _) = sessions();
     for sql in QUERIES {
+        let mut fused_w1 = Vec::new();
         for backend in [
             Backend::Eager,
             Backend::Fused,
@@ -129,13 +133,68 @@ fn stored_scans_match_memory_bitwise_all_backends() {
                     let (want, _) = mem.compile(sql, cfg).unwrap().run(&mem).unwrap();
                     let (got, stats) = st.compile(sql, cfg).unwrap().run(&st).unwrap();
                     assert_bitwise(&want, &got, &ctx);
-                    if !prune && backend != Backend::Wasm {
+                    if !prune {
                         assert_eq!(stats.chunks_pruned, 0, "{ctx}: pruned while disabled");
+                    }
+                    let chunks = (prune, stats.chunks_scanned, stats.chunks_pruned);
+                    match backend {
+                        Backend::Fused if workers == 1 => fused_w1.push(chunks),
+                        Backend::Wasm => assert!(
+                            fused_w1.contains(&chunks),
+                            "{ctx}: chunk counters {chunks:?} differ from Fused at \
+                             workers=1 {fused_w1:?}"
+                        ),
+                        _ => {}
                     }
                 }
             }
         }
     }
+}
+
+/// A stored table with NULLs (a validity mask on `a`) answers the same on
+/// all four backends, bit for bit. The row engine cannot hold a NULL cell
+/// in a frame, so `sql_baseline` refuses the table with a typed error
+/// naming it instead of panicking.
+#[test]
+fn null_bearing_stored_table_agrees_on_all_backends() {
+    use tqp_repro::data::{Column, Field, LogicalType, Schema};
+    use tqp_repro::store::StoreWriter;
+    let schema = Schema::new(vec![
+        Field::new("a", LogicalType::Int64),
+        Field::new("b", LogicalType::Float64),
+    ]);
+    let path = tmpdir().join("nulls.tqps");
+    let mut w = StoreWriter::create(&path, &schema, 2).unwrap();
+    w.append_columns(
+        &[
+            Column::from_i64(vec![1, 0, 2, 7]),
+            Column::from_f64(vec![1.0, 2.0, 3.0, 4.0]),
+        ],
+        &[Some(vec![true, false, true, true]), None],
+    )
+    .unwrap();
+    let mut s = Session::new();
+    s.register_stored_table("t", Arc::new(w.finish().unwrap()));
+    let sql = "select count(a), sum(b) from t";
+    for backend in [
+        Backend::Eager,
+        Backend::Fused,
+        Backend::Graph,
+        Backend::Wasm,
+    ] {
+        let cfg = QueryConfig::default().backend(backend);
+        let (out, _) = s.compile(sql, cfg).unwrap().run(&s).unwrap();
+        assert_eq!(out.nrows(), 1, "{backend:?}");
+        assert_eq!(
+            format!("{:?}", out.row(0)),
+            format!("{:?}", [Scalar::I64(3), Scalar::F64(10.0)]),
+            "{backend:?}"
+        );
+    }
+    let err = s.sql_baseline(sql).unwrap_err();
+    assert!(err.is_retryable(), "{err}");
+    assert!(err.to_string().contains("table t"), "{err}");
 }
 
 #[test]
