@@ -31,6 +31,13 @@
 //! assert_eq!(gpu_result.column(0).get(0).as_i64(), 1);
 //! assert!(gpu_stats.gpu_modeled_us.is_some());
 //! ```
+//!
+//! Profiling — the paper's Scenario 1, "re-execute with the profiler
+//! activated" — is a traced run: compile with [`QueryConfig::trace`], and
+//! [`CompiledQuery::run_traced`] returns the run's [`QueryTrace`], whose
+//! [`QueryTrace::breakdown`] is the Figure-2 operator table and whose
+//! [`QueryTrace::chrome_trace`] is the trace TensorBoard would render.
+//! An untraced run records nothing.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -42,8 +49,7 @@ use tqp_exec::{Backend, Device, ExecConfig, Executor, GpuStrategy, Storage, Tabl
 use tqp_ir::physical::PhysicalPlan;
 use tqp_ir::{compile_query, compile_sql, Catalog, CompileError, PhysicalOptions};
 use tqp_ml::{Model, ModelRegistry};
-use tqp_obs::QueryTrace;
-use tqp_profile::Profiler;
+use tqp_obs::{QueryTrace, TraceRecorder};
 use tqp_store::StoredTable;
 use tqp_tensor::Scalar;
 
@@ -197,13 +203,12 @@ impl std::fmt::Display for TqpError {
 
 impl std::error::Error for TqpError {}
 
-/// A TQP session: tables (row + tensor form), models, catalog, profiler.
+/// A TQP session: tables (row + tensor form), models, catalog.
 pub struct Session {
     frames: HashMap<String, DataFrame>,
     storage: Storage,
     catalog: Catalog,
     models: ModelRegistry,
-    profiler: Profiler,
 }
 
 impl Default for Session {
@@ -213,14 +218,13 @@ impl Default for Session {
 }
 
 impl Session {
-    /// An empty session with profiling disabled.
+    /// An empty session.
     pub fn new() -> Session {
         Session {
             frames: HashMap::new(),
             storage: Storage::new(),
             catalog: Catalog::new(),
             models: ModelRegistry::new(),
-            profiler: Profiler::disabled(),
         }
     }
 
@@ -289,16 +293,6 @@ impl Session {
     /// Register a `PREDICT`-able model.
     pub fn register_model(&mut self, name: &str, model: Arc<dyn Model>) {
         self.models.register(name, model);
-    }
-
-    /// Enable span recording (Scenario 1: profiling/TensorBoard).
-    pub fn enable_profiling(&mut self) {
-        self.profiler = Profiler::new();
-    }
-
-    /// The session profiler (breakdowns, Chrome traces).
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
     }
 
     /// The session catalog.
@@ -531,10 +525,10 @@ pub struct RunOptions<'a> {
 /// therefore also every socket-served query), so a slow query is logged
 /// exactly once no matter which surface issued it.
 ///
-/// Tracing uses a fresh local [`Profiler`] so the trace holds only this
-/// execution's spans; when the session profiler is also enabled the spans
-/// are mirrored into it, preserving `enable_profiling` semantics. With
-/// tracing off (and no slow-query threshold crossed) nothing is allocated.
+/// A traced execution records into a [`TraceRecorder`] of its own, which
+/// becomes its trace, so the trace holds only this execution's spans, on
+/// this execution's clock. An untraced one gets no recorder: with tracing
+/// off (and no slow-query threshold crossed) nothing is allocated.
 fn run_with_obs(
     executor: &Executor,
     session: &Session,
@@ -543,29 +537,11 @@ fn run_with_obs(
     slow_ms: Option<u64>,
 ) -> (DataFrame, tqp_exec::ExecStats, Option<QueryTrace>) {
     let (frame, stats, trace) = if trace_on {
-        let local = Profiler::new();
-        let (frame, stats) = executor.run(&session.storage, &local);
-        let spans = local.spans();
-        let predict = local.predict();
-        if session.profiler.is_enabled() {
-            for s in &spans {
-                session.profiler.record_chunks(
-                    &s.name,
-                    &s.category,
-                    s.start_us,
-                    s.dur_us,
-                    s.rows,
-                    s.bytes,
-                    s.chunks,
-                );
-            }
-            for &(op, us, rows) in &predict {
-                session.profiler.record_predict(op, us, rows);
-            }
-        }
+        let rec = TraceRecorder::new();
+        let (frame, stats) = executor.run(&session.storage, Some(&rec));
         let cfg = executor.config();
         let d = &stats.simd_dispatch;
-        let mut trace = QueryTrace {
+        let trace = QueryTrace {
             trace_id: tqp_obs::next_trace_id(),
             sql: sql.to_string(),
             backend: format!("{:?}", cfg.backend),
@@ -581,28 +557,12 @@ fn run_with_obs(
                 ("reduce".to_string(), d.reduce),
                 ("decode".to_string(), d.decode),
             ],
-            spans: spans
-                .into_iter()
-                .map(|s| tqp_obs::TraceSpan {
-                    name: s.name,
-                    category: s.category,
-                    start_us: s.start_us,
-                    dur_us: s.dur_us,
-                    rows: s.rows,
-                    bytes: s.bytes,
-                    chunks: s.chunks,
-                })
-                .collect(),
-            ops: Vec::new(),
+            ..rec.into_trace()
         };
-        trace.build_ops();
-        for (op, us, rows) in predict {
-            trace.add_predict(op as u64, us, rows);
-        }
         observe_qerror(executor, &session.catalog, &trace);
         (frame, stats, Some(trace))
     } else {
-        let (frame, stats) = executor.run(&session.storage, &session.profiler);
+        let (frame, stats) = executor.run(&session.storage, None);
         (frame, stats, None)
     };
     observe_slow(sql, slow_ms, &stats, trace.as_ref());
@@ -1571,10 +1531,16 @@ mod tests {
     }
 
     #[test]
-    fn profiling_session_records() {
-        let mut s = session();
-        s.enable_profiling();
-        let _ = s.sql("select sum(v) from t").unwrap();
-        assert!(!s.profiler().spans().is_empty());
+    fn only_a_traced_run_records() {
+        let s = session();
+        let sql = "select sum(v) from t";
+        let traced = s.compile(sql, QueryConfig::default().trace(true)).unwrap();
+        let (_, _, trace) = traced.run_traced(&s).unwrap();
+        let trace = trace.expect("a traced run returns its trace");
+        assert!(!trace.spans.is_empty());
+        assert!(!trace.ops.is_empty());
+        assert!(trace.breakdown(10).contains("@op"));
+        let untraced = s.compile(sql, QueryConfig::default()).unwrap();
+        assert!(untraced.run_traced(&s).unwrap().2.is_none());
     }
 }

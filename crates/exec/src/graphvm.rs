@@ -24,7 +24,7 @@
 use bytes::Bytes;
 use tqp_data::DataFrame;
 use tqp_ml::ModelRegistry;
-use tqp_profile::Profiler;
+use tqp_obs::{TraceRecorder, TraceSpan};
 
 use crate::device::DeviceMeter;
 use crate::program::{bind_models, deserialize_program, TensorProgram};
@@ -34,31 +34,34 @@ use crate::{exprfuse, vm, Backend, Device, ExecConfig, ScanStats, Storage};
 /// WASM-vs-native slowdown.
 pub const WASM_DILATION: u32 = 3;
 
-/// Decode the artifact for `backend` and bind its models, charging the
-/// load to the profiler. Graph also binds the expression kernels here,
-/// once per load (and so once per run: every Graph run loads its
-/// artifact); Wasm binds none, so it runs the generic walk.
+/// Decode the artifact for `backend` and bind its models, recording the
+/// load as a `GraphLoad` span when the run is traced. Graph also binds
+/// the expression kernels here, once per load (and so once per run: every
+/// Graph run loads its artifact); Wasm binds none, so it runs the generic
+/// walk.
 pub fn load_artifact(
     artifact: &Bytes,
     models: &ModelRegistry,
     backend: Backend,
-    profiler: &Profiler,
+    trace: Option<&TraceRecorder>,
 ) -> TensorProgram {
-    let start = profiler.now_us();
     let t0 = std::time::Instant::now();
     let mut prog = deserialize_program(artifact).expect("artifact deserializes");
     bind_models(&mut prog, models).expect("the artifact's models were bound at compile");
     if backend == Backend::Graph {
         exprfuse::bind_program(&mut prog);
     }
-    profiler.record(
-        "GraphLoad",
-        "compile",
-        start,
-        t0.elapsed().as_micros() as u64,
-        0,
-        artifact.len() as u64,
-    );
+    if let Some(trace) = trace {
+        trace.record(TraceSpan {
+            name: "GraphLoad".to_string(),
+            category: "compile".to_string(),
+            start_us: trace.offset_us(t0),
+            dur_us: t0.elapsed().as_micros() as u64,
+            rows: 0,
+            bytes: artifact.len() as u64,
+            chunks: 0,
+        });
+    }
     prog
 }
 
@@ -67,11 +70,11 @@ pub fn run_graph(
     artifact: &Bytes,
     models: &ModelRegistry,
     storage: &Storage,
-    profiler: &Profiler,
+    trace: Option<&TraceRecorder>,
     cfg: ExecConfig,
 ) -> (DataFrame, DeviceMeter, ScanStats) {
-    let prog = load_artifact(artifact, models, Backend::Graph, profiler);
-    vm::run_program(&prog, storage, profiler, cfg)
+    let prog = load_artifact(artifact, models, Backend::Graph, trace);
+    vm::run_program(&prog, storage, trace, cfg)
 }
 
 /// Execute the Wasm backend: load (no kernels) + the vectorized VM on one
@@ -81,18 +84,18 @@ pub fn run_wasm(
     artifact: &Bytes,
     models: &ModelRegistry,
     storage: &Storage,
-    profiler: &Profiler,
+    trace: Option<&TraceRecorder>,
     cfg: ExecConfig,
 ) -> (DataFrame, DeviceMeter, ScanStats) {
-    let prog = load_artifact(artifact, models, Backend::Wasm, profiler);
+    let prog = load_artifact(artifact, models, Backend::Wasm, trace);
     let cfg = ExecConfig {
         device: Device::Cpu,
         workers: 1,
         ..cfg
     };
-    let first = vm::run_program(&prog, storage, profiler, cfg);
+    let first = vm::run_program(&prog, storage, trace, cfg);
     for _ in 1..WASM_DILATION {
-        vm::run_program(&prog, storage, &Profiler::disabled(), cfg);
+        vm::run_program(&prog, storage, None, cfg);
     }
     first
 }
@@ -144,18 +147,18 @@ mod tests {
         )
         .unwrap();
         let bytes = serialize_program(&lower(&plan));
-        let (models, profiler) = (ModelRegistry::new(), Profiler::new());
-        let (g, _, _) = run_graph(&bytes, &models, &storage, &profiler, ExecConfig::default());
-        let (w, _, _) = run_wasm(&bytes, &models, &storage, &profiler, ExecConfig::default());
+        let (models, rec) = (ModelRegistry::new(), TraceRecorder::new());
+        let (g, _, _) = run_graph(&bytes, &models, &storage, Some(&rec), ExecConfig::default());
+        let (w, _, _) = run_wasm(&bytes, &models, &storage, Some(&rec), ExecConfig::default());
         assert_eq!(g.nrows(), w.nrows());
         for i in 0..g.nrows() {
             assert_eq!(g.row(i), w.row(i));
         }
         // Both loads and one Wasm pass of the dilated run left spans: the
         // scan ran once for Graph and once for Wasm's first pass.
-        let spans = profiler.aggregate();
-        let calls = |name: &str| spans.iter().find(|s| s.name == name).map(|s| s.calls);
-        assert_eq!(calls("GraphLoad"), Some(2));
-        assert_eq!(calls(&tqp_profile::op_key("Scan(t)", 0)), Some(2));
+        let spans = rec.into_trace().spans;
+        let calls = |name: &str| spans.iter().filter(|s| s.name == name).count();
+        assert_eq!(calls("GraphLoad"), 2);
+        assert_eq!(calls(&tqp_obs::op_key("Scan(t)", 0)), 2);
     }
 }

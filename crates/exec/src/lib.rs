@@ -65,7 +65,7 @@ use tqp_data::ingest::TensorTable;
 use tqp_data::DataFrame;
 use tqp_ir::physical::PhysicalPlan;
 use tqp_ml::ModelRegistry;
-use tqp_profile::Profiler;
+use tqp_obs::TraceRecorder;
 use tqp_store::StoredTable;
 
 /// Execution backend (the paper's lowering targets, §2.2).
@@ -365,34 +365,22 @@ impl Executor {
         self.artifact.as_ref().map(|b| b.len())
     }
 
-    /// Execute against tensor storage, recording spans into the profiler.
-    /// Returns the materialized result and stats.
-    pub fn run(&self, storage: &Storage, profiler: &Profiler) -> (DataFrame, ExecStats) {
+    /// Execute against tensor storage, recording spans into `trace` when
+    /// the run is traced. Returns the materialized result and stats.
+    pub fn run(&self, storage: &Storage, trace: Option<&TraceRecorder>) -> (DataFrame, ExecStats) {
         let simd_before = tqp_tensor::simd::counters();
         let t0 = std::time::Instant::now();
         let (frame, meter, scans) = match self.cfg.backend {
             Backend::Eager | Backend::Fused => {
-                vm::run_program(&self.program, storage, profiler, self.cfg)
+                vm::run_program(&self.program, storage, trace, self.cfg)
             }
             Backend::Graph => {
                 let artifact = self.artifact.as_ref().expect("graph artifact");
-                graphvm::run_graph(
-                    artifact,
-                    &self.program.models(),
-                    storage,
-                    profiler,
-                    self.cfg,
-                )
+                graphvm::run_graph(artifact, &self.program.models(), storage, trace, self.cfg)
             }
             Backend::Wasm => {
                 let artifact = self.artifact.as_ref().expect("graph artifact");
-                graphvm::run_wasm(
-                    artifact,
-                    &self.program.models(),
-                    storage,
-                    profiler,
-                    self.cfg,
-                )
+                graphvm::run_wasm(artifact, &self.program.models(), storage, trace, self.cfg)
             }
         };
         let wall_us = t0.elapsed().as_micros() as u64;

@@ -228,7 +228,7 @@ impl ProgOp {
         }
     }
 
-    /// Profiler/display name, matching the plan-walk interpreter's
+    /// Span/display name, matching the plan-walk interpreter's
     /// operator names where an equivalent existed.
     pub fn name(&self) -> String {
         match self {
@@ -1532,12 +1532,8 @@ mod tests {
             ("s", tqp_data::Column::from_str(vec!["x".into(); 3])),
         ]);
         let storage = crate::ingest_tables(&[("t".to_string(), frame)].into());
-        let (out, _, _) = crate::vm::run_program(
-            &back,
-            &storage,
-            &tqp_profile::Profiler::disabled(),
-            crate::ExecConfig::default(),
-        );
+        let (out, _, _) =
+            crate::vm::run_program(&back, &storage, None, crate::ExecConfig::default());
         assert_eq!(out.nrows(), 2);
         assert_eq!(out.row(0), vec![Scalar::I64(2), Scalar::I64(2)]);
         // The op the sort-merge join lowered to is gone: an artifact that

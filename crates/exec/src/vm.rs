@@ -59,7 +59,7 @@ use std::time::Instant;
 
 use tqp_data::{DataFrame, LogicalType};
 use tqp_ir::plan::ColMeta;
-use tqp_profile::{op_key, op_key_par, Profiler};
+use tqp_obs::{op_key, TraceRecorder, TraceSpan};
 use tqp_tensor::index::{arange, mask_to_indices};
 use tqp_tensor::sort::{
     argsort_multi, argsort_range, merge_runs, topk_merge, topk_range, Order, SortKey as TSortKey,
@@ -107,7 +107,8 @@ impl Value {
 }
 
 /// Execute a program against storage, producing the result frame, the
-/// device meter, and chunk-scan counters. Every backend runs the same
+/// device meter, and chunk-scan counters; a traced run records its spans
+/// into `trace`. Every backend runs the same
 /// code; they differ only in the kernels bound into the program's
 /// expression sites when it was lowered or loaded
 /// ([`crate::exprfuse::bind_program`]) and, for Wasm, in the worker count.
@@ -115,13 +116,13 @@ impl Value {
 pub fn run_program(
     prog: &TensorProgram,
     storage: &Storage,
-    profiler: &Profiler,
+    trace: Option<&TraceRecorder>,
     cfg: ExecConfig,
 ) -> (DataFrame, DeviceMeter, ScanStats) {
     let mut meter = DeviceMeter::new(cfg.device == Device::GpuSim, cfg.gpu_strategy);
     let cx = Vm {
         storage,
-        profiler,
+        trace,
         prune: cfg.prune_scans,
         workers: cfg.workers.max(1),
         chunks_scanned: AtomicU64::new(0),
@@ -138,7 +139,8 @@ pub fn run_program(
 /// VM context: immutable inputs shared by worker threads.
 struct Vm<'a> {
     storage: &'a Storage,
-    profiler: &'a Profiler,
+    /// The run's recorder; `None` when it is untraced.
+    trace: Option<&'a TraceRecorder>,
     /// Zone-map chunk pruning enabled (stored tables only).
     prune: bool,
     workers: usize,
@@ -263,28 +265,48 @@ impl Vm<'_> {
         }
     }
 
-    /// Run one morsel through the element-wise chain `ops[start+1..end]`.
+    /// Run one morsel through the element-wise chain `ops[start+1..end]`,
+    /// with one sample per chain op.
     fn run_chain_morsel(
         &self,
         prog: &TensorProgram,
         start: usize,
         end: usize,
         mut batch: Batch,
-        samples: &mut [Vec<OpSample>],
-    ) -> Batch {
+    ) -> (Batch, Vec<OpSample>) {
         // Morsel boundary: each worker checks its query's token before
         // pushing another morsel through the chain.
         crate::sched::check_cancelled();
+        let mut samples = Vec::with_capacity(end - start - 1);
         for (k, op) in prog.ops[start + 1..end].iter().enumerate() {
             let t0 = Instant::now();
             batch = self.charged(start + 1 + k, || self.apply_elementwise(op, batch));
-            samples[k].push((
+            samples.push((
                 t0.elapsed().as_micros() as u64,
                 batch.nrows() as u64,
                 batch.nbytes() as u64,
             ));
         }
-        batch
+        (batch, samples)
+    }
+
+    /// Record one span per chain op `ops[start+1..end]` from its samples
+    /// over all morsels: duration is worker time summed over morsels,
+    /// rows and bytes the op's output.
+    fn record_chain(
+        &self,
+        prog: &TensorProgram,
+        start: usize,
+        end: usize,
+        t0: Instant,
+        morsels: &[Vec<OpSample>],
+    ) {
+        for (k, op) in prog.ops[start + 1..end].iter().enumerate() {
+            let sum = morsels.iter().fold((0, 0, 0), |acc, m| {
+                (acc.0 + m[k].0, acc.1 + m[k].1, acc.2 + m[k].2)
+            });
+            self.record(start + 1 + k, op, t0, sum, morsels.len());
+        }
     }
 
     /// Partition-parallel segment execution: split, run chain per morsel,
@@ -305,52 +327,25 @@ impl Vm<'_> {
             .min(n.div_ceil(PAR_SEGMENT_MIN_ROWS / 2))
             .max(1);
         let chunk_len = n.div_ceil(n_chunks);
-        let chain_len = end - start - 1;
-        let start_us = self.profiler.now_us();
+        let t0 = Instant::now();
 
         // Chunk tasks go to the shared pool scheduler: at most
         // `self.workers` threads execute them (caller included), and
         // concurrent queries share the same pool instead of spawning
         // their own threads.
         let scanned = &scanned;
-        let results: Vec<(Batch, Vec<Vec<OpSample>>)> =
+        let (parts, samples): (Vec<Batch>, Vec<Vec<OpSample>>) =
             crate::sched::map_tasks(n_chunks, self.workers, |c| {
                 let lo = c * chunk_len;
                 let hi = ((c + 1) * chunk_len).min(n);
                 // Slice inside the worker so morsel materialization is
                 // itself parallel, not a sequential prefix.
-                let morsel = scanned.slice_rows(lo, hi);
-                let mut samples: Vec<Vec<OpSample>> = vec![Vec::new(); chain_len];
-                let out = self.run_chain_morsel(prog, start, end, morsel, &mut samples);
-                (out, samples)
-            });
-
-        let mut parts = Vec::with_capacity(n_chunks);
-        let mut merged: Vec<Vec<OpSample>> = vec![Vec::new(); chain_len];
-        for r in results {
-            parts.push(r.0);
-            for (k, s) in r.1.into_iter().enumerate() {
-                merged[k].extend(s);
-            }
-        }
+                self.run_chain_morsel(prog, start, end, scanned.slice_rows(lo, hi))
+            })
+            .into_iter()
+            .unzip();
         let out = Batch::vcat_all(parts);
-
-        // One span per op, keyed by program index; rows/bytes summed over
-        // morsels, duration = summed worker CPU time for that op.
-        for (k, op) in prog.ops[start + 1..end].iter().enumerate() {
-            let (dur, rows, bytes) = merged[k]
-                .iter()
-                .fold((0, 0, 0), |acc, s| (acc.0 + s.0, acc.1 + s.1, acc.2 + s.2));
-            self.profiler.record_chunks(
-                &op_key_par(&op.name(), start + 1 + k),
-                "relational",
-                start_us,
-                dur,
-                rows,
-                bytes,
-                n_chunks as u64,
-            );
-        }
+        self.record_chain(prog, start, end, t0, &samples);
         out
     }
 
@@ -376,8 +371,7 @@ impl Vm<'_> {
         let n_orig = layout.original_rows;
         let morsel_rows = agg::par_morsel_rows();
         let n_morsels = n_orig.div_ceil(morsel_rows);
-        let chain_len = chain_end - start - 1;
-        let start_us = self.profiler.now_us();
+        let t0 = Instant::now();
 
         let scanned = &scanned;
         let (out, samples) =
@@ -385,32 +379,9 @@ impl Vm<'_> {
                 let lo = m * morsel_rows;
                 let hi = ((m + 1) * morsel_rows).min(n_orig);
                 let (lo, hi) = layout.project(lo, hi);
-                let morsel = scanned.slice_rows(lo, hi);
-                let mut samples: Vec<Vec<OpSample>> = vec![Vec::new(); chain_len];
-                let out = self.run_chain_morsel(prog, start, chain_end, morsel, &mut samples);
-                (out, samples)
+                self.run_chain_morsel(prog, start, chain_end, scanned.slice_rows(lo, hi))
             });
-
-        let mut merged: Vec<Vec<OpSample>> = vec![Vec::new(); chain_len];
-        for morsel in samples {
-            for (k, s) in morsel.into_iter().enumerate() {
-                merged[k].extend(s);
-            }
-        }
-        for (k, op) in prog.ops[start + 1..chain_end].iter().enumerate() {
-            let (dur, rows, bytes) = merged[k]
-                .iter()
-                .fold((0, 0, 0), |acc, s| (acc.0 + s.0, acc.1 + s.1, acc.2 + s.2));
-            self.profiler.record_chunks(
-                &op_key_par(&op.name(), start + 1 + k),
-                "relational",
-                start_us,
-                dur,
-                rows,
-                bytes,
-                n_morsels as u64,
-            );
-        }
+        self.record_chain(prog, start, chain_end, t0, &samples);
         out
     }
 
@@ -431,19 +402,12 @@ impl Vm<'_> {
         let ProgOp::GroupedReduce { reduce, .. } = op else {
             panic!("op {} is not a reduction", op.name());
         };
-        let start_us = self.profiler.now_us();
+        let t0 = Instant::now();
         let (out, extras, busy_us) = self.charged(idx, || {
             agg::aggregate_morsels(n_morsels, morsel, shape, reduce, self.workers)
         });
-        self.profiler.record_chunks(
-            &op_key_par(&op.name(), idx),
-            "relational",
-            start_us,
-            busy_us,
-            out.nrows() as u64,
-            out.nbytes() as u64,
-            n_morsels as u64,
-        );
+        let sample = (busy_us, out.nrows() as u64, out.nbytes() as u64);
+        self.record(idx, op, t0, sample, n_morsels);
         (out, extras)
     }
 
@@ -510,7 +474,6 @@ impl Vm<'_> {
         else {
             panic!("segment must start with a scan");
         };
-        let start = self.profiler.now_us();
         let t0 = Instant::now();
         let src = self
             .storage
@@ -567,28 +530,22 @@ impl Vm<'_> {
             ScanSource::Stream(s) => (s.nrows() as u64, 0),
         };
         meter.op(kernel_count("Scan", 0), 0, bytes);
-        self.profiler.record(
-            &op_key(&op.name(), idx),
-            "relational",
-            start,
-            t0.elapsed().as_micros() as u64,
-            rows,
-            bytes as u64,
-        );
+        let sample = (t0.elapsed().as_micros() as u64, rows, bytes as u64);
+        self.record(idx, op, t0, sample, 0);
         (out, layout)
     }
 
     /// Run `f` charging the PREDICT work inside it — on any thread — to
     /// program op `idx` (traced runs only; see [`crate::sched::PredictTally`]).
     fn charged<T>(&self, idx: usize, f: impl FnOnce() -> T) -> T {
-        if !self.profiler.is_enabled() {
+        let Some(trace) = self.trace else {
             return f();
-        }
+        };
         let tally = Arc::new(PredictTally::default());
         let out = crate::sched::with_predict_tally(&tally, f);
         let (us, rows) = tally.get();
         if rows > 0 {
-            self.profiler.record_predict(idx, us, rows);
+            trace.record_predict(idx, us, rows);
         }
         out
     }
@@ -623,7 +580,6 @@ impl Vm<'_> {
                     .expect("src register live")
                     .batch()
                     .clone();
-                let start = self.profiler.now_us();
                 let t0 = Instant::now();
                 let in_bytes = child.nbytes();
                 let out = self.apply_filter(conjuncts, keep.as_deref(), child);
@@ -632,12 +588,11 @@ impl Vm<'_> {
                     in_bytes,
                     out.nbytes(),
                 );
-                self.span(&op_key(&op.name(), idx), start, t0, &out);
+                self.span(idx, op, t0, &out);
                 regs[*dst] = Some(Value::Batch(out));
             }
             ProgOp::Project { dst, src, exprs } => {
                 let child = regs[*src].as_ref().expect("src register live").batch();
-                let start = self.profiler.now_us();
                 let t0 = Instant::now();
                 let in_bytes = child.nbytes();
                 let out = self.apply_project(exprs, child);
@@ -646,7 +601,7 @@ impl Vm<'_> {
                     in_bytes,
                     out.nbytes(),
                 );
-                self.span(&op_key(&op.name(), idx), start, t0, &out);
+                self.span(idx, op, t0, &out);
                 regs[*dst] = Some(Value::Batch(out));
             }
             ProgOp::HashBuild {
@@ -656,7 +611,6 @@ impl Vm<'_> {
                 distinct,
             } => {
                 let build = regs[*src].as_ref().expect("src register live").batch();
-                let start = self.profiler.now_us();
                 let t0 = Instant::now();
                 let in_bytes: usize = keys.iter().map(|&k| build.columns[k].nbytes()).sum();
                 let table = join::build_table_par(
@@ -671,14 +625,12 @@ impl Vm<'_> {
                     in_bytes,
                     entries * 12,
                 );
-                self.profiler.record(
-                    &op_key(&op.name(), idx),
-                    "relational",
-                    start,
+                let sample = (
                     t0.elapsed().as_micros() as u64,
                     build.nrows() as u64,
                     (entries * 12) as u64,
                 );
+                self.record(idx, op, t0, sample, 0);
                 regs[*dst] = Some(Value::Table(table));
             }
             ProgOp::HashProbe {
@@ -694,7 +646,6 @@ impl Vm<'_> {
                 let t = regs[*table].as_ref().expect("table register live").table();
                 let l = regs[*left].as_ref().expect("left register live").batch();
                 let r = regs[*right].as_ref().expect("right register live").batch();
-                let start = self.profiler.now_us();
                 let t0 = Instant::now();
                 let in_bytes = l.nbytes() + r.nbytes();
                 let out = join::probe_table(
@@ -708,18 +659,17 @@ impl Vm<'_> {
                     *build_left,
                 );
                 meter.op(kernel_count("HashProbe", on.len()), in_bytes, out.nbytes());
-                self.span(&op_key(&op.name(), idx), start, t0, &out);
+                self.span(idx, op, t0, &out);
                 regs[*dst] = Some(Value::Batch(out));
             }
             ProgOp::CrossJoin { dst, left, right } => {
                 let l = regs[*left].as_ref().expect("left register live").batch();
                 let r = regs[*right].as_ref().expect("right register live").batch();
-                let start = self.profiler.now_us();
                 let t0 = Instant::now();
                 let in_bytes = l.nbytes() + r.nbytes();
                 let out = join::cross_join(l, r);
                 meter.op(kernel_count("CrossJoin", 0), in_bytes, out.nbytes());
-                self.span(&op_key(&op.name(), idx), start, t0, &out);
+                self.span(idx, op, t0, &out);
                 regs[*dst] = Some(Value::Batch(out));
             }
             ProgOp::GroupedReduce {
@@ -745,10 +695,9 @@ impl Vm<'_> {
                             .0
                     }
                     None => {
-                        let start = self.profiler.now_us();
                         let t0 = Instant::now();
                         let out = agg::aggregate(child, reduce);
-                        self.span(&op_key(&op.name(), idx), start, t0, &out);
+                        self.span(idx, op, t0, &out);
                         out
                     }
                 };
@@ -767,7 +716,6 @@ impl Vm<'_> {
                 limit,
             } => {
                 let child = regs[*src].as_ref().expect("src register live").batch();
-                let start = self.profiler.now_us();
                 let t0 = Instant::now();
                 let in_bytes = child.nbytes();
                 let tensor_keys: Vec<TSortKey> = exprfuse::eval_all(keys, child)
@@ -796,31 +744,52 @@ impl Vm<'_> {
                     in_bytes,
                     out.nbytes(),
                 );
-                self.span(&op_key(&op.name(), idx), start, t0, &out);
+                self.span(idx, op, t0, &out);
                 regs[*dst] = Some(Value::Batch(out));
             }
             ProgOp::Limit { dst, src, n } => {
                 let child = regs[*src].as_ref().expect("src register live").batch();
-                let start = self.profiler.now_us();
                 let t0 = Instant::now();
                 let k = (*n).min(child.nrows());
                 let out = child.take(&arange(0, k as i64));
                 meter.op(kernel_count("Limit", 0), 0, out.nbytes());
-                self.span(&op_key(&op.name(), idx), start, t0, &out);
+                self.span(idx, op, t0, &out);
                 regs[*dst] = Some(Value::Batch(out));
             }
         }
     }
 
-    fn span(&self, name: &str, start: u64, t0: Instant, out: &Batch) {
-        self.profiler.record(
-            name,
-            "relational",
-            start,
+    /// Record op `idx`'s span, begun at `t0` over `chunks` morsels (0 when
+    /// it ran sequentially), when the run is traced.
+    fn record(
+        &self,
+        idx: usize,
+        op: &ProgOp,
+        t0: Instant,
+        (dur_us, rows, bytes): OpSample,
+        chunks: usize,
+    ) {
+        if let Some(trace) = self.trace {
+            trace.record(TraceSpan {
+                name: op_key(&op.name(), idx),
+                category: "relational".to_string(),
+                start_us: trace.offset_us(t0),
+                dur_us,
+                rows,
+                bytes,
+                chunks: chunks as u64,
+            });
+        }
+    }
+
+    /// Record a sequential op's span: from `t0` to now, producing `out`.
+    fn span(&self, idx: usize, op: &ProgOp, t0: Instant, out: &Batch) {
+        let sample = (
             t0.elapsed().as_micros() as u64,
             out.nrows() as u64,
             out.nbytes() as u64,
         );
+        self.record(idx, op, t0, sample, 0);
     }
 }
 
@@ -1008,8 +977,7 @@ mod tests {
         if fused {
             crate::exprfuse::bind_program(&mut prog);
         }
-        let profiler = Profiler::disabled();
-        let (out, _, _) = run_program(&prog, &storage, &profiler, ExecConfig::default());
+        let (out, _, _) = run_program(&prog, &storage, None, ExecConfig::default());
         out
     }
 
@@ -1058,7 +1026,7 @@ mod tests {
     }
 
     #[test]
-    fn profiler_spans_keyed_by_op_index() {
+    fn spans_keyed_by_op_index() {
         let (storage, catalog) = setup();
         let plan = compile_sql(
             "select grp, sum(v) from t group by grp",
@@ -1067,9 +1035,9 @@ mod tests {
         )
         .unwrap();
         let prog = lower(&plan);
-        let profiler = Profiler::new();
-        let _ = run_program(&prog, &storage, &profiler, ExecConfig::default());
-        let names: Vec<String> = profiler.aggregate().into_iter().map(|s| s.name).collect();
+        let rec = TraceRecorder::new();
+        let _ = run_program(&prog, &storage, Some(&rec), ExecConfig::default());
+        let names: Vec<String> = rec.into_trace().spans.into_iter().map(|s| s.name).collect();
         assert!(names.iter().any(|n| n.starts_with("Scan")), "{names:?}");
         assert!(names.iter().any(|n| n.contains("Aggregate")), "{names:?}");
         // Spans are keyed by program op index.
@@ -1082,12 +1050,11 @@ mod tests {
         let plan =
             compile_sql("select id from t where v > 0.0", &catalog, &PhysicalOptions).unwrap();
         let prog = lower(&plan);
-        let profiler = Profiler::disabled();
         let cfg = ExecConfig {
             device: Device::GpuSim,
             ..Default::default()
         };
-        let (_, meter, _) = run_program(&prog, &storage, &profiler, cfg);
+        let (_, meter, _) = run_program(&prog, &storage, None, cfg);
         assert!(meter.total_us() > 0);
     }
 
@@ -1114,7 +1081,6 @@ mod tests {
         )
         .unwrap();
         let prog = lower(&plan);
-        let profiler = Profiler::disabled();
         let seq_cfg = ExecConfig {
             workers: 1,
             ..Default::default()
@@ -1123,8 +1089,8 @@ mod tests {
             workers: 4,
             ..Default::default()
         };
-        let (seq, _, _) = run_program(&prog, &storage, &profiler, seq_cfg);
-        let (par, _, _) = run_program(&prog, &storage, &profiler, par_cfg);
+        let (seq, _, _) = run_program(&prog, &storage, None, seq_cfg);
+        let (par, _, _) = run_program(&prog, &storage, None, par_cfg);
         assert_eq!(seq.nrows(), par.nrows());
         for i in 0..seq.nrows() {
             assert_eq!(seq.row(i), par.row(i), "row {i}");
@@ -1159,7 +1125,6 @@ mod tests {
         )
         .unwrap();
         let prog = lower(&plan);
-        let profiler = Profiler::disabled();
         let mut frames = Vec::new();
         for workers in [1usize, 4, 7] {
             let cfg = ExecConfig {
@@ -1171,7 +1136,7 @@ mod tests {
                 if fused {
                     crate::exprfuse::bind_program(&mut prog);
                 }
-                let (out, _, _) = run_program(&prog, &storage, &profiler, cfg);
+                let (out, _, _) = run_program(&prog, &storage, None, cfg);
                 frames.push((workers, fused, out));
             }
         }
@@ -1210,13 +1175,12 @@ mod tests {
         )
         .unwrap();
         let prog = lower(&plan);
-        let profiler = Profiler::disabled();
         for workers in [1usize, 4] {
             let cfg = ExecConfig {
                 workers,
                 ..Default::default()
             };
-            let (out, _, _) = run_program(&prog, &storage, &profiler, cfg);
+            let (out, _, _) = run_program(&prog, &storage, None, cfg);
             assert_eq!(out.nrows(), 1, "workers={workers}");
             assert_eq!(out.column(0).get(0).as_i64(), 0);
             assert_eq!(out.column(1).get(0).as_f64(), 0.0);

@@ -14,15 +14,20 @@
 //! The registry is always on.
 //!
 //! The crate also owns the cross-layer observability plumbing that must
-//! be shared between `tqp-core` and `tqp-net` without a dependency cycle:
-//! the [`QueryTrace`] document (JSON round-trippable through `tqp-json`
-//! so it can ride the wire), the global [slow-query ring buffer]
-//! (`record_slow_query`), and the process trace-id counter.
+//! be shared between `tqp-exec`, `tqp-core` and `tqp-net` without a
+//! dependency cycle: the [`TraceRecorder`] a traced run records its
+//! operator spans into, the [`QueryTrace`] document it becomes (the
+//! Figure-2 [`QueryTrace::breakdown`], the Chrome-trace export
+//! [`QueryTrace::chrome_trace`] of the paper's TensorBoard Scenario 1, and
+//! JSON round-trippable through `tqp-json` so it can ride the wire), the
+//! global [slow-query ring buffer] (`record_slow_query`), and the process
+//! trace-id counter.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 use tqp_json::{Json, JsonError};
 
@@ -448,21 +453,44 @@ pub fn next_trace_id() -> u64 {
     NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// One profiler span carried inside a [`QueryTrace`].
+/// Canonical span key for a program operator: `{name}@op{idx}`. Spans
+/// are keyed by the op's **program index**, so the same logical operator
+/// appearing twice in a program folds separately, and the key never
+/// embeds a morsel count, so an operator keeps one key across worker
+/// counts and batch sizes (the count rides in [`TraceSpan::chunks`]).
+pub fn op_key(name: &str, idx: usize) -> String {
+    format!("{name}@op{idx}")
+}
+
+/// Split a span key made by [`op_key`] into the operator name and its
+/// program index (`HashProbe@op3` → `("HashProbe", 3)`). Returns `None`
+/// for non-operator spans such as `GraphLoad`.
+fn parse_op_key(span_name: &str) -> Option<(&str, u64)> {
+    let (name, idx) = span_name.rsplit_once("@op")?;
+    Some((name, idx.parse().ok()?))
+}
+
+/// One span of a traced run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSpan {
+    /// Operator key (`Filter@op2`, see [`op_key`]) or a phase name
+    /// (`GraphLoad`).
     pub name: String,
+    /// Coarse category (`relational`, `compile`).
     pub category: String,
+    /// Start, microseconds after the run's recorder was made.
     pub start_us: u64,
     pub dur_us: u64,
+    /// Output rows produced (0 when not applicable).
     pub rows: u64,
+    /// Bytes moved or produced.
     pub bytes: u64,
     /// Morsel/chunk count for parallel segment spans (0 = sequential).
     pub chunks: u64,
 }
 
 /// Per-program-op attribution row: spans keyed `…@op{idx}` summed by op.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpTrace {
     pub op_index: u64,
     pub name: String,
@@ -495,54 +523,124 @@ pub struct QueryTrace {
     pub ops: Vec<OpTrace>,
 }
 
-/// Parse the program-op index out of a stable span key
-/// (`HashProbe@op3` → 3). Returns `None` for non-operator spans.
-pub fn op_index_of(span_name: &str) -> Option<u64> {
-    let (_, idx) = span_name.rsplit_once("@op")?;
-    idx.parse().ok()
+/// The recorder of one traced run. The executor records each operator's
+/// span into it, and charges the `PREDICT` work inside an op to that op,
+/// on one clock that starts when the recorder is made;
+/// [`TraceRecorder::into_trace`] turns it into the run's [`QueryTrace`].
+/// An untraced run is given no recorder, so it records nothing.
+pub struct TraceRecorder {
+    epoch: Instant,
+    spans: Mutex<Vec<TraceSpan>>,
+    /// `PREDICT` work per program op index: `(µs, rows)`. It happens
+    /// inside the op's own span, so it waits here until `into_trace`
+    /// charges it to the op's row.
+    predict: Mutex<BTreeMap<u64, (u64, u64)>>,
+}
+
+impl Default for TraceRecorder {
+    fn default() -> TraceRecorder {
+        TraceRecorder::new()
+    }
+}
+
+impl TraceRecorder {
+    pub fn new() -> TraceRecorder {
+        TraceRecorder {
+            epoch: Instant::now(),
+            spans: Mutex::new(Vec::new()),
+            predict: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// Microseconds from the recorder's start to `t` (a span's
+    /// `start_us`).
+    pub fn offset_us(&self, t: Instant) -> u64 {
+        t.saturating_duration_since(self.epoch).as_micros() as u64
+    }
+
+    pub fn record(&self, span: TraceSpan) {
+        self.spans.lock().unwrap().push(span);
+    }
+
+    /// Charge `PREDICT` work — model µs and rows scored — to program op
+    /// `op`. Charges to one op add up.
+    pub fn record_predict(&self, op: usize, us: u64, rows: u64) {
+        let mut predict = self.predict.lock().unwrap();
+        let e = predict.entry(op as u64).or_default();
+        e.0 += us;
+        e.1 += rows;
+    }
+
+    /// The run's trace: its spans, folded into one [`OpTrace`] row per
+    /// program op with the op's `PREDICT` charges. The caller fills in
+    /// the run-level fields.
+    pub fn into_trace(self) -> QueryTrace {
+        let spans = self.spans.into_inner().unwrap();
+        let mut by_op: BTreeMap<u64, OpTrace> = BTreeMap::new();
+        for span in &spans {
+            let Some((name, idx)) = parse_op_key(&span.name) else {
+                continue;
+            };
+            let op = by_op.entry(idx).or_insert_with(|| OpTrace {
+                op_index: idx,
+                name: name.to_string(),
+                ..OpTrace::default()
+            });
+            op.calls += 1;
+            op.total_us += span.dur_us;
+            op.rows += span.rows;
+            op.bytes += span.bytes;
+        }
+        for (idx, (us, rows)) in self.predict.into_inner().unwrap() {
+            if let Some(op) = by_op.get_mut(&idx) {
+                op.predict_us += us;
+                op.predict_rows += rows;
+            }
+        }
+        QueryTrace {
+            spans,
+            ops: by_op.into_values().collect(),
+            ..QueryTrace::default()
+        }
+    }
+}
+
+fn wrong_type(key: &str, want: &str) -> JsonError {
+    JsonError {
+        message: format!("field {key:?} is not {want}"),
+    }
+}
+
+/// Required integer field, read back as the `u64` `to_json` wrote.
+fn u64_field(doc: &Json, key: &str) -> Result<u64, JsonError> {
+    doc.field(key)?
+        .as_i64()
+        .map(|v| v as u64)
+        .ok_or_else(|| wrong_type(key, "an integer"))
+}
+
+/// Integer field that may be absent (0 then).
+fn opt_u64_field(doc: &Json, key: &str) -> Result<u64, JsonError> {
+    match doc.get(key) {
+        None => Ok(0),
+        Some(_) => u64_field(doc, key),
+    }
+}
+
+fn str_field(doc: &Json, key: &str) -> Result<String, JsonError> {
+    doc.field(key)?
+        .as_str()
+        .map(str::to_string)
+        .ok_or_else(|| wrong_type(key, "a string"))
+}
+
+fn arr_field<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], JsonError> {
+    doc.field(key)?
+        .as_arr()
+        .ok_or_else(|| wrong_type(key, "an array"))
 }
 
 impl QueryTrace {
-    /// Fold the span list into per-op attribution rows, ordered by op
-    /// index. Spans without an `@op{idx}` key are left out.
-    pub fn build_ops(&mut self) {
-        let mut by_op: BTreeMap<u64, OpTrace> = BTreeMap::new();
-        for span in &self.spans {
-            let Some(idx) = op_index_of(&span.name) else {
-                continue;
-            };
-            let name = span
-                .name
-                .rsplit_once("@op")
-                .map(|(n, _)| n.to_string())
-                .unwrap_or_default();
-            let entry = by_op.entry(idx).or_insert_with(|| OpTrace {
-                op_index: idx,
-                name,
-                calls: 0,
-                total_us: 0,
-                rows: 0,
-                bytes: 0,
-                predict_us: 0,
-                predict_rows: 0,
-            });
-            entry.calls += 1;
-            entry.total_us += span.dur_us;
-            entry.rows += span.rows;
-            entry.bytes += span.bytes;
-        }
-        self.ops = by_op.into_values().collect();
-    }
-
-    /// Charge `PREDICT` work (model µs, rows scored) to the op at
-    /// `op_index`, after [`QueryTrace::build_ops`].
-    pub fn add_predict(&mut self, op_index: u64, us: u64, rows: u64) {
-        if let Some(op) = self.ops.iter_mut().find(|o| o.op_index == op_index) {
-            op.predict_us += us;
-            op.predict_rows += rows;
-        }
-    }
-
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("trace_id", Json::I64(self.trace_id as i64)),
@@ -609,50 +707,79 @@ impl QueryTrace {
         ])
     }
 
+    /// Decode a document [`QueryTrace::to_json`] wrote. A field that is
+    /// missing or has the wrong type is an error naming it; only the
+    /// ops' `predict_us`/`predict_rows` may be absent.
     pub fn from_json(doc: &Json) -> Result<QueryTrace, JsonError> {
         let mut trace = QueryTrace {
-            trace_id: doc.field("trace_id")?.as_i64().unwrap_or(0) as u64,
-            sql: doc.field("sql")?.as_str().unwrap_or("").to_string(),
-            backend: doc.field("backend")?.as_str().unwrap_or("").to_string(),
-            workers: doc.field("workers")?.as_i64().unwrap_or(0) as u64,
-            wall_us: doc.field("wall_us")?.as_i64().unwrap_or(0) as u64,
-            rows: doc.field("rows")?.as_i64().unwrap_or(0) as u64,
-            chunks_scanned: doc.field("chunks_scanned")?.as_i64().unwrap_or(0) as u64,
-            chunks_pruned: doc.field("chunks_pruned")?.as_i64().unwrap_or(0) as u64,
+            trace_id: u64_field(doc, "trace_id")?,
+            sql: str_field(doc, "sql")?,
+            backend: str_field(doc, "backend")?,
+            workers: u64_field(doc, "workers")?,
+            wall_us: u64_field(doc, "wall_us")?,
+            rows: u64_field(doc, "rows")?,
+            chunks_scanned: u64_field(doc, "chunks_scanned")?,
+            chunks_pruned: u64_field(doc, "chunks_pruned")?,
             ..QueryTrace::default()
         };
-        for item in doc.field("simd_dispatch")?.as_arr().unwrap_or(&[]) {
-            trace.simd_dispatch.push((
-                item.field("kernel")?.as_str().unwrap_or("").to_string(),
-                item.field("count")?.as_i64().unwrap_or(0) as u64,
-            ));
+        for item in arr_field(doc, "simd_dispatch")? {
+            trace
+                .simd_dispatch
+                .push((str_field(item, "kernel")?, u64_field(item, "count")?));
         }
-        for item in doc.field("spans")?.as_arr().unwrap_or(&[]) {
+        for item in arr_field(doc, "spans")? {
             trace.spans.push(TraceSpan {
-                name: item.field("name")?.as_str().unwrap_or("").to_string(),
-                category: item.field("cat")?.as_str().unwrap_or("").to_string(),
-                start_us: item.field("start_us")?.as_i64().unwrap_or(0) as u64,
-                dur_us: item.field("dur_us")?.as_i64().unwrap_or(0) as u64,
-                rows: item.field("rows")?.as_i64().unwrap_or(0) as u64,
-                bytes: item.field("bytes")?.as_i64().unwrap_or(0) as u64,
-                chunks: item.field("chunks")?.as_i64().unwrap_or(0) as u64,
+                name: str_field(item, "name")?,
+                category: str_field(item, "cat")?,
+                start_us: u64_field(item, "start_us")?,
+                dur_us: u64_field(item, "dur_us")?,
+                rows: u64_field(item, "rows")?,
+                bytes: u64_field(item, "bytes")?,
+                chunks: u64_field(item, "chunks")?,
             });
         }
-        for item in doc.field("ops")?.as_arr().unwrap_or(&[]) {
+        for item in arr_field(doc, "ops")? {
             trace.ops.push(OpTrace {
-                op_index: item.field("op_index")?.as_i64().unwrap_or(0) as u64,
-                name: item.field("name")?.as_str().unwrap_or("").to_string(),
-                calls: item.field("calls")?.as_i64().unwrap_or(0) as u64,
-                total_us: item.field("total_us")?.as_i64().unwrap_or(0) as u64,
-                rows: item.field("rows")?.as_i64().unwrap_or(0) as u64,
-                bytes: item.field("bytes")?.as_i64().unwrap_or(0) as u64,
+                op_index: u64_field(item, "op_index")?,
+                name: str_field(item, "name")?,
+                calls: u64_field(item, "calls")?,
+                total_us: u64_field(item, "total_us")?,
+                rows: u64_field(item, "rows")?,
+                bytes: u64_field(item, "bytes")?,
                 // Absent in documents from builds without PREDICT
                 // attribution.
-                predict_us: item.get("predict_us").and_then(Json::as_i64).unwrap_or(0) as u64,
-                predict_rows: item.get("predict_rows").and_then(Json::as_i64).unwrap_or(0) as u64,
+                predict_us: opt_u64_field(item, "predict_us")?,
+                predict_rows: opt_u64_field(item, "predict_rows")?,
             });
         }
         Ok(trace)
+    }
+
+    /// Figure-2 text table: the `top` operators by time, with each one's
+    /// share of all operator time as a bar.
+    pub fn breakdown(&self, top: usize) -> String {
+        let mut ops: Vec<&OpTrace> = self.ops.iter().collect();
+        ops.sort_by_key(|o| std::cmp::Reverse(o.total_us));
+        let total = ops.iter().map(|o| o.total_us).sum::<u64>().max(1);
+        let mut out = format!(
+            "{:<28} {:>6} {:>12} {:>12} {:>7}  share\n",
+            "operator", "calls", "time (us)", "rows", "%"
+        );
+        out.push_str(&"-".repeat(92));
+        out.push('\n');
+        for o in ops.into_iter().take(top) {
+            let pct = 100.0 * o.total_us as f64 / total as f64;
+            out.push_str(&format!(
+                "{:<28} {:>6} {:>12} {:>12} {:>6.1}%  {}\n",
+                truncate(&op_key(&o.name, o.op_index as usize), 28),
+                o.calls,
+                o.total_us,
+                o.rows,
+                pct,
+                "#".repeat((pct / 4.0).round() as usize)
+            ));
+        }
+        out
     }
 
     /// Chrome-trace (`chrome://tracing`) export of the span list.
@@ -682,6 +809,17 @@ impl QueryTrace {
             .collect();
         Json::obj(vec![("traceEvents", Json::Arr(events))]).to_string_pretty()
     }
+}
+
+/// `s` cut to at most `n` chars, ending in `…` when cut. Cuts between
+/// chars, never inside one.
+fn truncate(s: &str, n: usize) -> String {
+    if s.chars().count() <= n {
+        return s.to_string();
+    }
+    let mut cut: String = s.chars().take(n - 1).collect();
+    cut.push('…');
+    cut
 }
 
 // ---------------------------------------------------------------------------
@@ -803,9 +941,34 @@ mod tests {
         assert!(text.contains("tqp_net_query_us_bucket{le=\"+Inf\"} 1"));
     }
 
+    fn span(name: &str, dur_us: u64, rows: u64) -> TraceSpan {
+        TraceSpan {
+            name: name.into(),
+            category: "relational".into(),
+            start_us: 5,
+            dur_us,
+            rows,
+            bytes: 8 * rows,
+            chunks: 0,
+        }
+    }
+
+    /// A trace of `spans` and `(op, µs, rows)` PREDICT charges, made by a
+    /// recorder the way a traced run makes it.
+    fn recorded(spans: &[TraceSpan], predict: &[(usize, u64, u64)]) -> QueryTrace {
+        let rec = TraceRecorder::new();
+        for s in spans {
+            rec.record(s.clone());
+        }
+        for &(op, us, rows) in predict {
+            rec.record_predict(op, us, rows);
+        }
+        rec.into_trace()
+    }
+
     #[test]
     fn trace_json_round_trip() {
-        let mut trace = QueryTrace {
+        let trace = QueryTrace {
             trace_id: 9,
             sql: "select 1".into(),
             backend: "Fused".into(),
@@ -815,19 +978,8 @@ mod tests {
             chunks_scanned: 8,
             chunks_pruned: 3,
             simd_dispatch: vec![("filter".into(), 2)],
-            spans: vec![TraceSpan {
-                name: "Filter@op1".into(),
-                category: "op".into(),
-                start_us: 5,
-                dur_us: 50,
-                rows: 10,
-                bytes: 80,
-                chunks: 4,
-            }],
-            ops: vec![],
+            ..recorded(&[span("Filter@op1", 50, 10)], &[(1, 30, 10)])
         };
-        trace.build_ops();
-        trace.add_predict(1, 30, 10);
         assert_eq!(trace.ops.len(), 1);
         assert_eq!(trace.ops[0].op_index, 1);
         assert_eq!(trace.ops[0].name, "Filter");
@@ -841,11 +993,119 @@ mod tests {
     }
 
     #[test]
-    fn op_index_parsing() {
-        assert_eq!(op_index_of("HashProbe@op3"), Some(3));
-        assert_eq!(op_index_of("Scan@op0"), Some(0));
-        assert_eq!(op_index_of("GraphLoad"), None);
-        assert_eq!(op_index_of("weird@opx"), None);
+    fn op_key_parsing() {
+        assert_eq!(op_key("HashProbe", 3), "HashProbe@op3");
+        assert_eq!(
+            parse_op_key(&op_key("HashProbe", 3)),
+            Some(("HashProbe", 3))
+        );
+        assert_eq!(parse_op_key("Scan@op0"), Some(("Scan", 0)));
+        assert_eq!(parse_op_key("GraphLoad"), None);
+        assert_eq!(parse_op_key("weird@opx"), None);
+    }
+
+    #[test]
+    fn spans_fold_into_one_row_per_op() {
+        let trace = recorded(
+            &[
+                span("Filter@op1", 100, 10),
+                span("Filter@op1", 50, 5),
+                span("Join@op2", 300, 7),
+                span("GraphLoad", 40, 0),
+            ],
+            &[],
+        );
+        assert_eq!(trace.spans.len(), 4);
+        // Ordered by op index; the non-operator span is left out.
+        assert_eq!(trace.ops.len(), 2);
+        let filter = &trace.ops[0];
+        assert_eq!((filter.name.as_str(), filter.calls), ("Filter", 2));
+        assert_eq!((filter.total_us, filter.rows, filter.bytes), (150, 15, 120));
+        assert_eq!(
+            (trace.ops[1].name.as_str(), trace.ops[1].calls),
+            ("Join", 1)
+        );
+    }
+
+    #[test]
+    fn predict_charges_add_up_per_op() {
+        let trace = recorded(
+            &[span("Project@op2", 10, 5), span("Project@op4", 40, 150)],
+            // Op 3 recorded no span, so its charge has no row to land on.
+            &[(4, 10, 100), (2, 1, 5), (4, 7, 50), (3, 9, 9)],
+        );
+        let charges: Vec<_> = trace
+            .ops
+            .iter()
+            .map(|o| (o.op_index, o.predict_us, o.predict_rows))
+            .collect();
+        assert_eq!(charges, vec![(2, 1, 5), (4, 17, 150)]);
+    }
+
+    #[test]
+    fn chrome_trace_is_valid_json() {
+        let trace = recorded(&[span("Scan(lineitem)", 42, 1000)], &[]);
+        let v = tqp_json::Json::parse(&trace.chrome_trace()).unwrap();
+        let event = v.get("traceEvents").and_then(|e| e.at(0)).unwrap();
+        assert_eq!(
+            event.get("name").and_then(Json::as_str),
+            Some("Scan(lineitem)")
+        );
+        assert_eq!(event.get("dur").and_then(Json::as_i64), Some(42));
+    }
+
+    #[test]
+    fn chrome_trace_escapes_quotes_and_backslashes() {
+        // Operator labels can embed LIKE patterns with quotes and escapes.
+        let name = r#"Filter(name LIKE "%a\_b%")"#;
+        let trace = recorded(
+            &[TraceSpan {
+                category: r#"cat"\"#.into(),
+                chunks: 4,
+                ..span(name, 7, 3)
+            }],
+            &[],
+        );
+        let v = tqp_json::Json::parse(&trace.chrome_trace()).unwrap();
+        let event = v.get("traceEvents").and_then(|e| e.at(0)).unwrap();
+        assert_eq!(event.get("name").and_then(Json::as_str), Some(name));
+        assert_eq!(event.get("cat").and_then(Json::as_str), Some(r#"cat"\"#));
+        assert_eq!(
+            event
+                .get("args")
+                .and_then(|a| a.get("chunks"))
+                .and_then(Json::as_i64),
+            Some(4)
+        );
+    }
+
+    #[test]
+    fn breakdown_orders_ops_by_time_with_their_share() {
+        let trace = recorded(
+            &[span("SmallOp@op0", 100, 1), span("BigOp@op1", 900, 1)],
+            &[],
+        );
+        let table = trace.breakdown(10);
+        let big = table.find("BigOp@op1").unwrap();
+        let small = table.find("SmallOp@op0").unwrap();
+        assert!(big < small, "{table}");
+        // A bar is one `#` per 4 %, rounded.
+        let bar = format!(" 90.0%  {}\n", "#".repeat(23));
+        assert!(table.contains(&bar), "{table}");
+        assert!(table.contains(" 10.0%  ###\n"), "{table}");
+        assert!(!trace.breakdown(1).contains("SmallOp"));
+    }
+
+    #[test]
+    fn breakdown_cuts_long_names_between_chars() {
+        // A plan-JSON table name need not be ASCII; the 28th byte of this
+        // key falls inside the `é`.
+        let trace = recorded(
+            &[span("Scan(aaaaaaaaaaaaaaaaaaaaaé_orders)@op0", 10, 1)],
+            &[],
+        );
+        let table = trace.breakdown(10);
+        assert!(table.contains("Scan(aaaaaaaaaaaaaaaaaaaaaé… "), "{table}");
     }
 
     #[test]

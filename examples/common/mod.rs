@@ -1,5 +1,5 @@
 //! Shared measurement helpers for the paper-figure examples (`figure1` …
-//! `figure4`).
+//! `figure4`) and the Scenario-1 `profiling` example.
 //!
 //! Every figure follows the paper's measurement protocol (§2.3): median of
 //! `TQP_RUNS` (default 5) runs after the same number of warm-ups. The scale

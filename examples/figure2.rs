@@ -16,17 +16,19 @@ use tqp_repro::data::tpch::queries;
 use tqp_repro::exec::Backend;
 
 fn main() {
-    let mut session = common::tpch_session();
-    session.enable_profiling();
+    let session = common::tpch_session();
     let sql = queries::query(6);
     let q = session
-        .compile(sql, QueryConfig::default().backend(Backend::Eager))
+        .compile(
+            sql,
+            QueryConfig::default().backend(Backend::Eager).trace(true),
+        )
         .unwrap();
 
-    // Warm up once (allocator, page faults), then record a clean run.
+    // Warm up once (allocator, page faults), then keep a clean run's trace.
     let _ = q.run(&session).unwrap();
-    session.profiler().reset();
-    let (out, stats) = q.run(&session).unwrap();
+    let (out, stats, trace) = q.run_traced(&session).unwrap();
+    let trace = trace.expect("a traced run returns its trace");
 
     println!(
         "Figure 2: operator runtime breakdown, TPC-H Q6 @ SF {} (total {})",
@@ -35,15 +37,15 @@ fn main() {
     );
     println!("revenue = {}", out.column(0).display(0));
     println!();
-    println!("{}", session.profiler().breakdown(10));
+    println!("{}", trace.breakdown(10));
 
-    let trace = session.profiler().chrome_trace();
+    let chrome = trace.chrome_trace();
     let path = std::path::Path::new("target/figure2_trace.json");
     std::fs::create_dir_all("target").ok();
-    std::fs::write(path, &trace).expect("write trace");
+    std::fs::write(path, &chrome).expect("write trace");
     println!(
         "chrome trace written to {} ({} bytes)",
         path.display(),
-        trace.len()
+        chrome.len()
     );
 }

@@ -11,7 +11,6 @@ pub use tqp_ir as ir;
 pub use tqp_ml as ml;
 pub use tqp_net as net;
 pub use tqp_obs as obs;
-pub use tqp_profile as profile;
 pub use tqp_serve as serve;
 pub use tqp_sql as sql;
 pub use tqp_store as store;

@@ -12,7 +12,6 @@ use tqp_repro::data::DataFrame;
 use tqp_repro::exec::program::{deserialize_program, lower, serialize_program, TensorProgram};
 use tqp_repro::exec::{exprfuse, graphvm, vm, ExecConfig};
 use tqp_repro::ir::{compile_sql, PhysicalOptions};
-use tqp_repro::profile::Profiler;
 
 fn session() -> Session {
     let data = TpchData::generate(&TpchConfig {
@@ -46,7 +45,6 @@ fn assert_identical(n: usize, label: &str, a: &DataFrame, b: &DataFrame) {
 #[test]
 fn roundtripped_artifact_is_byte_identical_on_all_backends() {
     let s = session();
-    let profiler = Profiler::disabled();
     for (n, sql) in queries::all() {
         let plan = compile_sql(sql, s.catalog(), &PhysicalOptions)
             .unwrap_or_else(|e| panic!("Q{n} compile: {e}"));
@@ -63,18 +61,17 @@ fn roundtripped_artifact_is_byte_identical_on_all_backends() {
         for fused in [false, true] {
             let cfg = ExecConfig::default();
             let (direct, _, _) =
-                vm::run_program(&with_kernels(&prog, fused), s.storage(), &profiler, cfg);
+                vm::run_program(&with_kernels(&prog, fused), s.storage(), None, cfg);
             let (via_artifact, _, _) =
-                vm::run_program(&with_kernels(&shipped, fused), s.storage(), &profiler, cfg);
+                vm::run_program(&with_kernels(&shipped, fused), s.storage(), None, cfg);
             let label = if fused { "fused" } else { "eager" };
             assert_identical(n, label, &direct, &via_artifact);
         }
 
         // ...and through the Wasm backend, which loads the artifact itself.
         let cfg = ExecConfig::default();
-        let (direct, _, _) = vm::run_program(&prog, s.storage(), &profiler, cfg);
-        let (via_artifact, _, _) =
-            graphvm::run_wasm(&artifact, s.models(), s.storage(), &profiler, cfg);
+        let (direct, _, _) = vm::run_program(&prog, s.storage(), None, cfg);
+        let (via_artifact, _, _) = graphvm::run_wasm(&artifact, s.models(), s.storage(), None, cfg);
         assert_identical(n, "wasm", &direct, &via_artifact);
     }
 }
@@ -120,7 +117,6 @@ fn v1_artifact_rejected_with_error_naming_both_versions() {
 fn groups_estimate_rides_grouped_reduce_only() {
     use tqp_repro::exec::program::ProgOp;
     let s = session();
-    let profiler = Profiler::disabled();
     // Q18 groups lineitem by l_orderkey: 15 000 estimated groups.
     let plan = compile_sql(queries::query(18), s.catalog(), &PhysicalOptions).unwrap();
     let prog = lower(&plan);
@@ -154,8 +150,8 @@ fn groups_estimate_rides_grouped_reduce_only() {
     assert!(estimates(&loaded).iter().all(Option::is_none));
     // Q18 sums integral quantities, so both shapes give the same bytes.
     let cfg = ExecConfig::default();
-    let (with, _, _) = vm::run_program(&prog, s.storage(), &profiler, cfg);
-    let (without, _, _) = vm::run_program(&loaded, s.storage(), &profiler, cfg);
+    let (with, _, _) = vm::run_program(&prog, s.storage(), None, cfg);
+    let (without, _, _) = vm::run_program(&loaded, s.storage(), None, cfg);
     assert_identical(18, "groups stripped", &with, &without);
 
     // On any other op the field is rejected, not skipped.
@@ -203,7 +199,6 @@ fn graph_backend_equals_eager_exactly() {
 fn limit_rides_sort_only() {
     use tqp_repro::exec::program::ProgOp;
     let s = session();
-    let profiler = Profiler::disabled();
     // Q3 ends `order by revenue desc, o_orderdate limit 10`.
     let plan = compile_sql(queries::query(3), s.catalog(), &PhysicalOptions).unwrap();
     let prog = lower(&plan);
@@ -227,15 +222,14 @@ fn limit_rides_sort_only() {
     assert_eq!(limits(&loaded), vec![None]);
     for fused in [false, true] {
         let cfg = ExecConfig::default();
-        let (with, _, _) =
-            vm::run_program(&with_kernels(&prog, fused), s.storage(), &profiler, cfg);
+        let (with, _, _) = vm::run_program(&with_kernels(&prog, fused), s.storage(), None, cfg);
         let (without, _, _) =
-            vm::run_program(&with_kernels(&loaded, fused), s.storage(), &profiler, cfg);
+            vm::run_program(&with_kernels(&loaded, fused), s.storage(), None, cfg);
         assert_identical(3, "limit stripped", &with, &without);
     }
     let wasm = |p: &TensorProgram| {
         let (artifact, cfg) = (serialize_program(p), ExecConfig::default());
-        graphvm::run_wasm(&artifact, s.models(), s.storage(), &profiler, cfg).0
+        graphvm::run_wasm(&artifact, s.models(), s.storage(), None, cfg).0
     };
     assert_identical(3, "limit stripped, wasm", &wasm(&prog), &wasm(&loaded));
 
@@ -266,7 +260,6 @@ fn kernels_are_bound_when_the_program_is_lowered() {
     use tqp_tensor::Scalar;
 
     let s = session();
-    let profiler = Profiler::disabled();
     let bound = |p: &TensorProgram| -> Vec<bool> {
         let mut sites = Vec::new();
         p.for_each_exprprog(|e| sites.push(e.kernel.is_some()));
@@ -297,7 +290,7 @@ fn kernels_are_bound_when_the_program_is_lowered() {
             &artifact,
             s.models(),
             Backend::Graph,
-            &profiler,
+            None,
         ));
         assert_eq!(
             graph, fused,
@@ -307,7 +300,7 @@ fn kernels_are_bound_when_the_program_is_lowered() {
             &artifact,
             s.models(),
             Backend::Wasm,
-            &profiler,
+            None,
         ));
         assert!(
             wasm.iter().all(|&b| !b),

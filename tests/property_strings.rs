@@ -31,7 +31,6 @@ use tqp_repro::data::{Column, DataFrame};
 use tqp_repro::exec::{Backend, ExecConfig, Executor, Storage, TableSource};
 use tqp_repro::ir::{compile_sql, Catalog, PhysicalOptions};
 use tqp_repro::ml::ModelRegistry;
-use tqp_repro::profile::Profiler;
 use tqp_tensor::Tensor;
 
 const ROWS: usize = 5000;
@@ -232,7 +231,6 @@ fn check_dataset(ndv: usize, seed: u64) {
         .map(|(n, f)| (n.clone(), trimmed(f)))
         .collect();
     let models = ModelRegistry::new();
-    let profiler = Profiler::disabled();
     for sql in QUERIES {
         let plan =
             compile_sql(sql, &catalog, &PhysicalOptions).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
@@ -247,7 +245,7 @@ fn check_dataset(ndv: usize, seed: u64) {
             let exec = Executor::compile(&plan, cfg, &models).unwrap();
             let mut first: Option<Vec<String>> = None;
             for (form, storage) in &storages {
-                let got = rows(&exec.run(storage, &profiler).0);
+                let got = rows(&exec.run(storage, None).0);
                 let what = format!("ndv {ndv}, {backend:?} w={workers}, {form}: {sql}");
                 match &first {
                     None => {
