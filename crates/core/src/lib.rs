@@ -29,7 +29,7 @@
 //! assert!(stats.wall_us > 0);
 //! let (gpu_result, gpu_stats) = gpu.run(&session).unwrap();
 //! assert_eq!(gpu_result.column(0).get(0).as_i64(), 1);
-//! assert!(gpu_stats.gpu_modeled_us.is_some());
+//! assert!(gpu_stats.modeled_us.is_some());
 //! ```
 //!
 //! Profiling — the paper's Scenario 1, "re-execute with the profiler
@@ -519,11 +519,13 @@ pub struct RunOptions<'a> {
     pub slow_query_ms: Option<u64>,
 }
 
-/// Run an executor, optionally capturing a [`QueryTrace`], and feed the
+/// Run an executor with `params` bound (empty for a parameter-free
+/// statement), optionally capturing a [`QueryTrace`], and feed the
 /// slow-query log. This is the **single choke point** every core
 /// execution path funnels through (compiled, prepared, parameterized, and
 /// therefore also every socket-served query), so a slow query is logged
-/// exactly once no matter which surface issued it.
+/// exactly once no matter which surface issued it. A parameter that does
+/// not bind is an execution error.
 ///
 /// A traced execution records into a [`TraceRecorder`] of its own, which
 /// becomes its trace, so the trace holds only this execution's spans, on
@@ -532,13 +534,19 @@ pub struct RunOptions<'a> {
 fn run_with_obs(
     executor: &Executor,
     session: &Session,
+    params: &[Scalar],
     sql: &str,
     trace_on: bool,
     slow_ms: Option<u64>,
-) -> (DataFrame, tqp_exec::ExecStats, Option<QueryTrace>) {
+) -> Result<(DataFrame, tqp_exec::ExecStats, Option<QueryTrace>), TqpError> {
+    let run = |trace| {
+        executor
+            .run(&session.storage, params, trace)
+            .map_err(TqpError::Execution)
+    };
     let (frame, stats, trace) = if trace_on {
         let rec = TraceRecorder::new();
-        let (frame, stats) = executor.run(&session.storage, Some(&rec));
+        let (frame, stats) = run(Some(&rec))?;
         let cfg = executor.config();
         let d = &stats.simd_dispatch;
         let trace = QueryTrace {
@@ -562,11 +570,11 @@ fn run_with_obs(
         observe_qerror(executor, &session.catalog, &trace);
         (frame, stats, Some(trace))
     } else {
-        let (frame, stats) = executor.run(&session.storage, None);
+        let (frame, stats) = run(None)?;
         (frame, stats, None)
     };
     observe_slow(sql, slow_ms, &stats, trace.as_ref());
-    (frame, stats, trace)
+    Ok((frame, stats, trace))
 }
 
 /// Append to the slow-query ring buffer when the threshold is met.
@@ -596,10 +604,9 @@ fn observe_slow(
 ///
 /// `actual_rows`/`wall_us` come from per-op span attribution through the
 /// lowering's node→op map; they are `None` for plan nodes that lowered to
-/// no runtime op and for parameterized executions (which re-bind through
-/// [`Executor::from_parts`] and lose the map). Actual rows are **bitwise
-/// stable** across worker counts and backends: every span site charges
-/// operator *output* rows regardless of morsel route.
+/// no runtime op. Actual rows are **bitwise stable** across worker counts
+/// and backends: every span site charges operator *output* rows
+/// regardless of morsel route.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplainRow {
     /// Tree depth (root = 0); rendering indents two spaces per level.
@@ -674,14 +681,12 @@ struct Actuals<'a> {
 }
 
 impl<'a> Actuals<'a> {
-    /// `None` when `executor` carries no node→op map (parameter-patched
-    /// programs): its operators cannot be attributed to plan nodes.
-    fn new(executor: &'a Executor, trace: &'a QueryTrace) -> Option<Actuals<'a>> {
-        Some(Actuals {
-            node_map: executor.node_map()?,
+    fn new(executor: &'a Executor, trace: &'a QueryTrace) -> Actuals<'a> {
+        Actuals {
+            node_map: executor.node_map(),
             program: executor.program(),
             ops: trace.ops.iter().map(|o| (o.op_index, o)).collect(),
-        })
+        }
     }
 
     fn op(&self, node: usize) -> Option<usize> {
@@ -783,9 +788,7 @@ fn explain_rows(
 /// histogram: optimizer quality as a tracked metric.
 fn observe_qerror(executor: &Executor, catalog: &Catalog, trace: &QueryTrace) {
     static QERROR: std::sync::OnceLock<tqp_obs::Histogram> = std::sync::OnceLock::new();
-    let Some(actuals) = Actuals::new(executor, trace) else {
-        return;
-    };
+    let actuals = Actuals::new(executor, trace);
     let histogram = QERROR.get_or_init(|| tqp_obs::registry().histogram("opt.qerror"));
     let mut node = 0;
     tqp_ir::estimate_each(executor.plan(), catalog, &mut |est| {
@@ -920,9 +923,10 @@ impl PreparedQuery {
     }
 
     /// Execute with parameter values (empty slice for parameter-free
-    /// statements). Parameter-free executions run the cached executor
-    /// directly; parameterized ones clone the compiled program and patch
-    /// its constant slots — **never** re-entering the compiler.
+    /// statements). Every execution runs the cached executor; a
+    /// parameterized one patches its values into a per-run clone of the
+    /// compiled program's constant slots — **never** re-entering the
+    /// compiler.
     ///
     /// Honours the statement's [`QueryConfig::deadline`], if any: an
     /// execution that exceeds it aborts at the next morsel/section
@@ -1012,25 +1016,16 @@ impl PreparedQuery {
         let analyze = inner.kind == QueryKind::ExplainAnalyze;
         let trace_on = analyze || opts.trace || inner.cfg.trace;
         let slow_ms = opts.slow_query_ms.or(inner.cfg.slow_query_ms);
-        let (frame, stats, trace) = if inner.pre.n_params == 0 {
-            run_with_obs(&inner.executor, session, &inner.sql, trace_on, slow_ms)
-        } else {
-            let bound = inner
-                .executor
-                .program()
-                .bind_params(params)
-                .map_err(TqpError::Execution)?;
-            let ex =
-                Executor::from_parts(inner.executor.plan().clone(), bound, exec_config(inner.cfg));
-            // `from_parts` carries no node→op map: EXPLAIN ANALYZE of a
-            // parameterized statement renders `actual=?`.
-            run_with_obs(&ex, session, &inner.sql, trace_on, slow_ms)
-        };
+        let (frame, stats, trace) = run_with_obs(
+            &inner.executor,
+            session,
+            params,
+            &inner.sql,
+            trace_on,
+            slow_ms,
+        )?;
         if analyze {
-            let actuals = trace
-                .as_ref()
-                .filter(|_| inner.pre.n_params == 0)
-                .and_then(|t| Actuals::new(&inner.executor, t));
+            let actuals = trace.as_ref().map(|t| Actuals::new(&inner.executor, t));
             let rows = explain_rows(inner.executor.plan(), &session.catalog, actuals.as_ref());
             let (frame, mut estats) = explain_frame(&rows, true);
             estats.wall_us = stats.wall_us;
@@ -1093,18 +1088,19 @@ impl CompiledQuery {
             )));
         }
         if self.kind == QueryKind::ExplainAnalyze {
-            let (rows, stats, trace) = self.analyze_rows_inner(session);
+            let (rows, stats, trace) = self.analyze_rows_inner(session)?;
             let (frame, mut estats) = explain_frame(&rows, true);
             estats.wall_us = stats.wall_us;
             return Ok((frame, estats, trace));
         }
-        Ok(run_with_obs(
+        run_with_obs(
             &self.executor,
             session,
+            &[],
             &self.sql,
             self.cfg.trace,
             self.cfg.slow_query_ms,
-        ))
+        )
     }
 
     /// Structured `EXPLAIN ANALYZE`: execute the query (tracing forced on)
@@ -1120,23 +1116,24 @@ impl CompiledQuery {
                 self.pre.n_params
             )));
         }
-        Ok(self.analyze_rows_inner(session).0)
+        Ok(self.analyze_rows_inner(session)?.0)
     }
 
     fn analyze_rows_inner(
         &self,
         session: &Session,
-    ) -> (Vec<ExplainRow>, tqp_exec::ExecStats, Option<QueryTrace>) {
+    ) -> Result<(Vec<ExplainRow>, tqp_exec::ExecStats, Option<QueryTrace>), TqpError> {
         let (_frame, stats, trace) = run_with_obs(
             &self.executor,
             session,
+            &[],
             &self.sql,
             true,
             self.cfg.slow_query_ms,
-        );
-        let actuals = trace.as_ref().and_then(|t| Actuals::new(&self.executor, t));
+        )?;
+        let actuals = trace.as_ref().map(|t| Actuals::new(&self.executor, t));
         let rows = explain_rows(self.executor.plan(), &session.catalog, actuals.as_ref());
-        (rows, stats, trace)
+        Ok((rows, stats, trace))
     }
 
     /// The underlying physical plan.
@@ -1166,7 +1163,7 @@ impl CompiledQuery {
 
     /// Size of the serialized Graph/Wasm artifact, if any.
     pub fn artifact_size(&self) -> Option<usize> {
-        self.executor.artifact_size()
+        self.executor.artifact().map(|b| b.len())
     }
 }
 
@@ -1227,8 +1224,8 @@ mod tests {
             )
             .unwrap();
         let (_, stats) = q.run(&s).unwrap();
-        assert!(stats.gpu_modeled_us.is_some());
-        assert!(stats.reported_us() == stats.gpu_modeled_us.unwrap());
+        assert!(stats.modeled_us.is_some());
+        assert!(stats.reported_us() == stats.modeled_us.unwrap());
     }
 
     #[test]

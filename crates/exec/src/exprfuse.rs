@@ -1,11 +1,11 @@
 //! **The kernel-specialization layer**: binding [`ExprProgram`]s to the
 //! fused, type-monomorphized kernels in [`tqp_tensor::kernels`].
 //!
-//! Binding happens once per program, when it is lowered for a kernel
-//! backend: [`crate::Executor::compile`] binds for `Backend::Fused`, and
-//! [`crate::graphvm::load_artifact`] binds for `Backend::Graph` (whose
-//! runs each load the artifact, so Graph binds on every run; a few
-//! microseconds per query, next to the deserialization it follows).
+//! Binding happens once per statement, at compile, for the backends that
+//! bind kernels ([`crate::Backend::binds_kernels`]):
+//! [`crate::Executor::compile`] binds the lowered program for
+//! `Backend::Fused`, and [`crate::graphvm::load_artifact`], which compile
+//! calls once, binds the loaded program for `Backend::Graph`.
 //! [`bind_program`] runs the fusion pass over every expression site in the
 //! mode its role implies — filter conjuncts and join residuals produce one
 //! mask, projections, aggregate bundles and sort keys produce every

@@ -18,12 +18,12 @@
 //! |                     | expression site bound at compile time to a      |
 //! |                     | specialized kernel ([`exprfuse`])               |
 //! | ONNX                | [`Backend::Graph`] — the program serialized to a|
-//! |                     | versioned, self-describing artifact, loaded with|
-//! |                     | kernels bound and executed by the VM            |
-//! |                     | ([`graphvm`])                                   |
+//! |                     | versioned, self-describing artifact, loaded once|
+//! |                     | at compile with kernels bound ([`graphvm`]) and |
+//! |                     | executed by the VM                              |
 //! | ORT-Web (WASM)      | [`Backend::Wasm`] — the same artifact loaded    |
-//! |                     | with no kernels and run by the VM on one worker,|
-//! |                     | dilated ([`graphvm`])                           |
+//! |                     | once with no kernels and run by the VM on one   |
+//! |                     | worker; its slowdown is modelled, not burned    |
 //! | CUDA device         | [`Device::GpuSim`] — kernels run on CPU for     |
 //! |                     | correctness, wall-clock is replaced by an       |
 //! |                     | analytical P100 cost model ([`device`])         |
@@ -37,6 +37,12 @@
 //! `LIMIT`, selects per morsel and merges the candidates (see [`vm`]).
 //! Results are byte-identical at every worker count; `Device::GpuSim`
 //! and `Backend::Wasm` ignore `workers` entirely and stay sequential.
+//!
+//! **Compile once, run many.** [`Executor::compile`] does everything a
+//! statement needs once: lowering, model binding, the artifact round trip
+//! for Graph and Wasm, and kernel binding. [`Executor::run`] then only
+//! runs the program, patching a prepared statement's parameters into a
+//! per-run clone first; every backend runs through [`vm::run_program`].
 //!
 //! Switching is one line of configuration — the paper's Figure 3:
 //!
@@ -67,8 +73,12 @@ use tqp_ir::physical::PhysicalPlan;
 use tqp_ml::ModelRegistry;
 use tqp_obs::TraceRecorder;
 use tqp_store::StoredTable;
+use tqp_tensor::Scalar;
 
-/// Execution backend (the paper's lowering targets, §2.2).
+/// Execution backend (the paper's lowering targets, §2.2). The backends
+/// run one VM and differ in exactly three ways, tabled in
+/// [`Backend::binds_kernels`], [`Backend::via_artifact`] and
+/// [`Backend::single_worker`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// Vectorized register-VM execution, expressions op-at-a-time through
@@ -78,14 +88,48 @@ pub enum Backend {
     /// specialized kernel where one fits (TorchScript / `torch.jit`). The
     /// default.
     Fused,
-    /// Serialize the program to the portable artifact; loading it binds
-    /// the same kernels as Fused, and the vectorized VM runs it (ONNX +
-    /// ORT).
+    /// Serialize the program to the portable artifact and load it back at
+    /// compile, binding the same kernels as Fused; the vectorized VM runs
+    /// the loaded program (ONNX + ORT).
     Graph,
-    /// The same artifact loaded without kernels and run by the VM on one
-    /// CPU worker, repeated to model WASM-vs-native slowdown (ORT-Web on
-    /// WASM).
+    /// The same artifact loaded at compile without kernels and run by the
+    /// VM once, on one CPU worker. Its WASM-vs-native slowdown is modelled
+    /// as [`WASM_DILATION`] × the wall time (ORT-Web on WASM).
     Wasm,
+}
+
+/// The modelled WASM-vs-native slowdown: a Wasm run reports this many
+/// times its wall time as [`ExecStats::modeled_us`].
+pub const WASM_DILATION: u64 = 3;
+
+impl Backend {
+    /// The backend table: `(binds_kernels, via_artifact, single_worker)`.
+    const fn row(self) -> (bool, bool, bool) {
+        match self {
+            Backend::Eager => (false, false, false),
+            Backend::Fused => (true, false, false),
+            Backend::Graph => (true, true, false),
+            Backend::Wasm => (false, true, true),
+        }
+    }
+
+    /// Compile binds a specialized kernel to every fusible expression
+    /// site; without, every site takes the generic walk.
+    pub const fn binds_kernels(self) -> bool {
+        self.row().0
+    }
+
+    /// Compile round-trips the program through the serialized artifact
+    /// and keeps the loaded program.
+    pub const fn via_artifact(self) -> bool {
+        self.row().1
+    }
+
+    /// Runs on one CPU worker whatever the configured device and worker
+    /// count, and reports [`WASM_DILATION`] × its wall time.
+    pub const fn single_worker(self) -> bool {
+        self.row().2
+    }
 }
 
 /// Hardware target.
@@ -129,7 +173,7 @@ pub struct ExecConfig {
     /// `ARCHITECTURE.md` "Parallel chunked execution"). On
     /// `Device::GpuSim` the knob is ignored: metered runs stay fully
     /// sequential so modeled time is worker-independent. `Backend::Wasm`
-    /// ignores it too and always runs on one worker. The aggregation
+    /// ignores it too and runs once, on one CPU worker. The aggregation
     /// morsel size is tunable via `TQP_AGG_MORSEL_ROWS` (read once per
     /// process); shrinking it below the default 16 Ki rows trades merge
     /// overhead for scheduling granularity without affecting determinism.
@@ -257,8 +301,10 @@ impl ScanStats {
 pub struct ExecStats {
     /// Real wall-clock of the run, microseconds.
     pub wall_us: u64,
-    /// Modeled device time (populated when `device == GpuSim`).
-    pub gpu_modeled_us: Option<u64>,
+    /// Modelled time: the cost model's device time on `Device::GpuSim`,
+    /// and [`WASM_DILATION`] × `wall_us` on `Backend::Wasm` (on either
+    /// device); `None` otherwise.
+    pub modeled_us: Option<u64>,
     /// Output rows.
     pub rows: usize,
     /// Stored-table chunks decoded (0 for in-memory scans).
@@ -272,17 +318,19 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// The figure-of-merit: modeled time on the simulated GPU, otherwise
-    /// real wall time.
+    /// The figure-of-merit: the modelled time when there is one,
+    /// otherwise real wall time.
     pub fn reported_us(&self) -> u64 {
-        self.gpu_modeled_us.unwrap_or(self.wall_us)
+        self.modeled_us.unwrap_or(self.wall_us)
     }
 }
 
 /// A compiled query ready to run. Compilation lowers the plan to the
 /// [`program::TensorProgram`] all backends execute and binds its `PREDICT`
-/// models; the Graph/Wasm backends additionally serialize the program into
-/// the portable artifact (the "ONNX file") at compile time.
+/// models and, on kernel backends, its expression kernels. Graph and Wasm
+/// serialize the program into the portable artifact (the "ONNX file") and
+/// keep the program loaded back from it, so they run exactly what the
+/// bytes say. All of this happens once; a run only runs.
 pub struct Executor {
     plan: PhysicalPlan,
     program: program::TensorProgram,
@@ -290,54 +338,40 @@ pub struct Executor {
     /// Serialized artifact for Graph/Wasm.
     artifact: Option<bytes::Bytes>,
     /// Plan-node → program-op attribution table (post-order, children
-    /// left-to-right; see [`program::lower_with_map`]). Present on the
-    /// [`Executor::compile`] path; `None` for parameter-patched programs
-    /// assembled via [`Executor::from_parts`].
-    node_map: Option<Vec<Option<usize>>>,
+    /// left-to-right; see [`program::lower_with_map`]).
+    node_map: Vec<Option<usize>>,
 }
 
 impl Executor {
-    /// Compile a physical plan for a backend/device configuration: every
+    /// Compile a physical plan for a backend/device configuration. Every
     /// backend binds the `PREDICT` models from `models` here (a missing or
-    /// wrong-arity model is the error), and Fused binds its expression
-    /// kernels, once.
+    /// wrong-arity model is the error). Graph and Wasm bind them into the
+    /// program decoded from the artifact ([`graphvm::load_artifact`], whose
+    /// decode errors pass through); Fused and Graph bind their kernels.
     pub fn compile(
         plan: &PhysicalPlan,
         cfg: ExecConfig,
         models: &ModelRegistry,
     ) -> Result<Executor, String> {
         let (mut program, node_map) = program::lower_with_map(plan);
-        program::bind_models(&mut program, models)?;
-        if cfg.backend == Backend::Fused {
-            exprfuse::bind_program(&mut program);
-        }
-        let mut executor = Executor::from_parts(plan.clone(), program, cfg);
-        executor.node_map = Some(node_map);
-        Ok(executor)
-    }
-
-    /// Build an executor from an already-lowered program (the prepared-
-    /// statement path: the cached program is cloned and parameter-patched,
-    /// then wrapped here — no parse/bind/optimize/lower work). The program
-    /// keeps the models and kernels it carries: a clone of a template
-    /// shares them. Graph/Wasm re-serialize the artifact from the bound
-    /// program so shipped artifacts carry the bound constants.
-    pub fn from_parts(
-        plan: PhysicalPlan,
-        program: program::TensorProgram,
-        cfg: ExecConfig,
-    ) -> Executor {
-        let artifact = match cfg.backend {
-            Backend::Graph | Backend::Wasm => Some(program::serialize_program(&program)),
-            _ => None,
+        let artifact = if cfg.backend.via_artifact() {
+            let bytes = program::serialize_program(&program);
+            program = graphvm::load_artifact(&bytes, models, cfg.backend)?;
+            Some(bytes)
+        } else {
+            program::bind_models(&mut program, models)?;
+            if cfg.backend.binds_kernels() {
+                exprfuse::bind_program(&mut program);
+            }
+            None
         };
-        Executor {
-            plan,
+        Ok(Executor {
+            plan: plan.clone(),
             program,
             cfg,
             artifact,
-            node_map: None,
-        }
+            node_map,
+        })
     }
 
     /// The physical plan this executor was compiled from.
@@ -345,12 +379,13 @@ impl Executor {
         &self.plan
     }
 
-    /// The plan-node → program-op attribution table (compile path only).
-    pub fn node_map(&self) -> Option<&[Option<usize>]> {
-        self.node_map.as_deref()
+    /// The plan-node → program-op attribution table.
+    pub fn node_map(&self) -> &[Option<usize>] {
+        &self.node_map
     }
 
-    /// The lowered tensor program this executor runs.
+    /// The tensor program this executor runs (for Graph and Wasm, the one
+    /// loaded from its artifact), with its parameter slots unbound.
     pub fn program(&self) -> &program::TensorProgram {
         &self.program
     }
@@ -360,45 +395,61 @@ impl Executor {
         self.cfg
     }
 
-    /// Size of the serialized artifact in bytes (Graph/Wasm backends).
-    pub fn artifact_size(&self) -> Option<usize> {
-        self.artifact.as_ref().map(|b| b.len())
+    /// The serialized artifact the program was loaded from (Graph/Wasm
+    /// backends): the portable form of this statement.
+    pub fn artifact(&self) -> Option<&bytes::Bytes> {
+        self.artifact.as_ref()
     }
 
-    /// Execute against tensor storage, recording spans into `trace` when
-    /// the run is traced. Returns the materialized result and stats.
-    pub fn run(&self, storage: &Storage, trace: Option<&TraceRecorder>) -> (DataFrame, ExecStats) {
+    /// Execute against tensor storage with `params` bound to the program's
+    /// `$n` placeholders (empty for a parameter-free program), recording
+    /// spans into `trace` when the run is traced. Parameters are patched
+    /// into a per-run clone of the program
+    /// ([`program::TensorProgram::bind_params`]); a wrong count or a value
+    /// that does not coerce is the error. Returns the materialized result
+    /// and stats.
+    pub fn run(
+        &self,
+        storage: &Storage,
+        params: &[Scalar],
+        trace: Option<&TraceRecorder>,
+    ) -> Result<(DataFrame, ExecStats), String> {
+        let bound;
+        let program = if params.is_empty() && self.program.n_params() == 0 {
+            &self.program
+        } else {
+            bound = self.program.bind_params(params)?;
+            &bound
+        };
+        let single = self.cfg.backend.single_worker();
+        let cfg = if single {
+            ExecConfig {
+                device: Device::Cpu,
+                workers: 1,
+                ..self.cfg
+            }
+        } else {
+            self.cfg
+        };
         let simd_before = tqp_tensor::simd::counters();
         let t0 = std::time::Instant::now();
-        let (frame, meter, scans) = match self.cfg.backend {
-            Backend::Eager | Backend::Fused => {
-                vm::run_program(&self.program, storage, trace, self.cfg)
-            }
-            Backend::Graph => {
-                let artifact = self.artifact.as_ref().expect("graph artifact");
-                graphvm::run_graph(artifact, &self.program.models(), storage, trace, self.cfg)
-            }
-            Backend::Wasm => {
-                let artifact = self.artifact.as_ref().expect("graph artifact");
-                graphvm::run_wasm(artifact, &self.program.models(), storage, trace, self.cfg)
-            }
-        };
+        let (frame, meter, scans) = vm::run_program(program, storage, trace, cfg);
         let wall_us = t0.elapsed().as_micros() as u64;
-        let gpu_modeled_us = match self.cfg.device {
-            Device::GpuSim => Some(meter.total_us()),
-            Device::Cpu => None,
+        let modeled_us = if single {
+            Some(wall_us * WASM_DILATION)
+        } else {
+            (cfg.device == Device::GpuSim).then(|| meter.total_us())
         };
-        let rows = frame.nrows();
         let stats = ExecStats {
             wall_us,
-            gpu_modeled_us,
-            rows,
+            modeled_us,
+            rows: frame.nrows(),
             chunks_scanned: scans.chunks_scanned,
             chunks_pruned: scans.chunks_pruned,
             simd_dispatch: tqp_tensor::simd::counters().since(&simd_before),
         };
         record_exec_metrics(&stats);
-        (frame, stats)
+        Ok((frame, stats))
     }
 }
 
@@ -480,13 +531,13 @@ mod tests {
     fn stats_prefer_modeled_time() {
         let s = ExecStats {
             wall_us: 100,
-            gpu_modeled_us: Some(7),
+            modeled_us: Some(7),
             ..Default::default()
         };
         assert_eq!(s.reported_us(), 7);
         let s = ExecStats {
             wall_us: 100,
-            gpu_modeled_us: None,
+            modeled_us: None,
             ..Default::default()
         };
         assert_eq!(s.reported_us(), 100);
@@ -505,7 +556,7 @@ mod tests {
         assert!(!ex.program().ops.is_empty());
         assert!(ex.program().display().contains("Scan(t)"));
         // Eager/Fused compile without an artifact; Graph carries one.
-        assert!(ex.artifact_size().is_none());
+        assert!(ex.artifact().is_none());
         let g = Executor::compile(
             &plan,
             ExecConfig {
@@ -515,6 +566,45 @@ mod tests {
             &models,
         )
         .unwrap();
-        assert!(g.artifact_size().unwrap() > 0);
+        assert!(!g.artifact().unwrap().is_empty());
+    }
+
+    #[test]
+    fn graph_and_wasm_produce_same_result() {
+        use tqp_data::{frame::df, Column};
+        use tqp_ir::{compile_sql, Catalog, PhysicalOptions};
+        let t = df(vec![
+            ("id", Column::from_i64(vec![1, 2, 3])),
+            ("v", Column::from_f64(vec![5.0, 15.0, 25.0])),
+        ]);
+        let mut catalog = Catalog::new();
+        catalog.register("t", t.schema().clone(), t.nrows());
+        let storage = ingest_tables(&HashMap::from([("t".to_string(), t)]));
+        let sql = "select id, v * 2 as vv from t where v > 10.0 order by id";
+        let plan = compile_sql(sql, &catalog, &PhysicalOptions).unwrap();
+        let rec = TraceRecorder::new();
+        let run = |backend| {
+            let cfg = ExecConfig {
+                backend,
+                ..Default::default()
+            };
+            let ex = Executor::compile(&plan, cfg, &ModelRegistry::new()).unwrap();
+            ex.run(&storage, &[], Some(&rec)).unwrap()
+        };
+        let (g, _) = run(Backend::Graph);
+        let (w, wasm) = run(Backend::Wasm);
+        assert_eq!(g.nrows(), 2);
+        assert_eq!(g.nrows(), w.nrows());
+        for i in 0..g.nrows() {
+            assert_eq!(g.row(i), w.row(i));
+        }
+        // Wasm ran once and models its slowdown.
+        assert_eq!(wasm.modeled_us, Some(wasm.wall_us * WASM_DILATION));
+        // Each run scanned once and loaded nothing: the loads were at
+        // compile.
+        let spans = rec.into_trace().spans;
+        let calls = |name: &str| spans.iter().filter(|s| s.name == name).count();
+        assert_eq!(calls("GraphLoad"), 0);
+        assert_eq!(calls(&tqp_obs::op_key("Scan(t)", 0)), 2);
     }
 }

@@ -10,8 +10,8 @@
 //!   compile time, `Eager` binds none);
 //! * the Graph backend serializes it into a **versioned, self-describing
 //!   artifact** ([`serialize_program`]) — the reproduction's "ONNX file" —
-//!   and the standalone VM executes the deserialized program without the
-//!   compiler front-end;
+//!   loads it back once at compile, and the VM executes the deserialized
+//!   program without the compiler front-end;
 //! * the Wasm backend loads the *same* artifact with no kernels and runs
 //!   it on the VM on one worker ([`crate::graphvm`]), the ORT-Web analog.
 //!
@@ -328,9 +328,10 @@ impl TensorProgram {
     }
 
     /// Bind parameter values into a **clone** of the program by patching
-    /// the compiled `LoadConst` slots — the prepared-statement fast path:
-    /// no parse/bind/optimize/lower work happens here, so re-binding the
-    /// same compiled program with new values never recompiles anything.
+    /// the compiled `LoadConst` slots — the prepared-statement fast path
+    /// ([`crate::Executor::run`] calls it once per parameterized run): no
+    /// parse/bind/optimize/lower work happens here, so re-binding the same
+    /// compiled program with new values never recompiles anything.
     pub fn bind_params(&self, values: &[Scalar]) -> Result<TensorProgram, String> {
         let need = self.n_params();
         if values.len() != need {
@@ -364,23 +365,6 @@ impl TensorProgram {
                 }
             }
         }
-        out
-    }
-
-    /// The models bound into the program, under the names its `PREDICT`
-    /// calls give them (what a loaded artifact, which only names its
-    /// models, is bound against).
-    pub fn models(&self) -> ModelRegistry {
-        let mut out = ModelRegistry::new();
-        self.for_each_exprprog(|p| {
-            for op in &p.ops {
-                if let ExprOp::ModelApply { model, bound, .. } = op {
-                    if let Some(m) = &bound.0 {
-                        out.register(model, m.clone());
-                    }
-                }
-            }
-        });
         out
     }
 

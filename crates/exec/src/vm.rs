@@ -9,12 +9,12 @@
 //!   register exists (PyTorch-eager semantics); a `Filter` evaluates all
 //!   conjunct masks over the full input, AND-folds them and compacts once;
 //! * **Fused** and **Graph**: the expression sites carry the kernels bound
-//!   when the program was lowered or loaded
+//!   when the statement was compiled
 //!   ([`crate::exprfuse::bind_program`]) — one chunked pass per site with
 //!   no intermediate tensors; only sites no kernel can express (CASE,
 //!   scalar functions, `PREDICT`, NULL constants) take the generic walk;
-//! * **Wasm**: no kernels, as on Eager, on one CPU worker, the run
-//!   repeated to model WASM-vs-native slowdown ([`crate::graphvm`]).
+//! * **Wasm**: no kernels, as on Eager, run once on one CPU worker; its
+//!   WASM-vs-native slowdown is modelled ([`crate::WASM_DILATION`]).
 //!
 //! **Morsel-parallel execution**: lowering leaves data-flow explicit, so
 //! the VM statically finds *pipeline segments* — a `Scan` followed by a

@@ -12,8 +12,8 @@
 //!   left/right child; leaves self-loop. Work proportional to tree depth.
 //!
 //! Both read the `PREDICT` argument columns directly (no row-major design
-//! matrix). The `trees` bench sweeps depth/ensemble-size to reproduce the
-//! crossover between the two strategies.
+//! matrix). `examples/scenario3.rs` compiles one GBT ensemble under both
+//! strategies and compares their predictions in SQL.
 //!
 //! **How GEMM runs.** `A` is one-hot per internal node, so `X·A` is a
 //! column gather: node `j` reads the one feature column it tests. (A

@@ -464,7 +464,7 @@ pub fn op_key(name: &str, idx: usize) -> String {
 
 /// Split a span key made by [`op_key`] into the operator name and its
 /// program index (`HashProbe@op3` → `("HashProbe", 3)`). Returns `None`
-/// for non-operator spans such as `GraphLoad`.
+/// for non-operator (phase) spans.
 fn parse_op_key(span_name: &str) -> Option<(&str, u64)> {
     let (name, idx) = span_name.rsplit_once("@op")?;
     Some((name, idx.parse().ok()?))
@@ -473,8 +473,7 @@ fn parse_op_key(span_name: &str) -> Option<(&str, u64)> {
 /// One span of a traced run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSpan {
-    /// Operator key (`Filter@op2`, see [`op_key`]) or a phase name
-    /// (`GraphLoad`).
+    /// Operator key (`Filter@op2`, see [`op_key`]) or a phase name.
     pub name: String,
     /// Coarse category (`relational`, `compile`).
     pub category: String,

@@ -5,8 +5,8 @@
 //!
 //! Expected shape (the paper's): TQP-CPU ≳3× over the row engine, the
 //! simulated GPU fastest with a larger win on Q6 than Q14, the web backend
-//! well behind TQP-CPU (one worker, each run repeated
-//! `graphvm::WASM_DILATION` times), and resident-GPU ≥4× over
+//! well behind TQP-CPU (one worker, reporting its modelled time:
+//! `exec::WASM_DILATION` × its wall time), and resident-GPU ≥4× over
 //! per-op-transfer GPU.
 //!
 //! ```bash
@@ -57,7 +57,7 @@ fn main() {
             .unwrap();
         let gpu = median_us(|| {
             let (_, stats) = gpu_q.run(&session).unwrap();
-            stats.gpu_modeled_us
+            stats.modeled_us
         });
         print_row("TQP-GPU (simulated, resident)", gpu, spark);
 
@@ -72,17 +72,17 @@ fn main() {
             .unwrap();
         let blz = median_us(|| {
             let (_, stats) = blz_q.run(&session).unwrap();
-            stats.gpu_modeled_us
+            stats.modeled_us
         });
         print_row("BlazingSQL-sim (per-op transfer)", blz, spark);
 
-        // Web backend (the VM on one worker, dilated; real wall-clock).
+        // Web backend (the VM on one worker; modelled WASM slowdown).
         let web_q = session
             .compile(sql, QueryConfig::default().backend(Backend::Wasm))
             .unwrap();
         let web = median_us(|| {
-            let _ = web_q.run(&session).unwrap();
-            None
+            let (_, stats) = web_q.run(&session).unwrap();
+            stats.modeled_us
         });
         print_row("TQP-Web (Wasm-sim, 1 worker)", web, spark);
 

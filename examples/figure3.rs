@@ -45,7 +45,7 @@ fn main() {
             let compile_us = t0.elapsed().as_micros() as u64;
             let exec_us = median_us(|| {
                 let (_, stats) = q.run(&session).unwrap();
-                stats.gpu_modeled_us
+                stats.modeled_us
             });
             let (out, _) = q.run(&session).unwrap();
             let revenue = out.column(0).display(0);

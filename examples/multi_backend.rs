@@ -57,7 +57,7 @@ fn main() {
             None => reference = Some(revenue.clone()),
             Some(r) => assert_eq!(*r, revenue, "{label} disagrees"),
         }
-        let time = match stats.gpu_modeled_us {
+        let time = match stats.modeled_us {
             Some(us) => format!("{us:>8} us (modeled)"),
             None => format!("{:>8} us", stats.wall_us),
         };

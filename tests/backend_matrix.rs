@@ -59,10 +59,10 @@ fn all_8_configurations_agree() {
                     expect,
                     "Q{qn} mismatch under {backend:?}/{device:?}"
                 );
-                if device == Device::GpuSim && backend != Backend::Wasm {
+                if device == Device::GpuSim || backend == Backend::Wasm {
                     assert!(
-                        stats.gpu_modeled_us.unwrap_or(0) > 0,
-                        "GPU runs must report modeled time"
+                        stats.modeled_us.unwrap_or(0) > 0,
+                        "GPU and Wasm runs must report modeled time ({backend:?}/{device:?})"
                     );
                 }
                 configs += 1;

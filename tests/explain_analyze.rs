@@ -167,3 +167,47 @@ fn predict_time_lands_on_the_operator_that_ran_it() {
         }
     }
 }
+
+/// A prepared, parameterized `EXPLAIN ANALYZE` reports the actuals of the
+/// run it made: on every backend, the actual rows of each plan node equal
+/// those of the same statement with the value spliced in.
+#[test]
+fn parameterized_explain_analyze_reports_actuals() {
+    use tqp_tensor::Scalar;
+
+    let s = session();
+    let sql = "explain analyze select l_returnflag, count(*) as n from lineitem \
+               where l_quantity < $1 group by l_returnflag order by l_returnflag";
+    // `(depth, actual rows)` of each rendered line.
+    let actuals = |frame: &tqp_repro::data::DataFrame| -> Vec<(usize, String)> {
+        (0..frame.nrows())
+            .map(|i| {
+                let line = frame.row(i)[0].to_string();
+                let depth = (line.len() - line.trim_start().len()) / 2;
+                let at = line.find("actual=").expect("an actual") + "actual=".len();
+                let rows = line[at..].split(' ').next().unwrap().to_string();
+                (depth, rows)
+            })
+            .collect()
+    };
+    for backend in [
+        Backend::Eager,
+        Backend::Fused,
+        Backend::Graph,
+        Backend::Wasm,
+    ] {
+        let cfg = QueryConfig::default().backend(backend);
+        let prepared = s.prepare(sql, cfg).unwrap();
+        for value in [5i64, 24] {
+            let (got, _) = prepared.execute(&s, &[Scalar::I64(value)]).unwrap();
+            let literal = sql.replace("$1", &value.to_string());
+            let (want, _) = s.compile(&literal, cfg).unwrap().run(&s).unwrap();
+            let (got, want) = (actuals(&got), actuals(&want));
+            assert!(
+                got.iter().all(|(_, rows)| rows != "?"),
+                "{backend:?} ${value}: {got:?}"
+            );
+            assert_eq!(got, want, "{backend:?}, $1 = {value}");
+        }
+    }
+}

@@ -2,15 +2,15 @@
 //! `serialize → deserialize → run` of the lowered [`TensorProgram`] must
 //! be **byte-identical** to running the in-memory program directly — on
 //! all four backends (the VM without and with kernels for Eager, Fused
-//! and Graph, and the Wasm backend's own load and run). This is the
-//! deployment guarantee behind the paper's portable artifact story
-//! (§3.2): shipping the compiled program loses nothing.
+//! and Graph, and a Wasm executor, which loads its artifact at compile).
+//! This is the deployment guarantee behind the paper's portable artifact
+//! story (§3.2): shipping the compiled program loses nothing.
 
 use tqp_repro::core::Session;
 use tqp_repro::data::tpch::{queries, TpchConfig, TpchData};
 use tqp_repro::data::DataFrame;
 use tqp_repro::exec::program::{deserialize_program, lower, serialize_program, TensorProgram};
-use tqp_repro::exec::{exprfuse, graphvm, vm, ExecConfig};
+use tqp_repro::exec::{exprfuse, vm, Backend, ExecConfig, Executor};
 use tqp_repro::ir::{compile_sql, PhysicalOptions};
 
 fn session() -> Session {
@@ -30,6 +30,13 @@ fn with_kernels(prog: &TensorProgram, fused: bool) -> TensorProgram {
         exprfuse::bind_program(&mut prog);
     }
     prog
+}
+
+fn on(backend: Backend) -> ExecConfig {
+    ExecConfig {
+        backend,
+        ..ExecConfig::default()
+    }
 }
 
 /// Exact equality — no float tolerance: identical code paths must give
@@ -69,9 +76,9 @@ fn roundtripped_artifact_is_byte_identical_on_all_backends() {
         }
 
         // ...and through the Wasm backend, which loads the artifact itself.
-        let cfg = ExecConfig::default();
-        let (direct, _, _) = vm::run_program(&prog, s.storage(), None, cfg);
-        let (via_artifact, _, _) = graphvm::run_wasm(&artifact, s.models(), s.storage(), None, cfg);
+        let (direct, _, _) = vm::run_program(&prog, s.storage(), None, ExecConfig::default());
+        let wasm = Executor::compile(&plan, on(Backend::Wasm), s.models()).unwrap();
+        let (via_artifact, _) = wasm.run(s.storage(), &[], None).unwrap();
         assert_identical(n, "wasm", &direct, &via_artifact);
     }
 }
@@ -172,7 +179,6 @@ fn graph_backend_equals_eager_exactly() {
     // so its output must match Eager (no kernels) byte-for-byte, not just
     // within tolerance.
     use tqp_repro::core::QueryConfig;
-    use tqp_repro::exec::Backend;
     let s = session();
     for (n, sql) in queries::all() {
         let eager = s
@@ -227,11 +233,16 @@ fn limit_rides_sort_only() {
             vm::run_program(&with_kernels(&loaded, fused), s.storage(), None, cfg);
         assert_identical(3, "limit stripped", &with, &without);
     }
-    let wasm = |p: &TensorProgram| {
-        let (artifact, cfg) = (serialize_program(p), ExecConfig::default());
-        graphvm::run_wasm(&artifact, s.models(), s.storage(), None, cfg).0
+    // Wasm runs the kernel-free program on one worker: the stripped
+    // document gives the Wasm executor's result there too.
+    let wasm = Executor::compile(&plan, on(Backend::Wasm), s.models()).unwrap();
+    let (with, _) = wasm.run(s.storage(), &[], None).unwrap();
+    let one_worker = ExecConfig {
+        workers: 1,
+        ..ExecConfig::default()
     };
-    assert_identical(3, "limit stripped, wasm", &wasm(&prog), &wasm(&loaded));
+    let (without, _, _) = vm::run_program(&loaded, s.storage(), None, one_worker);
+    assert_identical(3, "limit stripped, wasm", &with, &without);
 
     let tampered = text.replacen("{\"op\":\"scan\",", "{\"op\":\"scan\",\"limit\":5,", 1);
     assert_ne!(tampered, text, "tamper point not found");
@@ -240,9 +251,9 @@ fn limit_rides_sort_only() {
     assert!(load(text.replace("\"limit\":10", "\"limit\":-10")).is_err());
 }
 
-/// The evaluator is chosen once, when the program is lowered or loaded:
-/// Fused binds a kernel at every fusible expression site at compile time,
-/// the Graph loader binds the same set, Eager (and Wasm) bind none, and a
+/// The evaluator is chosen once, at compile: Fused binds a kernel at every
+/// fusible expression site, Graph binds the same set into the program it
+/// loads from its artifact, Eager and Wasm bind none, and a
 /// prepared statement's parameter-patched clones share the template's
 /// kernel and give correct masks for values and NULL alike (that the NULL
 /// call takes the generic walk is `exprfuse`'s
@@ -255,7 +266,6 @@ fn kernels_are_bound_when_the_program_is_lowered() {
     use tqp_repro::data::Column;
     use tqp_repro::exec::batch::Batch;
     use tqp_repro::exec::program::ProgOp;
-    use tqp_repro::exec::{graphvm, Backend, Executor};
     use tqp_repro::tensor::Tensor;
     use tqp_tensor::Scalar;
 
@@ -268,11 +278,11 @@ fn kernels_are_bound_when_the_program_is_lowered() {
     for n in [1, 6, 19] {
         let plan = compile_sql(queries::query(n), s.catalog(), &PhysicalOptions).unwrap();
         let compiled = |backend| {
-            let cfg = ExecConfig {
-                backend,
-                ..ExecConfig::default()
-            };
-            bound(Executor::compile(&plan, cfg, s.models()).unwrap().program())
+            bound(
+                Executor::compile(&plan, on(backend), s.models())
+                    .unwrap()
+                    .program(),
+            )
         };
         // Every site of these three queries is fusible.
         let fused = compiled(Backend::Fused);
@@ -285,23 +295,12 @@ fn kernels_are_bound_when_the_program_is_lowered() {
             eager.iter().all(|&b| !b),
             "Q{n} Eager binds a kernel: {eager:?}"
         );
-        let artifact = serialize_program(&lower(&plan));
-        let graph = bound(&graphvm::load_artifact(
-            &artifact,
-            s.models(),
-            Backend::Graph,
-            None,
-        ));
+        let graph = compiled(Backend::Graph);
         assert_eq!(
             graph, fused,
             "Q{n}: the Graph load binds another set than Fused"
         );
-        let wasm = bound(&graphvm::load_artifact(
-            &artifact,
-            s.models(),
-            Backend::Wasm,
-            None,
-        ));
+        let wasm = compiled(Backend::Wasm);
         assert!(
             wasm.iter().all(|&b| !b),
             "Q{n} Wasm binds a kernel: {wasm:?}"
@@ -343,5 +342,49 @@ fn kernels_are_bound_when_the_program_is_lowered() {
             .collect();
         let mask = exprfuse::conjunct_mask(&conj, &batch);
         assert_eq!(mask.as_bool(), &want[..], "{value:?}");
+    }
+}
+
+/// Graph and Wasm load their artifact once, at compile: the program an
+/// executor keeps is its own artifact decoded, and a traced, prepared
+/// Graph statement run with three parameter values loads nothing per run
+/// and gives the results of the same statement with the value spliced in.
+#[test]
+fn the_artifact_is_loaded_once_at_compile() {
+    use tqp_repro::core::{QueryConfig, RunOptions};
+    use tqp_tensor::Scalar;
+
+    let s = session();
+    for n in [3, 6, 18] {
+        let plan = compile_sql(queries::query(n), s.catalog(), &PhysicalOptions).unwrap();
+        for backend in [Backend::Graph, Backend::Wasm] {
+            let ex = Executor::compile(&plan, on(backend), s.models()).unwrap();
+            let artifact = ex.artifact().expect("Graph and Wasm keep their artifact");
+            let decoded = deserialize_program(artifact).unwrap();
+            assert_eq!(ex.program(), &decoded, "Q{n} {backend:?}");
+        }
+    }
+
+    let sql =
+        "select o_orderkey, o_totalprice from orders where o_orderkey < $1 order by o_orderkey";
+    let graph = QueryConfig::default().backend(Backend::Graph);
+    let prepared = s.prepare(sql, graph).unwrap();
+    let traced = RunOptions {
+        trace: true,
+        ..RunOptions::default()
+    };
+    for key in [10i64, 200, 3000] {
+        let (got, _, trace) = prepared
+            .execute_with(&s, &[Scalar::I64(key)], &traced)
+            .unwrap();
+        let trace = trace.expect("the run is traced");
+        assert!(!trace.spans.is_empty());
+        assert!(
+            trace.spans.iter().all(|sp| sp.name != "GraphLoad"),
+            "a prepared Graph run loaded its artifact"
+        );
+        let literal = sql.replace("$1", &key.to_string());
+        let (want, _) = s.compile(&literal, graph).unwrap().run(&s).unwrap();
+        assert_identical(0, &format!("o_orderkey < {key}"), &want, &got);
     }
 }

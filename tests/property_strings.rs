@@ -245,7 +245,7 @@ fn check_dataset(ndv: usize, seed: u64) {
             let exec = Executor::compile(&plan, cfg, &models).unwrap();
             let mut first: Option<Vec<String>> = None;
             for (form, storage) in &storages {
-                let got = rows(&exec.run(storage, None).0);
+                let got = rows(&exec.run(storage, &[], None).unwrap().0);
                 let what = format!("ndv {ndv}, {backend:?} w={workers}, {form}: {sql}");
                 match &first {
                     None => {
