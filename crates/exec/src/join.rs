@@ -1,19 +1,26 @@
 //! The tensor hash join (the paper's "novel algorithms mapping relational
 //! operators into tensor programs").
 //!
-//! Each side is hashed exactly once with the blockwise kernels in
-//! [`tqp_tensor::hash`], and the build side fills a [`FlatRowTable`] — a
-//! power-of-two directory over contiguous row/key arenas, filled by a
-//! counting pass (no per-key `Vec` allocations, no second hash on insert).
-//! Probe pairs come out in (probe row asc, build row asc) order, and hashed
-//! keys are verified for true equality.
+//! The build side becomes one of two tables from [`tqp_tensor::hash`],
+//! chosen from the key data alone (there is no option):
+//! * **Dense** — a single `I64` key whose exact span over the valid build
+//!   rows passes [`hash::dense_span_fits`] is its own address: a
+//!   [`DenseRowTable`] (presence bitmap, per-word rank, contiguous row
+//!   runs). The probe reads its key column in place — no copy, no hash, no
+//!   key compare — and a row's matches are the run its key addresses.
+//! * **Hashed** — every other key (several columns, a non-`I64` column, or
+//!   an `I64` key too sparse to address) is hashed exactly once with the
+//!   blockwise kernels into a [`FlatRowTable`] — a power-of-two directory
+//!   over contiguous row/key arenas, filled by a counting pass — on a
+//!   64-bit combined row hash, and true key equality is verified on the
+//!   expanded pairs (collision-safe).
 //!
-//! Multi-column keys reduce to the single-key case by joining on a 64-bit
-//! combined row hash and verifying true key equality on the expanded pairs
-//! (collision-safe). Inner/left/semi/anti all derive from the pair lists;
-//! residual predicates (Q13's `NOT LIKE`, Q21's `<>` correlations) are
-//! evaluated over the gathered pair batch, and a pair either of whose keys
-//! is NULL (an outer join's padding) is dropped.
+//! Either way probe pairs come out in (probe row asc, build row asc)
+//! order and list the same pairs, so the table kind never shows in the
+//! output. Inner/left/semi/anti all derive from the pair lists; residual
+//! predicates (Q13's `NOT LIKE`, Q21's `<>` correlations) are evaluated
+//! over the gathered pair batch, and a pair either of whose keys is NULL
+//! (an outer join's padding) is dropped.
 //!
 //! Joins build on their right input. A **semi/anti** join may
 //! instead build on its *left* input (`build_left`, chosen by the planner
@@ -23,8 +30,10 @@
 //! matched and emits them in left order, so the output is the same
 //! whichever side was built — and the same at every worker count.
 
+use std::sync::OnceLock;
+
 use tqp_ir::plan::JoinType;
-use tqp_tensor::hash::{self, FlatRowTable};
+use tqp_tensor::hash::{self, DenseRowTable, FlatRowTable};
 use tqp_tensor::index::{mask_to_indices, repeat_interleave, take};
 use tqp_tensor::ops;
 use tqp_tensor::{DType, Tensor};
@@ -35,40 +44,65 @@ use crate::exprfuse;
 use crate::exprprog::ExprProgram;
 
 /// The build side of a hash join (the program's `HashBuild` op): a
-/// row-index table over the build (right) input's key columns. Multi-key
-/// and non-integer keys are reduced to a 64-bit row hash; the probe then
-/// verifies true key equality on the expanded pairs (collision-safe).
+/// row-index table over the build input's key columns, in one of two
+/// kinds (see the module docs).
 ///
-/// Large builds construct **radix-partitioned**: `2^bits` disjoint tables,
-/// each owning the keys whose hash's top bits select it, built by
+/// Large hashed builds construct **radix-partitioned**: `2^bits` disjoint
+/// tables, each owning the keys whose hash's top bits select it, built by
 /// independent workers. Partitions fill from contiguous, ascending worker
 /// ranges, so every key's bucket holds its rows in ascending row order —
 /// **exactly** the bucket a sequential build produces. Probe output is
 /// therefore identical whatever the partition count, which is why it may
 /// follow the worker knob freely.
-pub struct JoinTable {
-    /// One table when built sequentially, `2^bits` radix partitions
-    /// otherwise.
-    parts: Vec<FlatRowTable>,
-    /// log2 of the partition count (0 = unpartitioned).
-    bits: u32,
-    /// True when keys were hashed (probe must verify equality).
-    hashed: bool,
+pub enum JoinTable {
+    /// A single `I64` key addressed directly; NULL build rows are left out.
+    Dense(DenseRowTable),
+    /// Keys joined on their combined row hash; the probe verifies equality.
+    Hashed {
+        /// One table when built sequentially, `2^bits` radix partitions
+        /// otherwise.
+        parts: Vec<FlatRowTable>,
+        /// log2 of the partition count (0 = unpartitioned).
+        bits: u32,
+    },
 }
 
 impl JoinTable {
     /// Number of distinct build keys.
     pub fn len(&self) -> usize {
-        self.parts.iter().map(|t| t.len()).sum()
+        match self {
+            JoinTable::Dense(t) => t.len(),
+            JoinTable::Hashed { parts, .. } => parts.iter().map(|t| t.len()).sum(),
+        }
     }
 
     /// True when no build rows were inserted.
     pub fn is_empty(&self) -> bool {
-        self.parts.iter().all(|t| t.is_empty())
+        match self {
+            JoinTable::Dense(t) => t.is_empty(),
+            JoinTable::Hashed { parts, .. } => parts.iter().all(|t| t.is_empty()),
+        }
     }
 }
 
-/// Build the hash table over `keys` of the build-side batch, sequentially.
+/// `exec.join.*` registry counters: builds per table kind.
+struct JoinMetrics {
+    dense_builds: tqp_obs::Counter,
+    hashed_builds: tqp_obs::Counter,
+}
+
+fn join_metrics() -> &'static JoinMetrics {
+    static METRICS: OnceLock<JoinMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let r = tqp_obs::registry();
+        JoinMetrics {
+            dense_builds: r.counter("exec.join.dense_builds"),
+            hashed_builds: r.counter("exec.join.hashed_builds"),
+        }
+    })
+}
+
+/// Build the join table over `keys` of the build-side batch, sequentially.
 pub fn build_table(build: &Batch, keys: &[usize]) -> JoinTable {
     build_table_par(build, keys, 1, None)
 }
@@ -81,30 +115,32 @@ const PAR_BUILD_MIN_ROWS: usize = 32 * 1024;
 /// per worker outweigh insert parallelism.
 const MAX_RADIX_BITS: u32 = 4;
 
-/// Reduce key columns to one `(keys, hashes)` pair, hashing the side
-/// exactly once, blockwise. Single bare-I64 keys stay raw (probe compares
-/// true values); everything else joins on the combined row hash and
-/// verifies equality on the expanded pairs.
-fn hash_keys(cols: &[&Tensor], hashed: bool) -> (Vec<i64>, Vec<u64>) {
-    if hashed {
-        let h = hash::hash_columns(cols);
-        let k = h.iter().map(|&x| x as i64).collect();
-        (k, h)
-    } else {
-        let k = cols[0].as_i64().to_vec();
-        let h = hash::hash_i64(&k);
-        (k, h)
+/// The key column of a join on one bare `I64` key: the only keys a
+/// [`DenseRowTable`] can address.
+fn single_i64<'a>(cols: &[&'a Tensor]) -> Option<&'a [i64]> {
+    match cols {
+        [k] if k.dtype() == DType::I64 && k.shape().len() == 1 => Some(k.as_i64()),
+        _ => None,
     }
 }
 
-/// Build the hash table, radix-partitioned across up to `workers` threads
-/// when the build side is large enough: hash once, then counting-pass
-/// table construction, sequential or partitioned on the hash's top bits.
-/// The table's *content* is identical to [`build_table`] at any worker
-/// count (see [`JoinTable`]).
+/// Reduce key columns to one `(keys, hashes)` pair, hashing the side
+/// exactly once, blockwise: the join runs on the combined row hash and
+/// verifies equality on the expanded pairs.
+fn hash_keys(cols: &[&Tensor]) -> (Vec<i64>, Vec<u64>) {
+    let h = hash::hash_columns(cols);
+    let k = h.iter().map(|&x| x as i64).collect();
+    (k, h)
+}
+
+/// Build the join table: a [`DenseRowTable`] when the key is one `I64`
+/// column whose span the rule admits (built sequentially), otherwise a
+/// hashed table, radix-partitioned across up to `workers` threads when
+/// the build side is large enough. The table's *content* is identical to
+/// [`build_table`] at any worker count (see [`JoinTable`]).
 ///
 /// `distinct` is an optional distinct-key estimate (the catalog's KMV
-/// sketch, threaded through the plan) used to size the directory —
+/// sketch, threaded through the plan) used to size a hashed directory —
 /// without it the directory assumes all-distinct keys.
 pub fn build_table_par(
     build: &Batch,
@@ -117,16 +153,27 @@ pub fn build_table_par(
         "tensor joins require at least one equi key"
     );
     let rkeys: Vec<&Tensor> = keys.iter().map(|&k| &build.columns[k]).collect();
-    let hashed =
-        !(rkeys.len() == 1 && rkeys[0].dtype() == DType::I64 && rkeys[0].shape().len() == 1);
-    let (kvec, hvec) = hash_keys(&rkeys, hashed);
+    let dense = single_i64(&rkeys).and_then(|k| {
+        let valid = build.validity[keys[0]].as_ref().map(|v| v.as_bool());
+        DenseRowTable::build(k, valid)
+    });
+    if let Some(t) = dense {
+        join_metrics().dense_builds.inc();
+        return JoinTable::Dense(t);
+    }
+    join_metrics().hashed_builds.inc();
+    build_hashed(&rkeys, workers, distinct)
+}
+
+/// The hashed kind of [`build_table_par`].
+fn build_hashed(rkeys: &[&Tensor], workers: usize, distinct: Option<u64>) -> JoinTable {
+    let (kvec, hvec) = hash_keys(rkeys);
     let n = kvec.len();
 
     if workers <= 1 || n < PAR_BUILD_MIN_ROWS {
-        return JoinTable {
+        return JoinTable::Hashed {
             parts: vec![FlatRowTable::build(&kvec, &hvec, distinct)],
             bits: 0,
-            hashed,
         };
     }
 
@@ -174,11 +221,7 @@ pub fn build_table_par(
         }
         FlatRowTable::build_with_rows(&ks, &rs, &hs, part_hint)
     });
-    JoinTable {
-        parts,
-        bits,
-        hashed,
-    }
+    JoinTable::Hashed { parts, bits }
 }
 
 /// Probe a [`JoinTable`] with the other side's keys and assemble the join
@@ -209,15 +252,17 @@ pub fn probe_table(
     let lkeys: Vec<&Tensor> = on.iter().map(|&(l, _)| &left.columns[l]).collect();
     let rkeys: Vec<&Tensor> = on.iter().map(|&(_, r)| &right.columns[r]).collect();
     let pkeys = if build_left { &rkeys } else { &lkeys };
-    if !table.hashed {
-        assert!(
-            pkeys.len() == 1 && pkeys[0].dtype() == DType::I64,
-            "probe keys must match build keys (plan bug)"
-        );
-    }
-    // Hash the probe side exactly once, blockwise.
-    let (pk, ph) = hash_keys(pkeys, table.hashed);
-    let (probe_idx, build_idx) = probe_pairs(&table.parts, table.bits, &pk, &ph, workers);
+    let (probe_idx, build_idx) = match table {
+        JoinTable::Dense(t) => {
+            let pk = single_i64(pkeys).expect("probe keys must match build keys (plan bug)");
+            dense_probe_pairs(t, pk, workers)
+        }
+        JoinTable::Hashed { parts, bits } => {
+            // Hash the probe side exactly once, blockwise.
+            let (pk, ph) = hash_keys(pkeys);
+            probe_pairs(parts, *bits, &pk, &ph, workers)
+        }
+    };
     let (left_idx, right_idx) = if build_left {
         (build_idx, probe_idx)
     } else {
@@ -229,7 +274,7 @@ pub fn probe_table(
         join_type,
         left_idx,
         right_idx,
-        table.hashed,
+        matches!(table, JoinTable::Hashed { .. }),
         on,
         residual,
     )
@@ -417,6 +462,23 @@ fn probe_pairs(
     })
 }
 
+/// Probe-side pair expansion against a [`DenseRowTable`]: each probe key
+/// addresses its run of build rows directly, read from the key column in
+/// place.
+fn dense_probe_pairs(table: &DenseRowTable, keys: &[i64], workers: usize) -> (Tensor, Tensor) {
+    collect_pairs(keys.len(), workers, &|lo, hi| {
+        let mut li = Vec::with_capacity(hi - lo);
+        let mut ri = Vec::with_capacity(hi - lo);
+        for (i, &k) in (lo..hi).zip(&keys[lo..hi]) {
+            for &r in table.rows_of(k) {
+                li.push(i as i64);
+                ri.push(r as i64);
+            }
+        }
+        (li, ri)
+    })
+}
+
 /// `matched[i] = true` iff left row i appears in the pair list.
 fn matched_mask(n: usize, left_idx: &Tensor) -> Tensor {
     let mut mask = vec![false; n];
@@ -582,7 +644,8 @@ mod tests {
     }
 
     /// Parallel radix-partitioned build must produce byte-identical probe
-    /// output to the sequential build, at any worker count.
+    /// output to the sequential build, at any worker count — and so must
+    /// the dense table these keys get.
     #[test]
     fn parallel_build_identical_probe_output() {
         let n = PAR_BUILD_MIN_ROWS + 1357;
@@ -602,27 +665,24 @@ mod tests {
         assert_eq!(build_rows, pairs_b);
         let probe_keys: Vec<i64> = pairs_p.iter().map(|&i| i * 3 % 5000).collect();
         assert_eq!(seq.columns[0].as_i64(), &probe_keys[..]);
-        // Every worker count must reproduce it bitwise.
+        assert!(matches!(seq_table, JoinTable::Dense(_)));
+        // Every worker count must reproduce it bitwise, on both kinds.
         for workers in [1, 2, 4, 8] {
-            let par_table = build_table_par(&build, &[0], workers, None);
-            assert_eq!(par_table.len(), seq_table.len());
-            assert_eq!(par_table.is_empty(), seq_table.is_empty());
-            let par = probe_table(
-                &par_table,
-                &probe,
-                &build,
-                JoinType::Inner,
-                &[(0, 0)],
-                None,
-                workers,
-                false,
-            );
-            assert_eq!(seq.nrows(), par.nrows(), "workers={workers}");
-            for c in 0..seq.ncols() {
-                match seq.columns[c].dtype() {
-                    DType::F64 => assert_eq!(seq.columns[c].as_f64(), par.columns[c].as_f64()),
-                    _ => assert_eq!(seq.columns[c].as_i64(), par.columns[c].as_i64()),
-                }
+            let (chosen, hashed) = chosen_and_hashed(&build, workers);
+            for par_table in [chosen, hashed] {
+                assert_eq!(par_table.len(), seq_table.len());
+                assert_eq!(par_table.is_empty(), seq_table.is_empty());
+                let par = probe_table(
+                    &par_table,
+                    &probe,
+                    &build,
+                    JoinType::Inner,
+                    &[(0, 0)],
+                    None,
+                    workers,
+                    false,
+                );
+                assert_same_batch(&seq, &par, &format!("workers={workers}"));
             }
         }
     }
@@ -672,7 +732,7 @@ mod tests {
         }
     }
 
-    /// The distinct hint only sizes the directory; wildly wrong hints
+    /// The distinct hint only sizes a hashed directory; wildly wrong hints
     /// must not change the join output.
     #[test]
     fn distinct_hint_is_output_invariant() {
@@ -682,7 +742,7 @@ mod tests {
         ]);
         let probe = b(vec![Tensor::from_i64((0..100i64).collect())]);
         let golden = probe_table(
-            &build_table_par(&build, &[0], 1, None),
+            &build_hashed(&[&build.columns[0]], 1, None),
             &probe,
             &build,
             JoinType::Inner,
@@ -692,7 +752,7 @@ mod tests {
             false,
         );
         for hint in [Some(1u64), Some(37), Some(1 << 40)] {
-            let t = build_table_par(&build, &[0], 1, hint);
+            let t = build_hashed(&[&build.columns[0]], 1, hint);
             assert_eq!(t.len(), 37);
             let out = probe_table(
                 &t,
@@ -799,5 +859,206 @@ mod tests {
         let r = b(vec![Tensor::from_strings(&["b", "c", "d"], 0)]);
         let out = join(&l, &r, JoinType::Semi, &[(0, 0)], None);
         assert_eq!(out.nrows(), 2);
+    }
+
+    /// One key column plus a row-id column, with optional key validity.
+    fn keyed(keys: &[i64], valid: Option<&[bool]>) -> Batch {
+        let ids = Tensor::from_i64((0..keys.len() as i64).collect());
+        Batch::with_validity(
+            vec![Tensor::from_i64(keys.to_vec()), ids],
+            vec![valid.map(|v| Tensor::from_bool(v.to_vec())), None],
+        )
+    }
+
+    /// Both kinds over one build side: what `build_table_par` picks, and
+    /// the hashed table it would fall back to.
+    fn chosen_and_hashed(build: &Batch, workers: usize) -> (JoinTable, JoinTable) {
+        (
+            build_table_par(build, &[0], workers, None),
+            build_hashed(&[&build.columns[0]], workers, None),
+        )
+    }
+
+    fn assert_same_batch(a: &Batch, b: &Batch, ctx: &str) {
+        assert_eq!(a.nrows(), b.nrows(), "{ctx}: rows");
+        assert!(a.columns == b.columns, "{ctx}: columns");
+        assert!(a.validity == b.validity, "{ctx}: validity");
+    }
+
+    /// A key set for the dense/hashed grid: build keys, probe keys, each
+    /// with optional validity, and the kind the build must get.
+    struct KeySet {
+        name: &'static str,
+        build: Vec<i64>,
+        build_valid: Option<Vec<bool>>,
+        probe: Vec<i64>,
+        probe_valid: Option<Vec<bool>>,
+        dense: bool,
+    }
+
+    fn key_set(name: &'static str, build: Vec<i64>, probe: Vec<i64>, dense: bool) -> KeySet {
+        KeySet {
+            name,
+            build,
+            build_valid: None,
+            probe,
+            probe_valid: None,
+            dense,
+        }
+    }
+
+    fn boundary_key_sets() -> Vec<KeySet> {
+        let floor = hash::DENSE_SPAN_FLOOR as i64;
+        // Enough rows that the per-row budget, not the floor, sets the rule.
+        let n = 2 * hash::DENSE_SPAN_FLOOR / hash::DENSE_SPAN_PER_ROW;
+        let at_rule = (n * hash::DENSE_SPAN_PER_ROW) as i64 - 1;
+        let mut rule: Vec<i64> = (0..n as i64 - 1).collect();
+        rule.push(at_rule);
+        let mut past_rule = rule.clone();
+        *past_rule.last_mut().unwrap() += 1;
+        // Every build key once (a probe long enough to chunk), plus the
+        // keys just outside the span.
+        let rule_probe: Vec<i64> = (-1..n as i64).rev().chain([at_rule, at_rule + 1]).collect();
+        let (min, max) = (i64::MIN, i64::MAX);
+        let extremes = vec![max, min, 0, 1, -1, min + 1, max - 1, min, max];
+        let mut nulls = key_set(
+            "NULL keys on both sides",
+            vec![1, 2, 2, 1 << 40, 7],
+            vec![2, 1, 3, 2, 7, 1 << 40],
+            true,
+        );
+        nulls.build_valid = Some(vec![true, true, true, false, false]);
+        nulls.probe_valid = Some(vec![true, true, true, false, true, true]);
+        vec![
+            key_set(
+                "span at the floor",
+                vec![0, floor - 1, 5, 5],
+                vec![0, 5, floor - 1, floor, -1, 7],
+                true,
+            ),
+            key_set(
+                "span one past the floor",
+                vec![0, floor, 5, 5],
+                vec![0, 5, floor, floor - 1, -1],
+                false,
+            ),
+            key_set("span at the per-row rule", rule, rule_probe.clone(), true),
+            key_set(
+                "span one past the per-row rule",
+                past_rule,
+                rule_probe,
+                false,
+            ),
+            key_set(
+                "negative keys",
+                vec![-5, -3, -5, -1000],
+                vec![-5, -1000, -4, 0, -3, -5],
+                true,
+            ),
+            key_set("i64 extremes", extremes.clone(), extremes, false),
+            key_set(
+                "keys at i64::MIN",
+                vec![min, min + 3, min],
+                vec![min, max, min + 3, min + 1, 0],
+                true,
+            ),
+            key_set(
+                "keys at i64::MAX",
+                vec![max, max - 70, max],
+                vec![max, min, max - 70, max - 1, -1],
+                true,
+            ),
+            key_set("a single value", vec![9], vec![9, 8, 9, 10, min], true),
+            key_set(
+                "duplicate-heavy keys",
+                (0..3000).map(|i| i % 7).collect(),
+                (0..500).map(|i| i % 11 - 2).collect(),
+                true,
+            ),
+            key_set("an empty build", vec![], vec![1, 2, min, max], true),
+            nulls,
+        ]
+    }
+
+    /// Every boundary key set gets the kind the rule says, matches the
+    /// nested-loop oracle, and gives bitwise-identical batches on both
+    /// kinds for inner, left, semi and anti joins, built right or (semi,
+    /// anti) left, at 1, 2 and 4 workers.
+    #[test]
+    fn dense_and_hashed_kinds_agree_at_the_span_boundary() {
+        let kinds = [
+            (JoinType::Inner, false),
+            (JoinType::Left, false),
+            (JoinType::Semi, false),
+            (JoinType::Anti, false),
+            (JoinType::Semi, true),
+            (JoinType::Anti, true),
+        ];
+        for set in boundary_key_sets() {
+            let build = keyed(&set.build, set.build_valid.as_deref());
+            let probe = keyed(&set.probe, set.probe_valid.as_deref());
+            let is_dense = matches!(build_table(&build, &[0]), JoinTable::Dense(_));
+            assert_eq!(is_dense, set.dense, "{}: table kind", set.name);
+
+            // The oracle, over the non-NULL keys of a prefix of the probe.
+            let m = set.probe.len().min(512);
+            let valid = |v: &Option<Vec<bool>>, i: usize| v.as_ref().is_none_or(|v| v[i]);
+            let (want_p, want_b): (Vec<i64>, Vec<i64>) = {
+                let (p, b) = nested_loop_pairs(&[&set.probe[..m]], &[&set.build]);
+                p.into_iter()
+                    .zip(b)
+                    .filter(|&(p, b)| {
+                        valid(&set.probe_valid, p as usize) && valid(&set.build_valid, b as usize)
+                    })
+                    .unzip()
+            };
+            let out = join(
+                &probe.slice_rows(0, m),
+                &build,
+                JoinType::Inner,
+                &[(0, 0)],
+                None,
+            );
+            assert_eq!(
+                out.columns[1].as_i64(),
+                &want_p[..],
+                "{}: probe rows",
+                set.name
+            );
+            assert_eq!(
+                out.columns[3].as_i64(),
+                &want_b[..],
+                "{}: build rows",
+                set.name
+            );
+
+            for workers in [1, 2, 4] {
+                let (chosen, hashed) = chosen_and_hashed(&build, workers);
+                if set.build_valid.is_none() {
+                    // A hashed table also keys the values NULL rows hold.
+                    assert_eq!(chosen.len(), hashed.len(), "{}: distinct keys", set.name);
+                }
+                for (join_type, build_left) in kinds {
+                    let (l, r) = if build_left {
+                        (&build, &probe)
+                    } else {
+                        (&probe, &build)
+                    };
+                    let run = |t: &JoinTable| {
+                        probe_table(t, l, r, join_type, &[(0, 0)], None, workers, build_left)
+                    };
+                    let ctx = format!(
+                        "{}: {join_type:?} build_left={build_left} workers={workers}",
+                        set.name
+                    );
+                    let got = run(&chosen);
+                    assert_same_batch(&got, &run(&hashed), &ctx);
+                    if build_left {
+                        let right_built = join(l, r, join_type, &[(0, 0)], None);
+                        assert_same_batch(&got, &right_built, &ctx);
+                    }
+                }
+            }
+        }
     }
 }

@@ -34,9 +34,11 @@
 //!   segment it stops being a segment boundary entirely: each worker
 //!   pipelines its scan morsel through the filter/project chain straight
 //!   into the aggregation's first phase, and only the second is a barrier.
-//! * **`HashBuild`** builds radix-partitioned, one disjoint partition per
-//!   worker ([`crate::join::build_table_par`]); the probe loop of
-//!   `HashProbe` chunks the probe side ([`crate::join::probe_table`]).
+//! * **`HashBuild`** builds a direct-addressed table for a dense single
+//!   `I64` key, and otherwise hashes, radix-partitioned with one disjoint
+//!   partition per worker ([`crate::join::build_table_par`]); the probe
+//!   loop of `HashProbe` chunks the probe side
+//!   ([`crate::join::probe_table`]).
 //! * **`Sort`** sorts row ranges as pool tasks and stable-merges them
 //!   pairwise (`argsort_par`); a `Sort` with a `limit` selects its
 //!   first rows per fixed-geometry morsel and merges those

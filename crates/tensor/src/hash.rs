@@ -1,4 +1,4 @@
-//! Blockwise hashing kernels and flat arena hash tables — the vectorized
+//! Blockwise hashing kernels and flat arena join tables — the vectorized
 //! hash core behind `tqp-exec`'s join build/probe and group-by.
 //!
 //! "Query Processing on Tensor Computation Runtimes" frames hash build and
@@ -11,13 +11,17 @@
 //!   blocks, [`HASH_LANES`] independent accumulator lanes per block so the
 //!   compiler can keep the multiply/xor chains in SIMD registers — instead
 //!   of one `Hasher` state machine invocation per row.
-//! * **Counting-sort primitives** ([`scatter_count`], [`gather_u32`]): the
-//!   histogram and gather passes flat table construction is made of.
-//! * **[`FlatRowTable`]** — the join build table: a power-of-two bucket
-//!   directory over two contiguous arenas (`rows`, `keys`), built with a
-//!   counting pass then exact-offset fills. No per-key `Vec` allocations,
-//!   no rehash growth, no hash-again on insert: the precomputed hash
-//!   column *is* the directory index.
+//! * **[`DenseRowTable`]** — the join build table for a single `i64` key
+//!   whose span is bounded ([`dense_span_fits`]): the key *is* the
+//!   address. A presence bitmap over `key − min` plus a per-word rank
+//!   numbers the distinct keys, and a counting pass lays their rows out
+//!   contiguously. Probing is a bounds check, a bit test and a popcount —
+//!   no hash and no key compare.
+//! * **[`FlatRowTable`]** — the join build table for every other key: a
+//!   power-of-two bucket directory over two contiguous arenas (`rows`,
+//!   `keys`), built with a counting pass then exact-offset fills. No
+//!   per-key `Vec` allocations, no rehash growth, no hash-again on insert:
+//!   the precomputed hash column *is* the directory index.
 //! * **[`group_rows_by_hash`]** — the group-by table: open-addressing
 //!   linear probing over fixed-width slots, collision-verified through a
 //!   caller-supplied row-equality callback so this crate stays independent
@@ -28,13 +32,16 @@
 //! `tqp-exec` promises bitwise-identical results at any worker count, and
 //! its hash-join contract is specifically that every key's row bucket
 //! lists build rows in **ascending row order** (the order a sequential
-//! per-key row list would push them). [`FlatRowTable`] preserves
-//! this structurally: the fill pass scans entries in ascending row order
-//! and appends each to its bucket's next free slot, so within a bucket —
-//! and therefore within the entries of any single key — rows ascend.
-//! Radix-partitioned parallel builds feed each partition its entries in
-//! ascending global row order (contiguous worker ranges drained in worker
-//! order), so the same argument applies per partition.
+//! per-key row list would push them). Both join tables preserve this
+//! structurally: their fill pass scans entries in ascending row order and
+//! appends each to its key's (or bucket's) next free slot, so the rows of
+//! any single key ascend. [`DenseRowTable`] is always built sequentially;
+//! radix-partitioned parallel builds of [`FlatRowTable`] feed each
+//! partition its entries in ascending global row order (contiguous worker
+//! ranges drained in worker order), so the same argument applies per
+//! partition. Which table a build gets is a function of the key column
+//! alone, and both list the same rows per key, so the choice never shows
+//! in a join's output.
 //! [`group_rows_by_hash`] assigns dense group ids in first-appearance
 //! order over a sequential scan, matching the executor's documented
 //! group-output order exactly.
@@ -157,24 +164,6 @@ pub fn hash_columns(cols: &[&Tensor]) -> Vec<u64> {
     acc
 }
 
-/// Histogram pass: `out[idx[i]] += 1`. The counting half of flat table
-/// construction (and of any counting-sort shaped kernel).
-pub fn scatter_count(idx: &[u32], n: usize) -> Vec<u32> {
-    let mut counts = vec![0u32; n];
-    for &b in idx {
-        counts[b as usize] += 1;
-    }
-    counts
-}
-
-/// Gather pass: `out[i] = src[idx[i]]` (hardware-gather tier when the
-/// index set validates in bounds; panics on out-of-range either way).
-pub fn gather_u32(src: &[u32], idx: &[u32]) -> Vec<u32> {
-    let mut out = vec![0u32; idx.len()];
-    crate::simd::gather_u32(src, idx, &mut out);
-    out
-}
-
 /// Directory size for `n` entries with an optional distinct-key estimate
 /// (e.g. the catalog's KMV sketch): two slots per expected distinct key,
 /// clamped to at most two per *entry* so a wild over-estimate cannot
@@ -247,8 +236,8 @@ impl FlatRowTable {
         let mask = (d - 1) as u64;
 
         // Counting pass: bucket histogram → exclusive prefix = exact
-        // arena offsets. (This *is* `scatter_count`, fused with the mask
-        // so the bucket ids never materialize.)
+        // arena offsets, with the mask fused in so the bucket ids never
+        // materialize.
         let mut counts = vec![0u32; d];
         for &h in hashes {
             counts[(h & mask) as usize] += 1;
@@ -348,6 +337,161 @@ impl FlatRowTable {
             &self.keys[start as usize..end as usize],
             &self.rows[start as usize..end as usize],
         )
+    }
+}
+
+/// Key span a [`DenseRowTable`] may address per build row. Bitmap plus
+/// rank cost `3 · span / 16` bytes, so this bounds the directory at 12 B a
+/// build row ([`FlatRowTable`] spends about 20).
+pub const DENSE_SPAN_PER_ROW: u64 = 64;
+
+/// Key span any build may address, however few its rows (a directory of
+/// at most 192 KB).
+pub const DENSE_SPAN_FLOOR: u64 = 1 << 20;
+
+/// Whether a key span of `span` slots over `rows` build rows is addressed
+/// directly: `span ≤ max(DENSE_SPAN_PER_ROW · rows, DENSE_SPAN_FLOOR)`.
+pub fn dense_span_fits(span: u64, rows: u64) -> bool {
+    span <= DENSE_SPAN_PER_ROW
+        .saturating_mul(rows)
+        .max(DENSE_SPAN_FLOOR)
+}
+
+/// The direct-addressed join build table over one `i64` key column whose
+/// span passes [`dense_span_fits`].
+///
+/// Key `k` lives at offset `k − min`. A presence bitmap over the span
+/// marks the keys that occur, and `rank[w]` counts the set bits before
+/// word `w`, so a present key's slot — its index among the distinct keys
+/// in ascending key order — is `rank[w] + popcount(word & below)`. Slot
+/// `s` owns `rows[starts[s]..starts[s+1]]`, filled by a counting pass in
+/// ascending row order: every key lists its rows ascending, exactly the
+/// rows [`FlatRowTable`] would return for it.
+///
+/// NULL rows match nothing, so they stay out of the table and out of the
+/// span.
+pub struct DenseRowTable {
+    /// The smallest valid key (0 for an empty table).
+    min: i64,
+    /// `max − min + 1` over the valid keys (0 for an empty table).
+    span: u64,
+    /// Presence bitmap over `key − min`.
+    bits: Vec<u64>,
+    /// Set bits before each bitmap word.
+    rank: Vec<u32>,
+    /// Exclusive prefix sums: slot `s` spans `starts[s]..starts[s+1]`.
+    starts: Vec<u32>,
+    /// Row-id arena, slot-contiguous, ascending within each slot.
+    rows: Vec<u32>,
+}
+
+impl DenseRowTable {
+    /// Build over `keys[i]` with row ids `0..n`, skipping the rows whose
+    /// `valid` entry is false. `None` when the exact span of the valid
+    /// keys fails [`dense_span_fits`]; the caller then hashes.
+    pub fn build(keys: &[i64], valid: Option<&[bool]>) -> Option<DenseRowTable> {
+        if let Some(v) = valid {
+            assert_eq!(v.len(), keys.len(), "keys/validity length mismatch");
+        }
+        let is_valid = |i: usize| valid.is_none_or(|v| v[i]);
+        let (mut min, mut max, mut n) = (i64::MAX, i64::MIN, 0u64);
+        for (i, &k) in keys.iter().enumerate() {
+            if is_valid(i) {
+                min = min.min(k);
+                max = max.max(k);
+                n += 1;
+            }
+        }
+        let span = if n == 0 {
+            min = 0;
+            0
+        } else {
+            (max.wrapping_sub(min) as u64).checked_add(1)?
+        };
+        if !dense_span_fits(span, n) {
+            return None;
+        }
+
+        // Pass 1: presence bits.
+        let mut bits = vec![0u64; span.div_ceil(64) as usize];
+        for (i, &k) in keys.iter().enumerate() {
+            if is_valid(i) {
+                let off = k.wrapping_sub(min) as u64;
+                bits[(off / 64) as usize] |= 1 << (off % 64);
+            }
+        }
+        // Pass 2: rank.
+        let mut rank = Vec::with_capacity(bits.len());
+        let mut distinct = 0u32;
+        for w in &bits {
+            rank.push(distinct);
+            distinct += w.count_ones();
+        }
+        let mut table = DenseRowTable {
+            min,
+            span,
+            bits,
+            rank,
+            starts: Vec::new(),
+            rows: Vec::new(),
+        };
+        // Pass 3: count each slot's rows, then fill them in ascending row
+        // order; `cursor` holds each slot's next free arena position.
+        let slot = |t: &DenseRowTable, k: i64| t.slot(k).expect("a valid key is present");
+        let mut starts = vec![0u32; distinct as usize + 1];
+        for (i, &k) in keys.iter().enumerate() {
+            if is_valid(i) {
+                starts[slot(&table, k) + 1] += 1;
+            }
+        }
+        for s in 1..starts.len() {
+            starts[s] += starts[s - 1];
+        }
+        let mut cursor = starts[..distinct as usize].to_vec();
+        let mut rows = vec![0u32; n as usize];
+        for (i, &k) in keys.iter().enumerate() {
+            if is_valid(i) {
+                let c = &mut cursor[slot(&table, k)];
+                rows[*c as usize] = i as u32;
+                *c += 1;
+            }
+        }
+        table.starts = starts;
+        table.rows = rows;
+        Some(table)
+    }
+
+    /// The slot of key `k` — its index among the distinct keys in
+    /// ascending key order — or `None` when `k` is absent.
+    #[inline]
+    fn slot(&self, k: i64) -> Option<usize> {
+        let off = k.wrapping_sub(self.min) as u64;
+        if off >= self.span {
+            return None;
+        }
+        let w = (off / 64) as usize;
+        let bit = 1u64 << (off % 64);
+        let word = self.bits[w];
+        (word & bit != 0).then(|| self.rank[w] as usize + (word & (bit - 1)).count_ones() as usize)
+    }
+
+    /// The rows holding key `k`, ascending (empty when `k` is absent).
+    #[inline]
+    pub fn rows_of(&self, k: i64) -> &[u32] {
+        match self.slot(k) {
+            Some(s) => &self.rows[self.starts[s] as usize..self.starts[s + 1] as usize],
+            None => &[],
+        }
+    }
+
+    /// Number of distinct keys.
+    pub fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// True when no rows were inserted.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
     }
 }
 
@@ -466,16 +610,6 @@ mod tests {
         assert_eq!(h[0], h[3], "trailing NULs are padding");
     }
 
-    #[test]
-    fn scatter_count_and_gather() {
-        let idx = [1u32, 0, 1, 3, 1];
-        assert_eq!(scatter_count(&idx, 4), vec![1, 3, 0, 1]);
-        assert_eq!(
-            gather_u32(&[10, 20, 30, 40], &idx),
-            vec![20, 10, 20, 40, 20]
-        );
-    }
-
     fn oracle(keys: &[i64]) -> BTreeMap<i64, Vec<u32>> {
         let mut m: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
         for (i, &k) in keys.iter().enumerate() {
@@ -514,6 +648,48 @@ mod tests {
         assert_table_matches(&vec![7i64; 500], None);
         assert_table_matches(&(0..2000).map(|i| i % 13).collect::<Vec<i64>>(), Some(13));
         assert_table_matches(&[i64::MIN, i64::MAX, 0, -1, i64::MIN, i64::MAX], None);
+    }
+
+    /// The dense table lists each valid key's rows ascending and nothing
+    /// for any other key, NULL rows included.
+    fn assert_dense_matches(keys: &[i64], valid: Option<&[bool]>) {
+        let t = DenseRowTable::build(keys, valid).expect("span fits");
+        let mut m: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
+        for (i, &k) in keys.iter().enumerate() {
+            if valid.is_none_or(|v| v[i]) {
+                m.entry(k).or_default().push(i as u32);
+            }
+        }
+        assert_eq!(t.len(), m.len(), "distinct count");
+        assert_eq!(t.is_empty(), m.is_empty());
+        for (&k, rows) in &m {
+            assert_eq!(t.rows_of(k), &rows[..], "rows for {k}");
+        }
+        for &k in keys {
+            for probe in [k.wrapping_sub(1), k.wrapping_add(1), k] {
+                if !m.contains_key(&probe) {
+                    assert!(t.rows_of(probe).is_empty(), "absent key {probe}");
+                }
+            }
+        }
+        for probe in [i64::MIN, i64::MAX, 0] {
+            assert_eq!(t.rows_of(probe), m.get(&probe).map_or(&[][..], |r| &r[..]));
+        }
+    }
+
+    #[test]
+    fn dense_table_matches_map_oracle() {
+        assert_dense_matches(&[], None);
+        assert_dense_matches(&[42], None);
+        assert_dense_matches(&(0..1000).rev().collect::<Vec<i64>>(), None);
+        assert_dense_matches(&vec![-7i64; 500], None);
+        assert_dense_matches(&(0..2000).map(|i| i % 13 - 6).collect::<Vec<i64>>(), None);
+        assert_dense_matches(&[i64::MIN, i64::MIN + 5, i64::MIN], None);
+        assert_dense_matches(&[i64::MAX, i64::MAX - 64, i64::MAX - 63], None);
+        // NULL rows are neither listed nor part of the span.
+        let keys = [3i64, i64::MIN, 5, 3, i64::MAX];
+        assert_dense_matches(&keys, Some(&[true, false, true, true, false]));
+        assert_dense_matches(&keys, Some(&[false; 5]));
     }
 
     #[test]

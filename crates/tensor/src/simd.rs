@@ -500,13 +500,6 @@ pub mod scalar {
         }
     }
 
-    /// `out[k] = src[idx[k]]` (u32 row ids, the hash-engine shape).
-    pub fn gather_u32(src: &[u32], idx: &[u32], out: &mut [u32]) {
-        for (o, &i) in out.iter_mut().zip(idx) {
-            *o = src[i as usize];
-        }
-    }
-
     /// Fibonacci mix of each key: `out[i] = mix64(v[i] as u64)`.
     pub fn hash_i64(vals: &[i64], out: &mut [u64]) {
         for (o, &v) in out.iter_mut().zip(vals) {
@@ -966,31 +959,6 @@ mod avx2 {
     }
     gather64!(gather_i64, i64, _mm256_i64gather_epi64, i64);
     gather64!(gather_f64, f64, _mm256_i64gather_pd, f64);
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gather_u32(src: &[u32], idx: &[u32], out: &mut [u32]) {
-        // i32 gathers sign-extend indices, so bail to scalar whenever an
-        // index (or the source length) doesn't fit in i32.
-        if src.len() > i32::MAX as usize {
-            return super::scalar::gather_u32(src, idx, out);
-        }
-        let len = src.len() as u32;
-        if idx.iter().any(|&i| i >= len) {
-            return super::scalar::gather_u32(src, idx, out);
-        }
-        let n = idx.len();
-        let ip = idx.as_ptr();
-        let op = out.as_mut_ptr();
-        let sp = src.as_ptr().cast::<i32>();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let vi = _mm256_loadu_si256(ip.add(i).cast());
-            let g = _mm256_i32gather_epi32::<4>(sp, vi);
-            std::ptr::write_unaligned(op.add(i).cast(), g);
-            i += 8;
-        }
-        super::scalar::gather_u32(src, &idx[i..], &mut out[i..]);
-    }
 
     // -- hash ---------------------------------------------------------
 
@@ -1571,12 +1539,6 @@ pub fn gather_f64(src: &[f64], idx: &[i64], out: &mut [f64]) {
     dispatch!(Family::Gather, idx.len(), gather_f64(src, idx, out))
 }
 
-/// `out[k] = src[idx[k]]` over u32 row ids (hash-engine payload gather).
-pub fn gather_u32(src: &[u32], idx: &[u32], out: &mut [u32]) {
-    debug_assert_eq!(idx.len(), out.len());
-    dispatch!(Family::Gather, idx.len(), avx2_only gather_u32(src, idx, out))
-}
-
 /// Blockwise Fibonacci mix: `out[i] = mix64(vals[i] as u64)`.
 pub fn hash_i64(vals: &[i64], out: &mut [u64]) {
     debug_assert_eq!(vals.len(), out.len());
@@ -1877,13 +1839,6 @@ mod tests {
                 a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             );
-            let srcu: Vec<u32> = (0..100u32).map(|i| i * 3).collect();
-            let idxu: Vec<u32> = idx.iter().map(|&i| i as u32).collect();
-            let mut a = vec![0u32; n];
-            let mut b = vec![0u32; n];
-            gather_u32(&srcu, &idxu, &mut a);
-            scalar::gather_u32(&srcu, &idxu, &mut b);
-            assert_eq!(a, b);
         }
     }
 

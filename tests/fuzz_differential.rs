@@ -5,9 +5,11 @@
 //!
 //! The generator covers projections (arithmetic, CASE), filters
 //! (comparisons, BETWEEN, LIKE, IN), comma-joins on the TPC-H foreign
-//! keys and string equi-joins against a small `flags` table whose key
-//! column is wider than the TPC-H flag columns it joins, GROUP BY with the
-//! full aggregate set, DISTINCT, and ORDER BY.
+//! keys, string equi-joins against a small `flags` table whose key
+//! column is wider than the TPC-H flag columns it joins, equi-joins against
+//! a small `sparse` table whose integer key is too sparse to address
+//! directly (so the single-key join takes the hashed route), GROUP BY with
+//! the full aggregate set, DISTINCT, and ORDER BY.
 //! On a mismatch the failing query is **shrunk** — filters, projections,
 //! and clauses are removed while the failure reproduces — and the minimal
 //! SQL plus the seed is printed so the case can be replayed with
@@ -157,6 +159,27 @@ const JOIN_OF: &[Col] = &[
     col("f_weight", Kind::Int),
 ];
 
+const SPARSE_TAGS: &[&str] = &["even", "odd"];
+
+const JOIN_LS: &[Col] = &[
+    col("l_quantity", Kind::Float),
+    col("l_extendedprice", Kind::Float),
+    col("l_returnflag", Kind::Enum(&["A", "N", "R"])),
+    col("l_shipdate", Kind::Date),
+    col("s_orderkey", Kind::Int),
+    col("s_weight", Kind::Int),
+    col("s_tag", Kind::Enum(SPARSE_TAGS)),
+];
+
+const JOIN_OS: &[Col] = &[
+    col("o_totalprice", Kind::Float),
+    col("o_orderdate", Kind::Date),
+    col("o_orderstatus", Kind::Enum(&["O", "F", "P"])),
+    col("o_shippriority", Kind::Int),
+    col("s_weight", Kind::Int),
+    col("s_tag", Kind::Enum(SPARSE_TAGS)),
+];
+
 const SOURCES: &[Source] = &[
     Source {
         from: "lineitem",
@@ -203,6 +226,16 @@ const SOURCES: &[Source] = &[
         join: Some("o_orderstatus = f_flag"),
         cols: JOIN_OF,
     },
+    Source {
+        from: "lineitem, sparse",
+        join: Some("l_orderkey = s_orderkey"),
+        cols: JOIN_LS,
+    },
+    Source {
+        from: "orders, sparse",
+        join: Some("o_orderkey = s_orderkey"),
+        cols: JOIN_OS,
+    },
 ];
 
 /// The `flags` table of the string equi-join sources.
@@ -212,6 +245,30 @@ fn flags() -> DataFrame {
         ("f_flag", strs(&["A", "N", "R", "O", "F", "XX"])),
         ("f_label", strs(FLAG_LABELS)),
         ("f_weight", Column::from_i64((1..=6).collect())),
+    ])
+}
+
+/// The `sparse` table of the sparse-key join sources: every fifth order key
+/// plus one far negative key, so its key span (~10^12) is far past what a
+/// dense join table addresses for a few thousand rows. A join that builds
+/// on it hashes its single `I64` key.
+fn sparse(orders: &DataFrame) -> DataFrame {
+    let Some(Column::Int64(keys)) = orders.column_by_name("o_orderkey") else {
+        panic!("o_orderkey is an Int64 column");
+    };
+    let mut s_orderkey: Vec<i64> = keys.iter().copied().step_by(5).collect();
+    s_orderkey.push(-1_000_003 * 1_000_003);
+    let n = s_orderkey.len() as i64;
+    df(vec![
+        ("s_orderkey", Column::from_i64(s_orderkey)),
+        (
+            "s_weight",
+            Column::from_i64((0..n).map(|i| i % 13).collect()),
+        ),
+        (
+            "s_tag",
+            Column::from_str((0..n).map(|i| SPARSE_TAGS[i as usize % 2].into()).collect()),
+        ),
     ])
 }
 
@@ -625,11 +682,13 @@ fn build_sessions(data: &TpchData) -> Sessions {
     let mut mem = Session::new();
     mem.register_tpch(data);
     mem.register_table("flags", flags());
+    mem.register_table("sparse", sparse(&data.orders));
     let dir = std::env::temp_dir().join(format!("tqp_fuzz_store_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let mut stored = Session::new();
-    let flags = flags();
-    for (name, frame) in data.tables().into_iter().chain([("flags", &flags)]) {
+    let (flags, sparse) = (flags(), sparse(&data.orders));
+    let extra = [("flags", &flags), ("sparse", &sparse)];
+    for (name, frame) in data.tables().into_iter().chain(extra) {
         let path = dir.join(format!("{name}.tqps"));
         let table = tqp_repro::store::store_frame(frame, &path, 2048)
             .unwrap_or_else(|e| panic!("storing {name}: {e}"));
@@ -663,6 +722,17 @@ fn randomized_queries_match_the_oracle_on_all_backends() {
         seed: 20_220_901,
     });
     let sessions = build_sessions(&data);
+
+    // The sparse source reaches the hashed single-key join on every
+    // backend: lineitem is always the larger side, so `sparse` is built.
+    let hashed_builds = tqp_repro::obs::registry().counter("exec.join.hashed_builds");
+    let before = hashed_builds.get();
+    check(
+        &sessions,
+        "select l_quantity, s_weight from lineitem, sparse where l_orderkey = s_orderkey",
+    )
+    .unwrap();
+    assert!(hashed_builds.get() > before, "the sparse join did not hash");
 
     let mut rng = StdRng::seed_from_u64(seed);
     for qi in 0..n_queries {

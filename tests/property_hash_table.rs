@@ -1,16 +1,20 @@
 //! Property tests for the vectorized hash engine
-//! (`tqp_tensor::hash`): the flat arena table must agree with a plain
+//! (`tqp_tensor::hash`): both join tables — the flat arena table and the
+//! direct-addressed dense table — must agree with a plain
 //! `HashMap<i64, Vec<u32>>` oracle — same key set, same per-key row
 //! list, and rows in **ascending input order** within every bucket (the
 //! determinism contract the join build relies on) — on adversarial key
 //! distributions: extremes (`i64::MIN`/`MAX`), all-equal, dense
 //! sequential, and synthetic same-bucket collisions built by *inverting*
-//! the `mix64` finalizer.
+//! the `mix64` finalizer. The join build counts which table it picked.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use tqp_tensor::hash::{self, FlatRowTable};
+use tqp_exec::batch::Batch;
+use tqp_exec::join::{self, JoinTable};
+use tqp_tensor::hash::{self, DenseRowTable, FlatRowTable};
+use tqp_tensor::Tensor;
 
 /// Oracle: per-key ascending row ids, in first-appearance key order.
 fn oracle(keys: &[i64]) -> HashMap<i64, Vec<u32>> {
@@ -47,6 +51,66 @@ fn assert_matches_oracle(keys: &[i64]) {
             assert_eq!(got, *rows, "rows for key {k} in ascending input order");
         }
     }
+}
+
+/// The dense table holds exactly the oracle's contents when the exact span
+/// of `keys` passes the rule, and is refused when it does not.
+fn assert_dense_matches_oracle(keys: &[i64]) -> Result<(), TestCaseError> {
+    let span = match (keys.iter().min(), keys.iter().max()) {
+        (Some(&lo), Some(&hi)) => (hi as i128 - lo as i128 + 1) as u128,
+        _ => 0,
+    };
+    let fits = span <= u64::MAX as u128 && hash::dense_span_fits(span as u64, keys.len() as u64);
+    let Some(t) = DenseRowTable::build(keys, None) else {
+        prop_assert!(!fits, "span {} over {} rows was refused", span, keys.len());
+        return Ok(());
+    };
+    prop_assert!(fits, "span {} over {} rows was admitted", span, keys.len());
+    let want = oracle(keys);
+    prop_assert_eq!(t.len(), want.len());
+    for (&k, rows) in &want {
+        prop_assert_eq!(t.rows_of(k), &rows[..], "rows for key {}", k);
+        for near in [
+            k.wrapping_sub(1),
+            k.wrapping_add(1),
+            k ^ (1 << 40),
+            i64::MIN,
+            i64::MAX,
+        ] {
+            if !want.contains_key(&near) {
+                prop_assert!(t.rows_of(near).is_empty(), "absent key {}", near);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A single-key `I64` join builds a dense table when its span allows and
+/// a hashed table otherwise; a two-column join always hashes. Each build
+/// counts once, under its kind. No other test in this binary builds a
+/// join table, so the deltas are exact.
+#[test]
+fn join_builds_count_their_table_kind() {
+    let counter = |name: &str| tqp_obs::registry().counter(name);
+    let (dense, hashed) = (
+        counter("exec.join.dense_builds"),
+        counter("exec.join.hashed_builds"),
+    );
+    let build = |keys: &[usize], cols: Vec<Tensor>| {
+        let (d0, h0) = (dense.get(), hashed.get());
+        let table = join::build_table(&Batch::new(cols), keys);
+        (table, dense.get() - d0, hashed.get() - h0)
+    };
+    let (table, d, h) = build(&[0], vec![Tensor::from_i64(vec![3, 1, 4, 1, 5])]);
+    assert!(matches!(table, JoinTable::Dense(_)));
+    assert_eq!((d, h), (1, 0), "a dense-key join");
+    let (table, d, h) = build(&[0], vec![Tensor::from_i64(vec![3, -(1 << 50)])]);
+    assert!(matches!(table, JoinTable::Hashed { .. }));
+    assert_eq!((d, h), (0, 1), "a sparse single-key join");
+    let two = vec![Tensor::from_i64(vec![1, 2]), Tensor::from_i64(vec![3, 4])];
+    let (table, d, h) = build(&[0, 1], two);
+    assert!(matches!(table, JoinTable::Hashed { .. }));
+    assert_eq!((d, h), (0, 1), "a two-column join");
 }
 
 /// Multiplicative inverse of an odd u64 (Newton's iteration).
@@ -157,6 +221,28 @@ proptest! {
     #[test]
     fn high_collision_keys_match_oracle(keys in prop::collection::vec(-8i64..8, 0..800)) {
         assert_matches_oracle(&keys);
+    }
+
+    #[test]
+    fn dense_table_matches_oracle(
+        base in any::<i64>(),
+        offsets in prop::collection::vec(0i64..3000, 0..400),
+        spread in prop_oneof![Just(1i64), Just(7), Just(1 << 12), Just(1 << 24)],
+    ) {
+        // Offsets from a random base, scaled so some spans pass the rule
+        // and some do not; wrapping sets reach across i64::MIN/MAX.
+        let keys: Vec<i64> = offsets.iter().map(|&o| base.wrapping_add(o * spread)).collect();
+        assert_dense_matches_oracle(&keys)?;
+    }
+
+    #[test]
+    fn dense_table_matches_oracle_on_extremes(
+        picks in prop::collection::vec(prop_oneof![
+            Just(i64::MIN), Just(i64::MIN + 1), Just(i64::MIN + 64), Just(-1), Just(0), Just(1),
+            Just(i64::MAX - 64), Just(i64::MAX - 1), Just(i64::MAX),
+        ], 0..60),
+    ) {
+        assert_dense_matches_oracle(&picks)?;
     }
 
     #[test]

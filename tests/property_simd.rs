@@ -218,13 +218,6 @@ proptest! {
         let wb: Vec<u64> = want.iter().map(|x| x.to_bits()).collect();
         let gb: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
         prop_assert_eq!(wb, gb);
-        let su: Vec<u32> = si.iter().map(|&x| x as u32).collect();
-        let iu: Vec<u32> = idx.iter().map(|&x| x as u32).collect();
-        let mut want = vec![0u32; iu.len()];
-        let mut got = vec![0u32; iu.len()];
-        scalar::gather_u32(&su, &iu, &mut want);
-        simd::gather_u32(&su, &iu, &mut got);
-        prop_assert_eq!(want, got);
     }
 
     #[test]
