@@ -10,17 +10,21 @@
 //!   key compare — and a row's matches are the run its key addresses.
 //! * **Hashed** — every other key (several columns, a non-`I64` column, or
 //!   an `I64` key too sparse to address) is hashed exactly once with the
-//!   blockwise kernels into a [`FlatRowTable`] — a power-of-two directory
-//!   over contiguous row/key arenas, filled by a counting pass — on a
-//!   64-bit combined row hash, and true key equality is verified on the
-//!   expanded pairs (collision-safe).
+//!   blockwise kernels into a 64-bit combined row hash, which a
+//!   [`HashedRowTable`] takes over without a copy: a power-of-two
+//!   directory over one row arena, filled by a counting pass. The probe
+//!   side is hashed the same way; a probe row's candidates are the build
+//!   rows of its bucket with an equal hash, and true key equality is
+//!   verified on the expanded pairs (collision-safe).
 //!
-//! Either way probe pairs come out in (probe row asc, build row asc)
-//! order and list the same pairs, so the table kind never shows in the
-//! output. Inner/left/semi/anti all derive from the pair lists; residual
-//! predicates (Q13's `NOT LIKE`, Q21's `<>` correlations) are evaluated
-//! over the gathered pair batch, and a pair either of whose keys is NULL
-//! (an outer join's padding) is dropped.
+//! Either kind is built sequentially, by one counting pass and one fill
+//! pass; only the probe runs on workers. Either way probe pairs come out
+//! in (probe row asc, build row asc) order and list the same pairs, so
+//! the table kind never shows in the output. Inner/left/semi/anti all
+//! derive from the pair lists; residual predicates (Q13's `NOT LIKE`,
+//! Q21's `<>` correlations) are evaluated over the gathered pair batch. A
+//! build row with a NULL key (an outer join's padding) never enters
+//! either table, and a pair whose probe key is NULL is dropped.
 //!
 //! Joins build on their right input. A **semi/anti** join may
 //! instead build on its *left* input (`build_left`, chosen by the planner
@@ -33,7 +37,7 @@
 use std::sync::OnceLock;
 
 use tqp_ir::plan::JoinType;
-use tqp_tensor::hash::{self, DenseRowTable, FlatRowTable};
+use tqp_tensor::hash::{self, DenseRowTable, HashedRowTable};
 use tqp_tensor::index::{mask_to_indices, repeat_interleave, take};
 use tqp_tensor::ops;
 use tqp_tensor::{DType, Tensor};
@@ -45,26 +49,13 @@ use crate::exprprog::ExprProgram;
 
 /// The build side of a hash join (the program's `HashBuild` op): a
 /// row-index table over the build input's key columns, in one of two
-/// kinds (see the module docs).
-///
-/// Large hashed builds construct **radix-partitioned**: `2^bits` disjoint
-/// tables, each owning the keys whose hash's top bits select it, built by
-/// independent workers. Partitions fill from contiguous, ascending worker
-/// ranges, so every key's bucket holds its rows in ascending row order —
-/// **exactly** the bucket a sequential build produces. Probe output is
-/// therefore identical whatever the partition count, which is why it may
-/// follow the worker knob freely.
+/// kinds (see the module docs). Rows with a NULL in any key are left out
+/// of either kind.
 pub enum JoinTable {
-    /// A single `I64` key addressed directly; NULL build rows are left out.
+    /// A single `I64` key addressed directly.
     Dense(DenseRowTable),
     /// Keys joined on their combined row hash; the probe verifies equality.
-    Hashed {
-        /// One table when built sequentially, `2^bits` radix partitions
-        /// otherwise.
-        parts: Vec<FlatRowTable>,
-        /// log2 of the partition count (0 = unpartitioned).
-        bits: u32,
-    },
+    Hashed(HashedRowTable),
 }
 
 impl JoinTable {
@@ -72,7 +63,7 @@ impl JoinTable {
     pub fn len(&self) -> usize {
         match self {
             JoinTable::Dense(t) => t.len(),
-            JoinTable::Hashed { parts, .. } => parts.iter().map(|t| t.len()).sum(),
+            JoinTable::Hashed(t) => t.len(),
         }
     }
 
@@ -80,7 +71,7 @@ impl JoinTable {
     pub fn is_empty(&self) -> bool {
         match self {
             JoinTable::Dense(t) => t.is_empty(),
-            JoinTable::Hashed { parts, .. } => parts.iter().all(|t| t.is_empty()),
+            JoinTable::Hashed(t) => t.is_empty(),
         }
     }
 }
@@ -102,19 +93,6 @@ fn join_metrics() -> &'static JoinMetrics {
     })
 }
 
-/// Build the join table over `keys` of the build-side batch, sequentially.
-pub fn build_table(build: &Batch, keys: &[usize]) -> JoinTable {
-    build_table_par(build, keys, 1, None)
-}
-
-/// Minimum build rows before the radix-partitioned parallel build pays for
-/// its extra per-worker key scans.
-const PAR_BUILD_MIN_ROWS: usize = 32 * 1024;
-
-/// Maximum radix bits (16 partitions): beyond this the redundant key scans
-/// per worker outweigh insert parallelism.
-const MAX_RADIX_BITS: u32 = 4;
-
 /// The key column of a join on one bare `I64` key: the only keys a
 /// [`DenseRowTable`] can address.
 fn single_i64<'a>(cols: &[&'a Tensor]) -> Option<&'a [i64]> {
@@ -124,104 +102,27 @@ fn single_i64<'a>(cols: &[&'a Tensor]) -> Option<&'a [i64]> {
     }
 }
 
-/// Reduce key columns to one `(keys, hashes)` pair, hashing the side
-/// exactly once, blockwise: the join runs on the combined row hash and
-/// verifies equality on the expanded pairs.
-fn hash_keys(cols: &[&Tensor]) -> (Vec<i64>, Vec<u64>) {
-    let h = hash::hash_columns(cols);
-    let k = h.iter().map(|&x| x as i64).collect();
-    (k, h)
-}
-
-/// Build the join table: a [`DenseRowTable`] when the key is one `I64`
-/// column whose span the rule admits (built sequentially), otherwise a
-/// hashed table, radix-partitioned across up to `workers` threads when
-/// the build side is large enough. The table's *content* is identical to
-/// [`build_table`] at any worker count (see [`JoinTable`]).
-///
-/// `distinct` is an optional distinct-key estimate (the catalog's KMV
-/// sketch, threaded through the plan) used to size a hashed directory —
-/// without it the directory assumes all-distinct keys.
-pub fn build_table_par(
-    build: &Batch,
-    keys: &[usize],
-    workers: usize,
-    distinct: Option<u64>,
-) -> JoinTable {
+/// Build the join table over `keys` of the build-side batch, in one
+/// sequential pass pair: a [`DenseRowTable`] when the key is one `I64`
+/// column whose span the rule admits, otherwise a [`HashedRowTable`] over
+/// the keys' row hash.
+pub fn build_table(build: &Batch, keys: &[usize]) -> JoinTable {
     assert!(
         !keys.is_empty(),
         "tensor joins require at least one equi key"
     );
-    let rkeys: Vec<&Tensor> = keys.iter().map(|&k| &build.columns[k]).collect();
-    let dense = single_i64(&rkeys).and_then(|k| {
-        let valid = build.validity[keys[0]].as_ref().map(|v| v.as_bool());
-        DenseRowTable::build(k, valid)
-    });
-    if let Some(t) = dense {
+    let cols: Vec<&Tensor> = keys.iter().map(|&k| &build.columns[k]).collect();
+    let valid = keys
+        .iter()
+        .filter_map(|&k| build.validity[k].clone())
+        .reduce(|a, b| ops::and(&a, &b));
+    let valid = valid.as_ref().map(Tensor::as_bool);
+    if let Some(t) = single_i64(&cols).and_then(|k| DenseRowTable::build(k, valid)) {
         join_metrics().dense_builds.inc();
         return JoinTable::Dense(t);
     }
     join_metrics().hashed_builds.inc();
-    build_hashed(&rkeys, workers, distinct)
-}
-
-/// The hashed kind of [`build_table_par`].
-fn build_hashed(rkeys: &[&Tensor], workers: usize, distinct: Option<u64>) -> JoinTable {
-    let (kvec, hvec) = hash_keys(rkeys);
-    let n = kvec.len();
-
-    if workers <= 1 || n < PAR_BUILD_MIN_ROWS {
-        return JoinTable::Hashed {
-            parts: vec![FlatRowTable::build(&kvec, &hvec, distinct)],
-            bits: 0,
-        };
-    }
-
-    let bits = (workers.next_power_of_two().trailing_zeros()).clamp(1, MAX_RADIX_BITS);
-    let p = 1usize << bits;
-
-    // Phase 1 — contiguous worker ranges bin (key, row, hash) triples per
-    // partition, in row order (the hash rides along so partitions never
-    // re-hash).
-    let threads = workers.min(n);
-    let chunk = n.div_ceil(threads);
-    /// Per-partition (keys, rows, hashes) columns, per phase-1 worker.
-    type FlatBins = Vec<(Vec<i64>, Vec<u32>, Vec<u64>)>;
-    let (kref, href) = (&kvec, &hvec);
-    let bins: Vec<FlatBins> = crate::sched::map_tasks(threads, workers, |t| {
-        // Partition boundary: deadline/cancellation check per build task.
-        crate::sched::check_cancelled();
-        let lo = t * chunk;
-        let hi = ((t + 1) * chunk).min(n);
-        let mut local: FlatBins = vec![(Vec::new(), Vec::new(), Vec::new()); p];
-        for i in lo..hi {
-            let pi = (href[i] >> (64 - bits)) as usize;
-            local[pi].0.push(kref[i]);
-            local[pi].1.push(i as u32);
-            local[pi].2.push(href[i]);
-        }
-        local
-    });
-
-    // Phase 2 — one flat table per partition over the workers' bins in
-    // worker order; ranges are contiguous and ascending, so every bucket
-    // fills in ascending global row order. The distinct estimate splits
-    // evenly across partitions (the mixed top bits spread keys uniformly).
-    let part_hint = distinct.map(|d| (d >> bits).max(1));
-    let bins_ref = &bins;
-    let parts: Vec<FlatRowTable> = crate::sched::map_tasks(p, workers, |pi| {
-        let cap: usize = bins_ref.iter().map(|b| b[pi].0.len()).sum();
-        let mut ks = Vec::with_capacity(cap);
-        let mut rs = Vec::with_capacity(cap);
-        let mut hs = Vec::with_capacity(cap);
-        for b in bins_ref {
-            ks.extend_from_slice(&b[pi].0);
-            rs.extend_from_slice(&b[pi].1);
-            hs.extend_from_slice(&b[pi].2);
-        }
-        FlatRowTable::build_with_rows(&ks, &rs, &hs, part_hint)
-    });
-    JoinTable::Hashed { parts, bits }
+    JoinTable::Hashed(HashedRowTable::build(hash::hash_columns(&cols), valid))
 }
 
 /// Probe a [`JoinTable`] with the other side's keys and assemble the join
@@ -257,11 +158,7 @@ pub fn probe_table(
             let pk = single_i64(pkeys).expect("probe keys must match build keys (plan bug)");
             dense_probe_pairs(t, pk, workers)
         }
-        JoinTable::Hashed { parts, bits } => {
-            // Hash the probe side exactly once, blockwise.
-            let (pk, ph) = hash_keys(pkeys);
-            probe_pairs(parts, *bits, &pk, &ph, workers)
-        }
+        JoinTable::Hashed(t) => probe_pairs(t, &hash::hash_columns(pkeys), workers),
     };
     let (left_idx, right_idx) = if build_left {
         (build_idx, probe_idx)
@@ -274,7 +171,7 @@ pub fn probe_table(
         join_type,
         left_idx,
         right_idx,
-        matches!(table, JoinTable::Hashed { .. }),
+        matches!(table, JoinTable::Hashed(_)),
         on,
         residual,
     )
@@ -412,48 +309,27 @@ fn collect_pairs(
 /// per row.)
 const PROBE_BLOCK_ROWS: usize = 1024;
 
-/// Probe-side pair expansion: partition by the
-/// hash's top bits, bucket by its masked low bits, then per
-/// [`PROBE_BLOCK_ROWS`] block gather every row's bucket `[start, end)`
-/// range into a stack array before scanning the contiguous key runs and
-/// emitting pairs.
-fn probe_pairs(
-    parts: &[FlatRowTable],
-    bits: u32,
-    lk: &[i64],
-    lh: &[u64],
-    workers: usize,
-) -> (Tensor, Tensor) {
-    let part_of = |h: u64| -> usize {
-        if bits == 0 {
-            0
-        } else {
-            (h >> (64 - bits)) as usize
-        }
-    };
-    collect_pairs(lk.len(), workers, &|lo, hi| {
+/// Probe-side pair expansion against a [`HashedRowTable`], over the probe
+/// side's row hashes: per [`PROBE_BLOCK_ROWS`] block, gather every row's
+/// bucket range into a stack array, then scan the contiguous runs and
+/// emit the rows whose hash matches.
+fn probe_pairs(table: &HashedRowTable, hashes: &[u64], workers: usize) -> (Tensor, Tensor) {
+    collect_pairs(hashes.len(), workers, &|lo, hi| {
         // At least one pair per probe row is the common inner-join case;
         // reserve for it up front, let rare high-fanout blocks grow.
         let mut li = Vec::with_capacity(hi - lo);
         let mut ri = Vec::with_capacity(hi - lo);
-        let mut ranges = [(0u32, 0u32, 0u32); PROBE_BLOCK_ROWS];
+        let mut ranges = [(0u32, 0u32); PROBE_BLOCK_ROWS];
         let mut b = lo;
         while b < hi {
             let e = (b + PROBE_BLOCK_ROWS).min(hi);
-            for (slot, i) in (b..e).enumerate() {
-                let p = part_of(lh[i]);
-                let (s, t) = parts[p].bucket_range(lh[i]);
-                ranges[slot] = (p as u32, s, t);
+            for (range, &h) in ranges.iter_mut().zip(&hashes[b..e]) {
+                *range = table.bucket_range(h);
             }
-            for (slot, i) in (b..e).enumerate() {
-                let (p, s, t) = ranges[slot];
-                let (bkeys, brows) = parts[p as usize].entries(s, t);
-                let k = lk[i];
-                for (bk, &r) in bkeys.iter().zip(brows) {
-                    if *bk == k {
-                        li.push(i as i64);
-                        ri.push(r as i64);
-                    }
+            for (&range, i) in ranges.iter().zip(b..e) {
+                for r in table.matches(range, hashes[i]) {
+                    li.push(i as i64);
+                    ri.push(r as i64);
                 }
             }
             b = e;
@@ -643,17 +519,18 @@ mod tests {
         assert_eq!(out.columns[1].as_f64(), &[0.5, 0.5]);
     }
 
-    /// Parallel radix-partitioned build must produce byte-identical probe
-    /// output to the sequential build, at any worker count — and so must
-    /// the dense table these keys get.
+    /// Both kinds give byte-identical probe output at every worker count,
+    /// in nested-loop pair order.
     #[test]
-    fn parallel_build_identical_probe_output() {
-        let n = PAR_BUILD_MIN_ROWS + 1357;
+    fn probe_output_identical_at_every_worker_count() {
+        let n = 3000;
         // Duplicate-heavy keys so per-key buckets have >1 row (bucket row
-        // order is the property under test).
-        let bkeys: Vec<i64> = (0..n as i64).map(|i| i % 4096).collect();
+        // order is the property under test), and a probe long enough to
+        // chunk.
+        let bkeys: Vec<i64> = (0..n as i64).map(|i| i % 1024).collect();
         let bvals: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let pkeys: Vec<i64> = (0..8192i64).map(|i| i * 3 % 5000).collect();
+        let m = 4 * PAR_PROBE_THRESHOLD as i64;
+        let pkeys: Vec<i64> = (0..m).map(|i| i * 3 % 1500).collect();
         let (pairs_p, pairs_b) = nested_loop_pairs(&[&pkeys], &[&bkeys]);
         let build = b(vec![Tensor::from_i64(bkeys), Tensor::from_f64(bvals)]);
         let probe = b(vec![Tensor::from_i64(pkeys)]);
@@ -663,17 +540,17 @@ mod tests {
         let seq_table = build_table(&build, &[0]);
         let build_rows: Vec<i64> = seq.columns[2].as_f64().iter().map(|&v| v as i64).collect();
         assert_eq!(build_rows, pairs_b);
-        let probe_keys: Vec<i64> = pairs_p.iter().map(|&i| i * 3 % 5000).collect();
+        let probe_keys: Vec<i64> = pairs_p.iter().map(|&i| i * 3 % 1500).collect();
         assert_eq!(seq.columns[0].as_i64(), &probe_keys[..]);
         assert!(matches!(seq_table, JoinTable::Dense(_)));
         // Every worker count must reproduce it bitwise, on both kinds.
-        for workers in [1, 2, 4, 8] {
-            let (chosen, hashed) = chosen_and_hashed(&build, workers);
-            for par_table in [chosen, hashed] {
-                assert_eq!(par_table.len(), seq_table.len());
-                assert_eq!(par_table.is_empty(), seq_table.is_empty());
+        let (chosen, hashed) = chosen_and_hashed(&build);
+        for table in [&chosen, &hashed] {
+            assert_eq!(table.len(), seq_table.len());
+            assert_eq!(table.is_empty(), seq_table.is_empty());
+            for workers in [1, 2, 4, 8] {
                 let par = probe_table(
-                    &par_table,
+                    table,
                     &probe,
                     &build,
                     JoinType::Inner,
@@ -687,15 +564,16 @@ mod tests {
         }
     }
 
-    /// Hashed (multi-key) builds partition on the row hash; the probe must
-    /// still verify and return the same pairs.
+    /// A multi-key join hashes; the probe verifies the keys and returns the
+    /// nested-loop pairs at every worker count.
     #[test]
-    fn parallel_build_hashed_keys_verified() {
-        let n = PAR_BUILD_MIN_ROWS + 64;
-        let k1: Vec<i64> = (0..n as i64).map(|i| i % 100).collect();
-        let k2: Vec<i64> = (0..n as i64).map(|i| i % 7).collect();
-        let p1: Vec<i64> = (0..500i64).collect();
-        let p2: Vec<i64> = (0..500i64).map(|i| i % 7).collect();
+    fn multi_key_probe_verified_at_every_worker_count() {
+        // Every key pair twice (700 = lcm(100, 7)).
+        let k1: Vec<i64> = (0..1400).map(|i| i % 100).collect();
+        let k2: Vec<i64> = (0..1400).map(|i| i % 7).collect();
+        let m = 4 * PAR_PROBE_THRESHOLD as i64;
+        let p1: Vec<i64> = (0..m).map(|i| i % 500).collect();
+        let p2: Vec<i64> = (0..m).map(|i| i % 7).collect();
         let (pairs_p, pairs_b) = nested_loop_pairs(&[&p1, &p2], &[&k1, &k2]);
         let take_rows = |col: &[i64], rows: &[i64]| -> Vec<i64> {
             rows.iter().map(|&r| col[r as usize]).collect()
@@ -710,9 +588,11 @@ mod tests {
         let build = b(vec![Tensor::from_i64(k1), Tensor::from_i64(k2)]);
         let probe = b(vec![Tensor::from_i64(p1), Tensor::from_i64(p2)]);
         let on = [(0usize, 0usize), (1usize, 1usize)];
+        let table = build_table(&build, &[0, 1]);
+        assert!(matches!(table, JoinTable::Hashed(_)));
         for workers in [1, 4] {
             let par = probe_table(
-                &build_table_par(&build, &[0, 1], workers, None),
+                &table,
                 &probe,
                 &build,
                 JoinType::Inner,
@@ -732,54 +612,15 @@ mod tests {
         }
     }
 
-    /// The distinct hint only sizes a hashed directory; wildly wrong hints
-    /// must not change the join output.
-    #[test]
-    fn distinct_hint_is_output_invariant() {
-        let build = b(vec![
-            Tensor::from_i64((0..5000i64).map(|i| i % 37).collect()),
-            Tensor::from_f64((0..5000).map(|i| i as f64).collect()),
-        ]);
-        let probe = b(vec![Tensor::from_i64((0..100i64).collect())]);
-        let golden = probe_table(
-            &build_hashed(&[&build.columns[0]], 1, None),
-            &probe,
-            &build,
-            JoinType::Inner,
-            &[(0, 0)],
-            None,
-            1,
-            false,
-        );
-        for hint in [Some(1u64), Some(37), Some(1 << 40)] {
-            let t = build_hashed(&[&build.columns[0]], 1, hint);
-            assert_eq!(t.len(), 37);
-            let out = probe_table(
-                &t,
-                &probe,
-                &build,
-                JoinType::Inner,
-                &[(0, 0)],
-                None,
-                1,
-                false,
-            );
-            assert_eq!(out.nrows(), golden.nrows(), "hint={hint:?}");
-            assert_eq!(out.columns[0].as_i64(), golden.columns[0].as_i64());
-            assert_eq!(out.columns[1].as_i64(), golden.columns[1].as_i64());
-            assert_eq!(out.columns[2].as_f64(), golden.columns[2].as_f64());
-        }
-    }
-
     /// A left-built semi/anti join emits exactly what the right-built one
     /// does: duplicate-heavy keys on both sides, with and without a
-    /// residual, at every worker count (both sides are large enough for
-    /// the partitioned build and the chunked probe).
+    /// residual, at every worker count (the probe side is large enough to
+    /// chunk).
     #[test]
     fn left_build_semi_anti_match_right_build() {
         use tqp_data::LogicalType;
         use tqp_ir::expr::{BinOp, BoundExpr as E};
-        let n = PAR_BUILD_MIN_ROWS + 777;
+        let n = 20_777;
         let m = 4 * PAR_PROBE_THRESHOLD + 333;
         let left = b(vec![
             Tensor::from_i64((0..n as i64).map(|i| i % 5000).collect()),
@@ -810,9 +651,10 @@ mod tests {
                     false,
                 );
                 assert!(golden.nrows() > 0 && golden.nrows() < n);
+                let left_built = build_table(&left, &[0]);
                 for workers in [1, 2, 4, 8] {
                     let out = probe_table(
-                        &build_table_par(&left, &[0], workers, None),
+                        &left_built,
                         &left,
                         &right,
                         join_type,
@@ -870,12 +712,14 @@ mod tests {
         )
     }
 
-    /// Both kinds over one build side: what `build_table_par` picks, and
-    /// the hashed table it would fall back to.
-    fn chosen_and_hashed(build: &Batch, workers: usize) -> (JoinTable, JoinTable) {
+    /// Both kinds over one build side: what `build_table` picks, and the
+    /// hashed table it would fall back to.
+    fn chosen_and_hashed(build: &Batch) -> (JoinTable, JoinTable) {
+        let valid = build.validity[0].as_ref().map(Tensor::as_bool);
+        let hashes = hash::hash_columns(&[&build.columns[0]]);
         (
-            build_table_par(build, &[0], workers, None),
-            build_hashed(&[&build.columns[0]], workers, None),
+            build_table(build, &[0]),
+            JoinTable::Hashed(HashedRowTable::build(hashes, valid)),
         )
     }
 
@@ -1032,12 +876,10 @@ mod tests {
                 set.name
             );
 
+            let (chosen, hashed) = chosen_and_hashed(&build);
+            assert_eq!(chosen.len(), hashed.len(), "{}: distinct keys", set.name);
+            assert_eq!(chosen.is_empty(), hashed.is_empty(), "{}: empty", set.name);
             for workers in [1, 2, 4] {
-                let (chosen, hashed) = chosen_and_hashed(&build, workers);
-                if set.build_valid.is_none() {
-                    // A hashed table also keys the values NULL rows hold.
-                    assert_eq!(chosen.len(), hashed.len(), "{}: distinct keys", set.name);
-                }
                 for (join_type, build_left) in kinds {
                     let (l, r) = if build_left {
                         (&build, &probe)

@@ -32,8 +32,8 @@
 //! [`ExecConfig::workers`] worker threads: scan → filter → project
 //! pipeline segments chunk into contiguous morsels, `GroupedReduce` runs
 //! partitioned (fixed-geometry partials merged in morsel order — fusing
-//! into a preceding segment when data-flow allows), `HashBuild` builds
-//! radix-partitioned, and `Sort` chunk-sorts + stable-merges — or, under a
+//! into a preceding segment when data-flow allows), `HashProbe` chunks its
+//! probe side, and `Sort` chunk-sorts + stable-merges — or, under a
 //! `LIMIT`, selects per morsel and merges the candidates (see [`vm`]).
 //! Results are byte-identical at every worker count; `Device::GpuSim`
 //! and `Backend::Wasm` ignore `workers` entirely and stay sequential.
@@ -164,8 +164,8 @@ pub struct ExecConfig {
     pub prune_scans: bool,
     /// Worker threads for morsel-parallel CPU execution: chunked pipeline
     /// segments, partitioned aggregation (optionally fused into its
-    /// feeding segment), radix-partitioned join build, parallel hash-probe
-    /// and parallel sort. `1` = single-threaded scheduling.
+    /// feeding segment), chunked hash-join probes and parallel sort (join
+    /// builds are sequential). `1` = single-threaded scheduling.
     ///
     /// **Knob interactions.** Changing `workers` never changes results —
     /// parallel ops derive their partition geometry from the input, not

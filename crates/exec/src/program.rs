@@ -141,14 +141,10 @@ pub enum ProgOp {
     },
     /// Build the hash table over the build side's key columns (the join's
     /// right input, or its left when the probe says `build_left`).
-    /// `distinct` is the optimizer's distinct-key estimate for the build
-    /// side (from the catalog's KMV sketch), used to size the flat hash
-    /// directory; `None` sizes for all-distinct keys.
     HashBuild {
         dst: Reg,
         src: Reg,
         keys: Vec<usize>,
-        distinct: Option<u64>,
     },
     /// Probe a [`ProgOp::HashBuild`] table with the left side's keys,
     /// verify/filter pairs, and assemble the join output. With
@@ -522,7 +518,6 @@ impl Builder {
                 on,
                 residual,
                 build_left,
-                build_distinct,
             } => {
                 let l = self.lower_node(left);
                 let r = self.lower_node(right);
@@ -534,7 +529,6 @@ impl Builder {
                         .iter()
                         .map(|&(lk, rk)| if *build_left { lk } else { rk })
                         .collect(),
-                    distinct: *build_distinct,
                 });
                 let dst = self.fresh();
                 self.ops.push(ProgOp::HashProbe {
@@ -1005,26 +999,12 @@ fn op_to_json(op: &ProgOp) -> Json {
             ("src", reg(*src)),
             ("exprs", exprprog_to_json(exprs)),
         ]),
-        ProgOp::HashBuild {
-            dst,
-            src,
-            keys,
-            distinct,
-        } => {
-            let mut fields = vec![
-                ("op", Json::str("hash_build")),
-                ("dst", reg(*dst)),
-                ("src", reg(*src)),
-                ("keys", index_list_json(keys)),
-            ];
-            // Emitted only when present, so artifacts without an estimate
-            // re-encode byte-identically to version-2 artifacts that
-            // predate the field.
-            if let Some(d) = distinct {
-                fields.push(("distinct", Json::I64(*d as i64)));
-            }
-            Json::obj(fields)
-        }
+        ProgOp::HashBuild { dst, src, keys } => Json::obj(vec![
+            ("op", Json::str("hash_build")),
+            ("dst", reg(*dst)),
+            ("src", reg(*src)),
+            ("keys", index_list_json(keys)),
+        ]),
         ProgOp::HashProbe {
             dst,
             table,
@@ -1154,9 +1134,8 @@ fn op_from_json(j: &Json) -> Result<ProgOp, ProgramError> {
             dst,
             src: reg_field(j, "src")?,
             keys: index_list_from(j.field("keys")?, "keys")?,
-            // Optional: absent in artifacts lowered without stats (and in
-            // all pre-estimate artifacts).
-            distinct: j.get("distinct").and_then(|v| v.as_i64()).map(|d| d as u64),
+            // A `distinct` estimate (older artifacts) is ignored: it only
+            // sized the hash directory.
         }),
         "hash_probe" => {
             let join_type = irjson::join_type_from_json(j.field("join_type")?)?;

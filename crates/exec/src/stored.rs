@@ -168,64 +168,6 @@ pub fn prunable_conjuncts(prog: &ExprProgram, projection: Option<&[usize]>) -> V
     out
 }
 
-/// Outcome of a stored scan: the decoded batch, the coordinate layout,
-/// and pruning counters.
-pub struct StoredScan {
-    pub batch: Batch,
-    pub layout: ScanLayout,
-    pub chunks_scanned: u64,
-    pub chunks_pruned: u64,
-}
-
-/// Scan a stored table: prune chunks against `preds`, decode survivors
-/// (fanned out over the shared pool when `workers > 1`), concatenate in
-/// chunk order.
-pub fn scan_stored(
-    table: &Arc<StoredTable>,
-    cols: &[usize],
-    preds: &[PrunePred],
-    workers: usize,
-) -> StoredScan {
-    let n_chunks = table.n_chunks();
-    let mut keep: Vec<usize> = Vec::with_capacity(n_chunks);
-    let mut kept_ranges: Vec<(usize, usize)> = Vec::with_capacity(n_chunks);
-    let mut orig = 0usize;
-    for c in 0..n_chunks {
-        let rows = table.chunk_len(c);
-        let survives = preds
-            .iter()
-            .all(|p| p.may_match(table.zone(c, p.col()), rows as u64));
-        if survives {
-            keep.push(c);
-            kept_ranges.push((orig, rows));
-        }
-        orig += rows;
-    }
-    let layout = ScanLayout::new(table.nrows(), kept_ranges);
-    let chunks_pruned = (n_chunks - keep.len()) as u64;
-    let chunks_scanned = keep.len() as u64;
-
-    let batch = if keep.is_empty() {
-        decoded_to_batch(table.empty_columns(cols))
-    } else {
-        let parts: Vec<Batch> = crate::sched::map_tasks(keep.len(), workers, |k| {
-            // Chunk boundary: deadline/cancellation check per decode.
-            crate::sched::check_cancelled();
-            let decoded = table
-                .decode_chunk(keep[k], cols)
-                .unwrap_or_else(|e| panic!("decoding chunk {} of {:?}: {e}", keep[k], table));
-            decoded_to_batch(decoded)
-        });
-        Batch::vcat_all(parts)
-    };
-    StoredScan {
-        batch,
-        layout,
-        chunks_scanned,
-        chunks_pruned,
-    }
-}
-
 /// Outcome of opening a stored scan as a stream: the (lazy) chunk stream,
 /// the coordinate layout, and pruning counters. Nothing is decoded yet.
 pub struct StreamScan {
@@ -355,9 +297,9 @@ impl StoredStream {
     }
 
     /// Decode everything into one batch (the non-streaming consumers:
-    /// barrier ops reading the whole scan). Chunks decode fanned out over
-    /// the shared pool and concatenate in chunk order — byte-identical to
-    /// the eager [`scan_stored`] batch.
+    /// barrier ops reading the whole scan, and metered runs, which decode
+    /// on one worker). Chunks decode fanned out over the shared pool and
+    /// concatenate in chunk order.
     pub fn into_batch(self, workers: usize) -> Batch {
         if self.keep.is_empty() {
             return self.empty();

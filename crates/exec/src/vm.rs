@@ -34,11 +34,11 @@
 //!   segment it stops being a segment boundary entirely: each worker
 //!   pipelines its scan morsel through the filter/project chain straight
 //!   into the aggregation's first phase, and only the second is a barrier.
-//! * **`HashBuild`** builds a direct-addressed table for a dense single
-//!   `I64` key, and otherwise hashes, radix-partitioned with one disjoint
-//!   partition per worker ([`crate::join::build_table_par`]); the probe
-//!   loop of `HashProbe` chunks the probe side
-//!   ([`crate::join::probe_table`]).
+//! * **`HashProbe`** chunks the probe side across workers
+//!   ([`crate::join::probe_table`]). The `HashBuild` before it stays one
+//!   sequential pass pair ([`crate::join::build_table`]): a
+//!   direct-addressed table for a dense single `I64` key, a hashed table
+//!   for any other.
 //! * **`Sort`** sorts row ranges as pool tasks and stable-merges them
 //!   pairwise (`argsort_par`); a `Sort` with a `limit` selects its
 //!   first rows per fixed-geometry morsel and merges those
@@ -46,8 +46,8 @@
 //!
 //! All three are **bit-identical at every worker count**: aggregation by
 //! the fixed-morsel merge order (partials) or because every group folds
-//! its rows in input order inside one partition, build/probe because partition
-//! buckets replicate the sequential row order, sort because a stable
+//! its rows in input order inside one partition, probe because its chunks
+//! concatenate in probe-row order over one table, sort because a stable
 //! permutation is unique. `CrossJoin` assembly and `Limit` remain
 //! sequential barriers.
 //!
@@ -166,16 +166,17 @@ impl Vm<'_> {
             // Section boundary: a cancelled/deadline-expired query aborts
             // here before starting its next operator.
             crate::sched::check_cancelled();
-            // A chunkable segment: Scan + element-wise chain. Parallel
-            // execution is only taken on the real-CPU path — the GPU cost
-            // model charges whole-tensor kernels, so metered runs stay
-            // sequential to keep modeled time worker-independent.
-            // Entered for every Scan on the real-CPU path — including at
-            // workers = 1, because the *fused aggregation* route below must
-            // be taken independently of the worker count for its morsel
-            // geometry (and thus float rounding) to be worker-invariant.
+            // A chunkable segment: Scan + element-wise chain, entered for
+            // every Scan — including at workers = 1, because the *fused
+            // aggregation* route below must be taken independently of the
+            // worker count for its morsel geometry (and thus float
+            // rounding) to be worker-invariant. Fusion and parallel
+            // execution are only taken on the real-CPU path: the GPU cost
+            // model charges whole-tensor kernels, so metered runs prune
+            // their scan and then finish the segment sequentially, which
+            // keeps modeled time worker-independent.
             let seg_end = segments[i];
-            if seg_end > i && !meter.is_enabled() {
+            if seg_end > i {
                 // A GroupedReduce fed directly by this segment fuses into
                 // it: the aggregation stops being a segment boundary, and
                 // each worker pipelines its morsel through the chain
@@ -187,7 +188,10 @@ impl Vm<'_> {
                         reduce,
                         groups,
                         ..
-                    }) if *src == prog.ops[seg_end - 1].dst() && uses[*src] == 1 => {
+                    }) if !meter.is_enabled()
+                        && *src == prog.ops[seg_end - 1].dst()
+                        && uses[*src] == 1 =>
+                    {
                         agg::morsel_shape(reduce, *groups).map(|shape| (*dst, shape))
                     }
                     _ => None,
@@ -220,7 +224,11 @@ impl Vm<'_> {
                         continue;
                     }
                 }
-                if seg_end > i + 1 && self.workers > 1 && scanned.nrows() >= PAR_SEGMENT_MIN_ROWS {
+                if seg_end > i + 1
+                    && self.workers > 1
+                    && !meter.is_enabled()
+                    && scanned.nrows() >= PAR_SEGMENT_MIN_ROWS
+                {
                     let out = self.exec_segment_parallel(prog, i, seg_end, scanned);
                     regs[prog.ops[seg_end - 1].dst()] = Some(Value::Batch(out));
                     for k in i..seg_end {
@@ -229,7 +237,8 @@ impl Vm<'_> {
                     i = seg_end;
                     continue;
                 }
-                // Too small to chunk: finish the segment sequentially.
+                // Metered, or too small to chunk: finish the segment
+                // sequentially.
                 regs[prog.ops[i].dst()] = Some(Value::Batch(scanned.into_batch(self.workers)));
                 for k in i + 1..seg_end {
                     self.exec_op(k, &prog.ops[k], &mut regs, meter);
@@ -507,21 +516,17 @@ impl Vm<'_> {
                 } else {
                     Vec::new()
                 };
-                if meter.is_enabled() {
-                    let scan = stored::scan_stored(st, &cols, &preds, 1);
-                    self.chunks_scanned
-                        .fetch_add(scan.chunks_scanned, Ordering::Relaxed);
-                    self.chunks_pruned
-                        .fetch_add(scan.chunks_pruned, Ordering::Relaxed);
-                    (ScanSource::Whole(scan.batch), scan.layout)
+                let scan = stored::open_stream(st, &cols, &preds);
+                self.chunks_scanned
+                    .fetch_add(scan.chunks_scanned, Ordering::Relaxed);
+                self.chunks_pruned
+                    .fetch_add(scan.chunks_pruned, Ordering::Relaxed);
+                let out = if meter.is_enabled() {
+                    ScanSource::Whole(scan.stream.into_batch(1))
                 } else {
-                    let scan = stored::open_stream(st, &cols, &preds);
-                    self.chunks_scanned
-                        .fetch_add(scan.chunks_scanned, Ordering::Relaxed);
-                    self.chunks_pruned
-                        .fetch_add(scan.chunks_pruned, Ordering::Relaxed);
-                    (ScanSource::Stream(scan.stream), scan.layout)
-                }
+                    ScanSource::Stream(scan.stream)
+                };
+                (out, scan.layout)
             }
         };
         // A lazy stream has decoded nothing yet: charge zero bytes (the
@@ -606,21 +611,11 @@ impl Vm<'_> {
                 self.span(idx, op, t0, &out);
                 regs[*dst] = Some(Value::Batch(out));
             }
-            ProgOp::HashBuild {
-                dst,
-                src,
-                keys,
-                distinct,
-            } => {
+            ProgOp::HashBuild { dst, src, keys } => {
                 let build = regs[*src].as_ref().expect("src register live").batch();
                 let t0 = Instant::now();
                 let in_bytes: usize = keys.iter().map(|&k| build.columns[k].nbytes()).sum();
-                let table = join::build_table_par(
-                    build,
-                    keys,
-                    if meter.is_enabled() { 1 } else { self.workers },
-                    *distinct,
-                );
+                let table = join::build_table(build, keys);
                 let entries = table.len();
                 meter.op(
                     kernel_count("HashBuild", keys.len()),

@@ -600,7 +600,6 @@ pub fn plan_to_json(p: &PhysicalPlan) -> Json {
             on,
             residual,
             build_left,
-            build_distinct,
         } => {
             let mut fields = vec![
                 ("op", Json::str("join")),
@@ -623,13 +622,10 @@ pub fn plan_to_json(p: &PhysicalPlan) -> Json {
                     },
                 ),
             ];
-            // Both emitted only when set, so plans without them round-trip
+            // Emitted only when set, so plans without it round-trip
             // byte-identically with older encodings.
             if *build_left {
                 fields.push(("build_left", Json::Bool(true)));
-            }
-            if let Some(d) = build_distinct {
-                fields.push(("build_distinct", Json::I64(*d as i64)));
             }
             Json::obj(fields)
         }
@@ -719,7 +715,9 @@ pub fn plan_from_json(j: &Json) -> R<PhysicalPlan> {
             let join_type = join_type_from_json(j.field("join_type")?)?;
             // A `strategy` field, written before the hash join became the
             // only join, is ignored: both strategies yielded the same rows
-            // in the same order.
+            // in the same order. So is the distinct-key estimate of the
+            // build side that older plans carry: it only sized the hash
+            // directory.
             let build_left = j.get("build_left").and_then(Json::as_bool).unwrap_or(false);
             if build_left && !matches!(join_type, JoinType::Semi | JoinType::Anti) {
                 return bad("build_left is only valid on semi/anti joins");
@@ -749,10 +747,6 @@ pub fn plan_from_json(j: &Json) -> R<PhysicalPlan> {
                     e => Some(expr_from_json(e)?),
                 },
                 build_left,
-                build_distinct: j
-                    .get("build_distinct")
-                    .and_then(Json::as_i64)
-                    .map(|d| d as u64),
             })
         }
         "cross_join" => Ok(PhysicalPlan::CrossJoin {

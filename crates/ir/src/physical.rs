@@ -13,7 +13,7 @@
 
 use crate::catalog::Catalog;
 use crate::expr::{AggCall, BoundExpr};
-use crate::optimize::estimate::{column_source, estimate, group_count, key_distinct};
+use crate::optimize::estimate::{estimate, group_count};
 use crate::plan::{ColMeta, JoinType, LogicalPlan, PlanSchema, SortKey};
 
 /// Physical planning options: none are left. The type remains only
@@ -52,11 +52,6 @@ pub enum PhysicalPlan {
         /// matches; the output is still left rows in left order. Every
         /// other join builds on its right input.
         build_left: bool,
-        /// Distinct-key estimate for the build side, from the catalog's
-        /// KMV column sketches; sizes the executor's flat hash directory.
-        /// `None` when stats are absent or the key columns cannot be
-        /// traced to a base table.
-        build_distinct: Option<u64>,
     },
     CrossJoin {
         left: Box<PhysicalPlan>,
@@ -198,10 +193,9 @@ impl PhysicalPlan {
 /// ordering puts it there); a semi/anti join whose left input is estimated
 /// smaller than its right builds on the left
 /// ([`PhysicalPlan::Join::build_left`]); left outer joins always build
-/// right. Joins also get the catalog's distinct-key estimate for their
-/// build side, which sizes the hash directory, and grouped aggregates get
-/// the estimated group count ([`PhysicalPlan::Aggregate`]'s `groups`), from
-/// which the executor picks its aggregation shape. Everything here reads
+/// right. Grouped aggregates get the estimated group count
+/// ([`PhysicalPlan::Aggregate`]'s `groups`), from which the executor picks
+/// its aggregation shape. Everything here reads
 /// SQL and catalog statistics only, so a plan never depends on workers,
 /// backend or host.
 pub fn plan_physical(plan: &LogicalPlan, catalog: &Catalog) -> PhysicalPlan {
@@ -237,11 +231,6 @@ pub fn plan_physical(plan: &LogicalPlan, catalog: &Catalog) -> PhysicalPlan {
         } => {
             let build_left = matches!(join_type, JoinType::Semi | JoinType::Anti)
                 && estimate(&**left, catalog) < estimate(&**right, catalog);
-            let build_distinct = if build_left {
-                key_distinct(on.iter().map(|k| column_source(&**left, k.0, catalog)))
-            } else {
-                key_distinct(on.iter().map(|k| column_source(&**right, k.1, catalog)))
-            };
             PhysicalPlan::Join {
                 left: Box::new(plan_physical(left, catalog)),
                 right: Box::new(plan_physical(right, catalog)),
@@ -249,7 +238,6 @@ pub fn plan_physical(plan: &LogicalPlan, catalog: &Catalog) -> PhysicalPlan {
                 on: on.clone(),
                 residual: residual.clone(),
                 build_left,
-                build_distinct: build_distinct.map(|d| d as u64),
             }
         }
         LogicalPlan::CrossJoin { left, right } => PhysicalPlan::CrossJoin {
@@ -362,12 +350,14 @@ mod tests {
             let back = PhysicalPlan::from_json(&json).unwrap();
             assert_eq!(p, back);
             // Documents written while joins and aggregates carried a
-            // `strategy` load to the same plan, whatever it named.
+            // `strategy`, and joins their build side's distinct-key
+            // estimate, load to the same plan, whatever they named.
+            let estimate = format!("\"{}_distinct\":12,", "build");
             for (join, agg) in [("sort_merge", "sort"), ("hash", "hash")] {
                 let old = json
                     .replace(
                         "\"op\":\"join\",",
-                        &format!("\"op\":\"join\",\"strategy\":\"{join}\","),
+                        &format!("\"op\":\"join\",\"strategy\":\"{join}\",{estimate}"),
                     )
                     .replace(
                         "\"op\":\"aggregate\",",

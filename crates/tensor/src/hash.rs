@@ -1,4 +1,4 @@
-//! Blockwise hashing kernels and flat arena join tables — the vectorized
+//! Blockwise hashing kernels and arena join tables — the vectorized
 //! hash core behind `tqp-exec`'s join build/probe and group-by.
 //!
 //! "Query Processing on Tensor Computation Runtimes" frames hash build and
@@ -17,11 +17,12 @@
 //!   numbers the distinct keys, and a counting pass lays their rows out
 //!   contiguously. Probing is a bounds check, a bit test and a popcount —
 //!   no hash and no key compare.
-//! * **[`FlatRowTable`]** — the join build table for every other key: a
-//!   power-of-two bucket directory over two contiguous arenas (`rows`,
-//!   `keys`), built with a counting pass then exact-offset fills. No
-//!   per-key `Vec` allocations, no rehash growth, no hash-again on insert:
-//!   the precomputed hash column *is* the directory index.
+//! * **[`HashedRowTable`]** — the join build table for every other key: a
+//!   power-of-two directory of about one bucket per build row, masked
+//!   from the row hash, over one row arena. It owns the build side's hash
+//!   column, which a probe compares against before the caller verifies
+//!   true key equality. No per-key `Vec`s, no rehash growth, no second
+//!   copy of the keys.
 //! * **[`group_rows_by_hash`]** — the group-by table: open-addressing
 //!   linear probing over fixed-width slots, collision-verified through a
 //!   caller-supplied row-equality callback so this crate stays independent
@@ -32,16 +33,13 @@
 //! `tqp-exec` promises bitwise-identical results at any worker count, and
 //! its hash-join contract is specifically that every key's row bucket
 //! lists build rows in **ascending row order** (the order a sequential
-//! per-key row list would push them). Both join tables preserve this
-//! structurally: their fill pass scans entries in ascending row order and
-//! appends each to its key's (or bucket's) next free slot, so the rows of
-//! any single key ascend. [`DenseRowTable`] is always built sequentially;
-//! radix-partitioned parallel builds of [`FlatRowTable`] feed each
-//! partition its entries in ascending global row order (contiguous worker
-//! ranges drained in worker order), so the same argument applies per
-//! partition. Which table a build gets is a function of the key column
-//! alone, and both list the same rows per key, so the choice never shows
-//! in a join's output.
+//! per-key row list would push them). Each join table lays its rows out
+//! with one sequential pass pair, shared by both kinds: a counting pass,
+//! then a fill that places every row in its key's (or bucket's) run so
+//! that each run ascends, and with it the rows of any single key. Nothing
+//! in a build depends on the worker count. Which table a build gets
+//! is a function of the key column alone, and both list the same rows per
+//! key, so the choice never shows in a join's output.
 //! [`group_rows_by_hash`] assigns dense group ids in first-appearance
 //! order over a sequential scan, matching the executor's documented
 //! group-output order exactly.
@@ -164,185 +162,136 @@ pub fn hash_columns(cols: &[&Tensor]) -> Vec<u64> {
     acc
 }
 
-/// Directory size for `n` entries with an optional distinct-key estimate
-/// (e.g. the catalog's KMV sketch): two slots per expected distinct key,
-/// clamped to at most two per *entry* so a wild over-estimate cannot
-/// explode the directory, power of two for mask indexing.
-fn directory_size(n: usize, distinct_hint: Option<u64>) -> usize {
-    let est = match distinct_hint {
-        Some(d) => (d as usize).min(n),
-        None => n,
-    };
-    (est.max(8) * 2).next_power_of_two()
+/// Counting-sort the rows `0..n` into bucket-contiguous runs: bucket `b`
+/// owns `rows[starts[b]..starts[b + 1]]`, where `bucket_of(i)` names row
+/// `i`'s bucket (`None` leaves it out). One counting pass turns into end
+/// offsets; the fill pass walks the rows backwards and writes each to its
+/// bucket's next slot from the end, so every run lists its rows ascending
+/// and the offsets end as the runs' starts. Both join tables lay their
+/// rows out with it.
+fn fill_buckets(
+    n: usize,
+    buckets: usize,
+    bucket_of: impl Fn(usize) -> Option<usize>,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut starts = vec![0u32; buckets + 1];
+    for b in (0..n).filter_map(&bucket_of) {
+        starts[b] += 1;
+    }
+    let mut end = 0u32;
+    for s in &mut starts {
+        end += *s;
+        *s = end;
+    }
+    let mut rows = vec![0u32; end as usize];
+    for i in (0..n).rev() {
+        if let Some(b) = bucket_of(i) {
+            starts[b] -= 1;
+            rows[starts[b] as usize] = i as u32;
+        }
+    }
+    (starts, rows)
 }
 
-/// The flat join build table: a power-of-two bucket directory over two
-/// contiguous arenas.
+/// The hashed join build table, for every key a [`DenseRowTable`] cannot
+/// address: a power-of-two directory of about one bucket per build row,
+/// indexed by the masked row hash, over one bucket-contiguous row arena.
 ///
-/// Bucket `b` owns `rows[starts[b]..starts[b+1]]` (and the aligned
-/// `keys[..]` slice): the entry set is bucket-sorted into the arena by a
-/// counting pass + exact-offset fill, which subsumes a `next`-chain —
-/// every chain is materialized as a contiguous run, so probing walks a
-/// dense slice instead of chasing links. There are no per-key `Vec`s, no
-/// growth reallocation, and inserts never re-hash: the caller supplies
-/// the hash column (computed once, blockwise) and the table masks it.
+/// The table owns the build side's hash column (one `u64` per build row,
+/// computed once, blockwise, by [`hash_columns`]). A probe row's
+/// candidates are the rows of its bucket whose stored hash equals its own;
+/// the caller still verifies true key equality, since distinct keys may
+/// share a hash. Rows ascend within every bucket, so the candidates of any
+/// key come out in ascending row order — the same rows, in the same
+/// order, that [`DenseRowTable`] lists for it.
 ///
-/// Entries fill in input order; when the input is in ascending row order
-/// (both the sequential build and each radix partition of the parallel
-/// build are), every bucket — and every key within it — lists rows
-/// ascending, which is the executor's bitwise-determinism contract.
-pub struct FlatRowTable {
+/// NULL rows match nothing, so they stay out of the table.
+pub struct HashedRowTable {
     /// Directory-size-minus-one bit mask over the hash.
     mask: u64,
-    /// Exclusive prefix sums: bucket `b` spans `starts[b]..starts[b+1]`.
+    /// Bucket `b` spans `rows[starts[b]..starts[b + 1]]`.
     starts: Vec<u32>,
-    /// Row-id arena, bucket-contiguous.
+    /// Row-id arena, bucket-contiguous, ascending within each bucket.
     rows: Vec<u32>,
-    /// Key arena aligned with `rows` (probe compares against it).
-    keys: Vec<i64>,
-    /// Distinct key count (tracked during the fill).
+    /// The build side's row hashes, indexed by row id.
+    hashes: Vec<u64>,
+    /// Distinct hashes among the rows in the table.
     distinct: usize,
 }
 
-impl FlatRowTable {
-    /// Build over `keys[i]` with implicit row ids `0..n`.
-    pub fn build(keys: &[i64], hashes: &[u64], distinct_hint: Option<u64>) -> FlatRowTable {
-        Self::build_inner(keys, None, hashes, distinct_hint)
-    }
-
-    /// Build over explicit `(key, row)` entries (the radix-partitioned
-    /// path, where each partition holds a subset of the global rows).
-    /// Entries must arrive in ascending `rows` order for the bucket-order
-    /// contract to hold.
-    pub fn build_with_rows(
-        keys: &[i64],
-        rows: &[u32],
-        hashes: &[u64],
-        distinct_hint: Option<u64>,
-    ) -> FlatRowTable {
-        assert_eq!(keys.len(), rows.len(), "keys/rows length mismatch");
-        Self::build_inner(keys, Some(rows), hashes, distinct_hint)
-    }
-
-    fn build_inner(
-        keys: &[i64],
-        rows: Option<&[u32]>,
-        hashes: &[u64],
-        distinct_hint: Option<u64>,
-    ) -> FlatRowTable {
-        let n = keys.len();
-        assert_eq!(hashes.len(), n, "keys/hashes length mismatch");
-        let d = directory_size(n, distinct_hint);
-        let mask = (d - 1) as u64;
-
-        // Counting pass: bucket histogram → exclusive prefix = exact
-        // arena offsets, with the mask fused in so the bucket ids never
-        // materialize.
-        let mut counts = vec![0u32; d];
-        for &h in hashes {
-            counts[(h & mask) as usize] += 1;
+impl HashedRowTable {
+    /// Build over the row hashes `hashes[i]` with row ids `0..n`, skipping
+    /// the rows whose `valid` entry is false.
+    pub fn build(hashes: Vec<u64>, valid: Option<&[bool]>) -> HashedRowTable {
+        let n = hashes.len();
+        if let Some(v) = valid {
+            assert_eq!(v.len(), n, "hashes/validity length mismatch");
         }
-        let mut starts = Vec::with_capacity(d + 1);
-        let mut acc = 0u32;
-        for &c in &counts {
-            starts.push(acc);
-            acc += c;
-        }
-        starts.push(acc);
-
-        // Fill pass: ascending input order, each entry to its bucket's
-        // next free slot. `cursor` reuses the counts buffer as write
-        // heads.
-        let mut cursor: Vec<u32> = starts[..d].to_vec();
-        let mut row_arena = vec![0u32; n];
-        let mut key_arena = vec![0i64; n];
-        let mut distinct = 0usize;
-        for i in 0..n {
-            let b = (hashes[i] & mask) as usize;
-            let slot = cursor[b] as usize;
-            cursor[b] += 1;
-            let k = keys[i];
-            // First occurrence check against the bucket's filled prefix:
-            // early-exits on the first equal key, so duplicate-heavy
-            // buckets cost O(1) per insert.
-            if !key_arena[starts[b] as usize..slot].contains(&k) {
-                distinct += 1;
-            }
-            key_arena[slot] = k;
-            row_arena[slot] = match rows {
-                Some(r) => r[i],
-                None => i as u32,
-            };
-        }
-        FlatRowTable {
+        let buckets = n.max(1).next_power_of_two();
+        let mask = (buckets - 1) as u64;
+        let (starts, rows) = fill_buckets(n, buckets, |i| {
+            valid
+                .is_none_or(|v| v[i])
+                .then_some((hashes[i] & mask) as usize)
+        });
+        // A row adds a distinct hash unless an earlier row of its bucket
+        // holds the same one.
+        let distinct = starts
+            .windows(2)
+            .map(|w| {
+                let run = &rows[w[0] as usize..w[1] as usize];
+                (0..run.len())
+                    .filter(|&j| {
+                        let h = hashes[run[j] as usize];
+                        !run[..j].iter().any(|&r| hashes[r as usize] == h)
+                    })
+                    .count()
+            })
+            .sum();
+        HashedRowTable {
             mask,
             starts,
-            rows: row_arena,
-            keys: key_arena,
+            rows,
+            hashes,
             distinct,
         }
     }
 
-    /// Number of distinct keys.
-    pub fn len(&self) -> usize {
-        self.distinct
-    }
-
-    /// True when no entries were inserted.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Total entries (rows) in the table.
-    pub fn n_entries(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// The `(keys, rows)` slices of the bucket `h` selects. Probing scans
-    /// the key slice for equality and emits the aligned rows — matching
-    /// rows appear in ascending row order.
-    #[inline]
-    pub fn bucket(&self, h: u64) -> (&[i64], &[u32]) {
-        let b = (h & self.mask) as usize;
-        let s = self.starts[b] as usize;
-        let e = self.starts[b + 1] as usize;
-        (&self.keys[s..e], &self.rows[s..e])
-    }
-
-    /// Number of entries matching key `k` (the probe's pre-sizing pass).
-    /// Long skewed buckets scan with the vectorized equality count;
-    /// typical short buckets stay on the scalar loop.
-    #[inline]
-    pub fn count_matches(&self, k: i64, h: u64) -> usize {
-        let (keys, _) = self.bucket(h);
-        crate::simd::count_eq_i64(keys, k)
-    }
-
-    /// The arena range `[start, end)` of the bucket `h` selects — the
-    /// cheap half of [`Self::bucket`] (touches only the directory). The
-    /// probe gathers a block of ranges first, then scans: splitting the
-    /// directory read from the arena scan breaks the per-row dependent
-    /// load chain so cache misses overlap across rows.
+    /// The arena range `[start, end)` of the bucket `h` selects. It touches
+    /// only the directory, so a probe gathers a block of ranges before it
+    /// scans any: the directory misses of many rows then overlap instead
+    /// of queuing behind each row's arena scan.
     #[inline]
     pub fn bucket_range(&self, h: u64) -> (u32, u32) {
         let b = (h & self.mask) as usize;
         (self.starts[b], self.starts[b + 1])
     }
 
-    /// The `(keys, rows)` arena slices for a range from
-    /// [`Self::bucket_range`].
+    /// The rows of the arena range `(start, end)` (from
+    /// [`Self::bucket_range`]) whose hash is `h`, ascending.
     #[inline]
-    pub fn entries(&self, start: u32, end: u32) -> (&[i64], &[u32]) {
-        (
-            &self.keys[start as usize..end as usize],
-            &self.rows[start as usize..end as usize],
-        )
+    pub fn matches(&self, (start, end): (u32, u32), h: u64) -> impl Iterator<Item = u32> + '_ {
+        self.rows[start as usize..end as usize]
+            .iter()
+            .copied()
+            .filter(move |&r| self.hashes[r as usize] == h)
+    }
+
+    /// Number of distinct row hashes in the table: its distinct keys, but
+    /// for the rare keys whose hashes collide.
+    pub fn len(&self) -> usize {
+        self.distinct
+    }
+
+    /// True when no rows were inserted.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
     }
 }
 
 /// Key span a [`DenseRowTable`] may address per build row. Bitmap plus
 /// rank cost `3 · span / 16` bytes, so this bounds the directory at 12 B a
-/// build row ([`FlatRowTable`] spends about 20).
+/// build row ([`HashedRowTable`] spends 16 to 20).
 pub const DENSE_SPAN_PER_ROW: u64 = 64;
 
 /// Key span any build may address, however few its rows (a directory of
@@ -366,7 +315,7 @@ pub fn dense_span_fits(span: u64, rows: u64) -> bool {
 /// in ascending key order — is `rank[w] + popcount(word & below)`. Slot
 /// `s` owns `rows[starts[s]..starts[s+1]]`, filled by a counting pass in
 /// ascending row order: every key lists its rows ascending, exactly the
-/// rows [`FlatRowTable`] would return for it.
+/// rows [`HashedRowTable`] would return for it.
 ///
 /// NULL rows match nothing, so they stay out of the table and out of the
 /// span.
@@ -435,27 +384,10 @@ impl DenseRowTable {
             starts: Vec::new(),
             rows: Vec::new(),
         };
-        // Pass 3: count each slot's rows, then fill them in ascending row
-        // order; `cursor` holds each slot's next free arena position.
-        let slot = |t: &DenseRowTable, k: i64| t.slot(k).expect("a valid key is present");
-        let mut starts = vec![0u32; distinct as usize + 1];
-        for (i, &k) in keys.iter().enumerate() {
-            if is_valid(i) {
-                starts[slot(&table, k) + 1] += 1;
-            }
-        }
-        for s in 1..starts.len() {
-            starts[s] += starts[s - 1];
-        }
-        let mut cursor = starts[..distinct as usize].to_vec();
-        let mut rows = vec![0u32; n as usize];
-        for (i, &k) in keys.iter().enumerate() {
-            if is_valid(i) {
-                let c = &mut cursor[slot(&table, k)];
-                rows[*c as usize] = i as u32;
-                *c += 1;
-            }
-        }
+        // Pass 3: lay each slot's rows out, ascending.
+        let (starts, rows) = fill_buckets(keys.len(), distinct as usize, |i| {
+            is_valid(i).then(|| table.slot(keys[i]).expect("a valid key is present"))
+        });
         table.starts = starts;
         table.rows = rows;
         Some(table)
@@ -610,56 +542,53 @@ mod tests {
         assert_eq!(h[0], h[3], "trailing NULs are padding");
     }
 
-    fn oracle(keys: &[i64]) -> BTreeMap<i64, Vec<u32>> {
-        let mut m: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
-        for (i, &k) in keys.iter().enumerate() {
-            m.entry(k).or_default().push(i as u32);
-        }
-        m
-    }
-
-    fn assert_table_matches(keys: &[i64], hint: Option<u64>) {
-        let hashes = hash_i64(keys);
-        let t = FlatRowTable::build(keys, &hashes, hint);
-        let m = oracle(keys);
-        assert_eq!(t.len(), m.len(), "distinct count");
-        assert_eq!(t.n_entries(), keys.len());
-        for (&k, rows) in &m {
-            let h = mix64(k as u64);
-            assert_eq!(t.count_matches(k, h), rows.len(), "count for {k}");
-            let (bkeys, brows) = t.bucket(h);
-            let got: Vec<u32> = bkeys
-                .iter()
-                .zip(brows)
-                .filter(|(&bk, _)| bk == k)
-                .map(|(_, &r)| r)
-                .collect();
-            // The oracle's bucket is in ascending insert order; so must
-            // the flat bucket be.
-            assert_eq!(&got, rows, "bucket rows for {k}");
-        }
-    }
-
-    #[test]
-    fn flat_table_matches_map_oracle() {
-        assert_table_matches(&[], None);
-        assert_table_matches(&[42], None);
-        assert_table_matches(&(0..1000).collect::<Vec<i64>>(), None);
-        assert_table_matches(&vec![7i64; 500], None);
-        assert_table_matches(&(0..2000).map(|i| i % 13).collect::<Vec<i64>>(), Some(13));
-        assert_table_matches(&[i64::MIN, i64::MAX, 0, -1, i64::MIN, i64::MAX], None);
-    }
-
-    /// The dense table lists each valid key's rows ascending and nothing
-    /// for any other key, NULL rows included.
-    fn assert_dense_matches(keys: &[i64], valid: Option<&[bool]>) {
-        let t = DenseRowTable::build(keys, valid).expect("span fits");
+    /// Each valid key's rows, ascending.
+    fn oracle(keys: &[i64], valid: Option<&[bool]>) -> BTreeMap<i64, Vec<u32>> {
         let mut m: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
         for (i, &k) in keys.iter().enumerate() {
             if valid.is_none_or(|v| v[i]) {
                 m.entry(k).or_default().push(i as u32);
             }
         }
+        m
+    }
+
+    /// The hashed table's candidates for each valid key are its rows,
+    /// ascending; NULL rows are listed for no key.
+    fn assert_hashed_matches(keys: &[i64], valid: Option<&[bool]>) {
+        let t = HashedRowTable::build(hash_i64(keys), valid);
+        let m = oracle(keys, valid);
+        assert_eq!(t.len(), m.len(), "distinct count");
+        assert_eq!(t.is_empty(), m.is_empty());
+        for &k in keys {
+            for probe in [k.wrapping_sub(1), k, k.wrapping_add(1)] {
+                let h = mix64(probe as u64);
+                let got: Vec<u32> = t.matches(t.bucket_range(h), h).collect();
+                let want = m.get(&probe).map_or(&[][..], |r| &r[..]);
+                assert_eq!(got, want, "rows for {probe}");
+            }
+        }
+    }
+
+    #[test]
+    fn hashed_table_matches_map_oracle() {
+        assert_hashed_matches(&[], None);
+        assert_hashed_matches(&[42], None);
+        assert_hashed_matches(&(0..1000).collect::<Vec<i64>>(), None);
+        assert_hashed_matches(&vec![7i64; 500], None);
+        assert_hashed_matches(&(0..2000).map(|i| i % 13).collect::<Vec<i64>>(), None);
+        assert_hashed_matches(&[i64::MIN, i64::MAX, 0, -1, i64::MIN, i64::MAX], None);
+        // NULL rows are listed for no key, and count for nothing.
+        let keys = [3i64, i64::MIN, 5, 3, i64::MAX, 5];
+        assert_hashed_matches(&keys, Some(&[true, false, true, true, false, false]));
+        assert_hashed_matches(&keys, Some(&[false; 6]));
+    }
+
+    /// The dense table lists each valid key's rows ascending and nothing
+    /// for any other key, NULL rows included.
+    fn assert_dense_matches(keys: &[i64], valid: Option<&[bool]>) {
+        let t = DenseRowTable::build(keys, valid).expect("span fits");
+        let m = oracle(keys, valid);
         assert_eq!(t.len(), m.len(), "distinct count");
         assert_eq!(t.is_empty(), m.is_empty());
         for (&k, rows) in &m {
@@ -690,37 +619,6 @@ mod tests {
         let keys = [3i64, i64::MIN, 5, 3, i64::MAX];
         assert_dense_matches(&keys, Some(&[true, false, true, true, false]));
         assert_dense_matches(&keys, Some(&[false; 5]));
-    }
-
-    #[test]
-    fn build_with_rows_keeps_explicit_ids() {
-        let keys = [5i64, 9, 5];
-        let rows = [10u32, 20, 30];
-        let hashes = hash_i64(&keys);
-        let t = FlatRowTable::build_with_rows(&keys, &rows, &hashes, None);
-        let (bkeys, brows) = t.bucket(mix64(5));
-        let got: Vec<u32> = bkeys
-            .iter()
-            .zip(brows)
-            .filter(|(&k, _)| k == 5)
-            .map(|(_, &r)| r)
-            .collect();
-        assert_eq!(got, vec![10, 30]);
-    }
-
-    #[test]
-    fn distinct_hint_only_shrinks_directory() {
-        // A hint far above n must not blow up the directory.
-        let keys: Vec<i64> = (0..64).collect();
-        let hashes = hash_i64(&keys);
-        let t = FlatRowTable::build(&keys, &hashes, Some(1 << 40));
-        assert_eq!(t.len(), 64);
-        // A hint far below still probes correctly (just longer buckets).
-        let t = FlatRowTable::build(&keys, &hashes, Some(2));
-        assert_eq!(t.len(), 64);
-        for &k in &keys {
-            assert_eq!(t.count_matches(k, mix64(k as u64)), 1);
-        }
     }
 
     #[test]

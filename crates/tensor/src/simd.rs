@@ -521,11 +521,6 @@ pub mod scalar {
         }
     }
 
-    /// Occurrences of `key` in a bucket's key slice.
-    pub fn count_eq_i64(keys: &[i64], key: i64) -> usize {
-        keys.iter().filter(|&&k| k == key).count()
-    }
-
     /// LSB-first bit unpack: element `i` = bit `i % 8` of byte `i / 8`.
     pub fn unpack_bits_into(packed: &[u8], out: &mut [bool]) {
         for (i, o) in out.iter_mut().enumerate() {
@@ -1031,22 +1026,6 @@ mod avx2 {
             i += 4;
         }
         super::scalar::hash_combine_f64(&mut acc[i..], &vals[i..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn count_eq_i64(keys: &[i64], key: i64) -> usize {
-        let kv = _mm256_set1_epi64x(key);
-        let n = keys.len();
-        let p = keys.as_ptr();
-        let mut c = 0usize;
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let v = _mm256_loadu_si256(p.add(i).cast());
-            c += (_mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(v, kv))) as u32)
-                .count_ones() as usize;
-            i += 4;
-        }
-        c + super::scalar::count_eq_i64(&keys[i..], key)
     }
 
     // -- decode -------------------------------------------------------
@@ -1557,11 +1536,6 @@ pub fn hash_combine_f64(acc: &mut [u64], vals: &[f64]) {
     dispatch!(Family::Hash, vals.len(), hash_combine_f64(acc, vals))
 }
 
-/// Occurrences of `key` in a bucket-directory key slice.
-pub fn count_eq_i64(keys: &[i64], key: i64) -> usize {
-    dispatch!(Family::Hash, keys.len(), avx2_only count_eq_i64(keys, key))
-}
-
 /// LSB-first validity/bool bitmap expansion.
 pub fn unpack_bits_into(packed: &[u8], out: &mut [bool]) {
     dispatch!(Family::Decode, out.len(), avx2_only unpack_bits_into(packed, out))
@@ -1872,8 +1846,6 @@ mod tests {
             hash_combine_f64(&mut a, &valsf);
             scalar::hash_combine_f64(&mut b, &valsf);
             assert_eq!(a, b, "hash_combine_f64 n={n}");
-            let key = vals.first().copied().unwrap_or(0);
-            assert_eq!(count_eq_i64(&vals, key), scalar::count_eq_i64(&vals, key));
         }
     }
 

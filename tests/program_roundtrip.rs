@@ -52,6 +52,7 @@ fn assert_identical(n: usize, label: &str, a: &DataFrame, b: &DataFrame) {
 #[test]
 fn roundtripped_artifact_is_byte_identical_on_all_backends() {
     let s = session();
+    let mut with_estimates = 0;
     for (n, sql) in queries::all() {
         let plan = compile_sql(sql, s.catalog(), &PhysicalOptions)
             .unwrap_or_else(|e| panic!("Q{n} compile: {e}"));
@@ -61,6 +62,17 @@ fn roundtripped_artifact_is_byte_identical_on_all_backends() {
             deserialize_program(&artifact).unwrap_or_else(|e| panic!("Q{n} artifact: {e}"));
         // The program itself survives structurally...
         assert_eq!(prog, shipped, "Q{n}: program changed through the artifact");
+        // ...as it does from an artifact written while `hash_build` carried
+        // a distinct-key estimate: the field is ignored.
+        let text = String::from_utf8(artifact.to_vec()).unwrap();
+        let old = text.replace(
+            "{\"op\":\"hash_build\",",
+            "{\"op\":\"hash_build\",\"distinct\":3,",
+        );
+        with_estimates += usize::from(old != text);
+        let old = deserialize_program(&bytes::Bytes::from(old))
+            .unwrap_or_else(|e| panic!("Q{n} old artifact: {e}"));
+        assert_eq!(prog, old, "Q{n}: the estimate changed the program");
 
         // ...and behaviorally, on the vectorized VM without and with
         // kernels bound (Eager + Fused backends and the Graph
@@ -71,8 +83,11 @@ fn roundtripped_artifact_is_byte_identical_on_all_backends() {
                 vm::run_program(&with_kernels(&prog, fused), s.storage(), None, cfg);
             let (via_artifact, _, _) =
                 vm::run_program(&with_kernels(&shipped, fused), s.storage(), None, cfg);
+            let (via_old, _, _) =
+                vm::run_program(&with_kernels(&old, fused), s.storage(), None, cfg);
             let label = if fused { "fused" } else { "eager" };
             assert_identical(n, label, &direct, &via_artifact);
+            assert_identical(n, label, &direct, &via_old);
         }
 
         // ...and through the Wasm backend, which loads the artifact itself.
@@ -81,6 +96,10 @@ fn roundtripped_artifact_is_byte_identical_on_all_backends() {
         let (via_artifact, _) = wasm.run(s.storage(), &[], None).unwrap();
         assert_identical(n, "wasm", &direct, &via_artifact);
     }
+    assert!(
+        with_estimates >= 15,
+        "{with_estimates} queries build a table"
+    );
 }
 
 /// The v2 loader must reject a v1 (expression-tree) artifact with an

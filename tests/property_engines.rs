@@ -220,7 +220,6 @@ proptest! {
             on: vec![(0, 0)],
             residual: None,
             build_left: false,
-            build_distinct: None,
         };
         let padded = PhysicalPlan::Sort {
             keys: (0..4)
@@ -252,7 +251,6 @@ proptest! {
                             on: vec![(*key, 0)],
                             residual: residual.clone(),
                             build_left,
-                            build_distinct: None,
                         };
                         let what = format!(
                             "{join_type:?} build_left={build_left} key={key} residual={}",
@@ -270,7 +268,6 @@ proptest! {
                     on: vec![(*key, 0)],
                     residual: residual.clone(),
                     build_left: false,
-                    build_distinct: None,
                 };
                 let what = format!("Inner key={key} residual={}", residual.is_some());
                 check_plan_bitwise(
@@ -293,7 +290,6 @@ proptest! {
                         })
                     }),
                     build_left: false,
-                    build_distinct: None,
                 };
                 check_plan_bitwise(
                     &session,

@@ -1,54 +1,56 @@
 //! Property tests for the vectorized hash engine
-//! (`tqp_tensor::hash`): both join tables — the flat arena table and the
+//! (`tqp_tensor::hash`): both join tables — the hashed table and the
 //! direct-addressed dense table — must agree with a plain
 //! `HashMap<i64, Vec<u32>>` oracle — same key set, same per-key row
 //! list, and rows in **ascending input order** within every bucket (the
-//! determinism contract the join build relies on) — on adversarial key
-//! distributions: extremes (`i64::MIN`/`MAX`), all-equal, dense
-//! sequential, and synthetic same-bucket collisions built by *inverting*
-//! the `mix64` finalizer. The join build counts which table it picked.
+//! determinism contract the join build relies on), NULL rows listed for
+//! no key — on adversarial key distributions: extremes
+//! (`i64::MIN`/`MAX`), all-equal, dense sequential, and synthetic
+//! same-bucket collisions built by *inverting* the `mix64` finalizer. The
+//! join build counts which table it picked.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 use tqp_exec::batch::Batch;
 use tqp_exec::join::{self, JoinTable};
-use tqp_tensor::hash::{self, DenseRowTable, FlatRowTable};
+use tqp_tensor::hash::{self, DenseRowTable, HashedRowTable};
 use tqp_tensor::Tensor;
 
-/// Oracle: per-key ascending row ids, in first-appearance key order.
-fn oracle(keys: &[i64]) -> HashMap<i64, Vec<u32>> {
+/// Oracle: each valid key's ascending row ids.
+fn oracle(keys: &[i64], valid: Option<&[bool]>) -> HashMap<i64, Vec<u32>> {
     let mut m: HashMap<i64, Vec<u32>> = HashMap::new();
     for (i, &k) in keys.iter().enumerate() {
-        m.entry(k).or_default().push(i as u32);
+        if valid.is_none_or(|v| v[i]) {
+            m.entry(k).or_default().push(i as u32);
+        }
     }
     m
 }
 
-/// Assert the flat table holds exactly the oracle's contents, with every
-/// bucket's rows for a key in ascending order.
+/// Assert the hashed table lists exactly the oracle's rows for every key,
+/// in ascending input order, with every row valid and with every third row
+/// NULL.
 fn assert_matches_oracle(keys: &[i64]) {
-    let hashes = hash::hash_i64(keys);
-    let want = oracle(keys);
-    for hint in [None, Some(1u64), Some(keys.len() as u64 * 4 + 1)] {
-        let t = FlatRowTable::build(keys, &hashes, hint);
-        assert_eq!(t.len(), want.len(), "distinct count (hint {hint:?})");
-        assert_eq!(t.n_entries(), keys.len(), "entry count (hint {hint:?})");
-        for (&k, rows) in &want {
-            let h = hash::hash_i64(&[k])[0];
+    let nulls: Vec<bool> = (0..keys.len()).map(|i| i % 3 != 1).collect();
+    for valid in [None, Some(&nulls[..])] {
+        let t = HashedRowTable::build(hash::hash_i64(keys), valid);
+        let want = oracle(keys, valid);
+        let ctx = if valid.is_some() {
+            "with NULLs"
+        } else {
+            "all valid"
+        };
+        assert_eq!(t.len(), want.len(), "distinct count ({ctx})");
+        assert_eq!(t.is_empty(), want.is_empty(), "emptiness ({ctx})");
+        for &k in keys {
+            let h = hash::mix64(k as u64);
+            let got: Vec<u32> = t.matches(t.bucket_range(h), h).collect();
+            let rows = want.get(&k).map_or(&[][..], |r| &r[..]);
             assert_eq!(
-                t.count_matches(k, h),
-                rows.len(),
-                "count for key {k} (hint {hint:?})"
+                got, rows,
+                "rows for key {k} in ascending input order ({ctx})"
             );
-            let (bkeys, brows) = t.bucket(h);
-            let got: Vec<u32> = bkeys
-                .iter()
-                .zip(brows)
-                .filter(|&(bk, _)| *bk == k)
-                .map(|(_, &r)| r)
-                .collect();
-            assert_eq!(got, *rows, "rows for key {k} in ascending input order");
         }
     }
 }
@@ -66,7 +68,7 @@ fn assert_dense_matches_oracle(keys: &[i64]) -> Result<(), TestCaseError> {
         return Ok(());
     };
     prop_assert!(fits, "span {} over {} rows was admitted", span, keys.len());
-    let want = oracle(keys);
+    let want = oracle(keys, None);
     prop_assert_eq!(t.len(), want.len());
     for (&k, rows) in &want {
         prop_assert_eq!(t.rows_of(k), &rows[..], "rows for key {}", k);
@@ -105,11 +107,11 @@ fn join_builds_count_their_table_kind() {
     assert!(matches!(table, JoinTable::Dense(_)));
     assert_eq!((d, h), (1, 0), "a dense-key join");
     let (table, d, h) = build(&[0], vec![Tensor::from_i64(vec![3, -(1 << 50)])]);
-    assert!(matches!(table, JoinTable::Hashed { .. }));
+    assert!(matches!(table, JoinTable::Hashed(_)));
     assert_eq!((d, h), (0, 1), "a sparse single-key join");
     let two = vec![Tensor::from_i64(vec![1, 2]), Tensor::from_i64(vec![3, 4])];
     let (table, d, h) = build(&[0, 1], two);
-    assert!(matches!(table, JoinTable::Hashed { .. }));
+    assert!(matches!(table, JoinTable::Hashed(_)));
     assert_eq!((d, h), (0, 1), "a two-column join");
 }
 
@@ -175,8 +177,8 @@ fn dense_sequential_keys_match_oracle() {
 
 /// Keys engineered (via mix64 inversion) so every hash lands in the same
 /// directory slot of a 1024-bucket table *and* shares identical low 32
-/// bits: the bucket scan must still separate them by key equality while
-/// keeping each key's rows in input order.
+/// bits: the bucket scan must still separate them by their full hashes
+/// while keeping each key's rows in input order.
 #[test]
 fn synthetic_same_bucket_collisions_match_oracle() {
     let mut keys = Vec::new();

@@ -1,7 +1,7 @@
 //! Store-backed scan differential: a TPC-H table round-trips
 //! CSV → `tqp-store` → scan with results **bitwise identical** to the
-//! in-memory frame path — on all four backends, at workers 1 and 4, with
-//! zone-map pruning on and off — and the pruning pre-pass actually skips
+//! in-memory frame path — on all four backends, at workers 1 and 4, on the
+//! CPU and the simulated GPU, with zone-map pruning on and off — and the pruning pre-pass actually skips
 //! chunks on selective predicates (with counters to prove it).
 //!
 //! Two sessions are built over byte-identical data (the frame side reads
@@ -16,7 +16,7 @@ use std::sync::Arc;
 use tqp_repro::core::{QueryConfig, Session};
 use tqp_repro::data::tpch::{TpchConfig, TpchData};
 use tqp_repro::data::{csv, DataFrame};
-use tqp_repro::exec::Backend;
+use tqp_repro::exec::{Backend, Device};
 use tqp_repro::store::{store_csv, StoredTable};
 use tqp_tensor::Scalar;
 
@@ -111,7 +111,8 @@ const QUERIES: &[&str] = &[
 ];
 
 /// Wasm runs on one worker, so its chunk counters must be Fused's at
-/// `workers = 1`.
+/// `workers = 1`. The simulated GPU decodes a stored scan whole, on one
+/// worker, so its chunk counters must be the CPU run's.
 #[test]
 fn stored_scans_match_memory_bitwise_all_backends() {
     let (mem, st, _) = sessions();
@@ -125,26 +126,40 @@ fn stored_scans_match_memory_bitwise_all_backends() {
         ] {
             for workers in [1usize, 4] {
                 for prune in [true, false] {
-                    let cfg = QueryConfig::default()
-                        .backend(backend)
-                        .workers(workers)
-                        .prune_scans(prune);
-                    let ctx = format!("{backend:?} workers={workers} prune={prune}: {sql}");
-                    let (want, _) = mem.compile(sql, cfg).unwrap().run(&mem).unwrap();
-                    let (got, stats) = st.compile(sql, cfg).unwrap().run(&st).unwrap();
-                    assert_bitwise(&want, &got, &ctx);
-                    if !prune {
-                        assert_eq!(stats.chunks_pruned, 0, "{ctx}: pruned while disabled");
-                    }
-                    let chunks = (prune, stats.chunks_scanned, stats.chunks_pruned);
-                    match backend {
-                        Backend::Fused if workers == 1 => fused_w1.push(chunks),
-                        Backend::Wasm => assert!(
-                            fused_w1.contains(&chunks),
-                            "{ctx}: chunk counters {chunks:?} differ from Fused at \
-                             workers=1 {fused_w1:?}"
-                        ),
-                        _ => {}
+                    let mut cpu_chunks = None;
+                    for device in [Device::Cpu, Device::GpuSim] {
+                        let cfg = QueryConfig::default()
+                            .backend(backend)
+                            .device(device)
+                            .workers(workers)
+                            .prune_scans(prune);
+                        let ctx = format!(
+                            "{backend:?} {device:?} workers={workers} prune={prune}: {sql}"
+                        );
+                        let (want, _) = mem.compile(sql, cfg).unwrap().run(&mem).unwrap();
+                        let (got, stats) = st.compile(sql, cfg).unwrap().run(&st).unwrap();
+                        assert_bitwise(&want, &got, &ctx);
+                        if !prune {
+                            assert_eq!(stats.chunks_pruned, 0, "{ctx}: pruned while disabled");
+                        }
+                        let chunks = (prune, stats.chunks_scanned, stats.chunks_pruned);
+                        match (device, backend) {
+                            (Device::GpuSim, _) => assert_eq!(
+                                Some(chunks),
+                                cpu_chunks,
+                                "{ctx}: chunk counters differ from the CPU run"
+                            ),
+                            (_, Backend::Fused) if workers == 1 => fused_w1.push(chunks),
+                            (_, Backend::Wasm) => assert!(
+                                fused_w1.contains(&chunks),
+                                "{ctx}: chunk counters {chunks:?} differ from Fused at \
+                                 workers=1 {fused_w1:?}"
+                            ),
+                            _ => {}
+                        }
+                        if device == Device::Cpu {
+                            cpu_chunks = Some(chunks);
+                        }
                     }
                 }
             }
