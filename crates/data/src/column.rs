@@ -4,6 +4,7 @@
 //! to the tensor runtime is zero-copy (paper §2.1): the `DataFrame` and the
 //! `Tensor` alias the same allocation.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use tqp_tensor::Scalar;
@@ -139,6 +140,178 @@ impl Column {
     }
 }
 
+/// Strings as one UTF-8 byte buffer and the offset of each row's end:
+/// row `i` is `text[ends[i - 1]..ends[i]]`. What the CSV parser and the
+/// store writer move instead of one `String` per cell.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StrBuf {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl StrBuf {
+    /// An empty buffer.
+    pub fn new() -> StrBuf {
+        StrBuf::default()
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when the buffer holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Append one row.
+    pub fn push(&mut self, s: &str) {
+        self.text.push_str(s);
+        self.ends.push(self.text.len());
+    }
+
+    /// Row `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
+    }
+
+    /// Rows in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Append rows `range` of `other`: one copy of their bytes.
+    pub fn extend_from(&mut self, other: &StrBuf, range: Range<usize>) {
+        if range.is_empty() {
+            return;
+        }
+        let start = if range.start == 0 {
+            0
+        } else {
+            other.ends[range.start - 1]
+        };
+        let base = self.text.len();
+        self.text
+            .push_str(&other.text[start..other.ends[range.end - 1]]);
+        self.ends
+            .extend(other.ends[range].iter().map(|&e| e - start + base));
+    }
+
+    /// Drop every row, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.text.clear();
+        self.ends.clear();
+    }
+}
+
+/// One column's values in append-friendly form: the typed buffers the CSV
+/// parser fills and the store writer holds between chunks.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ColumnBuf {
+    Bool(Vec<bool>),
+    Int64(Vec<i64>),
+    Float64(Vec<f64>),
+    /// Epoch nanoseconds.
+    Date(Vec<i64>),
+    Str(StrBuf),
+}
+
+impl ColumnBuf {
+    /// An empty buffer for values of `ty`.
+    pub fn new(ty: LogicalType) -> ColumnBuf {
+        match ty {
+            LogicalType::Bool => ColumnBuf::Bool(Vec::new()),
+            LogicalType::Int64 => ColumnBuf::Int64(Vec::new()),
+            LogicalType::Float64 => ColumnBuf::Float64(Vec::new()),
+            LogicalType::Date => ColumnBuf::Date(Vec::new()),
+            LogicalType::Str => ColumnBuf::Str(StrBuf::new()),
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match self {
+            ColumnBuf::Bool(v) => v.len(),
+            ColumnBuf::Int64(v) | ColumnBuf::Date(v) => v.len(),
+            ColumnBuf::Float64(v) => v.len(),
+            ColumnBuf::Str(v) => v.len(),
+        }
+    }
+
+    /// True when the buffer holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The buffer's logical type.
+    pub fn logical_type(&self) -> LogicalType {
+        match self {
+            ColumnBuf::Bool(_) => LogicalType::Bool,
+            ColumnBuf::Int64(_) => LogicalType::Int64,
+            ColumnBuf::Float64(_) => LogicalType::Float64,
+            ColumnBuf::Date(_) => LogicalType::Date,
+            ColumnBuf::Str(_) => LogicalType::Str,
+        }
+    }
+
+    /// Append rows `range` of `col`, which must have this buffer's type.
+    pub fn extend_from_column(&mut self, col: &Column, range: Range<usize>) {
+        match (self, col) {
+            (ColumnBuf::Bool(b), Column::Bool(v)) => b.extend_from_slice(&v[range]),
+            (ColumnBuf::Int64(b), Column::Int64(v)) | (ColumnBuf::Date(b), Column::Date(v)) => {
+                b.extend_from_slice(&v[range])
+            }
+            (ColumnBuf::Float64(b), Column::Float64(v)) => b.extend_from_slice(&v[range]),
+            (ColumnBuf::Str(b), Column::Str(v)) => v[range].iter().for_each(|s| b.push(s)),
+            (b, c) => panic!(
+                "column of {:?} appended to a {:?} buffer",
+                c.logical_type(),
+                b.logical_type()
+            ),
+        }
+    }
+
+    /// Append rows `range` of `other`, which must have this buffer's type.
+    pub fn extend_from(&mut self, other: &ColumnBuf, range: Range<usize>) {
+        match (self, other) {
+            (ColumnBuf::Bool(b), ColumnBuf::Bool(v)) => b.extend_from_slice(&v[range]),
+            (ColumnBuf::Int64(b), ColumnBuf::Int64(v))
+            | (ColumnBuf::Date(b), ColumnBuf::Date(v)) => b.extend_from_slice(&v[range]),
+            (ColumnBuf::Float64(b), ColumnBuf::Float64(v)) => b.extend_from_slice(&v[range]),
+            (ColumnBuf::Str(b), ColumnBuf::Str(v)) => b.extend_from(v, range),
+            (b, o) => panic!(
+                "{:?} rows appended to a {:?} buffer",
+                o.logical_type(),
+                b.logical_type()
+            ),
+        }
+    }
+
+    /// Drop every row, keeping the allocations.
+    pub fn clear(&mut self) {
+        match self {
+            ColumnBuf::Bool(v) => v.clear(),
+            ColumnBuf::Int64(v) | ColumnBuf::Date(v) => v.clear(),
+            ColumnBuf::Float64(v) => v.clear(),
+            ColumnBuf::Str(v) => v.clear(),
+        }
+    }
+
+    /// The buffered rows as a [`Column`].
+    pub fn into_column(self) -> Column {
+        match self {
+            ColumnBuf::Bool(v) => Column::from_bool(v),
+            ColumnBuf::Int64(v) => Column::from_i64(v),
+            ColumnBuf::Float64(v) => Column::from_f64(v),
+            ColumnBuf::Date(v) => Column::from_date_ns(v),
+            ColumnBuf::Str(v) => Column::from_str(v.iter().map(str::to_owned).collect()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,6 +346,28 @@ mod tests {
         let vals = vec![Scalar::F64(1.5), Scalar::F64(2.5)];
         let c = Column::from_scalars(LogicalType::Float64, &vals);
         assert_eq!(c.get(0), Scalar::F64(1.5));
+    }
+
+    #[test]
+    fn str_buf_rows_and_ranges() {
+        let mut a = StrBuf::new();
+        for s in ["", "ab", "naïve", "", "x"] {
+            a.push(s);
+        }
+        assert_eq!(a.iter().collect::<Vec<_>>(), ["", "ab", "naïve", "", "x"]);
+        let mut b = StrBuf::new();
+        b.push("head");
+        b.extend_from(&a, 1..4);
+        b.extend_from(&a, 0..0);
+        b.extend_from(&a, 4..5);
+        assert_eq!(
+            b.iter().collect::<Vec<_>>(),
+            ["head", "ab", "naïve", "", "x"]
+        );
+        let mut col = ColumnBuf::new(LogicalType::Str);
+        col.extend_from(&ColumnBuf::Str(b), 2..5);
+        assert_eq!(col.len(), 3);
+        assert_eq!(col.into_column().get(0), Scalar::Str("naïve".into()));
     }
 
     #[test]

@@ -25,6 +25,6 @@ pub mod ingest;
 pub mod stats;
 pub mod tpch;
 
-pub use column::{Column, LogicalType};
+pub use column::{Column, ColumnBuf, LogicalType, StrBuf};
 pub use frame::{DataFrame, Field, Schema};
 pub use stats::{ColumnStats, StatsBuilder, TableStats};

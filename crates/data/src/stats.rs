@@ -57,13 +57,34 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Slots of the sketch's cache of recently observed hashes.
+const SEEN_SLOTS: usize = 64;
+
 /// KMV (k-minimum-values) distinct-count sketch: keep the `k` smallest
 /// 64-bit hashes seen; with `n ≥ k` distinct values the k-th smallest
 /// hash `m` estimates `n ≈ (k − 1) · 2⁶⁴ / m`. State is a set, so update
 /// order (and chunking) never changes the result.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DistinctSketch {
     mins: BTreeSet<u64>,
+    /// Hashes observed lately, slot `h % SEEN_SLOTS`. Observing a hash a
+    /// second time never changes the sketch, so a hit skips the set — the
+    /// common case on a low-cardinality column. Slot `i` starts at `i ^ 1`,
+    /// a value no hash of that slot can equal.
+    seen: [u64; SEEN_SLOTS],
+    /// The largest of `mins` once it holds `KMV_K` hashes: no larger hash
+    /// can enter.
+    ceiling: u64,
+}
+
+impl Default for DistinctSketch {
+    fn default() -> DistinctSketch {
+        DistinctSketch {
+            mins: BTreeSet::new(),
+            seen: std::array::from_fn(|i| i as u64 ^ 1),
+            ceiling: u64::MAX,
+        }
+    }
 }
 
 impl DistinctSketch {
@@ -74,13 +95,19 @@ impl DistinctSketch {
 
     /// Observe one value's hash.
     pub fn insert_hash(&mut self, h: u64) {
-        if self.mins.len() < KMV_K {
-            self.mins.insert(h);
+        let slot = &mut self.seen[h as usize % SEEN_SLOTS];
+        if *slot == h {
             return;
         }
-        let cur_max = *self.mins.iter().next_back().expect("non-empty");
-        if h < cur_max && self.mins.insert(h) {
+        *slot = h;
+        if self.mins.len() == KMV_K && h >= self.ceiling {
+            return;
+        }
+        if self.mins.insert(h) && self.mins.len() > KMV_K {
             self.mins.pop_last();
+        }
+        if self.mins.len() == KMV_K {
+            self.ceiling = *self.mins.last().expect("full");
         }
     }
 

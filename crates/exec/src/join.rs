@@ -174,6 +174,7 @@ pub fn probe_table(
         matches!(table, JoinTable::Hashed(_)),
         on,
         residual,
+        build_left,
     )
 }
 
@@ -188,6 +189,7 @@ fn finish_join(
     need_verify: bool,
     on: &[(usize, usize)],
     residual: Option<&ExprProgram>,
+    build_left: bool,
 ) -> Batch {
     // Verification + residual masking over the expanded pairs.
     let mut mask: Option<Tensor> = None;
@@ -209,15 +211,17 @@ fn finish_join(
         and_mask(keys_equal(&lg, &rg));
     }
     // A NULL key (an outer join's padding) matches nothing, whatever value
-    // its slot happens to hold.
+    // its slot happens to hold. Build rows with a NULL key never entered
+    // the table, so only the probe side's keys need masking.
+    let (probe, probe_idx) = if build_left {
+        (right, &right_idx)
+    } else {
+        (left, &left_idx)
+    };
     for &(l, r) in on {
-        for (validity, idx) in [
-            (&left.validity[l], &left_idx),
-            (&right.validity[r], &right_idx),
-        ] {
-            if let Some(valid) = validity {
-                and_mask(take(valid, idx));
-            }
+        let key = if build_left { r } else { l };
+        if let Some(valid) = &probe.validity[key] {
+            and_mask(take(valid, probe_idx));
         }
     }
     if let Some(res) = residual {

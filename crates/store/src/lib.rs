@@ -9,7 +9,7 @@
 //! columnar engine: append-only chunk blocks, a self-describing footer,
 //! per-chunk zone maps.
 //!
-//! ## File layout (format version 1)
+//! ## File layout (format version 2)
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────┐
@@ -21,7 +21,7 @@
 //! ├────────────────────────────────────────────────────────┤
 //! │ footer: schema · nominal chunk rows · string widths ·  │
 //! │   per chunk {rows, per column {offset, len, zone map}} │
-//! │   · table stats                                        │
+//! │   · table stats · per string column: dictionary or 0   │
 //! ├────────────────────────────────────────────────────────┤
 //! │ footer offset u64 · magic "TQPS"                       │
 //! └────────────────────────────────────────────────────────┘
@@ -41,6 +41,21 @@
 //! The writer picks the cheapest encoding per column chunk by exact byte
 //! cost, so incompressible data degrades to plain, never worse.
 //!
+//! ## Footer dictionaries (new in version 2)
+//!
+//! A string column with at most [`tqp_tensor::dict::MAX_ENTRIES`]
+//! distinct values (trimmed of trailing NULs, placeholders at NULL rows
+//! included) carries them in the footer, sorted by bytes — the rule and
+//! order in-memory ingestion (`tqp_data::ingest::column_to_tensor`)
+//! applies. The blocks keep their version 1 layout; the dictionary is
+//! written once the writer has seen every row. [`StoredTable::open`]
+//! builds one shared [`tqp_tensor::dict::StrDict`] per such column, and
+//! every chunk of it decodes to `u32` codes into that dictionary: a dict
+//! block maps its few entries to codes once, a plain block looks each row
+//! up. Every other string column decodes straight into its padded byte
+//! matrix. No path makes a `String` per row, and a version 1 file is
+//! rejected.
+//!
 //! ## Zone maps and statistics
 //!
 //! Every column chunk records a [`ZoneMap`] (min/max over non-NULL
@@ -57,11 +72,17 @@
 //!
 //! ## Determinism contract
 //!
-//! Chunk decode is bit-exact: string chunks re-pad to the **table-wide**
-//! maximum byte width recorded in the footer, so concatenating decoded
-//! chunks reproduces the exact tensors whole-table ingestion builds, and
-//! the executor's morsel/chunk fan-out (in chunk order) stays
+//! Chunk decode is bit-exact: a coded column's chunks share the table's
+//! one dictionary, so concatenating them keeps the codes, and a padded
+//! column's chunks pad to the **table-wide** maximum byte width recorded
+//! in the footer. Either way the concatenated chunks are exactly the
+//! tensors whole-table ingestion builds — same form, entries, width and
+//! codes — and the executor's morsel/chunk fan-out (in chunk order) stays
 //! byte-identical to the in-memory scan path at any worker count.
+//! Hostile bytes — a string wider than the footer width, invalid UTF-8,
+//! an index out of range, a value missing from the footer dictionary, a
+//! malformed dictionary — decode to [`StoreError::Format`], never a
+//! panic.
 
 mod encode;
 mod meta;
@@ -76,7 +97,7 @@ pub use zone::ZoneMap;
 
 /// Current file-format version. Readers reject any other version with an
 /// error naming both (same policy as the program artifact).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// File magic, leading and trailing.
 pub const MAGIC: &[u8; 4] = b"TQPS";

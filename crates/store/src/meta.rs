@@ -1,11 +1,14 @@
-//! Footer metadata: schema, per-chunk layout + zone maps, table stats —
-//! serialization shared by the writer and reader.
+//! Footer metadata: schema, per-chunk layout + zone maps, table stats,
+//! string dictionaries — serialization shared by the writer and reader.
+
+use std::sync::Arc;
 
 use tqp_data::stats::{ColumnStats, TableStats};
 use tqp_data::{Field, LogicalType, Schema};
+use tqp_tensor::dict::StrDict;
 use tqp_tensor::Scalar;
 
-use crate::encode::{put_bytes, put_f64, put_i64, put_u32, put_u64, Cursor};
+use crate::encode::{put_bytes, put_f64, put_i64, put_u32, put_u64, utf8, Cursor};
 use crate::zone::ZoneMap;
 use crate::{Result, StoreError};
 
@@ -63,7 +66,7 @@ fn read_scalar(cur: &mut Cursor<'_>, ty: LogicalType) -> Result<Scalar> {
         LogicalType::Bool => Scalar::Bool(cur.u8()? != 0),
         LogicalType::Int64 | LogicalType::Date => Scalar::I64(cur.i64()?),
         LogicalType::Float64 => Scalar::F64(cur.f64()?),
-        LogicalType::Str => Scalar::Str(cur.string()?),
+        LogicalType::Str => Scalar::Str(cur.str()?.to_owned()),
     })
 }
 
@@ -93,6 +96,10 @@ pub struct Footer {
     pub rows: u64,
     pub chunks: Vec<ChunkMeta>,
     pub stats: TableStats,
+    /// Per column: the dictionary every chunk of a string column decodes
+    /// its codes into, when the column holds at most
+    /// [`tqp_tensor::dict::MAX_ENTRIES`] distinct trimmed values.
+    pub dicts: Vec<Option<Arc<StrDict>>>,
 }
 
 /// Serialize the footer.
@@ -124,24 +131,70 @@ pub fn encode_footer(f: &Footer) -> Vec<u8> {
         put_u64(&mut out, cs.null_count as u64);
         put_u64(&mut out, cs.distinct as u64);
     }
+    for (dict, field) in f.dicts.iter().zip(&f.schema.fields) {
+        if field.ty != LogicalType::Str {
+            continue;
+        }
+        match dict {
+            None => out.push(0),
+            Some(d) => {
+                out.push(1);
+                put_u32(&mut out, d.len() as u32);
+                for code in 0..d.len() as u32 {
+                    put_bytes(&mut out, d.trimmed(code));
+                }
+            }
+        }
+    }
     out
 }
 
-/// Parse a footer buffer.
-pub fn decode_footer(buf: &[u8]) -> Result<Footer> {
+/// A string column's footer dictionary, checked: entries UTF-8, and what
+/// [`StrDict::from_sorted`] accepts for the column's width.
+fn read_dict(cur: &mut Cursor<'_>, width: usize) -> Result<Option<Arc<StrDict>>> {
+    match cur.u8()? {
+        0 => return Ok(None),
+        1 => {}
+        other => return Err(StoreError::Format(format!("bad dictionary tag {other}"))),
+    }
+    let n = cur.u32()? as usize;
+    // Each entry takes at least its 4-byte length.
+    if n > cur.remaining() / 4 {
+        return Err(StoreError::Format(format!(
+            "{n} dictionary entries in a truncated footer"
+        )));
+    }
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
+        entries.push(utf8(cur.bytes()?)?.as_bytes());
+    }
+    let dict = StrDict::from_sorted(&entries, width.max(1))
+        .map_err(|e| StoreError::Format(format!("footer dictionary: {e}")))?;
+    Ok(Some(Arc::new(dict)))
+}
+
+/// Parse the footer of a `file_bytes`-byte file. A string column is no
+/// wider than the file that holds its strings.
+pub fn decode_footer(buf: &[u8], file_bytes: u64) -> Result<Footer> {
     let mut cur = Cursor::new(buf);
     let ncols = cur.u32()? as usize;
     let mut fields = Vec::with_capacity(ncols);
     for _ in 0..ncols {
-        let name = cur.string()?;
+        let name = cur.str()?.to_owned();
         let ty = ty_from_tag(cur.u8()?)?;
         fields.push(Field::new(name, ty));
     }
     let schema = Schema::new(fields);
     let chunk_rows = cur.u64()?;
     let mut str_widths = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        str_widths.push(cur.u32()?);
+    for c in 0..ncols {
+        let width = cur.u32()?;
+        if width as u64 > file_bytes {
+            return Err(StoreError::Format(format!(
+                "column {c} claims strings of {width} bytes in a {file_bytes}-byte file"
+            )));
+        }
+        str_widths.push(width);
     }
     let rows = cur.u64()?;
     let n_chunks = cur.u64()? as usize;
@@ -180,6 +233,13 @@ pub fn decode_footer(buf: &[u8]) -> Result<Footer> {
             distinct,
         });
     }
+    let mut dicts = Vec::with_capacity(ncols);
+    for (field, &width) in schema.fields.iter().zip(&str_widths) {
+        dicts.push(match field.ty {
+            LogicalType::Str => read_dict(&mut cur, width as usize)?,
+            _ => None,
+        });
+    }
     if cur.remaining() != 0 {
         return Err(StoreError::Format(format!(
             "{} trailing bytes after footer",
@@ -196,5 +256,91 @@ pub fn decode_footer(buf: &[u8]) -> Result<Footer> {
             rows: rows as usize,
             columns,
         },
+        dicts,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The size of the file the test footers sit in.
+    const FILE: u64 = 1 << 20;
+
+    /// A one-column string footer whose dictionary section is `dict`.
+    fn footer_with(dict: &[u8]) -> Vec<u8> {
+        let footer = Footer {
+            schema: Schema::new(vec![Field::new("s", LogicalType::Str)]),
+            chunk_rows: 8,
+            str_widths: vec![3],
+            rows: 0,
+            chunks: Vec::new(),
+            stats: TableStats {
+                rows: 0,
+                columns: vec![ColumnStats {
+                    min: None,
+                    max: None,
+                    null_count: 0,
+                    distinct: 0,
+                }],
+            },
+            dicts: vec![None],
+        };
+        let mut bytes = encode_footer(&footer);
+        assert_eq!(
+            bytes.pop(),
+            Some(0),
+            "the dictionary section ends the footer"
+        );
+        bytes.extend_from_slice(dict);
+        bytes
+    }
+
+    fn dict_section(entries: &[&[u8]]) -> Vec<u8> {
+        let mut out = vec![1];
+        put_u32(&mut out, entries.len() as u32);
+        entries.iter().for_each(|e| put_bytes(&mut out, e));
+        out
+    }
+
+    #[test]
+    fn footer_dictionaries_round_trip() {
+        let f = decode_footer(&footer_with(&dict_section(&[b"", b"ab", b"abc"])), FILE).unwrap();
+        let d = f.dicts[0].as_ref().unwrap();
+        assert_eq!((d.len(), d.width()), (3, 3));
+        assert_eq!(d.trimmed(1), b"ab");
+        assert_eq!(
+            encode_footer(&f),
+            footer_with(&dict_section(&[b"", b"ab", b"abc"]))
+        );
+        assert!(decode_footer(&footer_with(&[0]), FILE).unwrap().dicts[0].is_none());
+    }
+
+    #[test]
+    fn hostile_footer_dictionaries_are_format_errors() {
+        let many: Vec<Vec<u8>> = (0..=tqp_tensor::dict::MAX_ENTRIES)
+            .map(|i| format!("{i:03x}").into_bytes())
+            .collect();
+        let many: Vec<&[u8]> = many.iter().map(Vec::as_slice).collect();
+        let mut huge = vec![1];
+        put_u32(&mut huge, u32::MAX);
+        for (what, section) in [
+            ("unsorted", dict_section(&[b"b", b"a"])),
+            ("duplicated", dict_section(&[b"a", b"a"])),
+            ("longer than MAX_ENTRIES", dict_section(&many)),
+            ("wider than the column", dict_section(&[b"abcd"])),
+            ("not trimmed", dict_section(&[b"a\0"])),
+            ("invalid UTF-8", dict_section(&[b"\xff"])),
+            ("truncated", huge),
+            ("bad tag", vec![2]),
+        ] {
+            assert!(
+                matches!(
+                    decode_footer(&footer_with(&section), FILE),
+                    Err(StoreError::Format(_))
+                ),
+                "{what}"
+            );
+        }
+    }
 }

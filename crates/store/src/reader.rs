@@ -5,12 +5,14 @@
 
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use tqp_data::stats::TableStats;
 use tqp_data::{LogicalType, Schema};
+use tqp_tensor::dict::StrDict;
 use tqp_tensor::Tensor;
 
-use crate::encode::{decode_validity, decode_values, ChunkValues, Cursor};
+use crate::encode::{decode_validity, decode_values, Cursor, StrForm};
 use crate::meta::{decode_footer, ChunkMeta, Footer};
 use crate::zone::ZoneMap;
 use crate::{Result, StoreError, FORMAT_VERSION, MAGIC};
@@ -29,6 +31,9 @@ pub struct StoredTable {
     str_widths: Vec<u32>,
     chunks: Vec<ChunkMeta>,
     stats: TableStats,
+    /// Each string column's footer dictionary, shared by every decoded
+    /// chunk of the column.
+    dicts: Vec<Option<Arc<StrDict>>>,
     file_bytes: u64,
 }
 
@@ -87,7 +92,34 @@ impl StoredTable {
         let mut buf = vec![0u8; (file_bytes - 12 - footer_off) as usize];
         file.seek(SeekFrom::Start(footer_off))?;
         file.read_exact(&mut buf)?;
-        let footer = decode_footer(&buf)?;
+        let footer = decode_footer(&buf, file_bytes)?;
+        // Every block lies between the header and the footer, and the
+        // chunks add up to the table.
+        for (i, chunk) in footer.chunks.iter().enumerate() {
+            for (c, col) in chunk.cols.iter().enumerate() {
+                if col.offset < 8
+                    || col
+                        .offset
+                        .checked_add(col.len)
+                        .is_none_or(|end| end > footer_off)
+                {
+                    return Err(StoreError::Format(format!(
+                        "chunk {i} column {c}: block at {} of {} bytes lies outside the data section",
+                        col.offset, col.len
+                    )));
+                }
+            }
+        }
+        let chunk_rows = footer
+            .chunks
+            .iter()
+            .try_fold(0u64, |acc, c| acc.checked_add(c.rows));
+        if chunk_rows != Some(footer.rows) {
+            return Err(StoreError::Format(format!(
+                "chunk rows add up to {chunk_rows:?}, the footer says {}",
+                footer.rows
+            )));
+        }
         StoredTable::from_footer(path.to_path_buf(), footer, file_bytes)
     }
 
@@ -105,6 +137,7 @@ impl StoredTable {
             str_widths: footer.str_widths,
             chunks: footer.chunks,
             stats: footer.stats,
+            dicts: footer.dicts,
             file_bytes,
         })
     }
@@ -161,8 +194,19 @@ impl StoredTable {
         self.str_widths[col] as usize
     }
 
+    /// What string column `col` decodes to: codes into its footer
+    /// dictionary, or padded rows.
+    fn str_form(&self, col: usize) -> StrForm<'_> {
+        match &self.dicts[col] {
+            Some(dict) => StrForm::Coded(dict),
+            None => StrForm::Padded(self.str_width(col)),
+        }
+    }
+
     /// Decode the given columns of chunk `i` (schema order preserved
-    /// within the projection).
+    /// within the projection). A string column with a footer dictionary
+    /// decodes to codes into it, shared by every chunk; any other string
+    /// column to a matrix padded to its table-wide width.
     pub fn decode_chunk(&self, i: usize, cols: &[usize]) -> Result<Vec<DecodedColumn>> {
         let chunk = &self.chunks[i];
         let rows = chunk.rows as usize;
@@ -175,16 +219,14 @@ impl StoredTable {
             file.read_exact(&mut buf)?;
             let mut cur = Cursor::new(&buf);
             let validity = decode_validity(&mut cur, rows)?;
-            let values = decode_values(&mut cur, self.schema.fields[c].ty, rows)?;
+            let tensor = decode_values(&mut cur, self.schema.fields[c].ty, rows, self.str_form(c))?;
             if cur.remaining() != 0 {
                 return Err(StoreError::Format(format!(
                     "chunk {i} column {c}: {} trailing bytes",
                     cur.remaining()
                 )));
             }
-            let tensor = self.values_to_tensor(c, values);
-            let validity = validity.map(Tensor::from_bool);
-            out.push((tensor, validity));
+            out.push((tensor, validity.map(Tensor::from_bool)));
         }
         Ok(out)
     }
@@ -198,32 +240,24 @@ impl StoredTable {
                     LogicalType::Bool => Tensor::from_bool(vec![]),
                     LogicalType::Int64 | LogicalType::Date => Tensor::from_i64(vec![]),
                     LogicalType::Float64 => Tensor::from_f64(vec![]),
-                    LogicalType::Str => Tensor::from_strings(&[], self.str_width(c)),
+                    LogicalType::Str => match self.str_form(c) {
+                        StrForm::Coded(dict) => Tensor::from_coded(vec![], Arc::clone(dict)),
+                        StrForm::Padded(width) => Tensor::from_strings(&[], width),
+                    },
                 };
                 (t, None)
             })
             .collect()
-    }
-
-    fn values_to_tensor(&self, col: usize, values: ChunkValues) -> Tensor {
-        match values {
-            ChunkValues::I64(v) => Tensor::from_i64(v),
-            ChunkValues::F64(v) => Tensor::from_f64(v),
-            ChunkValues::Bool(v) => Tensor::from_bool(v),
-            ChunkValues::Str(v) => {
-                let refs: Vec<&str> = v.iter().map(|s| s.as_str()).collect();
-                Tensor::from_strings(&refs, self.str_width(col))
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::meta::encode_footer;
     use crate::writer::{store_csv, store_frame, StoreWriter};
     use tqp_data::frame::df;
-    use tqp_data::ingest::frame_to_tensors;
+    use tqp_data::ingest::{column_to_tensor, frame_to_tensors};
     use tqp_data::Column;
     use tqp_tensor::Scalar;
 
@@ -389,22 +423,214 @@ mod tests {
             StoredTable::open(&junk),
             Err(StoreError::Format(_))
         ));
-        // Future version is rejected with a message naming both versions.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
-        let bumped = dir.join("v99.tqps");
-        std::fs::write(&bumped, &bytes).unwrap();
-        match StoredTable::open(&bumped) {
-            Err(StoreError::Format(msg)) => {
-                assert!(msg.contains("99") && msg.contains('1'), "{msg}");
+        // A future version, and a version 1 file (no footer
+        // dictionaries), are rejected with a message naming both versions.
+        for version in [99u32, 1] {
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            let bumped = dir.join(format!("v{version}.tqps"));
+            std::fs::write(&bumped, &bytes).unwrap();
+            match StoredTable::open(&bumped) {
+                Err(StoreError::Format(msg)) => {
+                    assert!(
+                        msg.contains(&format!("version {version} "))
+                            && msg.contains(&format!("version {FORMAT_VERSION}")),
+                        "{msg}"
+                    );
+                }
+                other => panic!("expected format error, got {other:?}"),
             }
-            other => panic!("expected format error, got {other:?}"),
         }
         // Truncation loses the trailing magic.
         let cut = dir.join("cut.tqps");
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&cut, &bytes[..bytes.len() - 4]).unwrap();
         assert!(StoredTable::open(&cut).is_err());
+    }
+
+    /// `path` with its footer rewritten by `edit`, as `out`.
+    fn rewrite_footer(path: &Path, out: &Path, edit: impl FnOnce(&mut Footer)) {
+        let bytes = std::fs::read(path).unwrap();
+        let footer_off =
+            u64::from_le_bytes(bytes[bytes.len() - 12..bytes.len() - 4].try_into().unwrap());
+        let mut footer = decode_footer(
+            &bytes[footer_off as usize..bytes.len() - 12],
+            bytes.len() as u64,
+        )
+        .unwrap();
+        edit(&mut footer);
+        let mut file = bytes[..footer_off as usize].to_vec();
+        file.extend_from_slice(&encode_footer(&footer));
+        file.extend_from_slice(&footer_off.to_le_bytes());
+        file.extend_from_slice(MAGIC);
+        std::fs::write(out, file).unwrap();
+    }
+
+    #[test]
+    fn hostile_footers_are_format_errors() {
+        let dir = tmpdir();
+        let path = dir.join("hostile.tqps");
+        let table = store_frame(&sample_frame(40), &path, 16).unwrap();
+        assert!(table.dicts[4].is_some(), "seven names are coded");
+        let all: Vec<usize> = (0..5).collect();
+        let bad = dir.join("hostile_edit.tqps");
+        // Checked when the file opens.
+        type Edit = Box<dyn FnOnce(&mut Footer)>;
+        let at_open: [(&str, Edit); 4] = [
+            (
+                "block past the footer",
+                Box::new(|f| f.chunks[1].cols[2].len = u64::MAX),
+            ),
+            (
+                "block inside the header",
+                Box::new(|f| f.chunks[0].cols[0].offset = 3),
+            ),
+            ("rows that do not add up", Box::new(|f| f.rows += 1)),
+            (
+                "strings wider than the file",
+                Box::new(|f| f.str_widths[4] = u32::MAX),
+            ),
+        ];
+        for (what, edit) in at_open {
+            rewrite_footer(&path, &bad, edit);
+            assert!(
+                matches!(StoredTable::open(&bad), Err(StoreError::Format(_))),
+                "{what}"
+            );
+        }
+        // Checked when a chunk decodes: a stored value the footer
+        // dictionary lacks, and a string wider than the footer width.
+        rewrite_footer(&path, &bad, |f| {
+            let d = f.dicts[4].as_ref().unwrap();
+            let kept: Vec<&[u8]> = (1..d.len() as u32).map(|c| d.trimmed(c)).collect();
+            f.dicts[4] = Some(Arc::new(StrDict::from_sorted(&kept, d.width()).unwrap()));
+        });
+        let t = StoredTable::open(&bad).unwrap();
+        assert!(matches!(
+            t.decode_chunk(0, &all),
+            Err(StoreError::Format(_))
+        ));
+        rewrite_footer(&path, &bad, |f| {
+            f.dicts[4] = None;
+            f.str_widths[4] = 3;
+        });
+        let t = StoredTable::open(&bad).unwrap();
+        assert!(matches!(
+            t.decode_chunk(0, &all),
+            Err(StoreError::Format(_))
+        ));
+        rewrite_footer(&path, &bad, |f| f.str_widths[4] = 3);
+        assert!(matches!(
+            StoredTable::open(&bad),
+            Err(StoreError::Format(_))
+        ));
+    }
+
+    /// `stored` is exactly `want`: the same form, width and rows, and when
+    /// coded, the same entries and codes.
+    fn assert_same_tensor(stored: &Tensor, want: &Tensor, ctx: &str) {
+        assert_eq!(stored.shape(), want.shape(), "{ctx}: shape");
+        match (stored.coded(), want.coded()) {
+            (Some((codes, dict)), Some((want_codes, want_dict))) => {
+                assert_eq!(dict.width(), want_dict.width(), "{ctx}: width");
+                assert_eq!(dict.len(), want_dict.len(), "{ctx}: entries");
+                for c in 0..dict.len() as u32 {
+                    assert_eq!(dict.row(c), want_dict.row(c), "{ctx}: entry {c}");
+                }
+                assert_eq!(codes, want_codes, "{ctx}: codes");
+            }
+            (None, None) => assert_eq!(stored.as_u8(), want.as_u8(), "{ctx}: bytes"),
+            (got, wanted) => panic!(
+                "{ctx}: stored coded {}, in memory coded {}",
+                got.is_some(),
+                wanted.is_some()
+            ),
+        }
+    }
+
+    /// A stored string column decodes to the tensor `column_to_tensor`
+    /// builds over the same rows, at the dictionary cap and past it, at
+    /// any chunk size, and every chunk of a coded column shares one
+    /// dictionary, so concatenation keeps the codes.
+    #[test]
+    fn stored_strings_decode_to_the_in_memory_tensor() {
+        let dir = tmpdir();
+        let cap = tqp_tensor::dict::MAX_ENTRIES;
+        let distinct =
+            |n: usize| -> Vec<String> { (0..n).map(|i| format!("v{}", (i * 7919) % n)).collect() };
+        let nul: Vec<String> = ["x", "x\0", "", "y\0\0", "x", "yy"]
+            .iter()
+            .cycle()
+            .take(40)
+            .map(|s| s.to_string())
+            .collect();
+        let placeholders: Vec<String> = (0..30).map(|i| format!("p{}", i % 5)).collect();
+        let nulls: Vec<bool> = (0..30).map(|i| i % 4 != 1).collect();
+        let cases = [
+            ("at the cap", distinct(cap), None),
+            ("past the cap", distinct(cap + 1), None),
+            ("trailing NULs", nul, None),
+            ("all empty", vec![String::new(); 25], None),
+            ("NULL placeholders", placeholders, Some(nulls)),
+        ];
+        for (what, values, validity) in &cases {
+            let schema = Schema::new(vec![tqp_data::Field::new("s", LogicalType::Str)]);
+            let column = Column::from_str(values.clone());
+            let want = column_to_tensor(&column);
+            assert_eq!(want.coded().is_some(), *what != "past the cap", "{what}");
+            for chunk_rows in [1, 7, 4096] {
+                let ctx = format!("{what}, chunks of {chunk_rows}");
+                let path = dir.join("parity.tqps");
+                let mut w = StoreWriter::create(&path, &schema, chunk_rows).unwrap();
+                w.append_columns(
+                    std::slice::from_ref(&column),
+                    std::slice::from_ref(validity),
+                )
+                .unwrap();
+                w.finish().unwrap();
+                let table = StoredTable::open(&path).unwrap();
+                let chunks: Vec<Tensor> = (0..table.n_chunks())
+                    .map(|i| table.decode_chunk(i, &[0]).unwrap().remove(0).0)
+                    .collect();
+                if let Some((_, dict)) = want.coded().and(chunks[0].coded()) {
+                    for t in &chunks {
+                        assert!(
+                            Arc::ptr_eq(t.coded().unwrap().1, dict),
+                            "{ctx}: one dictionary"
+                        );
+                    }
+                }
+                let refs: Vec<&Tensor> = chunks.iter().collect();
+                assert_same_tensor(&tqp_tensor::index::concat(&refs), &want, &ctx);
+            }
+        }
+    }
+
+    /// CSV cells holding line breaks, `""` escapes and commas survive
+    /// `write_csv` → `store_csv` → decode.
+    #[test]
+    fn csv_cells_with_line_breaks_survive_the_store() {
+        let dir = tmpdir();
+        let frame = df(vec![
+            ("id", Column::from_i64((0..9).collect())),
+            (
+                "s",
+                Column::from_str(
+                    (0..9)
+                        .map(|i| match i % 3 {
+                            0 => format!("line\nbreak {i}"),
+                            1 => format!("say \"\"{i}\"\", then, \"go\""),
+                            _ => format!("\r\n{i}\n"),
+                        })
+                        .collect(),
+                ),
+            ),
+        ]);
+        let csv_path = dir.join("newlines.csv");
+        tqp_data::csv::write_csv(&frame, &csv_path).unwrap();
+        let table = store_csv(&csv_path, frame.schema(), &dir.join("newlines.tqps"), 4).unwrap();
+        assert_eq!(table.nrows(), 9);
+        assert_bit_exact(&table, &frame);
     }
 
     #[test]

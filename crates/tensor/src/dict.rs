@@ -110,6 +110,36 @@ impl StrDict {
         }
     }
 
+    /// A dictionary over `entries` padded to `width` bytes, as a column
+    /// stored elsewhere recorded it. Fails unless the entries are what
+    /// [`encode`] would build: at most [`MAX_ENTRIES`], strictly ascending
+    /// by bytes (so distinct), none wider than `width`, none ending in a
+    /// padding byte.
+    pub fn from_sorted(entries: &[&[u8]], width: usize) -> Result<StrDict, String> {
+        if entries.len() > MAX_ENTRIES {
+            return Err(format!(
+                "{} dictionary entries, more than the {MAX_ENTRIES} a coded column holds",
+                entries.len()
+            ));
+        }
+        if let Some(i) = (1..entries.len()).find(|&i| entries[i - 1] >= entries[i]) {
+            return Err(format!(
+                "dictionary entry {i} does not sort after entry {}",
+                i - 1
+            ));
+        }
+        if let Some(i) = entries.iter().position(|e| e.len() > width) {
+            return Err(format!(
+                "dictionary entry {i} has {} bytes, wider than the column's {width}",
+                entries[i].len()
+            ));
+        }
+        if let Some(i) = entries.iter().position(|e| e.last() == Some(&0)) {
+            return Err(format!("dictionary entry {i} ends in a padding byte"));
+        }
+        Ok(StrDict::new(entries.iter().copied(), width))
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.lens.len()
@@ -280,6 +310,33 @@ mod tests {
         assert!(encode(&refs, 1).is_none());
         let empty = encode(&[], 1).unwrap();
         assert_eq!((empty.nrows(), empty.row_width()), (0, 1));
+    }
+
+    #[test]
+    fn stored_entries_rebuild_the_dictionary_encode_builds() {
+        let t = encode(&["pear", "x\0", "", "apple"], 1).unwrap();
+        let (_, dict) = t.coded().unwrap();
+        let entries: Vec<&[u8]> = (0..dict.len() as u32).map(|c| dict.trimmed(c)).collect();
+        let rebuilt = StrDict::from_sorted(&entries, dict.width()).unwrap();
+        assert_eq!(rebuilt.bytes, dict.bytes);
+        assert_eq!(
+            (rebuilt.lens.clone(), rebuilt.hashes.clone()),
+            (dict.lens.clone(), dict.hashes.clone())
+        );
+        for bad in [
+            &[b"b".as_slice(), b"a"][..],
+            &[b"a", b"a"],
+            &[b"toolong"],
+            &[b"a\0"],
+        ] {
+            assert!(StrDict::from_sorted(bad, 5).is_err(), "{bad:?}");
+        }
+        let many: Vec<Vec<u8>> = (0..=MAX_ENTRIES)
+            .map(|i| format!("{i:05}").into_bytes())
+            .collect();
+        let refs: Vec<&[u8]> = many.iter().map(Vec::as_slice).collect();
+        assert!(StrDict::from_sorted(&refs[..MAX_ENTRIES], 5).is_ok());
+        assert!(StrDict::from_sorted(&refs, 5).is_err());
     }
 
     #[test]

@@ -56,6 +56,21 @@ fn sessions() -> (Session, Session, Arc<StoredTable>) {
         "need a multi-chunk table for a meaningful test (got {})",
         stored.n_chunks()
     );
+    // Low-cardinality flags decode to codes into the footer dictionary,
+    // one dictionary for every chunk, as the in-memory table codes them.
+    let flag = stored.schema().index_of("l_returnflag").unwrap();
+    let first = stored.decode_chunk(0, &[flag]).unwrap().remove(0).0;
+    let (_, dict) = first.coded().expect("l_returnflag decodes coded");
+    for c in 0..stored.n_chunks() {
+        let chunk = stored.decode_chunk(c, &[flag]).unwrap().remove(0).0;
+        let (_, d) = chunk
+            .coded()
+            .expect("every l_returnflag chunk decodes coded");
+        assert!(
+            Arc::ptr_eq(d, dict),
+            "chunk {c} shares the table's dictionary"
+        );
+    }
 
     let mut mem = Session::new();
     let mut st = Session::new();
