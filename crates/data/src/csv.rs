@@ -84,7 +84,12 @@ pub fn write_csv(frame: &DataFrame, path: &Path) -> Result<(), CsvError> {
             .iter()
             .map(|c| escape(&c.display(i)))
             .collect();
-        writeln!(out, "{}", row.join(","))?;
+        match row.join(",") {
+            // A lone empty cell would be a blank line, which the reader
+            // skips: quote it.
+            line if line.is_empty() => writeln!(out, "\"\"")?,
+            line => writeln!(out, "{line}")?,
+        }
     }
     out.flush()?;
     Ok(())
@@ -472,6 +477,21 @@ mod tests {
 
     /// Cells holding line breaks, `""` escapes and commas read back
     /// whole, and the lines errors name count every physical line.
+    #[test]
+    fn one_column_empty_string_round_trips() {
+        let frame = df(vec![(
+            "s",
+            Column::from_str(vec!["a".into(), "".into(), "b".into()]),
+        )]);
+        let path = tmp("one_empty.csv");
+        write_csv(&frame, &path).unwrap();
+        let back = read_csv(frame.schema(), &path).unwrap();
+        assert_eq!(back.nrows(), 3);
+        for r in 0..3 {
+            assert_eq!(back.row(r), frame.row(r), "row {r}");
+        }
+    }
+
     #[test]
     fn quoted_line_breaks_round_trip() {
         let frame = df(vec![

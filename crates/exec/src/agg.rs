@@ -164,7 +164,6 @@ fn eval_reduce(input: &Batch, reduce: &ReduceExprs) -> (Vec<Tensor>, Vec<Option<
 }
 
 /// Execute an aggregation over a whole batch on the calling thread:
-/// metered/GpuSim runs (modeled time must not depend on host threads),
 /// inputs under [`par_min_rows`], and reductions [`morsel_shape`] refuses.
 pub fn aggregate(input: &Batch, reduce: &ReduceExprs) -> Batch {
     let (keys, args) = eval_reduce(input, reduce);

@@ -1,10 +1,11 @@
 //! The simulated-GPU cost model.
 //!
 //! No GPU exists in this environment (reproduction substitution, see
-//! DESIGN.md): kernels execute on the CPU for *correctness*, while the
-//! meter accumulates *modeled* device time per operator from an analytical
-//! roofline: `kernels × launch_latency + bytes_touched / memory_bandwidth`,
-//! plus PCIe transfer terms that depend on the placement strategy:
+//! DESIGN.md): a `Device::GpuSim` run executes on the CPU exactly as a CPU
+//! run does, and [`price`] then turns the bytes each operator read and
+//! wrote into *modeled* device time with an analytical roofline:
+//! `kernels × launch_latency + bytes_touched / memory_bandwidth`, plus
+//! PCIe transfer terms that depend on the placement strategy:
 //!
 //! * [`GpuStrategy::Resident`] (TQP): operands live on the device for the
 //!   whole query — transfers are not charged per operator (the paper's warm
@@ -17,6 +18,7 @@
 //! Default parameters approximate the paper's NVIDIA P100: ~550 GB/s
 //! effective HBM2 bandwidth, 5 µs kernel launch, ~12 GB/s effective PCIe.
 
+use crate::program::{ProgOp, TensorProgram};
 use crate::GpuStrategy;
 
 /// Analytical device parameters.
@@ -50,94 +52,87 @@ impl Default for CostModel {
     }
 }
 
-/// Accumulates modeled device time across a query.
-#[derive(Debug)]
-pub struct DeviceMeter {
-    model: CostModel,
-    strategy: GpuStrategy,
-    enabled: bool,
-    total_s: f64,
-}
-
-impl DeviceMeter {
-    /// A meter; disabled meters cost nothing and report zero.
-    pub fn new(enabled: bool, strategy: GpuStrategy) -> DeviceMeter {
-        DeviceMeter {
-            model: CostModel::default(),
-            strategy,
-            enabled,
-            total_s: 0.0,
-        }
-    }
-
-    /// Charge one operator: `kernels` launches touching `in_bytes` +
-    /// `out_bytes` of device memory.
-    pub fn op(&mut self, kernels: u32, in_bytes: usize, out_bytes: usize) {
-        if !self.enabled {
-            return;
-        }
-        let bytes = (in_bytes + out_bytes) as f64 * self.model.passes;
+impl CostModel {
+    /// Modeled seconds of one operator: `kernels` launches touching
+    /// `bytes.input` + `bytes.output` of device memory.
+    fn op_seconds(&self, kernels: u32, bytes: OpBytes, strategy: GpuStrategy) -> f64 {
+        let touched = (bytes.input + bytes.output) as f64;
         let mut t =
-            self.model.op_overhead + kernels as f64 * self.model.launch + bytes / self.model.mem_bw;
-        if self.strategy == GpuStrategy::PerOpTransfer {
-            t += (in_bytes as f64 + out_bytes as f64) / self.model.pcie_bw;
+            self.op_overhead + kernels as f64 * self.launch + touched * self.passes / self.mem_bw;
+        if strategy == GpuStrategy::PerOpTransfer {
+            t += (bytes.input as f64 + bytes.output as f64) / self.pcie_bw;
         }
-        self.total_s += t;
-    }
-
-    /// Modeled total, microseconds.
-    pub fn total_us(&self) -> u64 {
-        (self.total_s * 1e6).round() as u64
-    }
-
-    /// Whether this meter is accumulating.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+        t
     }
 }
 
-/// Rough kernel-launch counts per operator family (used by the meter; the
-/// exact constants only shift the launch-latency term, which matters for
-/// small inputs — precisely the regime where real GPUs lose to CPUs).
-pub fn kernel_count(op: &str, n_exprs: usize) -> u32 {
-    match op {
-        "Scan" => 1,
-        "Filter" => (2 + n_exprs) as u32,
-        "Project" => n_exprs.max(1) as u32,
-        "CrossJoin" => 3,
-        "Aggregate" => (6 + n_exprs) as u32,
-        "Sort" => (2 * n_exprs.max(1)) as u32,
-        "Limit" => 1,
-        _ => 2,
-    }
+/// The bytes one program op read and wrote in a run, summed over its
+/// morsels. A `HashBuild` reads its key columns and writes 12 bytes per
+/// table entry.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OpBytes {
+    pub input: u64,
+    pub output: u64,
+}
+
+/// The modeled device time of a finished run of `prog`, microseconds:
+/// every op charged in program order under `strategy`, from the bytes the
+/// run recorded for it (`bytes[i]` for op `i`).
+pub fn price(prog: &TensorProgram, bytes: &[OpBytes], strategy: GpuStrategy) -> u64 {
+    let model = CostModel::default();
+    let total_s: f64 = prog
+        .ops
+        .iter()
+        .zip(bytes)
+        .map(|(op, &b)| model.op_seconds(kernel_count(op), b, strategy))
+        .sum();
+    (total_s * 1e6).round() as u64
+}
+
+/// Rough kernel-launch counts per operator (the exact constants only shift
+/// the launch-latency term, which matters for small inputs — precisely the
+/// regime where real GPUs lose to CPUs).
+pub fn kernel_count(op: &ProgOp) -> u32 {
+    let n = match op {
+        ProgOp::Scan { .. } | ProgOp::Limit { .. } => 1,
+        ProgOp::Filter { conjuncts, .. } => 2 + conjuncts.outputs.len(),
+        ProgOp::Project { exprs, .. } => exprs.outputs.len().max(1),
+        ProgOp::HashBuild { .. } | ProgOp::HashProbe { .. } => 2,
+        ProgOp::CrossJoin { .. } => 3,
+        ProgOp::GroupedReduce { reduce, .. } => 6 + reduce.aggs.len(),
+        ProgOp::Sort { keys, .. } => 2 * keys.outputs.len().max(1),
+    };
+    n as u32
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn disabled_meter_reports_zero() {
-        let mut m = DeviceMeter::new(false, GpuStrategy::Resident);
-        m.op(10, 1 << 30, 1 << 30);
-        assert_eq!(m.total_us(), 0);
-        assert!(!m.is_enabled());
+    /// A one-op program: a `Limit` (one kernel) over register 0.
+    fn limit() -> TensorProgram {
+        TensorProgram {
+            ops: vec![ProgOp::Limit {
+                dst: 1,
+                src: 0,
+                n: 1,
+            }],
+            n_regs: 2,
+            output: 1,
+            schema: Vec::new(),
+        }
+    }
+
+    fn price_one(input: u64, output: u64, strategy: GpuStrategy) -> u64 {
+        price(&limit(), &[OpBytes { input, output }], strategy)
     }
 
     #[test]
     fn bandwidth_term_scales_with_bytes() {
-        // Subtract the fixed per-op overhead to observe the bandwidth term.
-        let fixed = {
-            let mut m = DeviceMeter::new(true, GpuStrategy::Resident);
-            m.op(1, 0, 0);
-            m.total_us()
-        };
-        let mut small = DeviceMeter::new(true, GpuStrategy::Resident);
-        small.op(1, 1 << 20, 0);
-        let mut big = DeviceMeter::new(true, GpuStrategy::Resident);
-        big.op(1, 1 << 30, 0);
-        let small_bw = small.total_us() - fixed;
-        let big_bw = big.total_us() - fixed;
+        // Subtract the fixed per-op cost to observe the bandwidth term.
+        let fixed = price_one(0, 0, GpuStrategy::Resident);
+        let small_bw = price_one(1 << 20, 0, GpuStrategy::Resident) - fixed;
+        let big_bw = price_one(1 << 30, 0, GpuStrategy::Resident) - fixed;
         assert!(big_bw > small_bw * 100, "{big_bw} vs {small_bw}");
         // Dispatch overhead dominates tiny ops (why small queries don't
         // benefit from the device).
@@ -147,25 +142,42 @@ mod tests {
     #[test]
     fn per_op_transfer_much_slower() {
         let bytes = 1 << 28; // 256 MB
-        let mut resident = DeviceMeter::new(true, GpuStrategy::Resident);
-        resident.op(5, bytes, bytes);
-        let mut transfer = DeviceMeter::new(true, GpuStrategy::PerOpTransfer);
-        transfer.op(5, bytes, bytes);
+        let resident = price_one(bytes, bytes, GpuStrategy::Resident);
+        let transfer = price_one(bytes, bytes, GpuStrategy::PerOpTransfer);
         // PCIe is ~45x slower than HBM: the gap must be large.
-        assert!(transfer.total_us() > resident.total_us() * 4);
+        assert!(transfer > resident * 4, "{transfer} vs {resident}");
     }
 
     #[test]
     fn launch_latency_dominates_tiny_ops() {
-        let mut m = DeviceMeter::new(true, GpuStrategy::Resident);
-        m.op(10, 64, 64); // tiny tensors
-                          // 10 launches à 5us = 50us; bandwidth term is negligible.
-        assert!(m.total_us() >= 50);
+        // Ten one-kernel ops over tiny tensors: 10 launches à 5 µs = 50 µs
+        // (plus dispatch overhead); the bandwidth term is negligible.
+        let mut prog = limit();
+        prog.ops = vec![prog.ops[0].clone(); 10];
+        let tiny = vec![
+            OpBytes {
+                input: 64,
+                output: 64
+            };
+            10
+        ];
+        let us = price(&prog, &tiny, GpuStrategy::Resident);
+        let model = CostModel::default();
+        assert!(us >= 50);
+        assert_eq!(
+            us,
+            ((model.op_overhead + model.launch) * 10.0 * 1e6).round() as u64
+        );
     }
 
     #[test]
     fn kernel_counts_reasonable() {
-        assert_eq!(kernel_count("Scan", 0), 1);
-        assert!(kernel_count("Aggregate", 0) > kernel_count("Filter", 1));
+        let scan = ProgOp::Scan {
+            dst: 0,
+            table: "t".into(),
+            projection: None,
+        };
+        assert_eq!(kernel_count(&scan), 1);
+        assert_eq!(kernel_count(&limit().ops[0]), 1);
     }
 }

@@ -24,9 +24,9 @@
 //! | ORT-Web (WASM)      | [`Backend::Wasm`] — the same artifact loaded    |
 //! |                     | once with no kernels and run by the VM on one   |
 //! |                     | worker; its slowdown is modelled, not burned    |
-//! | CUDA device         | [`Device::GpuSim`] — kernels run on CPU for     |
-//! |                     | correctness, wall-clock is replaced by an       |
-//! |                     | analytical P100 cost model ([`device`])         |
+//! | CUDA device         | [`Device::GpuSim`] — the CPU run, its wall-clock|
+//! |                     | replaced by an analytical P100 cost model priced|
+//! |                     | from the bytes each op moved ([`device`])       |
 //!
 //! On the real-CPU path the VM additionally runs morsel-parallel across
 //! [`ExecConfig::workers`] worker threads: scan → filter → project
@@ -35,8 +35,8 @@
 //! into a preceding segment when data-flow allows), `HashProbe` chunks its
 //! probe side, and `Sort` chunk-sorts + stable-merges — or, under a
 //! `LIMIT`, selects per morsel and merges the candidates (see [`vm`]).
-//! Results are byte-identical at every worker count; `Device::GpuSim`
-//! and `Backend::Wasm` ignore `workers` entirely and stay sequential.
+//! Results are byte-identical at every worker count, on either device;
+//! `Backend::Wasm` ignores `workers` and runs on one.
 //!
 //! **Compile once, run many.** [`Executor::compile`] does everything a
 //! statement needs once: lowering, model binding, the artifact round trip
@@ -170,13 +170,14 @@ pub struct ExecConfig {
     /// **Knob interactions.** Changing `workers` never changes results —
     /// parallel ops derive their partition geometry from the input, not
     /// the thread count, so outputs are byte-identical at any setting (see
-    /// `ARCHITECTURE.md` "Parallel chunked execution"). On
-    /// `Device::GpuSim` the knob is ignored: metered runs stay fully
-    /// sequential so modeled time is worker-independent. `Backend::Wasm`
-    /// ignores it too and runs once, on one CPU worker. The aggregation
-    /// morsel size is tunable via `TQP_AGG_MORSEL_ROWS` (read once per
-    /// process); shrinking it below the default 16 Ki rows trades merge
-    /// overhead for scheduling granularity without affecting determinism.
+    /// `ARCHITECTURE.md` "Parallel chunked execution"), and neither does
+    /// the modeled time of a `Device::GpuSim` run, which is priced from
+    /// per-op bytes that add up the same over any morsels.
+    /// `Backend::Wasm` ignores the knob and runs once, on one CPU worker.
+    /// The aggregation morsel size is tunable via `TQP_AGG_MORSEL_ROWS`
+    /// (read once per process); shrinking it below the default 16 Ki rows
+    /// trades merge overhead for scheduling granularity without affecting
+    /// determinism.
     pub workers: usize,
 }
 
@@ -406,8 +407,11 @@ impl Executor {
     /// spans into `trace` when the run is traced. Parameters are patched
     /// into a per-run clone of the program
     /// ([`program::TensorProgram::bind_params`]); a wrong count or a value
-    /// that does not coerce is the error. Returns the materialized result
-    /// and stats.
+    /// that does not coerce is the error, and so is data the run cannot
+    /// read (a stored chunk that fails to decode, [`sched::Failed`]).
+    /// Returns the materialized result and stats. Every device runs the
+    /// same route; a `Device::GpuSim` run is then priced from the bytes
+    /// each op read and wrote ([`device::price`]).
     pub fn run(
         &self,
         storage: &Storage,
@@ -424,7 +428,6 @@ impl Executor {
         let single = self.cfg.backend.single_worker();
         let cfg = if single {
             ExecConfig {
-                device: Device::Cpu,
                 workers: 1,
                 ..self.cfg
             }
@@ -433,12 +436,13 @@ impl Executor {
         };
         let simd_before = tqp_tensor::simd::counters();
         let t0 = std::time::Instant::now();
-        let (frame, meter, scans) = vm::run_program(program, storage, trace, cfg);
+        let (frame, bytes, scans) =
+            sched::failures_as_errors(|| vm::run_program(program, storage, trace, cfg))?;
         let wall_us = t0.elapsed().as_micros() as u64;
         let modeled_us = if single {
             Some(wall_us * WASM_DILATION)
         } else {
-            (cfg.device == Device::GpuSim).then(|| meter.total_us())
+            (cfg.device == Device::GpuSim).then(|| device::price(program, &bytes, cfg.gpu_strategy))
         };
         let stats = ExecStats {
             wall_us,

@@ -101,6 +101,29 @@ impl Cancelled {
     }
 }
 
+/// The unwind payload carried when execution meets data it cannot read —
+/// a stored chunk that fails to decode, on whichever worker decodes it.
+/// Like [`Cancelled`] it is not a programming error: the quiet panic hook
+/// prints nothing for it, and [`crate::Executor::run`] returns its message
+/// as the run's error.
+#[derive(Debug, Clone)]
+pub struct Failed(pub String);
+
+/// Abort the running query with a [`Failed`] payload.
+pub fn fail(message: String) -> ! {
+    install_quiet_hook();
+    std::panic::panic_any(Failed(message))
+}
+
+/// Run `f`, turning a [`Failed`] unwind into `Err` with its message. Any
+/// other unwind — a [`Cancelled`] abort or a real panic — passes on.
+pub fn failures_as_errors<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).or_else(|payload| match payload.downcast::<Failed>() {
+        Ok(failed) => Err(failed.0),
+        Err(payload) => resume_unwind(payload),
+    })
+}
+
 struct CancelInner {
     cancelled: AtomicBool,
     deadline: Option<Instant>,
@@ -248,16 +271,18 @@ fn with_context<T>(edit: impl FnOnce(&mut TaskContext), f: impl FnOnce() -> T) -
     f()
 }
 
-/// Install a quiet panic hook for [`Cancelled`] unwinds: cancellation
-/// aborts execution by unwinding, and a morsel-parallel query can trip
-/// dozens of checks at once — none of which is a programming error worth
-/// a stderr backtrace. All other panics print as before.
-fn install_cancel_hook() {
+/// Install a quiet panic hook for [`Cancelled`] and [`Failed`] unwinds:
+/// cancellation and unreadable data abort execution by unwinding, and a
+/// morsel-parallel query can trip dozens of checks at once — none of
+/// which is a programming error worth a stderr backtrace. All other
+/// panics print as before.
+fn install_quiet_hook() {
     static HOOK: std::sync::Once = std::sync::Once::new();
     HOOK.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<Cancelled>().is_none() {
+            let payload = info.payload();
+            if !payload.is::<Cancelled>() && !payload.is::<Failed>() {
                 previous(info);
             }
         }));
@@ -269,7 +294,7 @@ fn install_cancel_hook() {
 /// submits — and every [`check_cancelled`] call it makes, however deep —
 /// observes the token.
 pub fn with_token<T>(token: &CancelToken, f: impl FnOnce() -> T) -> T {
-    install_cancel_hook();
+    install_quiet_hook();
     with_context(|cx| cx.token = Some(token.clone()), f)
 }
 

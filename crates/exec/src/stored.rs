@@ -253,15 +253,20 @@ impl StoredStream {
         // Chunk boundary: streaming consumers check their query's token
         // before paying for another decode.
         crate::sched::check_cancelled();
-        self.cache[k].get_or_init(|| {
-            let decoded = self
-                .table
-                .decode_chunk(self.keep[k], &self.cols)
-                .unwrap_or_else(|e| {
-                    panic!("decoding chunk {} of {:?}: {e}", self.keep[k], self.table)
-                });
-            decoded_to_batch(decoded)
-        })
+        self.cache[k].get_or_init(|| self.decode(k))
+    }
+
+    /// Decode kept-chunk `k`. A chunk that fails to decode aborts the
+    /// query with a [`crate::sched::Failed`] naming the chunk and table.
+    fn decode(&self, k: usize) -> Batch {
+        match self.table.decode_chunk(self.keep[k], &self.cols) {
+            Ok(decoded) => decoded_to_batch(decoded),
+            Err(e) => crate::sched::fail(format!(
+                "decoding chunk {} of {}: {e}",
+                self.keep[k],
+                self.table.path().display()
+            )),
+        }
     }
 
     /// An empty batch with the scan's column shapes.
@@ -296,36 +301,21 @@ impl StoredStream {
         Batch::vcat_all(pieces)
     }
 
-    /// Decode everything into one batch (the non-streaming consumers:
-    /// barrier ops reading the whole scan, and metered runs, which decode
-    /// on one worker). Chunks decode fanned out over the shared pool and
-    /// concatenate in chunk order.
+    /// Decode everything into one batch (a segment too small to chunk).
+    /// Chunks decode fanned out over the shared pool and concatenate in
+    /// chunk order.
     pub fn into_batch(self, workers: usize) -> Batch {
         if self.keep.is_empty() {
             return self.empty();
         }
-        let parts: Vec<Batch> = crate::sched::map_tasks(self.keep.len(), workers, |k| {
-            // Reuse any chunk a streaming consumer already decoded.
-            match self.cache[k].get() {
-                Some(b) => b.clone(),
-                None => {
-                    let decoded = self
-                        .table
-                        .decode_chunk(self.keep[k], &self.cols)
-                        .unwrap_or_else(|e| {
-                            panic!("decoding chunk {} of {:?}: {e}", self.keep[k], self.table)
-                        });
-                    decoded_to_batch(decoded)
-                }
-            }
-        });
+        let parts = crate::sched::map_tasks(self.keep.len(), workers, |k| self.decode(k));
         Batch::vcat_all(parts)
     }
 }
 
-/// What a `Scan` op hands to the rest of the pipeline: either a fully
-/// materialized batch (in-memory tables, metered runs) or a lazy stored
-/// stream that decodes chunk-at-a-time as morsels pull on it.
+/// What a `Scan` op hands to the rest of the pipeline: either the
+/// in-memory table's batch or a lazy stored stream that decodes
+/// chunk-at-a-time as morsels pull on it.
 pub enum ScanSource {
     Whole(Batch),
     Stream(StoredStream),

@@ -52,11 +52,13 @@
 //! sequential barriers.
 //!
 //! Every op reports a span keyed by its **program op index** (`Filter@op3`)
-//! and charges the [`DeviceMeter`] — the simulated-GPU path stays
-//! single-threaded so modeled time is independent of host parallelism.
+//! when the run is traced, and on every run the bytes it read and wrote
+//! ([`OpBytes`], summed over its morsels), from which
+//! [`crate::device::price`] models a `Device::GpuSim` run's time: the
+//! device changes the price of a run, never its route.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use tqp_data::{DataFrame, LogicalType};
@@ -70,14 +72,14 @@ use tqp_tensor::{DType, Tensor};
 
 use crate::agg;
 use crate::batch::Batch;
-use crate::device::{kernel_count, DeviceMeter};
+use crate::device::OpBytes;
 use crate::exprfuse;
 use crate::exprprog::ExprProgram;
 use crate::join;
-use crate::program::{ProgOp, TensorProgram};
+use crate::program::{ProgOp, Reg, TensorProgram};
 use crate::sched::PredictTally;
 use crate::stored::{self, ScanLayout, ScanSource};
-use crate::{Device, ExecConfig, ScanStats, Storage, TableSource};
+use crate::{ExecConfig, ScanStats, Storage, TableSource};
 
 /// Minimum scanned rows before a pipeline segment is worth chunking.
 const PAR_SEGMENT_MIN_ROWS: usize = 64 * 1024;
@@ -109,19 +111,18 @@ impl Value {
 }
 
 /// Execute a program against storage, producing the result frame, the
-/// device meter, and chunk-scan counters; a traced run records its spans
-/// into `trace`. Every backend runs the same
-/// code; they differ only in the kernels bound into the program's
-/// expression sites when it was lowered or loaded
-/// ([`crate::exprfuse::bind_program`]) and, for Wasm, in the worker count.
-/// A site without a kernel takes the generic op-at-a-time walk.
+/// bytes every op read and wrote (`[i]` for op `i`), and chunk-scan
+/// counters; a traced run records its spans into `trace`. Every backend
+/// and device runs the same code; backends differ only in the kernels
+/// bound into the program's expression sites when it was lowered or
+/// loaded ([`crate::exprfuse::bind_program`]) and, for Wasm, in the worker
+/// count. A site without a kernel takes the generic op-at-a-time walk.
 pub fn run_program(
     prog: &TensorProgram,
     storage: &Storage,
     trace: Option<&TraceRecorder>,
     cfg: ExecConfig,
-) -> (DataFrame, DeviceMeter, ScanStats) {
-    let mut meter = DeviceMeter::new(cfg.device == Device::GpuSim, cfg.gpu_strategy);
+) -> (DataFrame, Vec<OpBytes>, ScanStats) {
     let cx = Vm {
         storage,
         trace,
@@ -129,13 +130,15 @@ pub fn run_program(
         workers: cfg.workers.max(1),
         chunks_scanned: AtomicU64::new(0),
         chunks_pruned: AtomicU64::new(0),
+        bytes: Mutex::new(vec![OpBytes::default(); prog.ops.len()]),
     };
-    let batch = cx.exec(prog, &mut meter);
+    let batch = cx.exec(prog);
     let scans = ScanStats {
         chunks_scanned: cx.chunks_scanned.load(Ordering::Relaxed),
         chunks_pruned: cx.chunks_pruned.load(Ordering::Relaxed),
     };
-    (batch_to_frame(&batch, &prog.schema), meter, scans)
+    let bytes = cx.bytes.into_inner().expect("no op panics while recording");
+    (batch_to_frame(&batch, &prog.schema), bytes, scans)
 }
 
 /// VM context: immutable inputs shared by worker threads.
@@ -149,13 +152,55 @@ struct Vm<'a> {
     /// Stored-table chunk counters (updated on the submitting thread).
     chunks_scanned: AtomicU64,
     chunks_pruned: AtomicU64,
+    /// Per program op: the bytes recorded for it.
+    bytes: Mutex<Vec<OpBytes>>,
 }
 
-/// Per-op sample from one morsel: (duration µs, output rows, output bytes).
-type OpSample = (u64, u64, u64);
+/// An opened `Scan`: its source, the original-coordinate layout (identity
+/// for in-memory tables; pruned ranges for stored tables whose zone tests
+/// skipped chunks), and when it began. Its span waits for its bytes: a
+/// stored stream decodes only as the segment pulls its morsels, so
+/// `sample` holds the open's duration and the rows it exposes.
+struct OpenScan {
+    source: ScanSource,
+    layout: ScanLayout,
+    t0: Instant,
+    sample: OpSample,
+}
+
+/// Per-op sample from one morsel, or summed over morsels: duration,
+/// output rows, input and output bytes.
+#[derive(Debug, Clone, Copy, Default)]
+struct OpSample {
+    us: u64,
+    rows: u64,
+    in_bytes: u64,
+    out_bytes: u64,
+}
+
+impl OpSample {
+    /// An op that began at `t0`, read `in_bytes` and produced `out`.
+    fn of(t0: Instant, in_bytes: usize, out: &Batch) -> OpSample {
+        OpSample {
+            us: t0.elapsed().as_micros() as u64,
+            rows: out.nrows() as u64,
+            in_bytes: in_bytes as u64,
+            out_bytes: out.nbytes() as u64,
+        }
+    }
+
+    fn add(self, o: OpSample) -> OpSample {
+        OpSample {
+            us: self.us + o.us,
+            rows: self.rows + o.rows,
+            in_bytes: self.in_bytes + o.in_bytes,
+            out_bytes: self.out_bytes + o.out_bytes,
+        }
+    }
+}
 
 impl Vm<'_> {
-    fn exec(&self, prog: &TensorProgram, meter: &mut DeviceMeter) -> Batch {
+    fn exec(&self, prog: &TensorProgram) -> Batch {
         let last_use = last_uses(prog);
         let uses = register_use_counts(prog);
         let segments = pipeline_segments(prog, &uses);
@@ -170,11 +215,7 @@ impl Vm<'_> {
             // every Scan — including at workers = 1, because the *fused
             // aggregation* route below must be taken independently of the
             // worker count for its morsel geometry (and thus float
-            // rounding) to be worker-invariant. Fusion and parallel
-            // execution are only taken on the real-CPU path: the GPU cost
-            // model charges whole-tensor kernels, so metered runs prune
-            // their scan and then finish the segment sequentially, which
-            // keeps modeled time worker-independent.
+            // rounding) to be worker-invariant.
             let seg_end = segments[i];
             if seg_end > i {
                 // A GroupedReduce fed directly by this segment fuses into
@@ -187,11 +228,7 @@ impl Vm<'_> {
                         src,
                         reduce,
                         groups,
-                        ..
-                    }) if !meter.is_enabled()
-                        && *src == prog.ops[seg_end - 1].dst()
-                        && uses[*src] == 1 =>
-                    {
+                    }) if *src == prog.ops[seg_end - 1].dst() && uses[*src] == 1 => {
                         agg::morsel_shape(reduce, *groups).map(|shape| (*dst, shape))
                     }
                     _ => None,
@@ -208,47 +245,42 @@ impl Vm<'_> {
                 } else {
                     None
                 };
-                let (scanned, layout) = self.exec_scan_op(i, &prog.ops[i], meter, prune_filter);
-                if let Some((dst, shape)) = fused_agg {
-                    // Gate on the *original* (pre-pruning) row count so a
-                    // pruned stored scan takes the same aggregation route
-                    // — and the same morsel geometry — as the in-memory
-                    // path over the same table (bitwise parity contract).
-                    if layout.original_rows >= agg::par_min_rows() {
-                        let out = self.exec_segment_agg(prog, i, seg_end, scanned, &layout, shape);
-                        regs[dst] = Some(Value::Batch(out));
-                        for k in i..=seg_end {
-                            self.release(&mut regs, &prog.ops[k], &last_use, k, prog.output);
-                        }
-                        i = seg_end + 1;
-                        continue;
-                    }
-                }
-                if seg_end > i + 1
+                let scan = self.open_scan(&prog.ops[i], prune_filter);
+                // Gate on the *original* (pre-pruning) row count so a
+                // pruned stored scan takes the same aggregation route —
+                // and the same morsel geometry — as the in-memory path
+                // over the same table (bitwise parity contract).
+                let fused_agg =
+                    fused_agg.filter(|_| scan.layout.original_rows >= agg::par_min_rows());
+                let (dst, out, last) = if let Some((dst, shape)) = fused_agg {
+                    let out = self.exec_segment_agg(prog, i, seg_end, scan, shape);
+                    (dst, out, seg_end)
+                } else if seg_end > i + 1
                     && self.workers > 1
-                    && !meter.is_enabled()
-                    && scanned.nrows() >= PAR_SEGMENT_MIN_ROWS
+                    && scan.source.nrows() >= PAR_SEGMENT_MIN_ROWS
                 {
-                    let out = self.exec_segment_parallel(prog, i, seg_end, scanned);
-                    regs[prog.ops[seg_end - 1].dst()] = Some(Value::Batch(out));
-                    for k in i..seg_end {
-                        self.release(&mut regs, &prog.ops[k], &last_use, k, prog.output);
-                    }
-                    i = seg_end;
-                    continue;
-                }
-                // Metered, or too small to chunk: finish the segment
-                // sequentially.
-                regs[prog.ops[i].dst()] = Some(Value::Batch(scanned.into_batch(self.workers)));
-                for k in i + 1..seg_end {
-                    self.exec_op(k, &prog.ops[k], &mut regs, meter);
+                    let out = self.exec_segment_parallel(prog, i, seg_end, scan);
+                    (prog.ops[seg_end - 1].dst(), out, seg_end - 1)
+                } else {
+                    // Too small to chunk: the scan's batch whole; the chain
+                    // ops run one by one after it.
+                    let batch = scan.source.into_batch(self.workers);
+                    let sample = OpSample {
+                        out_bytes: batch.nbytes() as u64,
+                        ..scan.sample
+                    };
+                    self.record(i, &prog.ops[i], scan.t0, sample, 0);
+                    (prog.ops[i].dst(), batch, i)
+                };
+                regs[dst] = Some(Value::Batch(out));
+                for k in i..=last {
                     self.release(&mut regs, &prog.ops[k], &last_use, k, prog.output);
                 }
-                i = seg_end;
+                i = last + 1;
                 continue;
             }
 
-            self.exec_op(i, &prog.ops[i], &mut regs, meter);
+            self.exec_op(i, &prog.ops[i], &mut regs);
             self.release(&mut regs, &prog.ops[i], &last_use, i, prog.output);
             i += 1;
         }
@@ -277,7 +309,8 @@ impl Vm<'_> {
     }
 
     /// Run one morsel through the element-wise chain `ops[start+1..end]`,
-    /// with one sample per chain op.
+    /// with one sample per op of `ops[start..end]`: the first is the scan
+    /// morsel itself (its rows and bytes), then one per chain op.
     fn run_chain_morsel(
         &self,
         prog: &TensorProgram,
@@ -288,40 +321,50 @@ impl Vm<'_> {
         // Morsel boundary: each worker checks its query's token before
         // pushing another morsel through the chain.
         crate::sched::check_cancelled();
-        let mut samples = Vec::with_capacity(end - start - 1);
+        let mut samples = Vec::with_capacity(end - start);
+        samples.push(OpSample::of(Instant::now(), 0, &batch));
         for (k, op) in prog.ops[start + 1..end].iter().enumerate() {
             let t0 = Instant::now();
+            let in_bytes = batch.nbytes();
             batch = self.charged(start + 1 + k, || self.apply_elementwise(op, batch));
-            samples.push((
-                t0.elapsed().as_micros() as u64,
-                batch.nrows() as u64,
-                batch.nbytes() as u64,
-            ));
+            samples.push(OpSample::of(t0, in_bytes, &batch));
         }
         (batch, samples)
     }
 
-    /// Record one span per chain op `ops[start+1..end]` from its samples
-    /// over all morsels: duration is worker time summed over morsels,
-    /// rows and bytes the op's output.
+    /// Record one span per op of the segment `ops[start..end]` from its
+    /// samples over all morsels: duration is worker time summed over
+    /// morsels, rows and bytes the op's total. The `scan` at `start` keeps
+    /// its own start, duration and rows; its bytes are those of its
+    /// morsels. Returns the sum of the last op's samples.
     fn record_chain(
         &self,
         prog: &TensorProgram,
         start: usize,
         end: usize,
         t0: Instant,
+        scan: &OpenScan,
         morsels: &[Vec<OpSample>],
-    ) {
-        for (k, op) in prog.ops[start + 1..end].iter().enumerate() {
-            let sum = morsels.iter().fold((0, 0, 0), |acc, m| {
-                (acc.0 + m[k].0, acc.1 + m[k].1, acc.2 + m[k].2)
-            });
-            self.record(start + 1 + k, op, t0, sum, morsels.len());
+    ) -> OpSample {
+        let mut sums = vec![OpSample::default(); end - start];
+        for m in morsels {
+            for (sum, &s) in sums.iter_mut().zip(m) {
+                *sum = sum.add(s);
+            }
         }
+        let sample = OpSample {
+            out_bytes: sums[0].out_bytes,
+            ..scan.sample
+        };
+        self.record(start, &prog.ops[start], scan.t0, sample, 0);
+        for (k, op) in prog.ops[start + 1..end].iter().enumerate() {
+            self.record(start + 1 + k, op, t0, sums[k + 1], morsels.len());
+        }
+        sums[end - start - 1]
     }
 
     /// Partition-parallel segment execution: split, run chain per morsel,
-    /// concatenate in morsel order. `scanned` may be a lazy stored stream:
+    /// concatenate in morsel order. The scan may be a lazy stored stream:
     /// each worker's `slice_rows` then decodes (and caches) only the
     /// chunks its morsel touches — decode itself is morsel-parallel and
     /// no whole-scan concatenation ever happens.
@@ -330,9 +373,9 @@ impl Vm<'_> {
         prog: &TensorProgram,
         start: usize,
         end: usize,
-        scanned: ScanSource,
+        scan: OpenScan,
     ) -> Batch {
-        let n = scanned.nrows();
+        let n = scan.source.nrows();
         let n_chunks = self
             .workers
             .min(n.div_ceil(PAR_SEGMENT_MIN_ROWS / 2))
@@ -344,7 +387,7 @@ impl Vm<'_> {
         // `self.workers` threads execute them (caller included), and
         // concurrent queries share the same pool instead of spawning
         // their own threads.
-        let scanned = &scanned;
+        let scanned = &scan.source;
         let (parts, samples): (Vec<Batch>, Vec<Vec<OpSample>>) =
             crate::sched::map_tasks(n_chunks, self.workers, |c| {
                 let lo = c * chunk_len;
@@ -356,7 +399,7 @@ impl Vm<'_> {
             .into_iter()
             .unzip();
         let out = Batch::vcat_all(parts);
-        self.record_chain(prog, start, end, t0, &samples);
+        self.record_chain(prog, start, end, t0, &scan, &samples);
         out
     }
 
@@ -365,8 +408,8 @@ impl Vm<'_> {
     /// into the per-morsel phase of the `GroupedReduce` at `chain_end`
     /// (see [`crate::agg`] for the two shapes and their determinism
     /// contract). Morsel geometry comes from [`agg::par_morsel_rows`] over
-    /// the scan's **original** row space (`layout` maps pruned stored scans
-    /// back to it; chunks a pruned scan skipped become empty morsels),
+    /// the scan's **original** row space (its layout maps pruned stored
+    /// scans back to it; chunks a pruned scan skipped become empty morsels),
     /// never from the worker count, so results are bit-identical at every
     /// `workers` setting *and* bit-identical between pruned, unpruned, and
     /// in-memory scans of the same table.
@@ -375,33 +418,37 @@ impl Vm<'_> {
         prog: &TensorProgram,
         start: usize,
         chain_end: usize,
-        scanned: ScanSource,
-        layout: &ScanLayout,
+        scan: OpenScan,
         shape: agg::Shape,
     ) -> Batch {
+        let (scanned, layout) = (&scan.source, &scan.layout);
         let n_orig = layout.original_rows;
         let morsel_rows = agg::par_morsel_rows();
         let n_morsels = n_orig.div_ceil(morsel_rows);
         let t0 = Instant::now();
 
-        let scanned = &scanned;
-        let (out, samples) =
-            self.reduce_morsels(chain_end, &prog.ops[chain_end], shape, n_morsels, |m| {
-                let lo = m * morsel_rows;
-                let hi = ((m + 1) * morsel_rows).min(n_orig);
-                let (lo, hi) = layout.project(lo, hi);
-                self.run_chain_morsel(prog, start, chain_end, scanned.slice_rows(lo, hi))
-            });
-        self.record_chain(prog, start, chain_end, t0, &samples);
+        let op = &prog.ops[chain_end];
+        let (out, samples, reduced) = self.reduce_morsels(chain_end, op, shape, n_morsels, |m| {
+            let lo = m * morsel_rows;
+            let hi = ((m + 1) * morsel_rows).min(n_orig);
+            let (lo, hi) = layout.project(lo, hi);
+            self.run_chain_morsel(prog, start, chain_end, scanned.slice_rows(lo, hi))
+        });
+        let fed = self.record_chain(prog, start, chain_end, t0, &scan, &samples);
+        let reduced = OpSample {
+            in_bytes: fed.out_bytes,
+            ..reduced
+        };
+        self.record(chain_end, op, t0, reduced, n_morsels);
         out
     }
 
     /// Run the `GroupedReduce` `op` (program index `idx`) over morsels in
-    /// `shape` and record its span: duration = worker time spent
-    /// aggregating, summed over tasks; rows = aggregate OUTPUT rows,
-    /// matching the sequential path's span semantics so EXPLAIN ANALYZE
-    /// attribution is route-invariant (the aggregate-input total stays
-    /// readable as its producer's rows).
+    /// `shape`. Its sample, for the caller to record with the input bytes:
+    /// duration = worker time spent aggregating, summed over tasks; rows =
+    /// aggregate OUTPUT rows, matching the sequential path's span semantics
+    /// so EXPLAIN ANALYZE attribution is route-invariant (the
+    /// aggregate-input total stays readable as its producer's rows).
     fn reduce_morsels<S: Send>(
         &self,
         idx: usize,
@@ -409,17 +456,18 @@ impl Vm<'_> {
         shape: agg::Shape,
         n_morsels: usize,
         morsel: impl Fn(usize) -> (Batch, S) + Sync,
-    ) -> (Batch, Vec<S>) {
+    ) -> (Batch, Vec<S>, OpSample) {
         let ProgOp::GroupedReduce { reduce, .. } = op else {
             panic!("op {} is not a reduction", op.name());
         };
-        let t0 = Instant::now();
         let (out, extras, busy_us) = self.charged(idx, || {
             agg::aggregate_morsels(n_morsels, morsel, shape, reduce, self.workers)
         });
-        let sample = (busy_us, out.nrows() as u64, out.nbytes() as u64);
-        self.record(idx, op, t0, sample, n_morsels);
-        (out, extras)
+        let sample = OpSample {
+            us: busy_us,
+            ..OpSample::of(Instant::now(), 0, &out)
+        };
+        (out, extras, sample)
     }
 
     /// Element-wise ops a morsel chain may contain.
@@ -460,25 +508,14 @@ impl Vm<'_> {
         Batch::with_validity(columns, validity)
     }
 
-    /// Execute a `Scan` with profiling/metering. Returns the scan source
-    /// plus the original-coordinate layout (identity for in-memory tables;
-    /// pruned ranges for stored tables when `prune_filter` zone tests
-    /// skipped chunks). `prune_filter` is the compiled filter directly
-    /// consuming this scan inside its pipeline segment, if any.
+    /// Open the table of a `Scan`. `prune_filter` is the compiled filter
+    /// directly consuming this scan inside its pipeline segment, if any.
     ///
-    /// In-memory tables and metered (GpuSim) runs return a fully
-    /// materialized [`ScanSource::Whole`] — the meter needs real batch
-    /// bytes and metered runs must stay sequential. CPU stored scans
-    /// return a lazy [`ScanSource::Stream`]: only chunk *metadata* is read
-    /// here (the pruning pre-pass); decode happens chunk-at-a-time as the
-    /// pipeline segment pulls morsels.
-    fn exec_scan_op(
-        &self,
-        idx: usize,
-        op: &ProgOp,
-        meter: &mut DeviceMeter,
-        prune_filter: Option<&ExprProgram>,
-    ) -> (ScanSource, ScanLayout) {
+    /// In-memory tables open as one [`ScanSource::Whole`]. Stored tables
+    /// open as a lazy [`ScanSource::Stream`]: only chunk *metadata* is
+    /// read here (the pruning pre-pass); decode happens chunk-at-a-time as
+    /// the consumer pulls morsels.
+    fn open_scan(&self, op: &ProgOp, prune_filter: Option<&ExprProgram>) -> OpenScan {
         let ProgOp::Scan {
             table, projection, ..
         } = op
@@ -490,7 +527,7 @@ impl Vm<'_> {
             .storage
             .get(table)
             .unwrap_or_else(|| panic!("table {table} not ingested"));
-        let (out, layout) = match src {
+        let (source, layout) = match src {
             TableSource::Mem(tt) => {
                 let tensors: Vec<Tensor> = match projection {
                     Some(p) => p.iter().map(|&i| tt.tensors[i].clone()).collect(),
@@ -505,10 +542,6 @@ impl Vm<'_> {
                     Some(p) => p.clone(),
                     None => (0..st.schema().len()).collect(),
                 };
-                // Zone-map pruning applies on both paths; metered (GpuSim)
-                // runs still decode eagerly and sequentially, but only the
-                // surviving chunks — skipped chunks never reach the device,
-                // so neither wall time nor modeled bytes are spent on them.
                 let preds = if self.prune {
                     prune_filter
                         .map(|f| stored::prunable_conjuncts(f, projection.as_deref()))
@@ -521,25 +554,20 @@ impl Vm<'_> {
                     .fetch_add(scan.chunks_scanned, Ordering::Relaxed);
                 self.chunks_pruned
                     .fetch_add(scan.chunks_pruned, Ordering::Relaxed);
-                let out = if meter.is_enabled() {
-                    ScanSource::Whole(scan.stream.into_batch(1))
-                } else {
-                    ScanSource::Stream(scan.stream)
-                };
-                (out, scan.layout)
+                (ScanSource::Stream(scan.stream), scan.layout)
             }
         };
-        // A lazy stream has decoded nothing yet: charge zero bytes (the
-        // meter is disabled on this path anyway) and record the kept row
-        // count; per-chunk decode cost lands in the downstream ops' spans.
-        let (rows, bytes) = match &out {
-            ScanSource::Whole(b) => (b.nrows() as u64, b.nbytes()),
-            ScanSource::Stream(s) => (s.nrows() as u64, 0),
+        let sample = OpSample {
+            us: t0.elapsed().as_micros() as u64,
+            rows: source.nrows() as u64,
+            ..OpSample::default()
         };
-        meter.op(kernel_count("Scan", 0), 0, bytes);
-        let sample = (t0.elapsed().as_micros() as u64, rows, bytes as u64);
-        self.record(idx, op, t0, sample, 0);
-        (out, layout)
+        OpenScan {
+            source,
+            layout,
+            t0,
+            sample,
+        }
     }
 
     /// Run `f` charging the PREDICT work inside it — on any thread — to
@@ -557,78 +585,47 @@ impl Vm<'_> {
         out
     }
 
-    /// Execute one op sequentially with profiling/metering.
-    fn exec_op(
-        &self,
-        idx: usize,
-        op: &ProgOp,
-        regs: &mut [Option<Value>],
-        meter: &mut DeviceMeter,
-    ) {
-        self.charged(idx, || self.run_op(idx, op, regs, meter));
+    /// Execute one op outside a pipeline segment.
+    fn exec_op(&self, idx: usize, op: &ProgOp, regs: &mut [Option<Value>]) {
+        self.charged(idx, || self.run_op(idx, op, regs));
     }
 
-    fn run_op(&self, idx: usize, op: &ProgOp, regs: &mut [Option<Value>], meter: &mut DeviceMeter) {
-        match op {
-            ProgOp::Scan { dst, .. } => {
-                let (out, _) = self.exec_scan_op(idx, op, meter, None);
-                // A scan outside any segment feeds a barrier op that needs
-                // the whole batch (decode fans out over the pool).
-                regs[*dst] = Some(Value::Batch(out.into_batch(self.workers)));
-            }
+    fn run_op(&self, idx: usize, op: &ProgOp, regs: &mut [Option<Value>]) {
+        let t0 = Instant::now();
+        let batch = |r: &Reg| regs[*r].as_ref().expect("src register live").batch();
+        let (dst, out, in_bytes) = match op {
+            ProgOp::Scan { .. } => unreachable!("every scan starts a pipeline segment"),
             ProgOp::Filter {
                 dst,
                 src,
                 conjuncts,
                 keep,
             } => {
-                let child = regs[*src]
-                    .as_ref()
-                    .expect("src register live")
-                    .batch()
-                    .clone();
-                let t0 = Instant::now();
+                let child = batch(src).clone();
                 let in_bytes = child.nbytes();
-                let out = self.apply_filter(conjuncts, keep.as_deref(), child);
-                meter.op(
-                    kernel_count("Filter", conjuncts.outputs.len()),
+                (
+                    *dst,
+                    self.apply_filter(conjuncts, keep.as_deref(), child),
                     in_bytes,
-                    out.nbytes(),
-                );
-                self.span(idx, op, t0, &out);
-                regs[*dst] = Some(Value::Batch(out));
+                )
             }
             ProgOp::Project { dst, src, exprs } => {
-                let child = regs[*src].as_ref().expect("src register live").batch();
-                let t0 = Instant::now();
-                let in_bytes = child.nbytes();
-                let out = self.apply_project(exprs, child);
-                meter.op(
-                    kernel_count("Project", exprs.outputs.len()),
-                    in_bytes,
-                    out.nbytes(),
-                );
-                self.span(idx, op, t0, &out);
-                regs[*dst] = Some(Value::Batch(out));
+                let child = batch(src);
+                (*dst, self.apply_project(exprs, child), child.nbytes())
             }
             ProgOp::HashBuild { dst, src, keys } => {
-                let build = regs[*src].as_ref().expect("src register live").batch();
-                let t0 = Instant::now();
+                let build = batch(src);
                 let in_bytes: usize = keys.iter().map(|&k| build.columns[k].nbytes()).sum();
                 let table = join::build_table(build, keys);
-                let entries = table.len();
-                meter.op(
-                    kernel_count("HashBuild", keys.len()),
-                    in_bytes,
-                    entries * 12,
-                );
-                let sample = (
-                    t0.elapsed().as_micros() as u64,
-                    build.nrows() as u64,
-                    (entries * 12) as u64,
-                );
+                let sample = OpSample {
+                    us: t0.elapsed().as_micros() as u64,
+                    rows: build.nrows() as u64,
+                    in_bytes: in_bytes as u64,
+                    out_bytes: (table.len() * 12) as u64,
+                };
                 self.record(idx, op, t0, sample, 0);
                 regs[*dst] = Some(Value::Table(table));
+                return;
             }
             ProgOp::HashProbe {
                 dst,
@@ -641,10 +638,7 @@ impl Vm<'_> {
                 build_left,
             } => {
                 let t = regs[*table].as_ref().expect("table register live").table();
-                let l = regs[*left].as_ref().expect("left register live").batch();
-                let r = regs[*right].as_ref().expect("right register live").batch();
-                let t0 = Instant::now();
-                let in_bytes = l.nbytes() + r.nbytes();
+                let (l, r) = (batch(left), batch(right));
                 let out = join::probe_table(
                     t,
                     l,
@@ -652,22 +646,14 @@ impl Vm<'_> {
                     *join_type,
                     on,
                     residual.as_ref(),
-                    if meter.is_enabled() { 1 } else { self.workers },
+                    self.workers,
                     *build_left,
                 );
-                meter.op(kernel_count("HashProbe", on.len()), in_bytes, out.nbytes());
-                self.span(idx, op, t0, &out);
-                regs[*dst] = Some(Value::Batch(out));
+                (*dst, out, l.nbytes() + r.nbytes())
             }
             ProgOp::CrossJoin { dst, left, right } => {
-                let l = regs[*left].as_ref().expect("left register live").batch();
-                let r = regs[*right].as_ref().expect("right register live").batch();
-                let t0 = Instant::now();
-                let in_bytes = l.nbytes() + r.nbytes();
-                let out = join::cross_join(l, r);
-                meter.op(kernel_count("CrossJoin", 0), in_bytes, out.nbytes());
-                self.span(idx, op, t0, &out);
-                regs[*dst] = Some(Value::Batch(out));
+                let (l, r) = (batch(left), batch(right));
+                (*dst, join::cross_join(l, r), l.nbytes() + r.nbytes())
             }
             ProgOp::GroupedReduce {
                 dst,
@@ -675,35 +661,25 @@ impl Vm<'_> {
                 reduce,
                 groups,
             } => {
-                let child = regs[*src].as_ref().expect("src register live").batch();
-                let in_bytes = child.nbytes();
+                let child = batch(src);
                 let n = child.nrows();
-                // Metered (GpuSim) runs stay sequential so modeled time is
-                // worker-independent; the CPU path runs over morsels when
-                // the input is large enough.
-                let shape = agg::morsel_shape(reduce, *groups)
-                    .filter(|_| !meter.is_enabled() && n >= agg::par_min_rows());
-                let out = match shape {
-                    Some(shape) => {
-                        let rows = agg::par_morsel_rows();
-                        let morsel =
-                            |m: usize| (child.slice_rows(m * rows, ((m + 1) * rows).min(n)), ());
-                        self.reduce_morsels(idx, op, shape, n.div_ceil(rows), morsel)
-                            .0
-                    }
-                    None => {
-                        let t0 = Instant::now();
-                        let out = agg::aggregate(child, reduce);
-                        self.span(idx, op, t0, &out);
-                        out
-                    }
-                };
-                meter.op(
-                    kernel_count("Aggregate", reduce.aggs.len()),
-                    in_bytes,
-                    out.nbytes(),
-                );
-                regs[*dst] = Some(Value::Batch(out));
+                // Over morsels when the input is large enough.
+                let shape = agg::morsel_shape(reduce, *groups).filter(|_| n >= agg::par_min_rows());
+                if let Some(shape) = shape {
+                    let rows = agg::par_morsel_rows();
+                    let morsel =
+                        |m: usize| (child.slice_rows(m * rows, ((m + 1) * rows).min(n)), ());
+                    let morsels = n.div_ceil(rows);
+                    let (out, _, sample) = self.reduce_morsels(idx, op, shape, morsels, morsel);
+                    let sample = OpSample {
+                        in_bytes: child.nbytes() as u64,
+                        ..sample
+                    };
+                    self.record(idx, op, t0, sample, morsels);
+                    regs[*dst] = Some(Value::Batch(out));
+                    return;
+                }
+                (*dst, agg::aggregate(child, reduce), child.nbytes())
             }
             ProgOp::Sort {
                 dst,
@@ -712,9 +688,7 @@ impl Vm<'_> {
                 desc,
                 limit,
             } => {
-                let child = regs[*src].as_ref().expect("src register live").batch();
-                let t0 = Instant::now();
-                let in_bytes = child.nbytes();
+                let child = batch(src);
                 let tensor_keys: Vec<TSortKey> = exprfuse::eval_all(keys, child)
                     .into_iter()
                     .zip(desc)
@@ -726,67 +700,37 @@ impl Vm<'_> {
                         }
                     })
                     .collect();
-                let perm = if meter.is_enabled() {
-                    let perm = argsort_multi(&tensor_keys);
-                    match limit {
-                        Some(k) => tqp_tensor::index::head(&perm, (*k).min(perm.nrows())),
-                        None => perm,
-                    }
-                } else {
-                    sort_perm(&tensor_keys, child.nrows(), *limit, self.workers)
-                };
-                let out = child.take(&perm);
-                meter.op(
-                    kernel_count("Sort", keys.outputs.len()),
-                    in_bytes,
-                    out.nbytes(),
-                );
-                self.span(idx, op, t0, &out);
-                regs[*dst] = Some(Value::Batch(out));
+                let perm = sort_perm(&tensor_keys, child.nrows(), *limit, self.workers);
+                (*dst, child.take(&perm), child.nbytes())
             }
             ProgOp::Limit { dst, src, n } => {
-                let child = regs[*src].as_ref().expect("src register live").batch();
-                let t0 = Instant::now();
+                let child = batch(src);
                 let k = (*n).min(child.nrows());
-                let out = child.take(&arange(0, k as i64));
-                meter.op(kernel_count("Limit", 0), 0, out.nbytes());
-                self.span(idx, op, t0, &out);
-                regs[*dst] = Some(Value::Batch(out));
+                (*dst, child.take(&arange(0, k as i64)), 0)
             }
-        }
+        };
+        self.record(idx, op, t0, OpSample::of(t0, in_bytes, &out), 0);
+        regs[dst] = Some(Value::Batch(out));
     }
 
-    /// Record op `idx`'s span, begun at `t0` over `chunks` morsels (0 when
-    /// it ran sequentially), when the run is traced.
-    fn record(
-        &self,
-        idx: usize,
-        op: &ProgOp,
-        t0: Instant,
-        (dur_us, rows, bytes): OpSample,
-        chunks: usize,
-    ) {
+    /// Record op `idx`'s bytes and, when the run is traced, its span,
+    /// begun at `t0` over `chunks` morsels (0 when it ran sequentially).
+    fn record(&self, idx: usize, op: &ProgOp, t0: Instant, s: OpSample, chunks: usize) {
+        self.bytes.lock().expect("no op panics while recording")[idx] = OpBytes {
+            input: s.in_bytes,
+            output: s.out_bytes,
+        };
         if let Some(trace) = self.trace {
             trace.record(TraceSpan {
                 name: op_key(&op.name(), idx),
                 category: "relational".to_string(),
                 start_us: trace.offset_us(t0),
-                dur_us,
-                rows,
-                bytes,
+                dur_us: s.us,
+                rows: s.rows,
+                bytes: s.out_bytes,
                 chunks: chunks as u64,
             });
         }
-    }
-
-    /// Record a sequential op's span: from `t0` to now, producing `out`.
-    fn span(&self, idx: usize, op: &ProgOp, t0: Instant, out: &Batch) {
-        let sample = (
-            t0.elapsed().as_micros() as u64,
-            out.nrows() as u64,
-            out.nbytes() as u64,
-        );
-        self.record(idx, op, t0, sample, 0);
     }
 }
 
@@ -1041,18 +985,33 @@ mod tests {
         assert!(names.iter().all(|n| n.contains("@op")), "{names:?}");
     }
 
+    /// Every run records each op's input and output bytes, traced or not:
+    /// a filter reads what its scan wrote and writes the rows it keeps.
     #[test]
-    fn gpu_meter_accumulates_per_op() {
+    fn untraced_runs_record_op_bytes() {
         let (storage, catalog) = setup();
-        let plan =
-            compile_sql("select id from t where v > 0.0", &catalog, &PhysicalOptions).unwrap();
+        let plan = compile_sql(
+            "select id from t where v > 15.0",
+            &catalog,
+            &PhysicalOptions,
+        )
+        .unwrap();
         let prog = lower(&plan);
-        let cfg = ExecConfig {
-            device: Device::GpuSim,
-            ..Default::default()
+        let (out, bytes, _) = run_program(&prog, &storage, None, ExecConfig::default());
+        assert_eq!(bytes.len(), prog.ops.len());
+        let at = |name: &str| {
+            prog.ops
+                .iter()
+                .position(|o| o.name().starts_with(name))
+                .unwrap()
         };
-        let (_, meter, _) = run_program(&prog, &storage, None, cfg);
-        assert!(meter.total_us() > 0);
+        let (scan, filter) = (bytes[at("Scan")], bytes[at("Filter")]);
+        assert_eq!(scan.input, 0);
+        assert!(scan.output > 0);
+        assert_eq!(filter.input, scan.output);
+        // Three surviving `id` values of 8 bytes each.
+        assert_eq!(out.nrows(), 3);
+        assert_eq!(filter.output, 24);
     }
 
     #[test]
@@ -1086,8 +1045,10 @@ mod tests {
             workers: 4,
             ..Default::default()
         };
-        let (seq, _, _) = run_program(&prog, &storage, None, seq_cfg);
-        let (par, _, _) = run_program(&prog, &storage, None, par_cfg);
+        let (seq, seq_bytes, _) = run_program(&prog, &storage, None, seq_cfg);
+        let (par, par_bytes, _) = run_program(&prog, &storage, None, par_cfg);
+        // Morsel samples add up to the whole batch's bytes.
+        assert_eq!(seq_bytes, par_bytes);
         assert_eq!(seq.nrows(), par.nrows());
         for i in 0..seq.nrows() {
             assert_eq!(seq.row(i), par.row(i), "row {i}");

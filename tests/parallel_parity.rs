@@ -17,6 +17,10 @@
 //! runs no specialized expression kernel, so it is the whole-query oracle
 //! for the kernels Fused and Graph bind.
 //!
+//! `gpu_sim_runs_the_cpu_route` adds the device leg: a `Device::GpuSim`
+//! run is the CPU run plus a price, so its frame is the CPU frame bit for
+//! bit and its modeled time does not move with the worker count.
+//!
 //! A synthetic table of more than 2^20 rows adds kernel inputs past the
 //! sizes where tensor kernels once split work across threads of their own
 //! (`large_kernel_inputs_worker_parity`).
@@ -31,7 +35,7 @@ use tqp_repro::core::{QueryConfig, Session};
 use tqp_repro::data::frame::df;
 use tqp_repro::data::tpch::{queries, TpchConfig, TpchData};
 use tqp_repro::data::{Column, DataFrame};
-use tqp_repro::exec::Backend;
+use tqp_repro::exec::{Backend, Device, GpuStrategy};
 use tqp_tensor::Scalar;
 
 fn session() -> Session {
@@ -129,6 +133,40 @@ fn eager_fused_graph_backend_parity() {
             .collect();
         assert_eq!(outs[0], outs[1], "Q{n}: Fused not byte-identical to Eager");
         assert_eq!(outs[0], outs[2], "Q{n}: Graph not byte-identical to Eager");
+    }
+}
+
+/// The simulated GPU runs the CPU's route: at workers 1, 2 and 4, on
+/// every TPC-H query, a GpuSim run returns the CPU run's frame bit for bit,
+/// and its modeled time is one number under each placement strategy.
+#[test]
+fn gpu_sim_runs_the_cpu_route() {
+    let s = session();
+    for (n, sql) in queries::all() {
+        for strategy in [GpuStrategy::Resident, GpuStrategy::PerOpTransfer] {
+            let mut modeled = Vec::new();
+            for workers in [1usize, 2, 4] {
+                let cfg = QueryConfig::default().workers(workers);
+                let run = |cfg: QueryConfig| {
+                    let q = s
+                        .compile(sql, cfg)
+                        .unwrap_or_else(|e| panic!("Q{n} compile: {e}"));
+                    q.run(&s).unwrap_or_else(|e| panic!("Q{n} run: {e}"))
+                };
+                let (cpu, _) = run(cfg);
+                let (gpu, stats) = run(cfg.device(Device::GpuSim).gpu_strategy(strategy));
+                assert_eq!(
+                    exact_rows(&cpu),
+                    exact_rows(&gpu),
+                    "Q{n} {strategy:?} workers={workers}: GpuSim frame differs from the CPU frame"
+                );
+                modeled.push(stats.modeled_us.expect("a GpuSim run is priced"));
+            }
+            assert!(
+                modeled.iter().all(|&us| us == modeled[0] && us > 0),
+                "Q{n} {strategy:?}: modeled_us moves with the worker count: {modeled:?}"
+            );
+        }
     }
 }
 

@@ -1,8 +1,10 @@
 //! Store-backed scan differential: a TPC-H table round-trips
 //! CSV → `tqp-store` → scan with results **bitwise identical** to the
-//! in-memory frame path — on all four backends, at workers 1 and 4, on the
-//! CPU and the simulated GPU, with zone-map pruning on and off — and the pruning pre-pass actually skips
-//! chunks on selective predicates (with counters to prove it).
+//! in-memory frame path — on all four backends, at workers 1, 2 and 4, on
+//! the CPU and the simulated GPU, with zone-map pruning on and off — and
+//! the pruning pre-pass actually skips chunks on selective predicates
+//! (with counters to prove it). A chunk corrupted on disk is a typed
+//! execution error, not a panic.
 //!
 //! Two sessions are built over byte-identical data (the frame side reads
 //! back the same CSV the store ingests, so CSV float formatting affects
@@ -17,7 +19,7 @@ use tqp_repro::core::{QueryConfig, Session};
 use tqp_repro::data::tpch::{TpchConfig, TpchData};
 use tqp_repro::data::{csv, DataFrame};
 use tqp_repro::exec::{Backend, Device};
-use tqp_repro::store::{store_csv, StoredTable};
+use tqp_repro::store::{store_csv, store_frame, StoredTable};
 use tqp_tensor::Scalar;
 
 const CHUNK_ROWS: usize = 512;
@@ -126,8 +128,8 @@ const QUERIES: &[&str] = &[
 ];
 
 /// Wasm runs on one worker, so its chunk counters must be Fused's at
-/// `workers = 1`. The simulated GPU decodes a stored scan whole, on one
-/// worker, so its chunk counters must be the CPU run's.
+/// `workers = 1`. The simulated GPU runs the CPU's route, so its frame and
+/// its chunk counters must be the CPU run's.
 #[test]
 fn stored_scans_match_memory_bitwise_all_backends() {
     let (mem, st, _) = sessions();
@@ -139,9 +141,9 @@ fn stored_scans_match_memory_bitwise_all_backends() {
             Backend::Graph,
             Backend::Wasm,
         ] {
-            for workers in [1usize, 4] {
+            for workers in [1usize, 2, 4] {
                 for prune in [true, false] {
-                    let mut cpu_chunks = None;
+                    let mut cpu = None;
                     for device in [Device::Cpu, Device::GpuSim] {
                         let cfg = QueryConfig::default()
                             .backend(backend)
@@ -159,11 +161,14 @@ fn stored_scans_match_memory_bitwise_all_backends() {
                         }
                         let chunks = (prune, stats.chunks_scanned, stats.chunks_pruned);
                         match (device, backend) {
-                            (Device::GpuSim, _) => assert_eq!(
-                                Some(chunks),
-                                cpu_chunks,
-                                "{ctx}: chunk counters differ from the CPU run"
-                            ),
+                            (Device::GpuSim, _) => {
+                                let (cpu_chunks, cpu_frame) = cpu.as_ref().expect("CPU ran first");
+                                assert_eq!(
+                                    &chunks, cpu_chunks,
+                                    "{ctx}: chunk counters differ from the CPU run"
+                                );
+                                assert_bitwise(cpu_frame, &got, &ctx);
+                            }
                             (_, Backend::Fused) if workers == 1 => fused_w1.push(chunks),
                             (_, Backend::Wasm) => assert!(
                                 fused_w1.contains(&chunks),
@@ -173,7 +178,7 @@ fn stored_scans_match_memory_bitwise_all_backends() {
                             _ => {}
                         }
                         if device == Device::Cpu {
-                            cpu_chunks = Some(chunks);
+                            cpu = Some((chunks, got));
                         }
                     }
                 }
@@ -446,4 +451,41 @@ fn partitioned_aggregation_is_bitwise_pruned_unpruned_and_in_memory() {
         assert_eq!(stats.chunks_pruned, 0);
         assert_bitwise(&want, &unpruned, &format!("unpruned, workers={workers}"));
     }
+}
+
+/// Corrupting 32 bytes of a registered 10-chunk file's data section makes
+/// a query over it fail with a typed execution error naming the chunk, on
+/// either device, and the session goes on answering.
+#[test]
+fn corrupted_chunk_is_an_execution_error() {
+    use tqp_repro::core::TqpError;
+    use tqp_repro::data::{frame::df, Column};
+    let frame = df(vec![("x", Column::from_i64((0..1000).collect()))]);
+    let path = tmpdir().join("corrupt.tqps");
+    let stored = Arc::new(store_frame(&frame, &path, 100).unwrap());
+    assert_eq!(stored.n_chunks(), 10);
+    let mut s = Session::new();
+    s.register_stored_table("t", stored);
+    s.register_table("m", frame);
+    // The data section starts after the 8-byte header with chunk 0.
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[8..40].fill(0xff);
+    std::fs::write(&path, bytes).unwrap();
+
+    let sql = "select sum(x) from t";
+    let expect_chunk_error = |res: Result<DataFrame, TqpError>, ctx: &str| match res {
+        Err(TqpError::Execution(msg)) => assert!(msg.contains("chunk 0"), "{ctx}: {msg}"),
+        Err(other) => panic!("{ctx}: expected an execution error, got {other:?}"),
+        Ok(_) => panic!("{ctx}: a corrupted chunk answered"),
+    };
+    expect_chunk_error(s.sql(sql), "Session::sql");
+    for device in [Device::Cpu, Device::GpuSim] {
+        for workers in [1usize, 4] {
+            let cfg = QueryConfig::default().device(device).workers(workers);
+            let res = s.compile(sql, cfg).unwrap().run(&s).map(|(f, _)| f);
+            expect_chunk_error(res, &format!("{device:?} workers={workers}"));
+        }
+    }
+    let out = s.sql("select sum(x) from m").unwrap();
+    assert_eq!(format!("{:?}", out.row(0)), "[I64(499500)]");
 }
