@@ -179,5 +179,34 @@ mod tests {
         };
         assert_eq!(kernel_count(&scan), 1);
         assert_eq!(kernel_count(&limit().ops[0]), 1);
+        // A grouped aggregation with no aggregates still launches more
+        // kernels than a one-conjunct filter.
+        let prog = lowered("select grp from t where v > 0 group by grp");
+        let reduce = prog
+            .ops
+            .iter()
+            .find(|op| matches!(op, ProgOp::GroupedReduce { reduce, .. } if reduce.aggs.is_empty()))
+            .expect("an aggregate-free GroupedReduce");
+        let filter = prog
+            .ops
+            .iter()
+            .find(
+                |op| matches!(op, ProgOp::Filter { conjuncts, .. } if conjuncts.outputs.len() == 1),
+            )
+            .expect("a one-conjunct Filter");
+        assert!(kernel_count(reduce) > kernel_count(filter));
+    }
+
+    /// `sql` over `t(grp, v)`, lowered to a program.
+    fn lowered(sql: &str) -> TensorProgram {
+        use tqp_data::{Field, LogicalType, Schema};
+        let schema = Schema::new(vec![
+            Field::new("grp", LogicalType::Str),
+            Field::new("v", LogicalType::Int64),
+        ]);
+        let mut catalog = tqp_ir::Catalog::new();
+        catalog.register("t", schema, 4);
+        let plan = tqp_ir::compile_sql(sql, &catalog, &tqp_ir::PhysicalOptions).unwrap();
+        crate::program::lower(&plan)
     }
 }

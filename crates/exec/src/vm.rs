@@ -1016,13 +1016,24 @@ mod tests {
 
     #[test]
     fn parallel_segment_matches_sequential() {
-        // Large enough to cross PAR_SEGMENT_MIN_ROWS.
+        // Large enough to cross PAR_SEGMENT_MIN_ROWS. `name` has a distinct
+        // value per row, so it stays a padded string matrix; `tag` has
+        // five, so it is dictionary-coded.
         let n = (PAR_SEGMENT_MIN_ROWS * 2 + 1234) as i64;
+        let tags = ["red", "green", "blue", "amber", "violet"];
         let t = df(vec![
             ("id", Column::from_i64((0..n).collect())),
             (
                 "v",
                 Column::from_f64((0..n).map(|i| (i % 997) as f64).collect()),
+            ),
+            (
+                "name",
+                Column::from_str((0..n).map(|i| format!("n{}", i * 7919 % n)).collect()),
+            ),
+            (
+                "tag",
+                Column::from_str((0..n).map(|i| tags[i as usize % 5].to_string()).collect()),
             ),
         ]);
         let mut catalog = Catalog::new();
@@ -1031,12 +1042,16 @@ mod tests {
         tables.insert("big".to_string(), t);
         let storage = crate::ingest_tables(&tables);
         let plan = compile_sql(
-            "select id, v * 3.0 + 1.0 as w from big where v > 500.0 and id % 3 = 0",
+            "select id, v * 3.0 + 1.0 as w, name, tag, substring(name from 2 for 3) as s \
+             from big where v > 500.0 and id % 3 = 0 and tag <> 'blue'",
             &catalog,
             &PhysicalOptions,
         )
         .unwrap();
         let prog = lower(&plan);
+        let big = storage["big"].to_tensor_table();
+        assert!(big.tensor("name").unwrap().coded().is_none());
+        assert!(big.tensor("tag").unwrap().coded().is_some());
         let seq_cfg = ExecConfig {
             workers: 1,
             ..Default::default()
