@@ -400,6 +400,7 @@ impl Session {
     /// `Arc`-backed), and queries over in-memory tables pay nothing. A
     /// scanned stored table whose statistics count a NULL is a retryable
     /// [`TqpError::Execution`] naming it: a frame cell cannot hold a NULL.
+    /// So is a stored chunk that fails to decode, naming the chunk.
     pub fn sql_baseline(&self, sql: &str) -> Result<DataFrame, TqpError> {
         let plan = compile_sql(sql, &self.catalog, &PhysicalOptions).map_err(TqpError::Compile)?;
         fn scanned_tables(p: &PhysicalPlan, out: &mut Vec<String>) {
@@ -435,10 +436,8 @@ impl Session {
         // the stored tables this query touches.
         let mut frames = self.frames.clone();
         for (name, stored) in needed_stored {
-            frames.insert(
-                name.clone(),
-                tqp_data::ingest::tensors_to_frame(&tqp_exec::stored::materialize(stored)),
-            );
+            let table = tqp_exec::stored::materialize(stored).map_err(TqpError::Execution)?;
+            frames.insert(name.clone(), tqp_data::ingest::tensors_to_frame(&table));
         }
         let engine = RowEngine::new(&frames, &self.models);
         Ok(engine.execute(&plan))
@@ -629,6 +628,9 @@ pub struct ExplainRow {
     /// `(model µs, rows scored)` of the `PREDICT` calls this node's op
     /// ran, when it ran any.
     pub predict: Option<(u64, u64)>,
+    /// Scans: the chunks the scan kept after zone-map pruning (stored
+    /// chunks, or the 1 024-row blocks of an in-memory table).
+    pub chunks: Option<u64>,
 }
 
 impl ExplainRow {
@@ -644,6 +646,10 @@ impl ExplainRow {
                 .wall_us
                 .map(|u| format!("{u} us"))
                 .unwrap_or_else(|| "? us".into());
+            let chunks = self
+                .chunks
+                .map(|c| format!(", chunks={c}"))
+                .unwrap_or_default();
             let build = self
                 .build
                 .map(|(rows, us)| format!(", build={us} us, build_rows={rows}"))
@@ -653,7 +659,7 @@ impl ExplainRow {
                 .map(|(us, rows)| format!(", predict={us} us, predict_rows={rows}"))
                 .unwrap_or_default();
             s.push_str(&format!(
-                "  (est={} rows, actual={actual} rows, {us}{build}{predict})",
+                "  (est={} rows, actual={actual} rows, {us}{chunks}{build}{predict})",
                 fmt_est(self.est_rows)
             ));
         } else {
@@ -678,15 +684,34 @@ struct Actuals<'a> {
     program: &'a TensorProgram,
     /// Program op → its attribution row in the run's trace.
     ops: HashMap<u64, &'a tqp_obs::OpTrace>,
+    /// Program op → the chunks its spans report.
+    chunks: HashMap<u64, u64>,
 }
 
 impl<'a> Actuals<'a> {
     fn new(executor: &'a Executor, trace: &'a QueryTrace) -> Actuals<'a> {
+        let mut chunks = HashMap::new();
+        for span in &trace.spans {
+            if let Some((_, idx)) = tqp_obs::parse_op_key(&span.name) {
+                *chunks.entry(idx).or_default() += span.chunks;
+            }
+        }
         Actuals {
             node_map: executor.node_map(),
             program: executor.program(),
             ops: trace.ops.iter().map(|o| (o.op_index, o)).collect(),
+            chunks,
         }
+    }
+
+    /// The chunks (stored chunks or in-memory blocks) the scan behind plan
+    /// node `node` kept, when that node is a scan.
+    fn chunks_of(&self, node: usize) -> Option<u64> {
+        let op = self.op(node)?;
+        let ProgOp::Scan { .. } = self.program.ops[op] else {
+            return None;
+        };
+        Some(self.chunks.get(&(op as u64)).copied().unwrap_or(0))
     }
 
     fn op(&self, node: usize) -> Option<usize> {
@@ -774,6 +799,7 @@ fn explain_rows(
             wall_us: actual.map(|(_, us)| us),
             build,
             predict: actuals.and_then(|a| a.predict_of(my_post)),
+            chunks: actuals.and_then(|a| a.chunks_of(my_post)),
         }];
         rows.extend(child_rows);
         rows

@@ -17,25 +17,51 @@
 //! [`DataFrame`] for display and for differential testing against the
 //! baseline engine.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use tqp_tensor::{DType, Footprint, Tensor};
 
 use crate::column::{Column, LogicalType};
 use crate::frame::{DataFrame, Field, Schema};
+use crate::zone::ZoneMap;
 
 /// A table converted to TQP's tensor format: one tensor per column plus the
-/// originating schema.
+/// originating schema, and per column a zone map of every
+/// [`crate::zone::ZONE_BLOCK_ROWS`]-row block, built the first time a scan asks for it
+/// ([`TensorTable::zones`]). Clones share the tensors and the zones.
 #[derive(Debug, Clone)]
 pub struct TensorTable {
     pub schema: Schema,
+    /// One tensor per schema column. The zones describe these tensors:
+    /// build a new table ([`TensorTable::new`]) rather than replace one.
     pub tensors: Vec<Tensor>,
+    zones: Arc<[OnceLock<Option<Vec<ZoneMap>>>]>,
 }
 
 impl TensorTable {
+    /// A table over `tensors`, one per field of `schema`; no zone is
+    /// built yet.
+    pub fn new(schema: Schema, tensors: Vec<Tensor>) -> TensorTable {
+        let zones = tensors.iter().map(|_| OnceLock::new()).collect();
+        TensorTable {
+            schema,
+            tensors,
+            zones,
+        }
+    }
+
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.tensors.first().map_or(0, |t| t.nrows())
+    }
+
+    /// The zone of each [`crate::zone::ZONE_BLOCK_ROWS`]-row block of column `col`
+    /// (`None` when its tensor kind has none, see [`ZoneMap::blocks`]).
+    /// Built once, on the first call: a column no scan filters never pays.
+    pub fn zones(&self, col: usize) -> Option<&[ZoneMap]> {
+        self.zones[col]
+            .get_or_init(|| ZoneMap::blocks(&self.tensors[col]))
+            .as_deref()
     }
 
     /// Tensor of the column named `name`.
@@ -68,10 +94,10 @@ pub fn column_to_tensor(col: &Column) -> Tensor {
 
 /// Convert a whole frame (the `TQP.ingest(df)` step of the demo notebooks).
 pub fn frame_to_tensors(frame: &DataFrame) -> TensorTable {
-    TensorTable {
-        schema: frame.schema().clone(),
-        tensors: frame.columns().iter().map(column_to_tensor).collect(),
-    }
+    TensorTable::new(
+        frame.schema().clone(),
+        frame.columns().iter().map(column_to_tensor).collect(),
+    )
 }
 
 /// Convert a tensor back into a column of logical type `ty`.
@@ -100,24 +126,23 @@ pub fn tensor_to_column(t: &Tensor, ty: LogicalType) -> Column {
 
 /// Materialize a tensor table back into a `DataFrame`.
 pub fn tensors_to_frame(table: &TensorTable) -> DataFrame {
-    let cols = table
-        .schema
-        .fields
-        .iter()
-        .zip(&table.tensors)
-        .map(|(f, t)| tensor_to_column(t, f.ty))
-        .collect();
-    DataFrame::new(table.schema.clone(), cols)
+    frame_of(table.schema.clone(), &table.tensors)
 }
 
 /// Build a frame from tensors plus explicit fields (used by executors whose
 /// output schema is computed by the planner).
 pub fn frame_from_tensors(fields: Vec<Field>, tensors: Vec<Tensor>) -> DataFrame {
-    let table = TensorTable {
-        schema: Schema::new(fields),
-        tensors,
-    };
-    tensors_to_frame(&table)
+    frame_of(Schema::new(fields), &tensors)
+}
+
+fn frame_of(schema: Schema, tensors: &[Tensor]) -> DataFrame {
+    let cols = schema
+        .fields
+        .iter()
+        .zip(tensors)
+        .map(|(f, t)| tensor_to_column(t, f.ty))
+        .collect();
+    DataFrame::new(schema, cols)
 }
 
 #[cfg(test)]

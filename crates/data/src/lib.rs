@@ -13,6 +13,8 @@
 //! * [`datasets`] — the Fisher Iris table (embedded, public domain) and a
 //!   synthetic Amazon-reviews generator for the paper's Scenario 3;
 //! * [`csv`] — schema-aware CSV import/export;
+//! * [`zone`] — per-chunk min/max zone maps and the pruning rules over
+//!   them, for stored chunks and in-memory blocks alike;
 //! * [`dates`] — proleptic-Gregorian date math (civil ↔ epoch days ↔ epoch
 //!   nanoseconds, `INTERVAL` arithmetic).
 
@@ -24,6 +26,7 @@ pub mod frame;
 pub mod ingest;
 pub mod stats;
 pub mod tpch;
+pub mod zone;
 
 pub use column::{Column, ColumnBuf, LogicalType, StrBuf};
 pub use frame::{DataFrame, Field, Schema};

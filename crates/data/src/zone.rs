@@ -1,9 +1,21 @@
 //! Per-chunk zone maps and the conservative "may this chunk match?"
 //! decision rules the scan pruning pre-pass evaluates.
+//!
+//! One type serves both kinds of table: `tqp-store` records a zone per
+//! column per chunk in its footer, and an in-memory
+//! [`crate::ingest::TensorTable`] builds one per column per
+//! [`ZONE_BLOCK_ROWS`]-row block ([`ZoneMap::blocks`]), under the same
+//! min/max rules as [`crate::stats::ColumnStatsBuilder`].
 
-use tqp_data::stats::scalar_cmp;
 use tqp_tensor::ops::CmpOp;
-use tqp_tensor::Scalar;
+use tqp_tensor::{DType, Scalar, Tensor};
+
+use crate::stats::scalar_cmp;
+
+/// Rows per zone block of an in-memory table. A constant of the format,
+/// like the store's chunk size is of a file: an equality on a sorted key
+/// reads one block.
+pub const ZONE_BLOCK_ROWS: usize = 1024;
 
 /// Min/max + NULL count + distinct estimate for one column of one chunk.
 ///
@@ -14,7 +26,8 @@ pub struct ZoneMap {
     pub min: Option<Scalar>,
     pub max: Option<Scalar>,
     pub null_count: u64,
-    /// Estimated distinct non-NULL values in the chunk.
+    /// Estimated distinct non-NULL values in the chunk (0 for the blocks
+    /// of an in-memory table, which pruning never asks).
     pub distinct: u32,
 }
 
@@ -100,6 +113,79 @@ impl ZoneMap {
         } else {
             self.null_count > 0
         }
+    }
+
+    /// The zone of every [`ZONE_BLOCK_ROWS`]-row block of an all-valid
+    /// column tensor, by the store writer's rules: integers (dates
+    /// included) and booleans by value, floats by `total_cmp`, strings by
+    /// their bytes without trailing NULs. `None` for a tensor no zone
+    /// describes (a numeric matrix, an `I32`/`F32` column, a string that is
+    /// not UTF-8): its conjuncts never prune.
+    pub fn blocks(t: &Tensor) -> Option<Vec<ZoneMap>> {
+        let n = t.nrows();
+        let blocks = (0..n)
+            .step_by(ZONE_BLOCK_ROWS)
+            .map(|lo| lo..(lo + ZONE_BLOCK_ROWS).min(n));
+        let bounds: Vec<(Scalar, Scalar)> = match (t.dtype(), t.shape().len()) {
+            (DType::I64, 1) => {
+                let v = t.as_i64();
+                blocks
+                    .map(|r| {
+                        let b = &v[r];
+                        let min = *b.iter().min().expect("blocks are non-empty");
+                        let max = *b.iter().max().expect("blocks are non-empty");
+                        (Scalar::I64(min), Scalar::I64(max))
+                    })
+                    .collect()
+            }
+            (DType::F64, 1) => {
+                let v = t.as_f64();
+                blocks
+                    .map(|r| {
+                        let b = &v[r];
+                        let min = b.iter().copied().min_by(f64::total_cmp);
+                        let max = b.iter().copied().max_by(f64::total_cmp);
+                        let (min, max) = (min.expect("non-empty"), max.expect("non-empty"));
+                        (Scalar::F64(min), Scalar::F64(max))
+                    })
+                    .collect()
+            }
+            (DType::Bool, 1) => {
+                let v = t.as_bool();
+                blocks
+                    .map(|r| {
+                        let b = &v[r];
+                        let min = b.iter().all(|&x| x);
+                        let max = b.iter().any(|&x| x);
+                        (Scalar::Bool(min), Scalar::Bool(max))
+                    })
+                    .collect()
+            }
+            (DType::U8, 2) => {
+                let mut out = Vec::with_capacity(n.div_ceil(ZONE_BLOCK_ROWS));
+                let text = |b: &[u8]| Some(Scalar::Str(std::str::from_utf8(b).ok()?.to_owned()));
+                for r in blocks {
+                    let mut rows = r.map(|i| t.str_row_trimmed(i));
+                    let first = rows.next().expect("blocks are non-empty");
+                    let (min, max) =
+                        rows.fold((first, first), |(lo, hi), s| (lo.min(s), hi.max(s)));
+                    out.push((text(min)?, text(max)?));
+                }
+                out
+            }
+            _ => return None,
+        };
+        Some(
+            bounds
+                .into_iter()
+                .map(|(min, max)| ZoneMap {
+                    min: Some(min),
+                    max: Some(max),
+                    null_count: 0,
+                    distinct: 0,
+                })
+                .collect(),
+        )
     }
 }
 
@@ -196,6 +282,27 @@ mod tests {
         assert!(z.may_match_compare(CmpOp::Eq, &Scalar::F64(-0.0)));
         assert!(z.may_match_compare(CmpOp::Ge, &Scalar::F64(-0.0)));
         assert!(!z.may_match_compare(CmpOp::Gt, &Scalar::F64(-0.0)));
+    }
+
+    #[test]
+    fn blocks_cover_the_rows_in_order() {
+        let t = Tensor::from_i64((0..2500).rev().collect());
+        let z = ZoneMap::blocks(&t).expect("i64 zones");
+        assert_eq!(z.len(), 3);
+        assert_eq!(z[0].min, Some(Scalar::I64(1476)));
+        assert_eq!(z[0].max, Some(Scalar::I64(2499)));
+        assert_eq!(z[2].min, Some(Scalar::I64(0)));
+        assert_eq!(z[2].max, Some(Scalar::I64(451)));
+        let f = Tensor::from_f64(vec![0.0, -0.0, f64::NAN]);
+        let z = ZoneMap::blocks(&f).expect("f64 zones");
+        assert_eq!(format!("{:?}", z[0].min), "Some(F64(-0.0))");
+        assert!(matches!(z[0].max, Some(Scalar::F64(x)) if x.is_nan()));
+        let s = Tensor::from_strings(&["b\0", "a", "c"], 1);
+        let z = ZoneMap::blocks(&s).expect("string zones");
+        assert_eq!(z[0].min, Some(Scalar::Str("a".into())));
+        assert_eq!(z[0].max, Some(Scalar::Str("c".into())));
+        assert!(ZoneMap::blocks(&Tensor::from_f64_matrix(vec![1.0; 4], 2, 2)).is_none());
+        assert_eq!(ZoneMap::blocks(&Tensor::from_i64(vec![])), Some(vec![]));
     }
 
     #[test]

@@ -133,7 +133,8 @@ impl Batch {
     }
 
     /// [`Batch::vcat_all`] of a row range of each part, without
-    /// materializing the slices.
+    /// materializing the slices. One range alone is that part's
+    /// [`Batch::slice_rows`], or the part itself when it covers it.
     pub fn vcat_ranges(parts: &[(&Batch, Range<usize>)]) -> Batch {
         assert!(!parts.is_empty(), "vcat of zero batches");
         let ncols = parts[0].0.ncols();
@@ -146,6 +147,7 @@ impl Batch {
         match filled[..] {
             [] => return parts[0].0.slice_rows(parts[0].1.start, parts[0].1.start),
             [(p, r)] if r.len() == p.nrows() => return (*p).clone(),
+            [(p, r)] => return p.slice_rows(r.start, r.end),
             _ => {}
         }
         let columns: Vec<Tensor> = (0..ncols)

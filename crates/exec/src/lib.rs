@@ -157,10 +157,11 @@ pub struct ExecConfig {
     pub backend: Backend,
     pub device: Device,
     pub gpu_strategy: GpuStrategy,
-    /// Zone-map chunk pruning for `tqp-store`-backed scans (default on).
-    /// Pruning never changes results — it only skips chunks the following
-    /// filter would empty. Off, every chunk is decoded: the reference scan
-    /// the pruning tests (`store_differential`) compare against.
+    /// Zone-map chunk pruning for every scan (default on): stored chunks
+    /// and in-memory blocks alike. Pruning never changes results — it
+    /// only skips chunks the following filter would empty. Off, every
+    /// chunk is read: the reference scan the pruning tests
+    /// (`store_differential`, `property_zones`) compare against.
     pub prune_scans: bool,
     /// Worker threads for morsel-parallel CPU execution: chunked pipeline
     /// segments, partitioned aggregation (optionally fused into its
@@ -238,10 +239,15 @@ impl TableSource {
     /// Materialize as a whole tensor table (decodes every chunk of a
     /// stored table, sequentially and unpruned; the VM scan never calls
     /// this).
+    ///
+    /// # Panics
+    ///
+    /// On a stored chunk that fails to decode or holds a NULL; callers
+    /// that must answer with an error call [`stored::materialize`].
     pub fn to_tensor_table(&self) -> TensorTable {
         match self {
             TableSource::Mem(t) => t.clone(),
-            TableSource::Stored(t) => stored::materialize(t),
+            TableSource::Stored(t) => stored::materialize(t).unwrap_or_else(|e| panic!("{e}")),
         }
     }
 
@@ -279,8 +285,9 @@ impl From<Arc<StoredTable>> for TableSource {
 /// tables and/or handles to persistent `tqp-store` tables.
 pub type Storage = HashMap<String, TableSource>;
 
-/// Chunk-level accounting for one execution's stored-table scans (all
-/// zero when every scanned table is in-memory).
+/// Chunk-level accounting for one execution's scans: the chunks of a
+/// stored table and the zone blocks of an in-memory one
+/// ([`tqp_data::zone::ZONE_BLOCK_ROWS`] rows) count alike.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Chunks decoded.
@@ -308,9 +315,9 @@ pub struct ExecStats {
     pub modeled_us: Option<u64>,
     /// Output rows.
     pub rows: usize,
-    /// Stored-table chunks decoded (0 for in-memory scans).
+    /// Chunks scanned: stored chunks decoded and in-memory blocks read.
     pub chunks_scanned: u64,
-    /// Stored-table chunks skipped by zone-map pruning.
+    /// Chunks (stored or in-memory) skipped by zone-map pruning.
     pub chunks_pruned: u64,
     /// Per-family SIMD kernel dispatches during this run (how many times a
     /// vectorized hash/filter/gather/reduce/decode path was taken; all zero

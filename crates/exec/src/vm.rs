@@ -78,8 +78,8 @@ use crate::exprprog::ExprProgram;
 use crate::join;
 use crate::program::{ProgOp, Reg, TensorProgram};
 use crate::sched::PredictTally;
-use crate::stored::{self, ScanLayout, ScanSource};
-use crate::{ExecConfig, ScanStats, Storage, TableSource};
+use crate::stored::{self, ScanSource};
+use crate::{ExecConfig, ScanStats, Storage};
 
 /// Minimum scanned rows before a pipeline segment is worth chunking.
 const PAR_SEGMENT_MIN_ROWS: usize = 64 * 1024;
@@ -146,24 +146,24 @@ struct Vm<'a> {
     storage: &'a Storage,
     /// The run's recorder; `None` when it is untraced.
     trace: Option<&'a TraceRecorder>,
-    /// Zone-map chunk pruning enabled (stored tables only).
+    /// Zone-map chunk pruning enabled.
     prune: bool,
     workers: usize,
-    /// Stored-table chunk counters (updated on the submitting thread).
+    /// Chunk counters of every scan, stored chunks and in-memory blocks
+    /// (updated on the submitting thread).
     chunks_scanned: AtomicU64,
     chunks_pruned: AtomicU64,
     /// Per program op: the bytes recorded for it.
     bytes: Mutex<Vec<OpBytes>>,
 }
 
-/// An opened `Scan`: its source, the original-coordinate layout (identity
-/// for in-memory tables; pruned ranges for stored tables whose zone tests
-/// skipped chunks), and when it began. Its span waits for its bytes: a
-/// stored stream decodes only as the segment pulls its morsels, so
-/// `sample` holds the open's duration and the rows it exposes.
+/// An opened `Scan`: its source (whose layout maps its kept rows back to
+/// the table's), the chunks it kept, and when it began. Its span waits
+/// for its bytes: a stored chunk decodes only as the segment pulls its
+/// morsels, so `sample` holds the open's duration and the rows it exposes.
 struct OpenScan {
     source: ScanSource,
-    layout: ScanLayout,
+    chunks: usize,
     t0: Instant,
     sample: OpSample,
 }
@@ -235,8 +235,8 @@ impl Vm<'_> {
                 };
 
                 // A Filter directly consuming the scan inside this segment
-                // drives the zone-map pruning pre-pass for stored tables
-                // (the segment guarantees no other op reads the scan).
+                // drives the zone-map pruning pre-pass (the segment
+                // guarantees no other op reads the scan).
                 let prune_filter = if seg_end > i + 1 {
                     match &prog.ops[i + 1] {
                         ProgOp::Filter { conjuncts, .. } => Some(conjuncts),
@@ -247,11 +247,11 @@ impl Vm<'_> {
                 };
                 let scan = self.open_scan(&prog.ops[i], prune_filter);
                 // Gate on the *original* (pre-pruning) row count so a
-                // pruned stored scan takes the same aggregation route —
-                // and the same morsel geometry — as the in-memory path
-                // over the same table (bitwise parity contract).
+                // pruned scan takes the same aggregation route — and the
+                // same morsel geometry — as the unpruned scan of the same
+                // table (bitwise parity contract).
                 let fused_agg =
-                    fused_agg.filter(|_| scan.layout.original_rows >= agg::par_min_rows());
+                    fused_agg.filter(|_| scan.source.layout().original_rows >= agg::par_min_rows());
                 let (dst, out, last) = if let Some((dst, shape)) = fused_agg {
                     let out = self.exec_segment_agg(prog, i, seg_end, scan, shape);
                     (dst, out, seg_end)
@@ -269,7 +269,7 @@ impl Vm<'_> {
                         out_bytes: batch.nbytes() as u64,
                         ..scan.sample
                     };
-                    self.record(i, &prog.ops[i], scan.t0, sample, 0);
+                    self.record(i, &prog.ops[i], scan.t0, sample, scan.chunks);
                     (prog.ops[i].dst(), batch, i)
                 };
                 regs[dst] = Some(Value::Batch(out));
@@ -356,7 +356,7 @@ impl Vm<'_> {
             out_bytes: sums[0].out_bytes,
             ..scan.sample
         };
-        self.record(start, &prog.ops[start], scan.t0, sample, 0);
+        self.record(start, &prog.ops[start], scan.t0, sample, scan.chunks);
         for (k, op) in prog.ops[start + 1..end].iter().enumerate() {
             self.record(start + 1 + k, op, t0, sums[k + 1], morsels.len());
         }
@@ -364,10 +364,10 @@ impl Vm<'_> {
     }
 
     /// Partition-parallel segment execution: split, run chain per morsel,
-    /// concatenate in morsel order. The scan may be a lazy stored stream:
-    /// each worker's `slice_rows` then decodes (and caches) only the
-    /// chunks its morsel touches — decode itself is morsel-parallel and
-    /// no whole-scan concatenation ever happens.
+    /// concatenate in morsel order. Each worker's `slice_rows` fetches
+    /// only the pieces its morsel touches (a stored chunk decodes and
+    /// caches there, so decode itself is morsel-parallel), and no
+    /// whole-scan concatenation ever happens.
     fn exec_segment_parallel(
         &self,
         prog: &TensorProgram,
@@ -408,11 +408,11 @@ impl Vm<'_> {
     /// into the per-morsel phase of the `GroupedReduce` at `chain_end`
     /// (see [`crate::agg`] for the two shapes and their determinism
     /// contract). Morsel geometry comes from [`agg::par_morsel_rows`] over
-    /// the scan's **original** row space (its layout maps pruned stored
-    /// scans back to it; chunks a pruned scan skipped become empty morsels),
+    /// the scan's **original** row space (its layout maps a pruned scan
+    /// back to it; chunks a pruned scan skipped become empty morsels),
     /// never from the worker count, so results are bit-identical at every
-    /// `workers` setting *and* bit-identical between pruned, unpruned, and
-    /// in-memory scans of the same table.
+    /// `workers` setting *and* bit-identical between pruned and unpruned,
+    /// in-memory and stored scans of the same table.
     fn exec_segment_agg(
         &self,
         prog: &TensorProgram,
@@ -421,7 +421,7 @@ impl Vm<'_> {
         scan: OpenScan,
         shape: agg::Shape,
     ) -> Batch {
-        let (scanned, layout) = (&scan.source, &scan.layout);
+        let (scanned, layout) = (&scan.source, scan.source.layout());
         let n_orig = layout.original_rows;
         let morsel_rows = agg::par_morsel_rows();
         let n_morsels = n_orig.div_ceil(morsel_rows);
@@ -509,12 +509,11 @@ impl Vm<'_> {
     }
 
     /// Open the table of a `Scan`. `prune_filter` is the compiled filter
-    /// directly consuming this scan inside its pipeline segment, if any.
-    ///
-    /// In-memory tables open as one [`ScanSource::Whole`]. Stored tables
-    /// open as a lazy [`ScanSource::Stream`]: only chunk *metadata* is
-    /// read here (the pruning pre-pass); decode happens chunk-at-a-time as
-    /// the consumer pulls morsels.
+    /// directly consuming this scan inside its pipeline segment, if any:
+    /// its zone-testable conjuncts prune the chunks of a stored table and
+    /// the blocks of an in-memory one alike ([`ScanSource::open`]). Only
+    /// zone metadata is read here; rows are fetched (a stored chunk
+    /// decoded) as the consumer pulls morsels.
     fn open_scan(&self, op: &ProgOp, prune_filter: Option<&ExprProgram>) -> OpenScan {
         let ProgOp::Scan {
             table, projection, ..
@@ -527,36 +526,15 @@ impl Vm<'_> {
             .storage
             .get(table)
             .unwrap_or_else(|| panic!("table {table} not ingested"));
-        let (source, layout) = match src {
-            TableSource::Mem(tt) => {
-                let tensors: Vec<Tensor> = match projection {
-                    Some(p) => p.iter().map(|&i| tt.tensors[i].clone()).collect(),
-                    None => tt.tensors.clone(),
-                };
-                let out = Batch::new(tensors);
-                let layout = ScanLayout::identity(out.nrows());
-                (ScanSource::Whole(out), layout)
-            }
-            TableSource::Stored(st) => {
-                let cols: Vec<usize> = match projection {
-                    Some(p) => p.clone(),
-                    None => (0..st.schema().len()).collect(),
-                };
-                let preds = if self.prune {
-                    prune_filter
-                        .map(|f| stored::prunable_conjuncts(f, projection.as_deref()))
-                        .unwrap_or_default()
-                } else {
-                    Vec::new()
-                };
-                let scan = stored::open_stream(st, &cols, &preds);
-                self.chunks_scanned
-                    .fetch_add(scan.chunks_scanned, Ordering::Relaxed);
-                self.chunks_pruned
-                    .fetch_add(scan.chunks_pruned, Ordering::Relaxed);
-                (ScanSource::Stream(scan.stream), scan.layout)
-            }
+        let preds = match prune_filter {
+            Some(f) if self.prune => stored::prunable_conjuncts(f, projection.as_deref()),
+            _ => Vec::new(),
         };
+        let (source, scans) = ScanSource::open(src, projection.as_deref(), &preds);
+        self.chunks_scanned
+            .fetch_add(scans.chunks_scanned, Ordering::Relaxed);
+        self.chunks_pruned
+            .fetch_add(scans.chunks_pruned, Ordering::Relaxed);
         let sample = OpSample {
             us: t0.elapsed().as_micros() as u64,
             rows: source.nrows() as u64,
@@ -564,7 +542,7 @@ impl Vm<'_> {
         };
         OpenScan {
             source,
-            layout,
+            chunks: scans.chunks_scanned as usize,
             t0,
             sample,
         }

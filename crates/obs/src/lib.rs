@@ -465,7 +465,7 @@ pub fn op_key(name: &str, idx: usize) -> String {
 /// Split a span key made by [`op_key`] into the operator name and its
 /// program index (`HashProbe@op3` → `("HashProbe", 3)`). Returns `None`
 /// for non-operator (phase) spans.
-fn parse_op_key(span_name: &str) -> Option<(&str, u64)> {
+pub fn parse_op_key(span_name: &str) -> Option<(&str, u64)> {
     let (name, idx) = span_name.rsplit_once("@op")?;
     Some((name, idx.parse().ok()?))
 }

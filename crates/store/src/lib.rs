@@ -59,7 +59,8 @@
 //! ## Zone maps and statistics
 //!
 //! Every column chunk records a [`ZoneMap`] (min/max over non-NULL
-//! values, NULL count, distinct estimate); the footer also carries a
+//! values, NULL count, distinct estimate; the type lives in `tqp-data`,
+//! which builds the same zones for in-memory tables); the footer also carries a
 //! whole-table [`tqp_data::TableStats`] produced by the same
 //! [`tqp_data::StatsBuilder`] the in-memory registration path uses — the
 //! chunk-merged result is **identical** to a one-pass computation, which
@@ -88,12 +89,11 @@ mod encode;
 mod meta;
 mod reader;
 mod writer;
-mod zone;
 
 pub use encode::Encoding;
 pub use reader::{DecodedColumn, StoredTable};
+pub use tqp_data::zone::ZoneMap;
 pub use writer::{store_csv, store_frame, StoreWriter};
-pub use zone::ZoneMap;
 
 /// Current file-format version. Readers reject any other version with an
 /// error naming both (same policy as the program artifact).

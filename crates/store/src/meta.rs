@@ -9,8 +9,8 @@ use tqp_tensor::dict::StrDict;
 use tqp_tensor::Scalar;
 
 use crate::encode::{put_bytes, put_f64, put_i64, put_u32, put_u64, utf8, Cursor};
-use crate::zone::ZoneMap;
 use crate::{Result, StoreError};
+use tqp_data::zone::ZoneMap;
 
 /// Footer entry for one column of one chunk.
 #[derive(Debug, Clone)]

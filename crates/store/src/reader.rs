@@ -14,8 +14,8 @@ use tqp_tensor::Tensor;
 
 use crate::encode::{decode_validity, decode_values, Cursor, StrForm};
 use crate::meta::{decode_footer, ChunkMeta, Footer};
-use crate::zone::ZoneMap;
 use crate::{Result, StoreError, FORMAT_VERSION, MAGIC};
+use tqp_data::zone::ZoneMap;
 
 /// One decoded column chunk: a value tensor plus optional validity.
 pub type DecodedColumn = (Tensor, Option<Tensor>);

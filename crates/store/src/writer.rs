@@ -18,8 +18,8 @@ use tqp_tensor::Scalar;
 use crate::encode::{encode_validity, encode_values, ChunkValues, LocalDict};
 use crate::meta::{encode_footer, ChunkMeta, ColChunkMeta, Footer};
 use crate::reader::StoredTable;
-use crate::zone::ZoneMap;
 use crate::{Result, DEFAULT_CHUNK_ROWS, FORMAT_VERSION, MAGIC};
+use tqp_data::zone::ZoneMap;
 
 /// A streaming writer for one table file.
 pub struct StoreWriter {

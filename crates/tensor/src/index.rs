@@ -251,16 +251,25 @@ pub fn concat_ranges(parts: &[(&Tensor, Range<usize>)]) -> Tensor {
                 }
                 Tensor::from_u8_matrix(out, n, m)
             }
-            DType::F64 => {
+            DType::F64 | DType::F32 | DType::I64 => {
                 assert!(
                     parts.iter().all(|(p, _)| p.row_width() == m),
-                    "f64 concat width mismatch"
+                    "{dt:?} concat width mismatch"
                 );
-                let mut out = Vec::with_capacity(n * m);
-                for (p, range) in parts {
-                    out.extend_from_slice(&p.as_f64()[range.start * m..range.end * m]);
+                macro_rules! cat {
+                    ($as:ident, $ctor:path) => {{
+                        let mut out = Vec::with_capacity(n * m);
+                        for (p, range) in parts {
+                            out.extend_from_slice(&p.$as()[range.start * m..range.end * m]);
+                        }
+                        $ctor(out, n, m)
+                    }};
                 }
-                Tensor::from_f64_matrix(out, n, m)
+                match dt {
+                    DType::F64 => cat!(as_f64, Tensor::from_f64_matrix),
+                    DType::F32 => cat!(as_f32, Tensor::from_f32_matrix),
+                    _ => cat!(as_i64, Tensor::from_i64_matrix),
+                }
             }
             other => panic!("concat rank-2 {other:?} unsupported"),
         }
@@ -355,6 +364,18 @@ mod tests {
         assert_eq!(slice_rows(&t, 1, 3).as_i64(), &[2, 3]);
         let c = concat(&[&head(&t, 2), &slice_rows(&t, 2, 4)]);
         assert_eq!(c.as_i64(), &[1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn concat_ranges_of_numeric_matrices_equal_their_slices() {
+        let i = Tensor::from_i64_matrix((0..12).collect(), 4, 3);
+        let f = Tensor::from_f32_matrix((0..12).map(|x| x as f32).collect(), 4, 3);
+        for t in [i, f] {
+            let one = concat_ranges(&[(&t, 1..3)]);
+            assert_eq!(format!("{one:?}"), format!("{:?}", slice_rows(&t, 1, 3)));
+            let two = concat_ranges(&[(&t, 3..4), (&t, 0..1)]);
+            assert_eq!(two.shape(), &[2, 3]);
+        }
     }
 
     #[test]

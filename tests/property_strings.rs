@@ -127,10 +127,7 @@ fn padded(frame: &DataFrame) -> TableSource {
             other => tqp_repro::data::ingest::column_to_tensor(other),
         })
         .collect();
-    TableSource::Mem(TensorTable {
-        schema: frame.schema().clone(),
-        tensors,
-    })
+    TableSource::Mem(TensorTable::new(frame.schema().clone(), tensors))
 }
 
 fn ingested(frame: &DataFrame) -> TableSource {

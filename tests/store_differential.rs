@@ -3,8 +3,12 @@
 //! in-memory frame path — on all four backends, at workers 1, 2 and 4, on
 //! the CPU and the simulated GPU, with zone-map pruning on and off — and
 //! the pruning pre-pass actually skips chunks on selective predicates
-//! (with counters to prove it). A chunk corrupted on disk is a typed
-//! execution error, not a panic.
+//! (with counters to prove it). In-memory tables prune their blocks too,
+//! so the oracle is the **unpruned** in-memory run: the pruned in-memory
+//! run and the stored run are each checked against it, and a defect the
+//! two pruned paths shared could not cancel out. A chunk corrupted on
+//! disk is a typed execution error, not a panic, on the engine and on the
+//! row engine alike.
 //!
 //! Two sessions are built over byte-identical data (the frame side reads
 //! back the same CSV the store ingests, so CSV float formatting affects
@@ -153,7 +157,12 @@ fn stored_scans_match_memory_bitwise_all_backends() {
                         let ctx = format!(
                             "{backend:?} {device:?} workers={workers} prune={prune}: {sql}"
                         );
-                        let (want, _) = mem.compile(sql, cfg).unwrap().run(&mem).unwrap();
+                        let oracle = cfg.prune_scans(false);
+                        let (want, _) = mem.compile(sql, oracle).unwrap().run(&mem).unwrap();
+                        if prune {
+                            let (pruned, _) = mem.compile(sql, cfg).unwrap().run(&mem).unwrap();
+                            assert_bitwise(&want, &pruned, &format!("{ctx} (in-memory)"));
+                        }
                         let (got, stats) = st.compile(sql, cfg).unwrap().run(&st).unwrap();
                         assert_bitwise(&want, &got, &ctx);
                         if !prune {
@@ -331,11 +340,18 @@ fn trailing_nul_strings_do_not_misprune() {
     mem.register_table("t", frame);
 
     let sql = "select count(*) as c from t where s = 'x'";
+    let oracle = QueryConfig::default().prune_scans(false);
+    let (want, _) = mem.compile(sql, oracle).unwrap().run(&mem).unwrap();
+    assert_eq!(want.column(0).get(0).as_i64(), n as i64);
     for prune in [true, false] {
         let cfg = QueryConfig::default().prune_scans(prune);
-        let (want, _) = mem.compile(sql, cfg).unwrap().run(&mem).unwrap();
+        let (in_memory, stats) = mem.compile(sql, cfg).unwrap().run(&mem).unwrap();
+        assert_bitwise(&want, &in_memory, &format!("in-memory, prune={prune}"));
+        assert_eq!(
+            stats.chunks_pruned, 0,
+            "NUL-padded rows match 'x' in memory"
+        );
         let (got, stats) = st.compile(sql, cfg).unwrap().run(&st).unwrap();
-        assert_eq!(want.column(0).get(0).as_i64(), n as i64);
         assert_bitwise(&want, &got, &format!("prune={prune}"));
         if prune {
             assert_eq!(stats.chunks_scanned, stored.n_chunks() as u64);
@@ -390,7 +406,17 @@ fn pruned_aggregation_is_bitwise_stable_on_adversarial_floats() {
                group by grp order by grp";
     for workers in [1usize, 2, 4, 7] {
         let cfg = QueryConfig::default().workers(workers);
-        let (want, _) = mem.compile(sql, cfg).unwrap().run(&mem).unwrap();
+        let (want, _) = mem
+            .compile(sql, cfg.prune_scans(false))
+            .unwrap()
+            .run(&mem)
+            .unwrap();
+        let (pruned, stats) = mem.compile(sql, cfg).unwrap().run(&mem).unwrap();
+        assert!(
+            stats.chunks_pruned > 30,
+            "expected block pruning: {stats:?}"
+        );
+        assert_bitwise(&want, &pruned, &format!("in-memory, workers={workers}"));
         let (got, stats) = st.compile(sql, cfg).unwrap().run(&st).unwrap();
         assert!(
             stats.chunks_pruned > 30,
@@ -439,7 +465,17 @@ fn partitioned_aggregation_is_bitwise_pruned_unpruned_and_in_memory() {
     }
     for workers in [1usize, 2, 4, 7] {
         let cfg = QueryConfig::default().workers(workers);
-        let (want, _) = mem.compile(sql, cfg).unwrap().run(&mem).unwrap();
+        let (want, _) = mem
+            .compile(sql, cfg.prune_scans(false))
+            .unwrap()
+            .run(&mem)
+            .unwrap();
+        let (mem_pruned, stats) = mem.compile(sql, cfg).unwrap().run(&mem).unwrap();
+        assert!(
+            stats.chunks_pruned > 30,
+            "expected block pruning: {stats:?}"
+        );
+        assert_bitwise(&want, &mem_pruned, &format!("in-memory, workers={workers}"));
         let (pruned, stats) = st.compile(sql, cfg).unwrap().run(&st).unwrap();
         assert!(stats.chunks_pruned > 30, "expected pruning: {stats:?}");
         assert_bitwise(&want, &pruned, &format!("pruned, workers={workers}"));
@@ -455,7 +491,8 @@ fn partitioned_aggregation_is_bitwise_pruned_unpruned_and_in_memory() {
 
 /// Corrupting 32 bytes of a registered 10-chunk file's data section makes
 /// a query over it fail with a typed execution error naming the chunk, on
-/// either device, and the session goes on answering.
+/// either device and on the row engine, and the session goes on
+/// answering on both.
 #[test]
 fn corrupted_chunk_is_an_execution_error() {
     use tqp_repro::core::TqpError;
@@ -486,6 +523,9 @@ fn corrupted_chunk_is_an_execution_error() {
             expect_chunk_error(res, &format!("{device:?} workers={workers}"));
         }
     }
+    expect_chunk_error(s.sql_baseline(sql), "Session::sql_baseline");
     let out = s.sql("select sum(x) from m").unwrap();
+    assert_eq!(format!("{:?}", out.row(0)), "[I64(499500)]");
+    let out = s.sql_baseline("select sum(x) from m").unwrap();
     assert_eq!(format!("{:?}", out.row(0)), "[I64(499500)]");
 }
